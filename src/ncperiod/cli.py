@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -557,8 +558,30 @@ def cmd_period(args, out):
     return 0
 
 
+_RANGE_OPTIONS = ("--degree-range", "--t-window")
+_RANGE = re.compile(r"-?\d+\.\.-?\d+\Z")
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that takes a negative `lo..hi` after a range option.
+
+    argparse reads a separate token such as `-6..6` as an option flag, so
+    `--t-window -6..6` would fail; it is glued to its option as
+    `--t-window=-6..6` before parsing.  Subparsers inherit this class.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        glued = []
+        for arg in sys.argv[1:] if args is None else args:
+            if glued and glued[-1] in _RANGE_OPTIONS and _RANGE.match(arg):
+                glued[-1] += "=" + arg
+            else:
+                glued.append(arg)
+        return super().parse_known_args(glued, namespace)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="ncperiod",
         description="Hochschild/cyclic homology, deformations and period "
                     "mappings of finite-dimensional algebras over Q.",

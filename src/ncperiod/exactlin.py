@@ -1,21 +1,24 @@
 """Exact rational sparse linear algebra: rref, kernels, homology of a spot.
 
-Everything is over Q via fractions.Fraction (plain ints mix freely).
-Determinism: pivots are chosen at the first nonzero column, rows in index
-order, so every basis produced here is reproducible run to run.
+Everything is over Q: entries are ints or Fractions, and results come back
+as Fractions.  Internally every row is a primitive integer vector, and one
+fraction-free elimination step (`_eliminate`) does all the row reduction.
+Determinism: kernels and solutions are read off the reduced row echelon form,
+which is unique, and greedy bases take the pivot columns of an echelon form,
+which are the columns outside the span of the columns before them.  So every
+basis produced here depends only on the input, not on the elimination order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 
 class CompositionNonzero(Exception):
     """d_out . d_in != 0 where a complex was expected."""
-
-
-DENSE_CUTOFF = 64  # below this, rref densifies rows (cheaper than dict churn)
 
 
 class SparseMatrix:
@@ -126,45 +129,121 @@ def from_columns(rows, columns):
     return m
 
 
+def _primitive(row):
+    """row divided by its content (the gcd of its entries)."""
+    c = gcd(*row.values())
+    if c > 1:
+        return {k: v // c for k, v in row.items()}
+    return row
+
+
+def _int_row(vec):
+    """Primitive integer multiple of a sparse rational vector, zeros dropped.
+
+    Entries must be exact rationals (int or Fraction); a float or any other
+    value without an exact denominator raises TypeError.
+    """
+    try:
+        den = lcm(*[v.denominator for v in vec.values()])
+        row = {k: v.numerator * (den // v.denominator) for k, v in vec.items() if v}
+    except AttributeError:
+        bad = next(v for v in vec.values() if not hasattr(v, "denominator"))
+        raise TypeError(f"exact entries must be int or Fraction, got {bad!r}") from None
+    return _primitive(row)
+
+
+def _eliminate(row, cols, piv):
+    """Clear the integer row at each column k of cols with the pivot row piv[k].
+
+    The one elimination step of this module, fraction-free as in Bareiss
+    (1968): for one column, with a = p[k], f = row[k] and g = gcd(a, f),
+    row <- (a/g) row - (f/g) p.  For several columns, row is scaled once by
+    the lcm of the a/g and every pivot subtracted; this needs each piv[k] to
+    vanish at the other columns of cols.  Returns the primitive part; row
+    itself may be consumed.
+    """
+    scale = 1
+    for k in cols:
+        a = piv[k][k]
+        scale = lcm(scale, a // gcd(a, row[k]))
+    if scale != 1:
+        row = {k: scale * v for k, v in row.items()}
+    for k in cols:
+        p = piv[k]
+        m = row[k] // p[k]
+        for c, w in p.items():
+            s = row.get(c, 0) - m * w
+            if s:
+                row[c] = s
+            else:
+                del row[c]
+    return _primitive(row)
+
+
+def _echelon(rows):
+    """Forward elimination of primitive integer rows: {pivot column: row}.
+
+    Rows wait in buckets keyed by their leading (smallest) column.  Columns
+    are taken in increasing order; the sparsest row of a bucket becomes the
+    pivot of that column and clears the others, which move on to the bucket
+    of their new leading column.  No column is ever searched for a row.
+    """
+    buckets = {}
+    for r in rows:
+        if r:
+            buckets.setdefault(min(r), []).append(r)
+    heap = list(buckets)
+    heapify(heap)
+    piv = {}
+    while heap:
+        j = heappop(heap)
+        bucket = buckets.pop(j)
+        p = piv[j] = min(bucket, key=len)
+        for r in bucket:
+            if r is p:
+                continue
+            r = _eliminate(r, (j,), piv)
+            if r:
+                k = min(r)
+                if k in buckets:
+                    buckets[k].append(r)
+                else:
+                    buckets[k] = [r]
+                    heappush(heap, k)
+    return piv
+
+
 class IncrementalSpan:
     """Echelonized span of sparse vectors with incremental insertion.
 
-    Vectors are dicts {index: value}; each stored row is normalized to have
-    leading (= smallest-index) coefficient one.  `reduce` returns the residual
-    of a vector modulo the span, `add` inserts and reports whether the rank
-    grew.  Insertion order determines the echelon, hence determinism.
+    Vectors are dicts {index: value} with int or Fraction entries; each is
+    stored as a primitive integer row under its leading (= smallest) index.
+    `add` inserts and reports whether the rank grew, `contains` tests
+    membership.  Both reduce with the module's one elimination step.
     """
 
     def __init__(self):
-        self.lead = {}  # leading index -> normalized row (dict)
+        self.lead = {}  # leading index -> primitive integer row
 
-    def reduce(self, vec):
-        v = dict(vec)
+    def _reduce(self, vec):
+        v = _int_row(vec)
         lead = self.lead
         while v:
             j = min(v)
-            row = lead.get(j)
-            if row is None:
+            if j not in lead:
                 return v, j
-            c = v[j]
-            for k, w in row.items():
-                s = v.get(k, 0) - c * w
-                if s:
-                    v[k] = s
-                else:
-                    v.pop(k, None)
+            v = _eliminate(v, (j,), lead)
         return v, None
 
     def add(self, vec):
-        v, j = self.reduce(vec)
+        v, j = self._reduce(vec)
         if j is None:
             return False
-        c = Fraction(1) / Fraction(v[j])
-        self.lead[j] = {k: w * c for k, w in v.items()}
+        self.lead[j] = v
         return True
 
     def contains(self, vec):
-        v, _ = self.reduce(vec)
+        v, _ = self._reduce(vec)
         return not v
 
     @property
@@ -172,76 +251,46 @@ class IncrementalSpan:
         return len(self.lead)
 
 
-def _rref_rows_dense(rowlist, cols):
-    """Dense variant of _rref_rows for small shapes; same pivot rule."""
-    rows = [[Fraction(r.get(j, 0)) for j in range(cols)] for r in rowlist]
-    pivots = []
-    pivot_idx = []
-    used = [False] * len(rows)
-    for j in range(cols):
-        sel = -1
-        for i, r in enumerate(rows):
-            if not used[i] and r[j]:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        used[sel] = True
-        piv = rows[sel]
-        inv = Fraction(1) / piv[j]
-        for c in range(cols):
-            piv[c] *= inv
-        for i, r in enumerate(rows):
-            if i != sel and r[j]:
-                f = r[j]
-                for c in range(cols):
-                    r[c] -= f * piv[c]
-        pivots.append(j)
-        pivot_idx.append(sel)
-    pivot_rows = [
-        {c: rows[i][c] for c in range(cols) if rows[i][c]} for i in pivot_idx
-    ]
-    return pivots, pivot_rows
-
-
-def _rref_rows(rowlist, cols):
+def _rref_rows(rowlist):
     """Row reduce sparse rows ({col: val}); returns (pivot_cols, pivot_rows).
 
-    Columns are scanned left to right; the pivot row for a column is the
-    unused row of least index with a nonzero entry there.  Output rows are
-    fully reduced (RREF).
+    pivot_cols is increasing; pivot_rows are the nonzero rows of the reduced
+    row echelon form, with Fraction entries and leading entry one.  Rows are
+    echelonized over the integers, then back-substituted from the last
+    pivot up.  The RREF of a matrix is unique, so the result does not depend
+    on the row order or on which rows the elimination used as pivots.
     """
-    if len(rowlist) <= DENSE_CUTOFF and cols <= DENSE_CUTOFF:
-        return _rref_rows_dense(rowlist, cols)
-    rows = [dict(r) for r in rowlist]
-    pivots = []
+    piv = _echelon([_int_row(r) for r in rowlist])
+    pivots = sorted(piv)
+    for j in reversed(pivots):
+        r = piv[j]
+        above = [k for k in r if k != j and k in piv]
+        if above:
+            piv[j] = _eliminate(r, above, piv)
     pivot_rows = []
-    used = [False] * len(rows)
-    for j in range(cols):
-        sel = -1
-        for i, r in enumerate(rows):
-            if not used[i] and r.get(j):
-                sel = i
-                break
-        if sel < 0:
-            continue
-        used[sel] = True
-        piv = rows[sel]
-        inv = Fraction(1) / Fraction(piv[j])
-        for c in list(piv):
-            piv[c] *= inv
-        for i, r in enumerate(rows):
-            if i != sel and r.get(j):
-                f = r[j]
-                for c, v in piv.items():
-                    s = r.get(c, 0) - f * v
-                    if s:
-                        r[c] = s
-                    else:
-                        r.pop(c, None)
-        pivots.append(j)
-        pivot_rows.append(piv)
+    for j in pivots:
+        a = piv[j][j]
+        pivot_rows.append({k: Fraction(v, a) for k, v in piv[j].items()})
     return pivots, pivot_rows
+
+
+def _pivot_columns(m: SparseMatrix):
+    """Columns of m not in the span of the columns before them, increasing.
+
+    These are the pivot columns of any echelon form of m, so the forward
+    elimination suffices and no back-substitution is done.
+    """
+    return sorted(_echelon([_int_row(r) for r in m.row_lists()]))
+
+
+def _greedy_split(first, second):
+    """The vectors of first, then of second, not in the span of those before.
+
+    Returned as two lists; together they are a basis of the span of all the
+    given vectors.
+    """
+    span = IncrementalSpan()
+    return [v for v in first if span.add(v)], [v for v in second if span.add(v)]
 
 
 def rref(m: SparseMatrix):
@@ -251,27 +300,18 @@ def rref(m: SparseMatrix):
     {v : m v = 0}; rank + len(kernel_basis) == m.cols.  Kernel vectors are
     produced per free column in increasing column order.
     """
-    pivots, pivot_rows = _rref_rows(m.row_lists(), m.cols)
+    pivots, pivot_rows = _rref_rows(m.row_lists())
     pivset = set(pivots)
-    kernel = []
-    for f in range(m.cols):
-        if f in pivset:
-            continue
-        vec = {f: Fraction(1)}
-        for pj, prow in zip(pivots, pivot_rows):
-            c = prow.get(f)
-            if c:
-                vec[pj] = -Fraction(c)
-        kernel.append(vec)
-    return len(pivots), kernel, pivots
+    kernel = {f: {f: Fraction(1)} for f in range(m.cols) if f not in pivset}
+    for pj, prow in zip(pivots, pivot_rows):
+        for c, v in prow.items():
+            if c != pj:
+                kernel[c][pj] = -v
+    return len(pivots), list(kernel.values()), pivots
 
 
 def rank(m: SparseMatrix):
-    span = IncrementalSpan()
-    for col in m.columns():
-        if col:
-            span.add(col)
-    return span.dim
+    return len(_pivot_columns(m))
 
 
 def solve(m: SparseMatrix, rhs):
@@ -282,7 +322,7 @@ def solve(m: SparseMatrix, rhs):
     for i, v in items:
         if v:
             rowlist[i][aug] = v
-    pivots, pivot_rows = _rref_rows(rowlist, m.cols + 1)
+    pivots, pivot_rows = _rref_rows(rowlist)
     x = {}
     for pj, prow in zip(pivots, pivot_rows):
         if pj == aug:
@@ -327,15 +367,7 @@ def homology_at(d_in: SparseMatrix, d_out: SparseMatrix) -> SubquotientBasis:
     if not d_out.compose(d_in).is_zero():
         raise CompositionNonzero("d_out . d_in != 0")
     _, cycles, _ = rref(d_out)
-    boundaries = []
-    span = IncrementalSpan()
-    for col in d_in.columns():
-        if col and span.add(col):
-            boundaries.append(col)
-    reps = []
-    for z in cycles:
-        if span.add(z):
-            reps.append(z)
+    boundaries, reps = _greedy_split(d_in.columns(), cycles)
     return SubquotientBasis(
         ambient_dim=d_out.cols,
         cycle_basis=cycles,
@@ -368,51 +400,41 @@ def complex_sdr(dims, diffs):
     unused / None); diffs[W+1] supplies the boundaries of the top spot.
 
     Returns a list of SpotSDR for spots 0..W.  Decomposition per spot:
-    C_n = B_n + H_n + N_n with B_n spanned by the greedily selected image
-    columns of d_{n+1}, N_n by the unit vectors of the selected columns
-    (so d: N_n ~ B_{n-1} bijectively), and H_n by homology representatives.
+    C_n = B_n + H_n + N_n with B_n spanned by the columns of d_{n+1} at the
+    pivot columns of its RREF (each one not in the span of the columns before
+    it), N_n by the unit vectors of the pivot columns of d_n (so
+    d: N_n ~ B_{n-1} bijectively), and H_n by homology representatives.
     h is (d|_N)^{-1} on B and zero on H + N.
     """
     W = len(dims) - 1
     if len(diffs) < W + 2:
         raise ValueError("need differentials up to spot W+1")
-    sel = [[] for _ in range(W + 2)]   # selected column indices of d_n
-    bnd = [[] for _ in range(W + 1)]   # boundary basis of C_{n}: from d_{n+1}
-    for n in range(1, W + 2):
-        d = diffs[n]
-        if d is None:
-            continue
-        span = IncrementalSpan()
-        cols = d.columns()
-        for j, col in enumerate(cols):
-            if col and span.add(col):
-                sel[n].append(j)
-                if n - 1 <= W:
-                    bnd[n - 1].append(col)
+    sel = [[] for _ in range(W + 2)]   # pivot columns of d_n
+    cycles = [{j: Fraction(1)} for j in range(dims[0])]
     out = []
     for n in range(W + 1):
-        if n == 0:
-            cycles = [{j: Fraction(1)} for j in range(dims[0])]
-        else:
-            _, cycles, _ = rref(diffs[n])
-        span = IncrementalSpan()
-        for b in bnd[n]:
-            span.add(b)
-        reps = [z for z in cycles if span.add(z)]
+        d_up = diffs[n + 1]
+        if n < W:
+            _, next_cycles, sel[n + 1] = rref(d_up)
+        elif d_up is not None:
+            sel[n + 1] = _pivot_columns(d_up)
+        cols = d_up.columns() if sel[n + 1] else []
+        bnd = [cols[j] for j in sel[n + 1]]   # boundary basis of C_n
+        _, reps = _greedy_split(bnd, cycles)
         # Full basis [B | H | N] of C_n; one inversion gives p rows and the
         # B-coordinates that define h.  N_n is spanned by the unit vectors of
-        # the columns of d_n selected while building bnd[n-1].
-        nb, nh = len(bnd[n]), len(reps)
+        # the pivot columns of d_n.
+        nb, nh = len(bnd), len(reps)
         nsel = [{j: Fraction(1)} for j in sel[n]]
         if nb + nh + len(nsel) != dims[n]:
             raise RuntimeError(f"spot {n}: B+H+N does not span (bug)")
         rowlist = [dict() for _ in range(dims[n])]
-        for j, col in enumerate(bnd[n] + reps + nsel):
+        for j, col in enumerate(bnd + reps + nsel):
             for i, v in col.items():
                 rowlist[i][j] = v
         for i in range(dims[n]):
-            rowlist[i][dims[n] + i] = Fraction(1)
-        pivots, pivot_rows = _rref_rows(rowlist, 2 * dims[n])
+            rowlist[i][dims[n] + i] = 1
+        pivots, pivot_rows = _rref_rows(rowlist)
         inv_rows = [None] * dims[n]
         for pj, prow in zip(pivots, pivot_rows):
             if pj >= dims[n]:
@@ -423,12 +445,10 @@ def complex_sdr(dims, diffs):
         for k in range(nb):
             jup = sel[n + 1][k]
             for i, v in inv_rows[k].items():
-                s = hcols[i].get(jup, 0) + v
-                if s:
-                    hcols[i][jup] = s
-                else:
-                    hcols[i].pop(jup, None)
+                hcols[i][jup] = v
         out.append(SpotSDR(dim=dims[n], reps=reps, proj_rows=proj_rows, hmty_cols=hcols))
+        if n < W:
+            cycles = next_cycles
     return out
 
 

@@ -12,13 +12,16 @@ values directly.
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ncperiod
 from conftest import random_first_order_mc
 from ncperiod.algebra import (
     a2_quiver_algebra,
@@ -338,11 +341,15 @@ def test_criterion_10_cli_determinism():
         [sys.executable, "-m", "ncperiod.cli", "hh",
          "--algebra", "matrix:2", "--degree-range", "0..3"],
     ]
+    # the child interpreters import the same ncperiod as this process
+    src = str(Path(ncperiod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     ok = True
     for cmd in cmds:
         outs = set()
         for _ in range(2):
-            proc = subprocess.run(cmd, capture_output=True)
+            proc = subprocess.run(cmd, capture_output=True, env=env)
             outs.add(proc.stdout)
             if proc.returncode != 0:
                 ok = False

@@ -1,11 +1,14 @@
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from ncperiod.cli import (
     ParseError,
     ValidationError,
+    build_parser,
     main,
     parse_algebra_file,
     parse_mc_file,
@@ -93,6 +96,29 @@ def test_spec_example_hh_table():
     assert code == 0
     assert out == "2 1 1 1 1\n"
 
+
+
+README_CYCLIC = "ncperiod cyclic --algebra trunc_poly:2 --degree-range 0..4 --t-window -6..6"
+
+
+def test_readme_cyclic_line_with_negative_window():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert README_CYCLIC in readme
+    code, out = run_cli(shlex.split(README_CYCLIC)[1:])
+    assert code == 0
+    assert out == (
+        "degree   0   1   2   3   4\n"
+        "HN       1   1   0   1   0\n"
+        "HC       2   0   2   0   2\n"
+        "HP     (HP0, HP1) = (1, 0)\n"
+        "SBI-consistent: True\n"
+    )
+
+
+def test_negative_ranges_parse_as_values():
+    args = build_parser().parse_args(["cyclic", "--algebra", "q", "--degree-range",
+                                      "-4..2", "--t-window", "-6..6"])
+    assert (args.degree_range, args.t_window) == ("-4..2", "-6..6")
 
 def test_spec_example_calc_verify():
     code, out = run_cli(["calc", "verify", "--algebra", "path:a2",

@@ -2,11 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ncperiod.algebra import (
+    a2_quiver_algebra,
+    build_matrix_algebra,
+    build_truncated_polynomial_algebra,
+    kronecker_algebra,
+)
+from ncperiod.cyclic import boundary_matrices, chain_spaces
 from ncperiod.exactlin import (
     CompositionNonzero,
     IncrementalSpan,
     SparseMatrix,
+    _rref_rows,
     complex_sdr,
     express_in_homology,
     from_columns,
@@ -18,13 +27,14 @@ from ncperiod.exactlin import (
 )
 
 
-def dense_rank_oracle(rows):
-    """Plain Gaussian elimination on a list-of-lists copy (independent path)."""
+def dense_rref_oracle(rows, ncols):
+    """Plain Gauss-Jordan on a list-of-lists copy (independent path).
+
+    Returns (pivot columns, nonzero RREF rows as sparse dicts)."""
     m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
+    nrows = len(m)
     r = 0
+    pivots = []
     for c in range(ncols):
         piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
@@ -36,13 +46,15 @@ def dense_rank_oracle(rows):
             if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
         r += 1
-    return r
+    return pivots, [{j: x for j, x in enumerate(row) if x} for row in m[:r]]
 
 
-def sparse_from_rows(rows):
+def sparse_from_rows(rows, nc=None):
     nr = len(rows)
-    nc = len(rows[0]) if rows else 0
+    if nc is None:
+        nc = len(rows[0]) if rows else 0
     m = SparseMatrix(nr, nc)
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
@@ -79,7 +91,7 @@ def test_rref_random_against_dense_oracle():
         ]
         m = sparse_from_rows(rows)
         rk, kernel, _ = rref(m)
-        assert rk == dense_rank_oracle(rows)
+        assert rk == len(dense_rref_oracle(rows, 7)[0])
         assert rk + len(kernel) == 7
         for v in kernel:
             assert m.matvec(v) == {}
@@ -196,3 +208,106 @@ def test_complex_sdr_on_periodic_complex():
             for i in range(dims[n]):
                 expect = (1 if i == j else 0) - ip[i, j]
                 assert lhs[i, j] == expect
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small sparse rational matrices with denominators, zero rows and
+    columns, duplicate and scaled rows; 0 x n and n x 0 shapes included."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 8))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-6, max_value=6, max_denominator=7),
+    )
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for j in draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=2)):
+        for row in rows:
+            if j < ncols:
+                row[j] = Fraction(0)
+    if rows:
+        for i in draw(st.lists(st.integers(0, nrows - 1), max_size=3)):
+            c = draw(st.sampled_from([1, -1, 2, Fraction(-3, 5)]))
+            rows.append([c * x for x in rows[i]])
+        rows = draw(st.permutations(rows))
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_echelon_kernel_against_dense_oracle(case):
+    rows, ncols = case
+    m = sparse_from_rows(rows, ncols)
+    pivots, pivot_rows = _rref_rows(m.row_lists())
+    assert (pivots, pivot_rows) == dense_rref_oracle(rows, ncols)
+    assert all(type(v) is Fraction for r in pivot_rows for v in r.values())
+    rk, kernel, rpivots = rref(m)
+    assert (rk, rpivots) == (len(pivots), pivots)
+    assert rank(m) == rk == rank(m.transpose())
+    assert rk + len(kernel) == ncols
+    for v in kernel:
+        assert m.matvec(v) == {}
+    span = IncrementalSpan()
+    grew = [span.add(r) for r in m.row_lists()]
+    prefix_ranks = [len(dense_rref_oracle(rows[:k], ncols)[0]) for k in range(len(rows) + 1)]
+    assert grew == [b > a for a, b in zip(prefix_ranks, prefix_ranks[1:])]
+    assert span.dim == rk
+
+
+def test_float_entries_rejected():
+    with pytest.raises(TypeError):
+        rref(SparseMatrix(1, 2, {(0, 0): 1, (0, 1): 0.5}))
+    with pytest.raises(TypeError):
+        IncrementalSpan().add({0: Fraction(1, 3), 2: 2.5})
+
+
+def _rows_matrix(ncols, rows):
+    m = SparseMatrix(len(rows), ncols)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            m[i, j] = v
+    return m
+
+
+def _sum(*mats):
+    out = SparseMatrix(mats[0].rows, mats[0].cols)
+    for m in mats:
+        for (i, j), v in m.entries.items():
+            out.add_to(i, j, v)
+    return out
+
+
+def _is_identity(m):
+    return m.rows == m.cols and m.entries == {(i, i): 1 for i in range(m.rows)}
+
+
+@pytest.mark.parametrize("build, bar", [
+    (lambda: build_matrix_algebra(2), 4),
+    (lambda: build_truncated_polynomial_algebra(3), 6),
+    (a2_quiver_algebra, 6),
+    (kronecker_algebra, 4),
+], ids=["M2", "T3", "A2", "kron"])
+def test_complex_sdr_identities_on_bar_complexes(build, bar):
+    """All five SDR identities at every spot of a real bar complex.
+
+    They pin p and h down uniquely for the B + H + N splitting, and h must
+    vanish on N, the unit vectors of the pivot columns of rref(d_n)."""
+    alg = build()
+    spaces = chain_spaces(alg, bar + 1)
+    dims = [len(s) for s in spaces]
+    d = boundary_matrices(alg, spaces)
+    d[0] = SparseMatrix(0, dims[0])
+    sdr = complex_sdr(dims[: bar + 1], d)
+    h = [from_columns(dims[n + 1], s.hmty_cols) for n, s in enumerate(sdr)]
+    iota = [from_columns(dims[n], s.reps) for n, s in enumerate(sdr)]
+    p = [_rows_matrix(dims[n], s.proj_rows) for n, s in enumerate(sdr)]
+    for n in range(bar + 1):
+        dh_hd = [d[n + 1].compose(h[n])] + ([h[n - 1].compose(d[n])] if n else [])
+        assert _is_identity(_sum(*dh_hd, iota[n].compose(p[n])))   # dh + hd = 1 - ip
+        assert _is_identity(p[n].compose(iota[n]))                  # p i = 1
+        assert h[n].compose(iota[n]).is_zero()                      # h i = 0
+        if n < bar:
+            assert h[n + 1].compose(h[n]).is_zero()                 # h h = 0
+            assert p[n + 1].compose(h[n]).is_zero()                 # p h = 0
+        if n:
+            _, _, pivots = rref(d[n])
+            assert all(not sdr[n].hmty_cols[j] for j in pivots)
