@@ -64,32 +64,12 @@ class DgAlgebra:
     def reduced_indices(self):
         return range(1, self.dim)
 
-    def unit_index(self):
-        return 0
-
     def is_degree_zero(self):
         return all(d == 0 for d in self.degrees)
 
     def product(self, i, j):
         """Structure constants of basis_i * basis_j as {k: coeff}."""
         return self.mult.get((i, j), {})
-
-    def multiply_vectors(self, u, v):
-        """Product of two coefficient vectors (dicts index -> coeff)."""
-        out = {}
-        for i, a in u.items():
-            if not a:
-                continue
-            for j, b in v.items():
-                if not b:
-                    continue
-                for k, c in self.mult.get((i, j), {}).items():
-                    s = out.get(k, 0) + a * b * c
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return out
 
     def d_of(self, j):
         return self.diff.get(j, {})

@@ -98,6 +98,12 @@ class ArtinLocalRing:
         if validate:
             self._validate()
         self.nilpotency_order = self._nilpotency_order()
+        # m-adic level of each basis slot: the largest s with the slot in m^s
+        levels = [0] * self.dim
+        for s, stage in enumerate(self.m_adic_filtration()[:-1], start=1):
+            for i in stage:
+                levels[i] = s
+        self.levels = tuple(levels)
 
     # -- construction helpers -------------------------------------------------
 
@@ -209,16 +215,26 @@ class ArtinLocalRing:
 
     def filtration_level(self, idx):
         """Largest s with basis element idx in m^s (0 for the unit slot)."""
-        if idx == 0:
-            return 0
-        level = 0
-        for s, stage in enumerate(self.m_adic_filtration()[:-1], start=1):
-            if idx in stage:
-                level = s
-        return level
+        return self.levels[idx]
 
     def __repr__(self):
         return f"ArtinLocalRing({self.basis_labels})"
+
+
+def slot_coordinates(pairs):
+    """{(slot, key): q}: the nonzero basis coordinates of (key, coefficient)
+    pairs.  A RingElement spreads over its ring slots; a Q coefficient sits
+    in the unit slot 0.  ring.levels[slot] then splits them by m-adic level.
+    """
+    out = {}
+    for key, v in pairs:
+        if isinstance(v, RingElement):
+            for slot, q in enumerate(v.coeffs):
+                if q:
+                    out[slot, key] = q
+        elif v:
+            out[0, key] = v
+    return out
 
 
 def m_adic_filtration(ring: ArtinLocalRing):
@@ -309,33 +325,6 @@ def fiber_product(r1: ArtinLocalRing, r2: ArtinLocalRing, to_q1=None, to_q2=None
     return ArtinLocalRing(labels, table)
 
 
-def ring_map_coeffs(src: ArtinLocalRing, dst: ArtinLocalRing, images):
-    """Linear data of a ring map src -> dst given images of basis elements.
-
-    images: list of dst RingElements, one per src basis element; the map is
-    checked to be unital and multiplicative.
-    """
-    if len(images) != src.dim:
-        raise ValueError("need one image per basis element")
-    if images[0] != dst.one():
-        raise NotArtinLocal("map does not preserve the unit")
-    for i in range(src.dim):
-        for j in range(src.dim):
-            lhs = images[i] * images[j]
-            rhs = dst.zero()
-            for k, v in src.table.get((i, j), {}).items():
-                rhs = rhs + images[k] * v
-            if lhs != rhs:
-                raise NotArtinLocal(f"not multiplicative on basis pair {(i, j)}")
-    def apply(x):
-        out = dst.zero()
-        for i, c in enumerate(x.coeffs):
-            if c:
-                out = out + images[i] * c
-        return out
-    return apply
-
-
 def reduction_to_q(ring: ArtinLocalRing):
     """The augmentation R -> Q as a callable."""
     def red(x):
@@ -349,7 +338,7 @@ def truncation_map(ring: ArtinLocalRing, order: int):
     Implemented for truncated polynomial rings where basis elements have a
     well-defined m-adic level.
     """
-    keep = [i for i in range(ring.dim) if ring.filtration_level(i) < order]
+    keep = [i for i in range(ring.dim) if ring.levels[i] < order]
     labels = [ring.basis_labels[i] for i in keep]
     pos = {i: p for p, i in enumerate(keep)}
     table = {}

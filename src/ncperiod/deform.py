@@ -2,9 +2,18 @@
 
 An MC element is a shifted-degree-1 normalized cochain with coefficients in
 the maximal ideal; it deforms the algebra structure (b + x), the chain
-differential (d + L_x) and, downstream, the cyclic complexes.  All solving
-is done order by order along the m-adic filtration, where each step is an
-affine-linear problem over Q in the cochain complex.
+differential (d + L_x) and, downstream, the cyclic complexes.
+
+All solving goes through one routine, solve_by_levels: along the m-adic
+filtration (the small-extension induction of Goldman-Millson), each step is
+one affine-linear solve over Q on the lowest nonzero level of a residual.
+Its unknowns are a copy of a fixed linear map's columns per ring slot of that
+level, plus the kernel directions left free by the lower levels, whose
+effect is probed by evaluating the residual.  That probing is exact through
+nilpotency order 3; beyond it a found solution is still exact, but a failure
+only says the linearized search ran out.  gauge_equivalent and
+lift_order_by_order here, and trivialize_periodic and ptd_isomorphic in
+period, are its four callers.
 """
 
 from __future__ import annotations
@@ -12,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import ArtinLocalRing, RingElement
-from .exactlin import solve
+from .coeff import ArtinLocalRing, RingElement, slot_coordinates
+from .exactlin import express_in_homology, from_columns, rref, solve
 from .hochschild import (
     ChainBasis,
     Cochain,
@@ -24,6 +33,7 @@ from .hochschild import (
     cochain_differential,
     gerstenhaber_bracket,
     hochschild_boundary,
+    hochschild_cohomology,
     structure_as_cochain,
 )
 
@@ -278,63 +288,120 @@ def conjugated_structure_component(algebra, x: MCElement, alpha: GaugeElement,
 # -- m-adic affine solving -------------------------------------------------------------
 
 
-def _level_of(ring, idx):
-    return ring.filtration_level(idx)
+def solve_by_levels(ring, lin, residual, shift, state, kernel=(), seed=None,
+                    steps=None):
+    """Drive residual(state) to zero along the m-adic filtration of ring.
+
+    residual(state) is {(slot, row): Fraction}, the ring-slot coordinates of
+    the residual; shift(state, {slot: vector}) moves state by the unknowns
+    (Q-vectors indexed like lin's columns) placed in those ring slots.  The
+    SparseMatrix lin is their Q-linear effect on the residual rows of their
+    own slot; everything else they do lands on deeper levels.
+
+    Each step takes the lowest nonzero level of the residual and solves one
+    stacked system with rhs = -(that level's slice): a copy of lin's columns
+    per ring slot of the level (slots in increasing order), then one probe
+    column per pending ambiguity -- a kernel vector placed in a slot of a
+    lower level, whose effect on this level is measured by evaluating the
+    residual.  The probes linearize that effect, which is exact through
+    nilpotency order 3; for deeper rings a solved state is still exact, while
+    a failure may only mean the linearized search was exhausted.  With
+    seed(slot) -> vector, each slot of the residual at that level starts
+    from that fixed part and its effect moves into the right-hand side.
+
+    Returns (state, None) once the residual vanishes.  Otherwise returns
+    (state, (level, rhs)) where the system of that level has no solution
+    (state before that step, rhs {(slot, row): q}), or (state, (None, res))
+    with the residual left when `steps` (default nilpotency order + 1) ran out.
+    """
+    levels = ring.levels
+    cols = lin.columns()
+    pending, registered = [], set()  # (slot, kernel vector) ambiguities
+
+    def register(level):
+        if level not in registered:
+            registered.add(level)
+            pending.extend((s, z) for s in range(ring.dim) if levels[s] == level
+                           for z in kernel)
+
+    for _ in range(steps or ring.nilpotency_order + 1):
+        res = residual(state)
+        if not res:
+            return state, None
+        level = min(levels[s] for s, _ in res)
+        # a skipped level still leaves its kernel directions free
+        for below in range(1, level):
+            register(below)
+        at = {key: q for key, q in res.items() if levels[key[0]] == level}
+        slots = [s for s in range(ring.dim) if levels[s] == level]
+        rows = {}
+        stacked = [{rows.setdefault((s, i), len(rows)): v for i, v in col.items()}
+                   for s in slots for col in cols]
+        for s, z in pending:
+            delta = {key: -q for key, q in at.items()}
+            for key, q in residual(shift(state, {s: z})).items():
+                if levels[key[0]] == level:
+                    delta[key] = delta.get(key, 0) + q
+            stacked.append({rows.setdefault(key, len(rows)): q
+                            for key, q in delta.items() if q})
+        rhs = {key: -q for key, q in at.items()}
+        fixed = {}
+        if seed is not None:
+            for s in dict.fromkeys(s for s, _ in at):
+                fixed[s] = seed(s)
+                for j, q in fixed[s].items():
+                    for i, v in cols[j].items():
+                        rhs[s, i] = rhs.get((s, i), 0) - v * q
+        b = {rows.setdefault(key, len(rows)): q for key, q in rhs.items()}
+        sol = solve(from_columns(len(rows), stacked), b)
+        if sol is None:
+            return state, (level, rhs)
+        vecs = {s: dict(v) for s, v in fixed.items()}
+        n = len(cols)
+        for j, q in sol.items():
+            if j < n * len(slots):
+                s, z = slots[j // n], {j % n: 1}
+            else:
+                s, z = pending[j - n * len(slots)]
+            vec = vecs.setdefault(s, {})
+            for i, zq in z.items():
+                vec[i] = vec.get(i, 0) + q * zq
+        state = shift(state, vecs)
+        register(level)
+    res = residual(state)
+    return state, ((None, res) if res else None)
 
 
-def _cochain_level_part(ring, c: Cochain, level):
-    """Q-valued slices of the coefficients at one m-adic level: {ring_idx: Cochain}."""
-    parts = {}
-    for l, comp in c.components.items():
-        for w, out in comp.items():
-            for t, v in out.items():
-                for ridx, q in enumerate(v.coeffs):
-                    if q and _level_of(ring, ridx) == level:
-                        parts.setdefault(ridx, {}).setdefault(l, {}).setdefault(
-                            w, {}
-                        )[t] = q
-    return {
-        ridx: Cochain(c.algebra, comps, c.sdeg)
-        for ridx, comps in parts.items()
-    }
+def _cochain_rows(c: Cochain, basis: CochainBasis):
+    """Ring-slot coordinates {(slot, row)} of c's component in basis' arity."""
+    comp = c.components.get(basis.arity, {})
+    return slot_coordinates((basis.index[w, t], v)
+                            for w, out in comp.items() for t, v in out.items())
 
 
-def _min_level(ring, c: Cochain):
-    lv = None
-    for l, comp in c.components.items():
-        for w, out in comp.items():
-            for t, v in out.items():
-                for ridx, q in enumerate(v.coeffs):
-                    if q:
-                        s = _level_of(ring, ridx)
-                        lv = s if lv is None else min(lv, s)
-    return lv
+def _shift_cochain(ring, state: Cochain, basis: CochainBasis, vecs):
+    """state plus the cochain whose slot-s coordinates in basis are vecs[s]."""
+    coeffs = {}
+    for s, vec in vecs.items():
+        for i, q in vec.items():
+            coeffs.setdefault(basis.keys[i], [0] * ring.dim)[s] += q
+    comp = {}
+    for (w, t), cs in coeffs.items():
+        comp.setdefault(w, {})[t] = RingElement(ring, cs)
+    return state.add(Cochain(state.algebra, {basis.arity: comp}, basis.arity - 1,
+                             state.arity_bound))
 
 
-def _solve_dalpha(algebra, arity, rhs_vec):
-    """Particular alpha with d(alpha) = rhs (rhs an arity+1 cochain vector)."""
-    dmat = _cochain_diff_matrix(algebra, arity)
-    return solve(dmat, rhs_vec)
-
-
-def _single_slot_cochain(algebra, ring, ridx, w, t, value, sdeg, bound):
-    coeffs = [Fraction(0)] * ring.dim
-    coeffs[ridx] = value
-    return Cochain(algebra, {len(w): {w: {t: RingElement(ring, coeffs)}}},
-                   sdeg, bound)
-
-
-def gauge_equivalent(x: MCElement, y: MCElement, max_arity=2):
+def gauge_equivalent(x: MCElement, y: MCElement):
     """Find alpha with e^alpha . x = y, or None if obstructed.
 
-    Both must be Maurer-Cartan over the same ring.  The solve walks the
-    m-adic filtration; each level is an affine-linear solve whose unknowns
-    are the new slice of alpha TOGETHER WITH the cocycle ambiguities left
-    free by the earlier levels (their effect is probed exactly by applying
-    the gauge action, and stays linear through nilpotency order 3; for
-    deeper rings a returned witness is still verified exactly, while None
-    means the linearized search was exhausted).  Degree-0 algebras only,
-    so the unknown sits in arity 1 and obstructions in degree 2.
+    Both must be Maurer-Cartan over the same ring.  solve_by_levels walks the
+    m-adic filtration: the unknowns are the new slice of alpha (effect d on
+    the residual y - e^alpha . x) together with the cocycle directions left
+    free by the lower levels, so None means the linearized search was
+    exhausted (see solve_by_levels for the nilpotency order 3 caveat).
+    Degree-0 algebras only, so the unknown sits in arity 1 and the residual
+    in arity 2.
     """
     if x.ring is not y.ring:
         raise ValueError("different base rings")
@@ -343,101 +410,18 @@ def gauge_equivalent(x: MCElement, y: MCElement, max_arity=2):
     for z in (x, y):
         if not mc_residual(algebra, z).is_zero():
             raise NotMaurerCartan("input is not Maurer-Cartan")
-    bound = x.value.arity_bound
-    alpha = GaugeElement(ring, Cochain(algebra, {}, 0, bound))
-    cb2 = CochainBasis(algebra, 2)
-    cb1 = CochainBasis(algebra, 1)
+    cb1, cb2 = CochainBasis(algebra, 1), CochainBasis(algebra, 2)
     dmat = _cochain_diff_matrix(algebra, 1)
-    from .exactlin import rref
 
-    _, ker1, _ = rref(dmat)  # cocycle directions of the degree-0 unknowns
-    pending = []  # ambiguity generators from solved levels, as Cochains
+    def residual(alpha):
+        cur = gauge_act(GaugeElement(ring, alpha), x)
+        return _cochain_rows(y.value.add(cur.value, scale=-1), cb2)
 
-    def residual(gauge_cochain):
-        cur = gauge_act(GaugeElement(ring, gauge_cochain), x)
-        return y.value.add(cur.value, scale=-1)
-
-    def ambiguities_at(level):
-        out = []
-        for ridx in range(ring.dim):
-            if ring.filtration_level(ridx) != level:
-                continue
-            for zvec in ker1:
-                z = Cochain(algebra, {}, 0, bound)
-                for k, q in zvec.items():
-                    w, t = cb1.keys[k]
-                    z = z.add(_single_slot_cochain(algebra, ring, ridx, w, t,
-                                                   q, 0, bound))
-                if not z.is_zero():
-                    out.append(z)
-        return out
-
-    registered = set()
-    for _ in range(ring.nilpotency_order + 1):
-        diff = residual(alpha.value)
-        if diff.is_zero():
-            return alpha
-        level = _min_level(ring, diff)
-        # ambiguity directions of every lower level stay in play (a skipped
-        # level still contributes free cocycle directions)
-        for below in range(1, level):
-            if below not in registered:
-                registered.add(below)
-                pending.extend(ambiguities_at(below))
-        level_slots = [i for i in range(ring.dim)
-                       if ring.filtration_level(i) == level]
-        # columns: new-slice unit unknowns, then pending ambiguity probes
-        n_u = len(cb1.keys) * len(level_slots)
-        cols = []
-        for ridx in level_slots:
-            for (w, t) in cb1.keys:
-                e = _single_slot_cochain(algebra, ring, ridx, w, t,
-                                         Fraction(1), 0, bound)
-                de = cochain_differential(algebra, e)
-                cols.append(("u", de.scaled(-1)))
-        for z in pending:
-            probe = residual(alpha.value.add(z)).add(diff, scale=-1)
-            cols.append(("z", probe.scaled(-1)))
-        # rows: the level slice of the arity-2 residual must be matched
-        rows = {}
-        mat_cols = []
-        for kind, effect in cols:
-            col = {}
-            for ridx2, part in _cochain_level_part(ring, effect, level).items():
-                for w, out in part.components.get(2, {}).items():
-                    for t, v in out.items():
-                        col[rows.setdefault((ridx2, cb2.index[w, t]),
-                                            len(rows))] = v
-            mat_cols.append(col)
-        rhs = {}
-        for ridx2, part in _cochain_level_part(ring, diff, level).items():
-            for w, out in part.components.get(2, {}).items():
-                for t, v in out.items():
-                    rhs[rows.setdefault((ridx2, cb2.index[w, t]), len(rows))] = v
-        from .exactlin import from_columns, solve as lin_solve
-
-        sol = lin_solve(from_columns(len(rows), mat_cols), rhs)
-        if sol is None:
-            return None  # obstructed at this filtration level
-        upd = Cochain(algebra, {}, 0, bound)
-        for j, q in sol.items():
-            if not q:
-                continue
-            if j < n_u:
-                ridx = level_slots[j // len(cb1.keys)]
-                w, t = cb1.keys[j % len(cb1.keys)]
-                upd = upd.add(_single_slot_cochain(algebra, ring, ridx, w, t,
-                                                   q, 0, bound))
-            else:
-                upd = upd.add(pending[j - n_u].map_coefficients(lambda c: q * c))
-        alpha = GaugeElement(ring, alpha.value.add(upd))
-        # record the new level's cocycle ambiguities for later levels
-        if level not in registered:
-            registered.add(level)
-            pending.extend(ambiguities_at(level))
-    if residual(alpha.value).is_zero():
-        return alpha
-    return None
+    alpha, blocked = solve_by_levels(
+        ring, dmat, residual,
+        lambda alpha, vecs: _shift_cochain(ring, alpha, cb1, vecs),
+        Cochain(algebra, {}, 0, x.value.arity_bound), kernel=rref(dmat)[1])
+    return None if blocked else GaugeElement(ring, alpha)
 
 
 def lift_order_by_order(algebra, x_low: MCElement, ring: ArtinLocalRing):
@@ -448,77 +432,38 @@ def lift_order_by_order(algebra, x_low: MCElement, ring: ArtinLocalRing):
     ("lift", MCElement) or ("obstruction", {ring_index: class coordinates in
     the chosen degree-3 cohomology basis}) -- the quadratic obstruction per
     new-level ring slot, with the deterministic representative choice coming
-    from the cohomology engine's homology basis.
+    from the cohomology engine's homology basis.  The new level is one
+    solve_by_levels step with no ambiguities, so x_low stays fixed.
     """
     small = x_low.ring
     if ring.basis_labels[: small.dim] != small.basis_labels:
         raise ValueError("ring does not extend the base of x_low")
     if not mc_residual(algebra, x_low).is_zero():
         raise NotMaurerCartan("x_low is not Maurer-Cartan")
-    new_level = small.nilpotency_order
     # re-coefficient x_low into the bigger ring
-    comps = {}
-    for l, comp in x_low.value.components.items():
-        comps[l] = {
-            w: {
-                t: RingElement(
-                    ring,
-                    list(c.coeffs) + [Fraction(0)] * (ring.dim - small.dim),
-                )
-                for t, c in out.items()
-            }
-            for w, out in comp.items()
-        }
-    x = MCElement(ring, Cochain(algebra, comps, 1, x_low.value.arity_bound))
-    res = mc_residual(algebra, x)
-    if res.is_zero():
-        return "lift", x
-    parts = _cochain_level_part(ring, res, new_level)
-    cb3 = CochainBasis(algebra, 3)
-    cb2 = CochainBasis(algebra, 2)
-    upd = {}
-    for ridx, part in parts.items():
-        comp3 = part.components.get(3, {})
-        vec = {}
-        for w, out in comp3.items():
-            for t, v in out.items():
-                vec[cb3.index[w, t]] = -v
-        sol = _solve_dalpha(algebra, 2, vec)
-        if sol is None:
-            return "obstruction", obstruction_class(algebra, parts)
-        for k, q in sol.items():
-            w, t = cb2.keys[k]
-            coeffs = [Fraction(0)] * ring.dim
-            coeffs[ridx] = q
-            cur = upd.setdefault((w, t), ring.zero())
-            upd[w, t] = cur + RingElement(ring, coeffs)
-    comps = {}
-    for (w, t), c in upd.items():
-        comps.setdefault(2, {}).setdefault(w, {})[t] = c
-    delta = Cochain(algebra, comps, 1, x_low.value.arity_bound)
-    lifted = MCElement(ring, x.value.add(delta))
-    if not mc_residual(algebra, lifted).is_zero():
+    pad = [Fraction(0)] * (ring.dim - small.dim)
+    x = x_low.value.map_coefficients(lambda c: RingElement(ring, list(c.coeffs) + pad))
+    cb2, cb3 = CochainBasis(algebra, 2), CochainBasis(algebra, 3)
+    lifted, blocked = solve_by_levels(
+        ring, _cochain_diff_matrix(algebra, 2),
+        lambda c: _cochain_rows(mc_residual(algebra, MCElement(ring, c)), cb3),
+        lambda c, vecs: _shift_cochain(ring, c, cb2, vecs), x, steps=1)
+    if blocked is None:
+        return "lift", MCElement(ring, lifted)
+    level, rhs = blocked
+    if level is None:
         raise RuntimeError("order-by-order lift left a deeper residual (bug)")
-    return "lift", lifted
+    parts = {}
+    for (s, row), q in rhs.items():
+        parts.setdefault(s, {})[row] = -q
+    return "obstruction", obstruction_class(algebra, parts)
 
 
 def obstruction_class(algebra, parts):
-    """Express an obstruction slice in the degree-3 cohomology basis."""
-    from .hochschild import hochschild_cohomology
-
+    """Express obstruction slices {ring_index: degree-3 cochain vector} in the
+    degree-3 cohomology basis."""
     hh = hochschild_cohomology(algebra, [3])
-    out = {}
-    cb3 = CochainBasis(algebra, 3)
-    for ridx, part in parts.items():
-        vec = {}
-        for w, outv in part.components.get(3, {}).items():
-            for t, v in outv.items():
-                vec[cb3.index[w, t]] = v
-        from .exactlin import express_in_homology
-
-        coords = express_in_homology(hh.spots[3], vec)
-        out[ridx] = coords
-    return out
+    return {ridx: express_in_homology(hh.spots[3], vec) for ridx, vec in parts.items()}
 
 
 # -- deformed mixed complex -------------------------------------------------------------

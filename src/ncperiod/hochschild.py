@@ -260,10 +260,6 @@ def lie_terms(algebra, op, a0, word, out_terms):
                 out_terms((out, rest), sgn * c)
 
 
-def boundary_terms(algebra, struct, a0, word, out_terms):
-    lie_terms(algebra, struct, a0, word, out_terms)
-
-
 def connes_terms(algebra, a0, word, out_terms):
     """B(a0 x word): all cyclic rotations with the unit in front."""
     if a0 == 0:
@@ -449,35 +445,6 @@ class ChainBasis:
 
     def __len__(self):
         return len(self.keys)
-
-    def weight_slice(self, n):
-        return [i for i, (a0, w) in enumerate(self.keys) if len(w) == n]
-
-    def vector_of(self, chain):
-        out = {}
-        for key, c in chain.items():
-            i = self.index.get(key)
-            if i is None:
-                raise BarBoundExceeded(f"term of weight {len(key[1])} not stored")
-            out[i] = c
-        return out
-
-    def matrix_of(self, term_fn):
-        """Columns of the operator sending basis key -> term_fn terms."""
-        cols = []
-        for a0, word in self.keys:
-            acc = {}
-            term_fn(a0, word, lambda key, v: chain_add(acc, key, v))
-            col = []
-            for key, c in acc.items():
-                i = self.index.get(key)
-                if i is None:
-                    raise BarBoundExceeded(
-                        f"term of weight {len(key[1])} not stored (max {self.max_weight})"
-                    )
-                col.append((i, c))
-            cols.append(col)
-        return cols
 
 
 # -- homology -----------------------------------------------------------------------

@@ -5,8 +5,11 @@ maps  H_m -> H_{m'} . t^sigma  over the weightwise-reduced mixed complex (the
 quotient End((t))/End[[t]] is then literally the sigma < 0 part, matching
 the homology-level description of the period target).  The deformed
 differential is transferred through the weightwise retract by homological
-perturbation with delta = tB + L_x; trivializations and PTD isomorphisms
-are found by m-adic-step linear solves in the block algebra.
+perturbation with delta = tB + L_x.  Trivializations and PTD isomorphisms
+are found by deform.solve_by_levels on block coordinates: the unknowns act
+through [D0, -] on their own m-adic level (the trivialization starts each
+slot from the seed -(1/t) I_x; the PTD search also carries the kernel
+directions of lower levels, exact through nilpotency order 3).
 
 Conventions:
   * trivialize_periodic returns g with  e^g . 0 = (deformed - undeformed)
@@ -21,14 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coeff import RingElement
+from .coeff import RingElement, slot_coordinates
 from .cyclic import NotStabilized, default_bar_bound, reduce_mixed_complex
-
-
-class DegreeOutOfComputedRange(Exception):
-    pass
-from .deform import MCElement, NotMaurerCartan, mc_residual
-from .exactlin import IncrementalSpan, SparseMatrix, from_columns, solve
+from .deform import MCElement, NotMaurerCartan, mc_residual, solve_by_levels
+from .exactlin import IncrementalSpan, SparseMatrix, from_columns, rref
 from .hochschild import (
     Cochain,
     chain_add,
@@ -38,6 +37,10 @@ from .hochschild import (
     hochschild_homology,
     lie_terms,
 )
+
+
+class DegreeOutOfComputedRange(Exception):
+    pass
 
 
 # -- block operators --------------------------------------------------------------
@@ -113,38 +116,19 @@ class BlockOp:
                     out.blocks.pop(key, None)
         return out
 
-    def commutator(self, other, bar_bound, window):
-        sgn = -1 if (self.deg * other.deg) % 2 else 1
-        return self.compose(other, bar_bound, window).add(
-            other.compose(self, bar_bound, window), scale=-sgn
-        )
-
-    def min_level(self, ring):
-        lv = None
-        for mat in self.blocks.values():
-            for v in mat.values():
-                if isinstance(v, RingElement):
-                    for ridx, q in enumerate(v.coeffs):
-                        if q:
-                            s = ring.filtration_level(ridx)
-                            lv = s if lv is None else min(lv, s)
-                elif v:
-                    lv = 0 if lv is None else min(lv, 0)
-        return lv
+    def entries(self):
+        """((sigma, m, m', row, col), value) for every stored entry."""
+        for (sig, m, m2), mat in self.blocks.items():
+            for (r, c), v in mat.items():
+                yield (sig, m, m2, r, c), v
 
     def level_slices(self, ring, level):
         """{ring_idx: BlockOp over Q} of the coefficients at one m-adic level."""
         out = {}
-        for key, mat in self.blocks.items():
-            for e, v in mat.items():
-                if not isinstance(v, RingElement):
-                    continue
-                for ridx, q in enumerate(v.coeffs):
-                    if q and ring.filtration_level(ridx) == level:
-                        out.setdefault(ridx, BlockOp(self.deg)).blocks.setdefault(
-                            key, {}
-                        )[e] = q
-        return out
+        for (s, key), q in slot_coordinates(self.entries()).items():
+            if ring.levels[s] == level:
+                out.setdefault(s, {})[key] = q
+        return {s: _op_of(self.deg, ent) for s, ent in out.items()}
 
     def map_coefficients(self, fn):
         return BlockOp(
@@ -531,21 +515,35 @@ def _block_basis(h_dims, deg, window, bar_bound):
     return {key: i for i, key in enumerate(out)}, out
 
 
-def _op_to_vec(op, basis_index):
-    vec = {}
-    for (sig, m, m2), mat in op.blocks.items():
-        for (r, c), v in mat.items():
-            vec[basis_index[sig, m, m2, r, c]] = v
-    return vec
-
-
-def _vec_to_op(vec, basis_keys, deg):
+def _op_of(deg, entries):
+    """BlockOp from {(sigma, m, m', row, col): value}; zero values are dropped."""
     op = BlockOp(deg)
-    for i, v in vec.items():
-        sig, m, m2, r, c = basis_keys[i]
+    for (sig, m, m2, r, c), v in entries.items():
         if v:
             op.blocks.setdefault((sig, m, m2), {})[r, c] = v
     return op
+
+
+def _op_rows(op, index, offset=0):
+    """Ring-slot coordinates {(slot, offset + row)} of op on a block basis;
+    raises NotStabilized for an entry outside the basis (the window)."""
+    pairs = []
+    for key, v in op.entries():
+        i = index.get(key)
+        if i is None:
+            raise NotStabilized(f"residual block {key[:3]} left the window")
+        pairs.append((offset + i, v))
+    return slot_coordinates(pairs)
+
+
+def _ring_op(ring, vecs, keys, deg, first=0):
+    """BlockOp over R whose slot-s coordinate at keys[i] is vecs[s][first + i]."""
+    coeffs = {}
+    for s, vec in vecs.items():
+        for i, q in vec.items():
+            if 0 <= i - first < len(keys):
+                coeffs.setdefault(keys[i - first], [0] * ring.dim)[s] += q
+    return _op_of(deg, {key: RingElement(ring, cs) for key, cs in coeffs.items()})
 
 
 def block_d(D0, f, bar_bound, window):
@@ -589,8 +587,8 @@ class Trivialization:
     """Result of the order-by-order periodic trivialization.
 
     gauge is None exactly when some filtration step was obstructed, in which
-    case obstruction holds the blocking residual (its class in the block
-    endomorphisms of the reduced window is the obstructing class).
+    case obstruction holds the residual of the gauge reached before it (the
+    class of its lowest-level slice modulo [D0, -] is the obstructing class).
     """
 
     gauge: object          # BlockOp or None
@@ -620,39 +618,31 @@ def trivialize_periodic(algebra, x: MCElement, t_window=(-6, 6), bar_bound=None)
     D0 = base_differential(red)
     Dx = deformed_differential(red, x, t_window)
     mu = Dx.add(D0, scale=-1)
-    # seed blocks: -(1/t) I at each level, from the level slices of x
-    g = BlockOp(0)
-    for _ in range(ring.nilpotency_order + 1):
-        res = gauge_residual(mu, g, D0, red, t_window, ring)
-        lvl = res.min_level(ring)
-        if lvl is None:
-            return Trivialization(g, red, D0, mu)
-        slices = res.level_slices(ring, lvl)
-        upd = BlockOp(0)
-        for ridx, rop in slices.items():
-            # seeded particular solution: start from -(1/t) I_{x-slice}
-            xs = _x_level_slice(x, ring, ridx)
-            seed = contraction_blocks(red, xs, t_shift=-1).scaled(-1) \
-                if xs is not None else BlockOp(0)
-            dseed = block_d(D0, seed, red.bar_bound, t_window)
-            rem = rop.add(dseed, scale=-1)
-            corr = _solve_block_equation(red, D0, rem, t_window)
-            if corr is None:
-                return Trivialization(None, red, D0, mu, obstruction=rem)
-            part = seed.add(corr)
-            upd = upd.add(part.map_coefficients(
-                lambda q, ridx=ridx: _ring_unit(ring, ridx, q)))
-        g = g.add(upd)
-    res = gauge_residual(mu, g, D0, red, t_window, ring)
-    if res.is_zero():
+    dmat, keys, rows = _d_matrix(red, D0, 0, t_window)
+    index = {key: j for j, key in enumerate(keys)}
+
+    def residual(g):
+        return _op_rows(gauge_residual(mu, g, D0, red, t_window, ring), rows)
+
+    def seed(s):
+        """Coordinates of the seeded particular solution -(1/t) I_{x-slice}."""
+        xs = _x_level_slice(x, ring, s)
+        if xs is None:
+            return {}
+        blocks = contraction_blocks(red, xs, t_shift=-1)
+        if any(key not in index for key, _ in blocks.entries()):
+            raise NotStabilized("the seed -(1/t) I_x left the t-window")
+        return {index[key]: -v for key, v in blocks.entries()}
+
+    # g moves the residual by -[D0, g] on its own level
+    lin = SparseMatrix(dmat.rows, dmat.cols, {e: -v for e, v in dmat.entries.items()})
+    g, blocked = solve_by_levels(
+        ring, lin, residual, lambda g, vecs: g.add(_ring_op(ring, vecs, keys, 0)),
+        BlockOp(0), seed=seed)
+    if blocked is None:
         return Trivialization(g, red, D0, mu)
+    res = gauge_residual(mu, g, D0, red, t_window, ring)
     return Trivialization(None, red, D0, mu, obstruction=res)
-
-
-def _ring_unit(ring, ridx, q):
-    coeffs = [Fraction(0)] * ring.dim
-    coeffs[ridx] = q
-    return RingElement(ring, coeffs)
 
 
 def _x_level_slice(x: MCElement, ring, ridx):
@@ -666,22 +656,6 @@ def _x_level_slice(x: MCElement, ring, ridx):
     if not comps:
         return None
     return Cochain(x.algebra, comps, 1, x.value.arity_bound)
-
-
-def _solve_block_equation(red, D0, rhs: BlockOp, window):
-    """One degree-0 block g with [D0, g] = rhs (rhs degree 1), else None."""
-    dmat, src_keys, dst_index = _d_matrix(red, D0, 0, window)
-    vec = {}
-    for (sig, m, m2), mat in rhs.blocks.items():
-        for (r, c), v in mat.items():
-            i = dst_index.get((sig, m, m2, r, c))
-            if i is None:
-                raise NotStabilized(f"residual block {(sig, m, m2)} left the window")
-            vec[i] = v
-    sol = solve(dmat, vec)
-    if sol is None:
-        return None
-    return _vec_to_op(sol, src_keys, 0)
 
 
 @dataclass
@@ -701,7 +675,7 @@ class PTD:
         diff = self.negative_differential.add(
             self.base.restrict_nonneg(), scale=-1
         )
-        return diff.min_level(self.ring) not in (0, None) or diff.is_zero()
+        return all(self.ring.levels[s] for s, _ in slot_coordinates(diff.entries()))
 
 
 def period_map_artin(algebra, x: MCElement, t_window=(-6, 6), bar_bound=None):
@@ -743,169 +717,46 @@ def _ptd_residuals(p, q, c, a, red, ring):
     return S, lhs.add(rhs, scale=-1)
 
 
-def ptd_isomorphic(p: PTD, q: PTD, max_steps=None):
+def ptd_isomorphic(p: PTD, q: PTD):
     """Search h = e^c (iso of the negative deformations) and a with
-    phi_2 e^{da} = h((t)) phi_1; returns (True, (c, a)) or (False, step).
+    phi_2 e^{da} = h((t)) phi_1; returns (True, (c, a)) or (False, level),
+    level None when the search ran out of steps.
 
-    Levels of the maximal ideal are solved in turn; each solve carries the
-    kernel directions left free by the lower levels as extra unknowns (their
-    effect is probed by evaluating the residuals, exact through nilpotency
-    order 3).  A returned witness always verifies on the nose.
+    solve_by_levels solves the levels of the maximal ideal in turn, carrying
+    the kernel directions left free by the lower levels as probed unknowns
+    (exact through nilpotency order 3).  A returned witness always verifies
+    on the nose.
     """
     if p.ring is not q.ring or p.window != q.window:
         raise ValueError("PTDs over different rings or windows")
     ring = p.ring
     red = reduce_mixed_complex(p.algebra, p.bar_bound)
     window = p.window
-    bar = p.bar_bound
-    D0 = p.base
-    c = BlockOp(0)
-    a = BlockOp(-1)
-    steps = max_steps or (ring.nilpotency_order + 1)
-    # linear system data, shared across levels:
-    # unknowns (c_s with sigma >= 0, a_s); rows are
-    #   (1) [D0, c_s] = -S_s   on degree-1 block coordinates,
-    #   (2) d a_s - c_s = -R_s on degree-0 block coordinates.
-    idx_c, keys_c = _block_basis(red.h_dims, 0, window, bar)
-    keys_c_nonneg = [k for k in keys_c if k[0] >= 0]
-    pos_c = {k: i for i, k in enumerate(keys_c_nonneg)}
-    idx_a, keys_a = _block_basis(red.h_dims, -1, window, bar)
-    n_c, n_a = len(keys_c_nonneg), len(keys_a)
-    _, _, dst_index_c1 = _d_matrix(red, D0, 0, window)
-    off = len(dst_index_c1)
-    mat = SparseMatrix(off + len(idx_c), n_c + n_a)
-    for k, j in pos_c.items():
-        sig, m, m2, r, cc = k
-        e = BlockOp(0)
-        e.blocks[sig, m, m2] = {(r, cc): Fraction(1)}
-        for key2, mat2 in block_d(D0, e, bar, window).blocks.items():
-            for (r2, c2), v in mat2.items():
-                i = dst_index_c1.get((key2[0], key2[1], key2[2], r2, c2))
-                if i is not None:
-                    mat.add_to(i, j, v)
-        i = idx_c.get(k)
-        if i is not None:
-            mat.add_to(off + i, j, Fraction(-1))
-    for k, j in idx_a.items():
-        sig, m, m2, r, cc = k
-        e = BlockOp(-1)
-        e.blocks[sig, m, m2] = {(r, cc): Fraction(1)}
-        for key2, mat2 in block_d(D0, e, bar, window).blocks.items():
-            for (r2, c2), v in mat2.items():
-                i = idx_c.get((key2[0], key2[1], key2[2], r2, c2))
-                if i is not None:
-                    mat.add_to(off + i, n_c + j, v)
+    # unknowns (c with sigma >= 0, a); residual rows are
+    #   (1) the chain-map residual S, moved by [D0, c], on degree-1 blocks,
+    #   (2) the square residual R, moved by [D0, a] - c, on degree-0 blocks.
+    d0, keys_c, rows1 = _d_matrix(red, p.base, 0, window)
+    d_1, keys_a, rows0 = _d_matrix(red, p.base, -1, window)
+    off = len(rows1)
+    cols0 = d0.columns()
+    nonneg = [j for j, key in enumerate(keys_c) if key[0] >= 0]
+    keys_c = [keys_c[j] for j in nonneg]
+    lin = from_columns(
+        off + len(rows0),
+        [{**cols0[j], off + j: Fraction(-1)} for j in nonneg]
+        + [{off + i: v for i, v in col.items()} for col in d_1.columns()])
 
-    def pair_from_vec(vec, ridx=None):
-        """(c-part, a-part) BlockOps from a solution/kernel vector."""
-        out_c = BlockOp(0)
-        out_a = BlockOp(-1)
-        for i, v in vec.items():
-            if not v:
-                continue
-            if i < n_c:
-                key, tgt = keys_c_nonneg[i], out_c
-            else:
-                key, tgt = keys_a[i - n_c], out_a
-            sig, m, m2, r, cc = key
-            blk = tgt.blocks.setdefault((sig, m, m2), {})
-            val = _ring_unit(ring, ridx, v) if ridx is not None else v
-            blk[r, cc] = blk.get((r, cc), 0) + val
-        return out_c, out_a
+    def residual(state):
+        S, R = _ptd_residuals(p, q, *state, red, ring)
+        return {**_op_rows(S, rows1), **_op_rows(R, rows0, off)}
 
-    from .exactlin import rref
+    def shift(state, vecs):
+        c, a = state
+        return (c.add(_ring_op(ring, vecs, keys_c, 0)),
+                a.add(_ring_op(ring, vecs, keys_a, -1, first=len(keys_c))))
 
-    _, sys_kernel, _ = rref(mat)
-    registered = set()
-    pending = []  # (c-part, a-part) ambiguity pairs from lower levels
-
-    def register(level):
-        if level in registered:
-            return
-        registered.add(level)
-        for ridx in range(ring.dim):
-            if ring.filtration_level(ridx) != level:
-                continue
-            for zvec in sys_kernel:
-                pending.append(pair_from_vec(zvec, ridx))
-
-    def residual_vec(cc_op, aa_op, lvl):
-        S, Rsq = _ptd_residuals(p, q, cc_op, aa_op, red, ring)
-        out = {}
-        for ridx, sop in S.level_slices(ring, lvl).items():
-            for (sig, m, m2), mat2 in sop.blocks.items():
-                for (r, cc2), v in mat2.items():
-                    i = dst_index_c1.get((sig, m, m2, r, cc2))
-                    if i is None:
-                        raise NotStabilized("chain-map residual left the window")
-                    out[ridx, i] = v
-        for ridx, rop in Rsq.level_slices(ring, lvl).items():
-            for (sig, m, m2), mat2 in rop.blocks.items():
-                for (r, cc2), v in mat2.items():
-                    i = idx_c.get((sig, m, m2, r, cc2))
-                    if i is None:
-                        raise NotStabilized("square residual left the window")
-                    out[ridx, off + i] = v
-        return out
-
-    for _ in range(steps):
-        S, Rsq = _ptd_residuals(p, q, c, a, red, ring)
-        levels = [v for v in (S.min_level(ring), Rsq.min_level(ring))
-                  if v is not None]
-        if not levels:
-            return True, (c, a)
-        lvl = min(levels)
-        for below in range(1, lvl):
-            register(below)
-        base_res = residual_vec(c, a, lvl)
-        level_slots = [i for i in range(ring.dim)
-                       if ring.filtration_level(i) == lvl]
-        # augmented system: per-slot copies of the linear unknowns, plus the
-        # pending ambiguity pairs probed through the residuals
-        rows = {}
-        col_meta = []
-        mat_cols = mat.columns()
-        aug_cols = []
-        for ridx in level_slots:
-            for j in range(n_c + n_a):
-                col = {}
-                for i, v in mat_cols[j].items():
-                    col[rows.setdefault((ridx, i), len(rows))] = v
-                aug_cols.append(col)
-                col_meta.append(("lin", ridx, j))
-        for z_idx, (zc, za) in enumerate(pending):
-            probe = residual_vec(c.add(zc), a.add(za), lvl)
-            col = {}
-            for key, v in probe.items():
-                delta = v - base_res.get(key, 0)
-                if delta:
-                    col[rows.setdefault(key, len(rows))] = delta
-            aug_cols.append(col)
-            col_meta.append(("amb", z_idx, None))
-        rhs = {}
-        for key, v in base_res.items():
-            rhs[rows.setdefault(key, len(rows))] = -v
-        sol = solve(from_columns(len(rows), aug_cols), rhs)
-        if sol is None:
-            return False, lvl
-        upd_c = BlockOp(0)
-        upd_a = BlockOp(-1)
-        for col_i, v in sol.items():
-            if not v:
-                continue
-            kind, xx, j = col_meta[col_i]
-            if kind == "lin":
-                cpart, apart = pair_from_vec({j: v}, xx)
-            else:
-                zc, za = pending[xx]
-                cpart = zc.map_coefficients(lambda q2: v * q2)
-                apart = za.map_coefficients(lambda q2: v * q2)
-            upd_c = upd_c.add(cpart)
-            upd_a = upd_a.add(apart)
-        c = c.add(upd_c)
-        a = a.add(upd_a)
-        register(lvl)
-    S, Rsq = _ptd_residuals(p, q, c, a, red, ring)
-    if S.is_zero() and Rsq.is_zero():
-        return True, (c, a)
-    return False, None
+    state, blocked = solve_by_levels(ring, lin, residual, shift,
+                                     (BlockOp(0), BlockOp(-1)), kernel=rref(lin)[1])
+    if blocked is None:
+        return True, state
+    return False, blocked[0]

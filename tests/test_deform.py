@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import random_first_order_mc
 from ncperiod.algebra import (
+    DgAlgebra,
     a2_quiver_algebra,
     build_matrix_algebra,
     build_truncated_polynomial_algebra,
@@ -24,14 +26,18 @@ from ncperiod.deform import (
     lift_order_by_order,
     mc_residual,
     push_mc,
+    solve_by_levels,
     zero_mc,
 )
-from ncperiod.exactlin import rref
+from ncperiod.exactlin import SparseMatrix, solve
 from ncperiod.hochschild import (
+    Cochain,
     CochainBasis,
     DgStructure,
     _cochain_diff_matrix,
     cochain_differential,
+    gerstenhaber_bracket,
+    hochschild_cohomology,
 )
 
 D = build_truncated_polynomial_algebra(2)
@@ -48,27 +54,6 @@ def hh2_generator(alg=D, ring=R2, scale=1):
     )
 
 
-def random_first_order(alg, ring, rng, arity_bound=6):
-    """Random cocycle with coefficients in the level-1 part of the ring."""
-    dmat = _cochain_diff_matrix(alg, 2)
-    _, kernel, _ = rref(dmat)
-    cb = CochainBasis(alg, 2)
-    eps = ring.gen(1)
-    comps = {}
-    for z in kernel:
-        c = rng.randint(-3, 3)
-        if not c:
-            continue
-        for k, q in z.items():
-            w, t = cb.keys[k]
-            vec = comps.setdefault(2, {}).setdefault(w, {})
-            vec[t] = vec.get(t, ring.zero()) + eps * (q * c)
-    return MCElement(ring, cochain_over_ring(alg, ring, {}, 1, arity_bound)
-                     if not comps else
-                     __import__("ncperiod.hochschild", fromlist=["Cochain"]).Cochain(
-                         alg, comps, 1, arity_bound))
-
-
 def test_zero_is_mc():
     assert mc_residual(D, zero_mc(D, R2)).is_zero()
 
@@ -76,7 +61,7 @@ def test_zero_is_mc():
 def test_any_cocycle_is_mc_over_dual_numbers():
     rng = random.Random(7)
     for _ in range(5):
-        x = random_first_order(D, R2, rng)
+        x = random_first_order_mc(D, R2, rng)
         assert mc_residual(D, x).is_zero()
 
 
@@ -150,7 +135,7 @@ def test_gauge_first_order_formula():
     from ncperiod.hochschild import gerstenhaber_bracket
 
     rng = random.Random(3)
-    x = random_first_order(D, R2, rng)
+    x = random_first_order_mc(D, R2, rng)
     alpha = GaugeElement(R2, cochain_over_ring(D, R2, {1: {(1,): {1: EPS}}}, 0, 6))
     got = gauge_act(alpha, x)
     expect = x.value.add(gerstenhaber_bracket(alpha.value, x.value, 6)).add(
@@ -278,12 +263,60 @@ def test_lift_hh2_generator_to_eps3():
     assert mc_residual(D, lifted).is_zero()
 
 
+def test_level_solver_probe_that_clears_a_row():
+    """The eps^2 row of the residual 1 - u_eps is moved only by the kernel
+    direction of lin = 0 placed in the eps slot.  Its probe clears the row,
+    so the probe column must carry -1 there, not drop the row."""
+    def residual(u):
+        r = 1 - u[1]
+        return {(2, 0): Fraction(r)} if r else {}
+
+    def shift(u, vecs):
+        u = list(u)
+        for s, vec in vecs.items():
+            u[s] += vec.get(0, 0)
+        return u
+
+    u, blocked = solve_by_levels(R3, SparseMatrix(1, 1), residual, shift,
+                                 [0, 0, 0], kernel=[{0: Fraction(1)}])
+    assert blocked is None and u == [0, 1, 0]
+
+
+def test_lift_obstructed_on_square_zero_plane():
+    """A = k[x,y]/(x,y)^2 (basis 1, x, y; HH^3 = 12).  P: x(x)y -> x is an
+    arity-2 cocycle whose quadratic obstruction [P,P]/2 is not a coboundary,
+    so eps.P does not lift to eps^3 and the class sits in the eps^2 slot
+    only; P: x(x)x -> x has [P,P] = 0 and lifts."""
+    unit = {(0, j): {j: 1} for j in range(3)} | {(j, 0): {j: 1} for j in range(3)}
+    A = DgAlgebra(["1", "x", "y"], [0, 0, 0], unit, name="k[x,y]/(x,y)^2")
+    assert hochschild_cohomology(A, [3]).dims[3] == 12
+    cb3 = CochainBasis(A, 3)
+    eps2 = R3.basis_labels.index("eps^2")
+    for word, obstructed in (((1, 2), True), ((1, 1), False)):
+        P = Cochain(A, {2: {word: {1: Fraction(1)}}}, 1, 6)
+        assert cochain_differential(A, P).is_zero()
+        half = gerstenhaber_bracket(P, P).scaled(Fraction(1, 2))
+        assert half.is_zero() != obstructed
+        vec = {cb3.index[w, t]: c for w, out in half.components.get(3, {}).items()
+               for t, c in out.items()}
+        # independent check: is [P,P]/2 a coboundary of an arity-2 cochain?
+        assert (solve(_cochain_diff_matrix(A, 2), vec) is None) == obstructed
+        x = MCElement(R2, cochain_over_ring(A, R2, {2: {word: {1: EPS}}}, 1, 6))
+        status, result = lift_order_by_order(A, x, R3)
+        if obstructed:
+            assert status == "obstruction"
+            assert set(result) == {eps2} and result[eps2]
+        else:
+            assert status == "lift"
+            assert mc_residual(A, result).is_zero()
+
+
 @pytest.mark.parametrize("alg", [a2_quiver_algebra(), build_matrix_algebra(2)],
                          ids=lambda a: a.name)
 def test_unobstructed_lifting_to_eps4(alg):
     rng = random.Random(99)
     for _ in range(3):
-        x = random_first_order(alg, R2, rng)
+        x = random_first_order_mc(alg, R2, rng)
         status, lifted = lift_order_by_order(alg, x, R3)
         assert status == "lift"
         status, lifted = lift_order_by_order(alg, lifted, R4)
@@ -295,8 +328,6 @@ def test_path_algebra_first_order_gauge_trivial():
     # HH^2(a2) = 0: every first-order deformation is gauge-equivalent to 0
     a2 = a2_quiver_algebra()
     rng = random.Random(5)
-    from conftest import random_first_order_mc
-
     for _ in range(3):
         x = random_first_order_mc(a2, R2, rng)
         zero = MCElement(R2, cochain_over_ring(a2, R2, {}, 1, 6))

@@ -19,6 +19,7 @@ from ncperiod.period import (
     first_order_period_matrix,
     gauge_residual,
     griffiths_transversality_check,
+    _ptd_residuals,
     period_map_artin,
     ptd_isomorphic,
     torelli_rank,
@@ -128,7 +129,7 @@ def test_trivialize_first_order_all_algebras(alg):
     first-order part of the gauge element equal to -(1/t) I_x up to an exact
     correction (here: exactly, the seeded first-order correction vanishes)."""
     from conftest import random_first_order_mc
-    from ncperiod.period import _solve_block_equation, _x_level_slice
+    from ncperiod.period import _x_level_slice
 
     rng = random.Random(hash(alg.name) % 100000)
     for _ in range(2):
@@ -209,6 +210,29 @@ def test_ptd_reflexive():
     p = period_map_artin(D, hh2_generator(), WINDOW)
     ok, (c, a) = ptd_isomorphic(p, p)
     assert ok
+
+
+def test_second_order_ptd_of_gauge_equivalent_t3():
+    """Q[x]/x^3 over Q[eps]/eps^3 at the default bar bound: y = e^beta . x,
+    so the PTDs are isomorphic.  The eps^2 solve needs an eps-level kernel
+    probe that clears residual rows; the witness is checked on the nose."""
+    T3 = build_truncated_polynomial_algebra(3)
+    R3 = build_truncated_poly(1, 3)
+    eps, eps2 = R3.gen("eps"), R3.gen("eps^2")
+    x = MCElement(R3, cochain_over_ring(T3, R3, {2: {
+        (1, 1): {1: -eps, 2: eps * -2, 0: eps * 3},
+        (2, 1): {2: eps * 2, 0: eps * -3 + eps2 * 6},
+        (1, 2): {2: eps * 2, 0: eps * -3 + eps2 * 6},
+        (2, 2): {1: eps * -3, 2: eps * -3, 0: eps2 * -9},
+    }}, 1, 6))
+    beta = GaugeElement(R3, cochain_over_ring(
+        T3, R3, {1: {(1,): {2: eps, 0: eps2 * 3}}}, 0, 6))
+    p = period_map_artin(T3, x, WINDOW)
+    q = period_map_artin(T3, gauge_act(beta, x), WINDOW)
+    ok, (c, a) = ptd_isomorphic(p, q)
+    assert ok
+    S, R = _ptd_residuals(p, q, c, a, reduce_mixed_complex(T3, p.bar_bound), R3)
+    assert S.is_zero() and R.is_zero()
 
 
 def test_ptd_negative_block_matches_period_matrix():
