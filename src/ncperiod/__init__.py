@@ -41,7 +41,6 @@ from .deform import (
 )
 from .exactlin import SparseMatrix, SubquotientBasis, homology_at, rref
 from .hochschild import (
-    BarBoundExceeded,
     ArityBoundExceeded,
     ChainBasis,
     Cochain,

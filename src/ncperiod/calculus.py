@@ -4,6 +4,17 @@ The verifier works with sparse operator matrices over a finite chain basis
 (weights up to the bar bound plus head room), so each identity is checked
 exactly on every basis cochain pair against every basis chain in range.
 
+An operator matrix is stored by columns, {col: ((row, coeff), ...)}, with no
+zero entries; an integral coefficient is stored as an int, which is exact
+since int and Fraction compare and hash equal, and keeps the products of
+structure constants out of Fraction arithmetic.  A commutator
+A B - sign . B A is one outer-product sparse product (Gustavson 1978): with
+tX the rows of X over the check columns, it adds A[:, i] x tB[i] and
+-sign . B[:, i] x tA[i] over the shared indices i, touching only stored
+nonzeros.  Each identity then compares two whole matrices on the check
+columns (a prefix of the weight-ordered basis) and scans them in column
+order only to name the first failing column.
+
 Cup-product sign convention (see README): for components of arities p, q,
 
     (P cup Q)[a_1|..|a_{p+q}]
@@ -94,7 +105,8 @@ class OperatorSpace:
     check_weight: identities are asserted on columns of weight <= this;
     operators are materialized on columns up to check_weight + 1 so that one
     intermediate application stays in range (head room covers arity-0 and
-    Connes terms).
+    Connes terms).  The basis is ordered by weight, so the check columns are
+    the prefix range(len(check_cols)) and the apply columns a longer prefix.
     """
 
     def __init__(self, algebra, check_weight, head_room=2):
@@ -109,6 +121,7 @@ class OperatorSpace:
         self.check_cols = [
             i for i, (a0, w) in enumerate(self.keys) if len(w) <= check_weight
         ]
+        # (arity, segment) -> matches, in increasing column order
         self._interior = {}
         self._wrap = {}
         degs = algebra.degrees
@@ -139,39 +152,47 @@ class OperatorSpace:
                         (col, -1 if exp % 2 else 1, word[m:i])
                     )
 
-    def lie_matrix(self, cochain, wrap_sign=1):
-        """{col: [(row, coeff), ...]} of the Lie action of the cochain.
+    def lie_matrix(self, cochain, wrap_sign=1, check_only=False):
+        """{col: ((row, coeff), ...)} of the Lie action of the cochain on the
+        apply columns, or on the check columns only.
 
         wrap_sign is a self-test hook that scales the wrap terms.
         """
+        stop = len(self.check_cols) if check_only else len(self.keys)
         cols = {}
         sdP = cochain.sdeg
-        index = self.index
+        index, keys = self.index, self.keys
         for l, comp in cochain.components.items():
             for w, out in comp.items():
+                out = [(t, _exact(c)) for t, c in out.items()]
                 for col, j, mu in self._interior.get((l, w), ()):
+                    if col >= stop:
+                        break
                     sgn = -1 if (sdP * mu) % 2 else 1
-                    a0, word = self.keys[col]
+                    a0, word = keys[col]
                     head, tail = word[:j], word[j + l :]
-                    lst = cols.setdefault(col, [])
-                    for t, c in out.items():
-                        if t == 0:
-                            continue
-                        lst.append((index[a0, head + (t,) + tail], sgn * c))
+                    acc = cols.setdefault(col, {})
+                    for t, c in out:
+                        if t:  # the unit dies in a bar slot
+                            chain_add(acc, index[a0, head + (t,) + tail], sgn * c)
                 for col, sgn, rest in self._wrap.get((l, w), ()):
-                    lst = cols.setdefault(col, [])
-                    for t, c in out.items():
-                        lst.append((index[t, rest], wrap_sign * sgn * c))
-        return {col: _dedupe(lst) for col, lst in cols.items() if lst}
+                    if col >= stop:
+                        break
+                    acc = cols.setdefault(col, {})
+                    for t, c in out:
+                        chain_add(acc, index[t, rest], wrap_sign * sgn * c)
+        return {col: _column(acc) for col, acc in cols.items() if acc}
 
-    def operator_matrix(self, term_fn, cols=None):
+    def operator_matrix(self, term_fn):
+        """{col: ((row, coeff), ...)} of a term generator on the apply columns."""
+        index = self.index
         out = {}
-        for col in (self.apply_cols if cols is None else cols):
+        for col in self.apply_cols:
             a0, word = self.keys[col]
             acc = {}
-            term_fn(a0, word, lambda key, v: chain_add(acc, key, v))
+            term_fn(a0, word, lambda key, v: chain_add(acc, index[key], v))
             if acc:
-                out[col] = [(self.index[k], v) for k, v in acc.items()]
+                out[col] = _column(acc)
         return out
 
     def boundary_matrix(self, struct=None):
@@ -192,65 +213,86 @@ class OperatorSpace:
         )
 
 
-def _dedupe(lst):
-    acc = {}
-    for i, v in lst:
-        s = acc.get(i, 0) + v
-        if s:
-            acc[i] = s
-        else:
-            acc.pop(i, None)
-    return list(acc.items())
+def _exact(v):
+    """v, or v as an int when it is integral (int and Fraction compare and
+    hash equal, and int arithmetic is far cheaper)."""
+    return v if type(v) is int or v.denominator != 1 else v.numerator
+
+
+def _column(acc):
+    """The stored form of a column {row: coeff} with no zero entries."""
+    return tuple(zip(acc, map(_exact, acc.values())))
+
+
+def _transpose(mat, ncols):
+    """{row: ((col, coeff), ...)} of mat restricted to the columns < ncols."""
+    rows = {}
+    for col, entries in mat.items():
+        if col < ncols:
+            for r, v in entries:
+                rows.setdefault(r, []).append((col, v))
+    return {r: tuple(v) for r, v in rows.items()}
 
 
 def apply_operator(mat, vec):
     out = {}
     for j, c in vec.items():
         for i, v in mat.get(j, ()):
-            s = out.get(i, 0) + c * v
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
+            chain_add(out, i, c * v)
     return out
 
 
-def commutator_on(mat_a, mat_b, sign, col):
-    """(A B - sign . B A) applied to the basis column col."""
+def _commutator(A, tA, B, tB, sign):
+    """A B - sign . B A on the columns of the transposes, as {col: {row: c}}.
+
+    tX is X by rows over the columns wanted.  Outer-product form (Gustavson
+    1978): (A B)[:, c] is the sum of A[:, i] * B[i, c] over the rows i of
+    tB that are also columns of A, so only stored nonzeros are touched.
+    """
     out = {}
-    for i, v in mat_b.get(col, ()):
-        for i2, v2 in mat_a.get(i, ()):
-            s = out.get(i2, 0) + v2 * v
-            if s:
-                out[i2] = s
-            else:
-                out.pop(i2, None)
-    for i, v in mat_a.get(col, ()):
-        for i2, v2 in mat_b.get(i, ()):
-            s = out.get(i2, 0) - sign * v2 * v
-            if s:
-                out[i2] = s
-            else:
-                out.pop(i2, None)
-    return out
+    for X, tY, s in ((A, tB, 1), (B, tA, -sign)):
+        for i in tY.keys() & X.keys():
+            xcol = X[i]
+            for c, y in tY[i]:
+                acc = out.setdefault(c, {})
+                y *= s
+                for r, x in xcol:
+                    chain_add(acc, r, x * y)
+    return {c: acc for c, acc in out.items() if acc}
+
+
+def _first_difference(space, lhs, rhs):
+    """The first check column on which lhs (stored form) and rhs (as from
+    _commutator) differ, or None."""
+    lhs = {c: dict(v) for c, v in lhs.items()}
+    if lhs != rhs:
+        return next(col for col in space.check_cols
+                    if lhs.get(col, {}) != rhs.get(col, {}))
+    return None
 
 
 # -- Lie-dagger verification --------------------------------------------------------
 
 
+def _lie_matrices(space, cochains, wrap_sign):
+    """(L_P, L_P by rows over the check columns) for every cochain."""
+    ncheck = len(space.check_cols)
+    mats = [space.lie_matrix(c, wrap_sign=wrap_sign) for c in cochains]
+    return [(m, _transpose(m, ncheck)) for m in mats]
+
+
 def _bracket_action_witness(space, cochains, mats, arity_bound, wrap_sign,
                             a_range):
     for a in a_range:
-        P, mp = cochains[a], mats[a]
+        P, (mp, tp) = cochains[a], mats[a]
         for b in range(a, len(cochains)):
-            Q, mq = cochains[b], mats[b]
+            Q, (mq, tq) = cochains[b], mats[b]
             bracket = gerstenhaber_bracket(P, Q, 2 * arity_bound)
-            lhs = space.lie_matrix(bracket, wrap_sign=wrap_sign)
+            lhs = space.lie_matrix(bracket, wrap_sign=wrap_sign, check_only=True)
             sign = -1 if (P.sdeg * Q.sdeg) % 2 else 1
-            for col in space.check_cols:
-                rhs = commutator_on(mp, mq, sign, col)
-                if dict(lhs.get(col, ())) != rhs:
-                    return (space.keys[col], a, b)
+            col = _first_difference(space, lhs, _commutator(mp, tp, mq, tq, sign))
+            if col is not None:
+                return (space.keys[col], a, b)
     return None
 
 
@@ -266,8 +308,8 @@ def _pool_init(algebra_data, arity_bound, bar_bound, wrap_sign):
     cochains = basis_cochains(algebra, arity_bound)
     for c in cochains:
         c.arity_bound = 2 * arity_bound
-    mats = [space.lie_matrix(c, wrap_sign=wrap_sign) for c in cochains]
-    _POOL_STATE.update(space=space, cochains=cochains, mats=mats,
+    _POOL_STATE.update(space=space, cochains=cochains,
+                       mats=_lie_matrices(space, cochains, wrap_sign),
                        arity_bound=arity_bound, wrap_sign=wrap_sign)
 
 
@@ -288,20 +330,26 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, _wrap_sign=1,
     (2) d L_P - (-1)^{sd P} L_P d = L_{dP};
     (3) B L_P - (-1)^{sd P} L_P B = 0.
 
-    Returns four AxiomReports.  _wrap_sign != 1 corrupts the wrap terms of
-    the Lie matrices (self-test hook for the failure path).  workers > 1
-    splits the pair loop over processes (NCPERIOD_THREADS via the CLI);
-    results are merged in index order, so the report is deterministic.
+    Each identity is one sparse product per cochain or pair, compared as a
+    whole matrix on the check columns; the witness is the first check column
+    where the two sides differ.  Returns four AxiomReports.  _wrap_sign != 1
+    corrupts the wrap terms of the Lie matrices (self-test hook for the
+    failure path).  workers > 1 splits the pair loop over processes
+    (NCPERIOD_THREADS via the CLI); results are merged in index order, so the
+    report is deterministic.
     """
     import os
 
     space = OperatorSpace(algebra, bar_bound)
+    ncheck = len(space.check_cols)
     cochains = basis_cochains(algebra, arity_bound)
     for c in cochains:
         c.arity_bound = 2 * arity_bound
-    mats = [space.lie_matrix(c, wrap_sign=_wrap_sign) for c in cochains]
+    mats = _lie_matrices(space, cochains, _wrap_sign)
     boundary = space.boundary_matrix()
+    t_boundary = _transpose(boundary, ncheck)
     connes = space.connes_matrix()
+    t_connes = _transpose(connes, ncheck)
     reports = []
 
     if workers is None:
@@ -327,44 +375,40 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, _wrap_sign=1,
         "holds exactly" if witness is None else "fails", witness))
 
     witness = None
-    for a, (P, mp) in enumerate(zip(cochains, mats)):
+    for a, (P, (mp, tp)) in enumerate(zip(cochains, mats)):
         dP = cochain_differential(algebra, P, 2 * arity_bound)
-        l_dP = space.lie_matrix(dP, wrap_sign=_wrap_sign)
+        l_dP = space.lie_matrix(dP, wrap_sign=_wrap_sign, check_only=True)
         sign = -1 if P.sdeg % 2 else 1
-        for col in space.check_cols:
-            got = commutator_on(boundary, mp, sign, col)
-            if dict(l_dP.get(col, ())) != got:
-                witness = (space.keys[col], a)
-                break
-        if witness:
+        col = _first_difference(
+            space, l_dP, _commutator(boundary, t_boundary, mp, tp, sign))
+        if col is not None:
+            witness = (space.keys[col], a)
             break
     reports.append(AxiomReport(
         "boundary-compat: d^End L_P = L_dP",
         "holds exactly" if witness is None else "fails", witness))
 
+    # B needs one slot of head room on both sides: weights <= bar_bound - 1
+    nlow = sum(1 for col in space.check_cols
+               if len(space.keys[col][1]) <= bar_bound - 1)
     witness = None
-    for a, (P, mp) in enumerate(zip(cochains, mats)):
+    for a, (P, (mp, tp)) in enumerate(zip(cochains, mats)):
         sign = -1 if P.sdeg % 2 else 1
-        for col in space.check_cols:
-            if len(space.keys[col][1]) > bar_bound - 1:
-                continue  # B needs one slot of head room on both sides
-            got = commutator_on(connes, mp, sign, col)
-            if got:
-                witness = (space.keys[col], a)
-                break
-        if witness:
+        got = _commutator(connes, t_connes, mp, tp, sign)
+        col = _first_difference(
+            space, {}, {c: v for c, v in got.items() if c < nlow})
+        if col is not None:
+            witness = (space.keys[col], a)
             break
     reports.append(AxiomReport(
         "connes-compat: [B, L_P] = 0",
         "holds exactly" if witness is None else "fails", witness))
 
-    witness = None
     b_cochain = structure_as_cochain(algebra, 2 * arity_bound)
-    l_b = space.lie_matrix(b_cochain, wrap_sign=_wrap_sign)
-    for col in space.check_cols:
-        if dict(l_b.get(col, ())) != dict(boundary.get(col, ())):
-            witness = space.keys[col]
-            break
+    l_b = space.lie_matrix(b_cochain, wrap_sign=_wrap_sign, check_only=True)
+    col = _first_difference(
+        space, l_b, {c: dict(v) for c, v in boundary.items() if c < ncheck})
+    witness = None if col is None else space.keys[col]
     reports.append(AxiomReport(
         "action-at-structure: L_b = boundary",
         "holds exactly" if witness is None else "fails", witness))

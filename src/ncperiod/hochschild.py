@@ -32,10 +32,6 @@ from fractions import Fraction
 from .exactlin import SparseMatrix, homology_at
 
 
-class BarBoundExceeded(Exception):
-    pass
-
-
 class ArityBoundExceeded(Exception):
     pass
 

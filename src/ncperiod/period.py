@@ -698,22 +698,26 @@ def period_map_artin(algebra, x: MCElement, t_window=(-6, 6), bar_bound=None):
     return ptd
 
 
-def _ptd_residuals(p, q, c, a, red, ring):
-    """(chain-map residual on the negative part, square residual)."""
+def _inverse_trivializations(p, q, red, ring):
+    """(e^{-phi_q}, e^{-phi_p}): the constant factors of the square residual."""
+    return tuple(block_exp(x.trivialization.scaled(-1), ring, red, p.window)
+                 for x in (q, p))
+
+
+def _ptd_residuals(p, q, c, a, red, ring, inverses):
+    """(chain-map residual on the negative part, square residual);
+    inverses is _inverse_trivializations(p, q, red, ring)."""
     bar, window = p.bar_bound, p.window
     D0 = p.base
+    inv_q, inv_p = inverses
     ec = block_exp(c, ring, red, window)
     S = ec.compose(p.negative_differential, bar, window).add(
         q.negative_differential.compose(ec, bar, window), scale=-1
     ).restrict_nonneg()
     da = block_d(D0, a, bar, window)
     eda = block_exp(da, ring, red, window)
-    lhs = block_exp(q.trivialization.scaled(-1), ring, red, window).compose(
-        eda, bar, window
-    )
-    rhs = ec.compose(
-        block_exp(p.trivialization.scaled(-1), ring, red, window), bar, window
-    )
+    lhs = inv_q.compose(eda, bar, window)
+    rhs = ec.compose(inv_p, bar, window)
     return S, lhs.add(rhs, scale=-1)
 
 
@@ -746,8 +750,10 @@ def ptd_isomorphic(p: PTD, q: PTD):
         [{**cols0[j], off + j: Fraction(-1)} for j in nonneg]
         + [{off + i: v for i, v in col.items()} for col in d_1.columns()])
 
+    inverses = _inverse_trivializations(p, q, red, ring)
+
     def residual(state):
-        S, R = _ptd_residuals(p, q, *state, red, ring)
+        S, R = _ptd_residuals(p, q, *state, red, ring, inverses)
         return {**_op_rows(S, rows1), **_op_rows(R, rows0, off)}
 
     def shift(state, vecs):

@@ -9,9 +9,11 @@ from ncperiod.algebra import (
     build_field,
     build_matrix_algebra,
     build_truncated_polynomial_algebra,
+    kronecker_algebra,
 )
 from ncperiod.calculus import (
     AxiomReport,
+    OperatorSpace,
     calculus_defect,
     cup_product,
     verify_lie_dagger,
@@ -25,6 +27,7 @@ from ncperiod.hochschild import (
     gerstenhaber_bracket,
     hochschild_boundary,
     lie_action,
+    structure_as_cochain,
     unit_cochain,
 )
 
@@ -236,9 +239,133 @@ def test_lie_dagger_graded_with_differential():
 
 def test_lie_dagger_mutation_detected():
     reports = verify_lie_dagger(D, 2, 3, _wrap_sign=-1)
-    first = reports[0]
-    assert first.status == "fails"
-    assert first.witness is not None
+    assert [(r.status, r.witness) for r in reports] == [
+        ("fails", ((1, ()), 2, 3)),
+        ("fails", ((0, (1, 1)), 2)),
+        ("fails", ((1, ()), 3)),
+        ("fails", (0, (1, 1))),
+    ]
+
+
+def _commutator_on(mat_a, mat_b, sign, col):
+    """(A B - sign . B A) applied to the basis column col."""
+    out = {}
+    for i, v in mat_b.get(col, ()):
+        for i2, v2 in mat_a.get(i, ()):
+            chain_add(out, i2, v2 * v)
+    for i, v in mat_a.get(col, ()):
+        for i2, v2 in mat_b.get(i, ()):
+            chain_add(out, i2, -sign * v2 * v)
+    return out
+
+
+def _reference_lie_dagger(alg, arity_bound, bar_bound, wrap_sign):
+    """verify_lie_dagger's reports, one (pair, column) at a time."""
+    space = OperatorSpace(alg, bar_bound)
+    cochains = basis_cochains(alg, arity_bound)
+    for c in cochains:
+        c.arity_bound = 2 * arity_bound
+    mats = [space.lie_matrix(c, wrap_sign=wrap_sign) for c in cochains]
+    boundary = space.boundary_matrix()
+    connes = space.connes_matrix()
+
+    def first_col(lhs_of, rhs_of, cols=space.check_cols):
+        return next((col for col in cols if lhs_of(col) != rhs_of(col)), None)
+
+    def report(axiom, witness):
+        return (axiom, "holds exactly" if witness is None else "fails", witness)
+
+    witness = None
+    for a, P in enumerate(cochains):
+        for b in range(a, len(cochains)):
+            Q = cochains[b]
+            lhs = space.lie_matrix(gerstenhaber_bracket(P, Q, 2 * arity_bound),
+                                   wrap_sign=wrap_sign)
+            sign = -1 if (P.sdeg * Q.sdeg) % 2 else 1
+            col = first_col(lambda c: dict(lhs.get(c, ())),
+                            lambda c: _commutator_on(mats[a], mats[b], sign, c))
+            if col is not None:
+                witness = (space.keys[col], a, b)
+                break
+        if witness:
+            break
+    out = [report("bracket-action: L_[P,Q] = [L_P, L_Q]", witness)]
+
+    witness = None
+    for a, P in enumerate(cochains):
+        l_dP = space.lie_matrix(cochain_differential(alg, P, 2 * arity_bound),
+                                wrap_sign=wrap_sign)
+        sign = -1 if P.sdeg % 2 else 1
+        col = first_col(lambda c: dict(l_dP.get(c, ())),
+                        lambda c: _commutator_on(boundary, mats[a], sign, c))
+        if col is not None:
+            witness = (space.keys[col], a)
+            break
+    out.append(report("boundary-compat: d^End L_P = L_dP", witness))
+
+    witness = None
+    low = [c for c in space.check_cols if len(space.keys[c][1]) <= bar_bound - 1]
+    for a, P in enumerate(cochains):
+        sign = -1 if P.sdeg % 2 else 1
+        col = first_col(lambda c: {},
+                        lambda c: _commutator_on(connes, mats[a], sign, c), low)
+        if col is not None:
+            witness = (space.keys[col], a)
+            break
+    out.append(report("connes-compat: [B, L_P] = 0", witness))
+
+    l_b = space.lie_matrix(structure_as_cochain(alg, 2 * arity_bound),
+                           wrap_sign=wrap_sign)
+    col = first_col(lambda c: dict(l_b.get(c, ())),
+                    lambda c: dict(boundary.get(c, ())))
+    out.append(report("action-at-structure: L_b = boundary",
+                      None if col is None else space.keys[col]))
+    return out
+
+
+T3 = build_truncated_polynomial_algebra(3)
+A2 = a2_quiver_algebra()
+# the Kronecker algebra at (3, 4) takes the per-column reference about 9 s
+PINNED = [(alg, 2, 3) for alg in (D, T3, A2, kronecker_algebra())] + [
+    (alg, 3, 4) for alg in (D, T3, A2)]
+
+
+@pytest.mark.parametrize("wrap_sign", [1, -1, 2])
+@pytest.mark.parametrize("alg,arity_bound,bar_bound", PINNED,
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_lie_dagger_reports_match_per_column_reference(
+        alg, arity_bound, bar_bound, wrap_sign):
+    """The whole-matrix sparse products give the reports and witnesses of
+    the per-column loop; wrap_sign != 1 makes all four identities fail."""
+    got = [(r.axiom, r.status, r.witness) for r in verify_lie_dagger(
+        alg, arity_bound, bar_bound, _wrap_sign=wrap_sign)]
+    assert got == _reference_lie_dagger(alg, arity_bound, bar_bound, wrap_sign)
+    assert all(s == ("holds exactly" if wrap_sign == 1 else "fails")
+               for _, s, _ in got)
+
+
+def test_operator_columns_exact_and_zero_free():
+    """Stored columns hold no zero and no integral Fraction, and the Lie
+    matrix agrees with lie_action column by column."""
+    space = OperatorSpace(build_matrix_algebra(2), 2)
+    mats = [space.boundary_matrix(), space.connes_matrix()]
+    for P in basis_cochains(space.algebra, 2):
+        P.arity_bound = 4
+        mats.append(space.lie_matrix(P))
+        mats.append(space.lie_matrix(P, check_only=True))
+        for col in space.apply_cols:
+            got = {space.keys[r]: v for r, v in mats[-2].get(col, ())}
+            assert got == lie_action(space.algebra, P, {space.keys[col]: 1})
+    half = Cochain(space.algebra, {1: {(1,): {1: Fraction(1, 2)}}}, 0, 4)
+    mats.append(space.lie_matrix(half))
+    mats.append(space.contraction_matrix(half))
+    assert any(type(v) is Fraction for m in mats for c in m.values() for _, v in c)
+    for m in mats:
+        for entries in m.values():
+            assert entries and isinstance(entries, tuple)
+            for _, v in entries:
+                assert v != 0
+                assert type(v) is int or v.denominator != 1
 
 
 def test_lie_action_hand_expansion():

@@ -19,6 +19,7 @@ from ncperiod.period import (
     first_order_period_matrix,
     gauge_residual,
     griffiths_transversality_check,
+    _inverse_trivializations,
     _ptd_residuals,
     period_map_artin,
     ptd_isomorphic,
@@ -231,7 +232,9 @@ def test_second_order_ptd_of_gauge_equivalent_t3():
     q = period_map_artin(T3, gauge_act(beta, x), WINDOW)
     ok, (c, a) = ptd_isomorphic(p, q)
     assert ok
-    S, R = _ptd_residuals(p, q, c, a, reduce_mixed_complex(T3, p.bar_bound), R3)
+    red = reduce_mixed_complex(T3, p.bar_bound)
+    S, R = _ptd_residuals(p, q, c, a, red, R3,
+                          _inverse_trivializations(p, q, red, R3))
     assert S.is_zero() and R.is_zero()
 
 
