@@ -4,16 +4,20 @@ Conventions baked in here and relied on everywhere downstream:
   * basis[0] is the unit (builders re-base if the natural unit is a sum);
   * the complement of the unit spanned by basis[1:] realizes A/k; bar-word
     slots carry indices from that complement only;
-  * structure constants are exact rationals, degrees are integers, the
-    differential has degree +1 and homology-facing operations require the
-    algebra to sit in degree 0.
+  * structure constants are exact rationals stored by the rule of
+    `coeff.exact`: an `int` when integral, a `Fraction` only where there is
+    a denominator, and never a float (TypeError).  Builders write ints, so
+    every chain-level operator built from the constants runs on ints;
+  * degrees are integers, the differential has degree +1 and
+    homology-facing operations require the algebra to sit in degree 0.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+
+from .coeff import exact
 
 
 class CyclicQuiver(Exception):
@@ -45,13 +49,13 @@ class DgAlgebra:
         self.name = name or "algebra"
         self.mult = {}
         for (i, j), col in mult.items():
-            entry = {k: _q(v) for k, v in col.items() if v}
+            entry = {k: q for k, v in col.items() if (q := exact(v))}
             if entry:
                 self.mult[i, j] = entry
         self.diff = {}
         if diff:
             for j, col in diff.items():
-                entry = {i: _q(v) for i, v in col.items() if v}
+                entry = {i: q for i, v in col.items() if (q := exact(v))}
                 if entry:
                     self.diff[j] = entry
         if validate:
@@ -78,10 +82,6 @@ class DgAlgebra:
         return f"DgAlgebra({self.name}, dim={self.dim})"
 
 
-def _q(v):
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
-
-
 def validate_dg_algebra(a: DgAlgebra):
     """Every violated axiom with a witness, or an empty list if valid."""
     out = []
@@ -98,9 +98,9 @@ def validate_dg_algebra(a: DgAlgebra):
     if a.degrees[0] != 0:
         out.append(AxiomViolation("unit-degree", (0,), "unit must have degree 0"))
     for i in range(dim):
-        if a.product(0, i) != {i: 1} and a.product(0, i) != {i: Fraction(1)}:
+        if a.product(0, i) != {i: 1}:
             out.append(AxiomViolation("left-unit", (i,), f"1*b_{i} != b_{i}"))
-        if a.product(i, 0) != {i: 1} and a.product(i, 0) != {i: Fraction(1)}:
+        if a.product(i, 0) != {i: 1}:
             out.append(AxiomViolation("right-unit", (i,), f"b_{i}*1 != b_{i}"))
     # associativity
     for i, j, k in itertools.product(range(dim), repeat=3):
@@ -160,7 +160,7 @@ def build_truncated_polynomial_algebra(n: int) -> DgAlgebra:
     for i in range(n):
         for j in range(n):
             if i + j < n:
-                mult[i, j] = {i + j: Fraction(1)}
+                mult[i, j] = {i + j: 1}
     return DgAlgebra(labels, [0] * n, mult, name=f"trunc_poly:{n}")
 
 
@@ -180,16 +180,16 @@ def build_matrix_algebra(n: int) -> DgAlgebra:
     def as_vec(p, q):
         """E_{pq} as a coefficient vector over the chosen basis."""
         if (p, q) != (n - 1, n - 1):
-            return {idx[p, q]: Fraction(1)}
-        vec = {0: Fraction(1)}
+            return {idx[p, q]: 1}
+        vec = {0: 1}
         for r in range(n - 1):
-            vec[idx[r, r]] = Fraction(-1)
+            vec[idx[r, r]] = -1
         return vec
 
-    mult = {(0, 0): {0: Fraction(1)}}
+    mult = {(0, 0): {0: 1}}
     for k in range(1, dim):
-        mult[0, k] = {k: Fraction(1)}
-        mult[k, 0] = {k: Fraction(1)}
+        mult[0, k] = {k: 1}
+        mult[k, 0] = {k: 1}
     for (p, q), (r, s) in itertools.product(pairs, repeat=2):
         if q != r:
             continue
@@ -250,31 +250,31 @@ def build_path_algebra(vertices, arrows, name=None) -> DgAlgebra:
 
     def vertex_vec(v):
         if v == vs[0]:
-            vec = {0: Fraction(1)}
+            vec = {0: 1}
             for w in vs[1:]:
-                vec[pos["vertex", w]] = Fraction(-1)
+                vec[pos["vertex", w]] = -1
             return vec
-        return {pos["vertex", v]: Fraction(1)}
+        return {pos["vertex", v]: 1}
 
     def elem_product(b1, b2):
         """Product of two primitive elements (vertex v) / (path s,t,word)."""
         if b1[0] == "vertex" and b2[0] == "vertex":
             return vertex_vec(b1[1]) if b1[1] == b2[1] else {}
         if b1[0] == "vertex":
-            return {pos[b2]: Fraction(1)} if b1[1] == b2[2] else {}
+            return {pos[b2]: 1} if b1[1] == b2[2] else {}
         if b2[0] == "vertex":
-            return {pos[b1]: Fraction(1)} if b1[1] == b2[1] else {}
+            return {pos[b1]: 1} if b1[1] == b2[1] else {}
         s1, t1, w1 = b1[1], b1[2], b1[3]
         s2, t2, w2 = b2[1], b2[2], b2[3]
         if s1 != t2:
             return {}
         # b1 . b2 = "b1 after b2": traverse b2's arrows first
-        return {pos["path", s2, t1, w2 + w1]: Fraction(1)}
+        return {pos["path", s2, t1, w2 + w1]: 1}
 
-    mult = {(0, 0): {0: Fraction(1)}}
+    mult = {(0, 0): {0: 1}}
     for k in range(1, dim):
-        mult[0, k] = {k: Fraction(1)}
-        mult[k, 0] = {k: Fraction(1)}
+        mult[0, k] = {k: 1}
+        mult[k, 0] = {k: 1}
     for b1, b2 in itertools.product(basis[1:], repeat=2):
         col = elem_product(b1, b2)
         if col:
@@ -284,7 +284,7 @@ def build_path_algebra(vertices, arrows, name=None) -> DgAlgebra:
 
 
 def build_field() -> DgAlgebra:
-    return DgAlgebra(["1"], [0], {(0, 0): {0: Fraction(1)}}, name="Q")
+    return DgAlgebra(["1"], [0], {(0, 0): {0: 1}}, name="Q")
 
 
 def a2_quiver_algebra() -> DgAlgebra:

@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .algebra import (
     CyclicQuiver,
@@ -27,7 +26,7 @@ from .algebra import (
     kronecker_algebra,
     validate_dg_algebra,
 )
-from .coeff import ArtinLocalRing, build_truncated_poly, dual_numbers
+from .coeff import ArtinLocalRing, build_truncated_poly, dual_numbers, exact
 from .cyclic import (
     NotStabilized,
     cyclic_homology,
@@ -106,9 +105,10 @@ def resolve_ring(spec: str) -> ArtinLocalRing:
 
 
 def _parse_rational(tok, lineno):
+    """An exact rational from a token or JSON value; a float is a ParseError."""
     try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError) as exc:
+        return exact(tok)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(lineno, f"bad rational {tok!r}: {exc}")
 
 
@@ -209,10 +209,10 @@ def _rebase_unit(labels, degrees, mult, diff, unit):
         return labels, degrees, mult, diff
     # new basis: u = unit vector, plus e_i for i != pivot
     old_from_new = []  # columns expressing new basis in the old one
-    old_from_new.append({i: Fraction(c) for i, c in enumerate(unit) if c})
+    old_from_new.append({i: c for i, c in enumerate(unit) if c})
     order = [pivot] + [i for i in range(n) if i != pivot]
     for i in order[1:]:
-        old_from_new.append({i: Fraction(1)})
+        old_from_new.append({i: 1})
     from .exactlin import from_columns, solve
 
     change = from_columns(n, old_from_new)
@@ -282,9 +282,9 @@ def parse_mc_file(algebra, ring, text: str) -> MCElement:
     for entry in data:
         word = tuple(lab_pos[w] for w in entry["word"])
         out = lab_pos[entry["out"]]
-        coeffs = [Fraction(0)] * ring.dim
+        coeffs = [0] * ring.dim
         for lab, val in entry["coeffs"].items():
-            coeffs[ring_pos[lab]] = Fraction(val)
+            coeffs[ring_pos[lab]] = _parse_rational(val, 0)
         vec = comps.setdefault(len(word), {}).setdefault(word, {})
         cur = vec.get(out, ring.zero())
         vec[out] = cur + ring.element(coeffs)
@@ -514,7 +514,7 @@ def cmd_period(args, out):
         emit(payload, args.format, out)
         return 0
     if args.action == "vdb":
-        pi = {(0, ()): Fraction(1)} if args.pi == "unit" else None
+        pi = {(0, ()): 1} if args.pi == "unit" else None
         if pi is None:
             raise ParseError(0, "only --pi unit is supported")
         rep = vdb_duality_check(alg, args.cy_dim, pi, degrees)

@@ -5,6 +5,12 @@ associative multiplication table; the span of the non-unit basis elements
 must be the maximal ideal, i.e. nilpotent.  Elements are coefficient vectors
 over the basis and support +, -, * and scalar multiplication by Q, so chain
 and cochain formulas run unchanged over any such ring.
+
+Coefficients follow the package's one rule, applied by `exact`: an integral
+value is an `int` and a `Fraction` appears only where there is a
+denominator (the two compare and hash equal, and int arithmetic is far
+cheaper).  Table entries and element slots are normalized this way, and a
+float is rejected with TypeError rather than read as a binary fraction.
 """
 
 from __future__ import annotations
@@ -17,12 +23,27 @@ class NotArtinLocal(Exception):
     """The supplied table violates an artin-local axiom."""
 
 
+def exact(c):
+    """c as an exact rational: an int when integral, else a Fraction.
+
+    Accepts ints, Fractions and anything `Fraction` reads exactly (such as
+    "1/2"); a float raises TypeError.
+    """
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"exact coefficients must be int or Fraction, got {c!r}")
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class RingElement:
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple([c if type(c) is int else exact(c) for c in coeffs])
 
     def __add__(self, other):
         other = self.ring.coerce(other)
@@ -52,7 +73,7 @@ class RingElement:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RingElement(self.ring, [a / other for a in self.coeffs])
+            return RingElement(self.ring, [Fraction(a) / other for a in self.coeffs])
         return NotImplemented
 
     def __eq__(self, other):
@@ -91,7 +112,7 @@ class ArtinLocalRing:
         # mult_table[(i, j)] = {k: coeff} for basis_i * basis_j
         self.table = {}
         for (i, j), col in mult_table.items():
-            entry = {k: Fraction(v) for k, v in col.items() if v}
+            entry = {k: q for k, v in col.items() if (q := exact(v))}
             if entry:
                 self.table[i, j] = entry
         self.maximal_ideal = tuple(range(1, self.dim))
@@ -133,15 +154,18 @@ class ArtinLocalRing:
         raise TypeError(f"cannot coerce {x!r}")
 
     def multiply(self, a, b):
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
+        table = self.table
+        b_nonzero = [(j, cb) for j, cb in enumerate(b.coeffs) if cb]
         for i, ca in enumerate(a.coeffs):
             if not ca:
                 continue
-            for j, cb in enumerate(b.coeffs):
-                if not cb:
-                    continue
-                for k, v in self.table.get((i, j), {}).items():
-                    out[k] += ca * cb * v
+            for j, cb in b_nonzero:
+                col = table.get((i, j))
+                if col:
+                    c = ca * cb
+                    for k, v in col.items():
+                        out[k] += c * v
         return RingElement(self, out)
 
     # -- axioms ----------------------------------------------------------------
@@ -273,7 +297,7 @@ def build_truncated_poly(num_vars: int, order: int) -> ArtinLocalRing:
     for (i, a), (j, b) in itertools.product(enumerate(monos), repeat=2):
         prod = tuple(sorted(a + b))
         if len(prod) < order:
-            table[i, j] = {index[prod]: Fraction(1)}
+            table[i, j] = {index[prod]: 1}
     return ArtinLocalRing([label(m) for m in monos], table)
 
 
@@ -299,10 +323,10 @@ def fiber_product(r1: ArtinLocalRing, r2: ArtinLocalRing, to_q1=None, to_q2=None
     def emb2(j):
         return 1 + n1 + r2.maximal_ideal.index(j)
 
-    table = {(0, 0): {0: Fraction(1)}}
+    table = {(0, 0): {0: 1}}
     for k in range(1, len(labels)):
-        table[0, k] = {k: Fraction(1)}
-        table[k, 0] = {k: Fraction(1)}
+        table[0, k] = {k: 1}
+        table[k, 0] = {k: 1}
     for i in r1.maximal_ideal:
         for j in r1.maximal_ideal:
             col = {}

@@ -441,7 +441,7 @@ def lift_order_by_order(algebra, x_low: MCElement, ring: ArtinLocalRing):
     if not mc_residual(algebra, x_low).is_zero():
         raise NotMaurerCartan("x_low is not Maurer-Cartan")
     # re-coefficient x_low into the bigger ring
-    pad = [Fraction(0)] * (ring.dim - small.dim)
+    pad = [0] * (ring.dim - small.dim)
     x = x_low.value.map_coefficients(lambda c: RingElement(ring, list(c.coeffs) + pad))
     cb2, cb3 = CochainBasis(algebra, 2), CochainBasis(algebra, 3)
     lifted, blocked = solve_by_levels(

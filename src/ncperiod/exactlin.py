@@ -283,14 +283,18 @@ def _pivot_columns(m: SparseMatrix):
     return sorted(_echelon([_int_row(r) for r in m.row_lists()]))
 
 
-def _greedy_split(first, second):
-    """The vectors of first, then of second, not in the span of those before.
+def _homology_reps(boundaries, cycles):
+    """The cycles not in the span of the boundaries and the cycles before them.
 
-    Returned as two lists; together they are a basis of the span of all the
-    given vectors.
+    boundaries must be independent cycles; when there are as many of them as
+    cycles they span every cycle, and no cycle is reduced.
     """
+    if len(boundaries) == len(cycles):
+        return []
     span = IncrementalSpan()
-    return [v for v in first if span.add(v)], [v for v in second if span.add(v)]
+    for v in boundaries:
+        span.add(v)
+    return [v for v in cycles if span.add(v)]
 
 
 def rref(m: SparseMatrix):
@@ -358,16 +362,20 @@ class SubquotientBasis:
 def homology_at(d_in: SparseMatrix, d_out: SparseMatrix) -> SubquotientBasis:
     """Homology at the middle of  X --d_in--> Y --d_out--> Z.
 
-    Checks d_out . d_in = 0 exactly.  Boundary basis: image columns of d_in
-    filtered greedily in column order; homology representatives: kernel
-    vectors of d_out extending that basis, again greedily (deterministic).
+    Checks d_out . d_in = 0 exactly.  Boundary basis: the columns of d_in
+    not in the span of the columns before them (its pivot columns);
+    homology representatives: kernel vectors of d_out extending that basis,
+    greedily in order (deterministic).
     """
     if d_in.rows != d_out.cols:
         raise ValueError("homology_at: d_in.rows must equal d_out.cols")
     if not d_out.compose(d_in).is_zero():
         raise CompositionNonzero("d_out . d_in != 0")
     _, cycles, _ = rref(d_out)
-    boundaries, reps = _greedy_split(d_in.columns(), cycles)
+    piv = _pivot_columns(d_in)  # first, so its rows and cols never coexist
+    cols = d_in.columns()
+    boundaries = [cols[j] for j in piv]
+    reps = _homology_reps(boundaries, cycles)
     return SubquotientBasis(
         ambient_dim=d_out.cols,
         cycle_basis=cycles,
@@ -420,7 +428,7 @@ def complex_sdr(dims, diffs):
             sel[n + 1] = _pivot_columns(d_up)
         cols = d_up.columns() if sel[n + 1] else []
         bnd = [cols[j] for j in sel[n + 1]]   # boundary basis of C_n
-        _, reps = _greedy_split(bnd, cycles)
+        reps = _homology_reps(bnd, cycles)
         # Full basis [B | H | N] of C_n; one inversion gives p rows and the
         # B-coordinates that define h.  N_n is spanned by the unit vectors of
         # the pivot columns of d_n.

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coeff import RingElement, slot_coordinates
+from .coeff import RingElement, exact, slot_coordinates
 from .cyclic import NotStabilized, default_bar_bound, reduce_mixed_complex
 from .deform import MCElement, NotMaurerCartan, mc_residual, solve_by_levels
 from .exactlin import IncrementalSpan, SparseMatrix, from_columns, rref
@@ -71,13 +71,9 @@ class BlockOp:
         for key, mat in other.blocks.items():
             tgt = out.blocks.setdefault(key, {})
             for e, v in mat.items():
-                s = tgt.get(e, 0) + scale * v
-                if s:
-                    tgt[e] = s
-                else:
-                    tgt.pop(e, None)
+                chain_add(tgt, e, scale * v)
             if not tgt:
-                out.blocks.pop(key, None)
+                del out.blocks[key]
         return out
 
     def scaled(self, c):
@@ -94,26 +90,24 @@ class BlockOp:
         lo, hi = window
         out = BlockOp(self.deg + other.deg)
         for (s2, m2, mm2), mat2 in other.blocks.items():
+            rows2 = None  # mat2 as {row: [(col, value), ...]}, built once
             for (s1, m1, mm1), mat1 in self.blocks.items():
                 if m1 != mm2:
                     continue
                 s = s1 + s2
                 if not (lo <= s <= hi) or mm1 > bar_bound:
                     continue
+                if rows2 is None:
+                    rows2 = {}
+                    for (i2, j2), v2 in mat2.items():
+                        rows2.setdefault(i2, []).append((j2, v2))
                 key = (s, m2, mm1)
                 tgt = out.blocks.setdefault(key, {})
                 for (i1, j1), v1 in mat1.items():
-                    for (i2, j2), v2 in mat2.items():
-                        if j1 != i2:
-                            continue
-                        e = (i1, j2)
-                        sacc = tgt.get(e, 0) + v1 * v2
-                        if sacc:
-                            tgt[e] = sacc
-                        else:
-                            tgt.pop(e, None)
+                    for j2, v2 in rows2.get(j1, ()):
+                        chain_add(tgt, (i1, j2), v1 * v2)
                 if not tgt:
-                    out.blocks.pop(key, None)
+                    del out.blocks[key]
         return out
 
     def entries(self):
@@ -155,7 +149,7 @@ def identity_block(h_dims):
     op = BlockOp(0)
     for m, d in enumerate(h_dims):
         if d:
-            op.blocks[0, m, m] = {(k, k): Fraction(1) for k in range(d)}
+            op.blocks[0, m, m] = {(k, k): 1 for k in range(d)}
     return op
 
 
@@ -208,7 +202,7 @@ def deformed_differential(red, x: MCElement, window) -> BlockOp:
         vecs = []
         inv = _inverse_index(keymaps[m])
         for rep in sdr.reps:
-            vecs.append({inv[j]: Fraction(c) for j, c in rep.items()})
+            vecs.append({inv[j]: exact(c) for j, c in rep.items()})
         frontier = {(m, 0): vecs}
         guard = 0
         while frontier:
@@ -562,7 +556,7 @@ def _d_matrix(red, D0, deg, window):
     for key, j in src_index.items():
         sig, m, m2, r, c = key
         e = BlockOp(deg)
-        e.blocks[sig, m, m2] = {(r, c): Fraction(1)}
+        e.blocks[sig, m, m2] = {(r, c): 1}
         de = block_d(D0, e, red.bar_bound, window)
         for key2, mat2 in de.blocks.items():
             for (r2, c2), v in mat2.items():
@@ -747,7 +741,7 @@ def ptd_isomorphic(p: PTD, q: PTD):
     keys_c = [keys_c[j] for j in nonneg]
     lin = from_columns(
         off + len(rows0),
-        [{**cols0[j], off + j: Fraction(-1)} for j in nonneg]
+        [{**cols0[j], off + j: -1} for j in nonneg]
         + [{off + i: v for i, v in col.items()} for col in d_1.columns()])
 
     inverses = _inverse_trivializations(p, q, red, ring)

@@ -128,3 +128,44 @@ def test_graded_algebra_with_differential_validates():
                     {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
                     name="ext1")
     assert validate_dg_algebra(ext) == []
+
+
+def _all_builders():
+    return [
+        build_field(),
+        build_truncated_polynomial_algebra(4),
+        build_matrix_algebra(1),
+        build_matrix_algebra(3),
+        a2_quiver_algebra(),
+        kronecker_algebra(),
+        build_path_algebra([1, 2, 3], [("f", 1, 2), ("g", 2, 3)]),
+    ]
+
+
+def test_builder_structure_constants_are_ints():
+    # an integral structure constant is stored as an int, never a Fraction
+    for alg in _all_builders():
+        values = [v for col in alg.mult.values() for v in col.values()]
+        assert values and all(type(v) is int for v in values), alg.name
+
+
+def test_constructor_normalizes_integral_fractions():
+    a = DgAlgebra(["1", "x"], [0, 0],
+                  {(0, 0): {0: Fraction(1)}, (0, 1): {1: Fraction(2, 2)},
+                   (1, 0): {1: "1"}})
+    assert all(type(v) is int for col in a.mult.values() for v in col.values())
+    b = DgAlgebra(["1", "x", "y"], [0, 0, 1],
+                  {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                   (0, 2): {2: 1}, (2, 0): {2: 1}},
+                  diff={1: {2: Fraction(1, 2)}})
+    assert b.diff == {1: {2: Fraction(1, 2)}}
+
+
+def test_float_structure_constants_rejected():
+    with pytest.raises(TypeError):
+        DgAlgebra(["1"], [0], {(0, 0): {0: 1.0}})
+    with pytest.raises(TypeError):
+        DgAlgebra(["1", "x", "y"], [0, 0, 1],
+                  {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                   (0, 2): {2: 1}, (2, 0): {2: 1}},
+                  diff={1: {2: 0.5}}, validate=False)

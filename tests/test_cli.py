@@ -1,6 +1,7 @@
 import io
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -197,3 +198,21 @@ def test_gauge_check_cli(tmp_path):
                          "--ring", "dual", "--mc-file", str(f1),
                          "--mc-file2", str(f1)])
     assert code == 0 and "gauge-equivalent: True" in out
+
+
+def test_float_in_mc_file_is_parse_error(tmp_path):
+    # a JSON float is a binary fraction (0.1 = 3602879701896397/2^55), not 1/10
+    alg = resolve_algebra("trunc_poly:2")
+    ring = resolve_ring("dual")
+    payload = [{"word": ["x", "x"], "out": "1", "coeffs": {"eps": 0.1}}]
+    with pytest.raises(ParseError):
+        parse_mc_file(alg, ring, json.dumps(payload))
+    mc = tmp_path / "x.json"
+    mc.write_text(json.dumps(payload))
+    code, _ = run_cli(["deform", "lift", "--algebra", "trunc_poly:2",
+                       "--ring", "dual", "--target-ring", "eps^3",
+                       "--mc-file", str(mc)])
+    assert code == 2
+    exact = [{"word": ["x", "x"], "out": "1", "coeffs": {"eps": "1/10"}}]
+    x = parse_mc_file(alg, ring, json.dumps(exact))
+    assert x.value.eval(2, (1, 1))[0].coeffs == (0, Fraction(1, 10))

@@ -1,10 +1,13 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncperiod.coeff import (
     ArtinLocalRing,
     NotArtinLocal,
+    RingElement,
     build_truncated_poly,
     dual_numbers,
     fiber_product,
@@ -111,3 +114,71 @@ def test_truncation_map():
     y = apply(x)
     assert y.coeffs == (0, 1, 0)
     assert apply(x * x) == y * y
+
+
+# -- the int rule: int when integral, Fraction only with a denominator ------------
+
+T23 = build_truncated_poly(2, 3)
+_scalars = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+_elements = st.lists(_scalars, min_size=T23.dim, max_size=T23.dim)
+
+
+def _ref_mul(a, b):
+    """The ring product in plain Fraction arithmetic, from the table."""
+    out = [Fraction(0)] * T23.dim
+    for i, j in itertools.product(range(T23.dim), repeat=2):
+        for k, v in T23.table.get((i, j), {}).items():
+            out[k] += Fraction(a[i]) * Fraction(b[j]) * Fraction(v)
+    return out
+
+
+def _follows_int_rule(x):
+    return all(
+        type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+        for c in x.coeffs
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_elements, _elements, _scalars, st.integers(1, 5).map(lambda n: n * (-1) ** n))
+def test_ring_arithmetic_matches_fraction_reference(a, b, s, n):
+    x, y = T23.element(a), T23.element(b)
+    fa, fb = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    cases = [
+        (x + y, [p + q for p, q in zip(fa, fb)]),
+        (x - y, [p - q for p, q in zip(fa, fb)]),
+        (-x, [-p for p in fa]),
+        (x * y, _ref_mul(fa, fb)),
+        (x * s, [p * s for p in fa]),
+        (s * x, [p * s for p in fa]),
+        (x / n, [p / n for p in fa]),
+        (x / s if s else x, [p / s for p in fa] if s else fa),
+    ]
+    for got, ref in cases:
+        assert list(got.coeffs) == ref
+        assert _follows_int_rule(got), got.coeffs
+
+
+def test_ring_tables_and_slots_are_ints():
+    for r in (dual_numbers(), T23, fiber_product(dual_numbers(), T23)):
+        assert all(type(v) is int for col in r.table.values() for v in col.values())
+    x = T23.element([Fraction(4, 2), "3/3", 1, 0, 0, Fraction(1, 2)])
+    assert [type(c) for c in x.coeffs] == [int] * 5 + [Fraction]
+    assert type((x / 2).coeffs[0]) is int and type((x / 4).coeffs[0]) is Fraction
+
+
+def test_floats_rejected_by_ring_and_elements():
+    with pytest.raises(TypeError):
+        ArtinLocalRing(["1", "e"], {(0, 0): {0: 1}, (0, 1): {1: 1.0},
+                                    (1, 0): {1: 1}})
+    with pytest.raises(TypeError):
+        RingElement(T23, [0.1] + [0] * (T23.dim - 1))
+    with pytest.raises(TypeError):
+        T23.element([1, 0, 0, 0, 0, 0.5])
+    with pytest.raises(TypeError):
+        T23.one() / 0.5
+    with pytest.raises(TypeError):
+        T23.one() * 0.5

@@ -14,6 +14,7 @@ from ncperiod.algebra import (
 from ncperiod.hochschild import (
     ChainBasis,
     Cochain,
+    DgStructure,
     chain_add,
     cochain_differential,
     connes_B,
@@ -21,6 +22,7 @@ from ncperiod.hochschild import (
     hochschild_boundary,
     hochschild_cohomology,
     hochschild_homology,
+    lie_terms,
     structure_as_cochain,
     unit_cochain,
 )
@@ -302,3 +304,13 @@ def test_boundary_lowers_weight_connes_raises():
         assert len(key[1]) == 1
     for key in connes_B(D, c):
         assert len(key[1]) == 3
+
+
+def test_lie_terms_emit_ints_on_builder_algebras():
+    # the builders' int structure constants keep d = L_b in int arithmetic
+    for alg in (build_matrix_algebra(2), build_truncated_polynomial_algebra(3)):
+        struct = DgStructure(alg)
+        coeffs = []
+        for a0, word in ChainBasis(alg, 3).keys:
+            lie_terms(alg, struct, a0, word, lambda key, c: coeffs.append(c))
+        assert coeffs and all(type(c) is int for c in coeffs)
