@@ -7,13 +7,13 @@ exactly on every basis cochain pair against every basis chain in range.
 An operator matrix is stored by columns, {col: ((row, coeff), ...)}, with no
 zero entries; an integral coefficient is stored as an int, which is exact
 since int and Fraction compare and hash equal, and keeps the products of
-structure constants out of Fraction arithmetic.  A commutator
-A B - sign . B A is one outer-product sparse product (Gustavson 1978): with
-tX the rows of X over the check columns, it adds A[:, i] x tB[i] and
--sign . B[:, i] x tA[i] over the shared indices i, touching only stored
-nonzeros.  Each identity then compares two whole matrices on the check
-columns (a prefix of the weight-ordered basis) and scans them in column
-order only to name the first failing column.
+structure constants out of Fraction arithmetic.  An identity lhs = rhs is
+checked as one residual lhs - rhs, {col: {row: coeff}} on the check columns
+(a prefix of the weight-ordered basis): the Lie action of a cochain is added
+into it in place, and a commutator A B - sign . B A is subtracted as one
+outer-product sparse product (Gustavson 1978) over the stored nonzeros.  The
+identity holds iff every residual column is zero; its witness is the smallest
+nonzero column, the first chain in weight order where the two sides differ.
 
 Cup-product sign convention (see README): for components of arities p, q,
 
@@ -27,7 +27,7 @@ I_P I_Q = (-1)^{|P||Q|} I_{Q cup P}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import compress, product as iproduct
 
 from .coeff import exact
 from .exactlin import member
@@ -153,14 +153,13 @@ class OperatorSpace:
                         (col, -1 if exp % 2 else 1, word[m:i])
                     )
 
-    def lie_matrix(self, cochain, wrap_sign=1, check_only=False):
-        """{col: ((row, coeff), ...)} of the Lie action of the cochain on the
-        apply columns, or on the check columns only.
+    def lie_into(self, cols, cochain, wrap_sign, stop):
+        """Add the Lie action of the cochain to cols, {col: {row: coeff}}, in
+        place on the columns < stop, and return cols.
 
-        wrap_sign is a self-test hook that scales the wrap terms.
+        Cancelled entries stay as zeros.  wrap_sign is a self-test hook that
+        scales the wrap terms.
         """
-        stop = len(self.check_cols) if check_only else len(self.keys)
-        cols = {}
         sdP = cochain.sdeg
         index, keys = self.index, self.keys
         for l, comp in cochain.components.items():
@@ -175,26 +174,31 @@ class OperatorSpace:
                     acc = cols.setdefault(col, {})
                     for t, c in out:
                         if t:  # the unit dies in a bar slot
-                            chain_add(acc, index[a0, head + (t,) + tail], sgn * c)
+                            r = index[a0, head + (t,) + tail]
+                            acc[r] = acc.get(r, 0) + sgn * c
                 for col, sgn, rest in self._wrap.get((l, w), ()):
                     if col >= stop:
                         break
                     acc = cols.setdefault(col, {})
                     for t, c in out:
-                        chain_add(acc, index[t, rest], wrap_sign * sgn * c)
-        return {col: _column(acc) for col, acc in cols.items() if acc}
+                        r = index[t, rest]
+                        acc[r] = acc.get(r, 0) + wrap_sign * sgn * c
+        return cols
+
+    def lie_matrix(self, cochain, wrap_sign=1):
+        """{col: ((row, coeff), ...)} of the Lie action of the cochain on the
+        apply columns."""
+        cols = self.lie_into({}, cochain, wrap_sign, len(self.keys))
+        return {col: e for col, acc in cols.items() if (e := _column(acc))}
 
     def operator_matrix(self, term_fn):
         """{col: ((row, coeff), ...)} of a term generator on the apply columns."""
-        index = self.index
-        out = {}
+        index, cols = self.index, {}
         for col in self.apply_cols:
             a0, word = self.keys[col]
-            acc = {}
+            acc = cols[col] = {}
             term_fn(a0, word, lambda key, v: chain_add(acc, index[key], v))
-            if acc:
-                out[col] = _column(acc)
-        return out
+        return {col: e for col, acc in cols.items() if (e := _column(acc))}
 
     def boundary_matrix(self, struct=None):
         struct = struct or DgStructure(self.algebra)
@@ -215,8 +219,8 @@ class OperatorSpace:
 
 
 def _column(acc):
-    """The stored form of a column {row: coeff} with no zero entries."""
-    return tuple(zip(acc, map(exact, acc.values())))
+    """The stored form of a column {row: coeff}: a tuple with no zero entries."""
+    return tuple((r, exact(v)) for r, v in acc.items() if v)
 
 
 def _transpose(mat, ncols):
@@ -237,33 +241,34 @@ def apply_operator(mat, vec):
     return out
 
 
-def _commutator(A, tA, B, tB, sign):
-    """A B - sign . B A on the columns of the transposes, as {col: {row: c}}.
+def _sub_commutator(res, A, tA, B, tB, sign):
+    """Subtract A B - sign . B A from res, {col: {row: c}}, in place on the
+    columns of the transposes, and return res.
 
     tX is X by rows over the columns wanted.  Outer-product form (Gustavson
     1978): (A B)[:, c] is the sum of A[:, i] * B[i, c] over the rows i of
     tB that are also columns of A, so only stored nonzeros are touched.
     """
-    out = {}
-    for X, tY, s in ((A, tB, 1), (B, tA, -sign)):
+    for X, tY, s in ((A, tB, -1), (B, tA, sign)):
         for i in tY.keys() & X.keys():
             xcol = X[i]
             for c, y in tY[i]:
-                acc = out.setdefault(c, {})
+                acc = res.setdefault(c, {})
                 y *= s
                 for r, x in xcol:
-                    chain_add(acc, r, x * y)
-    return {c: acc for c, acc in out.items() if acc}
+                    acc[r] = acc.get(r, 0) + x * y
+    return res
 
 
-def _first_difference(space, lhs, rhs):
-    """The first check column on which lhs (stored form) and rhs (as from
-    _commutator) differ, or None."""
-    lhs = {c: dict(v) for c, v in lhs.items()}
-    if lhs != rhs:
-        return next(col for col in space.check_cols
-                    if lhs.get(col, {}) != rhs.get(col, {}))
-    return None
+def _first_nonzero(res):
+    """The smallest column of res with a nonzero entry, or None."""
+    return min(compress(res, map(any, map(dict.values, res.values()))),
+               default=None)
+
+
+def _report(axiom, witness):
+    return AxiomReport(axiom, "holds exactly" if witness is None else "fails",
+                       witness)
 
 
 # -- Lie-dagger verification --------------------------------------------------------
@@ -282,10 +287,10 @@ def _bracket_action_witness(space, cochains, mats, arity_bound, wrap_sign,
         P, (mp, tp) = cochains[a], mats[a]
         for b in range(a, len(cochains)):
             Q, (mq, tq) = cochains[b], mats[b]
-            bracket = gerstenhaber_bracket(P, Q, 2 * arity_bound)
-            lhs = space.lie_matrix(bracket, wrap_sign=wrap_sign, check_only=True)
+            res = space.lie_into({}, gerstenhaber_bracket(P, Q, 2 * arity_bound),
+                                 wrap_sign, len(space.check_cols))
             sign = -1 if (P.sdeg * Q.sdeg) % 2 else 1
-            col = _first_difference(space, lhs, _commutator(mp, tp, mq, tq, sign))
+            col = _first_nonzero(_sub_commutator(res, mp, tp, mq, tq, sign))
             if col is not None:
                 return (space.keys[col], a, b)
     return None
@@ -325,14 +330,16 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, _wrap_sign=1,
     (2) d L_P - (-1)^{sd P} L_P d = L_{dP};
     (3) B L_P - (-1)^{sd P} L_P B = 0.
 
-    Each identity is one sparse product per cochain or pair, compared as a
-    whole matrix on the check columns; the witness is the first check column
-    where the two sides differ.  Returns four AxiomReports.  _wrap_sign != 1
-    corrupts the wrap terms of the Lie matrices (self-test hook for the
-    failure path).  workers > 1 splits the pair loop over processes
-    (NCPERIOD_THREADS via the CLI); results are merged in index order, so the
-    report is deterministic.
+    Each identity is one residual per pair or cochain (module docstring): the
+    witness is the first failing pair or cochain, with the smallest nonzero
+    column of its residual.  Returns four AxiomReports; a negative bound
+    raises ValueError.  _wrap_sign != 1 corrupts the wrap terms of the Lie
+    action (self-test hook for the failure path).  workers > 1 splits the
+    pair loop over processes (NCPERIOD_THREADS via the CLI); results are
+    merged in index order, so the report is deterministic.
     """
+    if min(arity_bound, bar_bound) < 0:
+        raise ValueError(f"negative bound: arity {arity_bound}, bar {bar_bound}")
     import os
 
     space = OperatorSpace(algebra, bar_bound)
@@ -362,47 +369,33 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, _wrap_sign=1,
         witness = min(found, key=lambda w: (w[1], w[2])) if found else None
     else:
         witness = _bracket_action_witness(
-            space, cochains, mats, arity_bound, _wrap_sign,
-            range(len(cochains)),
-        )
-    reports.append(AxiomReport(
-        "bracket-action: L_[P,Q] = [L_P, L_Q]",
-        "holds exactly" if witness is None else "fails", witness))
+            space, cochains, mats, arity_bound, _wrap_sign, range(len(cochains)))
+    reports.append(_report("bracket-action: L_[P,Q] = [L_P, L_Q]", witness))
 
-    witness = None
-    for a, (P, (mp, tp)) in enumerate(zip(cochains, mats)):
-        dP = cochain_differential(algebra, P, 2 * arity_bound)
-        l_dP = space.lie_matrix(dP, wrap_sign=_wrap_sign, check_only=True)
-        sign = -1 if P.sdeg % 2 else 1
-        col = _first_difference(
-            space, l_dP, _commutator(boundary, t_boundary, mp, tp, sign))
-        if col is not None:
-            witness = (space.keys[col], a)
-            break
-    reports.append(AxiomReport(
-        "boundary-compat: d^End L_P = L_dP",
-        "holds exactly" if witness is None else "fails", witness))
+    for axiom, op, t_op, lhs in (
+            ("boundary-compat: d^End L_P = L_dP", boundary, t_boundary,
+             lambda P: cochain_differential(algebra, P, 2 * arity_bound)),
+            ("connes-compat: [B, L_P] = 0", connes, t_connes, None)):
+        witness = None
+        for a, (P, (mp, tp)) in enumerate(zip(cochains, mats)):
+            res = space.lie_into({}, lhs(P), _wrap_sign, ncheck) if lhs else {}
+            sign = -1 if P.sdeg % 2 else 1
+            col = _first_nonzero(_sub_commutator(res, op, t_op, mp, tp, sign))
+            if col is not None:
+                witness = (space.keys[col], a)
+                break
+        reports.append(_report(axiom, witness))
 
-    witness = None
-    for a, (P, (mp, tp)) in enumerate(zip(cochains, mats)):
-        sign = -1 if P.sdeg % 2 else 1
-        got = _commutator(connes, t_connes, mp, tp, sign)
-        col = _first_difference(space, {}, got)
-        if col is not None:
-            witness = (space.keys[col], a)
-            break
-    reports.append(AxiomReport(
-        "connes-compat: [B, L_P] = 0",
-        "holds exactly" if witness is None else "fails", witness))
-
-    b_cochain = structure_as_cochain(algebra, 2 * arity_bound)
-    l_b = space.lie_matrix(b_cochain, wrap_sign=_wrap_sign, check_only=True)
-    col = _first_difference(
-        space, l_b, {c: dict(v) for c, v in boundary.items() if c < ncheck})
-    witness = None if col is None else space.keys[col]
-    reports.append(AxiomReport(
-        "action-at-structure: L_b = boundary",
-        "holds exactly" if witness is None else "fails", witness))
+    res = space.lie_into({}, structure_as_cochain(algebra, 2 * arity_bound),
+                         _wrap_sign, ncheck)
+    for c, entries in boundary.items():
+        if c < ncheck:
+            acc = res.setdefault(c, {})
+            for r, v in entries:
+                acc[r] = acc.get(r, 0) - v
+    col = _first_nonzero(res)
+    reports.append(_report("action-at-structure: L_b = boundary",
+                           None if col is None else space.keys[col]))
     return reports
 
 
@@ -452,8 +445,11 @@ def calculus_defect(algebra, degree_bound=2, bar_bound=4):
     Axioms whose chain-level defect vanishes identically report "holds
     exactly"; otherwise the defect is applied to homology representatives
     (or tested for coboundary-ness, for the purely cochain-level axioms) and
-    reports "holds on homology" when every class dies, else "fails".
+    reports "holds on homology" when every class dies, else "fails".  A
+    negative bound raises ValueError.
     """
+    if min(degree_bound, bar_bound) < 0:
+        raise ValueError(f"negative bound: degree {degree_bound}, bar {bar_bound}")
     if not algebra.is_degree_zero():
         raise ValueError("calculus_defect requires a degree-0 algebra")
     space = OperatorSpace(algebra, bar_bound)

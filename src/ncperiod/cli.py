@@ -411,6 +411,8 @@ def cmd_ss(args, out):
 
 
 def cmd_calc(args, out):
+    if min(args.arity, args.bar, args.degree_bound) < 0:
+        raise ParseError(0, "--arity, --bar and --degree-bound must be >= 0")
     alg = resolve_algebra(args.algebra)
     if args.action == "verify":
         from .calculus import verify_lie_dagger

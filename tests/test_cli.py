@@ -128,6 +128,25 @@ def test_spec_example_calc_verify():
     assert out.count("holds exactly") == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--arity", "-1", "--bar", "2"],
+    ["verify", "--arity", "2", "--bar", "-1"],
+    ["defect", "--degree-bound", "-1"],
+    ["defect", "--bar", "-1"],
+], ids=" ".join)
+def test_negative_calc_bounds_are_parse_errors(argv, capsys):
+    code, out = run_cli(["calc", argv[0], "--algebra", "trunc_poly:2", *argv[1:]])
+    assert (code, out) == (2, "")
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_calc_verify_zero_bounds_valid():
+    code, out = run_cli(["calc", "verify", "--algebra", "trunc_poly:2",
+                         "--arity", "0", "--bar", "0"])
+    assert code == 0
+    assert out.count("holds exactly") == 4
+
+
 def test_spec_example_torelli_vacuous():
     code, out = run_cli(["period", "torelli", "--algebra", "matrix:2",
                          "--degree-range", "0..3"])
