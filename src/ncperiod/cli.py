@@ -307,6 +307,14 @@ def _parse_window(spec):
     return (int(lo), int(hi))
 
 
+def _check_nonneg(args, *options):
+    """ParseError unless every given option among `options` is >= 0."""
+    if any((getattr(args, o) or 0) < 0 for o in options):
+        flags = [f"--{o.replace('_', '-')}" for o in options]
+        names = " and ".join(filter(None, [", ".join(flags[:-1]), flags[-1]]))
+        raise ParseError(0, f"{names} must be >= 0")
+
+
 def emit(payload, fmt, out):
     if fmt == "structured":
         out.write(json.dumps(payload, sort_keys=True, default=str) + "\n")
@@ -337,6 +345,9 @@ def cmd_hh(args, out):
 def cmd_hhc(args, out):
     alg = resolve_algebra(args.algebra)
     degrees = _parse_range(args.degree_range)
+    least = max(degrees, default=-1) + 1
+    if args.arity is not None and args.arity < least:
+        raise ParseError(0, f"--arity must be >= {least} (max degree + 1)")
     hh = hochschild_cohomology(alg, degrees, args.arity)
     dims = [hh.dims[n] for n in degrees]
     payload = {
@@ -351,6 +362,7 @@ def cmd_hhc(args, out):
 
 
 def cmd_cyclic(args, out):
+    _check_nonneg(args, "bar")
     alg = resolve_algebra(args.algebra)
     degrees = _parse_range(args.degree_range)
     window = _parse_window(args.t_window)
@@ -381,6 +393,7 @@ def cmd_cyclic(args, out):
 
 
 def cmd_ss(args, out):
+    _check_nonneg(args, "bar")
     alg = resolve_algebra(args.algebra)
     degrees = _parse_range(args.degree_range)
     window = _parse_window(args.t_window)
@@ -411,8 +424,7 @@ def cmd_ss(args, out):
 
 
 def cmd_calc(args, out):
-    if min(args.arity, args.bar, args.degree_bound) < 0:
-        raise ParseError(0, "--arity, --bar and --degree-bound must be >= 0")
+    _check_nonneg(args, "arity", "bar", "degree_bound")
     alg = resolve_algebra(args.algebra)
     if args.action == "verify":
         from .calculus import verify_lie_dagger

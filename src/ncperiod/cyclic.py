@@ -2,12 +2,15 @@
 
 Engine: the mixed complex (C, d, B) is first retracted weight-by-weight onto
 its homology with an exact strong deformation retract (rref data), and the
-t-differential is transferred through the retract:
+t-differential is transferred through the retract by the package's one
+perturbation transfer, `perturbation_transfer`:
 
-    D = sum_{n >= 0} t^{n+1} p B (h B)^n iota,
+    D = sum_{k >= 0} p delta (h delta)^k iota,   delta = tB,
 
 an exact identity (homological perturbation with a filtration-raising
-perturbation).  HN / HP / HC are then the homology of the small transferred
+perturbation; Crainic 2004).  With delta = tB this is
+sum_n t^{n+1} p B (h B)^n iota; the period layer passes delta = tB + L_x for
+a Maurer-Cartan element x.  HN / HP / HC are then the homology of the small transferred
 complex truncated to a t-window: variant "nonneg" is C[[t]], "window" is
 C((t)), "nonpos" is C[t^{-1}].  Stabilization is declared only if enlarging
 the t-window by one in each open direction leaves every reported dimension
@@ -19,7 +22,9 @@ on the unreduced chain spaces (ops d and tB), feasible for small algebras.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .exactlin import (
@@ -28,8 +33,16 @@ from .exactlin import (
     SubquotientBasis,
     complex_sdr,
     homology_at,
+    rank,
 )
-from .hochschild import DgStructure, GradedDims, chain_add, connes_terms, lie_terms
+from .hochschild import (
+    Cochain,
+    DgStructure,
+    GradedDims,
+    chain_add,
+    connes_terms,
+    lie_terms,
+)
 
 
 class NotStabilized(Exception):
@@ -41,7 +54,7 @@ DEFAULT_SPOT_CAP = 500
 
 
 def chain_spaces(algebra, max_weight):
-    """Index maps {(a0, word): j} per weight 0..max_weight."""
+    """Index maps {(a0, word): j} per weight 0..max_weight, keys in index order."""
     red = list(algebra.reduced_indices)
     return [
         {
@@ -94,7 +107,7 @@ class ReducedMixedComplex:
     algebra: object
     bar_bound: int
     h_dims: list
-    transfer: dict  # n -> {m: SparseMatrix H_m -> H_{m+2n+1}}
+    transfer: dict  # (sigma, m, m') -> {(row, col): value}, H_m -> H_m' t^sigma
     sdr: list
     spaces: list
     b_mats: list
@@ -119,6 +132,8 @@ def default_bar_bound(algebra, max_degree, t_hi, spot_cap=DEFAULT_SPOT_CAP):
 
 
 def reduce_mixed_complex(algebra, bar_bound) -> ReducedMixedComplex:
+    if bar_bound < 0:
+        raise ValueError(f"bar bound must be >= 0, got {bar_bound}")
     if not algebra.is_degree_zero():
         raise ValueError("cyclic homology requires a degree-0 algebra")
     cache = getattr(algebra, "_reduced_cache", None)
@@ -129,60 +144,92 @@ def reduce_mixed_complex(algebra, bar_bound) -> ReducedMixedComplex:
         return cache[bar_bound]
     spaces = chain_spaces(algebra, bar_bound + 1)
     diffs = boundary_matrices(algebra, spaces)
-    dims = [len(s) for s in spaces[: bar_bound + 1]]
-    sdr = complex_sdr(dims, diffs)
-    b_mats = connes_matrices(algebra, spaces[: bar_bound + 1])
-    h_dims = [len(s.reps) for s in sdr]
-    transfer = {}
-    for m in range(bar_bound + 1):
-        if not sdr[m].reps:
-            continue
-        # iterate (h B)^n B iota starting from the representatives of H_m
-        vecs = [dict(rep) for rep in sdr[m].reps]
-        n = 0
-        weight = m
-        while True:
-            if weight + 1 > bar_bound:
-                break
-            vecs = [_apply(b_mats[weight], v) for v in vecs]  # B
-            weight += 1
-            tgt = sdr[weight]
-            if tgt.reps:
-                block = SparseMatrix(len(tgt.reps), len(vecs))
-                for j, v in enumerate(vecs):
-                    for k, row in enumerate(tgt.proj_rows):
-                        val = _dot(row, v)
-                        if val:
-                            block.entries[k, j] = val
-                if not block.is_zero():
-                    transfer.setdefault(n, {})[m] = block
-            if weight + 1 > bar_bound:
-                break
-            vecs = [_apply_cols(sdr[weight].hmty_cols, v) for v in vecs]  # h
-            weight += 1
-            n += 1
-            if all(not v for v in vecs):
-                break
+    sdr = complex_sdr([len(s) for s in spaces[: bar_bound + 1]], diffs)
     out = ReducedMixedComplex(
         algebra=algebra,
         bar_bound=bar_bound,
-        h_dims=h_dims,
-        transfer=transfer,
+        h_dims=[len(s.reps) for s in sdr],
+        transfer={},
         sdr=sdr,
         spaces=spaces,
-        b_mats=b_mats,
+        b_mats=connes_matrices(algebra, spaces[: bar_bound + 1]),
     )
+    out.transfer = perturbation_transfer(out)
     cache[bar_bound] = out
     return out
 
 
-def _apply(mat, vec):
-    out = {}
-    if not vec:
-        return out
-    cols = mat.columns()
+def perturbation_transfer(red, x=None, window=None):
+    """Blocks {(sigma, m, m'): {(row, col): value}} of sum_k p delta (h delta)^k iota.
+
+    delta = tB, plus L_x when the cochain x is given; x's coefficients must
+    lie in the maximal ideal of an Artin ring, so the series is finite.  Only
+    blocks with lo <= sigma <= hi are kept (every sigma when window is None).
+    Chains stay in the index coordinates of red.spaces: B from red.b_mats,
+    L_x from one single-arity cochain per arity of x, p and h from the SpotSDR
+    data of red.sdr.
+    """
+    bar = red.bar_bound
+    lo, hi = window or (0, math.inf)
+    b_cols = [mat.columns() for mat in red.b_mats]
+    singles, keys, lie_cols = {}, None, {}
+    if x is not None:
+        singles = {
+            l: Cochain(red.algebra, {l: comp}, x.sdeg, x.arity_bound, x.normalized)
+            for l, comp in x.components.items()
+        }
+        keys = [list(space) for space in red.spaces]
+    # h is worth applying only if a part of delta can leave the weight it reaches
+    reach = max((l - 1 for l in singles), default=-1)
+
+    def lie_column(l, w, j):
+        col = lie_cols.get((l, w, j))
+        if col is None:
+            col = lie_cols[l, w, j] = {}
+            dst = red.spaces[w - l + 1]
+            lie_terms(red.algebra, singles[l], *keys[w][j],
+                      lambda key, v: chain_add(col, dst[key], v))
+        return col
+
+    def parts(w, sig):
+        """(weight, sigma, columns) of each part of delta leaving (w, sig)."""
+        if w + 1 <= bar and sig + 1 <= hi:
+            yield w + 1, sig + 1, b_cols[w].__getitem__
+        for l in singles:
+            if 0 <= w - l + 1 <= bar:
+                yield w - l + 1, sig, functools.partial(lie_column, l, w)
+
+    blocks = {}
+    for m, spot in enumerate(red.sdr):
+        frontier = {(m, 0): spot.reps} if spot.reps else {}
+        while frontier:
+            landed = {}  # (weight, sigma) -> delta of the frontier, per generator
+            for (w, sig), vecs in frontier.items():
+                for w2, sig2, col in parts(w, sig):
+                    acc = landed.setdefault((w2, sig2), [{} for _ in vecs])
+                    for a, v in zip(acc, vecs):
+                        _image(col, v, a)
+            frontier = {}
+            for (w, sig), vecs in landed.items():
+                if not any(vecs):
+                    continue
+                if lo <= sig <= hi:
+                    tgt = blocks.setdefault((sig, m, w), {})
+                    for e, v in _project(red.sdr[w], vecs).items():
+                        chain_add(tgt, e, v)
+                if w + 1 - reach <= bar:
+                    hcols = red.sdr[w].hmty_cols.__getitem__
+                    moved = [_image(hcols, v) for v in vecs]
+                    if any(moved):
+                        frontier[w + 1, sig] = moved
+    return {key: blk for key, blk in blocks.items() if blk}
+
+
+def _image(col, vec, out=None):
+    """out (default zero) plus the image of vec under the map with columns col(j)."""
+    out = {} if out is None else out
     for j, c in vec.items():
-        for i, v in cols[j].items():
+        for i, v in col(j).items():
             s = out.get(i, 0) + v * c
             if s:
                 out[i] = s
@@ -191,25 +238,19 @@ def _apply(mat, vec):
     return out
 
 
-def _apply_cols(cols, vec):
+def _project(spot, vecs):
+    """Block {(row, k): value} of p (the rows spot.proj_rows) on vecs[k]."""
     out = {}
-    for j, c in vec.items():
-        for i, v in cols[j].items():
-            s = out.get(i, 0) + v * c
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
+    for k, vec in enumerate(vecs):
+        for r, row in enumerate(spot.proj_rows):
+            acc = 0
+            for i, v in row.items():
+                c = vec.get(i)
+                if c:
+                    acc += v * c
+            if acc:
+                out[r, k] = acc
     return out
-
-
-def _dot(row, vec):
-    acc = 0
-    for i, v in row.items():
-        c = vec.get(i)
-        if c:
-            acc += v * c
-    return acc
 
 
 # -- windowed t-complexes ---------------------------------------------------------
@@ -220,13 +261,14 @@ class TComplexData:
     """Graded pieces per weight plus homogeneous operators (t_shift, w_shift)."""
 
     weight_dims: list
-    ops: list  # (t_shift, weight_shift, {m: SparseMatrix})
+    ops: list  # (t_shift, weight_shift, {m: {(row, col): value}})
 
     @classmethod
     def from_reduced(cls, red: ReducedMixedComplex):
-        ops = [
-            (n + 1, 2 * n + 1, blocks) for n, blocks in sorted(red.transfer.items())
-        ]
+        by_sigma = {}
+        for (sig, m, _), blk in red.transfer.items():
+            by_sigma.setdefault(sig, {})[m] = blk
+        ops = [(sig, 2 * sig - 1, by_sigma[sig]) for sig in sorted(by_sigma)]
         return cls(weight_dims=list(red.h_dims), ops=ops)
 
     @classmethod
@@ -235,8 +277,8 @@ class TComplexData:
         diffs = boundary_matrices(algebra, spaces)
         b_mats = connes_matrices(algebra, spaces[: bar_bound + 1])
         dims = [len(s) for s in spaces[: bar_bound + 1]]
-        d_blocks = {m: diffs[m] for m in range(1, bar_bound + 1)}
-        b_blocks = {m: b_mats[m] for m in range(bar_bound)}
+        d_blocks = {m: diffs[m].entries for m in range(1, bar_bound + 1)}
+        b_blocks = {m: b_mats[m].entries for m in range(bar_bound)}
         return cls(weight_dims=dims, ops=[(0, -1, d_blocks), (1, 1, b_blocks)])
 
 
@@ -267,29 +309,25 @@ class TruncatedLaurentComplex:
     def spot_dim(self, r):
         return sum(self.data.weight_dims[m] for m, _ in self.spot_basis(r))
 
+    def offsets(self, r):
+        """{(m, i): position of that generator's first coordinate} at degree r."""
+        out, n = {}, 0
+        for m, i in self.spot_basis(r):
+            out[m, i] = n
+            n += self.data.weight_dims[m]
+        return out
+
     def differential(self, r):
         """Matrix X^r -> X^{r+1} of the total differential."""
-        src = self.spot_basis(r)
-        dst = self.spot_basis(r + 1)
-        src_off, n = {}, 0
-        for m, i in src:
-            src_off[m, i] = n
-            n += self.data.weight_dims[m]
-        dst_off, n2 = {}, 0
-        for m, i in dst:
-            dst_off[m, i] = n2
-            n2 += self.data.weight_dims[m]
-        out = SparseMatrix(n2, n)
-        for m, i in src:
+        src, dst = self.offsets(r), self.offsets(r + 1)
+        out = SparseMatrix(self.spot_dim(r + 1), self.spot_dim(r))
+        for (m, i), co in src.items():
             for t_shift, w_shift, blocks in self.data.ops:
-                key = (m + w_shift, i + t_shift)
-                if key not in dst_off:
-                    continue
+                ro = dst.get((m + w_shift, i + t_shift))
                 block = blocks.get(m)
-                if block is None:
+                if ro is None or block is None:
                     continue
-                ro, co = dst_off[key], src_off[m, i]
-                for (bi, bj), v in block.entries.items():
+                for (bi, bj), v in block.items():
                     out.add_to(ro + bi, co + bj, v)
         return out
 
@@ -312,38 +350,29 @@ def _windowed_dims(data, t_window, variant, hom_degrees):
     return {n: cx.homology(-n).dim for n in hom_degrees}
 
 
-def _projection_rank(data, big_cx, small_cx, r):
-    """Rank of the map H^r(big window) -> H^r(small window) induced by the
-    quotient killing the columns above the small window's top."""
-    h_big = big_cx.homology(r)
-    h_small = small_cx.homology(r)
-    small = small_cx.spot_basis(r)
-    big = big_cx.spot_basis(r)
-    off_small, n = {}, 0
-    for m, i in small:
-        off_small[m, i] = n
-        n += data.weight_dims[m]
-    off_big, nb = {}, 0
-    for m, i in big:
-        off_big[m, i] = nb
-        nb += data.weight_dims[m]
+def _move(vec, src_cx, dst_cx, r, strict=False):
+    """A degree-r vector of src_cx carried to dst_cx by the generators (m, i)
+    the two t-windows share.  Coordinates on the other generators are dropped
+    (a projection), or raise RuntimeError when strict."""
+    src, dst = src_cx.offsets(r), dst_cx.offsets(r)
+    pos = {}
+    for key, o in src.items():
+        if key in dst:
+            for k in range(src_cx.data.weight_dims[key[0]]):
+                pos[o + k] = dst[key] + k
+    if strict and any(j not in pos for j in vec):
+        raise RuntimeError("vector left the subcomplex (bug)")
+    return {pos[j]: v for j, v in vec.items() if j in pos}
+
+
+def _induced_rank(h_target, images):
+    """Rank of a map induced on homology, given the images of the source's
+    homology representatives: the number of them that grow the span of the
+    target's boundary basis."""
     span = IncrementalSpan()
-    for b in h_small.boundary_basis:
+    for b in h_target.boundary_basis:
         span.add(b)
-    rank = 0
-    for rep in h_big.homology_reps:
-        proj = {}
-        for m, i in big:
-            if (m, i) not in off_small:
-                continue
-            o_b, o_s = off_big[m, i], off_small[m, i]
-            for k in range(data.weight_dims[m]):
-                v = rep.get(o_b + k)
-                if v:
-                    proj[o_s + k] = v
-        if span.add(proj):
-            rank += 1
-    return rank
+    return sum(1 for v in images if span.add(v))
 
 
 def _stabilized_dims(algebra, hom_degrees, t_window, variant, bar_bound=None,
@@ -380,13 +409,16 @@ def _stabilized_dims(algebra, hom_degrees, t_window, variant, bar_bound=None,
     dims = {}
     for n in hom_degrees:
         r = -n
+        h_small = small.homology(r)
         if variant == "window" and small.spot_dim(r) != lower_cx.spot_dim(r):
-            if small.homology(r).dim != lower_cx.homology(r).dim:
+            if h_small.dim != lower_cx.homology(r).dim:
                 raise NotStabilized(f"degree {n}: -t direction still growing")
-        ranks = [small.homology(r).dim]
+        ranks = [h_small.dim]
         for j in range(1, max_extra + 1):
+            # H^r(window hi + j) -> H^r(window hi), killing the top columns
             big = TruncatedLaurentComplex(data, (lo, hi + j), variant)
-            ranks.append(_projection_rank(data, big, small, r))
+            moved = [_move(v, big, small, r) for v in big.homology(r).homology_reps]
+            ranks.append(_induced_rank(h_small, moved))
             if ranks[-1] == ranks[-2]:
                 break
         else:
@@ -485,29 +517,20 @@ def hodge_spectral_sequence(algebra, t_window=(-6, 6), degree_range=(0, 1),
     red = reduce_mixed_complex(algebra, bar_bound)
     data = TComplexData.from_reduced(red)
     rep = SpectralReport(t_window=t_window)
-    d1_blocks = red.transfer.get(0, {})
+    d1 = {m: blk for (sig, m, _), blk in red.transfer.items() if sig == 1}
+
+    def d1_rank(m):  # d1: H_m -> H_{m+1}
+        blk = d1.get(m)
+        return rank(SparseMatrix(red.h_dims[m + 1], red.h_dims[m], blk)) if blk else 0
+
     for n in degrees:
         for i in range(lo, hi + 1):
             m = n + 2 * i
             if 0 <= m <= bar_bound and red.h_dims[m]:
                 rep.e1[i, n] = red.h_dims[m]
-                blk = d1_blocks.get(m)
-                rk = 0
-                if blk is not None and m + 1 <= bar_bound and i + 1 <= hi:
-                    span = IncrementalSpan()
-                    for col in blk.columns():
-                        if col:
-                            span.add(col)
-                    rk = span.dim
+                rk = d1_rank(m) if i + 1 <= hi else 0
+                rk_in = d1_rank(m - 1) if i - 1 >= lo else 0
                 rep.d1_ranks[i, n] = rk
-                rk_in = 0
-                blk_in = d1_blocks.get(m - 1)
-                if blk_in is not None and m - 1 >= 0 and i - 1 >= lo:
-                    span = IncrementalSpan()
-                    for col in blk_in.columns():
-                        if col:
-                            span.add(col)
-                    rk_in = span.dim
                 rep.e2[i, n] = red.h_dims[m] - rk - rk_in
         dims, _ = _stabilized_dims(algebra, [n], t_window, "window", bar_bound)
         rep.abutment[n] = dims[n]
@@ -516,45 +539,14 @@ def hodge_spectral_sequence(algebra, t_window=(-6, 6), degree_range=(0, 1),
         h_total = total.homology(-n)
         for i in range(lo, hi + 1):
             part = TruncatedLaurentComplex(data, (i, hi), "window")
-            h_part = part.homology(-n)
-            # express the part cycles in the total spot and take the image rank
-            rank = _image_rank_in_homology(data, part, total, h_part, h_total, -n)
-            if rank:
-                rep.filtration[i, n] = rank
+            reps = part.homology(-n).homology_reps
+            rk = _induced_rank(h_total, [_move(v, part, total, -n) for v in reps])
+            if rk:
+                rep.filtration[i, n] = rk
     rep.degenerate_at_E1 = all(v == 0 for v in rep.d1_ranks.values()) and all(
         rep.e1_total(n) == rep.abutment[n] for n in degrees
     )
     return rep
-
-
-def _spot_embedding(data, sub_cx, total_cx, r):
-    """Column map embedding a sub-window spot into the total spot at degree r."""
-    sub = sub_cx.spot_basis(r)
-    tot = total_cx.spot_basis(r)
-    off_t, n = {}, 0
-    for m, i in tot:
-        off_t[m, i] = n
-        n += data.weight_dims[m]
-    cols = {}
-    off = 0
-    for m, i in sub:
-        for k in range(data.weight_dims[m]):
-            cols[off + k] = off_t[m, i] + k
-        off += data.weight_dims[m]
-    return cols, off, n
-
-
-def _image_rank_in_homology(data, sub_cx, total_cx, h_sub, h_total, r):
-    emb, _, tot_dim = _spot_embedding(data, sub_cx, total_cx, r)
-    span = IncrementalSpan()
-    for b in h_total.boundary_basis:
-        span.add(b)
-    rank = 0
-    for rep in h_sub.homology_reps:
-        vec = {emb[j]: v for j, v in rep.items()}
-        if span.add(vec):
-            rank += 1
-    return rank
 
 
 # -- SBI long exact sequence ---------------------------------------------------------
@@ -565,7 +557,7 @@ def sbi_exactness(algebra, degree_range, t_window=(-6, 6), bar_bound=None):
     short exact sequence  0 -> C[[t]]-part -> C((t))-part -> quotient -> 0.
 
     Returns {n: True} for each homological degree checked; exactness is
-    verified at the three spots around total degree n (with the connecting
+    verified at the four spots around total degree n (with the connecting
     map built by the zig-zag), which pins the SBI dimension bookkeeping.
     """
     degrees = sorted(degree_range)
@@ -575,115 +567,36 @@ def sbi_exactness(algebra, degree_range, t_window=(-6, 6), bar_bound=None):
     red = reduce_mixed_complex(algebra, bar_bound)
     data = TComplexData.from_reduced(red)
     total = TruncatedLaurentComplex(data, (lo, hi), "window")
-    sub = TruncatedLaurentComplex(data, (0, hi), "window")
+    sub = TruncatedLaurentComplex(data, (max(lo, 0), hi), "window")
+    quot = TruncatedLaurentComplex(data, (lo, min(-1, hi)), "window")
+    hom = {}
+
+    def h(cx, r):
+        if (cx, r) not in hom:
+            hom[cx, r] = cx.homology(r)
+        return hom[cx, r]
+
+    def induced(src, dst, r):  # inclusion or projection H^r(src) -> H^r(dst)
+        return _induced_rank(h(dst, r), [_move(v, src, dst, r)
+                                         for v in h(src, r).homology_reps])
+
+    def connecting(r):  # H^r(quot) -> H^{r+1}(sub): lift, differentiate, restrict
+        d = total.differential(r)
+        return _induced_rank(h(sub, r + 1), [
+            _move(d.matvec(_move(v, quot, total, r)), total, sub, r + 1, strict=True)
+            for v in h(quot, r).homology_reps])
+
+    spots = sorted({r for n in degrees for r in (-n, 1 - n)})
+    inc = {r: induced(sub, total, r) for r in spots}
+    proj = {r: induced(total, quot, r) for r in spots}
     out = {}
     for n in degrees:
         r = -n
-        ok = True
-        for spot in (r, r + 1):
-            ok = ok and _exact_at_total(data, sub, total, spot)
-        ok = ok and _exact_at_quotient(data, sub, total, r)
-        ok = ok and _exact_at_sub(data, sub, total, r + 1)
-        out[n] = ok
+        conn = connecting(r)
+        out[n] = (
+            inc[r] + proj[r] == h(total, r).dim                 # at H^r(total)
+            and inc[r + 1] + proj[r + 1] == h(total, r + 1).dim  # at H^{r+1}(total)
+            and proj[r] + conn == h(quot, r).dim                # at H^r(quot)
+            and inc[r + 1] + conn == h(sub, r + 1).dim          # at H^{r+1}(sub)
+        )
     return out
-
-
-def _quotient_complex(data, total, sub):
-    return TruncatedLaurentComplex(data, (total.t_lo, min(-1, total.t_hi)), "window")
-
-
-def _project_to_quotient(data, total_cx, quot_cx, r, vec):
-    emb, _, _ = _spot_embedding(data, quot_cx, total_cx, r)
-    inv = {v: k for k, v in emb.items()}
-    return {inv[j]: c for j, c in vec.items() if j in inv}
-
-
-def _exact_at_total(data, sub_cx, total_cx, r):
-    """ker(H(total) -> H(quot)) = im(H(sub) -> H(total)) at degree r."""
-    quot = _quotient_complex(data, total_cx, sub_cx)
-    h_sub = sub_cx.homology(r)
-    h_tot = total_cx.homology(r)
-    h_quo = quot.homology(r)
-    emb, _, _ = _spot_embedding(data, sub_cx, total_cx, r)
-    img = []
-    for rep in h_sub.homology_reps:
-        img.append({emb[j]: v for j, v in rep.items()})
-    # kernel of the induced projection map on homology
-    span_img = IncrementalSpan()
-    for b in h_tot.boundary_basis:
-        span_img.add(b)
-    img_rank = sum(1 for v in img if span_img.add(v))
-    # rank of H(total) -> H(quot)
-    span_q = IncrementalSpan()
-    for b in h_quo.boundary_basis:
-        span_q.add(b)
-    proj_rank = 0
-    for rep in h_tot.homology_reps:
-        q = _project_to_quotient(data, total_cx, quot, r, rep)
-        if span_q.add(q):
-            proj_rank += 1
-    return img_rank + proj_rank == h_tot.dim
-
-
-def _connecting(data, sub_cx, total_cx, quot_cx, r, rep):
-    """delta: H^r(quot) -> H^{r+1}(sub) by lift-differentiate-restrict."""
-    emb_q, _, _ = _spot_embedding(data, quot_cx, total_cx, r)
-    lift = {emb_q[j]: v for j, v in rep.items()}
-    d = total_cx.differential(r)
-    dv = _apply(d, lift)
-    emb_s, _, _ = _spot_embedding(data, sub_cx, total_cx, r + 1)
-    inv = {v: k for k, v in emb_s.items()}
-    out = {}
-    for j, c in dv.items():
-        if j not in inv:
-            raise RuntimeError("connecting map left the subcomplex (bug)")
-        out[inv[j]] = c
-    return out
-
-
-def _exact_at_quotient(data, sub_cx, total_cx, r):
-    """ker(delta) = im(H(total) -> H(quot)) at degree r."""
-    quot = _quotient_complex(data, total_cx, sub_cx)
-    h_tot = total_cx.homology(r)
-    h_quo = quot.homology(r)
-    h_sub_up = sub_cx.homology(r + 1)
-    span_q = IncrementalSpan()
-    for b in h_quo.boundary_basis:
-        span_q.add(b)
-    proj_rank = 0
-    for rep in h_tot.homology_reps:
-        q = _project_to_quotient(data, total_cx, quot, r, rep)
-        if span_q.add(q):
-            proj_rank += 1
-    span_s = IncrementalSpan()
-    for b in h_sub_up.boundary_basis:
-        span_s.add(b)
-    delta_rank = 0
-    for rep in h_quo.homology_reps:
-        if span_s.add(_connecting(data, sub_cx, total_cx, quot, r, rep)):
-            delta_rank += 1
-    return proj_rank + delta_rank == h_quo.dim
-
-
-def _exact_at_sub(data, sub_cx, total_cx, r):
-    """ker(H(sub) -> H(total)) = im(delta) at degree r."""
-    quot = _quotient_complex(data, total_cx, sub_cx)
-    h_sub = sub_cx.homology(r)
-    h_quo_dn = quot.homology(r - 1)
-    emb, _, _ = _spot_embedding(data, sub_cx, total_cx, r)
-    h_tot = total_cx.homology(r)
-    span_t = IncrementalSpan()
-    for b in h_tot.boundary_basis:
-        span_t.add(b)
-    inc_rank = 0
-    for rep in h_sub.homology_reps:
-        if span_t.add({emb[j]: v for j, v in rep.items()}):
-            inc_rank += 1
-    span_s = IncrementalSpan()
-    for b in h_sub.boundary_basis:
-        span_s.add(b)
-    delta_rank = 0
-    for rep in h_quo_dn.homology_reps:
-        if span_s.add(_connecting(data, sub_cx, total_cx, quot, r - 1, rep)):
-            delta_rank += 1
-    return inc_rank + delta_rank == h_sub.dim

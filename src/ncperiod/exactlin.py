@@ -1,8 +1,10 @@
 """Exact rational sparse linear algebra: rref, kernels, homology of a spot.
 
 Everything is over Q: entries are ints or Fractions, and results come back
-as Fractions.  Internally every row is a primitive integer vector, and one
-fraction-free elimination step (`_eliminate`) does all the row reduction.
+the same way: an integral value is an int, and a Fraction appears only where
+there is a denominator.  Internally every row is a primitive integer vector,
+and one fraction-free elimination step (`_eliminate`) does all the row
+reduction.
 Determinism: kernels and solutions are read off the reduced row echelon form,
 which is unique, and greedy bases take the pivot columns of an echelon form,
 which are the columns outside the span of the columns before them.  So every
@@ -45,7 +47,7 @@ class SparseMatrix:
             self.entries.pop(key, None)
 
     def __getitem__(self, key):
-        return self.entries.get(key, Fraction(0))
+        return self.entries.get(key, 0)
 
     def add_to(self, i, j, value):
         s = self.entries.get((i, j), 0) + value
@@ -255,10 +257,11 @@ def _rref_rows(rowlist):
     """Row reduce sparse rows ({col: val}); returns (pivot_cols, pivot_rows).
 
     pivot_cols is increasing; pivot_rows are the nonzero rows of the reduced
-    row echelon form, with Fraction entries and leading entry one.  Rows are
-    echelonized over the integers, then back-substituted from the last
-    pivot up.  The RREF of a matrix is unique, so the result does not depend
-    on the row order or on which rows the elimination used as pivots.
+    row echelon form, with leading entry one; an entry is an int when the
+    pivot divides it, else a Fraction.  Rows are echelonized over the
+    integers, then back-substituted from the last pivot up.  The RREF of a
+    matrix is unique, so the result does not depend on the row order or on
+    which rows the elimination used as pivots.
     """
     piv = _echelon([_int_row(r) for r in rowlist])
     pivots = sorted(piv)
@@ -270,7 +273,8 @@ def _rref_rows(rowlist):
     pivot_rows = []
     for j in pivots:
         a = piv[j][j]
-        pivot_rows.append({k: Fraction(v, a) for k, v in piv[j].items()})
+        pivot_rows.append(
+            {k: v // a if v % a == 0 else Fraction(v, a) for k, v in piv[j].items()})
     return pivots, pivot_rows
 
 
@@ -300,13 +304,13 @@ def _homology_reps(boundaries, cycles):
 def rref(m: SparseMatrix):
     """Reduced row echelon data: (rank, kernel_basis, pivot_columns).
 
-    kernel_basis is a list of sparse vectors {col: Fraction} spanning
+    kernel_basis is a list of sparse vectors {col: int or Fraction} spanning
     {v : m v = 0}; rank + len(kernel_basis) == m.cols.  Kernel vectors are
     produced per free column in increasing column order.
     """
     pivots, pivot_rows = _rref_rows(m.row_lists())
     pivset = set(pivots)
-    kernel = {f: {f: Fraction(1)} for f in range(m.cols) if f not in pivset}
+    kernel = {f: {f: 1} for f in range(m.cols) if f not in pivset}
     for pj, prow in zip(pivots, pivot_rows):
         for c, v in prow.items():
             if c != pj:
@@ -333,7 +337,7 @@ def solve(m: SparseMatrix, rhs):
             return None
         c = prow.get(aug)
         if c:
-            x[pj] = Fraction(c)
+            x[pj] = c
     return x
 
 
@@ -418,7 +422,7 @@ def complex_sdr(dims, diffs):
     if len(diffs) < W + 2:
         raise ValueError("need differentials up to spot W+1")
     sel = [[] for _ in range(W + 2)]   # pivot columns of d_n
-    cycles = [{j: Fraction(1)} for j in range(dims[0])]
+    cycles = [{j: 1} for j in range(dims[0])]
     out = []
     for n in range(W + 1):
         d_up = diffs[n + 1]
@@ -433,7 +437,7 @@ def complex_sdr(dims, diffs):
         # B-coordinates that define h.  N_n is spanned by the unit vectors of
         # the pivot columns of d_n.
         nb, nh = len(bnd), len(reps)
-        nsel = [{j: Fraction(1)} for j in sel[n]]
+        nsel = [{j: 1} for j in sel[n]]
         if nb + nh + len(nsel) != dims[n]:
             raise RuntimeError(f"spot {n}: B+H+N does not span (bug)")
         rowlist = [dict() for _ in range(dims[n])]

@@ -5,11 +5,13 @@ maps  H_m -> H_{m'} . t^sigma  over the weightwise-reduced mixed complex (the
 quotient End((t))/End[[t]] is then literally the sigma < 0 part, matching
 the homology-level description of the period target).  The deformed
 differential is transferred through the weightwise retract by homological
-perturbation with delta = tB + L_x.  Trivializations and PTD isomorphisms
-are found by deform.solve_by_levels on block coordinates: the unknowns act
-through [D0, -] on their own m-adic level (the trivialization starts each
-slot from the seed -(1/t) I_x; the PTD search also carries the kernel
-directions of lower levels, exact through nilpotency order 3).
+perturbation with delta = tB + L_x, by the same
+cyclic.perturbation_transfer that gives the undeformed one (delta = tB);
+contraction_blocks projects with the same p.  Trivializations and PTD
+isomorphisms are found by deform.solve_by_levels on block coordinates: the
+unknowns act through [D0, -] on their own m-adic level (the trivialization
+starts each slot from the seed -(1/t) I_x; the PTD search also carries the
+kernel directions of lower levels, exact through nilpotency order 3).
 
 Conventions:
   * trivialize_periodic returns g with  e^g . 0 = (deformed - undeformed)
@@ -24,10 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coeff import RingElement, exact, slot_coordinates
-from .cyclic import NotStabilized, default_bar_bound, reduce_mixed_complex
+from .coeff import RingElement, slot_coordinates
+from .cyclic import (
+    NotStabilized,
+    _project,
+    default_bar_bound,
+    perturbation_transfer,
+    reduce_mixed_complex,
+)
 from .deform import MCElement, NotMaurerCartan, mc_residual, solve_by_levels
-from .exactlin import IncrementalSpan, SparseMatrix, from_columns, rref
+from .exactlin import SparseMatrix, express_in_homology, from_columns, rank, rref
 from .hochschild import (
     Cochain,
     chain_add,
@@ -35,7 +43,6 @@ from .hochschild import (
     contraction_terms,
     hochschild_cohomology,
     hochschild_homology,
-    lie_terms,
 )
 
 
@@ -174,153 +181,13 @@ def block_exp(g: BlockOp, ring, red, window):
 
 
 def base_differential(red) -> BlockOp:
-    """The transferred undeformed differential sum t^{n+1} d'_n as blocks."""
-    op = BlockOp(1)
-    for n, blocks in red.transfer.items():
-        for m, mat in blocks.items():
-            entries = {
-                (i, j): v for (i, j), v in mat.entries.items()
-            }
-            if entries:
-                op.blocks[n + 1, m, m + 2 * n + 1] = entries
-    return op
+    """The transferred undeformed differential sum t^{n+1} p B (h B)^n iota."""
+    return BlockOp(1, red.transfer)
 
 
 def deformed_differential(red, x: MCElement, window) -> BlockOp:
     """Transfer of d + tB + L_x through the weightwise retract, as blocks."""
-    algebra = red.algebra
-    ring = x.ring
-    bar = red.bar_bound
-    lo, hi = window
-    op = BlockOp(1)
-    for m in range(bar + 1):
-        sdr = red.sdr[m]
-        if not sdr.reps:
-            continue
-        keymaps = red.spaces
-        # frontier: {(weight, sigma): [chain vector per generator k of H_m]}
-        vecs = []
-        inv = _inverse_index(keymaps[m])
-        for rep in sdr.reps:
-            vecs.append({inv[j]: exact(c) for j, c in rep.items()})
-        frontier = {(m, 0): vecs}
-        guard = 0
-        while frontier:
-            guard += 1
-            if guard > 4 * (bar + ring.nilpotency_order + 4):
-                raise RuntimeError("transfer iteration did not terminate (bug)")
-            nxt = {}
-            for (w, sig), vlist in frontier.items():
-                # delta = tB + L_x
-                branches = []
-                if w + 1 <= bar and sig + 1 <= hi:
-                    branches.append(
-                        ((w + 1, sig + 1), [_connes_apply(algebra, v) for v in vlist])
-                    )
-                for l in x.value.arities():
-                    w2 = w - l + 1
-                    if 0 <= w2 <= bar:
-                        branches.append(
-                            ((w2, sig), [_lie_apply(algebra, x.value, v, l) for v in vlist])
-                        )
-                for (w2, sig2), vl2 in branches:
-                    if all(not v for v in vl2):
-                        continue
-                    # record the p-part into the block (sigma, m -> w2)
-                    tgt = red.sdr[w2] if w2 <= bar else None
-                    if tgt and tgt.reps and lo <= sig2 <= hi:
-                        idx2 = keymaps[w2]
-                        block = {}
-                        for kgen, v in enumerate(vl2):
-                            coords = {idx2[key]: c for key, c in v.items()}
-                            for krow, prow in enumerate(tgt.proj_rows):
-                                val = 0
-                                for j, pv in prow.items():
-                                    c = coords.get(j)
-                                    if c:
-                                        val = val + pv * c
-                                if val:
-                                    block[krow, kgen] = val
-                        if block:
-                            key = (sig2, m, w2)
-                            cur = op.blocks.setdefault(key, {})
-                            for e, v in block.items():
-                                s = cur.get(e, 0) + v
-                                if s:
-                                    cur[e] = s
-                                else:
-                                    cur.pop(e, None)
-                            if not cur:
-                                op.blocks.pop(key, None)
-                    # continue through the homotopy
-                    if w2 + 1 <= bar + 1 and w2 <= bar:
-                        hcols = red.sdr[w2].hmty_cols
-                        idx2 = keymaps[w2]
-                        inv_up = _inverse_index(keymaps[w2 + 1])
-                        moved = []
-                        for v in vl2:
-                            out = {}
-                            for key, c in v.items():
-                                for j2, hv in hcols[idx2[key]].items():
-                                    k2 = inv_up[j2]
-                                    s = out.get(k2, 0) + hv * c
-                                    if s:
-                                        out[k2] = s
-                                    else:
-                                        out.pop(k2, None)
-                            moved.append(out)
-                        if any(moved):
-                            cur = nxt.setdefault((w2 + 1, sig2), None)
-                            if cur is None:
-                                nxt[w2 + 1, sig2] = moved
-                            else:
-                                nxt[w2 + 1, sig2] = [
-                                    _vec_add(a, b) for a, b in zip(cur, moved)
-                                ]
-            frontier = nxt
-    return op
-
-
-def _vec_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _inverse_index(index):
-    inv = [None] * len(index)
-    for key, j in index.items():
-        inv[j] = key
-    return inv
-
-
-def _connes_apply(algebra, vec):
-    from .hochschild import connes_terms
-
-    out = {}
-    for (a0, word), c in vec.items():
-        connes_terms(algebra, a0, word, lambda key, v, c=c: chain_add(out, key, c * v))
-    return out
-
-
-def _lie_apply(algebra, cochain, vec, arity):
-    """Only the arity-`arity` part of L_cochain (used to split by weight)."""
-    single = Cochain(
-        algebra,
-        {arity: cochain.components.get(arity, {})},
-        cochain.sdeg,
-        cochain.arity_bound,
-        normalized=cochain.normalized,
-    )
-    out = {}
-    for (a0, word), c in vec.items():
-        lie_terms(algebra, single, a0, word, lambda key, v, c=c: chain_add(out, key, c * v))
-    return out
+    return BlockOp(1, perturbation_transfer(red, x.value, window))
 
 
 def contraction_blocks(red, p: Cochain, t_shift=0) -> BlockOp:
@@ -338,25 +205,16 @@ def contraction_blocks(red, p: Cochain, t_shift=0) -> BlockOp:
         tgt = red.sdr[tgt_w]
         if not src.reps or not tgt.reps:
             continue
-        inv = _inverse_index(red.spaces[m])
+        keys = list(red.spaces[m])
         idx2 = red.spaces[tgt_w]
-        block = {}
-        for kgen, rep in enumerate(src.reps):
-            vec = {inv[j]: c for j, c in rep.items()}
+        vecs = []
+        for rep in src.reps:
             out = {}
-            for (a0, word), c in vec.items():
-                contraction_terms(
-                    algebra, p, a0, word, lambda key, v, c=c: chain_add(out, key, c * v)
-                )
-            coords = {idx2[key]: c for key, c in out.items()}
-            for krow, prow in enumerate(tgt.proj_rows):
-                val = 0
-                for j, pv in prow.items():
-                    cc = coords.get(j)
-                    if cc:
-                        val = val + pv * cc
-                if val:
-                    block[krow, kgen] = val
+            for j, c in rep.items():
+                contraction_terms(algebra, p, *keys[j],
+                                  lambda key, v, c=c: chain_add(out, idx2[key], c * v))
+            vecs.append(out)
+        block = _project(tgt, vecs)
         if block:
             op.blocks[t_shift, m, tgt_w] = block
     return op
@@ -408,16 +266,13 @@ def torelli_rank(algebra, degree_range, bar_bound=None):
         for (r, c) in mat
     })
     pos = {k: i for i, k in enumerate(keys)}
-    span = IncrementalSpan()
-    rank = 0
-    for pc in pcs:
-        vec = {}
-        for (i, j), mat in pc.blocks.items():
-            for (r, c), v in mat.items():
-                vec[pos[i, j, r, c]] = v
-        if vec and span.add(vec):
-            rank += 1
-    return dim_hh2, rank, rank == dim_hh2
+    cols = [
+        {pos[i, j, r, c]: v
+         for (i, j), mat in pc.blocks.items() for (r, c), v in mat.items()}
+        for pc in pcs
+    ]
+    rk = rank(from_columns(len(keys), cols))
+    return dim_hh2, rk, rk == dim_hh2
 
 
 def vdb_duality_check(algebra, d, pi_chain, degree_range, arity_bound=None):
@@ -451,24 +306,18 @@ def vdb_duality_check(algebra, d, pi_chain, degree_range, arity_bound=None):
                     lambda key, v, c=c: chain_add(img, key, c * v),
                 )
             vec = {pos[k]: v for k, v in img.items()}
-            from .exactlin import express_in_homology
-
             coords = express_in_homology(tgt, vec)
             if coords is None:
                 ok = False
                 coords = {}
             cols.append(coords)
-        rank = 0
-        span = IncrementalSpan()
-        for cvec in cols:
-            if cvec and span.add(cvec):
-                rank += 1
-        iso = ok and rank == len(classes) == tgt.dim
+        rk = rank(from_columns(tgt.dim, cols))
+        iso = ok and rk == len(classes) == tgt.dim
         out[s] = {
             "matrix": cols,
             "dim_hhc": len(classes),
             "dim_hh": tgt.dim,
-            "rank": rank,
+            "rank": rk,
             "iso": iso,
         }
     return out

@@ -140,6 +140,25 @@ def test_negative_calc_bounds_are_parse_errors(argv, capsys):
     assert "must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cyclic", "--algebra", "trunc_poly:2", "--degree-range", "0..2", "--bar", "-1"],
+    ["ss", "--algebra", "path:a2", "--bar", "-1"],
+], ids=" ".join)
+def test_negative_bar_is_parse_error(argv, capsys):
+    code, out = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert "parse error: line 0: --bar must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("arity", ["3", "-1"])
+def test_hhc_arity_below_top_degree_is_parse_error(arity, capsys):
+    code, out = run_cli(["hhc", "--algebra", "trunc_poly:2", "--arity", arity])
+    assert (code, out) == (2, "")
+    assert "--arity must be >= 5 (max degree + 1)" in capsys.readouterr().err
+    code, out = run_cli(["hhc", "--algebra", "trunc_poly:2", "--arity", "5"])
+    assert code == 0 and out.strip()
+
+
 def test_calc_verify_zero_bounds_valid():
     code, out = run_cli(["calc", "verify", "--algebra", "trunc_poly:2",
                          "--arity", "0", "--bar", "0"])

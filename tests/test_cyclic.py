@@ -1,4 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from test_exactlin import dense_rref_oracle
 
 from ncperiod.algebra import (
     a2_quiver_algebra,
@@ -8,6 +11,7 @@ from ncperiod.algebra import (
 )
 from ncperiod.cyclic import (
     NotStabilized,
+    _induced_rank,
     TComplexData,
     TruncatedLaurentComplex,
     cyclic_homology,
@@ -18,6 +22,7 @@ from ncperiod.cyclic import (
     sbi_consistent,
     sbi_exactness,
 )
+from ncperiod.exactlin import SubquotientBasis
 
 Q = build_field()
 D = build_truncated_polynomial_algebra(2)
@@ -85,6 +90,11 @@ def test_sbi_exactness_windowed(alg):
     assert all(sbi_exactness(alg, range(0, 3)).values())
 
 
+def test_sbi_exactness_window_above_zero():
+    # with lo > 0 the C[[t]]-part is the whole window and the quotient is zero
+    assert sbi_exactness(D, range(0, 3), (1, 4)) == {0: True, 1: True, 2: True}
+
+
 @pytest.mark.parametrize("alg", FIVE, ids=lambda a: a.name)
 def test_sbi_dims_consistency(alg):
     ok, dims = sbi_consistent(alg, range(0, 3))
@@ -146,3 +156,46 @@ def test_reduced_matches_direct_windowed_dims():
             dcx = TruncatedLaurentComplex(ddata, (-3, 3), variant)
             for r in range(-4, 5):
                 assert rcx.homology(r).dim == dcx.homology(r).dim, (alg.name, variant, r)
+
+
+@pytest.mark.parametrize("alg", [Q, D], ids=lambda a: a.name)
+def test_negative_bar_bound_rejected(alg):
+    with pytest.raises(ValueError, match="bar bound must be >= 0"):
+        reduce_mixed_complex(alg, -1)
+    assert reduce_mixed_complex(alg, 0).h_dims == [alg.dim]
+
+
+@st.composite
+def induced_rank_cases(draw):
+    """A boundary basis and images in Q^n; some images are combinations of
+    boundaries and earlier images, so both outcomes of a span test occur."""
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.fractions(min_value=-4, max_value=4,
+                                               max_denominator=3))
+    vec = st.lists(entry, min_size=n, max_size=n)
+    bnd = draw(st.lists(vec, max_size=4))
+    images = []
+    for _ in range(draw(st.integers(0, 5))):
+        if (bnd or images) and draw(st.booleans()):
+            pool = bnd + images
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(pool),
+                                   max_size=len(pool)))
+            images.append([sum(c * row[i] for c, row in zip(coeffs, pool))
+                           for i in range(n)])
+        else:
+            images.append(draw(vec))
+    return n, bnd, images
+
+
+@settings(max_examples=200, deadline=None)
+@given(induced_rank_cases())
+def test_induced_rank_against_dense_oracle(case):
+    n, bnd, images = case
+
+    def sparse(row):
+        return {i: v for i, v in enumerate(row) if v}
+
+    h = SubquotientBasis(ambient_dim=n, boundary_basis=[sparse(r) for r in bnd])
+    want = (len(dense_rref_oracle(bnd + images, n)[0])
+            - len(dense_rref_oracle(bnd, n)[0]))
+    assert _induced_rank(h, [sparse(r) for r in images]) == want

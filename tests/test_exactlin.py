@@ -239,8 +239,10 @@ def test_echelon_kernel_against_dense_oracle(case):
     m = sparse_from_rows(rows, ncols)
     pivots, pivot_rows = _rref_rows(m.row_lists())
     assert (pivots, pivot_rows) == dense_rref_oracle(rows, ncols)
-    assert all(type(v) is Fraction for r in pivot_rows for v in r.values())
     rk, kernel, rpivots = rref(m)
+    for vec in pivot_rows + kernel:
+        for v in vec.values():
+            assert type(v) is (int if v.denominator == 1 else Fraction)
     assert (rk, rpivots) == (len(pivots), pivots)
     assert rank(m) == rk == rank(m.transpose())
     assert rk + len(kernel) == ncols

@@ -27,8 +27,17 @@ from ncperiod.period import (
     trivialize_periodic,
     vdb_duality_check,
 )
-from ncperiod.cyclic import reduce_mixed_complex
-from ncperiod.hochschild import contraction, hochschild_boundary, cochain_differential
+from ncperiod.cyclic import perturbation_transfer, reduce_mixed_complex
+from ncperiod.exactlin import from_columns
+from ncperiod.hochschild import (
+    Cochain,
+    chain_add,
+    cochain_differential,
+    connes_B,
+    contraction,
+    hochschild_boundary,
+    lie_action,
+)
 
 Q = build_field()
 D = build_truncated_polynomial_algebra(2)
@@ -251,3 +260,141 @@ def test_ptd_negative_block_matches_period_matrix():
     lvl1 = g.level_slices(R2, 1).get(1, BlockOp(0))
     diff = lvl1.negative_part().add(xs_blocks.negative_part(), scale=-1)
     assert diff.is_zero()
+
+
+# -- the one perturbation transfer against the two it replaced ------------------------
+
+
+def _p_block(spot, vecs):
+    """{(row, k): (p vecs[k])[row]} with p the rows spot.proj_rows."""
+    out = {}
+    for k, v in enumerate(vecs):
+        for r, row in enumerate(spot.proj_rows):
+            val = sum(pv * v[j] for j, pv in row.items() if j in v)
+            if val:
+                out[r, k] = val
+    return out
+
+
+def _reference_transfer(red, x=None, window=None):
+    """Blocks of the transfer as the two loops perturbation_transfer replaced
+    computed them: without x, p B (h B)^n iota on index coordinates, one t^{n+1}
+    block per n; with the MCElement x, p (tB + L_x) (h (tB + L_x))^k iota on
+    keyed chains, one single-arity cochain built per vector and arity."""
+    alg, bar = red.algebra, red.bar_bound
+    out = {}
+    for m in range(bar + 1):
+        reps = red.sdr[m].reps
+        if not reps:
+            continue
+        if x is None:
+            vecs, n, weight = [dict(rep) for rep in reps], 0, m
+            while weight + 1 <= bar:
+                vecs = [red.b_mats[weight].matvec(v) for v in vecs]
+                weight += 1
+                block = _p_block(red.sdr[weight], vecs)
+                if block:
+                    out[n + 1, m, weight] = block
+                if weight + 1 > bar:
+                    break
+                hmat = from_columns(len(red.spaces[weight + 1]),
+                                    red.sdr[weight].hmty_cols)
+                vecs = [hmat.matvec(v) for v in vecs]
+                weight += 1
+                n += 1
+                if not any(vecs):
+                    break
+            continue
+        lo, hi = window
+        inv = {j: key for key, j in red.spaces[m].items()}
+        frontier = {(m, 0): [{inv[j]: c for j, c in rep.items()} for rep in reps]}
+        while frontier:
+            nxt = {}
+            for (w, sig), vlist in frontier.items():
+                branches = []
+                if w + 1 <= bar and sig + 1 <= hi:
+                    branches.append((w + 1, sig + 1, [connes_B(alg, v) for v in vlist]))
+                for l in x.value.arities():
+                    if 0 <= w - l + 1 <= bar:
+                        branches.append((w - l + 1, sig, [lie_action(alg, Cochain(
+                            alg, {l: x.value.components[l]}, 1, x.value.arity_bound), v)
+                            for v in vlist]))
+                for w2, sig2, vl2 in branches:
+                    if not any(vl2):
+                        continue
+                    idx = red.spaces[w2]
+                    coords = [{idx[key]: c for key, c in v.items()} for v in vl2]
+                    if lo <= sig2 <= hi:
+                        tgt = out.setdefault((sig2, m, w2), {})
+                        for e, val in _p_block(red.sdr[w2], coords).items():
+                            chain_add(tgt, e, val)
+                    hmat = from_columns(len(red.spaces[w2 + 1]), red.sdr[w2].hmty_cols)
+                    inv_up = {j: key for key, j in red.spaces[w2 + 1].items()}
+                    moved = [{inv_up[j]: c for j, c in hmat.matvec(v).items()}
+                             for v in coords]
+                    if any(moved):
+                        acc = nxt.setdefault((w2 + 1, sig2), [{} for _ in moved])
+                        for a, v in zip(acc, moved):
+                            for key, c in v.items():
+                                chain_add(a, key, c)
+            frontier = nxt
+    return {key: blk for key, blk in out.items() if blk}
+
+
+T2 = D
+T3 = build_truncated_polynomial_algebra(3)
+T4 = build_truncated_polynomial_algebra(4)
+
+
+@pytest.mark.parametrize("alg, bar", [
+    (alg, bar) for alg in (M2, T2, T3) for bar in (3, 4, 6, 7)
+    if not (alg is M2 and bar == 7)  # an SDR of 26k columns; bars 3-6 cover M2
+], ids=lambda v: getattr(v, "name", str(v)))
+def test_transfer_matches_reference_undeformed(alg, bar):
+    red = reduce_mixed_complex(alg, bar)
+    assert red.transfer == perturbation_transfer(red) == _reference_transfer(red)
+
+
+def _mc_inputs(seed):
+    """Seeded first-order MC elements on D, T3, T4, A2 and M2, plus
+    second-order inputs over Q[eps]/eps^3 on D and T3.  On T4, p L_x h of the
+    top bar weight is nonzero, so the path back from weight bar + 1 counts."""
+    from conftest import random_first_order_mc
+    from ncperiod.deform import lift_order_by_order
+
+    rng = random.Random(seed)
+    out = [(alg, random_first_order_mc(alg, R2, rng)) for alg in (D, T3, T4, A2, M2)]
+    R3 = build_truncated_poly(1, 3)
+    eps, eps2 = R3.gen("eps"), R3.gen("eps^2")
+    status, x3 = lift_order_by_order(D, hh2_generator(seed), R3)
+    assert status == "lift"
+    out.append((D, x3))
+    out.append((T3, MCElement(R3, cochain_over_ring(T3, R3, {2: {
+        (1, 1): {1: -eps, 2: eps * -2, 0: eps * 3},
+        (2, 1): {2: eps * 2, 0: eps * -3 + eps2 * 6},
+        (1, 2): {2: eps * 2, 0: eps * -3 + eps2 * 6},
+        (2, 2): {1: eps * -3, 2: eps * -3, 0: eps2 * -9},
+    }}, 1, 6))))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_transfer_matches_reference_deformed(seed):
+    for alg, x in _mc_inputs(seed):
+        for bar in ((3, 4) if alg in (M2, T4) else (3, 4, 6)):
+            red = reduce_mixed_complex(alg, bar)
+            for window in ((-6, 6), (-2, 3), (0, 2)):
+                want = _reference_transfer(red, x, window)
+                assert perturbation_transfer(red, x.value, window) == want, (
+                    alg.name, bar, window)
+
+
+def test_zero_mc_transfer_is_undeformed_transfer_in_window():
+    zero = MCElement(R2, cochain_over_ring(T3, R2, {}, 1, 6))
+    for bar in (3, 6):
+        red = reduce_mixed_complex(T3, bar)
+        assert red.transfer
+        for lo, hi in ((-6, 6), (-2, 1), (2, 3)):
+            got = perturbation_transfer(red, zero.value, (lo, hi))
+            assert got == {key: blk for key, blk in red.transfer.items()
+                           if lo <= key[0] <= hi}
