@@ -297,14 +297,26 @@ def parse_mc_file(algebra, ring, text: str) -> MCElement:
 # -- report helpers -------------------------------------------------------------------
 
 
+def _parse_bounds(spec, option):
+    """(lo, hi) from "lo..hi"; ParseError unless both are integers, lo <= hi."""
+    bad = ParseError(0, f"{option} must be lo..hi with integers lo <= hi, "
+                        f"got {spec!r}")
+    try:
+        lo, hi = map(int, spec.split(".."))
+    except ValueError:
+        raise bad from None
+    if lo > hi:
+        raise bad
+    return lo, hi
+
+
 def _parse_range(spec):
-    lo, _, hi = spec.partition("..")
-    return range(int(lo), int(hi) + 1)
+    lo, hi = _parse_bounds(spec, "--degree-range")
+    return range(lo, hi + 1)
 
 
 def _parse_window(spec):
-    lo, _, hi = spec.partition("..")
-    return (int(lo), int(hi))
+    return _parse_bounds(spec, "--t-window")
 
 
 def _check_nonneg(args, *options):
@@ -457,6 +469,9 @@ def cmd_deform(args, out):
         x = parse_mc_file(alg, ring, fh.read())
     if args.action == "lift":
         target = resolve_ring(args.target_ring)
+        if not target.extends(ring):
+            raise ParseError(0, f"--target-ring {args.target_ring} does not "
+                                f"extend --ring {args.ring}")
         status, result = lift_order_by_order(alg, x, target)
         if status == "lift":
             lines = [f"lift: ok to {target.basis_labels}"]

@@ -241,6 +241,10 @@ class ArtinLocalRing:
         """Largest s with basis element idx in m^s (0 for the unit slot)."""
         return self.levels[idx]
 
+    def extends(self, small):
+        """True when small's basis labels are the first ones of this ring's."""
+        return self.basis_labels[: small.dim] == small.basis_labels
+
     def __repr__(self):
         return f"ArtinLocalRing({self.basis_labels})"
 

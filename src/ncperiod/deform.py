@@ -436,7 +436,7 @@ def lift_order_by_order(algebra, x_low: MCElement, ring: ArtinLocalRing):
     solve_by_levels step with no ambiguities, so x_low stays fixed.
     """
     small = x_low.ring
-    if ring.basis_labels[: small.dim] != small.basis_labels:
+    if not ring.extends(small):
         raise ValueError("ring does not extend the base of x_low")
     if not mc_residual(algebra, x_low).is_zero():
         raise NotMaurerCartan("x_low is not Maurer-Cartan")

@@ -295,11 +295,18 @@ def contraction_terms(algebra, cochain, a0, word, out_terms):
 
 
 def chain_add(acc, key, coeff):
-    s = acc.get(key, 0) + coeff
+    """acc[key] += coeff, with zero entries dropped; a new key stores coeff
+    itself, so a ring-element coefficient is not coerced from 0 + coeff."""
+    s = acc.get(key)
+    if s is None:
+        if coeff:
+            acc[key] = coeff
+        return
+    s = s + coeff
     if s:
         acc[key] = s
     else:
-        acc.pop(key, None)
+        del acc[key]
 
 
 def apply_terms(algebra, term_fn, chain):

@@ -12,6 +12,11 @@ isomorphisms are found by deform.solve_by_levels on block coordinates: the
 unknowns act through [D0, -] on their own m-adic level (the trivialization
 starts each slot from the seed -(1/t) I_x; the PTD search also carries the
 kernel directions of lower levels, exact through nilpotency order 3).
+Every exponential enters a residual as 1 + E(g), E(g) = e^g - 1 from
+block_exp, and a product by the 1 is the other factor truncated as compose
+truncates (BlockOp.truncated), so no identity operator is multiplied out;
+the PTD search computes the parts of its residuals that do not depend on
+the unknowns once (_ptd_constants).
 
 Conventions:
   * trivialize_periodic returns g with  e^g . 0 = (deformed - undeformed)
@@ -117,6 +122,14 @@ class BlockOp:
                     del out.blocks[key]
         return out
 
+    def truncated(self, bar_bound, window):
+        """The blocks that compose keeps of a product by the identity: sigma
+        in the window and both weights <= bar_bound."""
+        lo, hi = window
+        return BlockOp(self.deg, {
+            (s, m, m2): mat for (s, m, m2), mat in self.blocks.items()
+            if lo <= s <= hi and m <= bar_bound and m2 <= bar_bound})
+
     def entries(self):
         """((sigma, m, m', row, col), value) for every stored entry."""
         for (sig, m, m2), mat in self.blocks.items():
@@ -152,28 +165,16 @@ class BlockOp:
         return f"BlockOp(deg={self.deg}, blocks={keys})"
 
 
-def identity_block(h_dims):
-    op = BlockOp(0)
-    for m, d in enumerate(h_dims):
-        if d:
-            op.blocks[0, m, m] = {(k, k): 1 for k in range(d)}
-    return op
-
-
 def block_exp(g: BlockOp, ring, red, window):
-    """e^g for a degree-0 g with coefficients in m_R (nilpotent)."""
+    """E(g) = e^g - 1 = sum_{k>=1} g^k / k! for a degree-0 g with coefficients
+    in m_R (nilpotent); every caller expands e^g as 1 + E(g)."""
     bar = red.bar_bound
-    out = identity_block(red.h_dims)
-    term = identity_block(red.h_dims)
-    k = 1
-    while True:
-        term = g.compose(term, bar, window).scaled(Fraction(1, k))
+    term = out = g.truncated(bar, window)
+    for k in range(2, ring.nilpotency_order + 2):
         if term.is_zero():
             break
+        term = g.compose(term, bar, window).scaled(Fraction(1, k))
         out = out.add(term)
-        k += 1
-        if k > ring.nilpotency_order + 1:
-            break
     return out
 
 
@@ -416,12 +417,20 @@ def _d_matrix(red, D0, deg, window):
 
 
 def gauge_residual(mu: BlockOp, g: BlockOp, D0: BlockOp, red, window, ring):
-    """e^g . mu, computed as the e^g-conjugation of D0 + mu minus D0."""
+    """e^g . mu, computed as the e^g-conjugation of T = D0 + mu minus D0.
+
+    With e^{+-g} = 1 + E(+-g) the conjugate is A + A E(-g) for A = T + E(g) T,
+    where the product of T by 1 is T truncated; zero E terms are skipped.
+    """
     bar = red.bar_bound
-    eg = block_exp(g, ring, red, window)
-    eg_inv = block_exp(g.scaled(-1), ring, red, window)
     total = D0.add(mu)
-    conj = eg.compose(total, bar, window).compose(eg_inv, bar, window)
+    conj = total.truncated(bar, window)
+    eg = block_exp(g, ring, red, window)
+    if not eg.is_zero():
+        conj = conj.add(eg.compose(total, bar, window))
+    eg_inv = block_exp(g.scaled(-1), ring, red, window)
+    if not eg_inv.is_zero():
+        conj = conj.add(conj.compose(eg_inv, bar, window))
     return conj.add(D0, scale=-1)
 
 
@@ -541,27 +550,34 @@ def period_map_artin(algebra, x: MCElement, t_window=(-6, 6), bar_bound=None):
     return ptd
 
 
-def _inverse_trivializations(p, q, red, ring):
-    """(e^{-phi_q}, e^{-phi_p}): the constant factors of the square residual."""
-    return tuple(block_exp(x.trivialization.scaled(-1), ring, red, p.window)
-                 for x in (q, p))
-
-
-def _ptd_residuals(p, q, c, a, red, ring, inverses):
-    """(chain-map residual on the negative part, square residual);
-    inverses is _inverse_trivializations(p, q, red, ring)."""
+def _ptd_constants(p, q, red, ring):
+    """The parts of the PTD residuals that do not depend on (c, a), computed
+    once per search: (E(-phi_q), E(-phi_p), N_p - N_q, E(-phi_q) - E(-phi_p))
+    for the trivializations phi and the negative differentials N, with
+    N_p - N_q truncated as its product by the identity."""
     bar, window = p.bar_bound, p.window
-    D0 = p.base
-    inv_q, inv_p = inverses
+    e_q, e_p = (block_exp(x.trivialization.scaled(-1), ring, red, window)
+                for x in (q, p))
+    dn = p.negative_differential.add(q.negative_differential, scale=-1)
+    return e_q, e_p, dn.truncated(bar, window), e_q.add(e_p, scale=-1)
+
+
+def _ptd_residuals(p, q, c, a, red, ring, constants):
+    """(chain-map residual e^c N_p - N_q e^c on the negative part, square
+    residual e^{-phi_q} e^{da} - e^c e^{-phi_p}), each exponential expanded
+    as 1 + E and each zero E skipped; constants is _ptd_constants(p, q, red,
+    ring).  c has sigma >= 0, so the chain-map residual has too."""
+    bar, window = p.bar_bound, p.window
+    e_q, e_p, S, R = constants
     ec = block_exp(c, ring, red, window)
-    S = ec.compose(p.negative_differential, bar, window).add(
-        q.negative_differential.compose(ec, bar, window), scale=-1
-    ).restrict_nonneg()
-    da = block_d(D0, a, bar, window)
-    eda = block_exp(da, ring, red, window)
-    lhs = inv_q.compose(eda, bar, window)
-    rhs = ec.compose(inv_p, bar, window)
-    return S, lhs.add(rhs, scale=-1)
+    if not ec.is_zero():
+        S = S.add(ec.compose(p.negative_differential, bar, window)).add(
+            q.negative_differential.compose(ec, bar, window), scale=-1)
+        R = R.add(ec.add(ec.compose(e_p, bar, window)), scale=-1)
+    eda = block_exp(block_d(p.base, a, bar, window), ring, red, window)
+    if not eda.is_zero():
+        R = R.add(eda.add(e_q.compose(eda, bar, window)))
+    return S, R
 
 
 def ptd_isomorphic(p: PTD, q: PTD):
@@ -593,10 +609,10 @@ def ptd_isomorphic(p: PTD, q: PTD):
         [{**cols0[j], off + j: -1} for j in nonneg]
         + [{off + i: v for i, v in col.items()} for col in d_1.columns()])
 
-    inverses = _inverse_trivializations(p, q, red, ring)
+    constants = _ptd_constants(p, q, red, ring)
 
     def residual(state):
-        S, R = _ptd_residuals(p, q, *state, red, ring, inverses)
+        S, R = _ptd_residuals(p, q, *state, red, ring, constants)
         return {**_op_rows(S, rows1), **_op_rows(R, rows0, off)}
 
     def shift(state, vecs):

@@ -150,6 +150,25 @@ def test_negative_bar_is_parse_error(argv, capsys):
     assert "parse error: line 0: --bar must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["hh", "--algebra", "q", "--degree-range", "3..1"],
+    ["ss", "--algebra", "q", "--degree-range", "1..0"],
+    ["hhc", "--algebra", "q", "--degree-range", "2..0"],
+    ["period", "matrix", "--algebra", "q", "--degree-range", "2..0"],
+    ["hh", "--algebra", "q", "--degree-range", "4"],
+    ["hh", "--algebra", "q", "--degree-range", "x..2"],
+    ["hh", "--algebra", "q", "--degree-range", "0..1..2"],
+    ["cyclic", "--algebra", "q", "--t-window=a..b"],
+    ["cyclic", "--algebra", "q", "--t-window=2..1"],
+], ids=" ".join)
+def test_malformed_ranges_are_parse_errors(argv, capsys):
+    code, out = run_cli(argv)
+    assert (code, out) == (2, "")
+    option = "--t-window" if "cyclic" in argv else "--degree-range"
+    assert (f"parse error: line 0: {option} must be lo..hi with integers lo <= hi"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("arity", ["3", "-1"])
 def test_hhc_arity_below_top_degree_is_parse_error(arity, capsys):
     code, out = run_cli(["hhc", "--algebra", "trunc_poly:2", "--arity", arity])
@@ -254,3 +273,14 @@ def test_float_in_mc_file_is_parse_error(tmp_path):
     exact = [{"word": ["x", "x"], "out": "1", "coeffs": {"eps": "1/10"}}]
     x = parse_mc_file(alg, ring, json.dumps(exact))
     assert x.value.eval(2, (1, 1))[0].coeffs == (0, Fraction(1, 10))
+
+
+def test_target_ring_not_extending_mc_ring_is_parse_error(tmp_path, capsys):
+    mc = tmp_path / "x.json"
+    mc.write_text(json.dumps([{"word": ["x", "x"], "out": "1", "coeffs": {"eps": "1"}}]))
+    code, out = run_cli(["deform", "lift", "--algebra", "trunc_poly:2",
+                         "--ring", "eps^3", "--target-ring", "dual",
+                         "--mc-file", str(mc)])
+    assert (code, out) == (2, "")
+    assert ("parse error: line 0: --target-ring dual does not extend --ring eps^3"
+            in capsys.readouterr().err)

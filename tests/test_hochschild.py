@@ -11,6 +11,7 @@ from ncperiod.algebra import (
     build_path_algebra,
     build_truncated_polynomial_algebra,
 )
+from ncperiod.coeff import build_truncated_poly
 from ncperiod.hochschild import (
     ChainBasis,
     Cochain,
@@ -314,3 +315,46 @@ def test_lie_terms_emit_ints_on_builder_algebras():
         for a0, word in ChainBasis(alg, 3).keys:
             lie_terms(alg, struct, a0, word, lambda key, c: coeffs.append(c))
         assert coeffs and all(type(c) is int for c in coeffs)
+
+
+def _chain_add_sequences():
+    """(coefficient sequence, final dict) pairs; every key cancels at least
+    once on the way, and "c" only ever receives a zero."""
+    ring = build_truncated_poly(1, 3)
+    eps, eps2 = ring.gen("eps"), ring.gen("eps^2")
+    return [
+        ([("a", 2), ("b", 3), ("a", -2), ("c", 0), ("a", 5), ("b", -3), ("b", 7)],
+         {"a": 5, "b": 7}),
+        ([("a", Fraction(1, 2)), ("a", Fraction(1, 2)), ("b", Fraction(2, 3)),
+          ("b", Fraction(-2, 3)), ("c", Fraction(0)), ("b", Fraction(4, 1)),
+          ("a", Fraction(-1))],
+         {"b": Fraction(4)}),
+        ([("a", 1), ("a", Fraction(1, 2)), ("a", Fraction(-3, 2)), ("a", 4),
+          ("b", Fraction(3, 1)), ("b", -3)],
+         {"a": 4}),
+        ([("a", eps), ("a", -eps), ("b", eps * 2 + 1), ("b", -1), ("a", eps2),
+          ("c", ring.zero()), ("b", Fraction(1, 3)), ("b", eps * -2 - Fraction(1, 3)),
+          ("b", eps2 * 3)],
+         {"a": eps2, "b": eps2 * 3}),
+    ]
+
+
+@pytest.mark.parametrize("seq, final", _chain_add_sequences(),
+                         ids=["int", "fraction", "mixed", "ring"])
+def test_chain_add_matches_get_plus_coeff(seq, final):
+    """chain_add stores a new key's coefficient as given; after every step
+    the dict is the one of acc.get(key, 0) + coeff with zero entries
+    dropped, with the same int and Fraction types."""
+    acc, want = {}, {}
+    for key, coeff in seq:
+        chain_add(acc, key, coeff)
+        s = want.get(key, 0) + coeff
+        if s:
+            want[key] = s
+        else:
+            want.pop(key, None)
+        assert acc == want
+        assert {k: type(v) for k, v in acc.items()} == {
+            k: type(v) for k, v in want.items()}
+    assert acc == final
+    assert {k: type(v) for k, v in acc.items()} == {k: type(v) for k, v in final.items()}

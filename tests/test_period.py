@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import ncperiod.period as period
 from ncperiod.algebra import (
     a2_quiver_algebra,
     build_field,
@@ -19,7 +20,7 @@ from ncperiod.period import (
     first_order_period_matrix,
     gauge_residual,
     griffiths_transversality_check,
-    _inverse_trivializations,
+    _ptd_constants,
     _ptd_residuals,
     period_map_artin,
     ptd_isomorphic,
@@ -46,6 +47,9 @@ M2 = build_matrix_algebra(2)
 R2 = dual_numbers()
 EPS = R2.gen("eps")
 WINDOW = (-6, 6)
+T2 = D
+T3 = build_truncated_polynomial_algebra(3)
+T4 = build_truncated_polynomial_algebra(4)
 
 
 def hh2_generator(scale=1):
@@ -222,12 +226,8 @@ def test_ptd_reflexive():
     assert ok
 
 
-def test_second_order_ptd_of_gauge_equivalent_t3():
-    """Q[x]/x^3 over Q[eps]/eps^3 at the default bar bound: y = e^beta . x,
-    so the PTDs are isomorphic.  The eps^2 solve needs an eps-level kernel
-    probe that clears residual rows; the witness is checked on the nose."""
-    T3 = build_truncated_polynomial_algebra(3)
-    R3 = build_truncated_poly(1, 3)
+def _t3_gauge_pair(R3):
+    """(x, e^beta . x) over Q[eps]/eps^3 on Q[x]/x^3 (basis 1, x, x^2)."""
     eps, eps2 = R3.gen("eps"), R3.gen("eps^2")
     x = MCElement(R3, cochain_over_ring(T3, R3, {2: {
         (1, 1): {1: -eps, 2: eps * -2, 0: eps * 3},
@@ -237,13 +237,22 @@ def test_second_order_ptd_of_gauge_equivalent_t3():
     }}, 1, 6))
     beta = GaugeElement(R3, cochain_over_ring(
         T3, R3, {1: {(1,): {2: eps, 0: eps2 * 3}}}, 0, 6))
+    return x, gauge_act(beta, x)
+
+
+def test_second_order_ptd_of_gauge_equivalent_t3():
+    """Q[x]/x^3 over Q[eps]/eps^3 at the default bar bound: y = e^beta . x,
+    so the PTDs are isomorphic.  The eps^2 solve needs an eps-level kernel
+    probe that clears residual rows; the witness is checked on the nose."""
+    R3 = build_truncated_poly(1, 3)
+    x, y = _t3_gauge_pair(R3)
     p = period_map_artin(T3, x, WINDOW)
-    q = period_map_artin(T3, gauge_act(beta, x), WINDOW)
+    q = period_map_artin(T3, y, WINDOW)
     ok, (c, a) = ptd_isomorphic(p, q)
     assert ok
     red = reduce_mixed_complex(T3, p.bar_bound)
     S, R = _ptd_residuals(p, q, c, a, red, R3,
-                          _inverse_trivializations(p, q, red, R3))
+                          _ptd_constants(p, q, red, R3))
     assert S.is_zero() and R.is_zero()
 
 
@@ -341,11 +350,6 @@ def _reference_transfer(red, x=None, window=None):
     return {key: blk for key, blk in out.items() if blk}
 
 
-T2 = D
-T3 = build_truncated_polynomial_algebra(3)
-T4 = build_truncated_polynomial_algebra(4)
-
-
 @pytest.mark.parametrize("alg, bar", [
     (alg, bar) for alg in (M2, T2, T3) for bar in (3, 4, 6, 7)
     if not (alg is M2 and bar == 7)  # an SDR of 26k columns; bars 3-6 cover M2
@@ -365,16 +369,10 @@ def _mc_inputs(seed):
     rng = random.Random(seed)
     out = [(alg, random_first_order_mc(alg, R2, rng)) for alg in (D, T3, T4, A2, M2)]
     R3 = build_truncated_poly(1, 3)
-    eps, eps2 = R3.gen("eps"), R3.gen("eps^2")
     status, x3 = lift_order_by_order(D, hh2_generator(seed), R3)
     assert status == "lift"
     out.append((D, x3))
-    out.append((T3, MCElement(R3, cochain_over_ring(T3, R3, {2: {
-        (1, 1): {1: -eps, 2: eps * -2, 0: eps * 3},
-        (2, 1): {2: eps * 2, 0: eps * -3 + eps2 * 6},
-        (1, 2): {2: eps * 2, 0: eps * -3 + eps2 * 6},
-        (2, 2): {1: eps * -3, 2: eps * -3, 0: eps2 * -9},
-    }}, 1, 6))))
+    out.append((T3, _t3_gauge_pair(R3)[0]))
     return out
 
 
@@ -398,3 +396,156 @@ def test_zero_mc_transfer_is_undeformed_transfer_in_window():
             got = perturbation_transfer(red, zero.value, (lo, hi))
             assert got == {key: blk for key, blk in red.transfer.items()
                            if lo <= key[0] <= hi}
+
+
+# -- the 1 + E residuals against the full exponentials they replaced -----------------
+
+
+def _reference_block_exp(g, ring, red, window):
+    """e^g as the identity plus the series, multiplied out block by block."""
+    bar = red.bar_bound
+    identity = BlockOp(0)
+    for m, d in enumerate(red.h_dims):
+        if d:
+            identity.blocks[0, m, m] = {(k, k): 1 for k in range(d)}
+    out = term = identity
+    k = 1
+    while True:
+        term = g.compose(term, bar, window).scaled(Fraction(1, k))
+        if term.is_zero():
+            break
+        out = out.add(term)
+        k += 1
+        if k > ring.nilpotency_order + 1:
+            break
+    return out
+
+
+def _reference_gauge_residual(mu, g, D0, red, window, ring):
+    bar = red.bar_bound
+    eg = _reference_block_exp(g, ring, red, window)
+    eg_inv = _reference_block_exp(g.scaled(-1), ring, red, window)
+    conj = eg.compose(D0.add(mu), bar, window).compose(eg_inv, bar, window)
+    return conj.add(D0, scale=-1)
+
+
+def _reference_inverses(p, q, red, ring):
+    """(e^{-phi_q}, e^{-phi_p}) in full."""
+    return tuple(_reference_block_exp(x.trivialization.scaled(-1), ring, red, p.window)
+                 for x in (q, p))
+
+
+def _reference_ptd_residuals(p, q, c, a, red, ring, inverses):
+    bar, window = p.bar_bound, p.window
+    inv_q, inv_p = inverses
+    ec = _reference_block_exp(c, ring, red, window)
+    S = ec.compose(p.negative_differential, bar, window).add(
+        q.negative_differential.compose(ec, bar, window), scale=-1
+    ).restrict_nonneg()
+    eda = _reference_block_exp(block_d(p.base, a, bar, window), ring, red, window)
+    lhs = inv_q.compose(eda, bar, window)
+    rhs = ec.compose(inv_p, bar, window)
+    return S, lhs.add(rhs, scale=-1)
+
+
+def _as_dicts(*ops):
+    return [(op.deg, op.blocks) for op in ops]
+
+
+def _ptd_pairs():
+    """The PTD pairs of the deform_period benchmark: T2 over Q[eps]/eps^3
+    against a gauge transform (iso), a rescaling (iso) and a doubling (not
+    iso) of x, and the second-order T3 gauge pair (iso)."""
+    R3 = build_truncated_poly(1, 3)
+    eps, eps2 = R3.gen("eps"), R3.gen("eps^2")
+    x = MCElement(R3, cochain_over_ring(T2, R3, {2: {(1, 1): {0: eps}}}, 1, 6))
+    alpha = GaugeElement(R3, cochain_over_ring(
+        T2, R3, {1: {(1,): {1: eps, 0: eps2 * 3}}}, 0, 6))
+    xx = MCElement(R3, cochain_over_ring(T2, R3, {2: {(1, 1): {0: eps + eps2}}}, 1, 6))
+    x2 = MCElement(R3, x.value.scaled(2))
+    p = period_map_artin(T2, x, WINDOW)
+    pairs = [(p, period_map_artin(T2, y, WINDOW)) for y in (gauge_act(alpha, x), xx, x2)]
+    x3, y3 = _t3_gauge_pair(R3)
+    pairs.append((period_map_artin(T3, x3, WINDOW), period_map_artin(T3, y3, WINDOW)))
+    return pairs
+
+
+def test_ptd_residuals_match_full_exponential_reference(monkeypatch):
+    """Every residual the PTD search evaluates equals the one with e^c,
+    e^{da} and e^{-phi} multiplied out in full, block dict by block dict."""
+    real = period._ptd_residuals
+    inverses = {}
+    seen = []
+
+    def checked(p, q, c, a, red, ring, constants):
+        got = real(p, q, c, a, red, ring, constants)
+        key = id(p), id(q)
+        if key not in inverses:
+            inverses[key] = _reference_inverses(p, q, red, ring)
+        want = _reference_ptd_residuals(p, q, c, a, red, ring, inverses[key])
+        assert _as_dicts(*got) == _as_dicts(*want)
+        seen.append(not (c.is_zero() and a.is_zero()))
+        return got
+
+    monkeypatch.setattr(period, "_ptd_residuals", checked)
+    pairs = _ptd_pairs()
+    assert [ptd_isomorphic(p, q)[0] for p, q in pairs] == [True, True, False, True]
+    assert len(inverses) == 4 and sum(seen) > 100
+
+
+def test_ptd_witnesses_match_full_exponential_search(monkeypatch):
+    def outcome(result):
+        ok, found = result
+        return ok, (_as_dicts(*found) if ok else found)
+
+    pairs = _ptd_pairs()
+    got = [outcome(ptd_isomorphic(p, q)) for p, q in pairs]
+    monkeypatch.setattr(period, "_ptd_constants", _reference_inverses)
+    monkeypatch.setattr(period, "_ptd_residuals", _reference_ptd_residuals)
+    assert got == [outcome(ptd_isomorphic(p, q)) for p, q in pairs]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gauge_residuals_match_full_exponential_reference(seed, monkeypatch):
+    """Every residual trivialize_periodic evaluates on the seeded inputs
+    equals the full conjugation e^g (D0 + mu) e^{-g} - D0."""
+    real = period.gauge_residual
+    seen = []
+
+    def checked(mu, g, D0, red, window, ring):
+        got = real(mu, g, D0, red, window, ring)
+        assert _as_dicts(got) == _as_dicts(
+            _reference_gauge_residual(mu, g, D0, red, window, ring))
+        seen.append(not g.is_zero())
+        return got
+
+    monkeypatch.setattr(period, "gauge_residual", checked)
+    for alg, x in _mc_inputs(seed):
+        seen.clear()
+        assert trivialize_periodic(alg, x, WINDOW).ok, alg.name
+        # HH^2 vanishes for A2 and M2: their search stops at the zero gauge
+        assert any(seen) or alg in (A2, M2), alg.name
+
+
+@pytest.mark.parametrize("window", [(-2, 0), (0, 1), (1, 3), (-6, 6)])
+def test_residuals_match_reference_in_narrow_windows(window):
+    """Where the window cuts the fixed operators (D0, mu, N_p, N_q) the
+    product by the identity drops blocks, and the residuals still equal the
+    full exponentials: the trivializations of the seeded inputs and the PTD
+    witnesses, evaluated in a narrower window."""
+    import dataclasses
+
+    for alg, x in _mc_inputs(1):
+        triv = trivialize_periodic(alg, x, WINDOW)
+        args = (triv.deformation, triv.gauge, triv.base, triv.reduced, window, x.ring)
+        assert _as_dicts(gauge_residual(*args)) == _as_dicts(_reference_gauge_residual(*args))
+    for p, q in _ptd_pairs():
+        ok, witness = ptd_isomorphic(p, q)
+        if not ok:
+            continue
+        p, q = (dataclasses.replace(v, window=window) for v in (p, q))
+        red = reduce_mixed_complex(p.algebra, p.bar_bound)
+        got = _ptd_residuals(p, q, *witness, red, p.ring, _ptd_constants(p, q, red, p.ring))
+        want = _reference_ptd_residuals(p, q, *witness, red, p.ring,
+                                        _reference_inverses(p, q, red, p.ring))
+        assert _as_dicts(*got) == _as_dicts(*want)
