@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from .coeff import exact
+from .exactlin import chain_add
 
 
 class CyclicQuiver(Exception):
@@ -104,15 +105,14 @@ def validate_dg_algebra(a: DgAlgebra):
             out.append(AxiomViolation("right-unit", (i,), f"b_{i}*1 != b_{i}"))
     # associativity
     for i, j, k in itertools.product(range(dim), repeat=3):
-        left = {}
+        assoc = {}  # (b_i b_j) b_k - b_i (b_j b_k)
         for m, c in a.product(i, j).items():
             for n, c2 in a.product(m, k).items():
-                left[n] = left.get(n, 0) + c * c2
-        right = {}
+                chain_add(assoc, n, c * c2)
         for m, c in a.product(j, k).items():
             for n, c2 in a.product(i, m).items():
-                right[n] = right.get(n, 0) + c * c2
-        if {n: v for n, v in left.items() if v} != {n: v for n, v in right.items() if v}:
+                chain_add(assoc, n, -c * c2)
+        if assoc:
             out.append(AxiomViolation("associativity", (i, j, k)))
     # differential: degree +1, d^2 = 0, Leibniz, d(1) = 0
     for j, col in a.diff.items():
@@ -125,25 +125,23 @@ def validate_dg_algebra(a: DgAlgebra):
         dd = {}
         for i, v in a.d_of(j).items():
             for k, w in a.d_of(i).items():
-                dd[k] = dd.get(k, 0) + v * w
-        if any(dd.values()):
+                chain_add(dd, k, v * w)
+        if dd:
             out.append(AxiomViolation("d-squared", (j,)))
     for i, j in itertools.product(range(dim), repeat=2):
         # d(b_i b_j) = d(b_i) b_j + (-1)^{|b_i|} b_i d(b_j)
-        lhs = {}
+        diffr = {}  # lhs - rhs
         for k, c in a.product(i, j).items():
             for m, v in a.d_of(k).items():
-                lhs[m] = lhs.get(m, 0) + c * v
-        rhs = {}
+                chain_add(diffr, m, c * v)
         for m, v in a.d_of(i).items():
             for k, c in a.product(m, j).items():
-                rhs[k] = rhs.get(k, 0) + v * c
+                chain_add(diffr, k, -v * c)
         sgn = -1 if a.degrees[i] % 2 else 1
         for m, v in a.d_of(j).items():
             for k, c in a.product(i, m).items():
-                rhs[k] = rhs.get(k, 0) + sgn * v * c
-        diffr = {k: lhs.get(k, 0) - rhs.get(k, 0) for k in set(lhs) | set(rhs)}
-        if any(diffr.values()):
+                chain_add(diffr, k, -sgn * v * c)
+        if diffr:
             out.append(AxiomViolation("leibniz", (i, j)))
     return out
 

@@ -27,17 +27,17 @@ I_P I_Q = (-1)^{|P||Q|} I_{Q cup P}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, product as iproduct
 
 from .coeff import exact
-from .exactlin import member
+from .exactlin import apply_columns, chain_add, member
 from .hochschild import (
     ArityBoundExceeded,
     ChainBasis,
     Cochain,
     DgStructure,
     basis_cochains,
-    chain_add,
     cochain_differential,
     cocycle_representatives,
     connes_terms,
@@ -47,6 +47,7 @@ from .hochschild import (
     lie_action,
     lie_terms,
     structure_as_cochain,
+    term_matrix,
 )
 
 # re-exported: the bracket and Lie action live with the chain machinery
@@ -106,8 +107,8 @@ class OperatorSpace:
     check_weight: identities are asserted on columns of weight <= this;
     operators are materialized on columns up to check_weight + 1 so that one
     intermediate application stays in range (head room covers arity-0 and
-    Connes terms).  The basis is ordered by weight, so the check columns are
-    the prefix range(len(check_cols)) and the apply columns a longer prefix.
+    Connes terms).  The basis is ordered by weight, so the check columns and
+    the apply columns are prefixes read from the basis offsets.
     """
 
     def __init__(self, algebra, check_weight, head_room=2):
@@ -116,12 +117,8 @@ class OperatorSpace:
         self.basis = ChainBasis(algebra, check_weight + head_room)
         self.index = self.basis.index
         self.keys = self.basis.keys
-        self.apply_cols = [
-            i for i, (a0, w) in enumerate(self.keys) if len(w) <= check_weight + 1
-        ]
-        self.check_cols = [
-            i for i, (a0, w) in enumerate(self.keys) if len(w) <= check_weight
-        ]
+        self.apply_cols = range(self.basis.offsets[check_weight + 2])
+        self.check_cols = range(self.basis.offsets[check_weight + 1])
         # (arity, segment) -> matches, in increasing column order
         self._interior = {}
         self._wrap = {}
@@ -193,29 +190,19 @@ class OperatorSpace:
 
     def operator_matrix(self, term_fn):
         """{col: ((row, coeff), ...)} of a term generator on the apply columns."""
-        index, cols = self.index, {}
-        for col in self.apply_cols:
-            a0, word = self.keys[col]
-            acc = cols[col] = {}
-            term_fn(a0, word, lambda key, v: chain_add(acc, index[key], v))
-        return {col: e for col, acc in cols.items() if (e := _column(acc))}
+        mat = term_matrix(term_fn, self.keys[:len(self.apply_cols)], self.index)
+        return {col: e for col, acc in enumerate(mat.columns())
+                if (e := _column(acc))}
 
     def boundary_matrix(self, struct=None):
         struct = struct or DgStructure(self.algebra)
-        alg = self.algebra
-        return self.operator_matrix(
-            lambda a0, w, f: lie_terms(alg, struct, a0, w, f)
-        )
+        return self.operator_matrix(partial(lie_terms, self.algebra, struct))
 
     def connes_matrix(self):
-        alg = self.algebra
-        return self.operator_matrix(lambda a0, w, f: connes_terms(alg, a0, w, f))
+        return self.operator_matrix(partial(connes_terms, self.algebra))
 
     def contraction_matrix(self, cochain):
-        alg = self.algebra
-        return self.operator_matrix(
-            lambda a0, w, f: contraction_terms(alg, cochain, a0, w, f)
-        )
+        return self.operator_matrix(partial(contraction_terms, self.algebra, cochain))
 
 
 def _column(acc):
@@ -234,11 +221,7 @@ def _transpose(mat, ncols):
 
 
 def apply_operator(mat, vec):
-    out = {}
-    for j, c in vec.items():
-        for i, v in mat.get(j, ()):
-            chain_add(out, i, c * v)
-    return out
+    return apply_columns(lambda j: dict(mat.get(j, ())), vec)
 
 
 def _sub_commutator(res, A, tA, B, tB, sign):
@@ -392,7 +375,7 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, _wrap_sign=1,
         if c < ncheck:
             acc = res.setdefault(c, {})
             for r, v in entries:
-                acc[r] = acc.get(r, 0) - v
+                chain_add(acc, r, -v)
     col = _first_nonzero(res)
     reports.append(_report("action-at-structure: L_b = boundary",
                            None if col is None else space.keys[col]))
@@ -412,10 +395,8 @@ def _is_boundary(space, hh, vec):
     n = weights.pop()
     if n not in hh.spots:
         return False
-    keys = hh.basis_keys[n]
-    pos = {k: i for i, k in enumerate(keys)}
-    as_spot = {pos[space.keys[i]]: v for i, v in vec.items()}
-    return member(hh.spots[n].boundary_basis, as_spot)
+    off = space.basis.offsets[n]
+    return member(hh.spots[n].boundary_basis, {i - off: v for i, v in vec.items()})
 
 
 def _cochain_is_coboundary(algebra, c: Cochain, arity_bound):
@@ -457,14 +438,12 @@ def calculus_defect(algebra, degree_bound=2, bar_bound=4):
     # weight-raising defects (arity-0 cochains, the Connes factor) stay
     # within the membership-checkable range
     hh = hochschild_homology(algebra, range(0, bar_bound + 1))
-    reps_by_degree = {}
-    for n in range(0, bar_bound):
-        sub = hh.spots[n]
-        keys = hh.basis_keys[n]
-        reps_by_degree[n] = [
-            {space.index[keys[i]]: v for i, v in rep.items()}
-            for rep in sub.homology_reps
-        ]
+    offsets = space.basis.offsets
+    reps_by_degree = {
+        n: [{offsets[n] + i: v for i, v in rep.items()}
+            for rep in hh.spots[n].homology_reps]
+        for n in range(0, bar_bound)
+    }
     classes = []
     for s in range(0, degree_bound + 1):
         classes.extend(cocycle_representatives(algebra, s, degree_bound + 2))

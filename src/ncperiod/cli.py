@@ -36,6 +36,7 @@ from .cyclic import (
     sbi_consistent,
 )
 from .deform import MCElement, gauge_equivalent, lift_order_by_order
+from .exactlin import chain_add
 from .hochschild import hochschild_cohomology, hochschild_homology
 from .period import (
     first_order_period_matrix,
@@ -184,12 +185,10 @@ def parse_algebra_file(text: str) -> DgAlgebra:
         raise ValidationError("unit", "unit vector length mismatch")
     mult = {}
     for i, j, k, v in mult_entries:
-        mult.setdefault((i, j), {})
-        mult[i, j][k] = mult[i, j].get(k, 0) + v
+        chain_add(mult.setdefault((i, j), {}), k, v)
     diff = {}
     for j, i, v in diff_entries:
-        diff.setdefault(j, {})
-        diff[j][i] = diff[j].get(i, 0) + v
+        chain_add(diff.setdefault(j, {}), i, v)
     labels, degrees, mult, diff = _rebase_unit(labels, degrees, mult, diff, unit)
     alg = DgAlgebra(labels, degrees, mult, diff, name=name, validate=False)
     report = validate_dg_algebra(alg)
@@ -230,8 +229,8 @@ def _rebase_unit(labels, degrees, mult, diff, unit):
             for ia, ca in old_from_new[a].items():
                 for ib, cb in old_from_new[b].items():
                     for k, v in mult.get((ia, ib), {}).items():
-                        acc[k] = acc.get(k, 0) + ca * cb * v
-            col = to_new({k: v for k, v in acc.items() if v})
+                        chain_add(acc, k, ca * cb * v)
+            col = to_new(acc)
             col = {k: v for k, v in col.items() if v}
             if col:
                 new_mult[a, b] = col
@@ -239,8 +238,8 @@ def _rebase_unit(labels, degrees, mult, diff, unit):
         acc = {}
         for ia, ca in old_from_new[a].items():
             for i, v in diff.get(ia, {}).items():
-                acc[i] = acc.get(i, 0) + ca * v
-        col = to_new({k: v for k, v in acc.items() if v})
+                chain_add(acc, i, ca * v)
+        col = to_new(acc)
         col = {k: v for k, v in col.items() if v}
         if col:
             new_diff[a] = col

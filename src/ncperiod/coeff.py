@@ -242,8 +242,10 @@ class ArtinLocalRing:
         return self.levels[idx]
 
     def extends(self, small):
-        """True when small's basis labels are the first ones of this ring's."""
-        return self.basis_labels[: small.dim] == small.basis_labels
+        """True when small's basis labels are the first ones of this ring's
+        and this ring adds exactly one m-adic level to small."""
+        return (self.basis_labels[: small.dim] == small.basis_labels
+                and self.nilpotency_order == small.nilpotency_order + 1)
 
     def __repr__(self):
         return f"ArtinLocalRing({self.basis_labels})"

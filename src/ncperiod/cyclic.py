@@ -23,7 +23,6 @@ on the unreduced chain spaces (ops d and tB), feasible for small algebras.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -31,16 +30,18 @@ from .exactlin import (
     IncrementalSpan,
     SparseMatrix,
     SubquotientBasis,
+    apply_columns,
+    chain_add,
     complex_sdr,
     homology_at,
     rank,
 )
 from .hochschild import (
     Cochain,
-    DgStructure,
     GradedDims,
-    chain_add,
-    connes_terms,
+    boundary_matrices,
+    chain_spaces,
+    connes_matrices,
     lie_terms,
 )
 
@@ -51,53 +52,6 @@ class NotStabilized(Exception):
 
 
 DEFAULT_SPOT_CAP = 500
-
-
-def chain_spaces(algebra, max_weight):
-    """Index maps {(a0, word): j} per weight 0..max_weight, keys in index order."""
-    red = list(algebra.reduced_indices)
-    return [
-        {
-            (a0, w): j
-            for j, (a0, w) in enumerate(
-                (a0, w)
-                for a0 in range(algebra.dim)
-                for w in itertools.product(red, repeat=n)
-            )
-        }
-        for n in range(max_weight + 1)
-    ]
-
-
-def boundary_matrices(algebra, spaces, struct=None):
-    """d_n: C_n -> C_{n-1} for n = 1..len(spaces)-1 (index 0 is None)."""
-    struct = struct or DgStructure(algebra)
-    mats = [None]
-    for n in range(1, len(spaces)):
-        src, dst = spaces[n], spaces[n - 1]
-        m = SparseMatrix(len(dst), len(src))
-        for (a0, word), j in src.items():
-            acc = {}
-            lie_terms(algebra, struct, a0, word, lambda k, v: chain_add(acc, k, v))
-            for key, c in acc.items():
-                m.add_to(dst[key], j, c)
-        mats.append(m)
-    return mats
-
-
-def connes_matrices(algebra, spaces):
-    """B_n: C_n -> C_{n+1} for n = 0..len(spaces)-2."""
-    mats = []
-    for n in range(len(spaces) - 1):
-        src, dst = spaces[n], spaces[n + 1]
-        m = SparseMatrix(len(dst), len(src))
-        for (a0, word), j in src.items():
-            acc = {}
-            connes_terms(algebra, a0, word, lambda k, v: chain_add(acc, k, v))
-            for key, c in acc.items():
-                m.add_to(dst[key], j, c)
-        mats.append(m)
-    return mats
 
 
 @dataclass
@@ -208,7 +162,7 @@ def perturbation_transfer(red, x=None, window=None):
                 for w2, sig2, col in parts(w, sig):
                     acc = landed.setdefault((w2, sig2), [{} for _ in vecs])
                     for a, v in zip(acc, vecs):
-                        _image(col, v, a)
+                        apply_columns(col, v, a)
             frontier = {}
             for (w, sig), vecs in landed.items():
                 if not any(vecs):
@@ -219,23 +173,10 @@ def perturbation_transfer(red, x=None, window=None):
                         chain_add(tgt, e, v)
                 if w + 1 - reach <= bar:
                     hcols = red.sdr[w].hmty_cols.__getitem__
-                    moved = [_image(hcols, v) for v in vecs]
+                    moved = [apply_columns(hcols, v) for v in vecs]
                     if any(moved):
                         frontier[w + 1, sig] = moved
     return {key: blk for key, blk in blocks.items() if blk}
-
-
-def _image(col, vec, out=None):
-    """out (default zero) plus the image of vec under the map with columns col(j)."""
-    out = {} if out is None else out
-    for j, c in vec.items():
-        for i, v in col(j).items():
-            s = out.get(i, 0) + v * c
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
-    return out
 
 
 def _project(spot, vecs):

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import ArtinLocalRing, RingElement, slot_coordinates
-from .exactlin import express_in_homology, from_columns, rref, solve
+from .exactlin import chain_add, express_in_homology, from_columns, rref, solve
 from .hochschild import (
     ChainBasis,
     Cochain,
     CochainBasis,
     DeformedStructure,
     _cochain_diff_matrix,
-    chain_add,
     cochain_differential,
     gerstenhaber_bracket,
     hochschild_boundary,
@@ -202,12 +201,7 @@ def _coderivation_terms(algebra, cochain, word):
             eps_j = sum(algebra.degrees[a] - 1 for a in word[:j])
             sgn = -1 if (cochain.sdeg * eps_j) % 2 else 1
             for t, c in val.items():
-                key = word[:j] + (t,) + word[j + l :]
-                s = out.get(key, 0) + sgn * c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                chain_add(out, word[:j] + (t,) + word[j + l :], sgn * c)
     return out
 
 
@@ -215,11 +209,7 @@ def _apply_coderivation(algebra, cochain, words):
     out = {}
     for word, c in words.items():
         for key, v in _coderivation_terms(algebra, cochain, word).items():
-            s = out.get(key, 0) + c * v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            chain_add(out, key, c * v)
     return out
 
 
@@ -235,11 +225,7 @@ def _bar_exp(algebra, cochain, word, order_cap, sign=1):
         else:
             scaled = {w: Fraction(1, _fact(k)) * c for w, c in term.items()}
         for w, c in scaled.items():
-            s = acc.get(w, 0) + c
-            if s:
-                acc[w] = s
-            else:
-                acc.pop(w, None)
+            chain_add(acc, w, c)
         k += 1
         if k > order_cap + 2:
             break
@@ -268,19 +254,11 @@ def conjugated_structure_component(algebra, x: MCElement, alpha: GaugeElement,
     mid = {}
     for w, c in inner.items():
         for key, v in _coderivation_terms(algebra, full, w).items():
-            s = mid.get(key, 0) + c * v
-            if s:
-                mid[key] = s
-            else:
-                mid.pop(key, None)
+            chain_add(mid, key, c * v)
     outer = {}
     for w, c in mid.items():
         for key, v in _bar_exp(algebra, alpha.value, w, cap, sign=1).items():
-            s = outer.get(key, 0) + c * v
-            if s:
-                outer[key] = s
-            else:
-                outer.pop(key, None)
+            chain_add(outer, key, c * v)
     # top component: words of length 1 (projection to A[1])
     return {w[0]: c for w, c in outer.items() if len(w) == 1}
 
@@ -341,9 +319,9 @@ def solve_by_levels(ring, lin, residual, shift, state, kernel=(), seed=None,
             delta = {key: -q for key, q in at.items()}
             for key, q in residual(shift(state, {s: z})).items():
                 if levels[key[0]] == level:
-                    delta[key] = delta.get(key, 0) + q
+                    chain_add(delta, key, q)
             stacked.append({rows.setdefault(key, len(rows)): q
-                            for key, q in delta.items() if q})
+                            for key, q in delta.items()})
         rhs = {key: -q for key, q in at.items()}
         fixed = {}
         if seed is not None:
@@ -351,7 +329,7 @@ def solve_by_levels(ring, lin, residual, shift, state, kernel=(), seed=None,
                 fixed[s] = seed(s)
                 for j, q in fixed[s].items():
                     for i, v in cols[j].items():
-                        rhs[s, i] = rhs.get((s, i), 0) - v * q
+                        chain_add(rhs, (s, i), -v * q)
         b = {rows.setdefault(key, len(rows)): q for key, q in rhs.items()}
         sol = solve(from_columns(len(rows), stacked), b)
         if sol is None:
@@ -365,7 +343,7 @@ def solve_by_levels(ring, lin, residual, shift, state, kernel=(), seed=None,
                 s, z = pending[j - n * len(slots)]
             vec = vecs.setdefault(s, {})
             for i, zq in z.items():
-                vec[i] = vec.get(i, 0) + q * zq
+                chain_add(vec, i, q * zq)
         state = shift(state, vecs)
         register(level)
     res = residual(state)
@@ -437,7 +415,8 @@ def lift_order_by_order(algebra, x_low: MCElement, ring: ArtinLocalRing):
     """
     small = x_low.ring
     if not ring.extends(small):
-        raise ValueError("ring does not extend the base of x_low")
+        raise ValueError("ring does not extend the base of x_low by one "
+                         "m-adic level")
     if not mc_residual(algebra, x_low).is_zero():
         raise NotMaurerCartan("x_low is not Maurer-Cartan")
     # re-coefficient x_low into the bigger ring

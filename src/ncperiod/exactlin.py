@@ -23,6 +23,37 @@ class CompositionNonzero(Exception):
     """d_out . d_in != 0 where a complex was expected."""
 
 
+def chain_add(acc, key, coeff):
+    """acc[key] += coeff, with zero entries dropped; a new key stores coeff
+    itself, so a ring-element coefficient is not coerced from 0 + coeff.
+
+    The package's one sparse accumulate: chains, matrix entries, cochain
+    values and bar words all add up through it."""
+    s = acc.get(key)
+    if s is None:
+        if coeff:
+            acc[key] = coeff
+        return
+    s = s + coeff
+    if s:
+        acc[key] = s
+    else:
+        del acc[key]
+
+
+def apply_columns(col, vec, out=None):
+    """out (default zero) plus the image of the sparse vector vec, {j: c},
+    under the map whose j-th column is col(j), {row: value}.
+
+    The package's one sparse apply: matvec, compose and the perturbation
+    transfer run through it."""
+    out = {} if out is None else out
+    for j, c in vec.items():
+        for i, v in col(j).items():
+            chain_add(out, i, v * c)
+    return out
+
+
 class SparseMatrix:
     """Sparse rational matrix; entries stored as {(row, col): nonzero value}."""
 
@@ -50,11 +81,7 @@ class SparseMatrix:
         return self.entries.get(key, 0)
 
     def add_to(self, i, j, value):
-        s = self.entries.get((i, j), 0) + value
-        if s:
-            self.entries[i, j] = s
-        else:
-            self.entries.pop((i, j), None)
+        chain_add(self.entries, (i, j), value)
 
     def columns(self):
         """All columns as {row: value} dicts, dense in the column index."""
@@ -77,40 +104,16 @@ class SparseMatrix:
 
     def matvec(self, vec):
         """Apply to a sparse vector {col: value}; returns {row: value}."""
-        out = {}
-        cols = None
-        for j, c in vec.items():
-            if not c:
-                continue
-            if cols is None:
-                cols = self.columns()
-            for i, v in cols[j].items():
-                s = out.get(i, 0) + v * c
-                if s:
-                    out[i] = s
-                else:
-                    out.pop(i, None)
-        return out
+        return apply_columns(self.columns().__getitem__, vec)
 
     def compose(self, other):
         """self . other (matrix product), both sparse."""
         if other.rows != self.cols:
             raise ValueError("shape mismatch in compose")
-        self_cols = self.columns()
+        col = self.columns().__getitem__
         out = SparseMatrix(self.rows, other.cols)
-        by_col = [dict() for _ in range(other.cols)]
-        for (i, j), v in other.entries.items():
-            by_col[j][i] = v
-        for j, col in enumerate(by_col):
-            acc = {}
-            for k, c in col.items():
-                for i, v in self_cols[k].items():
-                    s = acc.get(i, 0) + v * c
-                    if s:
-                        acc[i] = s
-                    else:
-                        acc.pop(i, None)
-            for i, v in acc.items():
+        for j, vec in enumerate(other.columns()):
+            for i, v in apply_columns(col, vec).items():
                 out.entries[i, j] = v
         return out
 

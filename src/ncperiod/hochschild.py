@@ -21,15 +21,25 @@ mu_i = sd(a_0) + eps_i:
 
 The wrap windows are the contiguous cyclic runs containing a_0 exactly
 once: for arity l they are i in 0..n with n-i+1 <= l <= n+1.
+
+Indexing and assembly
+  * chain_spaces is the one chain-space index: per bar weight, the keys
+    (a0, word) in index order; ChainBasis is the same spaces laid end to end,
+    weight n at positions offsets[n]..offsets[n+1]-1;
+  * term_matrix is the one operator assembly: the matrix of a term generator
+    (d, B, L_P or I_P) between two indexed sets of basis chains.  d and B per
+    weight (boundary_matrices, connes_matrices) and the operator matrices of
+    calculus.OperatorSpace are all built by it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 
-from .exactlin import SparseMatrix, homology_at
+from .exactlin import SparseMatrix, chain_add, homology_at
 
 
 class ArityBoundExceeded(Exception):
@@ -99,11 +109,7 @@ class Cochain:
             for w, out in comp.items():
                 vec = tgt.setdefault(w, {})
                 for k, v in out.items():
-                    s = vec.get(k, 0) + scale * v
-                    if s:
-                        vec[k] = s
-                    else:
-                        vec.pop(k, None)
+                    chain_add(vec, k, scale * v)
         sdeg = self.sdeg if not self.is_zero() else other.sdeg
         return Cochain(self.algebra, comps, sdeg,
                        self.arity_bound or other.arity_bound,
@@ -192,11 +198,7 @@ class DeformedStructure:
         if any(i == 0 for i in word):
             return out  # x is normalized
         for k, v in self.x.eval(l, word).items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            chain_add(out, k, v)
         return out
 
 
@@ -294,23 +296,8 @@ def contraction_terms(algebra, cochain, a0, word, out_terms):
 # -- chains as dicts --------------------------------------------------------------
 
 
-def chain_add(acc, key, coeff):
-    """acc[key] += coeff, with zero entries dropped; a new key stores coeff
-    itself, so a ring-element coefficient is not coerced from 0 + coeff."""
-    s = acc.get(key)
-    if s is None:
-        if coeff:
-            acc[key] = coeff
-        return
-    s = s + coeff
-    if s:
-        acc[key] = s
-    else:
-        del acc[key]
-
-
-def apply_terms(algebra, term_fn, chain):
-    """Apply a term generator linearly to a chain dict."""
+def apply_terms(term_fn, chain):
+    """Apply a term generator term_fn(a0, word, out_terms) linearly to a chain dict."""
     out = {}
     for (a0, word), c in chain.items():
         term_fn(a0, word, lambda key, v, c=c: chain_add(out, key, c * v))
@@ -328,21 +315,19 @@ def hochschild_boundary(algebra_or_struct, chain, algebra=None):
     else:
         alg = algebra_or_struct
         struct = DgStructure(alg)
-    return apply_terms(alg, lambda a0, w, f: lie_terms(alg, struct, a0, w, f), chain)
+    return apply_terms(partial(lie_terms, alg, struct), chain)
 
 
 def connes_B(algebra, chain):
-    return apply_terms(algebra, lambda a0, w, f: connes_terms(algebra, a0, w, f), chain)
+    return apply_terms(partial(connes_terms, algebra), chain)
 
 
 def lie_action(algebra, cochain, chain):
-    return apply_terms(algebra, lambda a0, w, f: lie_terms(algebra, cochain, a0, w, f), chain)
+    return apply_terms(partial(lie_terms, algebra, cochain), chain)
 
 
 def contraction(algebra, cochain, chain):
-    return apply_terms(
-        algebra, lambda a0, w, f: contraction_terms(algebra, cochain, a0, w, f), chain
-    )
+    return apply_terms(partial(contraction_terms, algebra, cochain), chain)
 
 
 # -- cochain-level operations ------------------------------------------------------
@@ -432,18 +417,55 @@ def cochain_differential(algebra, p, arity_bound=None):
 # -- finite bases and matrices ------------------------------------------------------
 
 
+def chain_spaces(algebra, max_weight):
+    """Index maps {(a0, word): j} per weight 0..max_weight, keys in index order."""
+    red = list(algebra.reduced_indices)
+    return [
+        {
+            key: j
+            for j, key in enumerate(
+                (a0, w)
+                for a0 in range(algebra.dim)
+                for w in itertools.product(red, repeat=n)
+            )
+        }
+        for n in range(max_weight + 1)
+    ]
+
+
+def term_matrix(term_fn, src, dst):
+    """SparseMatrix of a term generator term_fn(a0, word, out_terms): column j
+    is its value on the j-th key of src, in the rows dst {key: row}."""
+    m = SparseMatrix(len(dst), len(src))
+    for j, (a0, word) in enumerate(src):
+        term_fn(a0, word, lambda key, v: chain_add(m.entries, (dst[key], j), v))
+    return m
+
+
+def boundary_matrices(algebra, spaces, struct=None):
+    """d_n: C_n -> C_{n-1} for n = 1..len(spaces)-1 (index 0 is None)."""
+    terms = partial(lie_terms, algebra, struct or DgStructure(algebra))
+    return [None] + [term_matrix(terms, spaces[n], spaces[n - 1])
+                     for n in range(1, len(spaces))]
+
+
+def connes_matrices(algebra, spaces):
+    """B_n: C_n -> C_{n+1} for n = 0..len(spaces)-2."""
+    terms = partial(connes_terms, algebra)
+    return [term_matrix(terms, spaces[n], spaces[n + 1])
+            for n in range(len(spaces) - 1)]
+
+
 class ChainBasis:
-    """Indexed basis of chains with bar weight <= max_weight."""
+    """The chain spaces of bar weight <= max_weight laid end to end: weight n
+    holds the positions offsets[n]..offsets[n+1]-1, in chain_spaces order."""
 
     def __init__(self, algebra, max_weight):
         self.algebra = algebra
         self.max_weight = max_weight
-        self.keys = []
-        red = list(algebra.reduced_indices)
-        for n in range(max_weight + 1):
-            for a0 in range(algebra.dim):
-                for word in itertools.product(red, repeat=n):
-                    self.keys.append((a0, word))
+        spaces = chain_spaces(algebra, max_weight)
+        self.offsets = list(itertools.accumulate(map(len, spaces), initial=0))
+        self.keys = [key for space in spaces for key in space]
         self.index = {k: i for i, k in enumerate(self.keys)}
 
     def __len__(self):
@@ -469,27 +491,9 @@ class GradedDims:
 
 
 def _weight_graded_boundary(algebra, struct, max_weight):
-    """Boundary matrices per weight: d[n]: C_n -> C_{n-1} (degree-0 algebras)."""
-    red = list(algebra.reduced_indices)
-    spaces = []
-    for n in range(max_weight + 1):
-        keys = [
-            (a0, w)
-            for a0 in range(algebra.dim)
-            for w in itertools.product(red, repeat=n)
-        ]
-        spaces.append({k: i for i, k in enumerate(keys)})
-    mats = [None]
-    for n in range(1, max_weight + 1):
-        src, dst = spaces[n], spaces[n - 1]
-        m = SparseMatrix(len(dst), len(src))
-        for (a0, word), j in src.items():
-            acc = {}
-            lie_terms(algebra, struct, a0, word, lambda k, v: chain_add(acc, k, v))
-            for key, c in acc.items():
-                m.add_to(dst[key], j, c)
-        mats.append(m)
-    return spaces, mats
+    """Chain spaces and boundary matrices per weight up to max_weight."""
+    spaces = chain_spaces(algebra, max_weight)
+    return spaces, boundary_matrices(algebra, spaces, struct)
 
 
 def hochschild_homology(algebra, degree_range):
@@ -513,10 +517,7 @@ def hochschild_homology(algebra, degree_range):
         sub = homology_at(d_in, d_out)
         out.dims[n] = sub.dim
         out.spots[n] = sub
-        keys = [None] * len(spaces[n])
-        for k, i in spaces[n].items():
-            keys[i] = k
-        out.basis_keys[n] = keys
+        out.basis_keys[n] = list(spaces[n])
     return out
 
 

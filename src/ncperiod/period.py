@@ -45,7 +45,7 @@ from .hochschild import (
     Cochain,
     chain_add,
     cocycle_representatives,
-    contraction_terms,
+    contraction,
     hochschild_cohomology,
     hochschild_homology,
 )
@@ -210,11 +210,8 @@ def contraction_blocks(red, p: Cochain, t_shift=0) -> BlockOp:
         idx2 = red.spaces[tgt_w]
         vecs = []
         for rep in src.reps:
-            out = {}
-            for j, c in rep.items():
-                contraction_terms(algebra, p, *keys[j],
-                                  lambda key, v, c=c: chain_add(out, idx2[key], c * v))
-            vecs.append(out)
+            img = contraction(algebra, p, {keys[j]: c for j, c in rep.items()})
+            vecs.append({idx2[key]: v for key, v in img.items()})
         block = _project(tgt, vecs)
         if block:
             op.blocks[t_shift, m, tgt_w] = block
@@ -300,13 +297,7 @@ def vdb_duality_check(algebra, d, pi_chain, degree_range, arity_bound=None):
         cols = []
         ok = True
         for p in classes:
-            img = {}
-            for (a0, word), c in pi_chain.items():
-                contraction_terms(
-                    algebra, p, a0, word,
-                    lambda key, v, c=c: chain_add(img, key, c * v),
-                )
-            vec = {pos[k]: v for k, v in img.items()}
+            vec = {pos[k]: v for k, v in contraction(algebra, p, pi_chain).items()}
             coords = express_in_homology(tgt, vec)
             if coords is None:
                 ok = False

@@ -284,3 +284,15 @@ def test_target_ring_not_extending_mc_ring_is_parse_error(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert ("parse error: line 0: --target-ring dual does not extend --ring eps^3"
             in capsys.readouterr().err)
+
+
+def test_target_ring_several_levels_up_is_parse_error(tmp_path, capsys):
+    # a lift adds one m-adic level: dual -> eps^4 skips eps^3
+    mc = tmp_path / "x.json"
+    mc.write_text(json.dumps([{"word": ["x", "x"], "out": "1", "coeffs": {"eps": "1"}}]))
+    code, out = run_cli(["deform", "lift", "--algebra", "trunc_poly:2",
+                         "--ring", "dual", "--target-ring", "eps^4",
+                         "--mc-file", str(mc)])
+    assert (code, out) == (2, "")
+    assert ("parse error: line 0: --target-ring eps^4 does not extend --ring dual"
+            in capsys.readouterr().err)

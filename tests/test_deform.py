@@ -358,3 +358,20 @@ def test_push_mc_functoriality():
 def test_mc_element_requires_maximal_ideal_coefficients():
     with pytest.raises(ValueError):
         MCElement(R2, cochain_over_ring(D, R2, {2: {(1, 1): {0: R2.one()}}}, 1, 6))
+
+
+def test_lift_across_several_levels_is_rejected():
+    """The target ring of a lift adds exactly one m-adic level: lifting from
+    the dual numbers straight to Q[eps]/eps^4 is a ValueError, where it used
+    to end in a deeper residual (RuntimeError)."""
+    M2 = build_matrix_algebra(2)
+    x = random_first_order_mc(M2, dual_numbers(), random.Random(5))
+    R3, R4 = build_truncated_poly(1, 3), build_truncated_poly(1, 4)
+    assert R3.extends(dual_numbers()) and R4.extends(R3)
+    assert not R4.extends(dual_numbers())
+    assert not R3.extends(R3)
+    with pytest.raises(ValueError, match="one m-adic level"):
+        lift_order_by_order(M2, x, R4)
+    status, lifted = lift_order_by_order(M2, x, R3)
+    assert status == "lift"
+    assert lift_order_by_order(M2, lifted, R4)[0] == "lift"

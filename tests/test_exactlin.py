@@ -255,6 +255,46 @@ def test_echelon_kernel_against_dense_oracle(case):
     assert span.dim == rk
 
 
+@st.composite
+def product_pairs(draw):
+    """(A, B, shape) with A l x m and B m x n small exact matrices whose
+    products cancel often: entries are 0 or a few values and their negatives,
+    all ints or ints mixed with Fractions that have a denominator."""
+    l, m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    values = draw(st.sampled_from([
+        [1, -1, 2, -2], [1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(-2, 3)]]))
+    entry = st.sampled_from([0, 0] + values)
+    a = [draw(st.lists(entry, min_size=m, max_size=m)) for _ in range(l)]
+    b = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    return a, b, (l, m, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_pairs())
+def test_compose_and_matvec_against_dense_product(case):
+    """SparseMatrix.compose and matvec, both through the one sparse apply,
+    give the dense product, store no zero entry (cancelled sums included)
+    and keep integral values of integer inputs as ints."""
+    a, b, (l, m, n) = case
+    dense = [[sum(a[i][k] * b[k][j] for k in range(m)) for j in range(n)]
+             for i in range(l)]
+    want = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
+    A, B = (SparseMatrix(len(x), nc, {(i, j): v for i, row in enumerate(x)
+                                      for j, v in enumerate(row)})
+            for x, nc in ((a, m), (b, n)))
+    got = A.compose(B)
+    assert (got.rows, got.cols) == (l, n)
+    assert got.entries == want
+    all_int = all(type(v) is int for row in a + b for v in row)
+    for j in range(n):
+        vec = A.matvec({k: b[k][j] for k in range(m)})  # zeros in the input too
+        assert vec == {i: v for (i, jj), v in want.items() if jj == j}
+        if all_int:
+            assert all(type(v) is int for v in vec.values())
+    if all_int:
+        assert all(type(v) is int for v in got.entries.values())
+
+
 def test_float_entries_rejected():
     with pytest.raises(TypeError):
         rref(SparseMatrix(1, 2, {(0, 0): 1, (0, 1): 0.5}))

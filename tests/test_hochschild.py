@@ -10,13 +10,18 @@ from ncperiod.algebra import (
     build_matrix_algebra,
     build_path_algebra,
     build_truncated_polynomial_algebra,
+    kronecker_algebra,
 )
+from ncperiod.calculus import OperatorSpace
 from ncperiod.coeff import build_truncated_poly
 from ncperiod.hochschild import (
     ChainBasis,
     Cochain,
     DgStructure,
+    boundary_matrices,
     chain_add,
+    chain_spaces,
+    connes_matrices,
     cochain_differential,
     connes_B,
     gerstenhaber_bracket,
@@ -161,6 +166,46 @@ def test_chain_basis_normalization():
     assert all(0 not in word for _, word in basis.keys)
     # weights 0..3, a0 over 2 basis elements, one reduced generator
     assert len(basis) == 8
+
+
+def _shifted(mats, offsets, col_weight, row_weight):
+    """{(row, col): value} of per-weight matrices placed in the flat basis."""
+    out = {}
+    for n, m in enumerate(mats):
+        if m is not None:
+            ro, co = offsets[row_weight(n)], offsets[col_weight(n)]
+            out.update({(ro + i, co + j): v for (i, j), v in m.entries.items()})
+    return out
+
+
+def _flat(mat):
+    return {(r, c): v for c, entries in mat.items() for r, v in entries}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_truncated_polynomial_algebra(2), a2_quiver_algebra,
+    kronecker_algebra, lambda: build_matrix_algebra(2)],
+    ids=["T2", "A2", "kron", "M2"])
+def test_one_chain_index_across_layers(build):
+    """ChainBasis is chain_spaces laid end to end, and the OperatorSpace
+    columns of d and B are the per-weight boundary_matrices and
+    connes_matrices shifted by the basis offsets."""
+    alg, check_weight = build(), 2
+    spaces = chain_spaces(alg, check_weight + 2)
+    basis = ChainBasis(alg, check_weight + 2)
+    assert basis.keys == [key for space in spaces for key in space]
+    assert basis.offsets == [sum(map(len, spaces[:n])) for n in range(len(spaces) + 1)]
+    space = OperatorSpace(alg, check_weight)
+    off = space.basis.offsets
+    assert space.keys == basis.keys and off == basis.offsets
+    assert space.check_cols == range(off[check_weight + 1])
+    assert space.apply_cols == range(off[check_weight + 2])
+    d = boundary_matrices(alg, spaces[: check_weight + 2])
+    assert _flat(space.boundary_matrix()) == _shifted(
+        d, off, lambda n: n, lambda n: n - 1)
+    b = connes_matrices(alg, spaces)
+    assert _flat(space.connes_matrix()) == _shifted(
+        b, off, lambda n: n, lambda n: n + 1)
 
 
 # -- cochain complex -------------------------------------------------------------

@@ -1,0 +1,65 @@
+"""Each of these concepts has one implementation in the package: the chain
+index (`hochschild.chain_spaces`), the operator assembly
+(`hochschild.term_matrix`), the sparse accumulate (`exactlin.chain_add`) and
+the sparse apply (`exactlin.apply_columns`).  The modules that use them import
+the one object, and no module grows a hand-written `.get(k, 0) + v`
+accumulate beside chain_add, apart from the loops listed in ALLOWED."""
+
+import ast
+import re
+from pathlib import Path
+
+from ncperiod import calculus, cyclic, exactlin, hochschild, period
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ncperiod"
+
+# (module, innermost function) -> why it keeps its own accumulate
+ALLOWED = {
+    ("exactlin", "_eliminate"): "the elimination step, not an accumulate",
+    ("calculus", "lie_into"): "keeps cancelled zeros; the lie_dagger hot loop",
+    ("calculus", "_sub_commutator"): "keeps cancelled zeros; the lie_dagger hot loop",
+}
+
+ACCUMULATE = re.compile(r"\.get\((?:[^()]|\([^()]*\))*,\s*0\)\s*[-+]")
+
+
+def test_shared_names_are_one_object():
+    assert cyclic.chain_spaces is hochschild.chain_spaces
+    assert cyclic.boundary_matrices is hochschild.boundary_matrices
+    assert cyclic.connes_matrices is hochschild.connes_matrices
+    assert hochschild.chain_add is exactlin.chain_add
+    for mod in (cyclic, calculus, period):
+        assert mod.chain_add is exactlin.chain_add
+    assert cyclic.apply_columns is calculus.apply_columns is exactlin.apply_columns
+    assert not hasattr(cyclic, "_image")
+
+
+def _hand_written_accumulates():
+    """(module, innermost function, line) of every `.get(k, 0) +/-` line."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        funcs = [(node.lineno, node.end_lineno, node.name)
+                 for node in ast.walk(ast.parse(text))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if ACCUMULATE.search(line):
+                inner = min((f for f in funcs if f[0] <= lineno <= f[1]),
+                            key=lambda f: f[1] - f[0], default=(0, 0, None))
+                found.append((path.stem, inner[2], lineno))
+    return found
+
+
+def test_no_new_hand_written_accumulate():
+    found = _hand_written_accumulates()
+    extra = [f for f in found if f[:2] not in ALLOWED]
+    assert not extra, f"use exactlin.chain_add instead: {extra}"
+    # every allowlisted loop still exists, so the list does not go stale
+    assert {f[:2] for f in found} == set(ALLOWED)
+
+
+def test_scan_finds_a_hand_written_accumulate():
+    src = "acc[k] = acc.get(k, 0) + v\ns = out.get((i, j), 0) - c\n"
+    assert [bool(ACCUMULATE.search(line)) for line in src.splitlines()] == [True, True]
+    assert not ACCUMULATE.search("s = acc.get(key)")
+    assert not ACCUMULATE.search("if hp_dims.get(n - 1, 0) > 2:")
