@@ -2,7 +2,10 @@
 
 The verifier works with sparse operator matrices over a finite chain basis
 (weights up to the bar bound plus head room), so each identity is checked
-exactly on every basis cochain pair against every basis chain in range.
+exactly on every basis cochain pair against every basis chain in range.  The
+Lie action is assembled from a match index, (arity, segment) -> the slots of
+the basis chains it fills, which is read off hochschild.lie_terms, so the
+slot enumeration and the Lie-action signs have one implementation.
 
 An operator matrix is stored by columns, {col: ((row, coeff), ...)}, with no
 zero entries; an integral coefficient is stored as an int, which is exact
@@ -101,54 +104,70 @@ def cup_product(algebra, p: Cochain, q: Cochain, arity_bound=None) -> Cochain:
 # -- sparse operator engine ------------------------------------------------------
 
 
+# the placeholder output of the recording probe: an interior term carries it
+# in the bar slot the cochain fills, a wrap term in the a_0 slot
+_SLOT = object()
+
+# weights materialized beyond check_weight: one intermediate application, and
+# the arity-0 and Connes terms
+_HEAD_ROOM = 2
+
+
+class _SlotProbe:
+    """A stand-in cochain of sdeg 1 on every arity up to max_arity: it records
+    the (arity, segment) lie_terms evaluates it on and outputs _SLOT."""
+
+    sdeg = 1
+    _out = {_SLOT: 1}
+
+    def __init__(self, max_arity):
+        self.max_arity = max_arity
+        self.seen = None
+
+    def arities(self):
+        return range(self.max_arity + 1)
+
+    def eval(self, l, seg):
+        self.seen = (l, seg)
+        return self._out
+
+
 class OperatorSpace:
     """Finite chain basis with match indexes for fast operator assembly.
 
     check_weight: identities are asserted on columns of weight <= this;
     operators are materialized on columns up to check_weight + 1 so that one
-    intermediate application stays in range (head room covers arity-0 and
-    Connes terms).  The basis is ordered by weight, so the check columns and
-    the apply columns are prefixes read from the basis offsets.
+    intermediate application stays in range.  The basis is ordered by weight,
+    so the check columns and the apply columns are prefixes read from the
+    basis offsets.
+
+    The match index, (arity, segment) -> matches in increasing column order,
+    is read off lie_terms run once per apply column on a _SlotProbe: an
+    interior match is (col, slot, (-1)^mu), a wrap match (col, sign, rest).
     """
 
-    def __init__(self, algebra, check_weight, head_room=2):
+    def __init__(self, algebra, check_weight):
         self.algebra = algebra
         self.check_weight = check_weight
-        self.basis = ChainBasis(algebra, check_weight + head_room)
+        self.basis = ChainBasis(algebra, check_weight + _HEAD_ROOM)
         self.index = self.basis.index
         self.keys = self.basis.keys
         self.apply_cols = range(self.basis.offsets[check_weight + 2])
         self.check_cols = range(self.basis.offsets[check_weight + 1])
-        # (arity, segment) -> matches, in increasing column order
-        self._interior = {}
-        self._wrap = {}
-        degs = algebra.degrees
-        max_arity = check_weight + 2
+        self._interior = interior = {}
+        self._wrap = wrap = {}
+        probe = _SlotProbe(check_weight + 2)
+
+        def record(key, sign):  # col is the loop's current column
+            a0, word = key
+            if a0 is _SLOT:
+                wrap.setdefault(probe.seen, []).append((col, sign, word))
+            else:
+                interior.setdefault(probe.seen, []).append(
+                    (col, word.index(_SLOT), sign))
+
         for col in self.apply_cols:
-            a0, word = self.keys[col]
-            n = len(word)
-            eps = [0]
-            for i in word:
-                eps.append(eps[-1] + degs[i] - 1)
-            sd0 = degs[a0] - 1
-            for l in range(0, max_arity + 1):
-                for j in range(n - l + 1):
-                    seg = word[j : j + l]
-                    self._interior.setdefault((l, seg), []).append(
-                        (col, j, sd0 + eps[j])
-                    )
-                for i in range(n + 1):
-                    if l < n - i + 1 or l > n + 1:
-                        continue
-                    m = l - (n - i) - 1
-                    if m > i:
-                        continue
-                    window = word[i:] + (a0,) + word[:m]
-                    mu_i = sd0 + eps[i]
-                    exp = mu_i * (sd0 + eps[n] - mu_i)
-                    self._wrap.setdefault((l, window), []).append(
-                        (col, -1 if exp % 2 else 1, word[m:i])
-                    )
+            lie_terms(algebra, probe, *self.keys[col], record)
 
     def lie_into(self, cols, cochain, wrap_sign, stop):
         """Add the Lie action of the cochain to cols, {col: {row: coeff}}, in
@@ -157,15 +176,15 @@ class OperatorSpace:
         Cancelled entries stay as zeros.  wrap_sign is a self-test hook that
         scales the wrap terms.
         """
-        sdP = cochain.sdeg
+        odd = cochain.sdeg % 2
         index, keys = self.index, self.keys
         for l, comp in cochain.components.items():
             for w, out in comp.items():
                 out = [(t, exact(c)) for t, c in out.items()]
-                for col, j, mu in self._interior.get((l, w), ()):
+                for col, j, s in self._interior.get((l, w), ()):
                     if col >= stop:
                         break
-                    sgn = -1 if (sdP * mu) % 2 else 1
+                    sgn = s if odd else 1
                     a0, word = keys[col]
                     head, tail = word[:j], word[j + l :]
                     acc = cols.setdefault(col, {})
@@ -194,9 +213,9 @@ class OperatorSpace:
         return {col: e for col, acc in enumerate(mat.columns())
                 if (e := _column(acc))}
 
-    def boundary_matrix(self, struct=None):
-        struct = struct or DgStructure(self.algebra)
-        return self.operator_matrix(partial(lie_terms, self.algebra, struct))
+    def boundary_matrix(self):
+        return self.operator_matrix(
+            partial(lie_terms, self.algebra, DgStructure(self.algebra)))
 
     def connes_matrix(self):
         return self.operator_matrix(partial(connes_terms, self.algebra))

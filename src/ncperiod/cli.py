@@ -400,7 +400,7 @@ def cmd_cyclic(args, out):
         "lines": lines,
     }
     emit(payload, args.format, out)
-    return 0
+    return 0 if ok else 1
 
 
 def cmd_ss(args, out):

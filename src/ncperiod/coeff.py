@@ -311,7 +311,7 @@ def dual_numbers() -> ArtinLocalRing:
     return build_truncated_poly(1, 2)
 
 
-def fiber_product(r1: ArtinLocalRing, r2: ArtinLocalRing, to_q1=None, to_q2=None):
+def fiber_product(r1: ArtinLocalRing, r2: ArtinLocalRing):
     """R1 x_Q R2 as an explicit table (maps to the common quotient = augmentation).
 
     Only the residue-field fiber product is supported, which is what the
@@ -333,24 +333,16 @@ def fiber_product(r1: ArtinLocalRing, r2: ArtinLocalRing, to_q1=None, to_q2=None
     for k in range(1, len(labels)):
         table[0, k] = {k: 1}
         table[k, 0] = {k: 1}
-    for i in r1.maximal_ideal:
-        for j in r1.maximal_ideal:
-            col = {}
-            for k, v in r1.table.get((i, j), {}).items():
-                if k == 0:
-                    raise NotArtinLocal("unexpected unit component")
-                col[emb1(k)] = v
-            if col:
-                table[emb1(i), emb1(j)] = col
-    for i in r2.maximal_ideal:
-        for j in r2.maximal_ideal:
-            col = {}
-            for k, v in r2.table.get((i, j), {}).items():
-                if k == 0:
-                    raise NotArtinLocal("unexpected unit component")
-                col[emb2(k)] = v
-            if col:
-                table[emb2(i), emb2(j)] = col
+    for r, emb in ((r1, emb1), (r2, emb2)):
+        for i in r.maximal_ideal:
+            for j in r.maximal_ideal:
+                col = {}
+                for k, v in r.table.get((i, j), {}).items():
+                    if k == 0:
+                        raise NotArtinLocal("unexpected unit component")
+                    col[emb(k)] = v
+                if col:
+                    table[emb(i), emb(j)] = col
     # mixed products vanish: both factors lie over distinct ideal summands
     return ArtinLocalRing(labels, table)
 

@@ -76,11 +76,11 @@ class ReducedMixedComplex:
         )
 
 
-def default_bar_bound(algebra, max_degree, t_hi, spot_cap=DEFAULT_SPOT_CAP):
+def default_bar_bound(algebra, max_degree, t_hi):
     needed = max_degree + 1 + 2 * (t_hi + 1)
     base = max(algebra.dim - 1, 1)
     w = max_degree + 2
-    while w < needed and algebra.dim * base ** (w + 2) <= spot_cap:
+    while w < needed and algebra.dim * base ** (w + 2) <= DEFAULT_SPOT_CAP:
         w += 1
     return w
 

@@ -96,12 +96,6 @@ class SparseMatrix:
             rows[i][j] = v
         return rows
 
-    def transpose(self):
-        out = SparseMatrix(self.cols, self.rows)
-        for (i, j), v in self.entries.items():
-            out.entries[j, i] = v
-        return out
-
     def matvec(self, vec):
         """Apply to a sparse vector {col: value}; returns {row: value}."""
         return apply_columns(self.columns().__getitem__, vec)

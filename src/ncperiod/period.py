@@ -136,14 +136,6 @@ class BlockOp:
             for (r, c), v in mat.items():
                 yield (sig, m, m2, r, c), v
 
-    def level_slices(self, ring, level):
-        """{ring_idx: BlockOp over Q} of the coefficients at one m-adic level."""
-        out = {}
-        for (s, key), q in slot_coordinates(self.entries()).items():
-            if ring.levels[s] == level:
-                out.setdefault(s, {})[key] = q
-        return {s: _op_of(self.deg, ent) for s, ent in out.items()}
-
     def map_coefficients(self, fn):
         return BlockOp(
             self.deg,

@@ -1,8 +1,26 @@
 from fractions import Fraction
 
+from ncperiod.coeff import slot_coordinates
 from ncperiod.deform import MCElement
-from ncperiod.exactlin import rref
+from ncperiod.exactlin import SparseMatrix, rref
 from ncperiod.hochschild import Cochain, CochainBasis, _cochain_diff_matrix
+from ncperiod.period import _op_of
+
+
+def transpose(m):
+    """The transpose of a SparseMatrix."""
+    return SparseMatrix(m.cols, m.rows,
+                        {(j, i): v for (i, j), v in m.entries.items()})
+
+
+def level_slices(op, ring, level):
+    """{ring_idx: BlockOp over Q} of the coefficients of a BlockOp over the
+    ring at one m-adic level."""
+    out = {}
+    for (s, key), q in slot_coordinates(op.entries()).items():
+        if ring.levels[s] == level:
+            out.setdefault(s, {})[key] = q
+    return {s: _op_of(op.deg, ent) for s, ent in out.items()}
 
 
 def random_first_order_mc(alg, ring, rng, arity_bound=6):

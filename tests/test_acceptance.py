@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import ncperiod
-from conftest import random_first_order_mc
+from conftest import level_slices, random_first_order_mc
 from ncperiod.algebra import (
     a2_quiver_algebra,
     build_field,
@@ -321,7 +321,7 @@ def test_criterion_9_trivialization():
             xs = _x_level_slice(x, R2, 1)
             seed = (contraction_blocks(red, xs, t_shift=-1).scaled(-1)
                     if xs is not None else BlockOp(0))
-            lvl1 = g.level_slices(R2, 1).get(1, BlockOp(0))
+            lvl1 = level_slices(g, R2, 1).get(1, BlockOp(0))
             diff = lvl1.add(seed, scale=-1)
             interior = {key: mat for key, mat in diff.blocks.items()
                         if key[1] <= red.bar_bound - 2 and key[2] <= red.bar_bound - 2}

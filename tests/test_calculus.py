@@ -365,17 +365,29 @@ def test_lie_dagger_reports_match_per_column_reference(
                for _, s, _ in got)
 
 
+# basis cochain pairs whose bracket's Lie action cancels terms in the accumulator
+CANCELLING_PAIRS = [
+    (build_matrix_algebra(2), ((1, 5), (4, 17), (5, 17), (6, 9))),
+    (build_truncated_polynomial_algebra(3), ((1, 4), (2, 7), (3, 10), (4, 19))),
+    (a2_quiver_algebra(), ((1, 4), (2, 7), (3, 10), (4, 19))),
+]
+
+
 def test_operator_columns_exact_and_zero_free():
     """Stored columns hold no zero and no integral Fraction, and the Lie
     matrix agrees with lie_action column by column, also for brackets whose
     Lie action cancels terms in the accumulator."""
-    space = OperatorSpace(build_matrix_algebra(2), 2)
+    for alg, pairs in CANCELLING_PAIRS:
+        _check_operator_columns(OperatorSpace(alg, 2), pairs)
+
+
+def _check_operator_columns(space, pairs):
     mats = [space.boundary_matrix(), space.connes_matrix()]
     cochains = basis_cochains(space.algebra, 2)
     for P in cochains:
         P.arity_bound = 4
     brackets = [gerstenhaber_bracket(cochains[a], cochains[b], 4)
-                for a, b in ((1, 5), (4, 17), (5, 17), (6, 9))]
+                for a, b in pairs]
     for P in cochains + brackets:
         mats.append(space.lie_matrix(P))
         for col in space.apply_cols:

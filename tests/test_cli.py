@@ -116,6 +116,16 @@ def test_readme_cyclic_line_with_negative_window():
     )
 
 
+def test_cyclic_sbi_failure_exits_1_with_table():
+    code, out = run_cli(["cyclic", "--algebra", "trunc_poly:4", "--degree-range",
+                         "0..4", "--t-window=-6..6"])
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == ["degree", "HN", "HC", "HP",
+                                                  "SBI-consistent:"]
+    assert lines[-1] == "SBI-consistent: False"
+
+
 def test_negative_ranges_parse_as_values():
     args = build_parser().parse_args(["cyclic", "--algebra", "q", "--degree-range",
                                       "-4..2", "--t-window", "-6..6"])

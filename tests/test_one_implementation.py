@@ -1,15 +1,18 @@
 """Each of these concepts has one implementation in the package: the chain
 index (`hochschild.chain_spaces`), the operator assembly
-(`hochschild.term_matrix`), the sparse accumulate (`exactlin.chain_add`) and
+(`hochschild.term_matrix`), the Lie-action slot enumeration and its signs
+(`hochschild.lie_terms`), the sparse accumulate (`exactlin.chain_add`) and
 the sparse apply (`exactlin.apply_columns`).  The modules that use them import
-the one object, and no module grows a hand-written `.get(k, 0) + v`
-accumulate beside chain_add, apart from the loops listed in ALLOWED."""
+the one object, `calculus.OperatorSpace` builds its match index by calling
+lie_terms, and no module grows a hand-written `.get(k, 0) + v` accumulate
+beside chain_add, apart from the loops listed in ALLOWED."""
 
 import ast
 import re
 from pathlib import Path
 
 from ncperiod import calculus, cyclic, exactlin, hochschild, period
+from ncperiod.algebra import build_matrix_algebra
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ncperiod"
 
@@ -31,7 +34,22 @@ def test_shared_names_are_one_object():
     for mod in (cyclic, calculus, period):
         assert mod.chain_add is exactlin.chain_add
     assert cyclic.apply_columns is calculus.apply_columns is exactlin.apply_columns
+    assert calculus.lie_terms is hochschild.lie_terms
     assert not hasattr(cyclic, "_image")
+
+
+def test_operator_space_index_is_read_off_lie_terms(monkeypatch):
+    """Building OperatorSpace runs lie_terms once on every apply column, in
+    column order."""
+    seen = []
+
+    def recording(algebra, op, a0, word, out_terms):
+        seen.append((a0, word))
+        return hochschild.lie_terms(algebra, op, a0, word, out_terms)
+
+    monkeypatch.setattr(calculus, "lie_terms", recording)
+    space = calculus.OperatorSpace(build_matrix_algebra(2), 2)
+    assert seen == [space.keys[col] for col in space.apply_cols]
 
 
 def _hand_written_accumulates():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import ncperiod.period as period
+from conftest import level_slices
 from ncperiod.algebra import (
     a2_quiver_algebra,
     build_field,
@@ -155,7 +156,7 @@ def test_trivialize_first_order_all_algebras(alg):
         xs = _x_level_slice(x, R2, 1)
         seed = (contraction_blocks(red, xs, t_shift=-1).scaled(-1)
                 if xs is not None else BlockOp(0))
-        lvl1 = g.level_slices(R2, 1).get(1, BlockOp(0))
+        lvl1 = level_slices(g, R2, 1).get(1, BlockOp(0))
         diff = lvl1.add(seed, scale=-1)
         # away from the bar-truncation edge the seed is taken on the nose;
         # edge blocks (source weight at the cut) may pick up the cut's
@@ -266,7 +267,7 @@ def test_ptd_negative_block_matches_period_matrix():
     xs_blocks = contraction_blocks(
         red, x.value.map_coefficients(lambda c: c.coeffs[1]), t_shift=-1
     ).scaled(-1)
-    lvl1 = g.level_slices(R2, 1).get(1, BlockOp(0))
+    lvl1 = level_slices(g, R2, 1).get(1, BlockOp(0))
     diff = lvl1.negative_part().add(xs_blocks.negative_part(), scale=-1)
     assert diff.is_zero()
 
