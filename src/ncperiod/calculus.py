@@ -239,8 +239,14 @@ def _transpose(mat, ncols):
     return {r: tuple(v) for r, v in rows.items()}
 
 
+def _dict_columns(mat):
+    """{col: {row: coeff}} of a stored matrix, for applying it many times."""
+    return {col: dict(entries) for col, entries in mat.items()}
+
+
 def apply_operator(mat, vec):
-    return apply_columns(lambda j: dict(mat.get(j, ())), vec)
+    """The image of vec, {col: c}, under a matrix with dict columns."""
+    return apply_columns(lambda j: mat.get(j, {}), vec)
 
 
 def _sub_commutator(res, A, tA, B, tB, sign):
@@ -468,8 +474,14 @@ def calculus_defect(algebra, degree_bound=2, bar_bound=4):
         classes.extend(cocycle_representatives(algebra, s, degree_bound + 2))
     for c in classes:
         c.arity_bound = 2 * degree_bound + 2
-    connes = space.connes_matrix()
+    connes = _dict_columns(space.connes_matrix())
     reports = []
+
+    def contraction(P):
+        return _dict_columns(space.contraction_matrix(P))
+
+    def lie(P):
+        return _dict_columns(space.lie_matrix(P))
 
     # (1) graded commutativity of cup, on HH^*
     witness = None
@@ -529,12 +541,12 @@ def calculus_defect(algebra, degree_bound=2, bar_bound=4):
     single = [c for c in classes if len(c.arities()) == 1]
     for P, Q in iproduct(single, repeat=2):
         cup = cup_product(algebra, P, Q)
-        m_cup = space.contraction_matrix(cup) if not cup.is_zero() else {}
-        mp = space.contraction_matrix(P)
-        mq = space.contraction_matrix(Q)
+        m_cup = contraction(cup) if not cup.is_zero() else {}
+        mp = contraction(P)
+        mq = contraction(Q)
         sgn = -1 if ((P.sdeg + 1) * (Q.sdeg + 1)) % 2 else 1
         for col in space.check_cols:
-            lhs = dict(m_cup.get(col, ()))
+            lhs = m_cup.get(col, {})
             rhs = {k: sgn * v for k, v in apply_operator(mq, apply_operator(mp, {col: 1})).items()}
             if lhs != rhs:
                 status, witness = "fails", space.keys[col]
@@ -568,8 +580,8 @@ def calculus_defect(algebra, degree_bound=2, bar_bound=4):
         return AxiomReport(axiom, status, witness)
 
     def cartan_defect(P):
-        mi = space.contraction_matrix(P)
-        ml = space.lie_matrix(P)
+        mi = contraction(P)
+        ml = lie(P)
         sgn = -1 if (P.sdeg + 1) % 2 else 1
 
         def defect(vec):
@@ -593,9 +605,9 @@ def calculus_defect(algebra, degree_bound=2, bar_bound=4):
         br = gerstenhaber_bracket(P, Q)
         if len(br.arities()) > 1:
             continue
-        mi = space.contraction_matrix(P)
-        ml = space.lie_matrix(Q)
-        m_br = space.contraction_matrix(br)
+        mi = contraction(P)
+        ml = lie(Q)
+        m_br = contraction(br)
         degP, degQ = P.sdeg + 1, Q.sdeg + 1
         sgn = -1 if (degP * (degQ - 1)) % 2 else 1
         gsn = -1 if (degP * (degQ + 1)) % 2 else 1
@@ -618,11 +630,11 @@ def calculus_defect(algebra, degree_bound=2, bar_bound=4):
     pairs = []
     for P, Q in iproduct(single, repeat=2):
         cup = cup_product(algebra, P, Q)
-        m_cup = space.lie_matrix(cup)
-        mi_q = space.contraction_matrix(Q)
-        ml_p = space.lie_matrix(P)
-        mi_p = space.contraction_matrix(P)
-        ml_q = space.lie_matrix(Q)
+        m_cup = lie(cup)
+        mi_q = contraction(Q)
+        ml_p = lie(P)
+        mi_p = contraction(P)
+        ml_q = lie(Q)
         degP, degQ = P.sdeg + 1, Q.sdeg + 1
         a_sgn = -1 if (degQ * (degP + 1)) % 2 else 1
         b_sgn = -1 if (degP * degQ) % 2 else 1

@@ -10,14 +10,17 @@ perturbation transfer, `perturbation_transfer`:
 an exact identity (homological perturbation with a filtration-raising
 perturbation; Crainic 2004).  With delta = tB this is
 sum_n t^{n+1} p B (h B)^n iota; the period layer passes delta = tB + L_x for
-a Maurer-Cartan element x.  HN / HP / HC are then the homology of the small transferred
-complex truncated to a t-window: variant "nonneg" is C[[t]], "window" is
-C((t)), "nonpos" is C[t^{-1}].  Stabilization is declared only if enlarging
-the t-window by one in each open direction leaves every reported dimension
-unchanged; otherwise NotStabilized is raised.
+a Maurer-Cartan element x.  HN / HP / HC are then the homology of the small
+transferred complex truncated to a t-window: C[[t]] keeps its t^{>=0} part,
+C((t)) all of it, C[t^{-1}] its t^{<=0} part.  Each reduction computes the
+homology of one window at one degree once (ReducedMixedComplex.homology) and
+has one rank of the map between two windows (induced_rank).  Stabilization
+is declared only if enlarging the t-window by one in each open direction
+leaves every reported dimension unchanged; otherwise NotStabilized is raised.
 
-For cross-validation the same windowed construction is available directly
-on the unreduced chain spaces (ops d and tB), feasible for small algebras.
+TruncatedLaurentComplex reads any block dict of the transfer's format, so
+the tests cross-validate the reduced engine against the same windowed
+construction on the unreduced chain spaces (blocks d and tB).
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ DEFAULT_SPOT_CAP = 500
 
 @dataclass
 class ReducedMixedComplex:
-    """Weightwise homology of (C, d) with the transferred t-differential."""
+    """Weightwise homology of (C, d) with the transferred t-differential, and
+    the homology of its t-window truncations, each computed once."""
 
     algebra: object
     bar_bound: int
@@ -65,15 +69,24 @@ class ReducedMixedComplex:
     sdr: list
     spaces: list
     b_mats: list
+    windowed: dict = field(default_factory=dict, repr=False)  # (window, r) -> H^r
 
-    def spot(self, m) -> SubquotientBasis:
-        s = self.sdr[m]
-        return SubquotientBasis(
-            ambient_dim=s.dim,
-            cycle_basis=[],
-            boundary_basis=[],
-            homology_reps=list(s.reps),
-        )
+    def truncation(self, window):
+        """The t-window (lo, hi) of the transferred complex."""
+        return TruncatedLaurentComplex(self.h_dims, self.transfer, window)
+
+    def homology(self, window, r) -> SubquotientBasis:
+        key = (tuple(window), r)
+        if key not in self.windowed:
+            self.windowed[key] = self.truncation(key[0]).homology(r)
+        return self.windowed[key]
+
+    def induced_rank(self, src_window, dst_window, r):
+        """Rank of H^r(src window) -> H^r(dst window), the map that keeps the
+        generators the two windows share: an inclusion or a projection."""
+        reps = self.homology(src_window, r).homology_reps
+        moved = _move(reps, self.truncation(src_window), self.truncation(dst_window), r)
+        return _induced_rank(self.homology(dst_window, r), moved)
 
 
 def default_bar_bound(algebra, max_degree, t_hi):
@@ -197,77 +210,44 @@ def _project(spot, vecs):
 # -- windowed t-complexes ---------------------------------------------------------
 
 
-@dataclass
-class TComplexData:
-    """Graded pieces per weight plus homogeneous operators (t_shift, w_shift)."""
-
-    weight_dims: list
-    ops: list  # (t_shift, weight_shift, {m: {(row, col): value}})
-
-    @classmethod
-    def from_reduced(cls, red: ReducedMixedComplex):
-        by_sigma = {}
-        for (sig, m, _), blk in red.transfer.items():
-            by_sigma.setdefault(sig, {})[m] = blk
-        ops = [(sig, 2 * sig - 1, by_sigma[sig]) for sig in sorted(by_sigma)]
-        return cls(weight_dims=list(red.h_dims), ops=ops)
-
-    @classmethod
-    def from_direct(cls, algebra, bar_bound):
-        spaces = chain_spaces(algebra, bar_bound + 1)
-        diffs = boundary_matrices(algebra, spaces)
-        b_mats = connes_matrices(algebra, spaces[: bar_bound + 1])
-        dims = [len(s) for s in spaces[: bar_bound + 1]]
-        d_blocks = {m: diffs[m].entries for m in range(1, bar_bound + 1)}
-        b_blocks = {m: b_mats[m].entries for m in range(bar_bound)}
-        return cls(weight_dims=dims, ops=[(0, -1, d_blocks), (1, 1, b_blocks)])
-
-
 class TruncatedLaurentComplex:
-    """t-window truncation of a TComplexData, one of the three variants."""
+    """t^lo .. t^hi of the complex with weight dims and blocks
+    {(sigma, m, m'): {(row, col): value}}, each a map H_m -> H_m' t^sigma."""
 
-    def __init__(self, data: TComplexData, t_window, variant="window"):
-        lo, hi = t_window
-        if variant == "nonneg":
-            lo = max(lo, 0)
-        elif variant == "nonpos":
-            hi = min(hi, 0)
-        elif variant != "window":
-            raise ValueError(variant)
-        self.data = data
-        self.t_lo, self.t_hi = lo, hi
-        self.variant = variant
+    def __init__(self, weight_dims, blocks, window):
+        self.weight_dims = weight_dims
+        self.blocks = blocks
+        self.window = window
 
     def spot_basis(self, r):
         """Generators (m, i) of cohomological degree r = 2i - m."""
+        lo, hi = self.window
         out = []
-        for i in range(self.t_lo, self.t_hi + 1):
+        for i in range(lo, hi + 1):
             m = 2 * i - r
-            if 0 <= m < len(self.data.weight_dims) and self.data.weight_dims[m]:
+            if 0 <= m < len(self.weight_dims) and self.weight_dims[m]:
                 out.append((m, i))
         return out
 
     def spot_dim(self, r):
-        return sum(self.data.weight_dims[m] for m, _ in self.spot_basis(r))
+        return sum(self.weight_dims[m] for m, _ in self.spot_basis(r))
 
     def offsets(self, r):
         """{(m, i): position of that generator's first coordinate} at degree r."""
         out, n = {}, 0
         for m, i in self.spot_basis(r):
             out[m, i] = n
-            n += self.data.weight_dims[m]
+            n += self.weight_dims[m]
         return out
 
     def differential(self, r):
         """Matrix X^r -> X^{r+1} of the total differential."""
         src, dst = self.offsets(r), self.offsets(r + 1)
         out = SparseMatrix(self.spot_dim(r + 1), self.spot_dim(r))
-        for (m, i), co in src.items():
-            for t_shift, w_shift, blocks in self.data.ops:
-                ro = dst.get((m + w_shift, i + t_shift))
-                block = blocks.get(m)
-                if ro is None or block is None:
-                    continue
+        for (sig, m, m2), block in self.blocks.items():
+            i = (r + m) // 2  # the one generator (m, i) of degree r, if any
+            co, ro = src.get((m, i)), dst.get((m2, i + sig))
+            if co is not None and ro is not None:
                 for (bi, bj), v in block.items():
                     out.add_to(ro + bi, co + bj, v)
         return out
@@ -275,35 +255,20 @@ class TruncatedLaurentComplex:
     def homology(self, r) -> SubquotientBasis:
         return homology_at(self.differential(r - 1), self.differential(r))
 
-    def check_square_zero(self, degrees):
-        for r in degrees:
-            prod = self.differential(r + 1).compose(self.differential(r))
-            if not prod.is_zero():
-                return False
-        return True
 
-
-# -- the public operations ---------------------------------------------------------
-
-
-def _windowed_dims(data, t_window, variant, hom_degrees):
-    cx = TruncatedLaurentComplex(data, t_window, variant)
-    return {n: cx.homology(-n).dim for n in hom_degrees}
-
-
-def _move(vec, src_cx, dst_cx, r, strict=False):
-    """A degree-r vector of src_cx carried to dst_cx by the generators (m, i)
+def _move(vecs, src_cx, dst_cx, r, strict=False):
+    """Degree-r vectors of src_cx carried to dst_cx by the generators (m, i)
     the two t-windows share.  Coordinates on the other generators are dropped
     (a projection), or raise RuntimeError when strict."""
     src, dst = src_cx.offsets(r), dst_cx.offsets(r)
     pos = {}
     for key, o in src.items():
         if key in dst:
-            for k in range(src_cx.data.weight_dims[key[0]]):
+            for k in range(src_cx.weight_dims[key[0]]):
                 pos[o + k] = dst[key] + k
-    if strict and any(j not in pos for j in vec):
+    if strict and any(j not in pos for vec in vecs for j in vec):
         raise RuntimeError("vector left the subcomplex (bug)")
-    return {pos[j]: v for j, v in vec.items() if j in pos}
+    return [{pos[j]: v for j, v in vec.items() if j in pos} for vec in vecs]
 
 
 def _induced_rank(h_target, images):
@@ -316,12 +281,17 @@ def _induced_rank(h_target, images):
     return sum(1 for v in images if span.add(v))
 
 
+# -- the public operations ---------------------------------------------------------
+
+
 def _stabilized_dims(algebra, hom_degrees, t_window, variant, bar_bound=None,
                      max_extra=3):
     """Dims of the t-completed theory, realized as window-quotient limits.
 
-    The +t direction of C[[t]] and C((t)) is an infinite product, so the
-    honest finite model is the inverse system of window quotients; the
+    The variant picks the part of a t-window [a, b] the theory sees: "nonneg"
+    (C[[t]]) keeps t^{>=0}, "window" (C((t))) all of it, "nonpos" (C[t^-1])
+    t^{<=0}.  The +t direction of C[[t]] and C((t)) is an infinite product,
+    so the honest finite model is the inverse system of window quotients; the
     reported dimension is the stable rank of the transition maps
     H(window hi+j) -> H(window hi).  The -t direction is a union and plain
     dimension stabilization applies.  NotStabilized if either fails within
@@ -333,33 +303,32 @@ def _stabilized_dims(algebra, hom_degrees, t_window, variant, bar_bound=None,
             algebra, max(abs(n) for n in hom_degrees), hi + max_extra
         )
     red = reduce_mixed_complex(algebra, bar_bound)
-    data = TComplexData.from_reduced(red)
-    if variant == "nonpos":
-        dims = _windowed_dims(data, (lo, hi), variant, hom_degrees)
-        lower = _windowed_dims(data, (lo - 1, hi), variant, hom_degrees)
-        for n in hom_degrees:
-            if dims[n] != lower[n]:
-                raise NotStabilized(
-                    f"degree {n}: window {(lo, hi)} gives {dims[n]}, "
-                    f"{(lo - 1, hi)} gives {lower[n]}"
-                )
-        return dims, red
-    # completion direction: stable transition ranks
-    small = TruncatedLaurentComplex(data, (lo, hi), variant)
-    lower_cx = TruncatedLaurentComplex(data, (lo - 1, hi), variant)
+    part = {"nonneg": lambda a, b: (max(a, 0), b),
+            "window": lambda a, b: (a, b),
+            "nonpos": lambda a, b: (a, min(b, 0))}[variant]
+    small, lower = part(lo, hi), part(lo - 1, hi)
     dims = {}
     for n in hom_degrees:
         r = -n
-        h_small = small.homology(r)
-        if variant == "window" and small.spot_dim(r) != lower_cx.spot_dim(r):
-            if h_small.dim != lower_cx.homology(r).dim:
+        h_small = red.homology(small, r)
+        if variant == "nonpos":
+            h_lower = red.homology(lower, r)
+            if h_small.dim != h_lower.dim:
+                raise NotStabilized(
+                    f"degree {n}: window {(lo, hi)} gives {h_small.dim}, "
+                    f"{(lo - 1, hi)} gives {h_lower.dim}"
+                )
+            dims[n] = h_small.dim
+            continue
+        # completion direction: stable transition ranks
+        if variant == "window" and (red.truncation(small).spot_dim(r)
+                                    != red.truncation(lower).spot_dim(r)):
+            if h_small.dim != red.homology(lower, r).dim:
                 raise NotStabilized(f"degree {n}: -t direction still growing")
         ranks = [h_small.dim]
         for j in range(1, max_extra + 1):
             # H^r(window hi + j) -> H^r(window hi), killing the top columns
-            big = TruncatedLaurentComplex(data, (lo, hi + j), variant)
-            moved = [_move(v, big, small, r) for v in big.homology(r).homology_reps]
-            ranks.append(_induced_rank(h_small, moved))
+            ranks.append(red.induced_rank(part(lo, hi + j), small, r))
             if ranks[-1] == ranks[-2]:
                 break
         else:
@@ -456,7 +425,6 @@ def hodge_spectral_sequence(algebra, t_window=(-6, 6), degree_range=(0, 1),
     if bar_bound is None:
         bar_bound = default_bar_bound(algebra, max(abs(n) for n in degrees), hi + 3)
     red = reduce_mixed_complex(algebra, bar_bound)
-    data = TComplexData.from_reduced(red)
     rep = SpectralReport(t_window=t_window)
     d1 = {m: blk for (sig, m, _), blk in red.transfer.items() if sig == 1}
 
@@ -476,12 +444,8 @@ def hodge_spectral_sequence(algebra, t_window=(-6, 6), degree_range=(0, 1),
         dims, _ = _stabilized_dims(algebra, [n], t_window, "window", bar_bound)
         rep.abutment[n] = dims[n]
         # filtration dims: image of H(F^i) -> H(window)
-        total = TruncatedLaurentComplex(data, t_window, "window")
-        h_total = total.homology(-n)
         for i in range(lo, hi + 1):
-            part = TruncatedLaurentComplex(data, (i, hi), "window")
-            reps = part.homology(-n).homology_reps
-            rk = _induced_rank(h_total, [_move(v, part, total, -n) for v in reps])
+            rk = red.induced_rank((i, hi), (lo, hi), -n)
             if rk:
                 rep.filtration[i, n] = rk
     rep.degenerate_at_E1 = all(v == 0 for v in rep.d1_ranks.values()) and all(
@@ -506,30 +470,20 @@ def sbi_exactness(algebra, degree_range, t_window=(-6, 6), bar_bound=None):
     if bar_bound is None:
         bar_bound = default_bar_bound(algebra, max(abs(n) for n in degrees) + 2, hi)
     red = reduce_mixed_complex(algebra, bar_bound)
-    data = TComplexData.from_reduced(red)
-    total = TruncatedLaurentComplex(data, (lo, hi), "window")
-    sub = TruncatedLaurentComplex(data, (max(lo, 0), hi), "window")
-    quot = TruncatedLaurentComplex(data, (lo, min(-1, hi)), "window")
-    hom = {}
-
-    def h(cx, r):
-        if (cx, r) not in hom:
-            hom[cx, r] = cx.homology(r)
-        return hom[cx, r]
-
-    def induced(src, dst, r):  # inclusion or projection H^r(src) -> H^r(dst)
-        return _induced_rank(h(dst, r), [_move(v, src, dst, r)
-                                         for v in h(src, r).homology_reps])
+    total, sub, quot = (lo, hi), (max(lo, 0), hi), (lo, min(-1, hi))
+    h = red.homology
 
     def connecting(r):  # H^r(quot) -> H^{r+1}(sub): lift, differentiate, restrict
-        d = total.differential(r)
-        return _induced_rank(h(sub, r + 1), [
-            _move(d.matvec(_move(v, quot, total, r)), total, sub, r + 1, strict=True)
-            for v in h(quot, r).homology_reps])
+        total_cx = red.truncation(total)
+        d = total_cx.differential(r)
+        lifted = _move(h(quot, r).homology_reps, red.truncation(quot), total_cx, r)
+        images = _move([d.matvec(v) for v in lifted], total_cx, red.truncation(sub),
+                       r + 1, strict=True)
+        return _induced_rank(h(sub, r + 1), images)
 
     spots = sorted({r for n in degrees for r in (-n, 1 - n)})
-    inc = {r: induced(sub, total, r) for r in spots}
-    proj = {r: induced(total, quot, r) for r in spots}
+    inc = {r: red.induced_rank(sub, total, r) for r in spots}
+    proj = {r: red.induced_rank(total, quot, r) for r in spots}
     out = {}
     for n in degrees:
         r = -n

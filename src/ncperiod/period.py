@@ -51,10 +51,6 @@ from .hochschild import (
 )
 
 
-class DegreeOutOfComputedRange(Exception):
-    pass
-
-
 # -- block operators --------------------------------------------------------------
 
 
@@ -280,8 +276,6 @@ def vdb_duality_check(algebra, d, pi_chain, degree_range, arity_bound=None):
             out[s] = {"matrix": [], "iso": hhc.dims.get(s, 0) == 0
                       and hh.dims.get(d - s, 0) == 0}
             continue
-        if d - s not in hh.spots:
-            raise DegreeOutOfComputedRange(f"degree {d - s} not computed")
         classes = cocycle_representatives(algebra, s, arity_bound or (top + 2))
         tgt = hh.spots[d - s]
         keys = hh.basis_keys[d - s]

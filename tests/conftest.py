@@ -3,7 +3,14 @@ from fractions import Fraction
 from ncperiod.coeff import slot_coordinates
 from ncperiod.deform import MCElement
 from ncperiod.exactlin import SparseMatrix, rref
-from ncperiod.hochschild import Cochain, CochainBasis, _cochain_diff_matrix
+from ncperiod.hochschild import (
+    Cochain,
+    CochainBasis,
+    _cochain_diff_matrix,
+    boundary_matrices,
+    chain_spaces,
+    connes_matrices,
+)
 from ncperiod.period import _op_of
 
 
@@ -11,6 +18,24 @@ def transpose(m):
     """The transpose of a SparseMatrix."""
     return SparseMatrix(m.cols, m.rows,
                         {(j, i): v for (i, j), v in m.entries.items()})
+
+
+def direct_blocks(algebra, bar_bound):
+    """(weight dims, blocks) of the unreduced mixed complex in the format of
+    cyclic.perturbation_transfer: d_m at (0, m, m-1) and B_m at (1, m, m+1)."""
+    spaces = chain_spaces(algebra, bar_bound + 1)
+    diffs = boundary_matrices(algebra, spaces)
+    b_mats = connes_matrices(algebra, spaces[: bar_bound + 1])
+    blocks = {(0, m, m - 1): diffs[m].entries for m in range(1, bar_bound + 1)}
+    blocks.update({(1, m, m + 1): b_mats[m].entries for m in range(bar_bound)})
+    return [len(s) for s in spaces[: bar_bound + 1]], blocks
+
+
+def is_square_zero(cx, degrees):
+    """Does the differential of a TruncatedLaurentComplex square to zero at
+    each of the degrees?"""
+    return all(cx.differential(r + 1).compose(cx.differential(r)).is_zero()
+               for r in degrees)
 
 
 def level_slices(op, ring, level):

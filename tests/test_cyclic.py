@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import direct_blocks, is_square_zero
 from test_exactlin import dense_rref_oracle
 
 from ncperiod.algebra import (
@@ -12,7 +13,6 @@ from ncperiod.algebra import (
 from ncperiod.cyclic import (
     NotStabilized,
     _induced_rank,
-    TComplexData,
     TruncatedLaurentComplex,
     cyclic_homology,
     hodge_spectral_sequence,
@@ -132,16 +132,18 @@ def test_filtration_dims_present():
     assert (5, 0) not in rep.filtration
 
 
+def _parts(k):
+    """The C((t)), C[[t]] and C[t^-1] parts of the t-window [-k, k]."""
+    return (-k, k), (0, k), (-k, 0)
+
+
 def test_square_zero_on_truncations():
     for alg in (Q, D):
         red = reduce_mixed_complex(alg, 10)
-        data = TComplexData.from_reduced(red)
-        for variant in ("window", "nonneg", "nonpos"):
-            cx = TruncatedLaurentComplex(data, (-4, 4), variant)
-            assert cx.check_square_zero(range(-6, 7))
-        direct = TComplexData.from_direct(alg, 8)
-        cx = TruncatedLaurentComplex(direct, (-3, 3), "window")
-        assert cx.check_square_zero(range(-5, 6))
+        for window in _parts(4):
+            assert is_square_zero(red.truncation(window), range(-6, 7))
+        direct = TruncatedLaurentComplex(*direct_blocks(alg, 8), (-3, 3))
+        assert is_square_zero(direct, range(-5, 6))
 
 
 def test_reduced_matches_direct_windowed_dims():
@@ -149,13 +151,12 @@ def test_reduced_matches_direct_windowed_dims():
     give the same windowed homology dims (dual numbers and the field)."""
     for alg in (Q, D):
         red = reduce_mixed_complex(alg, 12)
-        rdata = TComplexData.from_reduced(red)
-        ddata = TComplexData.from_direct(alg, 12)
-        for variant in ("window", "nonneg", "nonpos"):
-            rcx = TruncatedLaurentComplex(rdata, (-3, 3), variant)
-            dcx = TruncatedLaurentComplex(ddata, (-3, 3), variant)
+        dims, blocks = direct_blocks(alg, 12)
+        for window in _parts(3):
+            rcx = red.truncation(window)
+            dcx = TruncatedLaurentComplex(dims, blocks, window)
             for r in range(-4, 5):
-                assert rcx.homology(r).dim == dcx.homology(r).dim, (alg.name, variant, r)
+                assert rcx.homology(r).dim == dcx.homology(r).dim, (alg.name, window, r)
 
 
 @pytest.mark.parametrize("alg", [Q, D], ids=lambda a: a.name)

@@ -69,6 +69,28 @@ def test_readme_cli_output_matches_golden(tmp_path):
     assert render(tmp_path) == GOLDEN.read_text()
 
 
+def test_readme_cyclic_line_computes_each_windowed_homology_once(monkeypatch):
+    """The README's `ncperiod cyclic` line computes the homology of each
+    (reduction, t-window, degree) spot once and still prints its golden
+    output."""
+    from ncperiod import cyclic
+
+    spots = []
+    homology = cyclic.TruncatedLaurentComplex.homology
+
+    def counted(cx, r):
+        spots.append((id(cx.blocks), cx.window, r))
+        return homology(cx, r)
+
+    monkeypatch.setattr(cyclic.TruncatedLaurentComplex, "homology", counted)
+    line = README_LINES[2]
+    code, out = run_cli(shlex.split(line)[1:] + ["--format", "table"])
+    head = f"$ {' '.join(line.split())} --format table\n"
+    want = GOLDEN.read_text().split(head, 1)[1].split("$ ", 1)[0]
+    assert f"exit {code}\n{out}" == want
+    assert spots and len(spots) == len(set(spots))
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -1,9 +1,11 @@
 """Each of these concepts has one implementation in the package: the chain
 index (`hochschild.chain_spaces`), the operator assembly
 (`hochschild.term_matrix`), the Lie-action slot enumeration and its signs
-(`hochschild.lie_terms`), the sparse accumulate (`exactlin.chain_add`) and
-the sparse apply (`exactlin.apply_columns`).  The modules that use them import
-the one object, `calculus.OperatorSpace` builds its match index by calling
+(`hochschild.lie_terms`), the sparse accumulate (`exactlin.chain_add`), the
+sparse apply (`exactlin.apply_columns`), and the t-window truncation with its
+homology and window-to-window rank (`cyclic.ReducedMixedComplex.truncation`,
+`.homology` and `.induced_rank`).  The modules that use them import the one
+object, `calculus.OperatorSpace` builds its match index by calling
 lie_terms, and no module grows a hand-written `.get(k, 0) + v` accumulate
 beside chain_add, apart from the loops listed in ALLOWED."""
 
@@ -81,3 +83,34 @@ def test_scan_finds_a_hand_written_accumulate():
     assert [bool(ACCUMULATE.search(line)) for line in src.splitlines()] == [True, True]
     assert not ACCUMULATE.search("s = acc.get(key)")
     assert not ACCUMULATE.search("if hp_dims.get(n - 1, 0) > 2:")
+
+
+def _call_sites(name):
+    """(module, innermost enclosing function) of every call of `name`, as a
+    bare name or an attribute, in the package source."""
+    sites = []
+
+    def visit(node, func, module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
+                    sites.append((module, func))
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            visit(child, inner, module)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), None, path.stem)
+    return sites
+
+
+def test_one_windowed_homology_layer():
+    """cyclic builds its t-window truncations at one site, has no regrouped
+    copy of the transfer blocks, and moves vectors between windows only for
+    the induced rank and the SBI connecting map."""
+    assert _call_sites("TruncatedLaurentComplex") == [("cyclic", "truncation")]
+    assert not hasattr(cyclic, "TComplexData")
+    assert not hasattr(cyclic, "_windowed_dims")
+    assert set(_call_sites("_move")) == {("cyclic", "induced_rank"),
+                                         ("cyclic", "connecting")}
