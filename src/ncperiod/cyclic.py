@@ -109,9 +109,17 @@ def reduce_mixed_complex(algebra, bar_bound) -> ReducedMixedComplex:
         algebra._reduced_cache = cache
     if bar_bound in cache:
         return cache[bar_bound]
-    spaces = chain_spaces(algebra, bar_bound + 1)
-    diffs = boundary_matrices(algebra, spaces)
-    sdr = complex_sdr([len(s) for s in spaces[: bar_bound + 1]], diffs)
+    above = min((b for b in cache if b > bar_bound), default=None)
+    if above is not None:
+        # SpotSDR at spot m depends only on d_m and d_{m+1}: cut the reduction
+        big = cache[above]
+        spaces, sdr = big.spaces[: bar_bound + 2], big.sdr[: bar_bound + 1]
+        b_mats = big.b_mats[:bar_bound]
+    else:
+        spaces = chain_spaces(algebra, bar_bound + 1)
+        sdr = complex_sdr([len(s) for s in spaces[: bar_bound + 1]],
+                          boundary_matrices(algebra, spaces))
+        b_mats = connes_matrices(algebra, spaces[: bar_bound + 1])
     out = ReducedMixedComplex(
         algebra=algebra,
         bar_bound=bar_bound,
@@ -119,7 +127,7 @@ def reduce_mixed_complex(algebra, bar_bound) -> ReducedMixedComplex:
         transfer={},
         sdr=sdr,
         spaces=spaces,
-        b_mats=connes_matrices(algebra, spaces[: bar_bound + 1]),
+        b_mats=b_mats,
     )
     out.transfer = perturbation_transfer(out)
     cache[bar_bound] = out

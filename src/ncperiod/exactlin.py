@@ -1,10 +1,15 @@
-"""Exact rational sparse linear algebra: rref, kernels, homology of a spot.
+"""Exact rational sparse linear algebra: rref, kernels, homology walks, SDRs.
 
 Everything is over Q: entries are ints or Fractions, and results come back
 the same way: an integral value is an int, and a Fraction appears only where
 there is a denominator.  Internally every row is a primitive integer vector,
 and one fraction-free elimination step (`_eliminate`) does all the row
 reduction.
+Homology walks a complex and eliminates each differential once: rref of d_n
+gives the cycles at its source and the boundary basis at its target.  The
+cycles are an RREF kernel basis, so the homology representatives are read off
+one echelon of the boundaries restricted to the free columns (its trailing
+pivots), and an SDR inverts only the [B | H] block on those columns.
 Determinism: kernels and solutions are read off the reduced row echelon form,
 which is unique, and greedy bases take the pivot columns of an echelon form,
 which are the columns outside the span of the columns before them.  So every
@@ -284,18 +289,25 @@ def _pivot_columns(m: SparseMatrix):
     return sorted(_echelon([_int_row(r) for r in m.row_lists()]))
 
 
-def _homology_reps(boundaries, cycles):
+def _homology_reps(boundaries, cycles, free):
     """The cycles not in the span of the boundaries and the cycles before them.
 
-    boundaries must be independent cycles; when there are as many of them as
-    cycles they span every cycle, and no cycle is reduced.
+    cycles is an RREF kernel basis: cycles[k] is 1 at the free column free[k]
+    and 0 at the others, so a cycle's coordinates in that basis are its
+    entries at the free columns.  cycles[k] is in the span of the boundaries
+    and cycles[:k] exactly when a combination of the boundaries ends at
+    free[k], that is, when k is a trailing pivot of the boundaries restricted
+    to the free columns.  One echelon of those rows, with the column order
+    reversed, finds the trailing pivots.  boundaries must be independent
+    cycles; when there are as many of them as cycles, they span every cycle.
     """
     if len(boundaries) == len(cycles):
         return []
-    span = IncrementalSpan()
-    for v in boundaries:
-        span.add(v)
-    return [v for v in cycles if span.add(v)]
+    last = len(free) - 1
+    rev = {f: last - k for k, f in enumerate(free)}
+    trailing = _echelon([_int_row({rev[i]: v for i, v in b.items() if i in rev})
+                         for b in boundaries])
+    return [c for k, c in enumerate(cycles) if last - k not in trailing]
 
 
 def rref(m: SparseMatrix):
@@ -360,29 +372,51 @@ class SubquotientBasis:
         return len(self.homology_reps)
 
 
-def homology_at(d_in: SparseMatrix, d_out: SparseMatrix) -> SubquotientBasis:
-    """Homology at the middle of  X --d_in--> Y --d_out--> Z.
+def _walk(maps):
+    """(cycles, boundaries, reps, in_pivots, free) per spot X_1, X_2, ... of
+    the composable maps  X_0 --maps[0]--> X_1 --maps[1]--> ...
 
-    Checks d_out . d_in = 0 exactly.  Boundary basis: the columns of d_in
-    not in the span of the columns before them (its pivot columns);
-    homology representatives: kernel vectors of d_out extending that basis,
-    greedily in order (deterministic).
+    Each map is eliminated once, one at a time: maps[0] for its pivot columns,
+    each later map by rref, whose kernel gives the cycles at its source and
+    whose pivot columns give in_pivots at the next spot.  The boundaries are
+    the columns of the map in at in_pivots, each not in the span of the
+    columns before it; free holds the free columns of the map out, one per
+    cycle; reps are the cycles that extend the boundaries, greedily in order.
     """
-    if d_in.rows != d_out.cols:
-        raise ValueError("homology_at: d_in.rows must equal d_out.cols")
-    if not d_out.compose(d_in).is_zero():
-        raise CompositionNonzero("d_out . d_in != 0")
-    _, cycles, _ = rref(d_out)
-    piv = _pivot_columns(d_in)  # first, so its rows and cols never coexist
-    cols = d_in.columns()
-    boundaries = [cols[j] for j in piv]
-    reps = _homology_reps(boundaries, cycles)
-    return SubquotientBasis(
-        ambient_dim=d_out.cols,
-        cycle_basis=cycles,
-        boundary_basis=boundaries,
-        homology_reps=reps,
-    )
+    piv = _pivot_columns(maps[0])
+    for d_in, d_out in zip(maps, maps[1:]):
+        _, cycles, out_piv = rref(d_out)
+        cols = {j: {} for j in piv}
+        for (i, j), v in d_in.entries.items():
+            col = cols.get(j)
+            if col is not None:
+                col[i] = v
+        boundaries = list(cols.values())
+        pivset = set(out_piv)
+        free = [j for j in range(d_out.cols) if j not in pivset]
+        yield cycles, boundaries, _homology_reps(boundaries, cycles, free), piv, free
+        piv = out_piv
+
+
+def homology_walk(maps) -> list:
+    """Homology at the middle of each consecutive pair of the composable maps
+    X_0 --maps[0]--> X_1 --maps[1]--> ..., a SubquotientBasis per spot X_1,
+    X_2, ... in order.  Checks every d_out . d_in = 0 exactly, then
+    eliminates each map once (see _walk)."""
+    for d_in, d_out in zip(maps, maps[1:]):
+        if d_in.rows != d_out.cols:
+            raise ValueError("homology_walk: d_in.rows must equal d_out.cols")
+        if not d_out.compose(d_in).is_zero():
+            raise CompositionNonzero("d_out . d_in != 0")
+    return [SubquotientBasis(ambient_dim=d_out.cols, cycle_basis=cycles,
+                             boundary_basis=bnd, homology_reps=reps)
+            for d_out, (cycles, bnd, reps, _, _) in zip(maps[1:], _walk(maps))]
+
+
+def homology_at(d_in: SparseMatrix, d_out: SparseMatrix) -> SubquotientBasis:
+    """Homology at the middle of  X --d_in--> Y --d_out--> Z: the one-spot
+    homology_walk."""
+    return homology_walk([d_in, d_out])[0]
 
 
 @dataclass
@@ -406,58 +440,46 @@ def complex_sdr(dims, diffs):
 
     dims: list of chain-space dimensions, spots 0..W (len W+1).
     diffs: diffs[n] is the matrix C_n -> C_{n-1} for n = 1..W+1 (index 0
-    unused / None); diffs[W+1] supplies the boundaries of the top spot.
+    unused); diffs[W+1] supplies the boundaries of the top spot.
 
     Returns a list of SpotSDR for spots 0..W.  Decomposition per spot:
     C_n = B_n + H_n + N_n with B_n spanned by the columns of d_{n+1} at the
     pivot columns of its RREF (each one not in the span of the columns before
     it), N_n by the unit vectors of the pivot columns of d_n (so
     d: N_n ~ B_{n-1} bijectively), and H_n by homology representatives.
-    h is (d|_N)^{-1} on B and zero on H + N.
+    h is (d|_N)^{-1} on B and zero on H + N.  The complex is walked from the
+    top spot down (_walk), so each differential is eliminated once.
     """
     W = len(dims) - 1
     if len(diffs) < W + 2:
         raise ValueError("need differentials up to spot W+1")
-    sel = [[] for _ in range(W + 2)]   # pivot columns of d_n
-    cycles = [{j: 1} for j in range(dims[0])]
+    maps = [*diffs[W + 1:0:-1], SparseMatrix(0, dims[0])]
     out = []
-    for n in range(W + 1):
-        d_up = diffs[n + 1]
-        if n < W:
-            _, next_cycles, sel[n + 1] = rref(d_up)
-        elif d_up is not None:
-            sel[n + 1] = _pivot_columns(d_up)
-        cols = d_up.columns() if sel[n + 1] else []
-        bnd = [cols[j] for j in sel[n + 1]]   # boundary basis of C_n
-        reps = _homology_reps(bnd, cycles)
-        # Full basis [B | H | N] of C_n; one inversion gives p rows and the
-        # B-coordinates that define h.  N_n is spanned by the unit vectors of
-        # the pivot columns of d_n.
-        nb, nh = len(bnd), len(reps)
-        nsel = [{j: 1} for j in sel[n]]
-        if nb + nh + len(nsel) != dims[n]:
+    for n, (_, bnd, reps, sel_up, free) in zip(range(W, -1, -1), _walk(maps)):
+        # A unit vector of N_n (a pivot row of d_n) has no B or H coordinate;
+        # on the free rows N_n vanishes and K = [B | H] is square, so K^{-1}
+        # gives the p rows and the B-coordinates that define h.
+        nb, nf = len(bnd), len(free)
+        if nb + len(reps) != nf:
             raise RuntimeError(f"spot {n}: B+H+N does not span (bug)")
-        rowlist = [dict() for _ in range(dims[n])]
-        for j, col in enumerate(bnd + reps + nsel):
+        local = {i: t for t, i in enumerate(free)}
+        rowlist = [{nf + t: 1} for t in range(nf)]
+        for j, col in enumerate(bnd + reps):
             for i, v in col.items():
-                rowlist[i][j] = v
-        for i in range(dims[n]):
-            rowlist[i][dims[n] + i] = 1
+                t = local.get(i)
+                if t is not None:
+                    rowlist[t][j] = v
         pivots, pivot_rows = _rref_rows(rowlist)
-        inv_rows = [None] * dims[n]
-        for pj, prow in zip(pivots, pivot_rows):
-            if pj >= dims[n]:
-                raise RuntimeError(f"spot {n}: basis inversion failed (bug)")
-            inv_rows[pj] = {c - dims[n]: v for c, v in prow.items() if c >= dims[n]}
-        proj_rows = [inv_rows[nb + k] for k in range(nh)]
+        if pivots and pivots[-1] >= nf:
+            raise RuntimeError(f"spot {n}: basis inversion failed (bug)")
+        inv_rows = [{free[c - nf]: v for c, v in prow.items() if c >= nf}
+                    for prow in pivot_rows]
         hcols = [dict() for _ in range(dims[n])]
-        for k in range(nb):
-            jup = sel[n + 1][k]
-            for i, v in inv_rows[k].items():
+        for jup, row in zip(sel_up, inv_rows):
+            for i, v in row.items():
                 hcols[i][jup] = v
-        out.append(SpotSDR(dim=dims[n], reps=reps, proj_rows=proj_rows, hmty_cols=hcols))
-        if n < W:
-            cycles = next_cycles
+        out.append(SpotSDR(dim=dims[n], reps=reps, proj_rows=inv_rows[nb:], hmty_cols=hcols))
+    out.reverse()
     return out
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
 
-from .exactlin import SparseMatrix, chain_add, homology_at
+from .exactlin import SparseMatrix, chain_add, homology_walk
 
 
 class ArityBoundExceeded(Exception):
@@ -496,29 +496,37 @@ def _weight_graded_boundary(algebra, struct, max_weight):
     return spaces, boundary_matrices(algebra, spaces, struct)
 
 
-def hochschild_homology(algebra, degree_range):
-    """Exact HH dims with representatives; algebra must sit in degree 0."""
-    if not algebra.is_degree_zero():
-        raise ValueError("homology requires a degree-0 algebra")
-    degrees = sorted(degree_range)
-    top = max(degrees)
-    struct = DgStructure(algebra)
-    spaces, mats = _weight_graded_boundary(algebra, struct, top + 1)
+def _graded_homology(degrees, walk_maps, basis_keys):
+    """GradedDims at each of the sorted degrees: 0 below degree 0, else one
+    homology_walk per run a..b of consecutive degrees.  walk_maps(a, b) gives
+    the degrees of the walk's spots, in order, and its maps."""
+    spots = {}
+    nonneg = sorted({n for n in degrees if n >= 0})
+    for _, run in itertools.groupby(enumerate(nonneg), lambda p: p[1] - p[0]):
+        run = [n for _, n in run]
+        spot_degrees, maps = walk_maps(run[0], run[-1])
+        spots.update(zip(spot_degrees, homology_walk(maps)))
     out = GradedDims()
     for n in degrees:
         if n < 0:
             out.dims[n] = 0
             continue
-        d_in = mats[n + 1]
-        if n == 0:
-            d_out = SparseMatrix(0, len(spaces[0]))
-        else:
-            d_out = mats[n]
-        sub = homology_at(d_in, d_out)
-        out.dims[n] = sub.dim
-        out.spots[n] = sub
-        out.basis_keys[n] = list(spaces[n])
+        out.dims[n], out.spots[n], out.basis_keys[n] = spots[n].dim, spots[n], basis_keys(n)
     return out
+
+
+def hochschild_homology(algebra, degree_range):
+    """Exact HH dims with representatives; algebra must sit in degree 0."""
+    if not algebra.is_degree_zero():
+        raise ValueError("homology requires a degree-0 algebra")
+    degrees = sorted(degree_range)
+    spaces, mats = _weight_graded_boundary(algebra, DgStructure(algebra), degrees[-1] + 1)
+
+    def walk_maps(a, b):  # C_{b+1} -> C_b -> ... -> C_a -> C_{a-1}, C_{-1} = 0
+        return range(b, a - 1, -1), [mats[n] if n else SparseMatrix(0, len(spaces[0]))
+                                     for n in range(b + 1, a - 1, -1)]
+
+    return _graded_homology(degrees, walk_maps, lambda n: list(spaces[n]))
 
 
 class CochainBasis:
@@ -569,25 +577,15 @@ def hochschild_cohomology(algebra, degree_range, arity_bound=None):
     if not algebra.is_degree_zero():
         raise ValueError("cohomology requires a degree-0 algebra")
     degrees = sorted(degree_range)
-    top = max(degrees)
-    if arity_bound is not None and arity_bound < top + 1:
+    if arity_bound is not None and arity_bound < degrees[-1] + 1:
         raise ArityBoundExceeded("arity_bound must be at least max degree + 1")
-    mats = {l: _cochain_diff_matrix(algebra, l) for l in range(top + 1)}
-    out = GradedDims()
-    for n in degrees:
-        if n < 0:
-            out.dims[n] = 0
-            continue
-        d_out = mats[n]
-        if n == 0:
-            d_in = SparseMatrix(len(CochainBasis(algebra, 0)), 0)
-        else:
-            d_in = mats[n - 1]
-        sub = homology_at(d_in, d_out)
-        out.dims[n] = sub.dim
-        out.spots[n] = sub
-        out.basis_keys[n] = CochainBasis(algebra, n).keys
-    return out
+
+    def walk_maps(a, b):  # C^{a-1} -> C^a -> ... -> C^b -> C^{b+1}, C^{-1} = 0
+        return range(a, b + 1), [_cochain_diff_matrix(algebra, l) if l >= 0
+                                 else SparseMatrix(len(CochainBasis(algebra, 0)), 0)
+                                 for l in range(a - 1, b + 1)]
+
+    return _graded_homology(degrees, walk_maps, lambda n: CochainBasis(algebra, n).keys)
 
 
 def cocycle_representatives(algebra, n, arity_bound=None):

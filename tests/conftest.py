@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from ncperiod.coeff import slot_coordinates
 from ncperiod.deform import MCElement
-from ncperiod.exactlin import SparseMatrix, rref
+from ncperiod.exactlin import IncrementalSpan, SparseMatrix, rref
 from ncperiod.hochschild import (
     Cochain,
     CochainBasis,
@@ -18,6 +18,16 @@ def transpose(m):
     """The transpose of a SparseMatrix."""
     return SparseMatrix(m.cols, m.rows,
                         {(j, i): v for (i, j), v in m.entries.items()})
+
+
+def greedy_homology_reps(boundaries, cycles):
+    """The cycles not in the span of the boundaries and the cycles before
+    them, one incremental span insertion per vector: the oracle for
+    exactlin._homology_reps."""
+    span = IncrementalSpan()
+    for v in boundaries:
+        span.add(v)
+    return [v for v in cycles if span.add(v)]
 
 
 def direct_blocks(algebra, bar_bound):

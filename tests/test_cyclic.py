@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from ncperiod.algebra import (
     build_matrix_algebra,
     build_truncated_polynomial_algebra,
 )
+from ncperiod import cyclic
 from ncperiod.cyclic import (
     NotStabilized,
     _induced_rank,
@@ -200,3 +203,50 @@ def test_induced_rank_against_dense_oracle(case):
     want = (len(dense_rref_oracle(bnd + images, n)[0])
             - len(dense_rref_oracle(bnd, n)[0]))
     assert _induced_rank(h, [sparse(r) for r in images]) == want
+
+
+def _typed(x):
+    """x with every number replaced by (type, value) and every dict by its
+    sorted items: equal exactly when x agrees by value and by type."""
+    if isinstance(x, dict):
+        return sorted((_typed(k), _typed(v)) for k, v in x.items())
+    if isinstance(x, (list, tuple)):
+        return [_typed(v) for v in x]
+    if isinstance(x, (int, Fraction)):
+        return type(x).__name__, x
+    return x
+
+
+def _reduction_data(red):
+    return _typed([
+        red.bar_bound, red.h_dims, red.spaces, [m.entries for m in red.b_mats],
+        [(m.rows, m.cols) for m in red.b_mats],
+        [(s.dim, s.reps, s.proj_rows, s.hmty_cols) for s in red.sdr], red.transfer,
+    ])
+
+
+@pytest.mark.parametrize("build, bars", [
+    (lambda: build_matrix_algebra(2), (6, 4, 3)),
+    (lambda: build_truncated_polynomial_algebra(2), (25, 22)),
+], ids=["M2", "T2"])
+def test_smaller_bars_are_cut_from_the_cached_reduction(monkeypatch, build, bars):
+    """A bar below a cached one builds no SDR and equals a fresh reduction;
+    a larger bar asked for later still gives the fresh answer."""
+    calls = []
+
+    def counting(dims, diffs):
+        calls.append(len(dims) - 1)
+        return real(dims, diffs)
+
+    real = cyclic.complex_sdr
+    monkeypatch.setattr(cyclic, "complex_sdr", counting)
+    alg = build()
+    reds = [reduce_mixed_complex(alg, bar) for bar in bars]
+    assert calls == [bars[0]]
+    for bar, red in zip(bars, reds):
+        assert _reduction_data(red) == _reduction_data(reduce_mixed_complex(build(), bar))
+    small, large = bars[-1], bars[-1] + 1
+    alg = build()
+    reduce_mixed_complex(alg, small)
+    grown = reduce_mixed_complex(alg, large)
+    assert _reduction_data(grown) == _reduction_data(reduce_mixed_complex(build(), large))

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import transpose
+from conftest import greedy_homology_reps, transpose
 from ncperiod.algebra import (
     a2_quiver_algebra,
     build_matrix_algebra,
@@ -17,6 +18,7 @@ from ncperiod.exactlin import (
     IncrementalSpan,
     SparseMatrix,
     _rref_rows,
+    chain_add,
     complex_sdr,
     express_in_homology,
     from_columns,
@@ -26,6 +28,7 @@ from ncperiod.exactlin import (
     rref,
     solve,
 )
+from ncperiod.hochschild import hochschild_homology
 
 
 def dense_rref_oracle(rows, ncols):
@@ -171,6 +174,71 @@ def test_express_in_homology():
             rec[i] = rec.get(i, 0) + c * v
     # class of (1, 7x) equals class of 1 (x is a boundary here)
     assert rec.get(0, 0) == 1
+
+
+def _typed(vecs):
+    return [[(k, type(c), c) for k, c in v.items()] for v in vecs]
+
+
+def _assert_greedy_reps(sub):
+    """The homology reps are the greedy choice of the incremental-span oracle,
+    in the same order and with the same types."""
+    want = greedy_homology_reps(sub.boundary_basis, sub.cycle_basis)
+    assert _typed(sub.homology_reps) == _typed(want)
+    assert len(sub.homology_reps) == len(sub.cycle_basis) - len(sub.boundary_basis)
+
+
+@st.composite
+def integer_complexes(draw):
+    """(d_in, d_out) with d_out . d_in = 0 over the integers: d_in has zero,
+    repeated and scaled columns; the rows of d_out are integer combinations
+    of a left-kernel basis of d_in, so d_out can be zero, of full rank on
+    the cokernel, or anything between."""
+    x, y = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    cols = [draw(st.lists(entry, min_size=y, max_size=y)) for _ in range(x)]
+    if cols:
+        for j in draw(st.lists(st.integers(0, x - 1), max_size=2)):
+            c = draw(st.sampled_from([1, -2, 3]))
+            cols.append([c * v for v in cols[j]])
+        cols = draw(st.permutations(cols))
+    d_in = SparseMatrix(y, len(cols), {(i, j): v for j, col in enumerate(cols)
+                                       for i, v in enumerate(col)})
+    _, left_kernel, _ = rref(transpose(d_in))
+    left_kernel = [{i: v * lcm(*(w.denominator for w in u.values())) for i, v in u.items()}
+                   for u in left_kernel]
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        row = {}
+        for c, u in zip(draw(st.lists(entry, min_size=len(left_kernel),
+                                      max_size=len(left_kernel))), left_kernel):
+            for i, v in u.items():
+                chain_add(row, i, c * v)
+        rows.append(row)
+    d_out = SparseMatrix(len(rows), y, {(r, i): v for r, row in enumerate(rows)
+                                        for i, v in row.items()})
+    return d_in, d_out
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_complexes())
+def test_homology_reps_match_greedy_oracle(case):
+    d_in, d_out = case
+    assert d_out.compose(d_in).is_zero()
+    _assert_greedy_reps(homology_at(d_in, d_out))
+
+
+@pytest.mark.parametrize("build, top", [
+    (lambda: build_matrix_algebra(2), 5),
+    (lambda: build_truncated_polynomial_algebra(3), 6),
+    (lambda: build_truncated_polynomial_algebra(4), 6),
+    (a2_quiver_algebra, 6),
+    (kronecker_algebra, 6),
+], ids=["M2", "T3", "T4", "A2", "kron"])
+def test_homology_reps_match_greedy_oracle_on_bar_complexes(build, top):
+    hh = hochschild_homology(build(), range(top))
+    for sub in hh.spots.values():
+        _assert_greedy_reps(sub)
 
 
 def test_incremental_span_determinism():
@@ -323,23 +391,27 @@ def _is_identity(m):
     return m.rows == m.cols and m.entries == {(i, i): 1 for i in range(m.rows)}
 
 
-@pytest.mark.parametrize("build, bar", [
-    (lambda: build_matrix_algebra(2), 4),
-    (lambda: build_truncated_polynomial_algebra(3), 6),
-    (a2_quiver_algebra, 6),
-    (kronecker_algebra, 4),
-], ids=["M2", "T3", "A2", "kron"])
-def test_complex_sdr_identities_on_bar_complexes(build, bar):
+@pytest.mark.parametrize("build, bar, h_everywhere", [
+    (lambda: build_matrix_algebra(2), 4, False),
+    (lambda: build_truncated_polynomial_algebra(3), 6, True),
+    (lambda: build_truncated_polynomial_algebra(4), 5, True),
+    (a2_quiver_algebra, 6, False),
+    (kronecker_algebra, 4, False),
+], ids=["M2", "T3", "T4", "A2", "kron"])
+def test_complex_sdr_identities_on_bar_complexes(build, bar, h_everywhere):
     """All five SDR identities at every spot of a real bar complex.
 
     They pin p and h down uniquely for the B + H + N splitting, and h must
-    vanish on N, the unit vectors of the pivot columns of rref(d_n)."""
+    vanish on N, the unit vectors of the pivot columns of rref(d_n).  T4 has
+    homology at every spot, so there p has rows everywhere."""
     alg = build()
     spaces = chain_spaces(alg, bar + 1)
     dims = [len(s) for s in spaces]
     d = boundary_matrices(alg, spaces)
     d[0] = SparseMatrix(0, dims[0])
     sdr = complex_sdr(dims[: bar + 1], d)
+    if h_everywhere:
+        assert all(s.proj_rows for s in sdr)
     h = [from_columns(dims[n + 1], s.hmty_cols) for n, s in enumerate(sdr)]
     iota = [from_columns(dims[n], s.reps) for n, s in enumerate(sdr)]
     p = [_rows_matrix(dims[n], s.proj_rows) for n, s in enumerate(sdr)]

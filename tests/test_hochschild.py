@@ -12,6 +12,7 @@ from ncperiod.algebra import (
     build_truncated_polynomial_algebra,
     kronecker_algebra,
 )
+from ncperiod import exactlin, hochschild
 from ncperiod.calculus import OperatorSpace
 from ncperiod.coeff import build_truncated_poly
 from ncperiod.hochschild import (
@@ -403,3 +404,36 @@ def test_chain_add_matches_get_plus_coeff(seq, final):
             k: type(v) for k, v in want.items()}
     assert acc == final
     assert {k: type(v) for k, v in acc.items()} == {k: type(v) for k, v in final.items()}
+
+
+def test_homology_eliminates_each_differential_once(monkeypatch):
+    """HH(M2) on degrees 0..6 runs rref once on each of d_1..d_6 (and on the
+    zero map out of C_0) and _pivot_columns once, on d_7; a d_3 with one
+    entry flipped still fails the d . d = 0 check."""
+    mats, rrefs, pivots = [], [], []
+    real_bm, real_rref, real_piv = (hochschild.boundary_matrices, exactlin.rref,
+                                    exactlin._pivot_columns)
+
+    def capture(*args):
+        mats[:] = real_bm(*args)
+        return mats
+
+    monkeypatch.setattr(hochschild, "boundary_matrices", capture)
+    monkeypatch.setattr(exactlin, "rref", lambda m: rrefs.append(m) or real_rref(m))
+    monkeypatch.setattr(exactlin, "_pivot_columns",
+                        lambda m: pivots.append(m) or real_piv(m))
+    m2 = build_matrix_algebra(2)
+    assert hochschild_homology(m2, range(7)).as_tuple(range(7)) == (1, 0, 0, 0, 0, 0, 0)
+    assert [id(m) for m in pivots] == [id(mats[7])]
+    assert [id(m) for m in rrefs[:-1]] == [id(mats[n]) for n in range(6, 0, -1)]
+    assert (rrefs[-1].rows, rrefs[-1].cols) == (0, m2.dim)
+
+    def flipped(*args):
+        out = real_bm(*args)
+        key = min(out[3].entries)
+        out[3].entries[key] = -out[3].entries[key]
+        return out
+
+    monkeypatch.setattr(hochschild, "boundary_matrices", flipped)
+    with pytest.raises(exactlin.CompositionNonzero):
+        hochschild_homology(m2, range(7))

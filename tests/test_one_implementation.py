@@ -4,12 +4,14 @@ index (`hochschild.chain_spaces`), the operator assembly
 (`hochschild.lie_terms`), the sparse accumulate (`exactlin.chain_add`), the
 sparse apply (`exactlin.apply_columns`), and the t-window truncation with its
 homology and window-to-window rank (`cyclic.ReducedMixedComplex.truncation`,
-`.homology` and `.induced_rank`).  The modules that use them import the one
+`.homology` and `.induced_rank`), and the homology of a complex
+(`exactlin.homology_walk`, which eliminates each differential once).  The modules that use them import the one
 object, `calculus.OperatorSpace` builds its match index by calling
 lie_terms, and no module grows a hand-written `.get(k, 0) + v` accumulate
 beside chain_add, apart from the loops listed in ALLOWED."""
 
 import ast
+import functools
 import re
 from pathlib import Path
 
@@ -85,17 +87,18 @@ def test_scan_finds_a_hand_written_accumulate():
     assert not ACCUMULATE.search("if hp_dims.get(n - 1, 0) > 2:")
 
 
-def _call_sites(name):
-    """(module, innermost enclosing function) of every call of `name`, as a
-    bare name or an attribute, in the package source."""
-    sites = []
+@functools.cache
+def _calls():
+    """{name: [(module, innermost enclosing function)]} of every call of a
+    bare name or an attribute in the package source."""
+    sites = {}
 
     def visit(node, func, module):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 f = child.func
-                if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
-                    sites.append((module, func))
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                sites.setdefault(name, []).append((module, func))
             inner = child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
             visit(child, inner, module)
@@ -103,6 +106,11 @@ def _call_sites(name):
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text()), None, path.stem)
     return sites
+
+
+def _call_sites(name):
+    """(module, innermost enclosing function) of every call of `name`."""
+    return _calls().get(name, [])
 
 
 def test_one_windowed_homology_layer():
@@ -114,3 +122,21 @@ def test_one_windowed_homology_layer():
     assert not hasattr(cyclic, "_windowed_dims")
     assert set(_call_sites("_move")) == {("cyclic", "induced_rank"),
                                          ("cyclic", "connecting")}
+
+
+def test_one_homology_walk():
+    """hochschild takes homology only through exactlin.homology_walk, from one
+    helper; homology_at and complex_sdr walk with the same generator; the
+    homology representatives come from one echelon, not an incremental span."""
+    assert _call_sites("homology_walk") == [("exactlin", "homology_at"),
+                                            ("hochschild", "_graded_homology")]
+    assert set(_call_sites("_walk")) == {("exactlin", "homology_walk"),
+                                         ("exactlin", "complex_sdr")}
+    assert set(_call_sites("_graded_homology")) == {
+        ("hochschild", "hochschild_homology"), ("hochschild", "hochschild_cohomology")}
+    kernels = ("homology_at", "rref", "_pivot_columns", "_homology_reps", "_rref_rows",
+               "_echelon", "IncrementalSpan", "member", "solve")
+    assert not [(name, site) for name in kernels for site in _call_sites(name)
+                if site[0] == "hochschild"]
+    assert set(_call_sites("IncrementalSpan")) == {("exactlin", "member"),
+                                                   ("cyclic", "_induced_rank")}
