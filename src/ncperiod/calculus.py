@@ -43,11 +43,12 @@ from .hochschild import (
     basis_cochains,
     cochain_differential,
     cocycle_representatives,
-    connes_terms,
-    contraction_terms,
+    connes_runs,
+    contraction_runs,
     gerstenhaber_bracket,
     hochschild_homology,
     lie_action,
+    lie_runs,
     lie_terms,
     structure_as_cochain,
     term_matrix,
@@ -207,21 +208,24 @@ class OperatorSpace:
         cols = self.lie_into({}, cochain, wrap_sign, len(self.keys))
         return {col: e for col, acc in cols.items() if (e := _column(acc))}
 
-    def operator_matrix(self, term_fn):
-        """{col: ((row, coeff), ...)} of a term generator on the apply columns."""
-        mat = term_matrix(term_fn, self.keys[:len(self.apply_cols)], self.index)
+    def operator_matrix(self, runs):
+        """{col: ((row, coeff), ...)} of an operator in run form on the apply
+        columns."""
+        off = self.basis.offsets
+        mat = term_matrix(runs, (len(self.keys), len(self.apply_cols)),
+                          {n: off[n] for n in range(self.check_weight + 2)}, off)
         return {col: e for col, acc in enumerate(mat.columns())
                 if (e := _column(acc))}
 
     def boundary_matrix(self):
         return self.operator_matrix(
-            partial(lie_terms, self.algebra, DgStructure(self.algebra)))
+            partial(lie_runs, self.algebra, DgStructure(self.algebra)))
 
     def connes_matrix(self):
-        return self.operator_matrix(partial(connes_terms, self.algebra))
+        return self.operator_matrix(partial(connes_runs, self.algebra))
 
     def contraction_matrix(self, cochain):
-        return self.operator_matrix(partial(contraction_terms, self.algebra, cochain))
+        return self.operator_matrix(partial(contraction_runs, self.algebra, cochain))
 
 
 def _column(acc):

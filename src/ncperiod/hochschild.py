@@ -24,12 +24,18 @@ once: for arity l they are i in 0..n with n-i+1 <= l <= n+1.
 
 Indexing and assembly
   * chain_spaces is the one chain-space index: per bar weight, the keys
-    (a0, word) in index order; ChainBasis is the same spaces laid end to end,
-    weight n at positions offsets[n]..offsets[n+1]-1;
-  * term_matrix is the one operator assembly: the matrix of a term generator
-    (d, B, L_P or I_P) between two indexed sets of basis chains.  d and B per
-    weight (boundary_matrices, connes_matrices) and the operator matrices of
-    calculus.OperatorSpace are all built by it.
+    (a0, word) in index order, which is mixed radix: with r = dim - 1 the
+    key (a0, w) of weight n sits at a0 r^n + sum_k (w_k - 1) r^(n-1-k);
+    ChainBasis is the same spaces laid end to end, weight n at positions
+    offsets[n]..offsets[n+1]-1;
+  * term_matrix is the one operator assembly: the matrix of an operator in
+    run form (lie_runs, connes_runs, contraction_runs for d or L_P, B and
+    I_P), whose terms come as runs of rows and columns computed from that
+    index, with no per-term key.  d and B per weight (boundary_matrices,
+    connes_matrices) and the operator matrices of calculus.OperatorSpace are
+    all built by it.  The per-key generators (lie_terms, connes_terms,
+    contraction_terms) act on chain dicts; both forms take their signs from
+    _interior_sign, _rotation_sign and _cap_sign.
 """
 
 from __future__ import annotations
@@ -202,6 +208,28 @@ class DeformedStructure:
         return out
 
 
+# -- signs -----------------------------------------------------------------------
+# The sign rules of the chain operators, used by the per-key term generators
+# and by the run-form assembly alike.  Every argument enters only through its
+# parity, so the run form may pass the parity of a digit sum.
+
+
+def _interior_sign(sdP, mu):
+    """(-1)^{sd(P) mu_j}: the interior term of L_P at slot j."""
+    return -1 if (sdP * mu) % 2 else 1
+
+
+def _rotation_sign(mu, rest):
+    """(-1)^{mu rest}: a wrap term of L_P (mu = mu_i, rest = mu_n - mu_i) and
+    the i-th rotation of B (mu = eps_i + sd(a_0), rest = eps_n - eps_i)."""
+    return -1 if (mu * rest) % 2 else 1
+
+
+def _cap_sign(sdP, deg0):
+    """(-1)^{(sd(P)+1)|a_0|}: the contraction by P."""
+    return -1 if ((sdP + 1) * deg0) % 2 else 1
+
+
 # -- term generation -------------------------------------------------------------
 
 
@@ -231,8 +259,7 @@ def lie_terms(algebra, op, a0, word, out_terms):
             val = op.eval(l, seg)
             if not val:
                 continue
-            mu_j = sd0 + eps[j]
-            sgn = -1 if (sdP * mu_j) % 2 else 1
+            sgn = _interior_sign(sdP, sd0 + eps[j])
             head, tail = word[:j], word[j + l:]
             for out, c in val.items():
                 if out == 0:
@@ -250,9 +277,7 @@ def lie_terms(algebra, op, a0, word, out_terms):
             val = op.eval(l, window)
             if not val:
                 continue
-            mu_i = sd0 + eps[i]
-            exp = mu_i * (sd0 + eps[n] - mu_i)
-            sgn = -1 if exp % 2 else 1
+            sgn = _rotation_sign(sd0 + eps[i], eps[n] - eps[i])
             rest = word[m:i]
             for out, c in val.items():
                 out_terms((out, rest), sgn * c)
@@ -266,27 +291,27 @@ def connes_terms(algebra, a0, word, out_terms):
     eps = _prefix_eps(algebra, word)
     sd0 = algebra.degrees[a0] - 1
     for i in range(n + 1):
-        exp = (eps[i] + sd0) * (eps[n] - eps[i])
-        sgn = -1 if exp % 2 else 1
+        sgn = _rotation_sign(eps[i] + sd0, eps[n] - eps[i])
         out_terms((0, word[i:] + (a0,) + word[:i]), sgn)
+
+
+def _contraction_arity(cochain):
+    """The one arity of the cochain I_P caps off with, None if it is zero."""
+    arities = cochain.arities()
+    if len(arities) > 1:
+        raise ValueError("contraction needs a single-arity cochain")
+    return arities[0] if arities else None
 
 
 def contraction_terms(algebra, cochain, a0, word, out_terms):
     """I_P for P concentrated in one arity p: cap off the first p slots."""
-    arities = cochain.arities()
-    if not arities:
-        return
-    if len(arities) != 1:
-        raise ValueError("contraction needs a single-arity cochain")
-    p = arities[0]
-    n = len(word)
-    if p > n:
+    p = _contraction_arity(cochain)
+    if p is None or p > len(word):
         return
     val = cochain.eval(p, word[:p])
     if not val:
         return
-    deg0 = algebra.degrees[a0]
-    sgn = -1 if ((cochain.sdeg + 1) * deg0) % 2 else 1
+    sgn = _cap_sign(cochain.sdeg, algebra.degrees[a0])
     rest = word[p:]
     for out, c in val.items():
         for k, m in algebra.product(a0, out).items():
@@ -418,7 +443,13 @@ def cochain_differential(algebra, p, arity_bound=None):
 
 
 def chain_spaces(algebra, max_weight):
-    """Index maps {(a0, word): j} per weight 0..max_weight, keys in index order."""
+    """Index maps {(a0, word): j} per weight 0..max_weight, keys in index order.
+
+    The index is mixed radix: with r = dim - 1, the key (a0, w) of weight n
+    sits at a0 r^n + sum_k (w_k - 1) r^(n-1-k), a0 being a digit of radix dim
+    and each bar slot one of radix r.  For r = 0 the weights above 0 are
+    empty.
+    """
     red = list(algebra.reduced_indices)
     return [
         {
@@ -433,26 +464,183 @@ def chain_spaces(algebra, max_weight):
     ]
 
 
-def term_matrix(term_fn, src, dst):
-    """SparseMatrix of a term generator term_fn(a0, word, out_terms): column j
-    is its value on the j-th key of src, in the rows dst {key: row}."""
-    m = SparseMatrix(len(dst), len(src))
-    for j, (a0, word) in enumerate(src):
-        term_fn(a0, word, lambda key, v: chain_add(m.entries, (dst[key], j), v))
-    return m
+def _word_index(word, r):
+    """The mixed-radix index of a word of complement indices, radix r."""
+    index = 0
+    for i in word:
+        index = index * r + i - 1
+    return index
+
+
+# -- run-form assembly ---------------------------------------------------------------
+# An operator in run form is a generator runs(n) of the units of its matrix on
+# the chains of weight n: (target weight, value, [(row, col, k, drow, dcol)]),
+# each run standing for the entries (row + t drow, col + t dcol), t < k, all
+# carrying value, all distinct within the unit.  Rows and columns are
+# chain_spaces indices, so a term family whose digits run over a range is a
+# run: the tail of an interior slot of L_P, the kept word of a wrap window or
+# of I_P, both sides of a rotation of B.  A run stops where its sign changes.
+
+
+def _digit_parities(algebra):
+    """sd(a) mod 2 for a over the full basis and over the complement digits."""
+    full = [(d - 1) % 2 for d in algebra.degrees]
+    return full, full[1:]
+
+
+def _parity_runs(positions):
+    """[(parity, start, stop)]: the maximal runs of constant digit-sum parity
+    over the mixed-radix numbers whose digits, most significant first, have
+    the parities positions[0], positions[1], ..."""
+    runs, size = [(0, 0, 1)], 1
+    for par in reversed(positions):
+        out = []
+        for d, q in enumerate(par):
+            for p, lo, hi in runs:
+                p, lo, hi = p ^ q, lo + d * size, hi + d * size
+                if out and out[-1][0] == p and out[-1][2] == lo:
+                    out[-1] = (p, out[-1][1], hi)
+                else:
+                    out.append((p, lo, hi))
+        runs, size = out, size * len(par)
+    return runs
+
+
+def _word_parity(par, word):
+    return sum(par[i] for i in word) % 2
+
+
+def _grid(row, col, n1, step1, n2, step2):
+    """Runs covering (row, col) + a step1 + b step2 for a < n1, b < n2; each
+    step is (drow, dcol) and the longer side becomes the run."""
+    if n1 < n2:
+        n1, step1, n2, step2 = n2, step2, n1, step1
+    (dr, dc), (er, ec) = step1, step2
+    return [(row + b * er, col + b * ec, n1, dr, dc) for b in range(n2)]
+
+
+def lie_runs(algebra, op, n):
+    """L_op on weight n in run form (the per-key form is lie_terms).
+
+    Interior slot j of arity l: the source digits are (a0, head | seg | tail)
+    and the target digits (a0, head | out | tail), so each prefix (a0, head)
+    carries a run over the tail; op is evaluated once per (l, seg).  Wrap at
+    rotation point i: the window word[i:] + (a0,) + word[:m] is evaluated
+    once, and the kept word[m:i] is a run, strided by r^(n-i) in the source.
+    """
+    dim, r = algebra.dim, algebra.dim - 1
+    red = algebra.reduced_indices
+    full, par = _digit_parities(algebra)
+    for l in op.arities():
+        if l > n + 1:
+            continue
+        segs = [(s, out, c) for s, seg in enumerate(itertools.product(red, repeat=l))
+                for out, c in op.eval(l, seg).items() if out] if l <= n else []
+        for j in range(n - l + 1):
+            tail = r ** (n - j - l)
+            step = (r * tail, r ** l * tail)
+            for mu, lo, hi in _parity_runs([full] + [par] * j):
+                sgn = _interior_sign(op.sdeg, mu)
+                for s, out, c in segs:
+                    yield n - l + 1, sgn * c, _grid(
+                        lo * step[0] + (out - 1) * tail, lo * step[1] + s * tail,
+                        hi - lo, step, tail, (1, 1))
+        for i in range(n + 1 - l, n + 1):
+            m = l - (n - i) - 1
+            kept = _parity_runs([par] * (i - m))
+            stride = r ** (n - i)
+            for z, zw in enumerate(itertools.product(red, repeat=n - i)):
+                rest = _word_parity(full, zw)
+                for a0 in range(dim):
+                    for a, aw in enumerate(itertools.product(red, repeat=m)):
+                        val = op.eval(l, zw + (a0,) + aw)
+                        if not val:
+                            continue
+                        col = a0 * r ** n + a * r ** (n - m) + z
+                        mu0 = full[a0] + _word_parity(full, aw)
+                        for eps, lo, hi in kept:
+                            sgn = _rotation_sign(mu0 + eps, rest)
+                            for out, c in val.items():
+                                yield n - l + 1, sgn * c, [(
+                                    out * r ** (i - m) + lo, col + lo * stride,
+                                    hi - lo, 1, stride)]
+
+
+def connes_runs(algebra, n):
+    """B on weight n in run form (the per-key form is connes_terms): the i-th
+    rotation sends the digits (a0, A | Z) to (0, Z | a0 - 1 | A), a run over
+    A and over Z for each a0 of the complement."""
+    r = algebra.dim - 1
+    full, par = _digit_parities(algebra)
+    for i in range(n + 1):
+        heads, tails = _parity_runs([par] * i), _parity_runs([par] * (n - i))
+        for a0 in algebra.reduced_indices:
+            for eps, a_lo, a_hi in heads:
+                for rest, z_lo, z_hi in tails:
+                    yield n + 1, _rotation_sign(eps + full[a0], rest), _grid(
+                        z_lo * r ** (i + 1) + (a0 - 1) * r ** i + a_lo,
+                        a0 * r ** n + a_lo * r ** (n - i) + z_lo,
+                        a_hi - a_lo, (1, r ** (n - i)), z_hi - z_lo, (r ** (i + 1), 1))
+
+
+def contraction_runs(algebra, cochain, n):
+    """I_P on weight n in run form (the per-key form is contraction_terms):
+    (a0, S | T) goes to (k, T) for each k of a0 P(S), a run over T."""
+    p = _contraction_arity(cochain)
+    if p is None or p > n:
+        return
+    r = algebra.dim - 1
+    tail = r ** (n - p)
+    for a0 in range(algebra.dim):
+        sgn = _cap_sign(cochain.sdeg, algebra.degrees[a0])
+        for s, seg in enumerate(itertools.product(algebra.reduced_indices, repeat=p)):
+            coeffs = {}
+            for out, c in cochain.eval(p, seg).items():
+                for k, m in algebra.product(a0, out).items():
+                    chain_add(coeffs, k, sgn * c * m)
+            for k, v in coeffs.items():
+                yield n - p, v, [(k * tail, a0 * r ** n + s * tail, tail, 1, 1)]
+
+
+def term_matrix(runs, shape, col_offsets, row_offsets):
+    """SparseMatrix of an operator in run form: the weight-n chains are the
+    columns from col_offsets[n] on, for each n in col_offsets, and a target
+    weight m the rows from row_offsets[m] on.
+
+    Each unit is accumulated at once: its entries are made by slicing one
+    list of the indices (so the entries share their index objects), and
+    only those that meet an earlier entry go through chain_add, so every
+    entry sums its terms in the order lie_terms, connes_terms and
+    contraction_terms give them."""
+    mat = SparseMatrix(*shape)
+    acc = mat.entries
+    ints = list(range(max(shape)))
+    for n, co in col_offsets.items():
+        for target, value, unit in runs(n):
+            if not value:
+                continue
+            ro = row_offsets[target]
+            new = dict.fromkeys(itertools.chain.from_iterable(
+                zip(ints[ro + i:ro + i + k * di:di], ints[co + j:co + j + k * dj:dj])
+                for i, j, k, di, dj in unit), value)
+            for key in new.keys() & acc.keys():
+                chain_add(acc, key, new.pop(key))
+            acc.update(new)
+    return mat
 
 
 def boundary_matrices(algebra, spaces, struct=None):
     """d_n: C_n -> C_{n-1} for n = 1..len(spaces)-1 (index 0 is None)."""
-    terms = partial(lie_terms, algebra, struct or DgStructure(algebra))
-    return [None] + [term_matrix(terms, spaces[n], spaces[n - 1])
+    runs = partial(lie_runs, algebra, struct or DgStructure(algebra))
+    return [None] + [term_matrix(runs, (len(spaces[n - 1]), len(spaces[n])),
+                                 {n: 0}, {n - 1: 0})
                      for n in range(1, len(spaces))]
 
 
 def connes_matrices(algebra, spaces):
     """B_n: C_n -> C_{n+1} for n = 0..len(spaces)-2."""
-    terms = partial(connes_terms, algebra)
-    return [term_matrix(terms, spaces[n], spaces[n + 1])
+    runs = partial(connes_runs, algebra)
+    return [term_matrix(runs, (len(spaces[n + 1]), len(spaces[n])), {n: 0}, {n + 1: 0})
             for n in range(len(spaces) - 1)]
 
 
@@ -530,7 +718,8 @@ def hochschild_homology(algebra, degree_range):
 
 
 class CochainBasis:
-    """Indexed basis of normalized cochains of one arity."""
+    """Indexed basis of normalized cochains of one arity: (w, t) sits at
+    dim . (mixed-radix index of w, as in chain_spaces) + t."""
 
     def __init__(self, algebra, arity):
         self.algebra = algebra
@@ -562,13 +751,15 @@ def _cochain_diff_matrix(algebra, arity):
     src = CochainBasis(algebra, arity)
     dst = CochainBasis(algebra, arity + 1)
     m = SparseMatrix(len(dst), len(src))
+    dim, r = algebra.dim, algebra.dim - 1
     for j, (w, t) in enumerate(src.keys):
         p = Cochain(algebra, {arity: {w: {t: 1}}}, arity - 1, arity + 2)
         dp = cochain_differential(algebra, p, arity + 1)
         comp = dp.components.get(arity + 1, {})
         for w2, out in comp.items():
+            row = dim * _word_index(w2, r)
             for t2, c in out.items():
-                m.add_to(dst.index[w2, t2], j, c)
+                m.add_to(row + t2, j, c)
     return m
 
 

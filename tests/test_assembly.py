@@ -1,0 +1,182 @@
+"""The mixed-radix chain index and the run-form operator assembly.
+
+term_matrix computes every row and column of d, B and I_P from the
+mixed-radix index of chain_spaces, so that index is pinned here, and the
+run form is compared with the per-key generators (lie_terms, connes_terms,
+contraction_terms) applied to each basis chain: the same entries, values
+and types, on generated degree-0 algebras, on graded and dg ones, and for a
+contraction by a cochain with Fraction values.
+"""
+
+import itertools
+from fractions import Fraction
+from functools import partial
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ncperiod.algebra import (
+    DgAlgebra,
+    a2_quiver_algebra,
+    build_field,
+    build_matrix_algebra,
+    build_path_algebra,
+    build_truncated_polynomial_algebra,
+    kronecker_algebra,
+)
+from ncperiod.hochschild import (
+    ChainBasis,
+    Cochain,
+    DgStructure,
+    apply_terms,
+    chain_spaces,
+    connes_runs,
+    connes_terms,
+    contraction_runs,
+    contraction_terms,
+    lie_runs,
+    lie_terms,
+    term_matrix,
+)
+
+
+def mixed_radix(alg, a0, word):
+    r = alg.dim - 1
+    n = len(word)
+    return a0 * r ** n + sum((w - 1) * r ** (n - 1 - k) for k, w in enumerate(word))
+
+
+@pytest.mark.parametrize("build", [
+    build_field, lambda: build_truncated_polynomial_algebra(2), a2_quiver_algebra,
+    kronecker_algebra, lambda: build_matrix_algebra(2)],
+    ids=["Q", "T2", "A2", "kron", "M2"])
+def test_chain_index_is_mixed_radix(build):
+    alg = build()
+    spaces = chain_spaces(alg, 4)
+    assert [len(s) for s in spaces] == [alg.dim * (alg.dim - 1) ** n for n in range(5)]
+    for space in spaces:
+        assert all(j == mixed_radix(alg, a0, w) for (a0, w), j in space.items())
+    if alg.dim == 1:  # r = 0: only the weight-0 chain 1 x []
+        assert spaces[0] == {(0, ()): 0} and not any(spaces[1:])
+
+
+# -- run form against the per-key generators ---------------------------------------
+
+
+EXT1 = DgAlgebra(["1", "t"], [0, 1], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+                 name="ext1")
+POLY2 = DgAlgebra(["1", "u"], [0, 2], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+                  name="poly-deg2-trunc")
+# d(x) = t with |x| = 0, |t| = 1: the b_1 terms land in the wraps, and the
+# complement digits have both parities, so the signed runs split
+CONTRACTIBLE = DgAlgebra(
+    ["1", "x", "t"], [0, 0, 1],
+    {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (0, 2): {2: 1}, (2, 0): {2: 1}},
+    diff={1: {2: 1}}, name="contractible-pair")
+
+TOP = 5  # the operators are compared on the chains of weight 0..TOP
+
+
+def assert_run_form_matches_terms(alg, cochain=None):
+    """d, B and (for a cochain) I_P from term_matrix on ChainBasis(alg, TOP + 1),
+    column by column against apply_terms of the per-key generator."""
+    struct = DgStructure(alg)
+    ops = [(partial(lie_runs, alg, struct), partial(lie_terms, alg, struct)),
+           (partial(connes_runs, alg), partial(connes_terms, alg))]
+    if cochain is not None:
+        ops.append((partial(contraction_runs, alg, cochain),
+                    partial(contraction_terms, alg, cochain)))
+    basis = ChainBasis(alg, TOP + 1)
+    off = basis.offsets
+    for runs, terms in ops:
+        mat = term_matrix(runs, (len(basis), off[TOP + 1]),
+                          {n: off[n] for n in range(TOP + 1)}, off)
+        for j, col in enumerate(mat.columns()):
+            want = apply_terms(terms, {basis.keys[j]: 1})
+            got = {basis.keys[i]: v for i, v in col.items()}
+            assert got == want, (terms.func.__name__, basis.keys[j])
+            assert [type(got[k]) for k in want] == [type(v) for v in want.values()]
+
+
+def _inverse(m):
+    """The inverse of a square matrix of Fractions (Gauss-Jordan)."""
+    n = len(m)
+    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if a[r][c])
+        a[c], a[p] = a[p], a[c]
+        a[c] = [v / a[c][c] for v in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                a[r] = [v - a[r][c] * w for v, w in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
+def rebased(alg, rows):
+    """alg in the basis 1, v_1, .., v_{dim-1}, v_i = sum_j rows[i][j] b_j:
+    rows[0] must be the unit vector of b_0 and the matrix invertible."""
+    inv = _inverse([[Fraction(v) for v in row] for row in rows])
+    mult = {}
+    for i, j in itertools.product(range(alg.dim), repeat=2):
+        old = {}
+        for a, b in itertools.product(range(alg.dim), repeat=2):
+            for k, c in alg.product(a, b).items():
+                old[k] = old.get(k, 0) + rows[i][a] * rows[j][b] * c
+        new = {t: sum(old.get(k, 0) * inv[k][t] for k in range(alg.dim))
+               for t in range(alg.dim)}
+        mult[i, j] = {t: v for t, v in new.items() if v}
+    return DgAlgebra([f"v{i}" for i in range(alg.dim)], alg.degrees, mult,
+                     name=f"{alg.name}:rebased")
+
+
+BASES = [build_truncated_polynomial_algebra(n) for n in (2, 3, 4)] + [
+    a2_quiver_algebra(), kronecker_algebra(), build_matrix_algebra(2),
+    build_path_algebra([1, 2, 3], [("f", 1, 2)])]
+
+
+@st.composite
+def degree0_algebras(draw):
+    """A builder algebra of dimension <= 4 in a random basis 1, v_1, ..:
+    v_i = c_i 1 + (L D U)_i with L, U unitriangular and D diagonal in
+    {1, -1, 2}, so the structure constants are dense and, where D has a 2,
+    partly Fractions."""
+    alg = draw(st.sampled_from(BASES))
+    k = alg.dim - 1
+    small = st.integers(-1, 1)
+    low = [[1 if i == j else draw(small) if j < i else 0 for j in range(k)]
+           for i in range(k)]
+    up = [[1 if i == j else draw(small) if j > i else 0 for j in range(k)]
+          for i in range(k)]
+    diag = [draw(st.sampled_from([1, 1, -1, 2])) for _ in range(k)]
+    p = [[sum(low[i][m] * diag[m] * up[m][j] for m in range(k)) for j in range(k)]
+         for i in range(k)]
+    rows = [[1] + [0] * k] + [[draw(small)] + p[i] for i in range(k)]
+    return rebased(alg, rows)
+
+
+@st.composite
+def single_arity_cochains(draw, alg):
+    """A cochain of one arity p <= 3 with int and Fraction values."""
+    p = draw(st.integers(0, 3))
+    words = list(itertools.product(alg.reduced_indices, repeat=p))
+    coeff = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    comp = {w: {t: draw(coeff) for t in draw(st.sets(st.integers(0, alg.dim - 1),
+                                                     max_size=2))}
+            for w in draw(st.lists(st.sampled_from(words), max_size=4))}
+    return Cochain(alg, {p: comp}, draw(st.integers(-1, 3)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_run_form_matches_per_key_form_on_generated_algebras(data):
+    alg = data.draw(degree0_algebras())
+    assert_run_form_matches_terms(alg, data.draw(single_arity_cochains(alg)))
+
+
+@pytest.mark.parametrize("alg", [build_field(), build_matrix_algebra(2), EXT1, POLY2,
+                                 CONTRACTIBLE], ids=lambda a: a.name)
+def test_run_form_matches_per_key_form(alg):
+    half = {t: Fraction(1, 2) for t in range(alg.dim)}
+    words = itertools.product(alg.reduced_indices, repeat=1)
+    cochain = Cochain(alg, {1: {w: dict(half) for w in words}}, 0)
+    assert_run_form_matches_terms(alg, cochain)

@@ -1,14 +1,18 @@
 """Each of these concepts has one implementation in the package: the chain
 index (`hochschild.chain_spaces`), the operator assembly
-(`hochschild.term_matrix`), the Lie-action slot enumeration and its signs
-(`hochschild.lie_terms`), the sparse accumulate (`exactlin.chain_add`), the
-sparse apply (`exactlin.apply_columns`), and the t-window truncation with its
-homology and window-to-window rank (`cyclic.ReducedMixedComplex.truncation`,
-`.homology` and `.induced_rank`), and the homology of a complex
-(`exactlin.homology_walk`, which eliminates each differential once).  The modules that use them import the one
-object, `calculus.OperatorSpace` builds its match index by calling
-lie_terms, and no module grows a hand-written `.get(k, 0) + v` accumulate
-beside chain_add, apart from the loops listed in ALLOWED."""
+(`hochschild.term_matrix`, which takes d, B and I_P in run form and computes
+every row and column from the mixed-radix chain index, with no per-term key),
+the sign rules of the chain operators (`_interior_sign`, `_rotation_sign` and
+`_cap_sign`, called by both the run form and the per-key generators), the
+Lie-action slot enumeration (`hochschild.lie_terms`), the sparse accumulate
+(`exactlin.chain_add`), the sparse apply (`exactlin.apply_columns`), and the
+t-window truncation with its homology and window-to-window rank
+(`cyclic.ReducedMixedComplex.truncation`, `.homology` and `.induced_rank`),
+and the homology of a complex (`exactlin.homology_walk`, which eliminates
+each differential once).  The modules that use them import the one object,
+`calculus.OperatorSpace` builds its match index by calling lie_terms, and no
+module grows a hand-written `.get(k, 0) + v` accumulate beside chain_add,
+apart from the loops listed in ALLOWED."""
 
 import ast
 import functools
@@ -39,6 +43,7 @@ def test_shared_names_are_one_object():
         assert mod.chain_add is exactlin.chain_add
     assert cyclic.apply_columns is calculus.apply_columns is exactlin.apply_columns
     assert calculus.lie_terms is hochschild.lie_terms
+    assert calculus.term_matrix is hochschild.term_matrix
     assert not hasattr(cyclic, "_image")
 
 
@@ -140,3 +145,51 @@ def test_one_homology_walk():
                 if site[0] == "hochschild"]
     assert set(_call_sites("IncrementalSpan")) == {("exactlin", "member"),
                                                    ("cyclic", "_induced_rank")}
+
+
+# (module, innermost function) -> why it may read an index dict by a key
+INDEX_LOOKUPS = {
+    ("calculus", "lie_into"): "the Lie action through the OperatorSpace match index",
+    ("calculus", "_cochain_is_coboundary"): "one cochain as a vector, not a matrix",
+}
+
+
+def _index_lookups(module):
+    """Innermost functions of the module that subscript `index`, `dst` or an
+    `.index` attribute, i.e. find a row or column by its chain key."""
+    found = set()
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Subscript):
+                v = child.value
+                if getattr(v, "attr", None) == "index" or getattr(v, "id", None) in (
+                        "index", "dst"):
+                    found.add((module, func))
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            visit(child, inner)
+
+    visit(ast.parse((SRC / f"{module}.py").read_text()), None)
+    return found
+
+
+def test_one_run_form_assembly():
+    """d, B and I_P become matrices only through term_matrix, in run form; no
+    function of hochschild or calculus finds a matrix row by its chain key,
+    apart from INDEX_LOOKUPS; each sign rule is written once and used by the
+    run form and the per-key generator alike."""
+    assert set(_call_sites("term_matrix")) == {
+        ("hochschild", "boundary_matrices"), ("hochschild", "connes_matrices"),
+        ("calculus", "operator_matrix")}
+    assert _index_lookups("hochschild") | _index_lookups("calculus") == set(INDEX_LOOKUPS)
+    signs = {
+        "_interior_sign": {"lie_terms", "lie_runs"},
+        "_rotation_sign": {"lie_terms", "lie_runs", "connes_terms", "connes_runs"},
+        "_cap_sign": {"contraction_terms", "contraction_runs"},
+    }
+    for name, users in signs.items():
+        defs = [path.stem for path in sorted(SRC.glob("*.py"))
+                if f"def {name}(" in path.read_text()]
+        assert defs == ["hochschild"], name
+        assert set(_call_sites(name)) == {("hochschild", f) for f in users}, name
