@@ -10,13 +10,18 @@ slot enumeration and the Lie-action signs have one implementation.
 An operator matrix is stored by columns, {col: ((row, coeff), ...)}, with no
 zero entries; an integral coefficient is stored as an int, which is exact
 since int and Fraction compare and hash equal, and keeps the products of
-structure constants out of Fraction arithmetic.  An identity lhs = rhs is
-checked as one residual lhs - rhs, {col: {row: coeff}} on the check columns
-(a prefix of the weight-ordered basis): the Lie action of a cochain is added
-into it in place, and a commutator A B - sign . B A is subtracted as one
-outer-product sparse product (Gustavson 1978) over the stored nonzeros.  The
-identity holds iff every residual column is zero; its witness is the smallest
-nonzero column, the first chain in weight order where the two sides differ.
+structure constants out of Fraction arithmetic.  An operator identity
+lhs = rhs, in verify_lie_dagger and calculus_defect alike, is checked as
+residuals lhs - rhs of the form sum s . X Y + sum s . Z, {col: {row: coeff}}
+on the check columns (a prefix of the weight-ordered basis): the Lie action
+of a cochain is added into a residual in place, and the rest by one kernel,
+_residual, whose products are outer-product sparse products (Gustavson 1978)
+over the stored nonzeros.  The identity holds exactly iff every residual
+column is zero; its witness is the smallest nonzero column, the first chain
+in weight order where the two sides differ.  An identity of calculus_defect
+claimed on homology instead "holds on homology" when each residual sends
+every homology representative to a boundary, and otherwise fails at the
+first (label, degree) where one does not.
 
 Cup-product sign convention (see README): for components of arities p, q,
 
@@ -34,12 +39,14 @@ from functools import partial
 from itertools import compress, product as iproduct
 
 from .coeff import exact
-from .exactlin import apply_columns, chain_add, member
+from .exactlin import apply_columns, chain_add, member, solve
 from .hochschild import (
     ArityBoundExceeded,
     ChainBasis,
     Cochain,
+    CochainBasis,
     DgStructure,
+    _cochain_diff_matrix,
     basis_cochains,
     cochain_differential,
     cocycle_representatives,
@@ -243,25 +250,16 @@ def _transpose(mat, ncols):
     return {r: tuple(v) for r, v in rows.items()}
 
 
-def _dict_columns(mat):
-    """{col: {row: coeff}} of a stored matrix, for applying it many times."""
-    return {col: dict(entries) for col, entries in mat.items()}
+def _residual(res, ncols, products, singles=()):
+    """Add the sum of s . X Y over products (s, X, tY) and of s . Z over
+    singles (s, Z) to res, {col: {row: c}}, in place on the columns < ncols,
+    and return res.
 
-
-def apply_operator(mat, vec):
-    """The image of vec, {col: c}, under a matrix with dict columns."""
-    return apply_columns(lambda j: mat.get(j, {}), vec)
-
-
-def _sub_commutator(res, A, tA, B, tB, sign):
-    """Subtract A B - sign . B A from res, {col: {row: c}}, in place on the
-    columns of the transposes, and return res.
-
-    tX is X by rows over the columns wanted.  Outer-product form (Gustavson
-    1978): (A B)[:, c] is the sum of A[:, i] * B[i, c] over the rows i of
-    tB that are also columns of A, so only stored nonzeros are touched.
+    tY is Y by rows over the columns < ncols.  Outer-product form (Gustavson
+    1978): (X Y)[:, c] is the sum of X[:, i] * Y[i, c] over the rows i of tY
+    that are also columns of X, so only stored nonzeros are touched.
     """
-    for X, tY, s in ((A, tB, -1), (B, tA, sign)):
+    for s, X, tY in products:
         for i in tY.keys() & X.keys():
             xcol = X[i]
             for c, y in tY[i]:
@@ -269,6 +267,12 @@ def _sub_commutator(res, A, tA, B, tB, sign):
                 y *= s
                 for r, x in xcol:
                     acc[r] = acc.get(r, 0) + x * y
+    for s, Z in singles:
+        for c, entries in Z.items():
+            if c < ncols:
+                acc = res.setdefault(c, {})
+                for r, z in entries:
+                    acc[r] = acc.get(r, 0) + s * z
     return res
 
 
@@ -276,6 +280,10 @@ def _first_nonzero(res):
     """The smallest column of res with a nonzero entry, or None."""
     return min(compress(res, map(any, map(dict.values, res.values()))),
                default=None)
+
+
+def _sign(k):
+    return -1 if k % 2 else 1
 
 
 def _report(axiom, witness):
@@ -295,14 +303,15 @@ def _lie_matrices(space, cochains, wrap_sign):
 
 def _bracket_action_witness(space, cochains, mats, arity_bound, wrap_sign,
                             a_range):
+    ncheck = len(space.check_cols)
     for a in a_range:
         P, (mp, tp) = cochains[a], mats[a]
         for b in range(a, len(cochains)):
             Q, (mq, tq) = cochains[b], mats[b]
             res = space.lie_into({}, gerstenhaber_bracket(P, Q, 2 * arity_bound),
-                                 wrap_sign, len(space.check_cols))
-            sign = -1 if (P.sdeg * Q.sdeg) % 2 else 1
-            col = _first_nonzero(_sub_commutator(res, mp, tp, mq, tq, sign))
+                                 wrap_sign, ncheck)
+            sign = _sign(P.sdeg * Q.sdeg)
+            col = _first_nonzero(_residual(res, ncheck, ((-1, mp, tq), (sign, mq, tp))))
             if col is not None:
                 return (space.keys[col], a, b)
     return None
@@ -391,8 +400,8 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, _wrap_sign=1,
         witness = None
         for a, (P, (mp, tp)) in enumerate(zip(cochains, mats)):
             res = space.lie_into({}, lhs(P), _wrap_sign, ncheck) if lhs else {}
-            sign = -1 if P.sdeg % 2 else 1
-            col = _first_nonzero(_sub_commutator(res, op, t_op, mp, tp, sign))
+            col = _first_nonzero(_residual(
+                res, ncheck, ((-1, op, tp), (_sign(P.sdeg), mp, t_op))))
             if col is not None:
                 witness = (space.keys[col], a)
                 break
@@ -400,12 +409,7 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, _wrap_sign=1,
 
     res = space.lie_into({}, structure_as_cochain(algebra, 2 * arity_bound),
                          _wrap_sign, ncheck)
-    for c, entries in boundary.items():
-        if c < ncheck:
-            acc = res.setdefault(c, {})
-            for r, v in entries:
-                chain_add(acc, r, -v)
-    col = _first_nonzero(res)
+    col = _first_nonzero(_residual(res, ncheck, (), ((-1, boundary),)))
     reports.append(_report("action-at-structure: L_b = boundary",
                            None if col is None else space.keys[col]))
     return reports
@@ -428,10 +432,33 @@ def _is_boundary(space, hh, vec):
     return member(hh.spots[n].boundary_basis, {i - off: v for i, v in vec.items()})
 
 
-def _cochain_is_coboundary(algebra, c: Cochain, arity_bound):
-    """Is a single-arity cochain a coboundary of the normalized complex?"""
-    from .hochschild import CochainBasis, _cochain_diff_matrix
+def _chain_verdict(space, axiom, residuals, homology=None):
+    """The report of an identity from its residuals [(label, res)].
 
+    "holds exactly" when every residual is zero on the check columns.
+    Otherwise, given homology = (hh, {degree: representatives}), "holds on
+    homology" when each residual sends every representative to a boundary,
+    else "fails" at the first (label, degree) that does not; with no
+    homology (an identity claimed at chain level) "fails" at the chain of the
+    first nonzero column.
+    """
+    cols = [col for _, res in residuals if (col := _first_nonzero(res)) is not None]
+    if not cols:
+        return AxiomReport(axiom, "holds exactly")
+    if homology is None:
+        return AxiomReport(axiom, "fails", space.keys[cols[0]])
+    hh, reps = homology
+    for label, res in residuals:
+        for n, vecs in reps.items():
+            for rep in vecs:
+                if not _is_boundary(space, hh,
+                                    apply_columns(lambda j: res.get(j, {}), rep)):
+                    return AxiomReport(axiom, "fails", (label, n))
+    return AxiomReport(axiom, "holds on homology")
+
+
+def _cochain_is_coboundary(algebra, c: Cochain):
+    """Is a single-arity cochain a coboundary of the normalized complex?"""
     arities = c.arities()
     if not arities:
         return True
@@ -440,223 +467,125 @@ def _cochain_is_coboundary(algebra, c: Cochain, arity_bound):
     l = arities[0]
     if l == 0:
         return not c.components
-    dmat = _cochain_diff_matrix(algebra, l - 1)
     cb = CochainBasis(algebra, l)
-    vec = {}
-    for w, out in c.components[l].items():
-        for t, v in out.items():
-            vec[cb.index[w, t]] = v
-    return member([dict(col) for col in dmat.columns() if col], vec)
+    vec = {cb.index[w, t]: v for w, out in c.components[l].items()
+           for t, v in out.items()}
+    return solve(_cochain_diff_matrix(algebra, l - 1), vec) is not None
+
+
+def _cochain_verdict(algebra, axiom, defects):
+    """The report of an identity on HH^* from its defects [(label, cochain)]:
+    "holds exactly" when all vanish, "holds on homology" when each is a
+    coboundary, else "fails" at the first label that is not."""
+    status = "holds exactly"
+    for label, c in defects:
+        if c.is_zero():
+            continue
+        status = "holds on homology"
+        if not cochain_differential(algebra, c).is_zero() or \
+                not _cochain_is_coboundary(algebra, c):
+            return AxiomReport(axiom, "fails", label)
+    return AxiomReport(axiom, status)
 
 
 def calculus_defect(algebra, degree_bound=2, bar_bound=4):
     """Evaluate the calculus axioms at chain level on HH^* cocycle reps.
 
-    Axioms whose chain-level defect vanishes identically report "holds
-    exactly"; otherwise the defect is applied to homology representatives
-    (or tested for coboundary-ness, for the purely cochain-level axioms) and
-    reports "holds on homology" when every class dies, else "fails".  A
-    negative bound raises ValueError.
+    Each identity is written as residuals (module docstring) and judged by
+    one verdict: the chain-level identities by _chain_verdict on their
+    operator residuals, the cochain-level ones on HH^* by _cochain_verdict
+    on their defect cochains; cup-associativity is claimed at chain level
+    and fails on any nonzero defect.  A negative bound raises ValueError.
     """
     if min(degree_bound, bar_bound) < 0:
         raise ValueError(f"negative bound: degree {degree_bound}, bar {bar_bound}")
     if not algebra.is_degree_zero():
         raise ValueError("calculus_defect requires a degree-0 algebra")
     space = OperatorSpace(algebra, bar_bound)
+    ncheck = len(space.check_cols)
     # homology spots cover one weight above the probed classes, so that
     # weight-raising defects (arity-0 cochains, the Connes factor) stay
     # within the membership-checkable range
     hh = hochschild_homology(algebra, range(0, bar_bound + 1))
     offsets = space.basis.offsets
-    reps_by_degree = {
+    homology = (hh, {
         n: [{offsets[n] + i: v for i, v in rep.items()}
             for rep in hh.spots[n].homology_reps]
         for n in range(0, bar_bound)
-    }
+    })
     classes = []
     for s in range(0, degree_bound + 1):
         classes.extend(cocycle_representatives(algebra, s, degree_bound + 2))
     for c in classes:
         c.arity_bound = 2 * degree_bound + 2
-    connes = _dict_columns(space.connes_matrix())
-    reports = []
+    reports = [_cochain_verdict(algebra, "cup-commutativity (on HH^*)", (
+        ((P.sdeg + 1, Q.sdeg + 1), cup_product(algebra, P, Q).add(
+            cup_product(algebra, Q, P), scale=-_sign((P.sdeg + 1) * (Q.sdeg + 1))))
+        for P, Q in iproduct(classes, repeat=2)))]
 
-    def contraction(P):
-        return _dict_columns(space.contraction_matrix(P))
-
-    def lie(P):
-        return _dict_columns(space.lie_matrix(P))
-
-    # (1) graded commutativity of cup, on HH^*
     witness = None
-    status = "holds exactly"
-    for P, Q in iproduct(classes, repeat=2):
-        comm = cup_product(algebra, P, Q).add(
-            cup_product(algebra, Q, P),
-            scale=-(-1 if ((P.sdeg + 1) * (Q.sdeg + 1)) % 2 else 1),
-        )
-        if comm.is_zero():
-            continue
-        status = "holds on homology"
-        dcomm = cochain_differential(algebra, comm)
-        if not dcomm.is_zero() or not _cochain_is_coboundary(
-            algebra, comm, 2 * degree_bound + 2
-        ):
-            status, witness = "fails", (P.sdeg + 1, Q.sdeg + 1)
-            break
-    reports.append(AxiomReport("cup-commutativity (on HH^*)", status, witness))
-
-    # (2) associativity of cup at chain level
-    witness = None
-    status = "holds exactly"
     for P, Q, R in iproduct(classes, repeat=3):
         assoc = cup_product(algebra, cup_product(algebra, P, Q), R).add(
             cup_product(algebra, P, cup_product(algebra, Q, R)), scale=-1
         )
         if not assoc.is_zero():
-            status, witness = "fails", (P.sdeg, Q.sdeg, R.sdeg)
+            witness = (P.sdeg, Q.sdeg, R.sdeg)
             break
-    reports.append(AxiomReport("cup-associativity (chain level)", status, witness))
+    reports.append(_report("cup-associativity (chain level)", witness))
 
-    # (3) Leibniz [P, Q cup R] = [P,Q] cup R + (-1)^{(|P|+1)|Q|} Q cup [P,R]
-    witness = None
-    status = "holds exactly"
-    for P, Q, R in iproduct(classes, repeat=3):
-        degP, degQ = P.sdeg + 1, Q.sdeg + 1
-        lhs = gerstenhaber_bracket(P, cup_product(algebra, Q, R))
-        rhs = cup_product(algebra, gerstenhaber_bracket(P, Q), R).add(
-            cup_product(algebra, Q, gerstenhaber_bracket(P, R)),
-            scale=(-1 if ((degP + 1) * degQ) % 2 else 1),
-        )
-        defect = lhs.add(rhs, scale=-1)
-        if defect.is_zero():
-            continue
-        if status == "holds exactly":
-            status = "holds on homology"
-        if not cochain_differential(algebra, defect).is_zero() or not \
-                _cochain_is_coboundary(algebra, defect, 2 * degree_bound + 2):
-            status, witness = "fails", (degP, degQ, R.sdeg + 1)
-            break
-    reports.append(AxiomReport("bracket-cup Leibniz (on HH^*)", status, witness))
+    # Leibniz [P, Q cup R] = [P,Q] cup R + (-1)^{(|P|+1)|Q|} Q cup [P,R]
+    reports.append(_cochain_verdict(algebra, "bracket-cup Leibniz (on HH^*)", (
+        ((P.sdeg + 1, Q.sdeg + 1, R.sdeg + 1),
+         gerstenhaber_bracket(P, cup_product(algebra, Q, R)).add(
+             cup_product(algebra, gerstenhaber_bracket(P, Q), R).add(
+                 cup_product(algebra, Q, gerstenhaber_bracket(P, R)),
+                 scale=_sign((P.sdeg + 2) * (Q.sdeg + 1))), scale=-1))
+        for P, Q, R in iproduct(classes, repeat=3))))
 
-    # (4) module axiom: I_{P cup Q} = (-1)^{|P||Q|} I_Q I_P at chain level
-    witness = None
-    status = "holds exactly"
-    single = [c for c in classes if len(c.arities()) == 1]
-    for P, Q in iproduct(single, repeat=2):
-        cup = cup_product(algebra, P, Q)
-        m_cup = contraction(cup) if not cup.is_zero() else {}
-        mp = contraction(P)
-        mq = contraction(Q)
-        sgn = -1 if ((P.sdeg + 1) * (Q.sdeg + 1)) % 2 else 1
-        for col in space.check_cols:
-            lhs = m_cup.get(col, {})
-            rhs = {k: sgn * v for k, v in apply_operator(mq, apply_operator(mp, {col: 1})).items()}
-            if lhs != rhs:
-                status, witness = "fails", space.keys[col]
-                break
-        if witness:
-            break
-    reports.append(AxiomReport(
-        "contraction-module: I_{P cup Q} = (-1)^{|P||Q|} I_Q I_P (chain level)",
-        status, witness))
-
-    # The remaining axioms mix I, L and B.  Relative to the abstract calculus
-    # the realized contraction carries a suspension-order sign normalization
-    # (see README), under which the identities take the form:
+    # The chain-level identities, as residuals lhs - rhs on the check columns.
+    # Relative to the abstract calculus the realized contraction carries a
+    # suspension-order sign normalization (see README):
+    #   module:  I_{P cup Q} = (-1)^{|P||Q|} I_Q I_P, exactly
     #   cartan:  B I_P - (-1)^{|P|} I_P B = (-1)^{|P|+1} L_P
     #   mixed:   I_P L_Q - (-1)^{|P|(|Q|-1)} L_Q I_P = (-1)^{|P|(|Q|+1)} I_{[P,Q]}
     #   l-cup:   L_{P cup Q} = (-1)^{|Q|(|P|+1)} L_P I_Q + (-1)^{|P||Q|} I_P L_Q
+    single = [c for c in classes if len(c.arities()) == 1]
+    deg = [P.sdeg + 1 for P in single]
+    con = [space.contraction_matrix(P) for P in single]
+    lie = [space.lie_matrix(P) for P in single]
+    t_con = [_transpose(m, ncheck) for m in con]
+    t_lie = [_transpose(m, ncheck) for m in lie]
+    connes = space.connes_matrix()
+    t_connes = _transpose(connes, ncheck)
+    pairs = list(iproduct(range(len(single)), repeat=2))
+    cups = {(p, q): cup_product(algebra, single[p], single[q]) for p, q in pairs}
 
-    # (5) Cartan, on homology
-    def _classify(defect_pairs, axiom):
-        status, witness = "holds exactly", None
-        for label, d in defect_pairs:
-            if any(d({col: 1}) for col in space.check_cols):
-                status = "holds on homology"
-                break
-        if status == "holds on homology":
-            for label, d in defect_pairs:
-                for n, reps in reps_by_degree.items():
-                    for rep in reps:
-                        if not _is_boundary(space, hh, d(rep)):
-                            return AxiomReport(axiom, "fails", (label, n))
-        return AxiomReport(axiom, status, witness)
-
-    def cartan_defect(P):
-        mi = contraction(P)
-        ml = lie(P)
-        sgn = -1 if (P.sdeg + 1) % 2 else 1
-
-        def defect(vec):
-            out = apply_operator(connes, apply_operator(mi, vec))
-            for k, v in apply_operator(mi, apply_operator(connes, vec)).items():
-                chain_add(out, k, -sgn * v)
-            for k, v in apply_operator(ml, vec).items():
-                chain_add(out, k, sgn * v)
-            return out
-
-        return defect
-
-    reports.append(_classify(
-        [((P.sdeg + 1,), cartan_defect(P)) for P in single],
-        "cartan: B I_P - (-1)^{|P|} I_P B = (-1)^{|P|+1} L_P (on homology)",
-    ))
-
-    # (6) mixed precalculus
-    pairs = []
-    for P, Q in iproduct(single, repeat=2):
-        br = gerstenhaber_bracket(P, Q)
-        if len(br.arities()) > 1:
-            continue
-        mi = contraction(P)
-        ml = lie(Q)
-        m_br = contraction(br)
-        degP, degQ = P.sdeg + 1, Q.sdeg + 1
-        sgn = -1 if (degP * (degQ - 1)) % 2 else 1
-        gsn = -1 if (degP * (degQ + 1)) % 2 else 1
-
-        def defect(vec, mi=mi, ml=ml, m_br=m_br, sgn=sgn, gsn=gsn):
-            out = apply_operator(mi, apply_operator(ml, vec))
-            for k, v in apply_operator(ml, apply_operator(mi, vec)).items():
-                chain_add(out, k, -sgn * v)
-            for k, v in apply_operator(m_br, vec).items():
-                chain_add(out, k, -gsn * v)
-            return out
-
-        pairs.append(((degP, degQ), defect))
-    reports.append(_classify(
-        pairs,
-        "precalculus-mixed: [I_P, L_Q] = (-1)^{|P|(|Q|+1)} I_{[P,Q]} (on homology)",
-    ))
-
-    # (7) action against cup
-    pairs = []
-    for P, Q in iproduct(single, repeat=2):
-        cup = cup_product(algebra, P, Q)
-        m_cup = lie(cup)
-        mi_q = contraction(Q)
-        ml_p = lie(P)
-        mi_p = contraction(P)
-        ml_q = lie(Q)
-        degP, degQ = P.sdeg + 1, Q.sdeg + 1
-        a_sgn = -1 if (degQ * (degP + 1)) % 2 else 1
-        b_sgn = -1 if (degP * degQ) % 2 else 1
-
-        def defect(vec, m_cup=m_cup, mi_q=mi_q, ml_p=ml_p, mi_p=mi_p,
-                   ml_q=ml_q, a_sgn=a_sgn, b_sgn=b_sgn):
-            out = apply_operator(m_cup, vec)
-            for k, v in apply_operator(ml_p, apply_operator(mi_q, vec)).items():
-                chain_add(out, k, -a_sgn * v)
-            for k, v in apply_operator(mi_p, apply_operator(ml_q, vec)).items():
-                chain_add(out, k, -b_sgn * v)
-            return out
-
-        pairs.append(((degP, degQ), defect))
-    reports.append(_classify(
-        pairs,
-        "action-cup: L_{P cup Q} = (-1)^{|Q|(|P|+1)} L_P I_Q "
-        "+ (-1)^{|P||Q|} I_P L_Q (on homology)",
-    ))
-
+    module = [(None, _residual(
+        {}, ncheck, ((-_sign(deg[p] * deg[q]), con[q], t_con[p]),),
+        ((1, space.contraction_matrix(cups[p, q])),))) for p, q in pairs]
+    cartan = [((deg[p],), _residual(
+        {}, ncheck, ((1, connes, t_con[p]), (-_sign(deg[p]), con[p], t_connes)),
+        ((_sign(deg[p]), lie[p]),))) for p in range(len(single))]
+    mixed = []
+    for p, q in pairs:
+        br = gerstenhaber_bracket(single[p], single[q])
+        if len(br.arities()) <= 1:
+            mixed.append(((deg[p], deg[q]), _residual(
+                {}, ncheck, ((1, con[p], t_lie[q]),
+                             (-_sign(deg[p] * (deg[q] - 1)), lie[q], t_con[p])),
+                ((-_sign(deg[p] * (deg[q] + 1)), space.contraction_matrix(br)),))))
+    l_cup = [((deg[p], deg[q]), _residual(
+        space.lie_into({}, cups[p, q], 1, ncheck), ncheck,
+        ((-_sign(deg[q] * (deg[p] + 1)), lie[p], t_con[q]),
+         (-_sign(deg[p] * deg[q]), con[p], t_lie[q])))) for p, q in pairs]
+    for axiom, residuals, on_homology in (
+            ("contraction-module: I_{P cup Q} = (-1)^{|P||Q|} I_Q I_P (chain level)",
+             module, None),
+            ("cartan: B I_P - (-1)^{|P|} I_P B = (-1)^{|P|+1} L_P (on homology)",
+             cartan, homology),
+            ("precalculus-mixed: [I_P, L_Q] = (-1)^{|P|(|Q|+1)} I_{[P,Q]} "
+             "(on homology)", mixed, homology),
+            ("action-cup: L_{P cup Q} = (-1)^{|Q|(|P|+1)} L_P I_Q "
+             "+ (-1)^{|P||Q|} I_P L_Q (on homology)", l_cup, homology)):
+        reports.append(_chain_verdict(space, axiom, residuals, on_homology))
     return reports

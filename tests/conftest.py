@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from ncperiod.coeff import slot_coordinates
 from ncperiod.deform import MCElement
-from ncperiod.exactlin import IncrementalSpan, SparseMatrix, rref
+from ncperiod.exactlin import IncrementalSpan, SparseMatrix, chain_add, rref
 from ncperiod.hochschild import (
     Cochain,
     CochainBasis,
@@ -10,6 +10,7 @@ from ncperiod.hochschild import (
     boundary_matrices,
     chain_spaces,
     connes_matrices,
+    structure_as_cochain,
 )
 from ncperiod.period import _op_of
 
@@ -77,3 +78,80 @@ def random_first_order_mc(alg, ring, rng, arity_bound=6):
             vec[t] = cur + eps * (q * c)
     value = Cochain(alg, comps, 1, arity_bound)
     return MCElement(ring, value)
+
+
+# -- bar-level conjugation: an independent route for the gauge dictionary -----------
+
+
+def _coderivation_terms(algebra, cochain, word):
+    """Coderivation extension of a cochain on a full bar word (entries may
+    include the unit; unit outputs are kept, so this runs on BA, not B(A/k))."""
+    out = {}
+    n = len(word)
+    for l in cochain.arities():
+        for j in range(n - l + 1):
+            val = cochain.eval(l, word[j : j + l])
+            if not val:
+                continue
+            eps_j = sum(algebra.degrees[a] - 1 for a in word[:j])
+            sgn = -1 if (cochain.sdeg * eps_j) % 2 else 1
+            for t, c in val.items():
+                chain_add(out, word[:j] + (t,) + word[j + l :], sgn * c)
+    return out
+
+
+def _apply_coderivation(algebra, cochain, words):
+    out = {}
+    for word, c in words.items():
+        for key, v in _coderivation_terms(algebra, cochain, word).items():
+            chain_add(out, key, c * v)
+    return out
+
+
+def _bar_exp(algebra, cochain, word, order_cap, sign=1):
+    """e^{sign . D_cochain} applied to a bar word (nilpotent coefficients)."""
+    acc = {word: 1}
+    term = {word: 1}
+    k = 1
+    while term:
+        term = _apply_coderivation(algebra, cochain, term)
+        if sign < 0 and k % 2:
+            scaled = {w: -Fraction(1, _fact(k)) * c for w, c in term.items()}
+        else:
+            scaled = {w: Fraction(1, _fact(k)) * c for w, c in term.items()}
+        for w, c in scaled.items():
+            chain_add(acc, w, c)
+        k += 1
+        if k > order_cap + 2:
+            break
+    return acc
+
+
+def _fact(k):
+    out = 1
+    for i in range(2, k + 1):
+        out *= i
+    return out
+
+
+def conjugated_structure_component(algebra, x, alpha, word):
+    """Top component of e^{D_alpha} (b + x) e^{-D_alpha} on a bar word.
+
+    Independent of the gauge-action formula: the conjugation is computed on
+    the bar construction itself, then projected to the cochain component.
+    """
+    ring = x.ring
+    cap = ring.nilpotency_order
+    inner = _bar_exp(algebra, alpha.value, word, cap, sign=-1)
+    # apply b + x as a coderivation
+    full = structure_as_cochain(algebra, None).add(x.value)
+    mid = {}
+    for w, c in inner.items():
+        for key, v in _coderivation_terms(algebra, full, w).items():
+            chain_add(mid, key, c * v)
+    outer = {}
+    for w, c in mid.items():
+        for key, v in _bar_exp(algebra, alpha.value, w, cap, sign=1).items():
+            chain_add(outer, key, c * v)
+    # top component: words of length 1 (projection to A[1])
+    return {w[0]: c for w, c in outer.items() if len(w) == 1}

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import ncperiod
-from conftest import level_slices, random_first_order_mc
+from conftest import conjugated_structure_component, level_slices, random_first_order_mc
 from ncperiod.algebra import (
     a2_quiver_algebra,
     build_field,
@@ -43,7 +43,6 @@ from ncperiod.deform import (
     GaugeElement,
     MCElement,
     cochain_over_ring,
-    conjugated_structure_component,
     deform_algebra,
     gauge_act,
     lift_order_by_order,

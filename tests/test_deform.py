@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_first_order_mc
+from conftest import conjugated_structure_component, random_first_order_mc
 from ncperiod.algebra import (
     DgAlgebra,
     a2_quiver_algebra,
@@ -18,7 +18,6 @@ from ncperiod.deform import (
     MCElement,
     NotMaurerCartan,
     cochain_over_ring,
-    conjugated_structure_component,
     deform_algebra,
     deformed_mixed_complex,
     gauge_act,

@@ -5,7 +5,8 @@ every row and column from the mixed-radix chain index, with no per-term key),
 the sign rules of the chain operators (`_interior_sign`, `_rotation_sign` and
 `_cap_sign`, called by both the run form and the per-key generators), the
 Lie-action slot enumeration (`hochschild.lie_terms`), the sparse accumulate
-(`exactlin.chain_add`), the sparse apply (`exactlin.apply_columns`), and the
+(`exactlin.chain_add`), the sparse apply (`exactlin.apply_columns`), the
+operator residual of the calculus identities (`calculus._residual`), and the
 t-window truncation with its homology and window-to-window rank
 (`cyclic.ReducedMixedComplex.truncation`, `.homology` and `.induced_rank`),
 and the homology of a complex (`exactlin.homology_walk`, which eliminates
@@ -28,7 +29,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "ncperiod"
 ALLOWED = {
     ("exactlin", "_eliminate"): "the elimination step, not an accumulate",
     ("calculus", "lie_into"): "keeps cancelled zeros; the lie_dagger hot loop",
-    ("calculus", "_sub_commutator"): "keeps cancelled zeros; the lie_dagger hot loop",
+    ("calculus", "_residual"): "keeps cancelled zeros; the lie_dagger hot loop",
 }
 
 ACCUMULATE = re.compile(r"\.get\((?:[^()]|\([^()]*\))*,\s*0\)\s*[-+]")
@@ -116,6 +117,18 @@ def _calls():
 def _call_sites(name):
     """(module, innermost enclosing function) of every call of `name`."""
     return _calls().get(name, [])
+
+
+def test_one_residual_kernel():
+    """Both calculus suites build their operator residuals with the one
+    product kernel, calculus._residual; the per-column apply of
+    calculus_defect is gone."""
+    assert set(_call_sites("_residual")) == {
+        ("calculus", "_bracket_action_witness"), ("calculus", "verify_lie_dagger"),
+        ("calculus", "calculus_defect")}
+    for name in ("apply_operator", "_dict_columns", "_classify", "_sub_commutator"):
+        assert not hasattr(calculus, name), name
+        assert not _call_sites(name), name
 
 
 def test_one_windowed_homology_layer():
