@@ -7,9 +7,13 @@ and one fraction-free elimination step (`_eliminate`) does all the row
 reduction.
 Homology walks a complex and eliminates each differential once: rref of d_n
 gives the cycles at its source and the boundary basis at its target.  The
-cycles are an RREF kernel basis, so the homology representatives are read off
-one echelon of the boundaries restricted to the free columns (its trailing
-pivots), and an SDR inverts only the [B | H] block on those columns.
+cycles are an RREF kernel basis, so a cycle is fixed by its entries at the
+free columns, and the walk works on those coordinates: the top differential
+d_{W+1}, whose columns are cycles because d_W . d_{W+1} = 0, is echelonized
+only on the free rows of d_W for its pivot columns; the homology
+representatives are read off one echelon of the boundaries restricted to the
+free columns (its trailing pivots); and an SDR inverts only the [B | H] block
+on those columns.
 Determinism: kernels and solutions are read off the reduced row echelon form,
 which is unique, and greedy bases take the pivot columns of an echelon form,
 which are the columns outside the span of the columns before them.  So every
@@ -280,13 +284,21 @@ def _rref_rows(rowlist):
     return pivots, pivot_rows
 
 
-def _pivot_columns(m: SparseMatrix):
+def _pivot_columns(m: SparseMatrix, rows=None):
     """Columns of m not in the span of the columns before them, increasing.
 
     These are the pivot columns of any echelon form of m, so the forward
-    elimination suffices and no back-substitution is done.
+    elimination suffices and no back-substitution is done.  rows, if given,
+    restricts m to those row indices, and only those rows are built; the
+    pivot columns are the same whenever that restriction is injective on
+    the column span of m, since then it keeps every column dependency.
     """
-    return sorted(_echelon([_int_row(r) for r in m.row_lists()]))
+    sub = {i: {} for i in (range(m.rows) if rows is None else rows)}
+    for (i, j), v in m.entries.items():
+        r = sub.get(i)
+        if r is not None:
+            r[j] = v
+    return sorted(_echelon([_int_row(r) for r in sub.values()]))
 
 
 def _homology_reps(boundaries, cycles, free):
@@ -374,28 +386,44 @@ class SubquotientBasis:
 
 def _walk(maps):
     """(cycles, boundaries, reps, in_pivots, free) per spot X_1, X_2, ... of
-    the composable maps  X_0 --maps[0]--> X_1 --maps[1]--> ...
+    the composable maps  X_0 --maps[0]--> X_1 --maps[1]--> ..., each
+    consecutive pair of which must compose to zero.
 
-    Each map is eliminated once, one at a time: maps[0] for its pivot columns,
-    each later map by rref, whose kernel gives the cycles at its source and
-    whose pivot columns give in_pivots at the next spot.  The boundaries are
-    the columns of the map in at in_pivots, each not in the span of the
-    columns before it; free holds the free columns of the map out, one per
-    cycle; reps are the cycles that extend the boundaries, greedily in order.
+    Each map is eliminated once, one at a time.  Every map but maps[0] is
+    eliminated by rref, whose kernel gives the cycles at its source and whose
+    pivot columns give in_pivots at the next spot.  maps[0] is eliminated
+    only for its pivot columns, and only on the free rows of maps[1]: the
+    identity maps[1] . maps[0] = 0 makes every column of maps[0] a cycle, and
+    a cycle is fixed by its entries at the free columns of the RREF (its
+    coordinates in the kernel basis), so those rows have the same column
+    dependencies as all of maps[0].  The boundaries are the columns of the
+    map in at in_pivots, each not in the span of the columns before it; free
+    holds the free columns of the map out, one per cycle; reps are the
+    cycles that extend the boundaries, greedily in order.
     """
-    piv = _pivot_columns(maps[0])
+    piv = None
     for d_in, d_out in zip(maps, maps[1:]):
         _, cycles, out_piv = rref(d_out)
+        pivset = set(out_piv)
+        free = [j for j in range(d_out.cols) if j not in pivset]
+        if piv is None:
+            piv = _pivot_columns(d_in, free)
         cols = {j: {} for j in piv}
         for (i, j), v in d_in.entries.items():
             col = cols.get(j)
             if col is not None:
                 col[i] = v
         boundaries = list(cols.values())
-        pivset = set(out_piv)
-        free = [j for j in range(d_out.cols) if j not in pivset]
         yield cycles, boundaries, _homology_reps(boundaries, cycles, free), piv, free
         piv = out_piv
+
+
+def _check_complex(d_in, d_out):
+    """Raise unless  X --d_in--> Y --d_out--> Z  composes to zero, exactly."""
+    if d_in.rows != d_out.cols:
+        raise ValueError("d_in.rows must equal d_out.cols")
+    if not d_out.compose(d_in).is_zero():
+        raise CompositionNonzero("d_out . d_in != 0")
 
 
 def homology_walk(maps) -> list:
@@ -404,10 +432,7 @@ def homology_walk(maps) -> list:
     X_2, ... in order.  Checks every d_out . d_in = 0 exactly, then
     eliminates each map once (see _walk)."""
     for d_in, d_out in zip(maps, maps[1:]):
-        if d_in.rows != d_out.cols:
-            raise ValueError("homology_walk: d_in.rows must equal d_out.cols")
-        if not d_out.compose(d_in).is_zero():
-            raise CompositionNonzero("d_out . d_in != 0")
+        _check_complex(d_in, d_out)
     return [SubquotientBasis(ambient_dim=d_out.cols, cycle_basis=cycles,
                              boundary_basis=bnd, homology_reps=reps)
             for d_out, (cycles, bnd, reps, _, _) in zip(maps[1:], _walk(maps))]
@@ -448,12 +473,15 @@ def complex_sdr(dims, diffs):
     it), N_n by the unit vectors of the pivot columns of d_n (so
     d: N_n ~ B_{n-1} bijectively), and H_n by homology representatives.
     h is (d|_N)^{-1} on B and zero on H + N.  The complex is walked from the
-    top spot down (_walk), so each differential is eliminated once.
+    top spot down (_walk), so each differential is eliminated once; d_{W+1}
+    only on the rows of the free columns of d_W, which is exact because
+    d_W . d_{W+1} = 0, checked here (CompositionNonzero otherwise).
     """
     W = len(dims) - 1
     if len(diffs) < W + 2:
         raise ValueError("need differentials up to spot W+1")
     maps = [*diffs[W + 1:0:-1], SparseMatrix(0, dims[0])]
+    _check_complex(maps[0], maps[1])
     out = []
     for n, (_, bnd, reps, sel_up, free) in zip(range(W, -1, -1), _walk(maps)):
         # A unit vector of N_n (a pivot row of d_n) has no B or H coordinate;

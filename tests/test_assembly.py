@@ -15,12 +15,12 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import degree0_algebras
 from ncperiod.algebra import (
     DgAlgebra,
     a2_quiver_algebra,
     build_field,
     build_matrix_algebra,
-    build_path_algebra,
     build_truncated_polynomial_algebra,
     kronecker_algebra,
 )
@@ -96,62 +96,6 @@ def assert_run_form_matches_terms(alg, cochain=None):
             got = {basis.keys[i]: v for i, v in col.items()}
             assert got == want, (terms.func.__name__, basis.keys[j])
             assert [type(got[k]) for k in want] == [type(v) for v in want.values()]
-
-
-def _inverse(m):
-    """The inverse of a square matrix of Fractions (Gauss-Jordan)."""
-    n = len(m)
-    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for c in range(n):
-        p = next(r for r in range(c, n) if a[r][c])
-        a[c], a[p] = a[p], a[c]
-        a[c] = [v / a[c][c] for v in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                a[r] = [v - a[r][c] * w for v, w in zip(a[r], a[c])]
-    return [row[n:] for row in a]
-
-
-def rebased(alg, rows):
-    """alg in the basis 1, v_1, .., v_{dim-1}, v_i = sum_j rows[i][j] b_j:
-    rows[0] must be the unit vector of b_0 and the matrix invertible."""
-    inv = _inverse([[Fraction(v) for v in row] for row in rows])
-    mult = {}
-    for i, j in itertools.product(range(alg.dim), repeat=2):
-        old = {}
-        for a, b in itertools.product(range(alg.dim), repeat=2):
-            for k, c in alg.product(a, b).items():
-                old[k] = old.get(k, 0) + rows[i][a] * rows[j][b] * c
-        new = {t: sum(old.get(k, 0) * inv[k][t] for k in range(alg.dim))
-               for t in range(alg.dim)}
-        mult[i, j] = {t: v for t, v in new.items() if v}
-    return DgAlgebra([f"v{i}" for i in range(alg.dim)], alg.degrees, mult,
-                     name=f"{alg.name}:rebased")
-
-
-BASES = [build_truncated_polynomial_algebra(n) for n in (2, 3, 4)] + [
-    a2_quiver_algebra(), kronecker_algebra(), build_matrix_algebra(2),
-    build_path_algebra([1, 2, 3], [("f", 1, 2)])]
-
-
-@st.composite
-def degree0_algebras(draw):
-    """A builder algebra of dimension <= 4 in a random basis 1, v_1, ..:
-    v_i = c_i 1 + (L D U)_i with L, U unitriangular and D diagonal in
-    {1, -1, 2}, so the structure constants are dense and, where D has a 2,
-    partly Fractions."""
-    alg = draw(st.sampled_from(BASES))
-    k = alg.dim - 1
-    small = st.integers(-1, 1)
-    low = [[1 if i == j else draw(small) if j < i else 0 for j in range(k)]
-           for i in range(k)]
-    up = [[1 if i == j else draw(small) if j > i else 0 for j in range(k)]
-          for i in range(k)]
-    diag = [draw(st.sampled_from([1, 1, -1, 2])) for _ in range(k)]
-    p = [[sum(low[i][m] * diag[m] * up[m][j] for m in range(k)) for j in range(k)]
-         for i in range(k)]
-    rows = [[1] + [0] * k] + [[draw(small)] + p[i] for i in range(k)]
-    return rebased(alg, rows)
 
 
 @st.composite

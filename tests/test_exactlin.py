@@ -5,7 +5,8 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import greedy_homology_reps, transpose
+from conftest import degree0_algebras, full_pivot_columns, greedy_homology_reps, transpose
+from ncperiod import cyclic, exactlin
 from ncperiod.algebra import (
     a2_quiver_algebra,
     build_matrix_algebra,
@@ -426,3 +427,81 @@ def test_complex_sdr_identities_on_bar_complexes(build, bar, h_everywhere):
         if n:
             _, _, pivots = rref(d[n])
             assert all(not sdr[n].hmty_cols[j] for j in pivots)
+
+
+# -- the top differential eliminated on its cycle coordinates ----------------------
+
+
+def _walk_and_sdr(alg, bar):
+    """Every output of the walk that complex_sdr makes down from spot bar of
+    the bar complex, and every SpotSDR field, with the type of each entry."""
+    spaces = chain_spaces(alg, bar + 1)
+    d = boundary_matrices(alg, spaces)
+    walk, real_walk = [], exactlin._walk
+
+    def spy(maps):
+        for cycles, bnd, reps, piv, free in real_walk(maps):
+            walk.append((_typed(cycles), _typed(bnd), _typed(reps), piv, free))
+            yield cycles, bnd, reps, piv, free
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlin, "_walk", spy)
+        sdr = complex_sdr([len(s) for s in spaces[: bar + 1]], d)
+    return walk, [(s.dim, _typed(s.reps), _typed(s.proj_rows), _typed(s.hmty_cols))
+                  for s in sdr]
+
+
+def assert_free_row_walk_matches_full(alg, bar):
+    """The walk that echelonizes the top differential on the free rows of
+    the next one gives the same top pivots, boundaries, homology reps and
+    SDR as the walk that echelonizes all of it (conftest.full_pivot_columns),
+    by value and by type."""
+    got = _walk_and_sdr(alg, bar)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlin, "_pivot_columns", full_pivot_columns)
+        want = _walk_and_sdr(alg, bar)
+    assert len(got[0]) == bar + 1
+    assert got == want
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_matrix_algebra(2), lambda: build_truncated_polynomial_algebra(3),
+    lambda: build_truncated_polynomial_algebra(4), a2_quiver_algebra, kronecker_algebra,
+], ids=["M2", "T3", "T4", "A2", "kron"])
+def test_free_row_walk_matches_full_on_bar_complexes(build):
+    alg = build()
+    for bar in range(7):
+        assert_free_row_walk_matches_full(alg, bar)
+
+
+@settings(max_examples=12, deadline=None)
+@given(degree0_algebras(), st.integers(0, 4))
+def test_free_row_walk_matches_full_on_generated_algebras(alg, bar):
+    assert_free_row_walk_matches_full(alg, bar)
+
+
+def _flip_top_entry(d, top):
+    """Negate one entry of d[top] at a row where d[top - 1] has a nonzero
+    column, so that d[top - 1] . d[top] is no longer zero."""
+    live = {j for _, j in d[top - 1].entries}
+    key = min(k for k in d[top].entries if k[0] in live)
+    d[top].entries[key] = -d[top].entries[key]
+    assert not d[top - 1].compose(d[top]).is_zero()
+    return d
+
+
+def test_complex_sdr_checks_the_top_pair(monkeypatch):
+    """complex_sdr eliminates d_{W+1} on the free rows of d_W only, which is
+    exact only when d_W . d_{W+1} = 0: a flipped entry of d_{W+1} raises
+    CompositionNonzero, from complex_sdr and through reduce_mixed_complex."""
+    bar = 3
+    alg = build_truncated_polynomial_algebra(3)
+    spaces = chain_spaces(alg, bar + 1)
+    dims = [len(s) for s in spaces[: bar + 1]]
+    with pytest.raises(CompositionNonzero):
+        complex_sdr(dims, _flip_top_entry(boundary_matrices(alg, spaces), bar + 1))
+    real_bm = cyclic.boundary_matrices
+    monkeypatch.setattr(cyclic, "boundary_matrices",
+                        lambda *args: _flip_top_entry(real_bm(*args), bar + 1))
+    with pytest.raises(CompositionNonzero):
+        cyclic.reduce_mixed_complex(alg, bar)

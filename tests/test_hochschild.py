@@ -408,25 +408,40 @@ def test_chain_add_matches_get_plus_coeff(seq, final):
 
 def test_homology_eliminates_each_differential_once(monkeypatch):
     """HH(M2) on degrees 0..6 runs rref once on each of d_1..d_6 (and on the
-    zero map out of C_0) and _pivot_columns once, on d_7; a d_3 with one
-    entry flipped still fails the d . d = 0 check."""
-    mats, rrefs, pivots = [], [], []
-    real_bm, real_rref, real_piv = (hochschild.boundary_matrices, exactlin.rref,
-                                    exactlin._pivot_columns)
+    zero map out of C_0) and echelonizes d_7 once, on exactly its 2,187 rows
+    at the free columns of d_6, never on all 2,916 of its rows; a d_3 with
+    one entry flipped still fails the d . d = 0 check."""
+    mats, rrefs, pivots, echelons = [], [], [], []
+    real_bm, real_rref, real_piv, real_echelon = (
+        hochschild.boundary_matrices, exactlin.rref, exactlin._pivot_columns,
+        exactlin._echelon)
 
     def capture(*args):
         mats[:] = real_bm(*args)
         return mats
 
+    def pivot_spy(m, rows=None):
+        start = len(echelons)
+        out = real_piv(m, rows)
+        pivots.append((m, rows, echelons[start:]))
+        return out
+
     monkeypatch.setattr(hochschild, "boundary_matrices", capture)
     monkeypatch.setattr(exactlin, "rref", lambda m: rrefs.append(m) or real_rref(m))
-    monkeypatch.setattr(exactlin, "_pivot_columns",
-                        lambda m: pivots.append(m) or real_piv(m))
+    monkeypatch.setattr(exactlin, "_pivot_columns", pivot_spy)
+    monkeypatch.setattr(exactlin, "_echelon",
+                        lambda rows: echelons.append(len(rows)) or real_echelon(rows))
     m2 = build_matrix_algebra(2)
     assert hochschild_homology(m2, range(7)).as_tuple(range(7)) == (1, 0, 0, 0, 0, 0, 0)
-    assert [id(m) for m in pivots] == [id(mats[7])]
     assert [id(m) for m in rrefs[:-1]] == [id(mats[n]) for n in range(6, 0, -1)]
     assert (rrefs[-1].rows, rrefs[-1].cols) == (0, m2.dim)
+    _, _, piv6 = real_rref(mats[6])
+    free6 = [j for j in range(mats[6].cols) if j not in set(piv6)]
+    assert (len(free6), mats[7].rows) == (2187, 2916)
+    [(top, rows, top_echelons)] = pivots
+    assert top is mats[7]
+    assert rows == free6 and top_echelons == [2187]
+    assert max(echelons) == 2187
 
     def flipped(*args):
         out = real_bm(*args)

@@ -144,12 +144,15 @@ def test_one_windowed_homology_layer():
 
 def test_one_homology_walk():
     """hochschild takes homology only through exactlin.homology_walk, from one
-    helper; homology_at and complex_sdr walk with the same generator; the
+    helper; homology_at and complex_sdr walk with the same generator; pivot
+    columns are taken only for rank and the walk's top differential; the
     homology representatives come from one echelon, not an incremental span."""
     assert _call_sites("homology_walk") == [("exactlin", "homology_at"),
                                             ("hochschild", "_graded_homology")]
     assert set(_call_sites("_walk")) == {("exactlin", "homology_walk"),
                                          ("exactlin", "complex_sdr")}
+    assert set(_call_sites("_pivot_columns")) == {("exactlin", "rank"),
+                                                  ("exactlin", "_walk")}
     assert set(_call_sites("_graded_homology")) == {
         ("hochschild", "hochschild_homology"), ("hochschild", "hochschild_cohomology")}
     kernels = ("homology_at", "rref", "_pivot_columns", "_homology_reps", "_rref_rows",
