@@ -47,6 +47,7 @@ from .hochschild import (
     GradedDims,
     connes_B,
     contraction,
+    flat_hochschild_homology,
     gerstenhaber_bracket,
     hochschild_boundary,
     hochschild_cohomology,

@@ -9,7 +9,12 @@ Conventions baked in here and relied on everywhere downstream:
     a denominator, and never a float (TypeError).  Builders write ints, so
     every chain-level operator built from the constants runs on ints;
   * degrees are integers, the differential has degree +1 and
-    homology-facing operations require the algebra to sit in degree 0.
+    homology-facing operations require the algebra to sit in degree 0;
+  * an algebra may carry a complete set of orthogonal idempotents (the
+    matrix and path-algebra builders attach the ones they know: the E_vv of
+    M_n, the vertices of a quiver).  Their span E is separable, and
+    `DgAlgebra.peirce` rewrites the algebra in a basis adapted to them, on
+    which hochschild computes HH relative to E.
 """
 
 from __future__ import annotations
@@ -40,10 +45,16 @@ class DgAlgebra:
     """Associative unital dg algebra with chosen basis, basis[0] = 1.
 
     mult[(i, j)] = {k: coeff} gives basis_i * basis_j; diff[j] = {i: coeff}
-    gives d(basis_j).  Degrees are per basis element.
+    gives d(basis_j).  Degrees are per basis element.  idempotents, if
+    given, is {label: coefficient vector} of a complete set of orthogonal
+    idempotents.
     """
 
-    def __init__(self, labels, degrees, mult, diff=None, name="", validate=True):
+    # the basis indices spanning the ground ring k: they die in a bar slot
+    ground = frozenset((0,))
+
+    def __init__(self, labels, degrees, mult, diff=None, name="", validate=True,
+                 idempotents=None):
         self.labels = list(labels)
         self.dim = len(self.labels)
         self.degrees = list(degrees)
@@ -59,6 +70,10 @@ class DgAlgebra:
                 entry = {i: q for i, v in col.items() if (q := exact(v))}
                 if entry:
                     self.diff[j] = entry
+        self.idempotents = None if idempotents is None else {
+            lab: {k: q for k, v in vec.items() if (q := exact(v))}
+            for lab, vec in idempotents.items()}
+        self._peirce = None
         if validate:
             report = validate_dg_algebra(self)
             if report:
@@ -79,8 +94,75 @@ class DgAlgebra:
     def d_of(self, j):
         return self.diff.get(j, {})
 
+    def peirce(self):
+        """The PeirceBasis of the idempotents, derived on first use."""
+        if self._peirce is None:
+            self._peirce = PeirceBasis(self)
+        return self._peirce
+
     def __repr__(self):
         return f"DgAlgebra({self.name}, dim={self.dim})"
+
+
+def _times(a, u, v):
+    """The product of two coefficient vectors of the algebra a."""
+    out = {}
+    for i, x in u.items():
+        for j, y in v.items():
+            for k, c in a.product(i, j).items():
+                chain_add(out, k, x * y * c)
+    return out
+
+
+class PeirceBasis:
+    """A degree-0 algebra in a basis adapted to its idempotents e_0..e_{r-1}.
+
+    Element x < r is e_x; after them comes every non-unit basis element of
+    the algebra that is not an idempotent, in basis order, so the unit is
+    the sum of the idempotents.  Each element lies in one e_x A e_y, and
+    ends[i] is that (x, y); mult is the product table in this basis.  The
+    idempotents span E, the ground of the E-relative complex: they die in a
+    bar slot as the unit does in the flat complex.  hochschild's per-key
+    generators read degrees, diff, product and ground of it, as of a
+    DgAlgebra.  ValueError if the basis is not adapted to the idempotents.
+    """
+
+    def __init__(self, algebra):
+        if not algebra.is_degree_zero():
+            raise ValueError("a Peirce basis needs a degree-0 algebra")
+        idem = list(algebra.idempotents.values())
+        rest = [k for k in algebra.reduced_indices if {k: 1} not in idem]
+        vecs = idem + [{k: 1} for k in rest]
+        self.labels = list(algebra.idempotents) + [algebra.labels[k] for k in rest]
+        self.dim = len(vecs)
+        self.degrees = [0] * self.dim
+        self.diff = {}
+        self.ground = frozenset(range(len(idem)))
+        pos = {k: i for i, v in enumerate(vecs) for k in v if v == {k: 1}}
+
+        def coords(vec):
+            out = {}
+            for k, c in vec.items():
+                for i in (self.ground if k == 0 else (pos[k],)):
+                    chain_add(out, i, c)
+            return out
+
+        if self.dim != algebra.dim or any(coords(e) != {x: 1} for x, e in enumerate(idem)):
+            raise ValueError("the idempotents and the basis give no Peirce basis")
+        self.mult = {}
+        for i, j in itertools.product(range(self.dim), repeat=2):
+            if col := coords(_times(algebra, vecs[i], vecs[j])):
+                self.mult[i, j] = col
+        self.ends = []
+        for i, lab in enumerate(self.labels):
+            left = [x for x in self.ground if self.product(x, i) == {i: 1}]
+            right = [y for y in self.ground if self.product(i, y) == {i: 1}]
+            if len(left) != 1 or len(right) != 1:
+                raise ValueError(f"{lab} lies in no single e_x A e_y")
+            self.ends.append((left[0], right[0]))
+
+    def product(self, i, j):
+        return self.mult.get((i, j), {})
 
 
 def validate_dg_algebra(a: DgAlgebra):
@@ -143,6 +225,17 @@ def validate_dg_algebra(a: DgAlgebra):
                 chain_add(diffr, k, -sgn * v * c)
         if diffr:
             out.append(AxiomViolation("leibniz", (i, j)))
+    # idempotents: e_x e_y = delta_xy e_x and sum e_x = 1
+    idem = a.idempotents or {}
+    for (x, ex), (y, ey) in itertools.product(idem.items(), repeat=2):
+        if _times(a, ex, ey) != (ex if x == y else {}):
+            out.append(AxiomViolation("idempotents", (x, y), "e_x e_y != delta_xy e_x"))
+    total = {}
+    for vec in idem.values():
+        for k, c in vec.items():
+            chain_add(total, k, c)
+    if idem and total != {0: 1}:
+        out.append(AxiomViolation("idempotents", tuple(idem), "they do not sum to 1"))
     return out
 
 
@@ -167,6 +260,7 @@ def build_matrix_algebra(n: int) -> DgAlgebra:
 
     Basis: 1, then the elementary matrices E_{pq} with (p, q) != (n-1, n-1)
     in row-major order; E_{n-1,n-1} = 1 - sum of the other diagonal ones.
+    The idempotents E_11, ..., E_nn are attached.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -193,7 +287,8 @@ def build_matrix_algebra(n: int) -> DgAlgebra:
             continue
         col = as_vec(p, s)
         mult[idx[p, q], idx[r, s]] = dict(col)
-    return DgAlgebra(labels, [0] * dim, mult, name=f"matrix:{n}")
+    return DgAlgebra(labels, [0] * dim, mult, name=f"matrix:{n}",
+                     idempotents={f"E{v+1}{v+1}": as_vec(v, v) for v in range(n)})
 
 
 def build_path_algebra(vertices, arrows, name=None) -> DgAlgebra:
@@ -203,6 +298,7 @@ def build_path_algebra(vertices, arrows, name=None) -> DgAlgebra:
     Paths multiply by concatenation: (p . q) means "p after q", defined when
     source(p) = target(q).  The basis is 1, the vertex idempotents except the
     first, then all paths of length >= 1 (by length, then lexicographically).
+    The vertex idempotents e_v are attached.
     """
     vs = list(vertices)
     if len(set(vs)) != len(vs):
@@ -278,7 +374,8 @@ def build_path_algebra(vertices, arrows, name=None) -> DgAlgebra:
         if col:
             mult[pos[b1], pos[b2]] = col
     return DgAlgebra(labels, [0] * dim, mult,
-                     name=name or f"path:{'-'.join(map(str, vs))}")
+                     name=name or f"path:{'-'.join(map(str, vs))}",
+                     idempotents={f"e_{v}": vertex_vec(v) for v in vs})
 
 
 def build_field() -> DgAlgebra:

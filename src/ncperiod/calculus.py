@@ -52,8 +52,8 @@ from .hochschild import (
     cocycle_representatives,
     connes_runs,
     contraction_runs,
+    flat_hochschild_homology,
     gerstenhaber_bracket,
-    hochschild_homology,
     lie_action,
     lie_runs,
     lie_terms,
@@ -112,8 +112,9 @@ def cup_product(algebra, p: Cochain, q: Cochain, arity_bound=None) -> Cochain:
 # -- sparse operator engine ------------------------------------------------------
 
 
-# the placeholder output of the recording probe: an interior term carries it
-# in the bar slot the cochain fills, a wrap term in the a_0 slot
+# the placeholder output of the recording probe: a wrap term carries it in
+# the a_0 slot, and an interior term hands lie_terms' slotted callback the
+# bar slot it fills
 _SLOT = object()
 
 # weights materialized beyond check_weight: one intermediate application, and
@@ -151,7 +152,9 @@ class OperatorSpace:
 
     The match index, (arity, segment) -> matches in increasing column order,
     is read off lie_terms run once per apply column on a _SlotProbe: an
-    interior match is (col, slot, (-1)^mu), a wrap match (col, sign, rest).
+    interior match is (col, slot, (-1)^mu), the slot handed over by
+    lie_terms' slotted callback with no chain key built, and a wrap match is
+    (col, sign, rest).
     """
 
     def __init__(self, algebra, check_weight):
@@ -166,16 +169,14 @@ class OperatorSpace:
         self._wrap = wrap = {}
         probe = _SlotProbe(check_weight + 2)
 
-        def record(key, sign):  # col is the loop's current column
-            a0, word = key
-            if a0 is _SLOT:
-                wrap.setdefault(probe.seen, []).append((col, sign, word))
-            else:
-                interior.setdefault(probe.seen, []).append(
-                    (col, word.index(_SLOT), sign))
+        def wrap_match(key, sign):  # col is the loop's current column
+            wrap.setdefault(probe.seen, []).append((col, sign, key[1]))
+
+        def interior_match(j, out, sign):
+            interior.setdefault(probe.seen, []).append((col, j, sign))
 
         for col in self.apply_cols:
-            lie_terms(algebra, probe, *self.keys[col], record)
+            lie_terms(algebra, probe, *self.keys[col], (wrap_match, interior_match))
 
     def lie_into(self, cols, cochain, wrap_sign, stop):
         """Add the Lie action of the cochain to cols, {col: {row: coeff}}, in
@@ -506,7 +507,7 @@ def calculus_defect(algebra, degree_bound=2, bar_bound=4):
     # homology spots cover one weight above the probed classes, so that
     # weight-raising defects (arity-0 cochains, the Connes factor) stay
     # within the membership-checkable range
-    hh = hochschild_homology(algebra, range(0, bar_bound + 1))
+    hh = flat_hochschild_homology(algebra, range(0, bar_bound + 1))
     offsets = space.basis.offsets
     homology = (hh, {
         n: [{offsets[n] + i: v for i, v in rep.items()}

@@ -345,6 +345,7 @@ def cmd_hh(args, out):
     payload = {
         "command": "hh",
         "algebra": alg.name,
+        "chain_model": hh.chain_model,
         "degrees": list(degrees),
         "dims": dims,
         "lines": [" ".join(str(d) for d in dims)],

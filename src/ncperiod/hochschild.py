@@ -35,7 +35,13 @@ Indexing and assembly
     connes_matrices) and the operator matrices of calculus.OperatorSpace are
     all built by it.  The per-key generators (lie_terms, connes_terms,
     contraction_terms) act on chain dicts; both forms take their signs from
-    _interior_sign, _rotation_sign and _cap_sign.
+    _interior_sign, _rotation_sign and _cap_sign;
+  * an algebra with idempotents also has the complex relative to their span
+    E (relative_chain_spaces, relative_boundary_matrices): its chains are
+    walks over the algebra's PeirceBasis, indexed by a dict, and its d is
+    assembled from lie_terms, where an output in E dies in a bar slot.
+    hochschild_homology takes that route whenever the algebra has
+    idempotents; flat_hochschild_homology is the normalized complex above.
 """
 
 from __future__ import annotations
@@ -246,8 +252,14 @@ def lie_terms(algebra, op, a0, word, out_terms):
     """Accumulate the terms of L_op on the basis chain (a0, word).
 
     op provides arities(), eval(l, word), sdeg.  out_terms is a callable
-    (key, coeff) -> None receiving normalized chain keys.
+    (key, coeff) -> None receiving normalized chain keys; an output in
+    algebra.ground (the unit, or the idempotents of a PeirceBasis) dies in a
+    bar slot.  out_terms may also be a pair (keyed, slotted): then each
+    interior term goes to slotted(j, out, coeff) instead, j being the bar
+    slot its output fills, and no key is built for it.
     """
+    keyed, slotted = out_terms if type(out_terms) is tuple else (out_terms, None)
+    ground = algebra.ground
     n = len(word)
     eps = _prefix_eps(algebra, word)
     sd0 = algebra.degrees[a0] - 1
@@ -260,11 +272,15 @@ def lie_terms(algebra, op, a0, word, out_terms):
             if not val:
                 continue
             sgn = _interior_sign(sdP, sd0 + eps[j])
+            if slotted is not None:
+                for out, c in val.items():
+                    if out not in ground:
+                        slotted(j, out, sgn * c)
+                continue
             head, tail = word[:j], word[j + l:]
             for out, c in val.items():
-                if out == 0:
-                    continue  # unit dies in a bar slot
-                out_terms((a0, head + (out,) + tail), sgn * c)
+                if out not in ground:
+                    keyed((a0, head + (out,) + tail), sgn * c)
         # wrap-around terms: window covers a_0
         for i in range(n + 1):
             lo = n - i + 1
@@ -280,7 +296,7 @@ def lie_terms(algebra, op, a0, word, out_terms):
             sgn = _rotation_sign(sd0 + eps[i], eps[n] - eps[i])
             rest = word[m:i]
             for out, c in val.items():
-                out_terms((out, rest), sgn * c)
+                keyed((out, rest), sgn * c)
 
 
 def connes_terms(algebra, a0, word, out_terms):
@@ -660,16 +676,70 @@ class ChainBasis:
         return len(self.keys)
 
 
+# -- the complex relative to the vertex idempotents ---------------------------------
+# For a PeirceBasis whose idempotents span E, the normalized complex
+# A (x)_{E^e} (A/E)^{(x)_E n} computes HH (Loday, Cyclic Homology, 1.2.13).
+# Its chains are the cyclic walks (a0; a1..an): each a_k lies in one
+# e_x A e_y, consecutive letters compose, a_n composes with a0, and no bar
+# letter lies in E.  Its d is lie_terms of the product on the PeirceBasis:
+# a product of composable elements stays in one e_x A e_y, so every term is a
+# walk again, and an output in E dies in a bar slot.
+
+
+def relative_chain_spaces(peirce, max_weight):
+    """Index maps {(a0, word): j} per weight 0..max_weight of the E-relative
+    normalized complex of the PeirceBasis, keys in index order: by a0, then
+    by word.  The walks of weight n + 1 extend those of weight n by one
+    letter, so only words whose letters compose are ever made."""
+    step = {}  # x -> [(b, y)]: the letters b outside E with e_x b e_y = b
+    for b, (x, y) in enumerate(peirce.ends):
+        if b not in peirce.ground:
+            step.setdefault(x, []).append((b, y))
+    walks = [((), x, x) for x in sorted(peirce.ground)]  # (word, start, end)
+    spaces = []
+    for _ in range(max_weight + 1):
+        by_ends = {}
+        for word, x, y in walks:
+            by_ends.setdefault((x, y), []).append(word)
+        # a0 in e_x A e_y closes the words that start at y and end at x
+        keys = ((a0, word) for a0, (x, y) in enumerate(peirce.ends)
+                for word in by_ends.get((y, x), ()))
+        spaces.append({key: j for j, key in enumerate(keys)})
+        walks = sorted((word + (b,), x, z) for word, x, y in walks
+                       for b, z in step.get(y, ()))
+    return spaces
+
+
+def relative_boundary_matrices(peirce, spaces):
+    """d_n on the relative chain spaces for n = 1..len(spaces)-1 (index 0 is
+    None): one lie_terms call per column, each term found by its key."""
+    struct = DgStructure(peirce)
+    mats = [None]
+    for n in range(1, len(spaces)):
+        index, m = spaces[n - 1], SparseMatrix(len(spaces[n - 1]), len(spaces[n]))
+        for j, (a0, word) in enumerate(spaces[n]):
+            lie_terms(peirce, struct, a0, word,
+                      lambda key, c: m.add_to(index[key], j, c))
+        mats.append(m)
+    return mats
+
+
 # -- homology -----------------------------------------------------------------------
 
 
 @dataclass
 class GradedDims:
-    """Dimensions per degree with homology representatives."""
+    """Dimensions per degree with homology representatives.
+
+    spots and basis_keys are over the chain basis of the complex named by
+    chain_model: {"kind": "flat"}, the normalized complex, or {"kind":
+    "relative", "idempotents": r}, the complex relative to r idempotents,
+    whose keys are walks over the algebra's peirce() indices."""
 
     dims: dict = field(default_factory=dict)
     spots: dict = field(default_factory=dict)  # degree -> SubquotientBasis
     basis_keys: dict = field(default_factory=dict)  # degree -> list of keys
+    chain_model: dict = field(default_factory=lambda: {"kind": "flat"})
 
     def __getitem__(self, n):
         return self.dims[n]
@@ -703,18 +773,45 @@ def _graded_homology(degrees, walk_maps, basis_keys):
     return out
 
 
-def hochschild_homology(algebra, degree_range):
-    """Exact HH dims with representatives; algebra must sit in degree 0."""
-    if not algebra.is_degree_zero():
-        raise ValueError("homology requires a degree-0 algebra")
-    degrees = sorted(degree_range)
-    spaces, mats = _weight_graded_boundary(algebra, DgStructure(algebra), degrees[-1] + 1)
-
+def _chain_homology(degrees, spaces, mats):
+    """GradedDims of the chain complex with the given spaces and d_n = mats[n]."""
     def walk_maps(a, b):  # C_{b+1} -> C_b -> ... -> C_a -> C_{a-1}, C_{-1} = 0
         return range(b, a - 1, -1), [mats[n] if n else SparseMatrix(0, len(spaces[0]))
                                      for n in range(b + 1, a - 1, -1)]
 
     return _graded_homology(degrees, walk_maps, lambda n: list(spaces[n]))
+
+
+def hochschild_homology(algebra, degree_range):
+    """Exact HH dims with representatives; algebra must sit in degree 0.
+
+    An algebra carrying idempotents runs on the complex relative to their
+    span E (the builders attach them to M_n and to path algebras), and its
+    spots and basis_keys name relative chains, walks (a0, word) over
+    algebra.peirce() indices.  Any other algebra runs on the flat complex,
+    flat_hochschild_homology, which callers that need representatives on
+    flat chains call by name.
+    """
+    if algebra.idempotents is None:
+        return flat_hochschild_homology(algebra, degree_range)
+    if not algebra.is_degree_zero():
+        raise ValueError("homology requires a degree-0 algebra")
+    degrees = sorted(degree_range)
+    peirce = algebra.peirce()
+    spaces = relative_chain_spaces(peirce, degrees[-1] + 1)
+    out = _chain_homology(degrees, spaces, relative_boundary_matrices(peirce, spaces))
+    out.chain_model = {"kind": "relative", "idempotents": len(peirce.ground)}
+    return out
+
+
+def flat_hochschild_homology(algebra, degree_range):
+    """Exact HH dims with representatives on the flat normalized complex,
+    keys (a0, word) over the algebra's basis; algebra must sit in degree 0."""
+    if not algebra.is_degree_zero():
+        raise ValueError("homology requires a degree-0 algebra")
+    degrees = sorted(degree_range)
+    spaces, mats = _weight_graded_boundary(algebra, DgStructure(algebra), degrees[-1] + 1)
+    return _chain_homology(degrees, spaces, mats)
 
 
 class CochainBasis:
@@ -747,7 +844,18 @@ class CochainBasis:
 
 
 def _cochain_diff_matrix(algebra, arity):
-    """Matrix of [b, -] from arity l to arity l+1 (degree-0 algebras)."""
+    """Matrix of [b, -] from arity l to arity l+1 (degree-0 algebras), built
+    once per (algebra, arity) and kept on the algebra; callers only read it."""
+    memo = getattr(algebra, "_cochain_diff_memo", None)
+    if memo is None:
+        memo = algebra._cochain_diff_memo = {}
+    if arity not in memo:
+        memo[arity] = _assemble_cochain_diff(algebra, arity)
+    return memo[arity]
+
+
+def _assemble_cochain_diff(algebra, arity):
+    """The matrix of _cochain_diff_matrix, one cochain_differential per column."""
     src = CochainBasis(algebra, arity)
     dst = CochainBasis(algebra, arity + 1)
     m = SparseMatrix(len(dst), len(src))

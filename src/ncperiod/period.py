@@ -46,8 +46,8 @@ from .hochschild import (
     chain_add,
     cocycle_representatives,
     contraction,
+    flat_hochschild_homology,
     hochschild_cohomology,
-    hochschild_homology,
 )
 
 
@@ -264,11 +264,12 @@ def torelli_rank(algebra, degree_range, bar_bound=None):
 def vdb_duality_check(algebra, d, pi_chain, degree_range, arity_bound=None):
     """Per degree s: the matrix of P -> class of I_P(pi), with an iso verdict.
 
-    pi_chain: a cycle in the chain complex representing a class in HH_d.
+    pi_chain: a cycle of the flat normalized complex representing a class
+    in HH_d.
     """
     degrees = sorted(degree_range)
     top = max(degrees)
-    hh = hochschild_homology(algebra, range(0, max(d, top - 0) + 1 + 1))
+    hh = flat_hochschild_homology(algebra, range(0, max(d, top - 0) + 1 + 1))
     hhc = hochschild_cohomology(algebra, range(0, top + 1), arity_bound)
     out = {}
     for s in degrees:

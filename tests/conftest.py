@@ -130,6 +130,51 @@ def degree0_algebras(draw):
     return rebased(alg, rows)
 
 
+@st.composite
+def acyclic_quivers(draw):
+    """The path algebra of a random acyclic quiver: 1 to 3 vertices and at
+    most three arrows, each from a smaller vertex to a larger one, parallel
+    arrows allowed."""
+    n = draw(st.integers(1, 3))
+    pairs = [(s, t) for s in range(1, n + 1) for t in range(s + 1, n + 1)]
+    arrows = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    return build_path_algebra(list(range(1, n + 1)),
+                              [(f"a{k}", s, t) for k, (s, t) in enumerate(arrows)])
+
+
+def matrices_over(alg, n):
+    """M_n(alg) = M_n x alg for a degree-0 alg, with the idempotents E_vv x 1
+    attached: the basis is 1, then E_pq x b_i for every (p, q, i) but
+    (n, n, 0), and E_nn x 1 = 1 - the other E_vv x 1, as in
+    build_matrix_algebra."""
+    cells = [(p, q, i) for p in range(n) for q in range(n) for i in range(alg.dim)
+             if (p, q, i) != (n - 1, n - 1, 0)]
+    idx = {cell: k + 1 for k, cell in enumerate(cells)}
+
+    def as_vec(p, q, i):
+        if (p, q, i) != (n - 1, n - 1, 0):
+            return {idx[p, q, i]: 1}
+        vec = {0: 1}
+        for v in range(n - 1):
+            vec[idx[v, v, 0]] = -1
+        return vec
+
+    mult = {(0, 0): {0: 1}}
+    for k in range(1, len(cells) + 1):
+        mult[0, k] = mult[k, 0] = {k: 1}
+    for (p, q, i), (r, s, j) in itertools.product(cells, repeat=2):
+        if q == r:
+            col = {}
+            for k, c in alg.product(i, j).items():
+                for t, v in as_vec(p, s, k).items():
+                    chain_add(col, t, c * v)
+            if col:
+                mult[idx[p, q, i], idx[r, s, j]] = col
+    labels = ["1"] + [f"E{p + 1}{q + 1}.{alg.labels[i]}" for p, q, i in cells]
+    return DgAlgebra(labels, [0] * len(labels), mult, name=f"M{n}({alg.name})",
+                     idempotents={f"E{v + 1}{v + 1}": as_vec(v, v, 0) for v in range(n)})
+
+
 def level_slices(op, ring, level):
     """{ring_idx: BlockOp over Q} of the coefficients of a BlockOp over the
     ring at one m-adic level."""

@@ -98,6 +98,22 @@ def test_spec_example_hh_table():
     assert out == "2 1 1 1 1\n"
 
 
+@pytest.mark.parametrize("spec, want, model", [
+    ("matrix:3", "1 0 0 0 0 0 0", {"kind": "relative", "idempotents": 3}),
+    ("path:a4", "4 0 0 0 0 0 0", {"kind": "relative", "idempotents": 4}),
+    ("trunc_poly:3", "3 2 2 2 2 2 2", {"kind": "flat"}),
+])
+def test_hh_oracles_and_chain_model(spec, want, model):
+    """Morita HH(M3) = HH(Q); an acyclic quiver has HH_0 = k^#vertices and
+    nothing above; Q[x]/x^3 has HH_n = 3, 2, 2, ... (Loday 5.4.15).  The
+    structured output names the chain model each ran on."""
+    argv = ["hh", "--algebra", spec, "--degree-range", "0..6"]
+    assert run_cli(argv) == (0, want + "\n")
+    code, out = run_cli(argv + ["--format", "structured"])
+    payload = json.loads(out)
+    assert code == 0 and payload["lines"] == [want] and payload["chain_model"] == model
+
+
 
 README_CYCLIC = "ncperiod cyclic --algebra trunc_poly:2 --degree-range 0..4 --t-window -6..6"
 

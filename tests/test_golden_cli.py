@@ -24,6 +24,8 @@ GOLDEN = HERE / "golden" / "readme_cli.txt"
 
 README_LINES = [
     "ncperiod hh     --algebra trunc_poly:2 --degree-range 0..4",
+    "ncperiod hh     --algebra matrix:3 --degree-range 0..6",
+    "ncperiod hh     --algebra path:a4 --degree-range 0..6",
     "ncperiod hhc    --algebra matrix:2 --degree-range 0..3",
     "ncperiod cyclic --algebra trunc_poly:2 --degree-range 0..4 --t-window -6..6",
     "ncperiod ss     --algebra path:a2",
@@ -83,7 +85,7 @@ def test_readme_cyclic_line_computes_each_windowed_homology_once(monkeypatch):
         return homology(cx, r)
 
     monkeypatch.setattr(cyclic.TruncatedLaurentComplex, "homology", counted)
-    line = README_LINES[2]
+    line = next(l for l in README_LINES if l.startswith("ncperiod cyclic"))
     code, out = run_cli(shlex.split(line)[1:] + ["--format", "table"])
     head = f"$ {' '.join(line.split())} --format table\n"
     want = GOLDEN.read_text().split(head, 1)[1].split("$ ", 1)[0]

@@ -1,7 +1,11 @@
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+
+from conftest import random_first_order_mc
 
 from ncperiod.algebra import (
     DgAlgebra,
@@ -13,8 +17,9 @@ from ncperiod.algebra import (
     kronecker_algebra,
 )
 from ncperiod import exactlin, hochschild
-from ncperiod.calculus import OperatorSpace
-from ncperiod.coeff import build_truncated_poly
+from ncperiod.calculus import OperatorSpace, calculus_defect
+from ncperiod.coeff import build_truncated_poly, dual_numbers
+from ncperiod.deform import gauge_equivalent, lift_order_by_order
 from ncperiod.hochschild import (
     ChainBasis,
     Cochain,
@@ -25,6 +30,7 @@ from ncperiod.hochschild import (
     connes_matrices,
     cochain_differential,
     connes_B,
+    flat_hochschild_homology,
     gerstenhaber_bracket,
     hochschild_boundary,
     hochschild_cohomology,
@@ -304,11 +310,12 @@ def test_hh_matrix_algebra_morita():
 
 def test_hh_path_algebra_separable_oracle():
     """HH_*(kQ) for the acyclic two-vertex quiver agrees with HH_*(k x k):
-    one class per vertex in degree 0, nothing above."""
+    one class per vertex in degree 0, nothing above; on the flat complex,
+    a route independent of the relative one."""
     a2 = a2_quiver_algebra()
-    got = hochschild_homology(a2, range(0, 5)).as_tuple(range(5))
+    got = flat_hochschild_homology(a2, range(0, 5)).as_tuple(range(5))
     separable = build_path_algebra([1, 2], [])
-    assert got == hochschild_homology(separable, range(0, 5)).as_tuple(range(5))
+    assert got == flat_hochschild_homology(separable, range(0, 5)).as_tuple(range(5))
     assert got == (2, 0, 0, 0, 0)
 
 
@@ -320,6 +327,33 @@ def test_hhc_dims():
     assert hochschild_cohomology(m2, range(0, 4)).as_tuple(range(4)) == (1, 0, 0, 0)
     a2 = a2_quiver_algebra()
     assert hochschild_cohomology(a2, range(0, 4)).as_tuple(range(4)) == (1, 0, 0, 0)
+
+
+def test_cochain_diff_matrix_built_once_per_algebra_and_arity(monkeypatch):
+    """HH^*, its cocycle representatives, a gauge search, a lift and the
+    coboundary tests of calculus_defect share one coboundary matrix per
+    (algebra, arity): each is assembled once, and every call returns it."""
+    built = Counter()
+    real = hochschild._assemble_cochain_diff
+
+    def counting(algebra, arity):
+        built[id(algebra), arity] += 1
+        return real(algebra, arity)
+
+    monkeypatch.setattr(hochschild, "_assemble_cochain_diff", counting)
+    m2, t3 = build_matrix_algebra(2), build_truncated_polynomial_algebra(3)
+    for alg in (m2, t3):
+        assert hochschild_cohomology(alg, range(3)).dims
+        hochschild.cocycle_representatives(alg, 2)
+        x = random_first_order_mc(alg, dual_numbers(), random.Random(1))
+        assert gauge_equivalent(x, x) is not None
+        assert lift_order_by_order(alg, x, build_truncated_poly(1, 3))[0] == "lift"
+    calculus_defect(t3, 1, 2)
+    assert built and set(built.values()) == {1}
+    assert {arity for key, arity in built if key == id(m2)} == {0, 1, 2}
+    m = hochschild._cochain_diff_matrix(m2, 2)
+    assert m is hochschild._cochain_diff_matrix(m2, 2)
+    assert built[id(m2), 2] == 1
 
 
 def test_longer_quivers_vertex_count_oracle():
@@ -407,7 +441,7 @@ def test_chain_add_matches_get_plus_coeff(seq, final):
 
 
 def test_homology_eliminates_each_differential_once(monkeypatch):
-    """HH(M2) on degrees 0..6 runs rref once on each of d_1..d_6 (and on the
+    """Flat HH(M2) on degrees 0..6 runs rref once on each of d_1..d_6 (and on the
     zero map out of C_0) and echelonizes d_7 once, on exactly its 2,187 rows
     at the free columns of d_6, never on all 2,916 of its rows; a d_3 with
     one entry flipped still fails the d . d = 0 check."""
@@ -432,7 +466,7 @@ def test_homology_eliminates_each_differential_once(monkeypatch):
     monkeypatch.setattr(exactlin, "_echelon",
                         lambda rows: echelons.append(len(rows)) or real_echelon(rows))
     m2 = build_matrix_algebra(2)
-    assert hochschild_homology(m2, range(7)).as_tuple(range(7)) == (1, 0, 0, 0, 0, 0, 0)
+    assert flat_hochschild_homology(m2, range(7)).as_tuple(range(7)) == (1, 0, 0, 0, 0, 0, 0)
     assert [id(m) for m in rrefs[:-1]] == [id(mats[n]) for n in range(6, 0, -1)]
     assert (rrefs[-1].rows, rrefs[-1].cols) == (0, m2.dim)
     _, _, piv6 = real_rref(mats[6])
@@ -451,4 +485,4 @@ def test_homology_eliminates_each_differential_once(monkeypatch):
 
     monkeypatch.setattr(hochschild, "boundary_matrices", flipped)
     with pytest.raises(exactlin.CompositionNonzero):
-        hochschild_homology(m2, range(7))
+        flat_hochschild_homology(m2, range(7))

@@ -4,7 +4,9 @@ index (`hochschild.chain_spaces`), the operator assembly
 every row and column from the mixed-radix chain index, with no per-term key),
 the sign rules of the chain operators (`_interior_sign`, `_rotation_sign` and
 `_cap_sign`, called by both the run form and the per-key generators), the
-Lie-action slot enumeration (`hochschild.lie_terms`), the sparse accumulate
+Lie-action slot enumeration (`hochschild.lie_terms`, which also holds the one
+rule that an output in the ground, the unit or the idempotents of the
+relative complex, dies in a bar slot), the sparse accumulate
 (`exactlin.chain_add`), the sparse apply (`exactlin.apply_columns`), the
 operator residual of the calculus identities (`calculus._residual`), and the
 t-window truncation with its homology and window-to-window rank
@@ -22,6 +24,7 @@ from pathlib import Path
 
 from ncperiod import calculus, cyclic, exactlin, hochschild, period
 from ncperiod.algebra import build_matrix_algebra
+from ncperiod.exactlin import chain_add
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ncperiod"
 
@@ -154,7 +157,9 @@ def test_one_homology_walk():
     assert set(_call_sites("_pivot_columns")) == {("exactlin", "rank"),
                                                   ("exactlin", "_walk")}
     assert set(_call_sites("_graded_homology")) == {
-        ("hochschild", "hochschild_homology"), ("hochschild", "hochschild_cohomology")}
+        ("hochschild", "_chain_homology"), ("hochschild", "hochschild_cohomology")}
+    assert set(_call_sites("_chain_homology")) == {
+        ("hochschild", "hochschild_homology"), ("hochschild", "flat_hochschild_homology")}
     kernels = ("homology_at", "rref", "_pivot_columns", "_homology_reps", "_rref_rows",
                "_echelon", "IncrementalSpan", "member", "solve")
     assert not [(name, site) for name in kernels for site in _call_sites(name)
@@ -167,6 +172,8 @@ def test_one_homology_walk():
 INDEX_LOOKUPS = {
     ("calculus", "lie_into"): "the Lie action through the OperatorSpace match index",
     ("calculus", "_cochain_is_coboundary"): "one cochain as a vector, not a matrix",
+    ("hochschild", "relative_boundary_matrices"):
+        "the relative chains are walks, indexed by a dict and not by mixed radix",
 }
 
 
@@ -209,3 +216,48 @@ def test_one_run_form_assembly():
                 if f"def {name}(" in path.read_text()]
         assert defs == ["hochschild"], name
         assert set(_call_sites(name)) == {("hochschild", f) for f in users}, name
+
+
+def _ground_tests():
+    """(module, innermost function) of every `x in ...ground` or `x not in
+    ...ground` comparison in the package source."""
+    found = set()
+
+    def visit(node, func, module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Compare) and any(
+                    isinstance(op, (ast.In, ast.NotIn)) and "ground" in (
+                        getattr(c, "id", None), getattr(c, "attr", None))
+                    for op, c in zip(child.ops, child.comparators)):
+                found.add((module, func))
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            visit(child, inner, module)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), None, path.stem)
+    return found
+
+
+def test_one_ground_death_rule():
+    """An output in the ground dies in a bar slot in lie_terms alone, for the
+    flat and the relative complex; the relative index applies the same rule
+    to the letters it lists.  On the walks of M2 and M3, every term of d is
+    a relative chain one weight down, and the rule does drop terms: without
+    it, M2's d leaves the relative chains."""
+    assert _ground_tests() == {("hochschild", "lie_terms"),
+                               ("hochschild", "relative_chain_spaces")}
+    for alg in (build_matrix_algebra(2), build_matrix_algebra(3)):
+        peirce = alg.peirce()
+        spaces = hochschild.relative_chain_spaces(peirce, 4)
+        struct = hochschild.DgStructure(peirce)
+        for n in range(1, 5):
+            for a0, word in spaces[n]:
+                hochschild.lie_terms(peirce, struct, a0, word,
+                                     lambda key, c: spaces[n - 1][key])
+    peirce = build_matrix_algebra(2).peirce()  # a fresh one, changed below
+    ground, peirce.ground = peirce.ground, frozenset()
+    out = {}
+    hochschild.lie_terms(peirce, hochschild.DgStructure(peirce), 0, (2, 3),
+                         lambda key, c: chain_add(out, key, c))
+    assert any(i in ground for _, word in out for i in word)
