@@ -53,6 +53,7 @@ from .hochschild import (
     hochschild_cohomology,
     hochschild_homology,
     lie_action,
+    structure_as_cochain,
 )
 from .period import (
     PTD,

@@ -1,7 +1,11 @@
 """Finite-dimensional dg algebras: construction, validation, builders.
 
 Conventions baked in here and relied on everywhere downstream:
-  * basis[0] is the unit (builders re-base if the natural unit is a sum);
+  * basis[0] is the unit.  The matrix and path-algebra builders write their
+    natural tables (every E_pq; every vertex and path) and re-base them
+    onto 1 = sum of the e_v with change_basis, the one change of basis of
+    structure constants, which also gives the coordinates of their
+    idempotents; PeirceBasis and the CLI's unit re-basing call it too;
   * the complement of the unit spanned by basis[1:] realizes A/k; bar-word
     slots carry indices from that complement only;
   * structure constants are exact rationals stored by the rule of
@@ -23,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 
 from .coeff import exact
-from .exactlin import chain_add
+from .exactlin import chain_add, from_columns, solve
 
 
 class CyclicQuiver(Exception):
@@ -104,14 +108,51 @@ class DgAlgebra:
         return f"DgAlgebra({self.name}, dim={self.dim})"
 
 
-def _times(a, u, v):
-    """The product of two coefficient vectors of the algebra a."""
+def _times(mult, u, v):
+    """The product of two coefficient vectors under the product table mult."""
     out = {}
     for i, x in u.items():
         for j, y in v.items():
-            for k, c in a.product(i, j).items():
+            for k, c in mult.get((i, j), {}).items():
                 chain_add(out, k, x * y * c)
     return out
+
+
+def change_basis(mult, diff, vecs):
+    """The structure constants in the basis vecs, and the map from old
+    coordinates to new ones.
+
+    vecs[i] is the i-th new basis element as a coefficient vector over the
+    old basis, whose product table and differential are mult and diff (as
+    stored by DgAlgebra).  Returns ((mult, diff), coords): the tables in the
+    new basis, exact and with each column in index order, and coords(vec),
+    the new coordinates of an old coefficient vector.  ValueError if vecs is
+    no basis.
+    """
+    change = from_columns(len(vecs), vecs)
+    inverse = [solve(change, {k: 1}) for k in range(len(vecs))]
+    if None in inverse:
+        raise ValueError("the vectors are no basis")
+
+    def coords(vec):
+        out = {}
+        for k, c in vec.items():
+            for i, v in inverse[k].items():
+                chain_add(out, i, c * v)
+        return {i: exact(out[i]) for i in sorted(out)}
+
+    new_mult, new_diff = {}, {}
+    for (i, u), (j, v) in itertools.product(enumerate(vecs), repeat=2):
+        if col := coords(_times(mult, u, v)):
+            new_mult[i, j] = col
+    for j, u in enumerate(vecs):
+        du = {}
+        for k, c in u.items():
+            for i, v in diff.get(k, {}).items():
+                chain_add(du, i, c * v)
+        if col := coords(du):
+            new_diff[j] = col
+    return (new_mult, new_diff), coords
 
 
 class PeirceBasis:
@@ -120,9 +161,9 @@ class PeirceBasis:
     Element x < r is e_x; after them comes every non-unit basis element of
     the algebra that is not an idempotent, in basis order, so the unit is
     the sum of the idempotents.  Each element lies in one e_x A e_y, and
-    ends[i] is that (x, y); mult is the product table in this basis.  The
-    idempotents span E, the ground of the E-relative complex: they die in a
-    bar slot as the unit does in the flat complex.  hochschild's per-key
+    ends[i] is that (x, y); mult and diff are the tables in this basis, by
+    change_basis.  The idempotents span E, the ground of the E-relative
+    complex: they die in a bar slot as the unit does in the flat complex.  hochschild's per-key
     generators read degrees, diff, product and ground of it, as of a
     DgAlgebra.  ValueError if the basis is not adapted to the idempotents.
     """
@@ -133,26 +174,13 @@ class PeirceBasis:
         idem = list(algebra.idempotents.values())
         rest = [k for k in algebra.reduced_indices if {k: 1} not in idem]
         vecs = idem + [{k: 1} for k in rest]
+        if len(vecs) != algebra.dim:
+            raise ValueError("the idempotents and the basis give no Peirce basis")
         self.labels = list(algebra.idempotents) + [algebra.labels[k] for k in rest]
         self.dim = len(vecs)
         self.degrees = [0] * self.dim
-        self.diff = {}
+        (self.mult, self.diff), _ = change_basis(algebra.mult, algebra.diff, vecs)
         self.ground = frozenset(range(len(idem)))
-        pos = {k: i for i, v in enumerate(vecs) for k in v if v == {k: 1}}
-
-        def coords(vec):
-            out = {}
-            for k, c in vec.items():
-                for i in (self.ground if k == 0 else (pos[k],)):
-                    chain_add(out, i, c)
-            return out
-
-        if self.dim != algebra.dim or any(coords(e) != {x: 1} for x, e in enumerate(idem)):
-            raise ValueError("the idempotents and the basis give no Peirce basis")
-        self.mult = {}
-        for i, j in itertools.product(range(self.dim), repeat=2):
-            if col := coords(_times(algebra, vecs[i], vecs[j])):
-                self.mult[i, j] = col
         self.ends = []
         for i, lab in enumerate(self.labels):
             left = [x for x in self.ground if self.product(x, i) == {i: 1}]
@@ -228,7 +256,7 @@ def validate_dg_algebra(a: DgAlgebra):
     # idempotents: e_x e_y = delta_xy e_x and sum e_x = 1
     idem = a.idempotents or {}
     for (x, ex), (y, ey) in itertools.product(idem.items(), repeat=2):
-        if _times(a, ex, ey) != (ex if x == y else {}):
+        if _times(a.mult, ex, ey) != (ex if x == y else {}):
             out.append(AxiomViolation("idempotents", (x, y), "e_x e_y != delta_xy e_x"))
     total = {}
     for vec in idem.values():
@@ -264,31 +292,17 @@ def build_matrix_algebra(n: int) -> DgAlgebra:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    pairs = [(p, q) for p in range(n) for q in range(n) if (p, q) != (n - 1, n - 1)]
-    labels = ["1"] + [f"E{p+1}{q+1}" for p, q in pairs]
-    idx = {pq: k + 1 for k, pq in enumerate(pairs)}
-    dim = len(labels)
-
-    def as_vec(p, q):
-        """E_{pq} as a coefficient vector over the chosen basis."""
-        if (p, q) != (n - 1, n - 1):
-            return {idx[p, q]: 1}
-        vec = {0: 1}
-        for r in range(n - 1):
-            vec[idx[r, r]] = -1
-        return vec
-
-    mult = {(0, 0): {0: 1}}
-    for k in range(1, dim):
-        mult[0, k] = {k: 1}
-        mult[k, 0] = {k: 1}
-    for (p, q), (r, s) in itertools.product(pairs, repeat=2):
-        if q != r:
-            continue
-        col = as_vec(p, s)
-        mult[idx[p, q], idx[r, s]] = dict(col)
-    return DgAlgebra(labels, [0] * dim, mult, name=f"matrix:{n}",
-                     idempotents={f"E{v+1}{v+1}": as_vec(v, v) for v in range(n)})
+    # the natural table: E_pq E_qs = E_ps on the basis of all E_pq, row-major
+    idx = {(p, q): p * n + q for p in range(n) for q in range(n)}
+    mult = {(idx[p, q], idx[q, s]): {idx[p, s]: 1}
+            for p, q, s in itertools.product(range(n), repeat=3)}
+    kept = [pq for pq in idx if pq != (n - 1, n - 1)]
+    vecs = [{idx[v, v]: 1 for v in range(n)}] + [{idx[pq]: 1} for pq in kept]
+    (mult, _), coords = change_basis(mult, {}, vecs)
+    return DgAlgebra(["1"] + [f"E{p+1}{q+1}" for p, q in kept], [0] * len(vecs), mult,
+                     name=f"matrix:{n}",
+                     idempotents={f"E{v+1}{v+1}": coords({idx[v, v]: 1})
+                                  for v in range(n)})
 
 
 def build_path_algebra(vertices, arrows, name=None) -> DgAlgebra:
@@ -334,48 +348,31 @@ def build_path_algebra(vertices, arrows, name=None) -> DgAlgebra:
         paths.extend(nxt)
         frontier = nxt
     paths.sort(key=lambda p: (len(p[2]), p[2]))
-    # basis: unit, e_v for v in vs[1:], then proper paths (word kept whole)
-    basis = [("unit",)]
-    basis += [("vertex", v) for v in vs[1:]]
-    basis += [("path", s, t, word) for s, t, word in paths]
-    labels = ["1"] + [f"e_{v}" for v in vs[1:]] + ["*".join(p[2]) for p in paths]
-    pos = {b: k for k, b in enumerate(basis)}
-    dim = len(basis)
-
-    def vertex_vec(v):
-        if v == vs[0]:
-            vec = {0: 1}
-            for w in vs[1:]:
-                vec[pos["vertex", w]] = -1
-            return vec
-        return {pos["vertex", v]: 1}
+    # the natural table on the vertices and the paths (word kept whole)
+    natural = [("vertex", v) for v in vs] + [("path", *p) for p in paths]
+    pos = {b: k for k, b in enumerate(natural)}
 
     def elem_product(b1, b2):
-        """Product of two primitive elements (vertex v) / (path s,t,word)."""
+        """Product of two natural basis elements, a vertex or a path."""
         if b1[0] == "vertex" and b2[0] == "vertex":
-            return vertex_vec(b1[1]) if b1[1] == b2[1] else {}
+            return b1 if b1[1] == b2[1] else None
         if b1[0] == "vertex":
-            return {pos[b2]: 1} if b1[1] == b2[2] else {}
+            return b2 if b1[1] == b2[2] else None
         if b2[0] == "vertex":
-            return {pos[b1]: 1} if b1[1] == b2[1] else {}
-        s1, t1, w1 = b1[1], b1[2], b1[3]
-        s2, t2, w2 = b2[1], b2[2], b2[3]
-        if s1 != t2:
-            return {}
+            return b1 if b1[1] == b2[1] else None
         # b1 . b2 = "b1 after b2": traverse b2's arrows first
-        return {pos["path", s2, t1, w2 + w1]: 1}
+        return ("path", b2[1], b1[2], b2[3] + b1[3]) if b1[1] == b2[2] else None
 
-    mult = {(0, 0): {0: 1}}
-    for k in range(1, dim):
-        mult[0, k] = {k: 1}
-        mult[k, 0] = {k: 1}
-    for b1, b2 in itertools.product(basis[1:], repeat=2):
-        col = elem_product(b1, b2)
-        if col:
-            mult[pos[b1], pos[b2]] = col
-    return DgAlgebra(labels, [0] * dim, mult,
+    mult = {(pos[b1], pos[b2]): {pos[b]: 1}
+            for b1, b2 in itertools.product(natural, repeat=2)
+            if (b := elem_product(b1, b2))}
+    # re-based: 1 = sum of the e_v, the e_v except the first, the paths
+    vecs = [{k: 1 for k in range(len(vs))}] + [{k: 1} for k in range(1, len(natural))]
+    (mult, _), coords = change_basis(mult, {}, vecs)
+    labels = ["1"] + [f"e_{v}" for v in vs[1:]] + ["*".join(p[2]) for p in paths]
+    return DgAlgebra(labels, [0] * len(vecs), mult,
                      name=name or f"path:{'-'.join(map(str, vs))}",
-                     idempotents={f"e_{v}": vertex_vec(v) for v in vs})
+                     idempotents={f"e_{v}": coords({pos["vertex", v]: 1}) for v in vs})
 
 
 def build_field() -> DgAlgebra:

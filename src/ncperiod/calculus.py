@@ -45,7 +45,6 @@ from .hochschild import (
     ChainBasis,
     Cochain,
     CochainBasis,
-    DgStructure,
     _cochain_diff_matrix,
     basis_cochains,
     cochain_differential,
@@ -186,10 +185,12 @@ class OperatorSpace:
         scales the wrap terms.
         """
         odd = cochain.sdeg % 2
-        index, keys = self.index, self.keys
+        index, keys, ground = self.index, self.keys, self.algebra.ground
         for l, comp in cochain.components.items():
             for w, out in comp.items():
                 out = [(t, exact(c)) for t, c in out.items()]
+                # an output in the ground dies in a bar slot, as in lie_terms
+                inner = [(t, c) for t, c in out if t not in ground]
                 for col, j, s in self._interior.get((l, w), ()):
                     if col >= stop:
                         break
@@ -197,10 +198,9 @@ class OperatorSpace:
                     a0, word = keys[col]
                     head, tail = word[:j], word[j + l :]
                     acc = cols.setdefault(col, {})
-                    for t, c in out:
-                        if t:  # the unit dies in a bar slot
-                            r = index[a0, head + (t,) + tail]
-                            acc[r] = acc.get(r, 0) + sgn * c
+                    for t, c in inner:
+                        r = index[a0, head + (t,) + tail]
+                        acc[r] = acc.get(r, 0) + sgn * c
                 for col, sgn, rest in self._wrap.get((l, w), ()):
                     if col >= stop:
                         break
@@ -227,7 +227,7 @@ class OperatorSpace:
 
     def boundary_matrix(self):
         return self.operator_matrix(
-            partial(lie_runs, self.algebra, DgStructure(self.algebra)))
+            partial(lie_runs, self.algebra, structure_as_cochain(self.algebra)))
 
     def connes_matrix(self):
         return self.operator_matrix(partial(connes_runs, self.algebra))

@@ -23,6 +23,7 @@ from .algebra import (
     build_matrix_algebra,
     build_path_algebra,
     build_truncated_polynomial_algebra,
+    change_basis,
     kronecker_algebra,
     validate_dg_algebra,
 )
@@ -199,51 +200,19 @@ def parse_algebra_file(text: str) -> DgAlgebra:
 
 
 def _rebase_unit(labels, degrees, mult, diff, unit):
-    """Change basis so that basis[0] is the unit vector."""
+    """Change basis so that basis[0] is the unit vector: the new basis is the
+    unit, then the old basis without the first element the unit involves."""
     n = len(labels)
     pivot = next((i for i, c in enumerate(unit) if c), None)
     if pivot is None:
         raise ValidationError("unit", "unit vector is zero")
-    if pivot == 0 and unit == [1] + [0] * (n - 1):
+    if unit == [1] + [0] * (n - 1):
         return labels, degrees, mult, diff
-    # new basis: u = unit vector, plus e_i for i != pivot
-    old_from_new = []  # columns expressing new basis in the old one
-    old_from_new.append({i: c for i, c in enumerate(unit) if c})
-    order = [pivot] + [i for i in range(n) if i != pivot]
-    for i in order[1:]:
-        old_from_new.append({i: 1})
-    from .exactlin import from_columns, solve
-
-    change = from_columns(n, old_from_new)
-
-    def to_new(vec):
-        sol = solve(change, vec)
-        return {} if sol is None else sol
-
-    new_labels = ["1"] + [labels[i] for i in order[1:]]
-    new_degrees = [0] + [degrees[i] for i in order[1:]]
-    new_mult, new_diff = {}, {}
-    for a in range(n):
-        for b in range(n):
-            acc = {}
-            for ia, ca in old_from_new[a].items():
-                for ib, cb in old_from_new[b].items():
-                    for k, v in mult.get((ia, ib), {}).items():
-                        chain_add(acc, k, ca * cb * v)
-            col = to_new(acc)
-            col = {k: v for k, v in col.items() if v}
-            if col:
-                new_mult[a, b] = col
-    for a in range(n):
-        acc = {}
-        for ia, ca in old_from_new[a].items():
-            for i, v in diff.get(ia, {}).items():
-                chain_add(acc, i, ca * v)
-        col = to_new(acc)
-        col = {k: v for k, v in col.items() if v}
-        if col:
-            new_diff[a] = col
-    return new_labels, new_degrees, new_mult, new_diff
+    order = [i for i in range(n) if i != pivot]
+    vecs = [{i: c for i, c in enumerate(unit) if c}] + [{i: 1} for i in order]
+    (mult, diff), _ = change_basis(mult, diff, vecs)
+    return (["1"] + [labels[i] for i in order], [0] + [degrees[i] for i in order],
+            mult, diff)
 
 
 def parse_ring_file(text: str) -> ArtinLocalRing:
@@ -357,10 +326,7 @@ def cmd_hh(args, out):
 def cmd_hhc(args, out):
     alg = resolve_algebra(args.algebra)
     degrees = _parse_range(args.degree_range)
-    least = max(degrees, default=-1) + 1
-    if args.arity is not None and args.arity < least:
-        raise ParseError(0, f"--arity must be >= {least} (max degree + 1)")
-    hh = hochschild_cohomology(alg, degrees, args.arity)
+    hh = hochschild_cohomology(alg, degrees)
     dims = [hh.dims[n] for n in degrees]
     payload = {
         "command": "hhc",
@@ -633,7 +599,6 @@ def build_parser():
     p = sub.add_parser("hhc", help="Hochschild cohomology dims")
     p.add_argument("action", nargs="?", default="compute", choices=["compute"])
     common(p)
-    p.add_argument("--arity", type=int, default=None)
     p.set_defaults(func=cmd_hhc)
 
     p = sub.add_parser("cyclic", help="HN/HP/HC dims and SBI consistency")

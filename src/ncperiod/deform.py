@@ -1,8 +1,11 @@
 """Maurer-Cartan theory over artin local rings.
 
 An MC element is a shifted-degree-1 normalized cochain with coefficients in
-the maximal ideal; it deforms the algebra structure (b + x), the chain
-differential (d + L_x) and, downstream, the cyclic complexes.
+the maximal ideal.  It deforms the algebra's structure cochain b (the one
+form of b, hochschild.structure_as_cochain) to b.add(x) = b + x, whose
+arity-2 part gives the deformed product and whose Lie action L_{b+x} is the
+deformed chain differential d + L_x; downstream it deforms the cyclic
+complexes.
 
 All solving goes through one routine, solve_by_levels: along the m-adic
 filtration (the small-extension induction of Goldman-Millson), each step is
@@ -27,12 +30,12 @@ from .hochschild import (
     ChainBasis,
     Cochain,
     CochainBasis,
-    DeformedStructure,
     _cochain_diff_matrix,
     cochain_differential,
     gerstenhaber_bracket,
     hochschild_boundary,
     hochschild_cohomology,
+    structure_as_cochain,
 )
 
 
@@ -134,26 +137,16 @@ class AlgebraOverArtin:
     x: MCElement
 
     def structure(self):
-        return DeformedStructure(self.algebra, self.x.value)
+        """b + x, the structure cochain of the deformed algebra."""
+        return structure_as_cochain(self.algebra).add(self.x.value)
 
     def multiplication_constants(self):
-        """Deformed m_2 as {(i, j): {k: RingElement}} (degree-0 algebras)."""
-        alg = self.algebra
-        ring = self.base
-        out = {}
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                col = {}
-                for k, v in alg.product(i, j).items():
-                    col[k] = ring.coerce(v)
-                sgn = -1 if alg.degrees[i] % 2 else 1
-                for k, v in self.x.value.eval(2, (i, j)).items():
-                    cur = col.get(k, ring.zero())
-                    col[k] = cur + sgn * v
-                col = {k: v for k, v in col.items() if v}
-                if col:
-                    out[i, j] = col
-        return out
+        """Deformed m_2 as {(i, j): {k: RingElement}} (degree-0 algebras): the
+        arity-2 part of b + x with the shift sign undone."""
+        degrees, ring = self.algebra.degrees, self.base
+        return {(i, j): {k: ring.coerce(-v if degrees[i] % 2 else v)
+                         for k, v in col.items()}
+                for (i, j), col in sorted(self.structure().components[2].items())}
 
     def validate(self):
         """Curved-structure validator: square-zero + unit condition."""
@@ -376,9 +369,9 @@ class DeformedMixedComplex:
     x: MCElement
 
     def boundary(self, chain):
-        """d + L_x via the deformed structure maps."""
-        struct = DeformedStructure(self.algebra, self.x.value)
-        return hochschild_boundary(struct, chain, self.algebra)
+        """d + L_x as L_{b + x}, the boundary of the deformed structure."""
+        return hochschild_boundary(structure_as_cochain(self.algebra).add(self.x.value),
+                                   chain)
 
     def connes(self, chain):
         from .hochschild import connes_B
@@ -389,7 +382,7 @@ class DeformedMixedComplex:
         """d tensor R + L_x, assembled from the two summands separately."""
         from .hochschild import connes_B, lie_action
 
-        out = hochschild_boundary(self.algebra, chain)
+        out = hochschild_boundary(structure_as_cochain(self.algebra), chain)
         for k, v in lie_action(self.algebra, self.x.value, chain).items():
             chain_add(out, k, v)
         return out

@@ -6,9 +6,12 @@ Representation
     unit never occupies a bar slot (normalization);
   * a cochain of arity l is stored at the shifted level: a map sending an
     l-tuple of complement indices to a coefficient vector over the full
-    basis.  The structure maps of the algebra itself (the product and the
-    differential) are evaluated from the structure constants with the
-    shift sign  b_n[a_1|..|a_n] = (-1)^{sum (n-i)|a_i|} m_n(a_1,..,a_n).
+    basis.  The structure map of the algebra is one such cochain, b =
+    structure_as_cochain(algebra), read off the structure constants with
+    the shift sign  b_n[a_1|..|a_n] = (-1)^{sum (n-i)|a_i|} m_n(a_1,..,a_n),
+    so b_1 = d and b_2[i|j] = (-1)^{|i|} ij; it is stored on all words,
+    units included.  A deformation by an MC element x is b.add(x), and
+    every chain differential is the Lie action L_b of its b.
 
 Signs use shifted degrees sd(a) = |a| - 1, eps_i = sd(a_1)+..+sd(a_i) and
 mu_i = sd(a_0) + eps_i:
@@ -160,60 +163,6 @@ def unit_cochain(algebra, arity_bound=None):
     return Cochain(algebra, {0: {(): {0: 1}}}, algebra.degrees[0] - 1, arity_bound)
 
 
-# -- structure maps -------------------------------------------------------------
-
-
-class DgStructure:
-    """b of the algebra itself: b_1 from diff, b_2 from mult, sdeg 1."""
-
-    __slots__ = ("algebra",)
-    sdeg = 1
-
-    def __init__(self, algebra):
-        self.algebra = algebra
-
-    def arities(self):
-        out = []
-        if self.algebra.diff:
-            out.append(1)
-        out.append(2)
-        return out
-
-    def eval(self, l, word):
-        a = self.algebra
-        if l == 1:
-            return a.d_of(word[0])
-        if l == 2:
-            i, j = word
-            sgn = -1 if a.degrees[i] % 2 else 1
-            col = a.product(i, j)
-            return {k: sgn * v for k, v in col.items()} if sgn < 0 else col
-        return {}
-
-
-class DeformedStructure:
-    """b + x for a degree-1 cochain x with coefficients in a nilpotent ideal."""
-
-    __slots__ = ("algebra", "x", "base")
-    sdeg = 1
-
-    def __init__(self, algebra, x):
-        self.algebra = algebra
-        self.x = x
-        self.base = DgStructure(algebra)
-
-    def arities(self):
-        return sorted(set(self.base.arities()) | set(self.x.arities()))
-
-    def eval(self, l, word):
-        out = dict(self.base.eval(l, word))
-        if any(i == 0 for i in word):
-            return out  # x is normalized
-        for k, v in self.x.eval(l, word).items():
-            chain_add(out, k, v)
-        return out
-
-
 # -- signs -----------------------------------------------------------------------
 # The sign rules of the chain operators, used by the per-key term generators
 # and by the run-form assembly alike.  Every argument enters only through its
@@ -345,18 +294,10 @@ def apply_terms(term_fn, chain):
     return out
 
 
-def hochschild_boundary(algebra_or_struct, chain, algebra=None):
-    """The chain differential; accepts a DgAlgebra, a deformed algebra, or a
-    structure object."""
-    if hasattr(algebra_or_struct, "structure"):  # AlgebraOverArtin
-        struct = algebra_or_struct.structure()
-        alg = algebra_or_struct.algebra
-    elif hasattr(algebra_or_struct, "eval"):
-        struct, alg = algebra_or_struct, algebra or algebra_or_struct.algebra
-    else:
-        alg = algebra_or_struct
-        struct = DgStructure(alg)
-    return apply_terms(partial(lie_terms, alg, struct), chain)
+def hochschild_boundary(b, chain):
+    """The chain differential L_b of a structure cochain b: the algebra's
+    structure_as_cochain, or b + x for a deformation."""
+    return lie_action(b.algebra, b, chain)
 
 
 def connes_B(algebra, chain):
@@ -427,19 +368,15 @@ def gerstenhaber_bracket(p, q, arity_bound=None):
     return pq.add(qp, scale=-sgn)
 
 
-def structure_as_cochain(algebra, arity_bound, struct=None):
-    """b written out on all basis words (units included, so that insertions
-    of unit-valued outputs are seen when b is the outer factor of a brace)."""
-    struct = struct or DgStructure(algebra)
-    comps = {}
-    for l in struct.arities():
-        comp = {}
-        for word in itertools.product(range(algebra.dim), repeat=l):
-            val = struct.eval(l, word)
-            if val:
-                comp[word] = dict(val)
-        if comp:
-            comps[l] = comp
+def structure_as_cochain(algebra, arity_bound=None):
+    """b of the algebra: b_1 = d and b_2[i|j] = (-1)^{|i|} ij, read off
+    algebra.diff and algebra.mult on all basis words (units included, so
+    that insertions of unit-valued outputs are seen when b is the outer
+    factor of a brace)."""
+    sign = [-1 if d % 2 else 1 for d in algebra.degrees]
+    comps = {1: {(j,): col for j, col in sorted(algebra.diff.items())},
+             2: {(i, j): {k: sign[i] * v for k, v in col.items()}
+                 for (i, j), col in sorted(algebra.mult.items())}}
     return Cochain(algebra, comps, 1, arity_bound, normalized=False)
 
 
@@ -645,9 +582,9 @@ def term_matrix(runs, shape, col_offsets, row_offsets):
     return mat
 
 
-def boundary_matrices(algebra, spaces, struct=None):
-    """d_n: C_n -> C_{n-1} for n = 1..len(spaces)-1 (index 0 is None)."""
-    runs = partial(lie_runs, algebra, struct or DgStructure(algebra))
+def boundary_matrices(algebra, spaces):
+    """d_n = L_b: C_n -> C_{n-1} for n = 1..len(spaces)-1 (index 0 is None)."""
+    runs = partial(lie_runs, algebra, structure_as_cochain(algebra))
     return [None] + [term_matrix(runs, (len(spaces[n - 1]), len(spaces[n])),
                                  {n: 0}, {n - 1: 0})
                      for n in range(1, len(spaces))]
@@ -712,13 +649,13 @@ def relative_chain_spaces(peirce, max_weight):
 
 def relative_boundary_matrices(peirce, spaces):
     """d_n on the relative chain spaces for n = 1..len(spaces)-1 (index 0 is
-    None): one lie_terms call per column, each term found by its key."""
-    struct = DgStructure(peirce)
+    None): one lie_terms call per column of L_b, each term found by its key."""
+    b = structure_as_cochain(peirce)
     mats = [None]
     for n in range(1, len(spaces)):
         index, m = spaces[n - 1], SparseMatrix(len(spaces[n - 1]), len(spaces[n]))
         for j, (a0, word) in enumerate(spaces[n]):
-            lie_terms(peirce, struct, a0, word,
+            lie_terms(peirce, b, a0, word,
                       lambda key, c: m.add_to(index[key], j, c))
         mats.append(m)
     return mats
@@ -748,10 +685,10 @@ class GradedDims:
         return tuple(self.dims.get(n, 0) for n in degrees)
 
 
-def _weight_graded_boundary(algebra, struct, max_weight):
+def _weight_graded_boundary(algebra, max_weight):
     """Chain spaces and boundary matrices per weight up to max_weight."""
     spaces = chain_spaces(algebra, max_weight)
-    return spaces, boundary_matrices(algebra, spaces, struct)
+    return spaces, boundary_matrices(algebra, spaces)
 
 
 def _graded_homology(degrees, walk_maps, basis_keys):
@@ -798,7 +735,7 @@ def hochschild_homology(algebra, degree_range):
         raise ValueError("homology requires a degree-0 algebra")
     degrees = sorted(degree_range)
     peirce = algebra.peirce()
-    spaces = relative_chain_spaces(peirce, degrees[-1] + 1)
+    spaces = relative_chain_spaces(peirce, max(degrees, default=-1) + 1)
     out = _chain_homology(degrees, spaces, relative_boundary_matrices(peirce, spaces))
     out.chain_model = {"kind": "relative", "idempotents": len(peirce.ground)}
     return out
@@ -810,7 +747,7 @@ def flat_hochschild_homology(algebra, degree_range):
     if not algebra.is_degree_zero():
         raise ValueError("homology requires a degree-0 algebra")
     degrees = sorted(degree_range)
-    spaces, mats = _weight_graded_boundary(algebra, DgStructure(algebra), degrees[-1] + 1)
+    spaces, mats = _weight_graded_boundary(algebra, max(degrees, default=-1) + 1)
     return _chain_homology(degrees, spaces, mats)
 
 
@@ -871,13 +808,11 @@ def _assemble_cochain_diff(algebra, arity):
     return m
 
 
-def hochschild_cohomology(algebra, degree_range, arity_bound=None):
+def hochschild_cohomology(algebra, degree_range):
     """Exact HH^n dims (normalized complex); algebra must sit in degree 0."""
     if not algebra.is_degree_zero():
         raise ValueError("cohomology requires a degree-0 algebra")
     degrees = sorted(degree_range)
-    if arity_bound is not None and arity_bound < degrees[-1] + 1:
-        raise ArityBoundExceeded("arity_bound must be at least max degree + 1")
 
     def walk_maps(a, b):  # C^{a-1} -> C^a -> ... -> C^b -> C^{b+1}, C^{-1} = 0
         return range(a, b + 1), [_cochain_diff_matrix(algebra, l) if l >= 0
@@ -888,7 +823,8 @@ def hochschild_cohomology(algebra, degree_range, arity_bound=None):
 
 
 def cocycle_representatives(algebra, n, arity_bound=None):
-    """HH^n classes as Cochain objects (one per homology generator)."""
-    hh = hochschild_cohomology(algebra, [n], arity_bound)
+    """HH^n classes as Cochain objects (one per homology generator), each
+    carrying arity_bound."""
+    hh = hochschild_cohomology(algebra, [n])
     cb = CochainBasis(algebra, n)
     return [cb.cochain_of(rep, arity_bound) for rep in hh.spots[n].homology_reps]

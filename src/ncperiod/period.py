@@ -270,7 +270,7 @@ def vdb_duality_check(algebra, d, pi_chain, degree_range, arity_bound=None):
     degrees = sorted(degree_range)
     top = max(degrees)
     hh = flat_hochschild_homology(algebra, range(0, max(d, top - 0) + 1 + 1))
-    hhc = hochschild_cohomology(algebra, range(0, top + 1), arity_bound)
+    hhc = hochschild_cohomology(algebra, range(0, top + 1))
     out = {}
     for s in degrees:
         if s < 0 or d - s < 0:

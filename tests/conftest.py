@@ -111,13 +111,12 @@ BASES = [build_truncated_polynomial_algebra(n) for n in (2, 3, 4)] + [
 
 
 @st.composite
-def degree0_algebras(draw):
-    """A builder algebra of dimension <= 4 in a random basis 1, v_1, ..:
-    v_i = c_i 1 + (L D U)_i with L, U unitriangular and D diagonal in
-    {1, -1, 2}, so the structure constants are dense and, where D has a 2,
-    partly Fractions."""
-    alg = draw(st.sampled_from(BASES))
-    k = alg.dim - 1
+def unit_first_bases(draw, dim):
+    """rows of a random basis 1, v_1, .. of a dim-dimensional algebra, for
+    rebased: v_i = c_i 1 + (L D U)_i with L, U unitriangular and D diagonal
+    in {1, -1, 2}, so the structure constants in it are dense and, where D
+    has a 2, partly Fractions."""
+    k = dim - 1
     small = st.integers(-1, 1)
     low = [[1 if i == j else draw(small) if j < i else 0 for j in range(k)]
            for i in range(k)]
@@ -126,8 +125,15 @@ def degree0_algebras(draw):
     diag = [draw(st.sampled_from([1, 1, -1, 2])) for _ in range(k)]
     p = [[sum(low[i][m] * diag[m] * up[m][j] for m in range(k)) for j in range(k)]
          for i in range(k)]
-    rows = [[1] + [0] * k] + [[draw(small)] + p[i] for i in range(k)]
-    return rebased(alg, rows)
+    return [[1] + [0] * k] + [[draw(small)] + p[i] for i in range(k)]
+
+
+@st.composite
+def degree0_algebras(draw):
+    """A builder algebra of dimension <= 4 in a random basis from
+    unit_first_bases."""
+    alg = draw(st.sampled_from(BASES))
+    return rebased(alg, draw(unit_first_bases(alg.dim)))
 
 
 @st.composite

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import degree0_algebras, rebased, unit_first_bases
 from ncperiod.algebra import (
     CyclicQuiver,
     DgAlgebra,
@@ -10,6 +12,7 @@ from ncperiod.algebra import (
     build_matrix_algebra,
     build_path_algebra,
     build_truncated_polynomial_algebra,
+    change_basis,
     kronecker_algebra,
     validate_dg_algebra,
 )
@@ -169,3 +172,76 @@ def test_float_structure_constants_rejected():
                   {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
                    (0, 2): {2: 1}, (2, 0): {2: 1}},
                   diff={1: {2: 0.5}}, validate=False)
+
+
+# -- the one change of basis ------------------------------------------------------
+
+
+def _typed(table):
+    return {key: {k: (v, type(v)) for k, v in col.items()} for key, col in table.items()}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_change_basis_matches_gauss_jordan_reference(data):
+    """change_basis against conftest.rebased, which inverts the basis matrix
+    by Gauss-Jordan: the same product table, values and types; and its
+    coordinate map sends each new basis vector to its unit vector."""
+    alg = data.draw(degree0_algebras())
+    rows = data.draw(unit_first_bases(alg.dim))
+    vecs = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    (mult, diff), coords = change_basis(alg.mult, alg.diff, vecs)
+    assert _typed(mult) == _typed(rebased(alg, rows).mult) and diff == {}
+    assert [coords(v) for v in vecs] == [{i: 1} for i in range(alg.dim)]
+
+
+def test_change_basis_carries_the_differential():
+    """x, t with |t| = 1, d(x) = t and x x = x t = t t = 0, in the basis
+    1, x + 1, 2t: d(x + 1) = (1/2)(2t) and (x + 1)(x + 1) = 2(x + 1) - 1."""
+    mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+            (0, 2): {2: 1}, (2, 0): {2: 1}}
+    (new_mult, new_diff), coords = change_basis(mult, {1: {2: 1}},
+                                                [{0: 1}, {0: 1, 1: 1}, {2: 2}])
+    assert new_diff == {1: {2: Fraction(1, 2)}}
+    assert new_mult[1, 1] == {0: -1, 1: 2}
+    assert coords({1: 1, 2: 1}) == {0: -1, 1: 1, 2: Fraction(1, 2)}
+    assert validate_dg_algebra(DgAlgebra(["1", "y", "s"], [0, 0, 1], new_mult,
+                                         new_diff, validate=False)) == []
+
+
+def test_change_basis_rejects_a_dependent_set():
+    alg = build_truncated_polynomial_algebra(2)
+    with pytest.raises(ValueError, match="no basis"):
+        change_basis(alg.mult, alg.diff, [{0: 1}, {0: 2}])
+
+
+def test_builder_and_peirce_tables_are_pinned():
+    """M2 and path:a3 (1 -f1-> 2 -f2-> 3), written out: the builders' tables
+    after re-basing onto 1 = sum of the e_v, their idempotents, and the
+    product table of peirce()."""
+    m2 = build_matrix_algebra(2)
+    assert m2.labels == ["1", "E11", "E12", "E21"]
+    assert _typed(m2.mult) == _typed({
+        (0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 1},
+        (1, 0): {1: 1}, (1, 1): {1: 1}, (1, 2): {2: 1}, (2, 0): {2: 1},
+        (2, 3): {1: 1}, (3, 0): {3: 1}, (3, 1): {3: 1}, (3, 2): {0: 1, 1: -1}})
+    assert m2.idempotents == {"E11": {1: 1}, "E22": {0: 1, 1: -1}}
+    assert _typed(m2.peirce().mult) == _typed({
+        (0, 0): {0: 1}, (0, 2): {2: 1}, (1, 1): {1: 1}, (1, 3): {3: 1},
+        (2, 1): {2: 1}, (2, 3): {0: 1}, (3, 0): {3: 1}, (3, 2): {1: 1}})
+    a3 = build_path_algebra([1, 2, 3], [("f1", 1, 2), ("f2", 2, 3)], name="path:a3")
+    assert a3.labels == ["1", "e_2", "e_3", "f1", "f2", "f1*f2"]
+    assert _typed(a3.mult) == _typed({
+        (0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 1},
+        (0, 4): {4: 1}, (0, 5): {5: 1}, (1, 0): {1: 1}, (1, 1): {1: 1},
+        (1, 3): {3: 1}, (2, 0): {2: 1}, (2, 2): {2: 1}, (2, 4): {4: 1},
+        (2, 5): {5: 1}, (3, 0): {3: 1}, (4, 0): {4: 1}, (4, 1): {4: 1},
+        (4, 3): {5: 1}, (5, 0): {5: 1}})
+    assert a3.idempotents == {"e_1": {0: 1, 1: -1, 2: -1}, "e_2": {1: 1}, "e_3": {2: 1}}
+    peirce = a3.peirce()
+    assert peirce.labels == ["e_1", "e_2", "e_3", "f1", "f2", "f1*f2"]
+    assert _typed(peirce.mult) == _typed({
+        (0, 0): {0: 1}, (1, 1): {1: 1}, (1, 3): {3: 1}, (2, 2): {2: 1},
+        (2, 4): {4: 1}, (2, 5): {5: 1}, (3, 0): {3: 1}, (4, 1): {4: 1},
+        (4, 3): {5: 1}, (5, 0): {5: 1}})
+    assert peirce.ends == [(0, 0), (1, 1), (2, 2), (1, 0), (2, 1), (2, 0)]

@@ -5,7 +5,8 @@ mixed-radix index of chain_spaces, so that index is pinned here, and the
 run form is compared with the per-key generators (lie_terms, connes_terms,
 contraction_terms) applied to each basis chain: the same entries, values
 and types, on generated degree-0 algebras, on graded and dg ones, and for a
-contraction by a cochain with Fraction values.
+contraction by a cochain with Fraction values.  The structure cochain b,
+whose L_b is d, is compared with its closed formula on the same algebras.
 """
 
 import itertools
@@ -27,7 +28,6 @@ from ncperiod.algebra import (
 from ncperiod.hochschild import (
     ChainBasis,
     Cochain,
-    DgStructure,
     apply_terms,
     chain_spaces,
     connes_runs,
@@ -36,6 +36,7 @@ from ncperiod.hochschild import (
     contraction_terms,
     lie_runs,
     lie_terms,
+    structure_as_cochain,
     term_matrix,
 )
 
@@ -80,8 +81,8 @@ TOP = 5  # the operators are compared on the chains of weight 0..TOP
 def assert_run_form_matches_terms(alg, cochain=None):
     """d, B and (for a cochain) I_P from term_matrix on ChainBasis(alg, TOP + 1),
     column by column against apply_terms of the per-key generator."""
-    struct = DgStructure(alg)
-    ops = [(partial(lie_runs, alg, struct), partial(lie_terms, alg, struct)),
+    b = structure_as_cochain(alg)
+    ops = [(partial(lie_runs, alg, b), partial(lie_terms, alg, b)),
            (partial(connes_runs, alg), partial(connes_terms, alg))]
     if cochain is not None:
         ops.append((partial(contraction_runs, alg, cochain),
@@ -124,3 +125,38 @@ def test_run_form_matches_per_key_form(alg):
     words = itertools.product(alg.reduced_indices, repeat=1)
     cochain = Cochain(alg, {1: {w: dict(half) for w in words}}, 0)
     assert_run_form_matches_terms(alg, cochain)
+
+
+def closed_form_structure(alg):
+    """b written out word by word over all basis words, units included:
+    b_1[j] = d(b_j) and b_2[i|j] = (-1)^{|i|} b_i b_j."""
+    comps = {1: {}, 2: {}}
+    for j in range(alg.dim):
+        if alg.d_of(j):
+            comps[1][j,] = dict(alg.d_of(j))
+    for i, j in itertools.product(range(alg.dim), repeat=2):
+        if col := alg.product(i, j):
+            comps[2][i, j] = {k: (-1) ** alg.degrees[i] * v for k, v in col.items()}
+    return {l: comp for l, comp in comps.items() if comp}
+
+
+def assert_structure_is_closed_form(alg):
+    b = structure_as_cochain(alg)
+    want = closed_form_structure(alg)
+    assert (b.sdeg, b.normalized, b.components) == (1, False, want)
+    assert [type(v) for comp in b.components.values() for out in comp.values()
+            for v in out.values()] == [type(want[l][w][k]) for l, comp in
+                                       b.components.items() for w, out in comp.items()
+                                       for k in out]
+
+
+@settings(max_examples=25, deadline=None)
+@given(degree0_algebras())
+def test_structure_cochain_is_the_closed_formula_on_generated_algebras(alg):
+    assert_structure_is_closed_form(alg)
+
+
+@pytest.mark.parametrize("alg", [EXT1, POLY2, CONTRACTIBLE], ids=lambda a: a.name)
+def test_structure_cochain_is_the_closed_formula(alg):
+    """Odd degrees flip the sign of b_2; CONTRACTIBLE also has a b_1."""
+    assert_structure_is_closed_form(alg)

@@ -195,15 +195,6 @@ def test_malformed_ranges_are_parse_errors(argv, capsys):
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("arity", ["3", "-1"])
-def test_hhc_arity_below_top_degree_is_parse_error(arity, capsys):
-    code, out = run_cli(["hhc", "--algebra", "trunc_poly:2", "--arity", arity])
-    assert (code, out) == (2, "")
-    assert "--arity must be >= 5 (max degree + 1)" in capsys.readouterr().err
-    code, out = run_cli(["hhc", "--algebra", "trunc_poly:2", "--arity", "5"])
-    assert code == 0 and out.strip()
-
-
 def test_calc_verify_zero_bounds_valid():
     code, out = run_cli(["calc", "verify", "--algebra", "trunc_poly:2",
                          "--arity", "0", "--bar", "0"])

@@ -32,11 +32,11 @@ from ncperiod.exactlin import SparseMatrix, solve
 from ncperiod.hochschild import (
     Cochain,
     CochainBasis,
-    DgStructure,
     _cochain_diff_matrix,
     cochain_differential,
     gerstenhaber_bracket,
     hochschild_cohomology,
+    structure_as_cochain,
 )
 
 D = build_truncated_polynomial_algebra(2)
@@ -238,7 +238,7 @@ def test_conjugation_dictionary_via_bar_construction():
     x = hh2_generator()
     alpha = GaugeElement(R2, cochain_over_ring(D, R2, {1: {(1,): {1: EPS}}}, 0, 6))
     y = gauge_act(alpha, x)
-    st = DgStructure(D)
+    st = structure_as_cochain(D)
     for n in range(1, 4):
         for w in itertools.product([1], repeat=n):
             got = {t: R2.coerce(c) for t, c in

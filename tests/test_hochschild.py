@@ -23,7 +23,6 @@ from ncperiod.deform import gauge_equivalent, lift_order_by_order
 from ncperiod.hochschild import (
     ChainBasis,
     Cochain,
-    DgStructure,
     boundary_matrices,
     chain_add,
     chain_spaces,
@@ -103,9 +102,10 @@ def all_basis_chains(alg, max_weight):
 
 @pytest.mark.parametrize("alg", FIVE, ids=lambda a: a.name)
 def test_boundary_matches_classical_oracle(alg):
+    b = structure_as_cochain(alg)
     for key in all_basis_chains(alg, 4):
         c = {key: 1}
-        assert hochschild_boundary(alg, c) == classical_boundary(alg, c), key
+        assert hochschild_boundary(b, c) == classical_boundary(alg, c), key
 
 
 @pytest.mark.parametrize("alg", FIVE, ids=lambda a: a.name)
@@ -118,28 +118,30 @@ def test_connes_matches_classical_oracle(alg):
 @pytest.mark.parametrize("alg", FIVE, ids=lambda a: a.name)
 def test_mixed_complex_axioms_weight5(alg):
     """d^2 = 0, B^2 = 0, dB + Bd = 0 exactly on all basis chains, weight <= 5."""
+    b = structure_as_cochain(alg)
     for key in all_basis_chains(alg, 5):
         c = {key: 1}
-        assert hochschild_boundary(alg, hochschild_boundary(alg, c)) == {}
+        assert hochschild_boundary(b, hochschild_boundary(b, c)) == {}
         if len(key[1]) <= 4:
             assert connes_B(alg, connes_B(alg, c)) == {}
-            acc = hochschild_boundary(alg, connes_B(alg, c))
-            for k, v in connes_B(alg, hochschild_boundary(alg, c)).items():
+            acc = hochschild_boundary(b, connes_B(alg, c))
+            for k, v in connes_B(alg, hochschild_boundary(b, c)).items():
                 chain_add(acc, k, v)
             assert acc == {}
 
 
 def test_boundary_dual_numbers_examples():
     D = build_truncated_polynomial_algebra(2)
+    b = structure_as_cochain(D)
     # d(1 x [x]) = 1*x - x*1 = 0
-    assert hochschild_boundary(D, {(0, (1,)): 1}) == {}
+    assert hochschild_boundary(b, {(0, (1,)): 1}) == {}
     # d(x x [x|x]) agrees with the classical 3-term formula
     c = {(1, (1, 1)): 1}
-    assert hochschild_boundary(D, c) == classical_boundary(D, c)
+    assert hochschild_boundary(b, c) == classical_boundary(D, c)
     # explicitly: terms x*x x [x] - x x [x*x] + x*x x [x] all vanish (x^2 = 0)
-    assert hochschild_boundary(D, c) == {}
+    assert hochschild_boundary(b, c) == {}
     # d(1 x [x|x]) = x x [x] + x x [x] = 2 x x [x]
-    assert hochschild_boundary(D, {(0, (1, 1)): 1}) == {(1, (1,)): 2}
+    assert hochschild_boundary(b, {(0, (1, 1)): 1}) == {(1, (1,)): 2}
 
 
 def test_connes_dual_numbers_examples():
@@ -156,13 +158,14 @@ def test_graded_mixed_axioms_exterior():
         {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
         name="ext1",
     )
+    b = structure_as_cochain(ext)
     for key in all_basis_chains(ext, 4):
         c = {key: 1}
-        assert hochschild_boundary(ext, hochschild_boundary(ext, c)) == {}
+        assert hochschild_boundary(b, hochschild_boundary(b, c)) == {}
         if len(key[1]) <= 3:
             assert connes_B(ext, connes_B(ext, c)) == {}
-            acc = hochschild_boundary(ext, connes_B(ext, c))
-            for k, v in connes_B(ext, hochschild_boundary(ext, c)).items():
+            acc = hochschild_boundary(b, connes_B(ext, c))
+            for k, v in connes_B(ext, hochschild_boundary(b, c)).items():
                 chain_add(acc, k, v)
             assert acc == {}
 
@@ -329,6 +332,17 @@ def test_hhc_dims():
     assert hochschild_cohomology(a2, range(0, 4)).as_tuple(range(4)) == (1, 0, 0, 0)
 
 
+@pytest.mark.parametrize("build", [lambda: build_matrix_algebra(2),
+                                   lambda: build_truncated_polynomial_algebra(3)],
+                         ids=["M2-relative", "T3-flat"])
+def test_empty_degree_range_gives_empty_dims(build):
+    alg = build()
+    for compute in (hochschild_homology, flat_hochschild_homology,
+                    hochschild_cohomology):
+        out = compute(alg, [])
+        assert (out.dims, out.spots, out.basis_keys) == ({}, {}, {}), compute.__name__
+
+
 def test_cochain_diff_matrix_built_once_per_algebra_and_arity(monkeypatch):
     """HH^*, its cocycle representatives, a gauge search, a lift and the
     coboundary tests of calculus_defect share one coboundary matrix per
@@ -381,7 +395,7 @@ def test_longer_quivers_vertex_count_oracle():
 def test_boundary_lowers_weight_connes_raises():
     D = build_truncated_polynomial_algebra(2)
     c = {(1, (1, 1)): 1}
-    for key in hochschild_boundary(D, {(0, (1, 1)): 1}):
+    for key in hochschild_boundary(structure_as_cochain(D), {(0, (1, 1)): 1}):
         assert len(key[1]) == 1
     for key in connes_B(D, c):
         assert len(key[1]) == 3
@@ -390,10 +404,10 @@ def test_boundary_lowers_weight_connes_raises():
 def test_lie_terms_emit_ints_on_builder_algebras():
     # the builders' int structure constants keep d = L_b in int arithmetic
     for alg in (build_matrix_algebra(2), build_truncated_polynomial_algebra(3)):
-        struct = DgStructure(alg)
+        b = structure_as_cochain(alg)
         coeffs = []
         for a0, word in ChainBasis(alg, 3).keys:
-            lie_terms(alg, struct, a0, word, lambda key, c: coeffs.append(c))
+            lie_terms(alg, b, a0, word, lambda key, c: coeffs.append(c))
         assert coeffs and all(type(c) is int for c in coeffs)
 
 

@@ -4,25 +4,30 @@ index (`hochschild.chain_spaces`), the operator assembly
 every row and column from the mixed-radix chain index, with no per-term key),
 the sign rules of the chain operators (`_interior_sign`, `_rotation_sign` and
 `_cap_sign`, called by both the run form and the per-key generators), the
-Lie-action slot enumeration (`hochschild.lie_terms`, which also holds the one
-rule that an output in the ground, the unit or the idempotents of the
-relative complex, dies in a bar slot), the sparse accumulate
+Lie-action slot enumeration (`hochschild.lie_terms`; the rule that an
+output in the ground, the unit or the idempotents of the relative complex,
+dies in a bar slot is read off `algebra.ground` there and in
+`OperatorSpace.lie_into`, the Lie action read off it), the sparse accumulate
 (`exactlin.chain_add`), the sparse apply (`exactlin.apply_columns`), the
-operator residual of the calculus identities (`calculus._residual`), and the
+operator residual of the calculus identities (`calculus._residual`), the
 t-window truncation with its homology and window-to-window rank
 (`cyclic.ReducedMixedComplex.truncation`, `.homology` and `.induced_rank`),
-and the homology of a complex (`exactlin.homology_walk`, which eliminates
-each differential once).  The modules that use them import the one object,
+the homology of a complex (`exactlin.homology_walk`, which eliminates each
+differential once), the structure map b of an algebra
+(`hochschild.structure_as_cochain`, one Cochain, and b + x for a
+deformation) and the change of basis of structure constants
+(`algebra.change_basis`).  The modules that use them import the one object,
 `calculus.OperatorSpace` builds its match index by calling lie_terms, and no
 module grows a hand-written `.get(k, 0) + v` accumulate beside chain_add,
 apart from the loops listed in ALLOWED."""
 
 import ast
 import functools
+import inspect
 import re
 from pathlib import Path
 
-from ncperiod import calculus, cyclic, exactlin, hochschild, period
+from ncperiod import algebra, calculus, cyclic, exactlin, hochschild, period
 from ncperiod.algebra import build_matrix_algebra
 from ncperiod.exactlin import chain_add
 
@@ -240,24 +245,64 @@ def _ground_tests():
 
 
 def test_one_ground_death_rule():
-    """An output in the ground dies in a bar slot in lie_terms alone, for the
-    flat and the relative complex; the relative index applies the same rule
-    to the letters it lists.  On the walks of M2 and M3, every term of d is
-    a relative chain one weight down, and the rule does drop terms: without
-    it, M2's d leaves the relative chains."""
+    """An output in the algebra's ground dies in a bar slot by one test of
+    membership in algebra.ground: in lie_terms, for the flat and the
+    relative complex, and in OperatorSpace.lie_into, the Lie action read off
+    it; the relative index applies the same rule to the letters it lists.
+    On the walks of M2 and M3, every term of d is a relative chain one
+    weight down, and the rule does drop terms: without it, M2's d leaves
+    the relative chains."""
     assert _ground_tests() == {("hochschild", "lie_terms"),
-                               ("hochschild", "relative_chain_spaces")}
+                               ("hochschild", "relative_chain_spaces"),
+                               ("calculus", "lie_into")}
     for alg in (build_matrix_algebra(2), build_matrix_algebra(3)):
         peirce = alg.peirce()
         spaces = hochschild.relative_chain_spaces(peirce, 4)
-        struct = hochschild.DgStructure(peirce)
+        b = hochschild.structure_as_cochain(peirce)
         for n in range(1, 5):
             for a0, word in spaces[n]:
-                hochschild.lie_terms(peirce, struct, a0, word,
+                hochschild.lie_terms(peirce, b, a0, word,
                                      lambda key, c: spaces[n - 1][key])
     peirce = build_matrix_algebra(2).peirce()  # a fresh one, changed below
     ground, peirce.ground = peirce.ground, frozenset()
     out = {}
-    hochschild.lie_terms(peirce, hochschild.DgStructure(peirce), 0, (2, 3),
+    hochschild.lie_terms(peirce, hochschild.structure_as_cochain(peirce), 0, (2, 3),
                          lambda key, c: chain_add(out, key, c))
     assert any(i in ground for _, word in out for i in word)
+
+
+def _classes_defining(method):
+    """(module, class) of every class in the package source with a method of
+    that name."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(f, ast.FunctionDef) and f.name == method
+                    for f in node.body):
+                found.add((path.stem, node.name))
+    return found
+
+
+def test_one_structure_cochain():
+    """b has one form, the Cochain of structure_as_cochain, and b + x is
+    b.add(x): no class evaluates a structure map on the fly, so only Cochain
+    and the recording probe of OperatorSpace define eval(self, l, word)."""
+    assert _classes_defining("eval") == {("hochschild", "Cochain"),
+                                         ("calculus", "_SlotProbe")}
+    for name in ("DgStructure", "DeformedStructure"):
+        assert not hasattr(hochschild, name), name
+
+
+def test_one_change_of_basis():
+    """algebra.change_basis is the one change of basis of structure
+    constants: the builders, PeirceBasis and the CLI's unit re-basing call
+    it, and nothing else in algebra or cli solves a linear system."""
+    assert set(_call_sites("change_basis")) == {
+        ("algebra", "build_matrix_algebra"), ("algebra", "build_path_algebra"),
+        ("algebra", "__init__"), ("cli", "_rebase_unit")}
+    assert "change_basis(" in inspect.getsource(algebra.PeirceBasis.__init__)
+    assert [site for site in _call_sites("solve") if site[0] in ("algebra", "cli")] == [
+        ("algebra", "change_basis")]
+    for name in ("as_vec", "vertex_vec"):
+        assert name not in inspect.getsource(algebra), name

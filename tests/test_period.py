@@ -39,6 +39,7 @@ from ncperiod.hochschild import (
     contraction,
     hochschild_boundary,
     lie_action,
+    structure_as_cochain,
 )
 
 Q = build_field()
@@ -64,14 +65,15 @@ def test_contraction_is_chain_map_for_cocycles():
     the homology-level blocks are honest."""
     from ncperiod.hochschild import Cochain, chain_add
 
+    b = structure_as_cochain(D)
     for p_comps, sdeg in [({2: {(1, 1): {0: 1}}}, 1), ({1: {(1,): {1: 1}}}, 0)]:
         p = Cochain(D, p_comps, sdeg, 6)
         assert cochain_differential(D, p, 6).is_zero()
         sgn = -1 if (sdeg + 1) % 2 else 1
         for key in [(0, (1,)), (1, (1, 1)), (0, (1, 1, 1)), (1, (1, 1, 1, 1))]:
             c = {key: 1}
-            out = hochschild_boundary(D, contraction(D, p, c))
-            for k, v in contraction(D, p, hochschild_boundary(D, c)).items():
+            out = hochschild_boundary(b, contraction(D, p, c))
+            for k, v in contraction(D, p, hochschild_boundary(b, c)).items():
                 chain_add(out, k, -sgn * v)
             assert out == {}, (p_comps, key)
 
