@@ -39,13 +39,14 @@ from functools import partial
 from itertools import compress, product as iproduct
 
 from .coeff import exact
-from .exactlin import apply_columns, chain_add, member, solve
+from .exactlin import IncrementalSpan, apply_columns, chain_add, member
 from .hochschild import (
     ArityBoundExceeded,
     ChainBasis,
     Cochain,
     CochainBasis,
     _cochain_diff_matrix,
+    _per_arity,
     basis_cochains,
     cochain_differential,
     cocycle_representatives,
@@ -458,6 +459,20 @@ def _chain_verdict(space, axiom, residuals, homology=None):
     return AxiomReport(axiom, "holds on homology")
 
 
+def _coboundary_span(algebra, arity):
+    """The coboundaries of the given arity (>= 1): one IncrementalSpan of the
+    columns of _cochain_diff_matrix(algebra, arity - 1), over
+    CochainBasis(algebra, arity) indices, kept on the algebra beside it."""
+    return _per_arity(algebra, "_coboundary_span_memo", _build_coboundary_span, arity)
+
+
+def _build_coboundary_span(algebra, arity):
+    span = IncrementalSpan()
+    for col in _cochain_diff_matrix(algebra, arity - 1).columns():
+        span.add(col)
+    return span
+
+
 def _cochain_is_coboundary(algebra, c: Cochain):
     """Is a single-arity cochain a coboundary of the normalized complex?"""
     arities = c.arities()
@@ -471,7 +486,7 @@ def _cochain_is_coboundary(algebra, c: Cochain):
     cb = CochainBasis(algebra, l)
     vec = {cb.index[w, t]: v for w, out in c.components[l].items()
            for t, v in out.items()}
-    return solve(_cochain_diff_matrix(algebra, l - 1), vec) is not None
+    return _coboundary_span(algebra, l).contains(vec)
 
 
 def _cochain_verdict(algebra, axiom, defects):

@@ -358,6 +358,7 @@ def cmd_cyclic(args, out):
     payload = {
         "command": "cyclic",
         "algebra": alg.name,
+        "chain_model": hn.chain_model,
         "degrees": list(degrees),
         "hn": [hn.dims[n] for n in degrees],
         "hc": [hc.dims[n] for n in degrees],
@@ -389,6 +390,7 @@ def cmd_ss(args, out):
     payload = {
         "command": "ss",
         "algebra": alg.name,
+        "chain_model": rep.chain_model,
         "degenerate_at_E1": rep.degenerate_at_E1,
         "e1": {f"{i},{n}": v for (i, n), v in sorted(rep.e1.items())},
         "d1_ranks": {f"{i},{n}": v for (i, n), v in sorted(rep.d1_ranks.items())},

@@ -21,6 +21,17 @@ leaves every reported dimension unchanged; otherwise NotStabilized is raised.
 TruncatedLaurentComplex reads any block dict of the transfer's format, so
 the tests cross-validate the reduced engine against the same windowed
 construction on the unreduced chain spaces (blocks d and tB).
+
+Chain models: negative_cyclic_homology, cyclic_homology,
+periodic_cyclic_homology, sbi_exactness, sbi_consistent and
+hodge_spectral_sequence pick their mixed complex by hochschild's routing
+rule, chain_model_of, as hochschild_homology does.  An algebra with
+idempotents runs on the mixed complex relative to their span E (2 chains per
+weight for M2 against 4 . 3^n flat), which has the same HC, HN and HP
+(Loday 1.2.13); any other on the flat one.  The bar bound is read off the
+algebra itself either way.  The period layer (period.py) reduces the flat
+complex of the algebra, because a Maurer-Cartan cochain x acts by L_x on
+flat chains.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
+from .algebra import PeirceBasis
 from .exactlin import (
     IncrementalSpan,
     SparseMatrix,
@@ -43,9 +55,13 @@ from .hochschild import (
     Cochain,
     GradedDims,
     boundary_matrices,
+    chain_model_of,
     chain_spaces,
     connes_matrices,
     lie_terms,
+    relative_boundary_matrices,
+    relative_chain_spaces,
+    relative_connes_matrices,
 )
 
 
@@ -99,9 +115,13 @@ def default_bar_bound(algebra, max_degree, t_hi):
 
 
 def reduce_mixed_complex(algebra, bar_bound) -> ReducedMixedComplex:
+    """The reduction of the mixed complex of algebra up to weight bar_bound,
+    cached on algebra: the E-relative complex when algebra is a PeirceBasis
+    (relative chain spaces, d and B), the flat normalized complex (run-form
+    d and B) when it is a DgAlgebra."""
     if bar_bound < 0:
         raise ValueError(f"bar bound must be >= 0, got {bar_bound}")
-    if not algebra.is_degree_zero():
+    if any(algebra.degrees):
         raise ValueError("cyclic homology requires a degree-0 algebra")
     cache = getattr(algebra, "_reduced_cache", None)
     if cache is None:
@@ -116,10 +136,14 @@ def reduce_mixed_complex(algebra, bar_bound) -> ReducedMixedComplex:
         spaces, sdr = big.spaces[: bar_bound + 2], big.sdr[: bar_bound + 1]
         b_mats = big.b_mats[:bar_bound]
     else:
-        spaces = chain_spaces(algebra, bar_bound + 1)
-        sdr = complex_sdr([len(s) for s in spaces[: bar_bound + 1]],
-                          boundary_matrices(algebra, spaces))
-        b_mats = connes_matrices(algebra, spaces[: bar_bound + 1])
+        if isinstance(algebra, PeirceBasis):
+            spaces = relative_chain_spaces(algebra, bar_bound + 1)
+            d, connes = relative_boundary_matrices, relative_connes_matrices
+        else:
+            spaces = chain_spaces(algebra, bar_bound + 1)
+            d, connes = boundary_matrices, connes_matrices
+        sdr = complex_sdr([len(s) for s in spaces[: bar_bound + 1]], d(algebra, spaces))
+        b_mats = connes(algebra, spaces[: bar_bound + 1])
     out = ReducedMixedComplex(
         algebra=algebra,
         bar_bound=bar_bound,
@@ -303,14 +327,16 @@ def _stabilized_dims(algebra, hom_degrees, t_window, variant, bar_bound=None,
     reported dimension is the stable rank of the transition maps
     H(window hi+j) -> H(window hi).  The -t direction is a union and plain
     dimension stabilization applies.  NotStabilized if either fails within
-    max_extra enlargements.
+    max_extra enlargements.  Returns the dims and the chain_model record of
+    the complex they were computed on.
     """
     lo, hi = t_window
     if bar_bound is None:
         bar_bound = default_bar_bound(
             algebra, max(abs(n) for n in hom_degrees), hi + max_extra
         )
-    red = reduce_mixed_complex(algebra, bar_bound)
+    model, record = chain_model_of(algebra)
+    red = reduce_mixed_complex(model, bar_bound)
     part = {"nonneg": lambda a, b: (max(a, 0), b),
             "window": lambda a, b: (a, b),
             "nonpos": lambda a, b: (a, min(b, 0))}[variant]
@@ -345,17 +371,15 @@ def _stabilized_dims(algebra, hom_degrees, t_window, variant, bar_bound=None,
                 f"within {max_extra} enlargements"
             )
         dims[n] = ranks[-1]
-    return dims, red
+    return dims, record
 
 
 def negative_cyclic_homology(algebra, degree_range, t_window=(-6, 6), bar_bound=None,
                              max_extra=3):
     degrees = sorted(degree_range)
-    dims, _ = _stabilized_dims(algebra, degrees, t_window, "nonneg", bar_bound,
-                               max_extra)
-    out = GradedDims()
-    out.dims = dims
-    return out
+    dims, record = _stabilized_dims(algebra, degrees, t_window, "nonneg", bar_bound,
+                                    max_extra)
+    return GradedDims(dims=dims, chain_model=record)
 
 
 def periodic_cyclic_homology(algebra, t_window=(-6, 6), bar_bound=None, max_extra=3):
@@ -367,11 +391,9 @@ def periodic_cyclic_homology(algebra, t_window=(-6, 6), bar_bound=None, max_extr
 def cyclic_homology(algebra, degree_range, t_window=(-6, 6), bar_bound=None,
                     max_extra=3):
     degrees = sorted(degree_range)
-    dims, _ = _stabilized_dims(algebra, degrees, t_window, "nonpos", bar_bound,
-                               max_extra)
-    out = GradedDims()
-    out.dims = dims
-    return out
+    dims, record = _stabilized_dims(algebra, degrees, t_window, "nonpos", bar_bound,
+                                    max_extra)
+    return GradedDims(dims=dims, chain_model=record)
 
 
 def sbi_consistent(algebra, degree_range, t_window=(-6, 6), bar_bound=None):
@@ -421,6 +443,7 @@ class SpectralReport:
     filtration: dict = field(default_factory=dict)  # (i, n) -> dim F^i HP_n
     degenerate_at_E1: bool = False
     t_window: tuple = (-6, 6)
+    chain_model: dict = field(default_factory=lambda: {"kind": "flat"})
 
     def e1_total(self, n):
         return sum(v for (i, m), v in self.e1.items() if m == n)
@@ -432,8 +455,9 @@ def hodge_spectral_sequence(algebra, t_window=(-6, 6), degree_range=(0, 1),
     lo, hi = t_window
     if bar_bound is None:
         bar_bound = default_bar_bound(algebra, max(abs(n) for n in degrees), hi + 3)
-    red = reduce_mixed_complex(algebra, bar_bound)
-    rep = SpectralReport(t_window=t_window)
+    model, record = chain_model_of(algebra)
+    red = reduce_mixed_complex(model, bar_bound)
+    rep = SpectralReport(t_window=t_window, chain_model=record)
     d1 = {m: blk for (sig, m, _), blk in red.transfer.items() if sig == 1}
 
     def d1_rank(m):  # d1: H_m -> H_{m+1}
@@ -477,7 +501,7 @@ def sbi_exactness(algebra, degree_range, t_window=(-6, 6), bar_bound=None):
     lo, hi = t_window
     if bar_bound is None:
         bar_bound = default_bar_bound(algebra, max(abs(n) for n in degrees) + 2, hi)
-    red = reduce_mixed_complex(algebra, bar_bound)
+    red = reduce_mixed_complex(chain_model_of(algebra)[0], bar_bound)
     total, sub, quot = (lo, hi), (max(lo, 0), hi), (lo, min(-1, hi))
     h = red.homology
 

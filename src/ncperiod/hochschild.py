@@ -39,12 +39,19 @@ Indexing and assembly
     all built by it.  The per-key generators (lie_terms, connes_terms,
     contraction_terms) act on chain dicts; both forms take their signs from
     _interior_sign, _rotation_sign and _cap_sign;
-  * an algebra with idempotents also has the complex relative to their span
-    E (relative_chain_spaces, relative_boundary_matrices): its chains are
-    walks over the algebra's PeirceBasis, indexed by a dict, and its d is
-    assembled from lie_terms, where an output in E dies in a bar slot.
-    hochschild_homology takes that route whenever the algebra has
-    idempotents; flat_hochschild_homology is the normalized complex above.
+  * an algebra with idempotents also has the mixed complex relative to
+    their span E (relative_chain_spaces, relative_boundary_matrices,
+    relative_connes_matrices): its chains are walks over the algebra's
+    PeirceBasis, indexed by a dict, and its d and B are assembled from
+    lie_terms and connes_terms, where an element of E dies in a bar slot and
+    in front of a rotation of B stands the e_x the rotated walk starts at.
+    The quotient onto it is a morphism of mixed complexes and a
+    quasi-isomorphism in each bar weight (Loday, Cyclic Homology, 1.2.13), so
+    HH, HC, HN and HP do not change.  chain_model_of is the one routing rule:
+    hochschild_homology and the cyclic operations take the relative complex
+    whenever the algebra has idempotents; flat_hochschild_homology is the
+    normalized complex above.  The period layer stays on the flat complex,
+    since L_x and I_x of a flat cochain x act on flat chains.
 """
 
 from __future__ import annotations
@@ -249,15 +256,22 @@ def lie_terms(algebra, op, a0, word, out_terms):
 
 
 def connes_terms(algebra, a0, word, out_terms):
-    """B(a0 x word): all cyclic rotations with the unit in front."""
-    if a0 == 0:
-        return  # class of a0 in the complement is zero
+    """B(a0 x word): all cyclic rotations with the ground in front.
+
+    An a0 in algebra.ground dies (its class in A/ground is zero).  In front
+    of each rotation stands the one ground element x with x times the
+    rotation's first letter nonzero: the unit of a DgAlgebra, the e_x of a
+    PeirceBasis at which the rotated walk starts."""
+    if a0 in algebra.ground:
+        return
     n = len(word)
     eps = _prefix_eps(algebra, word)
     sd0 = algebra.degrees[a0] - 1
     for i in range(n + 1):
         sgn = _rotation_sign(eps[i] + sd0, eps[n] - eps[i])
-        out_terms((0, word[i:] + (a0,) + word[:i]), sgn)
+        rotated = word[i:] + (a0,) + word[:i]
+        front = next(x for x in algebra.ground if algebra.product(x, rotated[0]))
+        out_terms((front, rotated), sgn)
 
 
 def _contraction_arity(cochain):
@@ -488,7 +502,8 @@ def lie_runs(algebra, op, n):
         if l > n + 1:
             continue
         segs = [(s, out, c) for s, seg in enumerate(itertools.product(red, repeat=l))
-                for out, c in op.eval(l, seg).items() if out] if l <= n else []
+                for out, c in op.eval(l, seg).items() if out not in algebra.ground
+                ] if l <= n else []
         for j in range(n - l + 1):
             tail = r ** (n - j - l)
             step = (r * tail, r ** l * tail)
@@ -647,18 +662,41 @@ def relative_chain_spaces(peirce, max_weight):
     return spaces
 
 
+def _keyed_matrix(terms, src, dst):
+    """The matrix from the chains of the index src to those of dst of a
+    per-key generator terms(a0, word, out_terms): one call per column, each
+    term found by its key."""
+    m = SparseMatrix(len(dst), len(src))
+    for j, (a0, word) in enumerate(src):
+        terms(a0, word, lambda key, c: m.add_to(dst[key], j, c))
+    return m
+
+
 def relative_boundary_matrices(peirce, spaces):
-    """d_n on the relative chain spaces for n = 1..len(spaces)-1 (index 0 is
-    None): one lie_terms call per column of L_b, each term found by its key."""
-    b = structure_as_cochain(peirce)
-    mats = [None]
-    for n in range(1, len(spaces)):
-        index, m = spaces[n - 1], SparseMatrix(len(spaces[n - 1]), len(spaces[n]))
-        for j, (a0, word) in enumerate(spaces[n]):
-            lie_terms(peirce, b, a0, word,
-                      lambda key, c: m.add_to(index[key], j, c))
-        mats.append(m)
-    return mats
+    """d_n = L_b on the relative chain spaces for n = 1..len(spaces)-1
+    (index 0 is None)."""
+    terms = partial(lie_terms, peirce, structure_as_cochain(peirce))
+    return [None] + [_keyed_matrix(terms, spaces[n], spaces[n - 1])
+                     for n in range(1, len(spaces))]
+
+
+def relative_connes_matrices(peirce, spaces):
+    """B_n on the relative chain spaces for n = 0..len(spaces)-2: each
+    rotation of a walk is a walk, with the e_x it starts at in front."""
+    terms = partial(connes_terms, peirce)
+    return [_keyed_matrix(terms, spaces[n], spaces[n + 1])
+            for n in range(len(spaces) - 1)]
+
+
+def chain_model_of(algebra):
+    """The routing rule of the homology operations: (model, record), model
+    being the algebra.peirce() of an algebra carrying idempotents (the
+    E-relative complex, chains over its indices) and the algebra itself
+    otherwise (the flat complex); record is the chain_model of the result."""
+    if algebra.idempotents is None:
+        return algebra, {"kind": "flat"}
+    peirce = algebra.peirce()
+    return peirce, {"kind": "relative", "idempotents": len(peirce.ground)}
 
 
 # -- homology -----------------------------------------------------------------------
@@ -729,15 +767,15 @@ def hochschild_homology(algebra, degree_range):
     flat_hochschild_homology, which callers that need representatives on
     flat chains call by name.
     """
-    if algebra.idempotents is None:
-        return flat_hochschild_homology(algebra, degree_range)
     if not algebra.is_degree_zero():
         raise ValueError("homology requires a degree-0 algebra")
+    peirce, record = chain_model_of(algebra)
+    if record["kind"] == "flat":
+        return flat_hochschild_homology(algebra, degree_range)
     degrees = sorted(degree_range)
-    peirce = algebra.peirce()
     spaces = relative_chain_spaces(peirce, max(degrees, default=-1) + 1)
     out = _chain_homology(degrees, spaces, relative_boundary_matrices(peirce, spaces))
-    out.chain_model = {"kind": "relative", "idempotents": len(peirce.ground)}
+    out.chain_model = record
     return out
 
 
@@ -780,15 +818,18 @@ class CochainBasis:
         return Cochain(self.algebra, comps, sdeg, arity_bound)
 
 
-def _cochain_diff_matrix(algebra, arity):
-    """Matrix of [b, -] from arity l to arity l+1 (degree-0 algebras), built
-    once per (algebra, arity) and kept on the algebra; callers only read it."""
-    memo = getattr(algebra, "_cochain_diff_memo", None)
-    if memo is None:
-        memo = algebra._cochain_diff_memo = {}
+def _per_arity(algebra, name, build, arity):
+    """build(algebra, arity), made once per (algebra, arity) and kept on the
+    algebra in the dict attribute name; callers only read it."""
+    memo = vars(algebra).setdefault(name, {})
     if arity not in memo:
-        memo[arity] = _assemble_cochain_diff(algebra, arity)
+        memo[arity] = build(algebra, arity)
     return memo[arity]
+
+
+def _cochain_diff_matrix(algebra, arity):
+    """Matrix of [b, -] from arity l to arity l+1 (degree-0 algebras)."""
+    return _per_arity(algebra, "_cochain_diff_memo", _assemble_cochain_diff, arity)
 
 
 def _assemble_cochain_diff(algebra, arity):

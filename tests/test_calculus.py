@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from ncperiod.calculus import (
     cup_product,
     verify_lie_dagger,
 )
+from ncperiod.exactlin import solve
 from ncperiod.hochschild import (
     Cochain,
     basis_cochains,
@@ -610,6 +612,46 @@ def test_calculus_defect_reports_match_closure_reference(
         assert not witnesses
     else:
         assert witnesses == _CAP_FLIP_WITNESSES[:1 if alg is A2 else 4]
+
+
+class _SolvedCoboundaries:
+    """Reference for calculus._coboundary_span: a fresh exactlin.solve
+    against the coboundary matrix for every membership test."""
+
+    def __init__(self, algebra, arity):
+        self.matrix = hochschild._cochain_diff_matrix(algebra, arity - 1)
+
+    def contains(self, vec):
+        return solve(self.matrix, vec) is not None
+
+
+def test_coboundary_span_built_once_per_arity(monkeypatch):
+    """calculus_defect tests every defect cochain against one IncrementalSpan
+    of coboundaries per arity, built once, and reports what a fresh solve per
+    defect reports."""
+    monkeypatch.setattr(calculus, "_coboundary_span", _SolvedCoboundaries)
+    want = [(r.axiom, r.status, r.witness)
+            for r in calculus_defect(build_truncated_polynomial_algebra(3), 2, 3)]
+    monkeypatch.undo()
+    built, tested = Counter(), []
+    real_build, real_test = calculus._build_coboundary_span, calculus._cochain_is_coboundary
+
+    def counting_build(algebra, arity):
+        built[arity] += 1
+        return real_build(algebra, arity)
+
+    def counting_test(algebra, c):
+        tested.append(real_test(algebra, c))
+        return tested[-1]
+
+    monkeypatch.setattr(calculus, "_build_coboundary_span", counting_build)
+    monkeypatch.setattr(calculus, "_cochain_is_coboundary", counting_test)
+    got = [(r.axiom, r.status, r.witness)
+           for r in calculus_defect(build_truncated_polynomial_algebra(3), 2, 3)]
+    assert got == want
+    assert "holds on homology" in {status for _, status, _ in got}
+    assert set(built) == {2, 3, 4, 5} and set(built.values()) == {1}
+    assert len(tested) > len(built) and all(tested)
 
 
 def test_calculus_defect_cochain_mutation_detected(monkeypatch):

@@ -228,7 +228,8 @@ def _reduction_data(red):
 @pytest.mark.parametrize("build, bars", [
     (lambda: build_matrix_algebra(2), (6, 4, 3)),
     (lambda: build_truncated_polynomial_algebra(2), (25, 22)),
-], ids=["M2", "T2"])
+    (lambda: build_matrix_algebra(2).peirce(), (23, 6, 3)),
+], ids=["M2", "T2", "M2-relative"])
 def test_smaller_bars_are_cut_from_the_cached_reduction(monkeypatch, build, bars):
     """A bar below a cached one builds no SDR and equals a fresh reduction;
     a larger bar asked for later still gives the fresh answer."""

@@ -154,7 +154,9 @@ def test_one_homology_walk():
     """hochschild takes homology only through exactlin.homology_walk, from one
     helper; homology_at and complex_sdr walk with the same generator; pivot
     columns are taken only for rank and the walk's top differential; the
-    homology representatives come from one echelon, not an incremental span."""
+    homology representatives come from one echelon, not an incremental span.
+    An IncrementalSpan is built only for a membership test: the induced rank,
+    exactlin.member and the coboundaries of one arity in calculus."""
     assert _call_sites("homology_walk") == [("exactlin", "homology_at"),
                                             ("hochschild", "_graded_homology")]
     assert set(_call_sites("_walk")) == {("exactlin", "homology_walk"),
@@ -170,14 +172,15 @@ def test_one_homology_walk():
     assert not [(name, site) for name in kernels for site in _call_sites(name)
                 if site[0] == "hochschild"]
     assert set(_call_sites("IncrementalSpan")) == {("exactlin", "member"),
-                                                   ("cyclic", "_induced_rank")}
+                                                   ("cyclic", "_induced_rank"),
+                                                   ("calculus", "_build_coboundary_span")}
 
 
 # (module, innermost function) -> why it may read an index dict by a key
 INDEX_LOOKUPS = {
     ("calculus", "lie_into"): "the Lie action through the OperatorSpace match index",
     ("calculus", "_cochain_is_coboundary"): "one cochain as a vector, not a matrix",
-    ("hochschild", "relative_boundary_matrices"):
+    ("hochschild", "_keyed_matrix"):
         "the relative chains are walks, indexed by a dict and not by mixed radix",
 }
 
@@ -247,12 +250,15 @@ def _ground_tests():
 def test_one_ground_death_rule():
     """An output in the algebra's ground dies in a bar slot by one test of
     membership in algebra.ground: in lie_terms, for the flat and the
-    relative complex, and in OperatorSpace.lie_into, the Lie action read off
-    it; the relative index applies the same rule to the letters it lists.
+    relative complex, in its run form lie_runs, and in OperatorSpace.lie_into,
+    the Lie action read off it; connes_terms kills an a0 in the ground by the
+    same test, and the relative index applies it to the letters it lists.
     On the walks of M2 and M3, every term of d is a relative chain one
-    weight down, and the rule does drop terms: without it, M2's d leaves
+    weight down and every term of B one weight up, and the rule does drop terms: without it, M2's d leaves
     the relative chains."""
     assert _ground_tests() == {("hochschild", "lie_terms"),
+                               ("hochschild", "lie_runs"),
+                               ("hochschild", "connes_terms"),
                                ("hochschild", "relative_chain_spaces"),
                                ("calculus", "lie_into")}
     for alg in (build_matrix_algebra(2), build_matrix_algebra(3)):
@@ -263,6 +269,8 @@ def test_one_ground_death_rule():
             for a0, word in spaces[n]:
                 hochschild.lie_terms(peirce, b, a0, word,
                                      lambda key, c: spaces[n - 1][key])
+            for a0, word in spaces[n - 1]:
+                hochschild.connes_terms(peirce, a0, word, lambda key, c: spaces[n][key])
     peirce = build_matrix_algebra(2).peirce()  # a fresh one, changed below
     ground, peirce.ground = peirce.ground, frozenset()
     out = {}

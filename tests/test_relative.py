@@ -5,13 +5,19 @@ An algebra that carries idempotents (M_n, path algebras, M_n(A) from
 `conftest.matrices_over`) runs `hochschild_homology` on the complex
 A (x)_{E^e} (A/E)^{(x)_E n}; `flat_hochschild_homology` runs the normalized
 complex over the whole basis.  Both compute HH, so their dims agree on every
-degree both reach.
+degree both reach.  The cyclic operations run on the relative mixed complex
+(d and B) of such an algebra; the same tables without idempotents take the
+flat route, and at equal bars the two give the same reports.
 """
+
+import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import acyclic_quivers, greedy_homology_reps, matrices_over
+from test_cli import run_cli
 from ncperiod.algebra import (
     DgAlgebra,
     a2_quiver_algebra,
@@ -22,10 +28,19 @@ from ncperiod.algebra import (
     kronecker_algebra,
 )
 from ncperiod.cli import resolve_algebra
+from ncperiod.cyclic import (
+    cyclic_homology,
+    hodge_spectral_sequence,
+    negative_cyclic_homology,
+    periodic_cyclic_homology,
+    sbi_exactness,
+)
 from ncperiod.hochschild import (
     flat_hochschild_homology,
     hochschild_homology,
+    relative_boundary_matrices,
     relative_chain_spaces,
+    relative_connes_matrices,
 )
 
 # (algebra, top degree reached by both routes)
@@ -136,3 +151,69 @@ def test_relative_homology_reps_match_greedy_oracle(build, top):
         assert sub.homology_reps == want
         assert [[type(v) for v in r.values()] for r in sub.homology_reps] == \
             [[type(v) for v in r.values()] for r in want]
+
+
+# -- the relative mixed complex ------------------------------------------------------
+
+# per AGREE algebra, a bar at which the flat route runs in well under a second
+CYCLIC_BARS = {"M2": 6, "M3": 2, "A2": 6, "kron": 4, "path:a4": 2, "QxQ": 6,
+               "M2(T2)": 3, "M2(A2)": 2}
+
+
+def _without_idempotents(alg):
+    """The same tables with no idempotents attached: the flat route."""
+    return DgAlgebra(alg.labels, alg.degrees, alg.mult, alg.diff, name=alg.name)
+
+
+def _cyclic_reports(alg, bar):
+    window, degrees = (-2, 2), range(0, 3)
+    ss = dataclasses.asdict(hodge_spectral_sequence(alg, window, (0, 1), bar))
+    hn = negative_cyclic_homology(alg, degrees, window, bar)
+    hc = cyclic_homology(alg, degrees, window, bar)
+    assert hn.chain_model == hc.chain_model == ss.pop("chain_model")
+    return (hn.dims, hc.dims, periodic_cyclic_homology(alg, window, bar),
+            sbi_exactness(alg, range(0, 2), window, bar), ss), hn.chain_model
+
+
+@pytest.mark.parametrize("build, bar", [(build, CYCLIC_BARS[name]) for (build, _), name
+                                        in zip(AGREE, AGREE_IDS)], ids=AGREE_IDS)
+def test_relative_and_flat_mixed_complexes_agree(build, bar):
+    """HN, HC, HP, SBI exactness and every field of the spectral sequence
+    report agree between the relative and the flat mixed complex."""
+    rel, rel_model = _cyclic_reports(build(), bar)
+    flat, flat_model = _cyclic_reports(_without_idempotents(build()), bar)
+    assert rel == flat
+    assert rel_model == {"kind": "relative", "idempotents": len(build().idempotents)}
+    assert flat_model == {"kind": "flat"}
+
+
+@pytest.mark.parametrize("build", [build for build, _ in AGREE], ids=AGREE_IDS)
+def test_relative_mixed_complex_identities(build):
+    """On the relative chain spaces, B B = 0 and d B + B d = 0 at every
+    weight, and B is not zero where the complex has chains above weight 0."""
+    peirce = build().peirce()
+    spaces = relative_chain_spaces(peirce, 4)
+    d = relative_boundary_matrices(peirce, spaces)
+    b = relative_connes_matrices(peirce, spaces)
+    for n in range(len(b) - 1):
+        assert b[n + 1].compose(b[n]).is_zero(), n
+    for n in range(1, len(b)):
+        anti = b[n - 1].compose(d[n])
+        for key, v in d[n + 1].compose(b[n]).entries.items():
+            anti.add_to(*key, v)
+        assert anti.is_zero(), n
+    assert any(not m.is_zero() for m in b) == any(spaces[1:])
+
+
+def test_cli_cyclic_matrix_algebra_at_bar_23():
+    """Morita: M2 has the cyclic theories of Q, HN = 1 0 0 0 0, HC = 1 0 1 0 1
+    and HP = (1, 0), at the bar 23 that the window -6..6 reaches."""
+    argv = ["cyclic", "--algebra", "matrix:2", "--degree-range", "0..4",
+            "--t-window=-6..6", "--bar", "23", "--format", "structured"]
+    code, out = run_cli(argv)
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["hn"], payload["hc"], payload["hp"]) == (
+        [1, 0, 0, 0, 0], [1, 0, 1, 0, 1], [1, 0])
+    assert payload["sbi_consistent"] is True
+    assert payload["chain_model"] == {"kind": "relative", "idempotents": 2}
