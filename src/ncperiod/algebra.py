@@ -88,6 +88,12 @@ class DgAlgebra:
     def reduced_indices(self):
         return range(1, self.dim)
 
+    @property
+    def ends(self):
+        """(x, y) with basis_i in e_x A e_y, per i: every element lies in
+        1 A 1, the ground {0} being the one idempotent 1."""
+        return [(0, 0)] * self.dim
+
     def is_degree_zero(self):
         return all(d == 0 for d in self.degrees)
 
@@ -163,9 +169,10 @@ class PeirceBasis:
     the sum of the idempotents.  Each element lies in one e_x A e_y, and
     ends[i] is that (x, y); mult and diff are the tables in this basis, by
     change_basis.  The idempotents span E, the ground of the E-relative
-    complex: they die in a bar slot as the unit does in the flat complex.  hochschild's per-key
-    generators read degrees, diff, product and ground of it, as of a
-    DgAlgebra.  ValueError if the basis is not adapted to the idempotents.
+    complex: they die in a bar slot as the unit does in the flat complex.  It
+    is a chain model of hochschild as a DgAlgebra is, read through degrees,
+    diff, product, ground and ends.  ValueError if the basis is not adapted
+    to the idempotents.
     """
 
     def __init__(self, algebra):

@@ -178,13 +178,10 @@ class OperatorSpace:
         for col in self.apply_cols:
             lie_terms(algebra, probe, *self.keys[col], (wrap_match, interior_match))
 
-    def lie_into(self, cols, cochain, wrap_sign, stop):
+    def lie_into(self, cols, cochain, stop):
         """Add the Lie action of the cochain to cols, {col: {row: coeff}}, in
-        place on the columns < stop, and return cols.
-
-        Cancelled entries stay as zeros.  wrap_sign is a self-test hook that
-        scales the wrap terms.
-        """
+        place on the columns < stop, and return cols.  Cancelled entries stay
+        as zeros."""
         odd = cochain.sdeg % 2
         index, keys, ground = self.index, self.keys, self.algebra.ground
         for l, comp in cochain.components.items():
@@ -208,13 +205,13 @@ class OperatorSpace:
                     acc = cols.setdefault(col, {})
                     for t, c in out:
                         r = index[t, rest]
-                        acc[r] = acc.get(r, 0) + wrap_sign * sgn * c
+                        acc[r] = acc.get(r, 0) + sgn * c
         return cols
 
-    def lie_matrix(self, cochain, wrap_sign=1):
+    def lie_matrix(self, cochain):
         """{col: ((row, coeff), ...)} of the Lie action of the cochain on the
         apply columns."""
-        cols = self.lie_into({}, cochain, wrap_sign, len(self.keys))
+        cols = self.lie_into({}, cochain, len(self.keys))
         return {col: e for col, acc in cols.items() if (e := _column(acc))}
 
     def operator_matrix(self, runs):
@@ -296,22 +293,21 @@ def _report(axiom, witness):
 # -- Lie-dagger verification --------------------------------------------------------
 
 
-def _lie_matrices(space, cochains, wrap_sign):
+def _lie_matrices(space, cochains):
     """(L_P, L_P by rows over the check columns) for every cochain."""
     ncheck = len(space.check_cols)
-    mats = [space.lie_matrix(c, wrap_sign=wrap_sign) for c in cochains]
+    mats = [space.lie_matrix(c) for c in cochains]
     return [(m, _transpose(m, ncheck)) for m in mats]
 
 
-def _bracket_action_witness(space, cochains, mats, arity_bound, wrap_sign,
-                            a_range):
+def _bracket_action_witness(space, cochains, mats, arity_bound, a_range):
     ncheck = len(space.check_cols)
     for a in a_range:
         P, (mp, tp) = cochains[a], mats[a]
         for b in range(a, len(cochains)):
             Q, (mq, tq) = cochains[b], mats[b]
             res = space.lie_into({}, gerstenhaber_bracket(P, Q, 2 * arity_bound),
-                                 wrap_sign, ncheck)
+                                 ncheck)
             sign = _sign(P.sdeg * Q.sdeg)
             col = _first_nonzero(_residual(res, ncheck, ((-1, mp, tq), (sign, mq, tp))))
             if col is not None:
@@ -322,7 +318,7 @@ def _bracket_action_witness(space, cochains, mats, arity_bound, wrap_sign,
 _POOL_STATE = {}
 
 
-def _pool_init(algebra_data, arity_bound, bar_bound, wrap_sign):
+def _pool_init(algebra_data, arity_bound, bar_bound):
     from .algebra import DgAlgebra
 
     labels, degrees, mult, diff, name = algebra_data
@@ -332,20 +328,16 @@ def _pool_init(algebra_data, arity_bound, bar_bound, wrap_sign):
     for c in cochains:
         c.arity_bound = 2 * arity_bound
     _POOL_STATE.update(space=space, cochains=cochains,
-                       mats=_lie_matrices(space, cochains, wrap_sign),
-                       arity_bound=arity_bound, wrap_sign=wrap_sign)
+                       mats=_lie_matrices(space, cochains), arity_bound=arity_bound)
 
 
 def _pool_chunk(a_range):
     s = _POOL_STATE
     return _bracket_action_witness(
-        s["space"], s["cochains"], s["mats"], s["arity_bound"], s["wrap_sign"],
-        a_range,
-    )
+        s["space"], s["cochains"], s["mats"], s["arity_bound"], a_range)
 
 
-def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, _wrap_sign=1,
-                      workers=None):
+def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, workers=None):
     """Check the three dg-Lie-action identities exactly, plus L_b = boundary.
 
     (1) L_{[P,Q]} = L_P L_Q - (-1)^{sd P sd Q} L_Q L_P for all basis cochain
@@ -356,8 +348,7 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, _wrap_sign=1,
     Each identity is one residual per pair or cochain (module docstring): the
     witness is the first failing pair or cochain, with the smallest nonzero
     column of its residual.  Returns four AxiomReports; a negative bound
-    raises ValueError.  _wrap_sign != 1 corrupts the wrap terms of the Lie
-    action (self-test hook for the failure path).  workers > 1 splits the
+    raises ValueError.  workers > 1 splits the
     pair loop over processes (NCPERIOD_THREADS via the CLI); results are
     merged in index order, so the report is deterministic.
     """
@@ -370,7 +361,7 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, _wrap_sign=1,
     cochains = basis_cochains(algebra, arity_bound)
     for c in cochains:
         c.arity_bound = 2 * arity_bound
-    mats = _lie_matrices(space, cochains, _wrap_sign)
+    mats = _lie_matrices(space, cochains)
     boundary = space.boundary_matrix()
     t_boundary = _transpose(boundary, ncheck)
     connes = space.connes_matrix()
@@ -387,12 +378,12 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, _wrap_sign=1,
                 {k: dict(v) for k, v in algebra.diff.items()}, algebra.name)
         chunks = [range(i, len(cochains), workers) for i in range(workers)]
         with mp.Pool(workers, initializer=_pool_init,
-                     initargs=(data, arity_bound, bar_bound, _wrap_sign)) as pool:
+                     initargs=(data, arity_bound, bar_bound)) as pool:
             found = [w for w in pool.map(_pool_chunk, chunks) if w]
         witness = min(found, key=lambda w: (w[1], w[2])) if found else None
     else:
         witness = _bracket_action_witness(
-            space, cochains, mats, arity_bound, _wrap_sign, range(len(cochains)))
+            space, cochains, mats, arity_bound, range(len(cochains)))
     reports.append(_report("bracket-action: L_[P,Q] = [L_P, L_Q]", witness))
 
     for axiom, op, t_op, lhs in (
@@ -401,7 +392,7 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, _wrap_sign=1,
             ("connes-compat: [B, L_P] = 0", connes, t_connes, None)):
         witness = None
         for a, (P, (mp, tp)) in enumerate(zip(cochains, mats)):
-            res = space.lie_into({}, lhs(P), _wrap_sign, ncheck) if lhs else {}
+            res = space.lie_into({}, lhs(P), ncheck) if lhs else {}
             col = _first_nonzero(_residual(
                 res, ncheck, ((-1, op, tp), (_sign(P.sdeg), mp, t_op))))
             if col is not None:
@@ -409,8 +400,7 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, _wrap_sign=1,
                 break
         reports.append(_report(axiom, witness))
 
-    res = space.lie_into({}, structure_as_cochain(algebra, 2 * arity_bound),
-                         _wrap_sign, ncheck)
+    res = space.lie_into({}, structure_as_cochain(algebra, 2 * arity_bound), ncheck)
     col = _first_nonzero(_residual(res, ncheck, (), ((-1, boundary),)))
     reports.append(_report("action-at-structure: L_b = boundary",
                            None if col is None else space.keys[col]))
@@ -591,7 +581,7 @@ def calculus_defect(algebra, degree_bound=2, bar_bound=4):
                              (-_sign(deg[p] * (deg[q] - 1)), lie[q], t_con[p])),
                 ((-_sign(deg[p] * (deg[q] + 1)), space.contraction_matrix(br)),))))
     l_cup = [((deg[p], deg[q]), _residual(
-        space.lie_into({}, cups[p, q], 1, ncheck), ncheck,
+        space.lie_into({}, cups[p, q], ncheck), ncheck,
         ((-_sign(deg[q] * (deg[p] + 1)), lie[p], t_con[q]),
          (-_sign(deg[p] * deg[q]), con[p], t_lie[q])))) for p, q in pairs]
     for axiom, residuals, on_homology in (

@@ -431,6 +431,8 @@ def cmd_calc(args, out):
 
 
 def cmd_deform(args, out):
+    if args.action == "gauge-check" and args.mc_file2 is None:
+        raise ParseError(0, "deform gauge-check needs --mc-file2")
     alg = resolve_algebra(args.algebra)
     ring = resolve_ring(args.ring)
     with open(args.mc_file, "r", encoding="utf-8") as fh:
@@ -511,9 +513,11 @@ def cmd_period(args, out):
         emit(payload, args.format, out)
         return 0
     if args.action == "vdb":
-        pi = {(0, ()): 1} if args.pi == "unit" else None
-        if pi is None:
+        if args.pi != "unit":
             raise ParseError(0, "only --pi unit is supported")
+        if args.cy_dim != 0:
+            raise ParseError(0, "--pi unit is a class in HH_0, so it needs --cy-dim 0")
+        pi = {(0, ()): 1}
         rep = vdb_duality_check(alg, args.cy_dim, pi, degrees)
         lines = []
         for s in sorted(rep):
@@ -531,6 +535,8 @@ def cmd_period(args, out):
         emit(payload, args.format, out)
         return 0
     # ptd
+    if args.mc_file is None:
+        raise ParseError(0, "period ptd needs --mc-file")
     ring = resolve_ring(args.ring)
     with open(args.mc_file, "r", encoding="utf-8") as fh:
         x = parse_mc_file(alg, ring, fh.read())

@@ -22,16 +22,18 @@ TruncatedLaurentComplex reads any block dict of the transfer's format, so
 the tests cross-validate the reduced engine against the same windowed
 construction on the unreduced chain spaces (blocks d and tB).
 
-Chain models: negative_cyclic_homology, cyclic_homology,
+Chain models: the reduction runs on a chain model, an algebra in a basis
+adapted to a separable ground E (hochschild's module docstring), through
+hochschild.chain_spaces, boundary_matrices and connes_matrices, and the flat
+complex is the case E = k.  negative_cyclic_homology, cyclic_homology,
 periodic_cyclic_homology, sbi_exactness, sbi_consistent and
-hodge_spectral_sequence pick their mixed complex by hochschild's routing
-rule, chain_model_of, as hochschild_homology does.  An algebra with
-idempotents runs on the mixed complex relative to their span E (2 chains per
-weight for M2 against 4 . 3^n flat), which has the same HC, HN and HP
-(Loday 1.2.13); any other on the flat one.  The bar bound is read off the
-algebra itself either way.  The period layer (period.py) reduces the flat
-complex of the algebra, because a Maurer-Cartan cochain x acts by L_x on
-flat chains.
+hodge_spectral_sequence take the model hochschild's routing rule,
+chain_model_of, picks, as hochschild_homology does: for an algebra with
+idempotents the complex relative to their span E (2 chains per weight for M2
+against 4 . 3^n flat), which has the same HC, HN and HP (Loday 1.2.13).  The
+bar bound is read off the algebra itself either way.  The period layer
+(period.py) reduces the flat complex of the algebra, because a
+Maurer-Cartan cochain x acts by L_x on flat chains.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .algebra import PeirceBasis
 from .exactlin import (
     IncrementalSpan,
     SparseMatrix,
@@ -59,9 +60,6 @@ from .hochschild import (
     chain_spaces,
     connes_matrices,
     lie_terms,
-    relative_boundary_matrices,
-    relative_chain_spaces,
-    relative_connes_matrices,
 )
 
 
@@ -115,10 +113,9 @@ def default_bar_bound(algebra, max_degree, t_hi):
 
 
 def reduce_mixed_complex(algebra, bar_bound) -> ReducedMixedComplex:
-    """The reduction of the mixed complex of algebra up to weight bar_bound,
-    cached on algebra: the E-relative complex when algebra is a PeirceBasis
-    (relative chain spaces, d and B), the flat normalized complex (run-form
-    d and B) when it is a DgAlgebra."""
+    """The reduction of the mixed complex of a chain model (the model that
+    chain_model_of gives, or any DgAlgebra) up to weight bar_bound, cached
+    on it."""
     if bar_bound < 0:
         raise ValueError(f"bar bound must be >= 0, got {bar_bound}")
     if any(algebra.degrees):
@@ -136,14 +133,10 @@ def reduce_mixed_complex(algebra, bar_bound) -> ReducedMixedComplex:
         spaces, sdr = big.spaces[: bar_bound + 2], big.sdr[: bar_bound + 1]
         b_mats = big.b_mats[:bar_bound]
     else:
-        if isinstance(algebra, PeirceBasis):
-            spaces = relative_chain_spaces(algebra, bar_bound + 1)
-            d, connes = relative_boundary_matrices, relative_connes_matrices
-        else:
-            spaces = chain_spaces(algebra, bar_bound + 1)
-            d, connes = boundary_matrices, connes_matrices
-        sdr = complex_sdr([len(s) for s in spaces[: bar_bound + 1]], d(algebra, spaces))
-        b_mats = connes(algebra, spaces[: bar_bound + 1])
+        spaces = chain_spaces(algebra, bar_bound + 1)
+        sdr = complex_sdr([len(s) for s in spaces[: bar_bound + 1]],
+                          boundary_matrices(algebra, spaces))
+        b_mats = connes_matrices(algebra, spaces[: bar_bound + 1])
     out = ReducedMixedComplex(
         algebra=algebra,
         bar_bound=bar_bound,

@@ -25,33 +25,42 @@ mu_i = sd(a_0) + eps_i:
 The wrap windows are the contiguous cyclic runs containing a_0 exactly
 once: for arity l they are i in 0..n with n-i+1 <= l <= n+1.
 
+Chain models
+  * a chain model is an algebra in a basis adapted to a separable ground E,
+    with ground, the basis indices spanning E, and ends, where ends[i] =
+    (x, y) says that basis_i lies in e_x A e_y.  Its chains are the
+    normalized complex A (x)_{E^e} (A/E)^{(x)_E n}, which computes HH, and
+    with B it is a mixed complex with the HC, HN and HP of A (Loday, Cyclic
+    Homology, 1.2.13).  The flat complex is the case E = k: a DgAlgebra has
+    ground {0} and every element in 1 A 1.  The PeirceBasis of an algebra's
+    idempotents is the model relative to their span E;
+  * an element of the ground dies in a bar slot (lie_terms, lie_runs), an a0
+    in it dies under B, and in front of each rotation of B stands the ground
+    element the rotated walk starts at: the unit, or an e_x (connes_terms);
+  * chain_model_of is the one routing rule: hochschild_homology and the
+    cyclic operations take the PeirceBasis of an algebra with idempotents
+    and the algebra itself otherwise; flat_hochschild_homology always takes
+    the algebra.  The period layer stays on the flat complex, since L_x and
+    I_x of a flat cochain x act on flat chains.
+
 Indexing and assembly
-  * chain_spaces is the one chain-space index: per bar weight, the keys
-    (a0, word) in index order, which is mixed radix: with r = dim - 1 the
-    key (a0, w) of weight n sits at a0 r^n + sum_k (w_k - 1) r^(n-1-k);
+  * chain_spaces is the one chain-space index: per bar weight, the cyclic
+    walks (a0, word) over ends with no bar letter in the ground, by a0, then
+    by word.  On a DgAlgebra that order is mixed radix: with r = dim - 1 the
+    key (a0, w) of weight n sits at a0 r^n + sum_k (w_k - 1) r^(n-1-k).
     ChainBasis is the same spaces laid end to end, weight n at positions
     offsets[n]..offsets[n+1]-1;
-  * term_matrix is the one operator assembly: the matrix of an operator in
-    run form (lie_runs, connes_runs, contraction_runs for d or L_P, B and
-    I_P), whose terms come as runs of rows and columns computed from that
-    index, with no per-term key.  d and B per weight (boundary_matrices,
-    connes_matrices) and the operator matrices of calculus.OperatorSpace are
-    all built by it.  The per-key generators (lie_terms, connes_terms,
-    contraction_terms) act on chain dicts; both forms take their signs from
+  * the operators d (or L_P), B and I_P have two forms: the per-key
+    generators lie_terms, connes_terms and contraction_terms act on chain
+    dicts, and the run form (lie_runs, connes_runs, contraction_runs) gives
+    runs of rows and columns computed from the mixed-radix index, with no
+    per-term key, which term_matrix assembles.  Both take their signs from
     _interior_sign, _rotation_sign and _cap_sign;
-  * an algebra with idempotents also has the mixed complex relative to
-    their span E (relative_chain_spaces, relative_boundary_matrices,
-    relative_connes_matrices): its chains are walks over the algebra's
-    PeirceBasis, indexed by a dict, and its d and B are assembled from
-    lie_terms and connes_terms, where an element of E dies in a bar slot and
-    in front of a rotation of B stands the e_x the rotated walk starts at.
-    The quotient onto it is a morphism of mixed complexes and a
-    quasi-isomorphism in each bar weight (Loday, Cyclic Homology, 1.2.13), so
-    HH, HC, HN and HP do not change.  chain_model_of is the one routing rule:
-    hochschild_homology and the cyclic operations take the relative complex
-    whenever the algebra has idempotents; flat_hochschild_homology is the
-    normalized complex above.  The period layer stays on the flat complex,
-    since L_x and I_x of a flat cochain x act on flat chains.
+  * boundary_matrices and connes_matrices, d and B per weight, are the one
+    place that picks the assembly, by the model: term_matrix of the run form
+    on a DgAlgebra, one per-key call per column on a PeirceBasis, whose walks
+    are found by key (_keyed_matrix).  The operator matrices of
+    calculus.OperatorSpace are run form too.
 """
 
 from __future__ import annotations
@@ -59,8 +68,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from fractions import Fraction
 
+from .algebra import PeirceBasis
 from .exactlin import SparseMatrix, chain_add, homology_walk
 
 
@@ -409,26 +418,39 @@ def cochain_differential(algebra, p, arity_bound=None):
 # -- finite bases and matrices ------------------------------------------------------
 
 
-def chain_spaces(algebra, max_weight):
-    """Index maps {(a0, word): j} per weight 0..max_weight, keys in index order.
+def chain_spaces(model, max_weight):
+    """Index maps {(a0, word): j} per weight 0..max_weight of the chain
+    model, keys in index order: by a0, then by word.
 
-    The index is mixed radix: with r = dim - 1, the key (a0, w) of weight n
-    sits at a0 r^n + sum_k (w_k - 1) r^(n-1-k), a0 being a digit of radix dim
-    and each bar slot one of radix r.  For r = 0 the weights above 0 are
+    The keys are the cyclic walks: each letter lies in the e_x A e_y of its
+    model.ends, consecutive letters compose, the last one composes with a0,
+    and no bar letter lies in model.ground.  The walks of weight n + 1 extend
+    those of weight n by one letter, so only words whose letters compose are
+    ever made.  On a DgAlgebra every word is a walk and the index is mixed
+    radix: with r = dim - 1, the key (a0, w) of weight n sits at
+    a0 r^n + sum_k (w_k - 1) r^(n-1-k).  For r = 0 the weights above 0 are
     empty.
     """
-    red = list(algebra.reduced_indices)
-    return [
-        {
-            key: j
-            for j, key in enumerate(
-                (a0, w)
-                for a0 in range(algebra.dim)
-                for w in itertools.product(red, repeat=n)
-            )
-        }
-        for n in range(max_weight + 1)
-    ]
+    ends = model.ends
+    step = {}  # x -> [(b, y)]: the letters b outside the ground with e_x b e_y = b
+    for b, (x, y) in enumerate(ends):
+        if b not in model.ground:
+            step.setdefault(x, []).append((b, y))
+    # (word, start, end); the words of one start stay in increasing order
+    walks = [((), x, x) for x in sorted(model.ground)]
+    spaces = []
+    for n in range(max_weight + 1):
+        if n:
+            walks = [(word + (b,), x, z) for word, x, y in walks
+                     for b, z in step.get(y, ())]
+        by_ends = {}
+        for word, x, y in walks:
+            by_ends.setdefault((x, y), []).append(word)
+        # a0 in e_x A e_y closes the words that start at y and end at x
+        keys = ((a0, word) for a0, (x, y) in enumerate(ends)
+                for word in by_ends.get((y, x), ()))
+        spaces.append({key: j for j, key in enumerate(keys)})
+    return spaces
 
 
 def _word_index(word, r):
@@ -597,19 +619,40 @@ def term_matrix(runs, shape, col_offsets, row_offsets):
     return mat
 
 
-def boundary_matrices(algebra, spaces):
+def _keyed_matrix(terms, src, dst):
+    """The matrix from the chains of the index src to those of dst of a
+    per-key generator terms(a0, word, out_terms): one call per column, each
+    term found by its key."""
+    m = SparseMatrix(len(dst), len(src))
+    for j, (a0, word) in enumerate(src):
+        terms(a0, word, lambda key, c: m.add_to(dst[key], j, c))
+    return m
+
+
+def _weight_matrices(model, spaces, runs, terms, weights, shift):
+    """The matrices C_n -> C_{n+shift}, n in weights, of an operator given in
+    run form, runs(n), and per key, terms(a0, word, out_terms).  The model
+    picks the assembly: term_matrix of the runs on a DgAlgebra, whose index
+    is mixed radix, and _keyed_matrix of the terms on a PeirceBasis, whose
+    walks are found by key."""
+    if isinstance(model, PeirceBasis):
+        return [_keyed_matrix(terms, spaces[n], spaces[n + shift]) for n in weights]
+    return [term_matrix(runs, (len(spaces[n + shift]), len(spaces[n])), {n: 0},
+                        {n + shift: 0}) for n in weights]
+
+
+def boundary_matrices(model, spaces):
     """d_n = L_b: C_n -> C_{n-1} for n = 1..len(spaces)-1 (index 0 is None)."""
-    runs = partial(lie_runs, algebra, structure_as_cochain(algebra))
-    return [None] + [term_matrix(runs, (len(spaces[n - 1]), len(spaces[n])),
-                                 {n: 0}, {n - 1: 0})
-                     for n in range(1, len(spaces))]
+    b = structure_as_cochain(model)
+    return [None] + _weight_matrices(model, spaces, partial(lie_runs, model, b),
+                                     partial(lie_terms, model, b),
+                                     range(1, len(spaces)), -1)
 
 
-def connes_matrices(algebra, spaces):
+def connes_matrices(model, spaces):
     """B_n: C_n -> C_{n+1} for n = 0..len(spaces)-2."""
-    runs = partial(connes_runs, algebra)
-    return [term_matrix(runs, (len(spaces[n + 1]), len(spaces[n])), {n: 0}, {n + 1: 0})
-            for n in range(len(spaces) - 1)]
+    return _weight_matrices(model, spaces, partial(connes_runs, model),
+                            partial(connes_terms, model), range(len(spaces) - 1), 1)
 
 
 class ChainBasis:
@@ -628,64 +671,9 @@ class ChainBasis:
         return len(self.keys)
 
 
-# -- the complex relative to the vertex idempotents ---------------------------------
-# For a PeirceBasis whose idempotents span E, the normalized complex
-# A (x)_{E^e} (A/E)^{(x)_E n} computes HH (Loday, Cyclic Homology, 1.2.13).
-# Its chains are the cyclic walks (a0; a1..an): each a_k lies in one
-# e_x A e_y, consecutive letters compose, a_n composes with a0, and no bar
-# letter lies in E.  Its d is lie_terms of the product on the PeirceBasis:
-# a product of composable elements stays in one e_x A e_y, so every term is a
-# walk again, and an output in E dies in a bar slot.
-
-
-def relative_chain_spaces(peirce, max_weight):
-    """Index maps {(a0, word): j} per weight 0..max_weight of the E-relative
-    normalized complex of the PeirceBasis, keys in index order: by a0, then
-    by word.  The walks of weight n + 1 extend those of weight n by one
-    letter, so only words whose letters compose are ever made."""
-    step = {}  # x -> [(b, y)]: the letters b outside E with e_x b e_y = b
-    for b, (x, y) in enumerate(peirce.ends):
-        if b not in peirce.ground:
-            step.setdefault(x, []).append((b, y))
-    walks = [((), x, x) for x in sorted(peirce.ground)]  # (word, start, end)
-    spaces = []
-    for _ in range(max_weight + 1):
-        by_ends = {}
-        for word, x, y in walks:
-            by_ends.setdefault((x, y), []).append(word)
-        # a0 in e_x A e_y closes the words that start at y and end at x
-        keys = ((a0, word) for a0, (x, y) in enumerate(peirce.ends)
-                for word in by_ends.get((y, x), ()))
-        spaces.append({key: j for j, key in enumerate(keys)})
-        walks = sorted((word + (b,), x, z) for word, x, y in walks
-                       for b, z in step.get(y, ()))
-    return spaces
-
-
-def _keyed_matrix(terms, src, dst):
-    """The matrix from the chains of the index src to those of dst of a
-    per-key generator terms(a0, word, out_terms): one call per column, each
-    term found by its key."""
-    m = SparseMatrix(len(dst), len(src))
-    for j, (a0, word) in enumerate(src):
-        terms(a0, word, lambda key, c: m.add_to(dst[key], j, c))
-    return m
-
-
-def relative_boundary_matrices(peirce, spaces):
-    """d_n = L_b on the relative chain spaces for n = 1..len(spaces)-1
-    (index 0 is None)."""
-    terms = partial(lie_terms, peirce, structure_as_cochain(peirce))
-    return [None] + [_keyed_matrix(terms, spaces[n], spaces[n - 1])
-                     for n in range(1, len(spaces))]
-
-
-def relative_connes_matrices(peirce, spaces):
-    """B_n on the relative chain spaces for n = 0..len(spaces)-2: each
-    rotation of a walk is a walk, with the e_x it starts at in front."""
-    terms = partial(connes_terms, peirce)
-    return [_keyed_matrix(terms, spaces[n], spaces[n + 1])
-            for n in range(len(spaces) - 1)]
+def _flat_model(algebra):
+    """The flat complex of the algebra as (model, record): the algebra itself."""
+    return algebra, {"kind": "flat"}
 
 
 def chain_model_of(algebra):
@@ -694,7 +682,7 @@ def chain_model_of(algebra):
     E-relative complex, chains over its indices) and the algebra itself
     otherwise (the flat complex); record is the chain_model of the result."""
     if algebra.idempotents is None:
-        return algebra, {"kind": "flat"}
+        return _flat_model(algebra)
     peirce = algebra.peirce()
     return peirce, {"kind": "relative", "idempotents": len(peirce.ground)}
 
@@ -723,10 +711,10 @@ class GradedDims:
         return tuple(self.dims.get(n, 0) for n in degrees)
 
 
-def _weight_graded_boundary(algebra, max_weight):
+def _weight_graded_boundary(model, max_weight):
     """Chain spaces and boundary matrices per weight up to max_weight."""
-    spaces = chain_spaces(algebra, max_weight)
-    return spaces, boundary_matrices(algebra, spaces)
+    spaces = chain_spaces(model, max_weight)
+    return spaces, boundary_matrices(model, spaces)
 
 
 def _graded_homology(degrees, walk_maps, basis_keys):
@@ -757,36 +745,36 @@ def _chain_homology(degrees, spaces, mats):
     return _graded_homology(degrees, walk_maps, lambda n: list(spaces[n]))
 
 
+def _model_homology(algebra, degree_range, model_of):
+    """Exact HH dims with representatives on the chain model (model, record)
+    = model_of(algebra); algebra must sit in degree 0."""
+    if not algebra.is_degree_zero():
+        raise ValueError("homology requires a degree-0 algebra")
+    model, record = model_of(algebra)
+    degrees = sorted(degree_range)
+    out = _chain_homology(degrees, *_weight_graded_boundary(
+        model, max(degrees, default=-1) + 1))
+    out.chain_model = record
+    return out
+
+
 def hochschild_homology(algebra, degree_range):
     """Exact HH dims with representatives; algebra must sit in degree 0.
 
-    An algebra carrying idempotents runs on the complex relative to their
-    span E (the builders attach them to M_n and to path algebras), and its
-    spots and basis_keys name relative chains, walks (a0, word) over
-    algebra.peirce() indices.  Any other algebra runs on the flat complex,
-    flat_hochschild_homology, which callers that need representatives on
-    flat chains call by name.
+    It runs on the model chain_model_of picks: an algebra carrying
+    idempotents (the builders attach them to M_n and to path algebras) on
+    the complex relative to their span E, whose spots and basis_keys name
+    walks (a0, word) over algebra.peirce() indices; any other algebra on the
+    flat complex.  Callers that need representatives on flat chains call
+    flat_hochschild_homology.
     """
-    if not algebra.is_degree_zero():
-        raise ValueError("homology requires a degree-0 algebra")
-    peirce, record = chain_model_of(algebra)
-    if record["kind"] == "flat":
-        return flat_hochschild_homology(algebra, degree_range)
-    degrees = sorted(degree_range)
-    spaces = relative_chain_spaces(peirce, max(degrees, default=-1) + 1)
-    out = _chain_homology(degrees, spaces, relative_boundary_matrices(peirce, spaces))
-    out.chain_model = record
-    return out
+    return _model_homology(algebra, degree_range, chain_model_of)
 
 
 def flat_hochschild_homology(algebra, degree_range):
     """Exact HH dims with representatives on the flat normalized complex,
     keys (a0, word) over the algebra's basis; algebra must sit in degree 0."""
-    if not algebra.is_degree_zero():
-        raise ValueError("homology requires a degree-0 algebra")
-    degrees = sorted(degree_range)
-    spaces, mats = _weight_graded_boundary(algebra, max(degrees, default=-1) + 1)
-    return _chain_homology(degrees, spaces, mats)
+    return _model_homology(algebra, degree_range, _flat_model)
 
 
 class CochainBasis:

@@ -179,12 +179,11 @@ def deformed_differential(red, x: MCElement, window) -> BlockOp:
     return BlockOp(1, perturbation_transfer(red, x.value, window))
 
 
-def contraction_blocks(red, p: Cochain, t_shift=0) -> BlockOp:
-    """p . I_P . iota as blocks at the given t-shift (degree |P| + 2 t_shift)."""
+def contraction_blocks(red, p: Cochain) -> BlockOp:
+    """p . I_P . iota as blocks at t-shift -1, (1/t) I_P (degree |P| - 2)."""
     algebra = red.algebra
     arities = p.arities()
-    deg = (p.sdeg + 1) + 2 * t_shift
-    op = BlockOp(deg)
+    op = BlockOp(p.sdeg - 1)
     if not arities:
         return op
     (l,) = arities
@@ -202,7 +201,7 @@ def contraction_blocks(red, p: Cochain, t_shift=0) -> BlockOp:
             vecs.append({idx2[key]: v for key, v in img.items()})
         block = _project(tgt, vecs)
         if block:
-            op.blocks[t_shift, m, tgt_w] = block
+            op.blocks[-1, m, tgt_w] = block
     return op
 
 
@@ -232,7 +231,7 @@ def first_order_period_matrix(algebra, degree_range, arity_bound=None,
     classes = cocycle_representatives(algebra, 2, arity_bound or 4)
     out = []
     for p in classes:
-        op = contraction_blocks(red, p, t_shift=-1)
+        op = contraction_blocks(red, p)
         pc = PeriodClass()
         for (sig, m, m2), mat in op.blocks.items():
             if m in degrees:
@@ -265,8 +264,10 @@ def vdb_duality_check(algebra, d, pi_chain, degree_range, arity_bound=None):
     """Per degree s: the matrix of P -> class of I_P(pi), with an iso verdict.
 
     pi_chain: a cycle of the flat normalized complex representing a class
-    in HH_d.
+    in HH_d; ValueError if one of its keys has a bar weight other than d.
     """
+    if any(len(word) != d for _, word in pi_chain):
+        raise ValueError(f"pi_chain has a chain outside bar weight {d}")
     degrees = sorted(degree_range)
     top = max(degrees)
     hh = flat_hochschild_homology(algebra, range(0, max(d, top - 0) + 1 + 1))
@@ -459,7 +460,7 @@ def trivialize_periodic(algebra, x: MCElement, t_window=(-6, 6), bar_bound=None)
         xs = _x_level_slice(x, ring, s)
         if xs is None:
             return {}
-        blocks = contraction_blocks(red, xs, t_shift=-1)
+        blocks = contraction_blocks(red, xs)
         if any(key not in index for key, _ in blocks.entries()):
             raise NotStabilized("the seed -(1/t) I_x left the t-window")
         return {index[key]: -v for key, v in blocks.entries()}

@@ -56,6 +56,19 @@ def full_pivot_columns(m, rows=None):
     return sorted(_echelon([_int_row(r) for r in m.row_lists()]))
 
 
+def product_chain_spaces(algebra, max_weight):
+    """{(a0, word): j} per weight 0..max_weight of the flat complex, by
+    itertools.product over the complement: the oracle for the walk
+    enumerator hochschild.chain_spaces on a DgAlgebra."""
+    red = list(algebra.reduced_indices)
+    return [
+        {key: j for j, key in enumerate(
+            (a0, w) for a0 in range(algebra.dim)
+            for w in itertools.product(red, repeat=n))}
+        for n in range(max_weight + 1)
+    ]
+
+
 def direct_blocks(algebra, bar_bound):
     """(weight dims, blocks) of the unreduced mixed complex in the format of
     cyclic.perturbation_transfer: d_m at (0, m, m-1) and B_m at (1, m, m+1)."""

@@ -322,7 +322,7 @@ def test_criterion_9_trivialization():
             from ncperiod.period import _x_level_slice
 
             xs = _x_level_slice(x, R2, 1)
-            seed = (contraction_blocks(red, xs, t_shift=-1).scaled(-1)
+            seed = (contraction_blocks(red, xs).scaled(-1)
                     if xs is not None else BlockOp(0))
             lvl1 = level_slices(g, R2, 1).get(1, BlockOp(0))
             diff = lvl1.add(seed, scale=-1)

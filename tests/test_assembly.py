@@ -1,12 +1,14 @@
 """The mixed-radix chain index and the run-form operator assembly.
 
 term_matrix computes every row and column of d, B and I_P from the
-mixed-radix index of chain_spaces, so that index is pinned here, and the
-run form is compared with the per-key generators (lie_terms, connes_terms,
-contraction_terms) applied to each basis chain: the same entries, values
-and types, on generated degree-0 algebras, on graded and dg ones, and for a
-contraction by a cochain with Fraction values.  The structure cochain b,
-whose L_b is d, is compared with its closed formula on the same algebras.
+mixed-radix index of chain_spaces, so that index is pinned here: the walk
+enumerator gives, on a DgAlgebra, the keys of the itertools.product oracle
+of conftest in the same order.  The run form is compared with the per-key
+generators (lie_terms, connes_terms, contraction_terms) applied to each
+basis chain: the same entries, values and types, on generated degree-0
+algebras, on graded and dg ones, and for a contraction by a cochain with
+Fraction values.  The structure cochain b, whose L_b is d, is compared with
+its closed formula on the same algebras.
 """
 
 import itertools
@@ -16,7 +18,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import degree0_algebras
+from conftest import degree0_algebras, product_chain_spaces
 from ncperiod.algebra import (
     DgAlgebra,
     a2_quiver_algebra,
@@ -59,6 +61,30 @@ def test_chain_index_is_mixed_radix(build):
         assert all(j == mixed_radix(alg, a0, w) for (a0, w), j in space.items())
     if alg.dim == 1:  # r = 0: only the weight-0 chain 1 x []
         assert spaces[0] == {(0, ()): 0} and not any(spaces[1:])
+
+
+def assert_walks_match_product_oracle(alg, top):
+    """chain_spaces(alg, top) holds the keys of product_chain_spaces, with the
+    same indices, in the same order."""
+    got, want = chain_spaces(alg, top), product_chain_spaces(alg, top)
+    assert [list(s.items()) for s in got] == [list(s.items()) for s in want]
+
+
+@pytest.mark.parametrize("build, top", [
+    (build_field, 4), (lambda: build_truncated_polynomial_algebra(2), 6),
+    (lambda: build_truncated_polynomial_algebra(3), 6),
+    (lambda: build_truncated_polynomial_algebra(4), 6), (a2_quiver_algebra, 6),
+    (kronecker_algebra, 5), (lambda: build_matrix_algebra(2), 6),
+    (lambda: build_matrix_algebra(3), 3)],
+    ids=["Q", "T2", "T3", "T4", "A2", "kron", "M2", "M3"])
+def test_chain_spaces_match_product_oracle(build, top):
+    assert_walks_match_product_oracle(build(), top)
+
+
+@settings(max_examples=12, deadline=None)
+@given(degree0_algebras(), st.integers(0, 5))
+def test_chain_spaces_match_product_oracle_on_generated_algebras(alg, top):
+    assert_walks_match_product_oracle(alg, top)
 
 
 # -- run form against the per-key generators ---------------------------------------

@@ -242,8 +242,27 @@ def test_lie_dagger_graded_with_differential():
         [str(r) for r in reports]
 
 
-def test_lie_dagger_mutation_detected():
-    reports = verify_lie_dagger(D, 2, 3, _wrap_sign=-1)
+@pytest.fixture
+def scale_wrap_terms(monkeypatch):
+    """scale_wrap_terms(k) multiplies the sign of every wrap match of each
+    OperatorSpace built afterwards by k, so the Lie action L_P it assembles
+    has its wrap terms scaled by k (a mutant for k != 1)."""
+    def scale(k):
+        init = OperatorSpace.__init__
+
+        def scaled_init(self, *args):
+            init(self, *args)
+            self._wrap = {seg: [(col, k * sgn, rest) for col, sgn, rest in matches]
+                          for seg, matches in self._wrap.items()}
+
+        monkeypatch.setattr(OperatorSpace, "__init__", scaled_init)
+
+    return scale
+
+
+def test_lie_dagger_mutation_detected(scale_wrap_terms):
+    scale_wrap_terms(-1)
+    reports = verify_lie_dagger(D, 2, 3)
     assert [(r.status, r.witness) for r in reports] == [
         ("fails", ((1, ()), 2, 3)),
         ("fails", ((0, (1, 1)), 2)),
@@ -264,13 +283,13 @@ def _commutator_on(mat_a, mat_b, sign, col):
     return out
 
 
-def _reference_lie_dagger(alg, arity_bound, bar_bound, wrap_sign):
+def _reference_lie_dagger(alg, arity_bound, bar_bound):
     """verify_lie_dagger's reports, one (pair, column) at a time."""
     space = OperatorSpace(alg, bar_bound)
     cochains = basis_cochains(alg, arity_bound)
     for c in cochains:
         c.arity_bound = 2 * arity_bound
-    mats = [space.lie_matrix(c, wrap_sign=wrap_sign) for c in cochains]
+    mats = [space.lie_matrix(c) for c in cochains]
     boundary = space.boundary_matrix()
     connes = space.connes_matrix()
 
@@ -284,8 +303,7 @@ def _reference_lie_dagger(alg, arity_bound, bar_bound, wrap_sign):
     for a, P in enumerate(cochains):
         for b in range(a, len(cochains)):
             Q = cochains[b]
-            lhs = space.lie_matrix(gerstenhaber_bracket(P, Q, 2 * arity_bound),
-                                   wrap_sign=wrap_sign)
+            lhs = space.lie_matrix(gerstenhaber_bracket(P, Q, 2 * arity_bound))
             sign = -1 if (P.sdeg * Q.sdeg) % 2 else 1
             col = first_col(lambda c: dict(lhs.get(c, ())),
                             lambda c: _commutator_on(mats[a], mats[b], sign, c))
@@ -298,8 +316,7 @@ def _reference_lie_dagger(alg, arity_bound, bar_bound, wrap_sign):
 
     witness = None
     for a, P in enumerate(cochains):
-        l_dP = space.lie_matrix(cochain_differential(alg, P, 2 * arity_bound),
-                                wrap_sign=wrap_sign)
+        l_dP = space.lie_matrix(cochain_differential(alg, P, 2 * arity_bound))
         sign = -1 if P.sdeg % 2 else 1
         col = first_col(lambda c: dict(l_dP.get(c, ())),
                         lambda c: _commutator_on(boundary, mats[a], sign, c))
@@ -318,8 +335,7 @@ def _reference_lie_dagger(alg, arity_bound, bar_bound, wrap_sign):
             break
     out.append(report("connes-compat: [B, L_P] = 0", witness))
 
-    l_b = space.lie_matrix(structure_as_cochain(alg, 2 * arity_bound),
-                           wrap_sign=wrap_sign)
+    l_b = space.lie_matrix(structure_as_cochain(alg, 2 * arity_bound))
     col = first_col(lambda c: dict(l_b.get(c, ())),
                     lambda c: dict(boundary.get(c, ())))
     out.append(report("action-at-structure: L_b = boundary",
@@ -356,18 +372,19 @@ PINNED = [(alg, 2, 3) for alg in (D, T3, A2, kronecker_algebra(),
     (alg, 3, 4) for alg in (D, T3, A2)]
 
 
-@pytest.mark.parametrize("wrap_sign", [1, -1, 2])
+@pytest.mark.parametrize("k", [1, -1, 2])
 @pytest.mark.parametrize("alg,arity_bound,bar_bound", PINNED,
                          ids=lambda v: getattr(v, "name", str(v)))
 def test_lie_dagger_reports_match_per_column_reference(
-        alg, arity_bound, bar_bound, wrap_sign):
+        alg, arity_bound, bar_bound, k, scale_wrap_terms):
     """The fused per-pair residuals give the reports and witnesses of the
-    per-column loop; wrap_sign != 1 makes all four identities fail."""
-    got = [(r.axiom, r.status, r.witness) for r in verify_lie_dagger(
-        alg, arity_bound, bar_bound, _wrap_sign=wrap_sign)]
-    assert got == _reference_lie_dagger(alg, arity_bound, bar_bound, wrap_sign)
-    assert all(s == ("holds exactly" if wrap_sign == 1 else "fails")
-               for _, s, _ in got)
+    per-column loop; wrap terms scaled by k != 1 make all four identities
+    fail."""
+    scale_wrap_terms(k)
+    got = [(r.axiom, r.status, r.witness)
+           for r in verify_lie_dagger(alg, arity_bound, bar_bound)]
+    assert got == _reference_lie_dagger(alg, arity_bound, bar_bound)
+    assert all(s == ("holds exactly" if k == 1 else "fails") for _, s, _ in got)
 
 
 # basis cochain pairs whose bracket's Lie action cancels terms in the accumulator
@@ -399,7 +416,7 @@ def _check_operator_columns(space, pairs):
             got = {space.keys[r]: v for r, v in mats[-1].get(col, ())}
             assert got == lie_action(space.algebra, P, {space.keys[col]: 1})
     for br in brackets:
-        acc = space.lie_into({}, br, 1, len(space.keys))
+        acc = space.lie_into({}, br, len(space.keys))
         assert any(v == 0 for col in acc.values() for v in col.values())
     half = Cochain(space.algebra, {1: {(1,): {1: Fraction(1, 2)}}}, 0, 4)
     mats.append(space.lie_matrix(half))

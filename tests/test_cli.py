@@ -313,3 +313,36 @@ def test_target_ring_several_levels_up_is_parse_error(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert ("parse error: line 0: --target-ring eps^4 does not extend --ring dual"
             in capsys.readouterr().err)
+
+
+MC_X = [{"word": ["x", "x"], "out": "1", "coeffs": {"eps": "1"}}]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["period", "vdb", "--algebra", "matrix:2", "--cy-dim", "1",
+      "--degree-range", "0..2"], "--pi unit is a class in HH_0, so it needs --cy-dim 0"),
+    (["period", "vdb", "--algebra", "q", "--cy-dim", "2"],
+     "--pi unit is a class in HH_0, so it needs --cy-dim 0"),
+    (["period", "ptd", "--algebra", "trunc_poly:2", "--ring", "dual"],
+     "period ptd needs --mc-file"),
+    (["deform", "gauge-check", "--algebra", "trunc_poly:2", "--ring", "dual",
+      "--mc-file", "{mc}"], "deform gauge-check needs --mc-file2"),
+], ids=["vdb-matrix:2-cy-dim-1", "vdb-q-cy-dim-2", "ptd-no-mc-file",
+         "gauge-check-no-mc-file2"])
+def test_missing_or_inconsistent_inputs_are_parse_errors(
+        argv, message, tmp_path, capsys):
+    """Each stops before any output with a parse error that names the
+    option, not with a traceback."""
+    mc = tmp_path / "x.json"
+    mc.write_text(json.dumps(MC_X))
+    code, out = run_cli([a.format(mc=mc) for a in argv])
+    assert (code, out) == (2, "")
+    assert f"parse error: line 0: {message}" in capsys.readouterr().err
+
+
+def test_vdb_rejects_a_pi_chain_outside_its_weight():
+    from ncperiod.algebra import build_matrix_algebra
+    from ncperiod.period import vdb_duality_check
+
+    with pytest.raises(ValueError, match="bar weight 1"):
+        vdb_duality_check(build_matrix_algebra(2), 1, {(0, ()): 1}, range(0, 3))

@@ -1,5 +1,7 @@
 """Each of these concepts has one implementation in the package: the chain
-index (`hochschild.chain_spaces`), the operator assembly
+index (`hochschild.chain_spaces`, the walks of a chain model, flat or
+relative), the choice of operator assembly (`hochschild._weight_matrices`,
+behind `boundary_matrices` and `connes_matrices`), the run-form assembly
 (`hochschild.term_matrix`, which takes d, B and I_P in run form and computes
 every row and column from the mixed-radix chain index, with no per-term key),
 the sign rules of the chain operators (`_interior_sign`, `_rotation_sign` and
@@ -165,7 +167,8 @@ def test_one_homology_walk():
                                                   ("exactlin", "_walk")}
     assert set(_call_sites("_graded_homology")) == {
         ("hochschild", "_chain_homology"), ("hochschild", "hochschild_cohomology")}
-    assert set(_call_sites("_chain_homology")) == {
+    assert _call_sites("_chain_homology") == [("hochschild", "_model_homology")]
+    assert set(_call_sites("_model_homology")) == {
         ("hochschild", "hochschild_homology"), ("hochschild", "flat_hochschild_homology")}
     kernels = ("homology_at", "rref", "_pivot_columns", "_homology_reps", "_rref_rows",
                "_echelon", "IncrementalSpan", "member", "solve")
@@ -181,7 +184,7 @@ INDEX_LOOKUPS = {
     ("calculus", "lie_into"): "the Lie action through the OperatorSpace match index",
     ("calculus", "_cochain_is_coboundary"): "one cochain as a vector, not a matrix",
     ("hochschild", "_keyed_matrix"):
-        "the relative chains are walks, indexed by a dict and not by mixed radix",
+        "the walks of a PeirceBasis are indexed by a dict and not by mixed radix",
 }
 
 
@@ -206,13 +209,17 @@ def _index_lookups(module):
 
 
 def test_one_run_form_assembly():
-    """d, B and I_P become matrices only through term_matrix, in run form; no
-    function of hochschild or calculus finds a matrix row by its chain key,
-    apart from INDEX_LOOKUPS; each sign rule is written once and used by the
-    run form and the per-key generator alike."""
+    """d, B and I_P on a DgAlgebra become matrices only through term_matrix,
+    in run form, and _weight_matrices, behind boundary_matrices and
+    connes_matrices, is the one place that picks it or the per-key
+    _keyed_matrix by the model; no function of hochschild or calculus finds a
+    matrix row by its chain key, apart from INDEX_LOOKUPS; each sign rule is
+    written once and used by the run form and the per-key generator alike."""
     assert set(_call_sites("term_matrix")) == {
-        ("hochschild", "boundary_matrices"), ("hochschild", "connes_matrices"),
-        ("calculus", "operator_matrix")}
+        ("hochschild", "_weight_matrices"), ("calculus", "operator_matrix")}
+    assert _call_sites("_keyed_matrix") == [("hochschild", "_weight_matrices")]
+    assert set(_call_sites("_weight_matrices")) == {
+        ("hochschild", "boundary_matrices"), ("hochschild", "connes_matrices")}
     assert _index_lookups("hochschild") | _index_lookups("calculus") == set(INDEX_LOOKUPS)
     signs = {
         "_interior_sign": {"lie_terms", "lie_runs"},
@@ -252,18 +259,18 @@ def test_one_ground_death_rule():
     membership in algebra.ground: in lie_terms, for the flat and the
     relative complex, in its run form lie_runs, and in OperatorSpace.lie_into,
     the Lie action read off it; connes_terms kills an a0 in the ground by the
-    same test, and the relative index applies it to the letters it lists.
+    same test, and chain_spaces applies it to the letters it lists.
     On the walks of M2 and M3, every term of d is a relative chain one
     weight down and every term of B one weight up, and the rule does drop terms: without it, M2's d leaves
     the relative chains."""
     assert _ground_tests() == {("hochschild", "lie_terms"),
                                ("hochschild", "lie_runs"),
                                ("hochschild", "connes_terms"),
-                               ("hochschild", "relative_chain_spaces"),
+                               ("hochschild", "chain_spaces"),
                                ("calculus", "lie_into")}
     for alg in (build_matrix_algebra(2), build_matrix_algebra(3)):
         peirce = alg.peirce()
-        spaces = hochschild.relative_chain_spaces(peirce, 4)
+        spaces = hochschild.chain_spaces(peirce, 4)
         b = hochschild.structure_as_cochain(peirce)
         for n in range(1, 5):
             for a0, word in spaces[n]:
@@ -314,3 +321,39 @@ def test_one_change_of_basis():
         ("algebra", "change_basis")]
     for name in ("as_vec", "vertex_vec"):
         assert name not in inspect.getsource(algebra), name
+
+
+def test_one_chain_space_enumerator():
+    """chain_spaces is the only chain-space enumerator, for every chain
+    model: no other function of the package is named for one, the chain
+    index is built only by calling it (ChainBasis, the weight-graded
+    boundary of HH and the reduction of a mixed complex), and the ends of
+    the letters, which say which words are walks, are read nowhere else
+    outside algebra."""
+    defs = {(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and "chain_spaces" in node.name}
+    assert defs == {("hochschild", "chain_spaces")}
+    assert set(_call_sites("chain_spaces")) == {
+        ("hochschild", "__init__"), ("hochschild", "_weight_graded_boundary"),
+        ("cyclic", "reduce_mixed_complex")}
+    readers = {(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
+               if path.stem != "algebra"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)
+               and any(getattr(n, "attr", None) == "ends" for n in ast.walk(node))}
+    assert readers == {("hochschild", "chain_spaces")}
+    for name in ("relative_chain_spaces", "relative_boundary_matrices",
+                 "relative_connes_matrices"):
+        assert not hasattr(hochschild, name), name
+
+
+def test_cyclic_names_no_chain_model():
+    """cyclic reduces whatever model chain_model_of gives it through
+    chain_spaces, boundary_matrices and connes_matrices: it imports no
+    PeirceBasis, names no relative_ function and tests no model type."""
+    text = (SRC / "cyclic.py").read_text()
+    assert "PeirceBasis" not in text
+    assert "relative_" not in text
+    assert not [site for site in _call_sites("isinstance") if site[0] == "cyclic"]
+    assert not hasattr(cyclic, "PeirceBasis")

@@ -156,7 +156,7 @@ def test_trivialize_first_order_all_algebras(alg):
         g, red, D0, mu = triv.gauge, triv.reduced, triv.base, triv.deformation
         assert gauge_residual(mu, g, D0, red, WINDOW, R2).is_zero()
         xs = _x_level_slice(x, R2, 1)
-        seed = (contraction_blocks(red, xs, t_shift=-1).scaled(-1)
+        seed = (contraction_blocks(red, xs).scaled(-1)
                 if xs is not None else BlockOp(0))
         lvl1 = level_slices(g, R2, 1).get(1, BlockOp(0))
         diff = lvl1.add(seed, scale=-1)
@@ -267,8 +267,7 @@ def test_ptd_negative_block_matches_period_matrix():
     g, red = triv.gauge, triv.reduced
     neg = g.negative_part()
     xs_blocks = contraction_blocks(
-        red, x.value.map_coefficients(lambda c: c.coeffs[1]), t_shift=-1
-    ).scaled(-1)
+        red, x.value.map_coefficients(lambda c: c.coeffs[1])).scaled(-1)
     lvl1 = level_slices(g, R2, 1).get(1, BlockOp(0))
     diff = lvl1.negative_part().add(xs_blocks.negative_part(), scale=-1)
     assert diff.is_zero()

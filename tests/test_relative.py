@@ -7,7 +7,9 @@ A (x)_{E^e} (A/E)^{(x)_E n}; `flat_hochschild_homology` runs the normalized
 complex over the whole basis.  Both compute HH, so their dims agree on every
 degree both reach.  The cyclic operations run on the relative mixed complex
 (d and B) of such an algebra; the same tables without idempotents take the
-flat route, and at equal bars the two give the same reports.
+flat route, and at equal bars the two give the same reports.  Both models
+go through the same chain_spaces, boundary_matrices and connes_matrices: a
+PeirceBasis is the relative model, a DgAlgebra the flat one.
 """
 
 import dataclasses
@@ -36,11 +38,11 @@ from ncperiod.cyclic import (
     sbi_exactness,
 )
 from ncperiod.hochschild import (
+    boundary_matrices,
+    chain_spaces,
+    connes_matrices,
     flat_hochschild_homology,
     hochschild_homology,
-    relative_boundary_matrices,
-    relative_chain_spaces,
-    relative_connes_matrices,
 )
 
 # (algebra, top degree reached by both routes)
@@ -75,7 +77,7 @@ def test_relative_and_flat_models_agree_on_acyclic_quivers(alg):
     oracle = (len(alg.idempotents), 0)
     assert hochschild_homology(alg, range(2)).as_tuple(range(2)) == oracle
     assert flat_hochschild_homology(alg, range(2)).as_tuple(range(2)) == oracle
-    assert not any(relative_chain_spaces(alg.peirce(), 4)[1:])
+    assert not any(chain_spaces(alg.peirce(), 4)[1:])
 
 
 @pytest.mark.parametrize("build, top, oracle", [
@@ -95,10 +97,10 @@ def test_relative_homology_oracles(build, top, oracle):
 def test_relative_chain_counts():
     """M2 has 2 relative chains per weight, M3 has 3 . 2^n at weight n, and
     the keys are walks over the Peirce basis: a0 closes each word."""
-    assert [len(s) for s in relative_chain_spaces(build_matrix_algebra(2).peirce(), 6)] \
+    assert [len(s) for s in chain_spaces(build_matrix_algebra(2).peirce(), 6)] \
         == [2] * 7
     peirce = build_matrix_algebra(3).peirce()
-    spaces = relative_chain_spaces(peirce, 6)
+    spaces = chain_spaces(peirce, 6)
     assert [len(s) for s in spaces] == [3 * 2 ** n for n in range(7)]
     for space in spaces:
         assert list(space.values()) == list(range(len(space)))
@@ -192,9 +194,9 @@ def test_relative_mixed_complex_identities(build):
     """On the relative chain spaces, B B = 0 and d B + B d = 0 at every
     weight, and B is not zero where the complex has chains above weight 0."""
     peirce = build().peirce()
-    spaces = relative_chain_spaces(peirce, 4)
-    d = relative_boundary_matrices(peirce, spaces)
-    b = relative_connes_matrices(peirce, spaces)
+    spaces = chain_spaces(peirce, 4)
+    d = boundary_matrices(peirce, spaces)
+    b = connes_matrices(peirce, spaces)
     for n in range(len(b) - 1):
         assert b[n + 1].compose(b[n]).is_zero(), n
     for n in range(1, len(b)):
