@@ -322,6 +322,8 @@ def build_path_algebra(vertices, arrows, name=None) -> DgAlgebra:
     The vertex idempotents e_v are attached.
     """
     vs = list(vertices)
+    if not vs:
+        raise ValueError("need at least one vertex")
     if len(set(vs)) != len(vs):
         raise ValueError("duplicate vertex labels")
     adj = {v: [] for v in vs}

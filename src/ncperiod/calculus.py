@@ -39,18 +39,18 @@ from functools import partial
 from itertools import compress, product as iproduct
 
 from .coeff import exact
-from .exactlin import IncrementalSpan, apply_columns, chain_add, member
+from .exactlin import apply_columns, chain_add, express_in_homology, member
 from .hochschild import (
     ArityBoundExceeded,
     ChainBasis,
     Cochain,
     CochainBasis,
-    _cochain_diff_matrix,
-    _per_arity,
+    _cohomology_spot,
     basis_cochains,
     cochain_differential,
     cocycle_representatives,
     connes_runs,
+    contraction,
     contraction_runs,
     flat_hochschild_homology,
     gerstenhaber_bracket,
@@ -61,7 +61,7 @@ from .hochschild import (
     term_matrix,
 )
 
-# re-exported: the bracket and Lie action live with the chain machinery
+# re-exported: the bracket, Lie action and contraction live with the chain machinery
 __all__ = [
     "AxiomReport",
     "cup_product",
@@ -71,8 +71,6 @@ __all__ = [
     "verify_lie_dagger",
     "calculus_defect",
 ]
-
-from .hochschild import contraction  # noqa: E402  (re-export)
 
 
 @dataclass
@@ -337,7 +335,7 @@ def _pool_chunk(a_range):
         s["space"], s["cochains"], s["mats"], s["arity_bound"], a_range)
 
 
-def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, workers=None):
+def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, workers=1):
     """Check the three dg-Lie-action identities exactly, plus L_b = boundary.
 
     (1) L_{[P,Q]} = L_P L_Q - (-1)^{sd P sd Q} L_Q L_P for all basis cochain
@@ -348,14 +346,12 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, workers=None):
     Each identity is one residual per pair or cochain (module docstring): the
     witness is the first failing pair or cochain, with the smallest nonzero
     column of its residual.  Returns four AxiomReports; a negative bound
-    raises ValueError.  workers > 1 splits the
-    pair loop over processes (NCPERIOD_THREADS via the CLI); results are
-    merged in index order, so the report is deterministic.
+    raises ValueError.  workers > 1 splits the pair loop over processes
+    (the CLI reads it from NCPERIOD_THREADS); results are merged in index
+    order, so the report is deterministic.
     """
     if min(arity_bound, bar_bound) < 0:
         raise ValueError(f"negative bound: arity {arity_bound}, bar {bar_bound}")
-    import os
-
     space = OperatorSpace(algebra, bar_bound)
     ncheck = len(space.check_cols)
     cochains = basis_cochains(algebra, arity_bound)
@@ -368,8 +364,6 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, workers=None):
     t_connes = _transpose(connes, ncheck)
     reports = []
 
-    if workers is None:
-        workers = int(os.environ.get("NCPERIOD_THREADS", "1"))
     if workers > 1 and len(cochains) > 8:
         import multiprocessing as mp
 
@@ -449,34 +443,15 @@ def _chain_verdict(space, axiom, residuals, homology=None):
     return AxiomReport(axiom, "holds on homology")
 
 
-def _coboundary_span(algebra, arity):
-    """The coboundaries of the given arity (>= 1): one IncrementalSpan of the
-    columns of _cochain_diff_matrix(algebra, arity - 1), over
-    CochainBasis(algebra, arity) indices, kept on the algebra beside it."""
-    return _per_arity(algebra, "_coboundary_span_memo", _build_coboundary_span, arity)
-
-
-def _build_coboundary_span(algebra, arity):
-    span = IncrementalSpan()
-    for col in _cochain_diff_matrix(algebra, arity - 1).columns():
-        span.add(col)
-    return span
-
-
 def _cochain_is_coboundary(algebra, c: Cochain):
-    """Is a single-arity cochain a coboundary of the normalized complex?"""
+    """Is a single-arity cochain a coboundary of the normalized complex, its
+    class in the HH^l spot zero?"""
     arities = c.arities()
-    if not arities:
-        return True
-    if len(arities) > 1:
-        return False
-    l = arities[0]
-    if l == 0:
-        return not c.components
-    cb = CochainBasis(algebra, l)
-    vec = {cb.index[w, t]: v for w, out in c.components[l].items()
-           for t, v in out.items()}
-    return _coboundary_span(algebra, l).contains(vec)
+    if len(arities) != 1:
+        return not arities
+    cb = CochainBasis(algebra, arities[0])
+    return express_in_homology(_cohomology_spot(algebra, cb.arity),
+                               cb.coordinates(c)) == {}
 
 
 def _cochain_verdict(algebra, axiom, defects):

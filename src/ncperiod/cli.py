@@ -38,7 +38,7 @@ from .cyclic import (
 )
 from .deform import MCElement, gauge_equivalent, lift_order_by_order
 from .exactlin import chain_add
-from .hochschild import hochschild_cohomology, hochschild_homology
+from .hochschild import Cochain, hochschild_cohomology, hochschild_homology
 from .period import (
     first_order_period_matrix,
     griffiths_transversality_check,
@@ -65,6 +65,15 @@ class ValidationError(Exception):
 # -- algebra sources -----------------------------------------------------------------
 
 
+def _sized(spec, build, size):
+    """build(int(size)), or a ParseError naming the spec when the size is no
+    integer or build rejects it."""
+    try:
+        return build(int(size))
+    except ValueError as exc:
+        raise ParseError(0, f"bad size in {spec!r}: {exc}") from None
+
+
 def resolve_algebra(spec: str) -> DgAlgebra:
     if ":" in spec:
         kind, _, arg = spec.partition(":")
@@ -73,19 +82,18 @@ def resolve_algebra(spec: str) -> DgAlgebra:
     if kind in ("q", "Q", "field"):
         return build_field()
     if kind == "trunc_poly":
-        return build_truncated_polynomial_algebra(int(arg))
+        return _sized(spec, build_truncated_polynomial_algebra, arg)
     if kind == "matrix":
-        return build_matrix_algebra(int(arg))
+        return _sized(spec, build_matrix_algebra, arg)
     if kind == "path":
         if arg == "a2":
             return a2_quiver_algebra()
         if arg in ("kron", "kronecker"):
             return kronecker_algebra()
         if arg.startswith("a") and arg[1:].isdigit():
-            n = int(arg[1:])
-            verts = list(range(1, n + 1))
-            arrows = [(f"f{i}", i, i + 1) for i in range(1, n)]
-            return build_path_algebra(verts, arrows, name=f"path:a{n}")
+            return _sized(spec, lambda n: build_path_algebra(
+                list(range(1, n + 1)), [(f"f{i}", i, i + 1) for i in range(1, n)],
+                name=f"path:a{n}"), arg[1:])
         raise ParseError(0, f"unknown quiver shorthand {arg!r}")
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
@@ -97,7 +105,7 @@ def resolve_ring(spec: str) -> ArtinLocalRing:
     if spec == "dual":
         return dual_numbers()
     if spec.startswith("eps^"):
-        return build_truncated_poly(1, int(spec[4:]))
+        return _sized(spec, lambda n: build_truncated_poly(1, n), spec[4:])
     if spec == "eps2x2":
         return build_truncated_poly(2, 2)
     if os.path.exists(spec):
@@ -256,8 +264,6 @@ def parse_mc_file(algebra, ring, text: str) -> MCElement:
         vec = comps.setdefault(len(word), {}).setdefault(word, {})
         cur = vec.get(out, ring.zero())
         vec[out] = cur + ring.element(coeffs)
-    from .hochschild import Cochain
-
     value = Cochain(algebra, comps, 1, None)
     return MCElement(ring, value)
 
@@ -307,30 +313,16 @@ def emit(payload, fmt, out):
 
 
 def cmd_hh(args, out):
+    """hh and hhc: the dims of HH or HH^* with the chain model they ran on."""
     alg = resolve_algebra(args.algebra)
     degrees = _parse_range(args.degree_range)
-    hh = hochschild_homology(alg, degrees)
+    compute = hochschild_homology if args.command == "hh" else hochschild_cohomology
+    hh = compute(alg, degrees)
     dims = [hh.dims[n] for n in degrees]
     payload = {
-        "command": "hh",
+        "command": args.command,
         "algebra": alg.name,
         "chain_model": hh.chain_model,
-        "degrees": list(degrees),
-        "dims": dims,
-        "lines": [" ".join(str(d) for d in dims)],
-    }
-    emit(payload, args.format, out)
-    return 0
-
-
-def cmd_hhc(args, out):
-    alg = resolve_algebra(args.algebra)
-    degrees = _parse_range(args.degree_range)
-    hh = hochschild_cohomology(alg, degrees)
-    dims = [hh.dims[n] for n in degrees]
-    payload = {
-        "command": "hhc",
-        "algebra": alg.name,
         "degrees": list(degrees),
         "dims": dims,
         "lines": [" ".join(str(d) for d in dims)],
@@ -403,13 +395,23 @@ def cmd_ss(args, out):
     return 0
 
 
+def _threads():
+    """The worker processes NCPERIOD_THREADS asks for, 1 if it is unset; a
+    ParseError unless it is a positive integer."""
+    spec = os.environ.get("NCPERIOD_THREADS", "1")
+    if not spec.isdigit() or int(spec) < 1:
+        raise ParseError(0, f"NCPERIOD_THREADS must be a positive integer, "
+                            f"got {spec!r}")
+    return int(spec)
+
+
 def cmd_calc(args, out):
     _check_nonneg(args, "arity", "bar", "degree_bound")
     alg = resolve_algebra(args.algebra)
     if args.action == "verify":
         from .calculus import verify_lie_dagger
 
-        reports = verify_lie_dagger(alg, args.arity, args.bar)
+        reports = verify_lie_dagger(alg, args.arity, args.bar, workers=_threads())
     else:
         from .calculus import calculus_defect
 
@@ -607,7 +609,7 @@ def build_parser():
     p = sub.add_parser("hhc", help="Hochschild cohomology dims")
     p.add_argument("action", nargs="?", default="compute", choices=["compute"])
     common(p)
-    p.set_defaults(func=cmd_hhc)
+    p.set_defaults(func=cmd_hh)
 
     p = sub.add_parser("cyclic", help="HN/HP/HC dims and SBI consistency")
     common(p)

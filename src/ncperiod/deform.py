@@ -25,16 +25,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeff import ArtinLocalRing, RingElement, slot_coordinates
-from .exactlin import chain_add, express_in_homology, from_columns, rref, solve
+from .exactlin import chain_add, express_in_homology, from_columns, solve
 from .hochschild import (
     ChainBasis,
     Cochain,
     CochainBasis,
     _cochain_diff_matrix,
+    _cohomology_spot,
     cochain_differential,
+    connes_B,
     gerstenhaber_bracket,
     hochschild_boundary,
-    hochschild_cohomology,
+    lie_action,
     structure_as_cochain,
 )
 
@@ -266,9 +268,7 @@ def solve_by_levels(ring, lin, residual, shift, state, kernel=(), seed=None,
 
 def _cochain_rows(c: Cochain, basis: CochainBasis):
     """Ring-slot coordinates {(slot, row)} of c's component in basis' arity."""
-    comp = c.components.get(basis.arity, {})
-    return slot_coordinates((basis.index[w, t], v)
-                            for w, out in comp.items() for t, v in out.items())
+    return slot_coordinates(basis.coordinates(c).items())
 
 
 def _shift_cochain(ring, state: Cochain, basis: CochainBasis, vecs):
@@ -293,7 +293,7 @@ def gauge_equivalent(x: MCElement, y: MCElement):
     free by the lower levels, so None means the linearized search was
     exhausted (see solve_by_levels for the nilpotency order 3 caveat).
     Degree-0 algebras only, so the unknown sits in arity 1 and the residual
-    in arity 2.
+    in arity 2; the free directions are the cycles of the HH^1 spot.
     """
     if x.ring is not y.ring:
         raise ValueError("different base rings")
@@ -303,16 +303,16 @@ def gauge_equivalent(x: MCElement, y: MCElement):
         if not mc_residual(algebra, z).is_zero():
             raise NotMaurerCartan("input is not Maurer-Cartan")
     cb1, cb2 = CochainBasis(algebra, 1), CochainBasis(algebra, 2)
-    dmat = _cochain_diff_matrix(algebra, 1)
 
     def residual(alpha):
         cur = gauge_act(GaugeElement(ring, alpha), x)
         return _cochain_rows(y.value.add(cur.value, scale=-1), cb2)
 
     alpha, blocked = solve_by_levels(
-        ring, dmat, residual,
+        ring, _cochain_diff_matrix(algebra, 1), residual,
         lambda alpha, vecs: _shift_cochain(ring, alpha, cb1, vecs),
-        Cochain(algebra, {}, 0, x.value.arity_bound), kernel=rref(dmat)[1])
+        Cochain(algebra, {}, 0, x.value.arity_bound),
+        kernel=_cohomology_spot(algebra, 1).cycle_basis)
     return None if blocked else GaugeElement(ring, alpha)
 
 
@@ -354,9 +354,9 @@ def lift_order_by_order(algebra, x_low: MCElement, ring: ArtinLocalRing):
 
 def obstruction_class(algebra, parts):
     """Express obstruction slices {ring_index: degree-3 cochain vector} in the
-    degree-3 cohomology basis."""
-    hh = hochschild_cohomology(algebra, [3])
-    return {ridx: express_in_homology(hh.spots[3], vec) for ridx, vec in parts.items()}
+    degree-3 cohomology basis of the flat complex, where they lie."""
+    spot = _cohomology_spot(algebra, 3)
+    return {ridx: express_in_homology(spot, vec) for ridx, vec in parts.items()}
 
 
 # -- deformed mixed complex -------------------------------------------------------------
@@ -374,14 +374,10 @@ class DeformedMixedComplex:
                                    chain)
 
     def connes(self, chain):
-        from .hochschild import connes_B
-
         return connes_B(self.algebra, chain)
 
     def undeformed_plus_lie(self, chain):
         """d tensor R + L_x, assembled from the two summands separately."""
-        from .hochschild import connes_B, lie_action
-
         out = hochschild_boundary(structure_as_cochain(self.algebra), chain)
         for k, v in lie_action(self.algebra, self.x.value, chain).items():
             chain_add(out, k, v)
@@ -390,8 +386,6 @@ class DeformedMixedComplex:
     def verify(self, bar_bound=4):
         """Square-zero, the two-summand identity, and [B, L_x] = 0."""
         basis = ChainBasis(self.algebra, bar_bound + 1)
-        from .hochschild import connes_B, lie_action
-
         for a0, word in basis.keys:
             if len(word) > bar_bound:
                 continue

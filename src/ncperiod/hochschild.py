@@ -5,8 +5,8 @@ Representation
     word is a tuple of indices from the unit complement (basis[1:]); the
     unit never occupies a bar slot (normalization);
   * a cochain of arity l is stored at the shifted level: a map sending an
-    l-tuple of complement indices to a coefficient vector over the full
-    basis.  The structure map of the algebra is one such cochain, b =
+    l-tuple of indices outside the ground to a coefficient vector over the
+    full basis.  The structure map of the algebra is one such cochain, b =
     structure_as_cochain(algebra), read off the structure constants with
     the shift sign  b_n[a_1|..|a_n] = (-1)^{sum (n-i)|a_i|} m_n(a_1,..,a_n),
     so b_1 = d and b_2[i|j] = (-1)^{|i|} ij; it is stored on all words,
@@ -31,25 +31,32 @@ Chain models
     (x, y) says that basis_i lies in e_x A e_y.  Its chains are the
     normalized complex A (x)_{E^e} (A/E)^{(x)_E n}, which computes HH, and
     with B it is a mixed complex with the HC, HN and HP of A (Loday, Cyclic
-    Homology, 1.2.13).  The flat complex is the case E = k: a DgAlgebra has
+    Homology, 1.2.13); its cochains Hom_{E^e}((A/E)^{(x)_E l}, A) compute
+    HH^* (Gerstenhaber-Schack 1986; Cibils 2000).  The flat complex is the case E = k: a DgAlgebra has
     ground {0} and every element in 1 A 1.  The PeirceBasis of an algebra's
     idempotents is the model relative to their span E;
-  * an element of the ground dies in a bar slot (lie_terms, lie_runs), an a0
-    in it dies under B, and in front of each rotation of B stands the ground
+  * an element of the ground dies in a bar slot (lie_terms, lie_runs) and a
+    normalized cochain vanishes on it (Cochain, brace_compose), an a0 in it
+    dies under B, and in front of each rotation of B stands the ground
     element the rotated walk starts at: the unit, or an e_x (connes_terms);
-  * chain_model_of is the one routing rule: hochschild_homology and the
-    cyclic operations take the PeirceBasis of an algebra with idempotents
-    and the algebra itself otherwise; flat_hochschild_homology always takes
-    the algebra.  The period layer stays on the flat complex, since L_x and
-    I_x of a flat cochain x act on flat chains.
+  * chain_model_of is the one routing rule: hochschild_homology,
+    hochschild_cohomology and the cyclic operations (HC, HN, HP) take the
+    PeirceBasis of an algebra with idempotents and the algebra itself
+    otherwise.  The flat model, the algebra, is read explicitly by
+    flat_hochschild_homology, cocycle_representatives, the obstruction
+    classes, the period layer and the calculus, since L_x and I_x of a flat
+    cochain x act on flat chains.
 
 Indexing and assembly
-  * chain_spaces is the one chain-space index: per bar weight, the cyclic
-    walks (a0, word) over ends with no bar letter in the ground, by a0, then
-    by word.  On a DgAlgebra that order is mixed radix: with r = dim - 1 the
-    key (a0, w) of weight n sits at a0 r^n + sum_k (w_k - 1) r^(n-1-k).
-    ChainBasis is the same spaces laid end to end, weight n at positions
-    offsets[n]..offsets[n+1]-1;
+  * _walks is the one walk enumerator: per weight, the words from e_x to
+    e_y whose letters compose by their ends, none of them in the ground.  chain_spaces closes a walk
+    cyclically, by an a0 in e_y A e_x, into the one chain-space index: by
+    a0, then by word.  CochainBasis closes it in parallel, by a t in
+    e_x A e_y, into the one cochain index: by word, then by t.  On a
+    DgAlgebra both orders are mixed radix: with r = dim - 1 the chain
+    (a0, w) of weight n sits at a0 r^n + sum_k (w_k - 1) r^(n-1-k), and the
+    cochain (w, t) at dim . (that sum) + t.  ChainBasis is the chain spaces
+    laid end to end, weight n at positions offsets[n]..offsets[n+1]-1;
   * the operators d (or L_P), B and I_P have two forms: the per-key
     generators lie_terms, connes_terms and contraction_terms act on chain
     dicts, and the run form (lie_runs, connes_runs, contraction_runs) gives
@@ -60,7 +67,11 @@ Indexing and assembly
     place that picks the assembly, by the model: term_matrix of the run form
     on a DgAlgebra, one per-key call per column on a PeirceBasis, whose walks
     are found by key (_keyed_matrix).  The operator matrices of
-    calculus.OperatorSpace are run form too.
+    calculus.OperatorSpace are run form too;
+  * the cochain differential [b, -] of each (model, arity) is assembled
+    once, a cochain_differential per column read through the CochainBasis
+    coordinate map, and its HH^l spot is eliminated once beside it
+    (_cohomology_spot); every reader of HH^* reads that spot.
 """
 
 from __future__ import annotations
@@ -83,10 +94,11 @@ class ArityBoundExceeded(Exception):
 class Cochain:
     """Element of the shifted normalized cochain complex, arity-bounded.
 
-    components[l][word][out] = coeff; word entries are complement indices
-    (>= 1), out ranges over the full basis.  sdeg is the degree as a map of
-    shifted spaces; for an algebra in degree 0 an arity-l component has
-    sdeg l - 1.
+    components[l][word][out] = coeff; word entries lie outside
+    algebra.ground (the complement of the unit, or of the idempotents of a
+    PeirceBasis), out ranges over the full basis.  sdeg is the degree as a
+    map of shifted spaces; for an algebra in degree 0 an arity-l component
+    has sdeg l - 1.
     """
 
     __slots__ = ("algebra", "components", "sdeg", "arity_bound", "normalized")
@@ -95,13 +107,14 @@ class Cochain:
         self.algebra = algebra
         self.normalized = normalized
         self.components = {}
+        ground = algebra.ground
         for l, comp in components.items():
             clean = {}
             for word, out in comp.items():
                 vec = {k: v for k, v in out.items() if v}
                 if vec:
-                    if normalized and any(i == 0 for i in word):
-                        raise ValueError("normalized cochains vanish on the unit")
+                    if normalized and not ground.isdisjoint(word):
+                        raise ValueError("normalized cochains vanish on the ground")
                     clean[tuple(word)] = vec
             if clean:
                 self.components[l] = clean
@@ -112,7 +125,7 @@ class Cochain:
         return sorted(self.components)
 
     def eval(self, l, word):
-        """Value on a word of full-basis indices (zero if any slot is the unit)."""
+        """Value on a word of full-basis indices (zero if a slot is in the ground)."""
         comp = self.components.get(l)
         if not comp:
             return {}
@@ -155,21 +168,18 @@ class Cochain:
 
 
 def basis_cochains(algebra, arity_bound, sdeg=None):
-    """All (word, out) basis cochains with arity <= arity_bound.
+    """All (word, out) basis cochains with arity <= arity_bound, by arity,
+    then in CochainBasis order.
 
     For a degree-0 algebra each arity-l basis cochain has sdeg l - 1; for
-    graded algebras the sdeg is computed per (word, out) pair and cochains
-    are grouped accordingly unless sdeg is given.
+    graded algebras the sdeg is computed per (word, out) pair, and only
+    those of the given sdeg are kept if it is given.
     """
     out = []
-    red = list(algebra.reduced_indices)
     for l in range(arity_bound + 1):
-        for word in itertools.product(red, repeat=l):
-            eps = sum(algebra.degrees[i] - 1 for i in word)
-            for t in range(algebra.dim):
-                s = algebra.degrees[t] - 1 - eps
-                if sdeg is not None and s != sdeg:
-                    continue
+        for word, t in CochainBasis(algebra, l).keys:
+            s = algebra.degrees[t] - 1 - sum(algebra.degrees[i] - 1 for i in word)
+            if sdeg is None or s == sdeg:
                 out.append(Cochain(algebra, {l: {word: {t: 1}}}, s, arity_bound))
     return out
 
@@ -341,15 +351,14 @@ def contraction(algebra, cochain, chain):
 def brace_compose(p, q, arity_bound=None):
     """The insertion composition p o q (sum over one slot of p fed by q).
 
-    (p o q)[a_1|..] = sum_i (-1)^{sd(q) eps_i} p[a_1|..|q[window]|..]; the
-    value of q is projected to the unit complement before insertion when p
-    is normalized, and for the structure maps the unit component is kept by
-    evaluating the product table directly (handled by callers that need it;
-    here both are normalized cochains or the structure viewed as a cochain
-    acting on complement words, so the unit component of q's value never
-    contributes except through eval on full words).
+    (p o q)[a_1|..] = sum_i (-1)^{sd(q) eps_i} p[a_1|..|q[window]|..].  Only
+    the slots p is stored on are fed, so a ground component of q's value
+    reaches p only when p is stored on full words (the structure cochain b),
+    and the result, a normalized cochain, drops every word with a letter in
+    algebra.ground.
     """
     algebra = p.algebra
+    ground = algebra.ground
     bound = arity_bound or p.arity_bound or q.arity_bound
     comps = {}
     sdq = q.sdeg
@@ -365,15 +374,15 @@ def brace_compose(p, q, arity_bound=None):
             # choose the slot i of p and a word for q matching w at slot i
             for i in range(l):
                 # resulting word: w[:i] + u + w[i+1:], u of length v, with
-                # q[u] having a component at w[i]; result words containing
-                # the unit belong to unit inputs and are dropped (they only
-                # arise when a factor is stored on full words, i.e. is b).
+                # q[u] having a component at w[i]; a result word with a
+                # ground letter belongs to a ground input and is dropped (it
+                # only arises when a factor is stored on full words, i.e. is b)
                 for u, outq in compq.items():
                     c_ins = outq.get(w[i])
                     if not c_ins:
                         continue
                     word = w[:i] + u + w[i + 1:]
-                    if 0 in word:
+                    if not ground.isdisjoint(word):
                         continue
                     eps_i = sum(algebra.degrees[a] - 1 for a in w[:i])
                     sgn = -1 if (sdq * eps_i) % 2 else 1
@@ -418,47 +427,45 @@ def cochain_differential(algebra, p, arity_bound=None):
 # -- finite bases and matrices ------------------------------------------------------
 
 
-def chain_spaces(model, max_weight):
-    """Index maps {(a0, word): j} per weight 0..max_weight of the chain
-    model, keys in index order: by a0, then by word.
-
-    The keys are the cyclic walks: each letter lies in the e_x A e_y of its
-    model.ends, consecutive letters compose, the last one composes with a0,
-    and no bar letter lies in model.ground.  The walks of weight n + 1 extend
-    those of weight n by one letter, so only words whose letters compose are
-    ever made.  On a DgAlgebra every word is a walk and the index is mixed
-    radix: with r = dim - 1, the key (a0, w) of weight n sits at
-    a0 r^n + sum_k (w_k - 1) r^(n-1-k).  For r = 0 the weights above 0 are
-    empty.
-    """
-    ends = model.ends
+def _walks(model, max_weight):
+    """The walks of the chain model per weight 0..max_weight, each weight a
+    list of (word, x, y): the word runs from e_x to e_y, each letter lying in
+    the e_u A e_v of its model.ends, consecutive letters composing and no
+    letter in model.ground.  The walks of weight n + 1 extend those of
+    weight n by one letter, so only words whose letters compose are ever
+    made; they are listed by x, and the words of one x in increasing order.
+    chain_spaces closes them cyclically, CochainBasis in parallel."""
     step = {}  # x -> [(b, y)]: the letters b outside the ground with e_x b e_y = b
-    for b, (x, y) in enumerate(ends):
+    for b, (x, y) in enumerate(model.ends):
         if b not in model.ground:
             step.setdefault(x, []).append((b, y))
-    # (word, start, end); the words of one start stay in increasing order
     walks = [((), x, x) for x in sorted(model.ground)]
-    spaces = []
     for n in range(max_weight + 1):
         if n:
             walks = [(word + (b,), x, z) for word, x, y in walks
                      for b, z in step.get(y, ())]
+        yield walks
+
+
+def chain_spaces(model, max_weight):
+    """Index maps {(a0, word): j} per weight 0..max_weight of the chain
+    model, keys in index order: by a0, then by word.
+
+    The keys are the cyclic walks: a walk of _walks from e_y to e_x closed
+    by an a0 in e_x A e_y.  On a DgAlgebra every word is a walk and the index
+    is mixed radix: with r = dim - 1, the key (a0, w) of weight n sits at
+    a0 r^n + sum_k (w_k - 1) r^(n-1-k).  For r = 0 the weights above 0 are
+    empty.
+    """
+    spaces = []
+    for walks in _walks(model, max_weight):
         by_ends = {}
         for word, x, y in walks:
             by_ends.setdefault((x, y), []).append(word)
-        # a0 in e_x A e_y closes the words that start at y and end at x
-        keys = ((a0, word) for a0, (x, y) in enumerate(ends)
+        keys = ((a0, word) for a0, (x, y) in enumerate(model.ends)
                 for word in by_ends.get((y, x), ()))
         spaces.append({key: j for j, key in enumerate(keys)})
     return spaces
-
-
-def _word_index(word, r):
-    """The mixed-radix index of a word of complement indices, radix r."""
-    index = 0
-    for i in word:
-        index = index * r + i - 1
-    return index
 
 
 # -- run-form assembly ---------------------------------------------------------------
@@ -694,10 +701,11 @@ def chain_model_of(algebra):
 class GradedDims:
     """Dimensions per degree with homology representatives.
 
-    spots and basis_keys are over the chain basis of the complex named by
-    chain_model: {"kind": "flat"}, the normalized complex, or {"kind":
-    "relative", "idempotents": r}, the complex relative to r idempotents,
-    whose keys are walks over the algebra's peirce() indices."""
+    spots and basis_keys are over the chain (or cochain) basis of the
+    complex named by chain_model: {"kind": "flat"}, the normalized complex,
+    or {"kind": "relative", "idempotents": r}, the complex relative to r
+    idempotents, whose keys are walks over the algebra's peirce() indices:
+    (a0, word) for HH, (w, t) for HH^*."""
 
     dims: dict = field(default_factory=dict)
     spots: dict = field(default_factory=dict)  # degree -> SubquotientBasis
@@ -717,45 +725,37 @@ def _weight_graded_boundary(model, max_weight):
     return spaces, boundary_matrices(model, spaces)
 
 
-def _graded_homology(degrees, walk_maps, basis_keys):
-    """GradedDims at each of the sorted degrees: 0 below degree 0, else one
-    homology_walk per run a..b of consecutive degrees.  walk_maps(a, b) gives
-    the degrees of the walk's spots, in order, and its maps."""
-    spots = {}
-    nonneg = sorted({n for n in degrees if n >= 0})
-    for _, run in itertools.groupby(enumerate(nonneg), lambda p: p[1] - p[0]):
-        run = [n for _, n in run]
-        spot_degrees, maps = walk_maps(run[0], run[-1])
-        spots.update(zip(spot_degrees, homology_walk(maps)))
-    out = GradedDims()
+def _graded_dims(degrees, spot, basis_keys, record):
+    """GradedDims at each of the degrees: 0 below degree 0, else the spot
+    spot(n) with the keys basis_keys(n) of its basis."""
+    out = GradedDims(chain_model=record)
     for n in degrees:
         if n < 0:
             out.dims[n] = 0
             continue
-        out.dims[n], out.spots[n], out.basis_keys[n] = spots[n].dim, spots[n], basis_keys(n)
+        out.spots[n] = spot(n)
+        out.dims[n], out.basis_keys[n] = out.spots[n].dim, basis_keys(n)
     return out
-
-
-def _chain_homology(degrees, spaces, mats):
-    """GradedDims of the chain complex with the given spaces and d_n = mats[n]."""
-    def walk_maps(a, b):  # C_{b+1} -> C_b -> ... -> C_a -> C_{a-1}, C_{-1} = 0
-        return range(b, a - 1, -1), [mats[n] if n else SparseMatrix(0, len(spaces[0]))
-                                     for n in range(b + 1, a - 1, -1)]
-
-    return _graded_homology(degrees, walk_maps, lambda n: list(spaces[n]))
 
 
 def _model_homology(algebra, degree_range, model_of):
     """Exact HH dims with representatives on the chain model (model, record)
-    = model_of(algebra); algebra must sit in degree 0."""
+    = model_of(algebra); algebra must sit in degree 0.  One homology_walk
+    per run a..b of consecutive degrees >= 0 takes the spots of
+    C_{b+1} -> C_b -> ... -> C_a -> C_{a-1}, C_{-1} = 0."""
     if not algebra.is_degree_zero():
         raise ValueError("homology requires a degree-0 algebra")
     model, record = model_of(algebra)
     degrees = sorted(degree_range)
-    out = _chain_homology(degrees, *_weight_graded_boundary(
-        model, max(degrees, default=-1) + 1))
-    out.chain_model = record
-    return out
+    spaces, mats = _weight_graded_boundary(model, max(degrees, default=-1) + 1)
+    spots = {}
+    nonneg = sorted({n for n in degrees if n >= 0})
+    for _, run in itertools.groupby(enumerate(nonneg), lambda p: p[1] - p[0]):
+        run = [n for _, n in run]
+        spots.update(zip(range(run[-1], run[0] - 1, -1), homology_walk(
+            [mats[n] if n else SparseMatrix(0, len(spaces[0]))
+             for n in range(run[-1] + 1, run[0] - 1, -1)])))
+    return _graded_dims(degrees, spots.get, lambda n: list(spaces[n]), record)
 
 
 def hochschild_homology(algebra, degree_range):
@@ -778,22 +778,29 @@ def flat_hochschild_homology(algebra, degree_range):
 
 
 class CochainBasis:
-    """Indexed basis of normalized cochains of one arity: (w, t) sits at
-    dim . (mixed-radix index of w, as in chain_spaces) + t."""
+    """The cochains of one arity of the chain model, keys (w, t) in index
+    order: the parallel walks, w a walk of _walks from e_x to e_y and t in
+    e_x A e_y, by w, then by t.  On a DgAlgebra every word is a walk and
+    (w, t) sits at dim . (mixed-radix index of w, as in chain_spaces) + t."""
 
-    def __init__(self, algebra, arity):
-        self.algebra = algebra
+    def __init__(self, model, arity):
+        self.algebra = model
         self.arity = arity
-        red = list(algebra.reduced_indices)
-        self.keys = [
-            (w, t)
-            for w in itertools.product(red, repeat=arity)
-            for t in range(algebra.dim)
-        ]
+        targets = {}  # (x, y) -> the t in e_x A e_y
+        for t, ends in enumerate(model.ends):
+            targets.setdefault(ends, []).append(t)
+        *_, walks = _walks(model, arity)
+        self.keys = [(w, t) for w, x, y in walks for t in targets.get((x, y), ())]
         self.index = {k: i for i, k in enumerate(self.keys)}
 
     def __len__(self):
         return len(self.keys)
+
+    def coordinates(self, cochain):
+        """{index: coeff} of the cochain's component of this arity."""
+        return {self.index[w, t]: c
+                for w, out in cochain.components.get(self.arity, {}).items()
+                for t, c in out.items()}
 
     def cochain_of(self, vec, arity_bound=None):
         comps = {}
@@ -806,54 +813,71 @@ class CochainBasis:
         return Cochain(self.algebra, comps, sdeg, arity_bound)
 
 
-def _per_arity(algebra, name, build, arity):
-    """build(algebra, arity), made once per (algebra, arity) and kept on the
-    algebra in the dict attribute name; callers only read it."""
-    memo = vars(algebra).setdefault(name, {})
+def _per_arity(model, name, build, arity):
+    """build(model, arity), made once per (model, arity) and kept on the
+    model in the dict attribute name; callers only read it."""
+    memo = vars(model).setdefault(name, {})
     if arity not in memo:
-        memo[arity] = build(algebra, arity)
+        memo[arity] = build(model, arity)
     return memo[arity]
 
 
-def _cochain_diff_matrix(algebra, arity):
-    """Matrix of [b, -] from arity l to arity l+1 (degree-0 algebras)."""
-    return _per_arity(algebra, "_cochain_diff_memo", _assemble_cochain_diff, arity)
+def _cochain_diff_matrix(model, arity):
+    """Matrix of [b, -] from arity l to arity l+1 (degree-0 models), over
+    CochainBasis indices."""
+    return _per_arity(model, "_cochain_diff_memo", _assemble_cochain_diff, arity)
 
 
-def _assemble_cochain_diff(algebra, arity):
+def _assemble_cochain_diff(model, arity):
     """The matrix of _cochain_diff_matrix, one cochain_differential per column."""
-    src = CochainBasis(algebra, arity)
-    dst = CochainBasis(algebra, arity + 1)
+    src, dst = CochainBasis(model, arity), CochainBasis(model, arity + 1)
     m = SparseMatrix(len(dst), len(src))
-    dim, r = algebra.dim, algebra.dim - 1
     for j, (w, t) in enumerate(src.keys):
-        p = Cochain(algebra, {arity: {w: {t: 1}}}, arity - 1, arity + 2)
-        dp = cochain_differential(algebra, p, arity + 1)
-        comp = dp.components.get(arity + 1, {})
-        for w2, out in comp.items():
-            row = dim * _word_index(w2, r)
-            for t2, c in out.items():
-                m.add_to(row + t2, j, c)
+        p = Cochain(model, {arity: {w: {t: 1}}}, arity - 1, arity + 2)
+        dp = cochain_differential(model, p, arity + 1)
+        for row, c in dst.coordinates(dp).items():
+            m.add_to(row, j, c)
     return m
 
 
+def _cohomology_spot(model, arity):
+    """The HH^arity spot of the model's cochain complex, over CochainBasis
+    indices: made once per (model, arity) and kept beside
+    _cochain_diff_matrix.  HH^*, the cocycle representatives, the
+    obstruction classes, the gauge search and the coboundary test of the
+    calculus read it."""
+    return _per_arity(model, "_cohomology_spot_memo", _build_cohomology_spot, arity)
+
+
+def _build_cohomology_spot(model, arity):
+    """homology_walk of C^{arity-1} -> C^arity -> C^{arity+1}, C^{-1} = 0."""
+    if any(model.degrees):
+        raise ValueError("cohomology requires a degree-0 algebra")
+    d_in = (_cochain_diff_matrix(model, arity - 1) if arity
+            else SparseMatrix(len(CochainBasis(model, 0)), 0))
+    return homology_walk([d_in, _cochain_diff_matrix(model, arity)])[0]
+
+
 def hochschild_cohomology(algebra, degree_range):
-    """Exact HH^n dims (normalized complex); algebra must sit in degree 0."""
+    """Exact HH^n dims with representatives; algebra must sit in degree 0.
+
+    It runs on the model chain_model_of picks, as hochschild_homology does:
+    the spots and basis_keys of an algebra carrying idempotents are over the
+    relative cochains (w, t) of algebra.peirce().  Callers that need flat
+    cochains call cocycle_representatives.
+    """
     if not algebra.is_degree_zero():
         raise ValueError("cohomology requires a degree-0 algebra")
-    degrees = sorted(degree_range)
-
-    def walk_maps(a, b):  # C^{a-1} -> C^a -> ... -> C^b -> C^{b+1}, C^{-1} = 0
-        return range(a, b + 1), [_cochain_diff_matrix(algebra, l) if l >= 0
-                                 else SparseMatrix(len(CochainBasis(algebra, 0)), 0)
-                                 for l in range(a - 1, b + 1)]
-
-    return _graded_homology(degrees, walk_maps, lambda n: CochainBasis(algebra, n).keys)
+    model, record = chain_model_of(algebra)
+    return _graded_dims(sorted(degree_range), lambda n: _cohomology_spot(model, n),
+                        lambda n: CochainBasis(model, n).keys, record)
 
 
 def cocycle_representatives(algebra, n, arity_bound=None):
-    """HH^n classes as Cochain objects (one per homology generator), each
-    carrying arity_bound."""
-    hh = hochschild_cohomology(algebra, [n])
+    """HH^n classes as flat Cochain objects (one per homology generator),
+    each carrying arity_bound.  They read the spot of the flat model, the
+    algebra itself, whatever chain_model_of picks: the deformation, period
+    and calculus layers act with flat cochains."""
     cb = CochainBasis(algebra, n)
-    return [cb.cochain_of(rep, arity_bound) for rep in hh.spots[n].homology_reps]
+    return [cb.cochain_of(rep, arity_bound)
+            for rep in _cohomology_spot(algebra, n).homology_reps]

@@ -69,6 +69,15 @@ def product_chain_spaces(algebra, max_weight):
     ]
 
 
+def product_cochain_keys(algebra, arity):
+    """The (w, t) of the flat cochains of one arity, by itertools.product
+    over the complement, then t over the basis: the oracle for the parallel
+    closing hochschild.CochainBasis of the walk enumerator on a DgAlgebra."""
+    red = list(algebra.reduced_indices)
+    return [(w, t) for w in itertools.product(red, repeat=arity)
+            for t in range(algebra.dim)]
+
+
 def direct_blocks(algebra, bar_bound):
     """(weight dims, blocks) of the unreduced mixed complex in the format of
     cyclic.perturbation_transfer: d_m at (0, m, m-1) and B_m at (1, m, m+1)."""

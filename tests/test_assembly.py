@@ -18,7 +18,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import degree0_algebras, product_chain_spaces
+from conftest import degree0_algebras, product_chain_spaces, product_cochain_keys
 from ncperiod.algebra import (
     DgAlgebra,
     a2_quiver_algebra,
@@ -30,6 +30,7 @@ from ncperiod.algebra import (
 from ncperiod.hochschild import (
     ChainBasis,
     Cochain,
+    CochainBasis,
     apply_terms,
     chain_spaces,
     connes_runs,
@@ -85,6 +86,31 @@ def test_chain_spaces_match_product_oracle(build, top):
 @given(degree0_algebras(), st.integers(0, 5))
 def test_chain_spaces_match_product_oracle_on_generated_algebras(alg, top):
     assert_walks_match_product_oracle(alg, top)
+
+
+def assert_cochain_keys_match_product_oracle(alg, top):
+    """CochainBasis(alg, l) holds the keys of product_cochain_keys, key by
+    key and in order, each at its position, for l = 0..top."""
+    for arity in range(top + 1):
+        cb = CochainBasis(alg, arity)
+        assert cb.keys == product_cochain_keys(alg, arity), arity
+        assert list(cb.index.items()) == [(key, i) for i, key in enumerate(cb.keys)]
+
+
+@pytest.mark.parametrize("build, top", [
+    (build_field, 4), (lambda: build_truncated_polynomial_algebra(2), 5),
+    (lambda: build_truncated_polynomial_algebra(4), 4), (a2_quiver_algebra, 4),
+    (kronecker_algebra, 4), (lambda: build_matrix_algebra(2), 4),
+    (lambda: build_matrix_algebra(3), 2), (lambda: EXT1, 4)],
+    ids=["Q", "T2", "T4", "A2", "kron", "M2", "M3", "EXT1"])
+def test_cochain_basis_matches_product_oracle(build, top):
+    assert_cochain_keys_match_product_oracle(build(), top)
+
+
+@settings(max_examples=12, deadline=None)
+@given(degree0_algebras(), st.integers(0, 4))
+def test_cochain_basis_matches_product_oracle_on_generated_algebras(alg, top):
+    assert_cochain_keys_match_product_oracle(alg, top)
 
 
 # -- run form against the per-key generators ---------------------------------------

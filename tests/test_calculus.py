@@ -631,43 +631,45 @@ def test_calculus_defect_reports_match_closure_reference(
         assert witnesses == _CAP_FLIP_WITNESSES[:1 if alg is A2 else 4]
 
 
-class _SolvedCoboundaries:
-    """Reference for calculus._coboundary_span: a fresh exactlin.solve
-    against the coboundary matrix for every membership test."""
+def _solved_is_coboundary(algebra, c):
+    """Reference for calculus._cochain_is_coboundary: a fresh exactlin.solve
+    against the coboundary matrix for every test."""
+    arities = c.arities()
+    if len(arities) != 1:
+        return not arities
+    (l,) = arities
+    if l == 0:  # C^{-1} = 0
+        return False
+    vec = hochschild.CochainBasis(algebra, l).coordinates(c)
+    return solve(hochschild._cochain_diff_matrix(algebra, l - 1), vec) is not None
 
-    def __init__(self, algebra, arity):
-        self.matrix = hochschild._cochain_diff_matrix(algebra, arity - 1)
 
-    def contains(self, vec):
-        return solve(self.matrix, vec) is not None
-
-
-def test_coboundary_span_built_once_per_arity(monkeypatch):
-    """calculus_defect tests every defect cochain against one IncrementalSpan
-    of coboundaries per arity, built once, and reports what a fresh solve per
-    defect reports."""
-    monkeypatch.setattr(calculus, "_coboundary_span", _SolvedCoboundaries)
+def test_cohomology_spot_built_once_per_model_and_arity(monkeypatch):
+    """calculus_defect tests every defect cochain against the HH^l spot of
+    its arity, the one its cocycle representatives come from too: each spot
+    is built once, and the verdicts are those of a fresh solve per defect."""
+    monkeypatch.setattr(calculus, "_cochain_is_coboundary", _solved_is_coboundary)
     want = [(r.axiom, r.status, r.witness)
             for r in calculus_defect(build_truncated_polynomial_algebra(3), 2, 3)]
     monkeypatch.undo()
     built, tested = Counter(), []
-    real_build, real_test = calculus._build_coboundary_span, calculus._cochain_is_coboundary
+    real_build, real_test = hochschild._build_cohomology_spot, calculus._cochain_is_coboundary
 
-    def counting_build(algebra, arity):
-        built[arity] += 1
-        return real_build(algebra, arity)
+    def counting_build(model, arity):
+        built[model.name, arity] += 1
+        return real_build(model, arity)
 
     def counting_test(algebra, c):
         tested.append(real_test(algebra, c))
         return tested[-1]
 
-    monkeypatch.setattr(calculus, "_build_coboundary_span", counting_build)
+    monkeypatch.setattr(hochschild, "_build_cohomology_spot", counting_build)
     monkeypatch.setattr(calculus, "_cochain_is_coboundary", counting_test)
     got = [(r.axiom, r.status, r.witness)
            for r in calculus_defect(build_truncated_polynomial_algebra(3), 2, 3)]
     assert got == want
     assert "holds on homology" in {status for _, status, _ in got}
-    assert set(built) == {2, 3, 4, 5} and set(built.values()) == {1}
+    assert built == {("trunc_poly:3", arity): 1 for arity in range(6)}
     assert len(tested) > len(built) and all(tested)
 
 

@@ -346,3 +346,44 @@ def test_vdb_rejects_a_pi_chain_outside_its_weight():
 
     with pytest.raises(ValueError, match="bar weight 1"):
         vdb_duality_check(build_matrix_algebra(2), 1, {(0, ()): 1}, range(0, 3))
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["hh", "--algebra", "matrix:0"], "matrix:0"),
+    (["hh", "--algebra", "matrix:"], "matrix:"),
+    (["hh", "--algebra", "trunc_poly:1"], "trunc_poly:1"),
+    (["hh", "--algebra", "trunc_poly:abc"], "trunc_poly:abc"),
+    (["hh", "--algebra", "path:a0"], "path:a0"),
+    (["deform", "lift", "--algebra", "trunc_poly:2", "--ring", "eps^x",
+      "--mc-file", "{mc}"], "eps^x"),
+    (["deform", "lift", "--algebra", "trunc_poly:2", "--ring", "eps^1",
+      "--mc-file", "{mc}"], "eps^1"),
+], ids=["matrix:0", "matrix:", "trunc_poly:1", "trunc_poly:abc", "path:a0",
+        "eps^x", "eps^1"])
+def test_bad_builder_sizes_are_parse_errors(argv, spec, tmp_path, capsys):
+    """A size that is no integer, or one the builder rejects, stops before
+    any output with a parse error that names the spec."""
+    mc = tmp_path / "x.json"
+    mc.write_text(json.dumps(MC_X))
+    code, out = run_cli([a.format(mc=mc) for a in argv])
+    assert (code, out) == (2, "")
+    assert f"parse error: line 0: bad size in {spec!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["abc", "0"])
+def test_bad_thread_count_is_parse_error(threads, monkeypatch, capsys):
+    monkeypatch.setenv("NCPERIOD_THREADS", threads)
+    code, out = run_cli(["calc", "verify", "--algebra", "q", "--arity", "1",
+                         "--bar", "1"])
+    assert (code, out) == (2, "")
+    assert (f"NCPERIOD_THREADS must be a positive integer, got {threads!r}"
+            in capsys.readouterr().err)
+
+
+def test_hhc_structured_records_the_chain_model():
+    for spec, model in (("matrix:2", {"kind": "relative", "idempotents": 2}),
+                        ("trunc_poly:2", {"kind": "flat"})):
+        code, out = run_cli(["hhc", "--algebra", spec, "--degree-range", "0..2",
+                             "--format", "structured"])
+        assert code == 0
+        assert json.loads(out)["chain_model"] == model

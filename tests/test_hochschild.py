@@ -345,16 +345,22 @@ def test_empty_degree_range_gives_empty_dims(build):
 
 def test_cochain_diff_matrix_built_once_per_algebra_and_arity(monkeypatch):
     """HH^*, its cocycle representatives, a gauge search, a lift and the
-    coboundary tests of calculus_defect share one coboundary matrix per
-    (algebra, arity): each is assembled once, and every call returns it."""
-    built = Counter()
-    real = hochschild._assemble_cochain_diff
+    coboundary tests of calculus_defect share one coboundary matrix and one
+    HH^l spot per (model, arity): each is made once, and every call returns
+    it.  HH^* of M2 runs on its Peirce basis, the others on M2 itself."""
+    built, spots = Counter(), Counter()
+    real, real_spot = hochschild._assemble_cochain_diff, hochschild._build_cohomology_spot
 
     def counting(algebra, arity):
         built[id(algebra), arity] += 1
         return real(algebra, arity)
 
+    def counting_spot(model, arity):
+        spots[id(model), arity] += 1
+        return real_spot(model, arity)
+
     monkeypatch.setattr(hochschild, "_assemble_cochain_diff", counting)
+    monkeypatch.setattr(hochschild, "_build_cohomology_spot", counting_spot)
     m2, t3 = build_matrix_algebra(2), build_truncated_polynomial_algebra(3)
     for alg in (m2, t3):
         assert hochschild_cohomology(alg, range(3)).dims
@@ -364,7 +370,12 @@ def test_cochain_diff_matrix_built_once_per_algebra_and_arity(monkeypatch):
         assert lift_order_by_order(alg, x, build_truncated_poly(1, 3))[0] == "lift"
     calculus_defect(t3, 1, 2)
     assert built and set(built.values()) == {1}
+    assert spots and set(spots.values()) == {1}
     assert {arity for key, arity in built if key == id(m2)} == {0, 1, 2}
+    assert {arity for key, arity in built if key == id(m2.peirce())} == {0, 1, 2}
+    assert {arity for key, arity in spots if key == id(m2)} == {1, 2}
+    assert {arity for key, arity in spots if key == id(m2.peirce())} == {0, 1, 2}
+    assert hochschild._cohomology_spot(m2, 2) is hochschild._cohomology_spot(m2, 2)
     m = hochschild._cochain_diff_matrix(m2, 2)
     assert m is hochschild._cochain_diff_matrix(m2, 2)
     assert built[id(m2), 2] == 1

@@ -1,6 +1,7 @@
 """Each of these concepts has one implementation in the package: the chain
-index (`hochschild.chain_spaces`, the walks of a chain model, flat or
-relative), the choice of operator assembly (`hochschild._weight_matrices`,
+index (`hochschild._walks`, the walks of a chain model, flat or relative,
+closed cyclically by `chain_spaces` and in parallel by `CochainBasis`), the
+choice of operator assembly (`hochschild._weight_matrices`,
 behind `boundary_matrices` and `connes_matrices`), the run-form assembly
 (`hochschild.term_matrix`, which takes d, B and I_P in run form and computes
 every row and column from the mixed-radix chain index, with no per-term key),
@@ -15,7 +16,8 @@ operator residual of the calculus identities (`calculus._residual`), the
 t-window truncation with its homology and window-to-window rank
 (`cyclic.ReducedMixedComplex.truncation`, `.homology` and `.induced_rank`),
 the homology of a complex (`exactlin.homology_walk`, which eliminates each
-differential once), the structure map b of an algebra
+differential once; for cochains once per (model, arity), in
+`hochschild._cohomology_spot`), the structure map b of an algebra
 (`hochschild.structure_as_cochain`, one Cochain, and b + x for a
 deformation) and the change of basis of structure constants
 (`algebra.change_basis`).  The modules that use them import the one object,
@@ -154,20 +156,31 @@ def test_one_windowed_homology_layer():
 
 def test_one_homology_walk():
     """hochschild takes homology only through exactlin.homology_walk, from one
-    helper; homology_at and complex_sdr walk with the same generator; pivot
-    columns are taken only for rank and the walk's top differential; the
-    homology representatives come from one echelon, not an incremental span.
-    An IncrementalSpan is built only for a membership test: the induced rank,
-    exactlin.member and the coboundaries of one arity in calculus."""
-    assert _call_sites("homology_walk") == [("exactlin", "homology_at"),
-                                            ("hochschild", "_graded_homology")]
+    helper per side: the chain complex in runs of degrees, the cochains one
+    spot per (model, arity); homology_at and complex_sdr walk with the same
+    generator; pivot columns are taken only for rank and the walk's top
+    differential; the homology representatives come from one echelon, not
+    an incremental span.  An IncrementalSpan is built only for a membership
+    test: the induced rank and exactlin.member.  Every reader of HH^* goes
+    through the cohomology spot, and no other cochain-side function runs an
+    elimination of its own."""
+    assert set(_call_sites("homology_walk")) == {
+        ("exactlin", "homology_at"), ("hochschild", "_model_homology"),
+        ("hochschild", "_build_cohomology_spot")}
     assert set(_call_sites("_walk")) == {("exactlin", "homology_walk"),
                                          ("exactlin", "complex_sdr")}
     assert set(_call_sites("_pivot_columns")) == {("exactlin", "rank"),
                                                   ("exactlin", "_walk")}
-    assert set(_call_sites("_graded_homology")) == {
-        ("hochschild", "_chain_homology"), ("hochschild", "hochschild_cohomology")}
-    assert _call_sites("_chain_homology") == [("hochschild", "_model_homology")]
+    assert set(_call_sites("_graded_dims")) == {
+        ("hochschild", "_model_homology"), ("hochschild", "hochschild_cohomology")}
+    assert set(_call_sites("_cohomology_spot")) == {
+        ("hochschild", "hochschild_cohomology"), ("hochschild", "cocycle_representatives"),
+        ("deform", "gauge_equivalent"), ("deform", "obstruction_class"),
+        ("calculus", "_cochain_is_coboundary")}
+    assert not [site for site in _call_sites("rref") if site[0] == "deform"]
+    for name in ("_graded_homology", "_chain_homology", "_coboundary_span",
+                 "_build_coboundary_span", "_word_index"):
+        assert not hasattr(hochschild, name) and not hasattr(calculus, name), name
     assert set(_call_sites("_model_homology")) == {
         ("hochschild", "hochschild_homology"), ("hochschild", "flat_hochschild_homology")}
     kernels = ("homology_at", "rref", "_pivot_columns", "_homology_reps", "_rref_rows",
@@ -175,14 +188,15 @@ def test_one_homology_walk():
     assert not [(name, site) for name in kernels for site in _call_sites(name)
                 if site[0] == "hochschild"]
     assert set(_call_sites("IncrementalSpan")) == {("exactlin", "member"),
-                                                   ("cyclic", "_induced_rank"),
-                                                   ("calculus", "_build_coboundary_span")}
+                                                   ("cyclic", "_induced_rank")}
 
 
 # (module, innermost function) -> why it may read an index dict by a key
 INDEX_LOOKUPS = {
     ("calculus", "lie_into"): "the Lie action through the OperatorSpace match index",
-    ("calculus", "_cochain_is_coboundary"): "one cochain as a vector, not a matrix",
+    ("hochschild", "coordinates"):
+        "a cochain as a vector over its CochainBasis: the one coordinate map of "
+        "the coboundary matrix, the m-adic solves and the coboundary test",
     ("hochschild", "_keyed_matrix"):
         "the walks of a PeirceBasis are indexed by a dict and not by mixed radix",
 }
@@ -233,17 +247,24 @@ def test_one_run_form_assembly():
         assert set(_call_sites(name)) == {("hochschild", f) for f in users}, name
 
 
+def _names_ground(node):
+    return "ground" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
 def _ground_tests():
     """(module, innermost function) of every `x in ...ground` or `x not in
-    ...ground` comparison in the package source."""
+    ...ground` comparison and every `...ground.isdisjoint(word)` set test in
+    the package source."""
     found = set()
 
     def visit(node, func, module):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Compare) and any(
-                    isinstance(op, (ast.In, ast.NotIn)) and "ground" in (
-                        getattr(c, "id", None), getattr(c, "attr", None))
-                    for op, c in zip(child.ops, child.comparators)):
+                    isinstance(op, (ast.In, ast.NotIn)) and _names_ground(c)
+                    for op, c in zip(child.ops, child.comparators)) or (
+                    isinstance(child, ast.Call)
+                    and getattr(child.func, "attr", None) == "isdisjoint"
+                    and _names_ground(child.func.value)):
                 found.add((module, func))
             inner = child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
@@ -259,15 +280,23 @@ def test_one_ground_death_rule():
     membership in algebra.ground: in lie_terms, for the flat and the
     relative complex, in its run form lie_runs, and in OperatorSpace.lie_into,
     the Lie action read off it; connes_terms kills an a0 in the ground by the
-    same test, and chain_spaces applies it to the letters it lists.
+    same test, and the walk enumerator _walks applies it to the letters it
+    lists.  A normalized Cochain refuses a word with a ground letter, and
+    brace_compose drops one, by the set test ground.isdisjoint(word): no
+    cochain code takes index 0 for the ground.
     On the walks of M2 and M3, every term of d is a relative chain one
     weight down and every term of B one weight up, and the rule does drop terms: without it, M2's d leaves
     the relative chains."""
     assert _ground_tests() == {("hochschild", "lie_terms"),
                                ("hochschild", "lie_runs"),
                                ("hochschild", "connes_terms"),
-                               ("hochschild", "chain_spaces"),
+                               ("hochschild", "_walks"),
+                               ("hochschild", "__init__"),
+                               ("hochschild", "brace_compose"),
                                ("calculus", "lie_into")}
+    assert "ground.isdisjoint(word)" in inspect.getsource(hochschild.Cochain.__init__)
+    for func in (hochschild.Cochain.__init__, hochschild.brace_compose):
+        assert not re.search(r"\b0 in |== 0 for", inspect.getsource(func)), func
     for alg in (build_matrix_algebra(2), build_matrix_algebra(3)):
         peirce = alg.peirce()
         spaces = hochschild.chain_spaces(peirce, 4)
@@ -325,11 +354,13 @@ def test_one_change_of_basis():
 
 def test_one_chain_space_enumerator():
     """chain_spaces is the only chain-space enumerator, for every chain
-    model: no other function of the package is named for one, the chain
+    model: no other function of the package is named for one, and the chain
     index is built only by calling it (ChainBasis, the weight-graded
-    boundary of HH and the reduction of a mixed complex), and the ends of
-    the letters, which say which words are walks, are read nowhere else
-    outside algebra."""
+    boundary of HH and the reduction of a mixed complex).  Its walks come
+    from _walks, the one walk enumerator, which CochainBasis closes in
+    parallel; neither CochainBasis nor basis_cochains enumerates words of
+    its own.  The ends of the letters, which say which words are walks, are
+    read outside algebra only by _walks and its two closings."""
     defs = {(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.FunctionDef) and "chain_spaces" in node.name}
@@ -342,7 +373,13 @@ def test_one_chain_space_enumerator():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef)
                and any(getattr(n, "attr", None) == "ends" for n in ast.walk(node))}
-    assert readers == {("hochschild", "chain_spaces")}
+    assert readers == {("hochschild", "_walks"), ("hochschild", "chain_spaces"),
+                       ("hochschild", "__init__")}
+    assert ".ends" in inspect.getsource(hochschild.CochainBasis.__init__)
+    assert set(_call_sites("_walks")) == {("hochschild", "chain_spaces"),
+                                          ("hochschild", "__init__")}
+    for func in (hochschild.CochainBasis, hochschild.basis_cochains):
+        assert "product(" not in inspect.getsource(func), func
     for name in ("relative_chain_spaces", "relative_boundary_matrices",
                  "relative_connes_matrices"):
         assert not hasattr(hochschild, name), name
@@ -357,3 +394,37 @@ def test_cyclic_names_no_chain_model():
     assert "relative_" not in text
     assert not [site for site in _call_sites("isinstance") if site[0] == "cyclic"]
     assert not hasattr(cyclic, "PeirceBasis")
+
+
+def _unused_imports(text):
+    """The names a module's source imports and never reads, apart from
+    those in its __all__ (re-exports) and `from __future__` features."""
+    tree = ast.parse(text)
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return sorted(name for name in imported if name not in read | exported)
+
+
+def test_no_unused_imports():
+    """No module of the package imports a name it never reads: a deletion
+    takes its imports with it.  __init__ is the package's export list."""
+    unused = {path.stem: names for path in sorted(SRC.glob("*.py"))
+              if path.name != "__init__.py"
+              and (names := _unused_imports(path.read_text()))}
+    assert not unused
+
+
+def test_unused_import_scan_finds_a_leftover():
+    src = ("from __future__ import annotations\nimport os, re as regex\n"
+           "from .x import a, b as c, d\n__all__ = ['d']\nprint(a, os.sep)\n")
+    assert _unused_imports(src) == ["c", "regex"]

@@ -1,5 +1,5 @@
-"""HH on the complex relative to the vertex idempotents, against the flat
-complex and the closed-form oracles.
+"""HH and HH^* on the complexes relative to the vertex idempotents, against
+the flat complexes and the closed-form oracles.
 
 An algebra that carries idempotents (M_n, path algebras, M_n(A) from
 `conftest.matrices_over`) runs `hochschild_homology` on the complex
@@ -9,7 +9,9 @@ degree both reach.  The cyclic operations run on the relative mixed complex
 (d and B) of such an algebra; the same tables without idempotents take the
 flat route, and at equal bars the two give the same reports.  Both models
 go through the same chain_spaces, boundary_matrices and connes_matrices: a
-PeirceBasis is the relative model, a DgAlgebra the flat one.
+PeirceBasis is the relative model, a DgAlgebra the flat one.  HH^* is routed
+the same way: its relative cochains are the pairs (w, t) of a walk w from
+e_x to e_y and a t in e_x A e_y, the CochainBasis of the Peirce basis.
 """
 
 import dataclasses
@@ -29,6 +31,7 @@ from ncperiod.algebra import (
     build_truncated_polynomial_algebra,
     kronecker_algebra,
 )
+from ncperiod import hochschild
 from ncperiod.cli import resolve_algebra
 from ncperiod.cyclic import (
     cyclic_homology,
@@ -37,11 +40,16 @@ from ncperiod.cyclic import (
     periodic_cyclic_homology,
     sbi_exactness,
 )
+from ncperiod.exactlin import express_in_homology, from_columns, rank
 from ncperiod.hochschild import (
+    CochainBasis,
     boundary_matrices,
     chain_spaces,
+    cochain_differential,
+    cocycle_representatives,
     connes_matrices,
     flat_hochschild_homology,
+    hochschild_cohomology,
     hochschild_homology,
 )
 
@@ -57,6 +65,11 @@ AGREE = [
     (lambda: matrices_over(a2_quiver_algebra(), 2), 1),
 ]
 AGREE_IDS = ["M2", "M3", "A2", "kron", "path:a4", "QxQ", "M2(T2)", "M2(A2)"]
+
+
+def _without_idempotents(alg):
+    """The same tables with no idempotents attached: the flat route."""
+    return DgAlgebra(alg.labels, alg.degrees, alg.mult, alg.diff, name=alg.name)
 
 
 @pytest.mark.parametrize("build, top", AGREE, ids=AGREE_IDS)
@@ -78,6 +91,65 @@ def test_relative_and_flat_models_agree_on_acyclic_quivers(alg):
     assert hochschild_homology(alg, range(2)).as_tuple(range(2)) == oracle
     assert flat_hochschild_homology(alg, range(2)).as_tuple(range(2)) == oracle
     assert not any(chain_spaces(alg.peirce(), 4)[1:])
+
+
+@pytest.mark.parametrize("build, top, oracle", [
+    (lambda: build_matrix_algebra(2), 4, (1, 0, 0, 0, 0)),
+    (lambda: build_matrix_algebra(3), 2, (1, 0, 0)),
+    (a2_quiver_algebra, 3, (1, 0, 0, 0)),
+    (lambda: resolve_algebra("path:a4"), 3, (1, 0, 0, 0)),
+    (kronecker_algebra, 3, (1, 3, 0, 0)),
+], ids=["M2", "M3", "A2", "path:a4", "kron"])
+def test_relative_and_flat_cohomology_agree(build, top, oracle):
+    """HH^* on the relative cochains and on the flat ones agree, with the
+    chain model recorded: Morita invariance HH^*(M_n) = HH^*(Q); a path
+    algebra is hereditary, so HH^n = 0 for n >= 2, and HH^1 of the
+    Kronecker quiver is 3 (Happel 1989)."""
+    rel = hochschild_cohomology(build(), range(top + 1))
+    flat = hochschild_cohomology(_without_idempotents(build()), range(top + 1))
+    assert rel.as_tuple(range(top + 1)) == flat.as_tuple(range(top + 1)) == oracle
+    assert rel.chain_model == {"kind": "relative", "idempotents": len(build().idempotents)}
+    assert flat.chain_model == {"kind": "flat"}
+    assert rel.basis_keys[top] == CochainBasis(build().peirce(), top).keys
+
+
+@settings(max_examples=12, deadline=None)
+@given(acyclic_quivers())
+def test_relative_and_flat_cohomology_agree_on_acyclic_quivers(alg):
+    """Both routes give HH^2 = 0 (hereditary) and Happel's (1989) HH^1 =
+    HH^0 - #vertices + sum over the arrows of the paths parallel to each,
+    HH^0 being one class per connected component."""
+    rel = hochschild_cohomology(alg, range(3))
+    flat = hochschild_cohomology(_without_idempotents(alg), range(3))
+    assert rel.as_tuple(range(3)) == flat.as_tuple(range(3))
+    peirce = alg.peirce()
+    arrows = [i for i, lab in enumerate(peirce.labels)
+              if i not in peirce.ground and "*" not in lab]
+    parallel = sum(peirce.ends.count(peirce.ends[a]) for a in arrows)
+    assert rel.dims[1] == rel.dims[0] - len(peirce.ground) + parallel
+    assert rel.dims[2] == 0
+    assert rel.chain_model == {"kind": "relative", "idempotents": len(alg.idempotents)}
+    assert flat.chain_model == {"kind": "flat"}
+
+
+@pytest.mark.parametrize("build, n", [
+    (kronecker_algebra, 1), (lambda: build_matrix_algebra(2), 0), (a2_quiver_algebra, 0),
+], ids=["kron-1", "M2-0", "A2-0"])
+def test_cocycle_representatives_stay_flat(build, n):
+    """cocycle_representatives reads the flat model whatever chain_model_of
+    picks, since the deformation, period and calculus layers act with flat
+    cochains: one flat cocycle of the algebra itself per class of HH^n, the
+    classes independent."""
+    alg = build()
+    reps = cocycle_representatives(alg, n)
+    assert len(reps) == hochschild_cohomology(alg, [n]).dims[n]
+    spot, cb = hochschild._cohomology_spot(alg, n), CochainBasis(alg, n)
+    classes = []
+    for rep in reps:
+        assert rep.algebra is alg
+        assert cochain_differential(alg, rep).is_zero()
+        classes.append(express_in_homology(spot, cb.coordinates(rep)))
+    assert rank(from_columns(len(reps), classes)) == len(reps)
 
 
 @pytest.mark.parametrize("build, top, oracle", [
@@ -160,11 +232,6 @@ def test_relative_homology_reps_match_greedy_oracle(build, top):
 # per AGREE algebra, a bar at which the flat route runs in well under a second
 CYCLIC_BARS = {"M2": 6, "M3": 2, "A2": 6, "kron": 4, "path:a4": 2, "QxQ": 6,
                "M2(T2)": 3, "M2(A2)": 2}
-
-
-def _without_idempotents(alg):
-    """The same tables with no idempotents attached: the flat route."""
-    return DgAlgebra(alg.labels, alg.degrees, alg.mult, alg.diff, name=alg.name)
 
 
 def _cyclic_reports(alg, bar):
