@@ -380,9 +380,11 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, workers=1):
             space, cochains, mats, arity_bound, range(len(cochains)))
     reports.append(_report("bracket-action: L_[P,Q] = [L_P, L_Q]", witness))
 
+    # a bracket bound of 0 reads as unset, and the bracket then takes b's bound
+    b = structure_as_cochain(algebra, 2 * arity_bound + 1)
     for axiom, op, t_op, lhs in (
             ("boundary-compat: d^End L_P = L_dP", boundary, t_boundary,
-             lambda P: cochain_differential(algebra, P, 2 * arity_bound)),
+             lambda P: gerstenhaber_bracket(b, P, 2 * arity_bound)),
             ("connes-compat: [B, L_P] = 0", connes, t_connes, None)):
         witness = None
         for a, (P, (mp, tp)) in enumerate(zip(cochains, mats)):
@@ -394,7 +396,7 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, workers=1):
                 break
         reports.append(_report(axiom, witness))
 
-    res = space.lie_into({}, structure_as_cochain(algebra, 2 * arity_bound), ncheck)
+    res = space.lie_into({}, b, ncheck)
     col = _first_nonzero(_residual(res, ncheck, (), ((-1, boundary),)))
     reports.append(_report("action-at-structure: L_b = boundary",
                            None if col is None else space.keys[col]))

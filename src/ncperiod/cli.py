@@ -27,7 +27,7 @@ from .algebra import (
     kronecker_algebra,
     validate_dg_algebra,
 )
-from .coeff import ArtinLocalRing, build_truncated_poly, dual_numbers, exact
+from .coeff import ArtinLocalRing, NotArtinLocal, build_truncated_poly, dual_numbers, exact
 from .cyclic import (
     NotStabilized,
     cyclic_homology,
@@ -38,7 +38,7 @@ from .cyclic import (
 )
 from .deform import MCElement, gauge_equivalent, lift_order_by_order
 from .exactlin import chain_add
-from .hochschild import Cochain, hochschild_cohomology, hochschild_homology
+from .hochschild import Cochain, hochschild_cohomology, hochschild_homology, shifted_degree
 from .period import (
     first_order_period_matrix,
     griffiths_transversality_check,
@@ -122,6 +122,14 @@ def _parse_rational(tok, lineno):
         raise ParseError(lineno, f"bad rational {tok!r}: {exc}")
 
 
+def _indices(tokens, size, lineno):
+    """The basis indices of a mult or diff line, each in range(size)."""
+    for tok in tokens:
+        if not (tok.isascii() and tok.isdigit() and int(tok) < size):
+            raise ParseError(lineno, f"bad basis index {tok!r} for {size} elements")
+    return [int(tok) for tok in tokens]
+
+
 def parse_algebra_file(text: str) -> DgAlgebra:
     """Line format (# comments allowed):
 
@@ -175,13 +183,11 @@ def parse_algebra_file(text: str) -> DgAlgebra:
         elif key == "mult":
             if len(parts) != 5:
                 raise ParseError(lineno, "mult needs i j k value")
-            i, j, k = (int(p) for p in parts[1:4])
-            mult_entries.append((i, j, k, _parse_rational(parts[4], lineno)))
+            mult_entries.append((lineno, parts[1:4], _parse_rational(parts[4], lineno)))
         elif key == "diff":
             if len(parts) != 4:
                 raise ParseError(lineno, "diff needs j i value")
-            j, i = int(parts[1]), int(parts[2])
-            diff_entries.append((j, i, _parse_rational(parts[3], lineno)))
+            diff_entries.append((lineno, parts[1:3], _parse_rational(parts[3], lineno)))
         elif key == "unit":
             unit = [_parse_rational(p, lineno) for p in parts[1:]]
         else:
@@ -193,10 +199,12 @@ def parse_algebra_file(text: str) -> DgAlgebra:
     if len(unit) != len(labels):
         raise ValidationError("unit", "unit vector length mismatch")
     mult = {}
-    for i, j, k, v in mult_entries:
+    for lineno, tokens, v in mult_entries:
+        i, j, k = _indices(tokens, len(labels), lineno)
         chain_add(mult.setdefault((i, j), {}), k, v)
     diff = {}
-    for j, i, v in diff_entries:
+    for lineno, tokens, v in diff_entries:
+        j, i = _indices(tokens, len(labels), lineno)
         chain_add(diff.setdefault(j, {}), i, v)
     labels, degrees, mult, diff = _rebase_unit(labels, degrees, mult, diff, unit)
     alg = DgAlgebra(labels, degrees, mult, diff, name=name, validate=False)
@@ -236,36 +244,55 @@ def parse_ring_file(text: str) -> ArtinLocalRing:
         elif parts[0] == "mult":
             if len(parts) != 5:
                 raise ParseError(lineno, "mult needs i j k value")
-            entries.append((int(parts[1]), int(parts[2]), int(parts[3]),
-                            _parse_rational(parts[4], lineno)))
+            entries.append((lineno, parts[1:4], _parse_rational(parts[4], lineno)))
         else:
             raise ParseError(lineno, f"unknown directive {parts[0]!r}")
     table = {}
-    for i, j, k, v in entries:
+    for lineno, tokens, v in entries:
+        i, j, k = _indices(tokens, len(labels), lineno)
         table.setdefault((i, j), {})[k] = v
     return ArtinLocalRing(labels, table)
 
 
 def parse_mc_file(algebra, ring, text: str) -> MCElement:
-    """JSON: [{"word": [label,...], "out": label, "coeffs": {ring_label: rat}}]."""
+    """JSON: [{"word": [label,...], "out": label, "coeffs": {ring_label: rat}}].
+    A ParseError unless each entry has shifted degree 1 and no ground letter;
+    a ValidationError if a coefficient lies outside m_R."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"bad JSON: {exc.msg}")
+    if not isinstance(data, list):
+        raise ParseError(0, "an MC file is a JSON list of entries")
     lab_pos = {lab: i for i, lab in enumerate(algebra.labels)}
     ring_pos = {lab: i for i, lab in enumerate(ring.basis_labels)}
+
+    def position(table, lab, n):
+        if not isinstance(lab, str) or lab not in table:
+            raise ParseError(0, f"entry {n}: unknown label {lab!r}")
+        return table[lab]
+
     comps = {}
-    for entry in data:
-        word = tuple(lab_pos[w] for w in entry["word"])
-        out = lab_pos[entry["out"]]
+    for n, entry in enumerate(data):
+        if not (isinstance(entry, dict) and isinstance(entry.get("word"), list)
+                and isinstance(entry.get("coeffs"), dict) and "out" in entry):
+            raise ParseError(0, f"entry {n}: needs a word list, an out label "
+                                f"and a coeffs object")
+        word = tuple(position(lab_pos, w, n) for w in entry["word"])
+        out = position(lab_pos, entry["out"], n)
+        if (sd := shifted_degree(algebra, word, out)) != 1:
+            raise ParseError(0, f"entry {n}: shifted degree {sd}, not 1")
         coeffs = [0] * ring.dim
         for lab, val in entry["coeffs"].items():
-            coeffs[ring_pos[lab]] = _parse_rational(val, 0)
+            coeffs[position(ring_pos, lab, n)] = _parse_rational(val, 0)
+        if not (c := ring.element(coeffs)).in_maximal_ideal():
+            raise ValidationError("coefficients in m_R", f"entry {n}")
         vec = comps.setdefault(len(word), {}).setdefault(word, {})
-        cur = vec.get(out, ring.zero())
-        vec[out] = cur + ring.element(coeffs)
-    value = Cochain(algebra, comps, 1, None)
-    return MCElement(ring, value)
+        vec[out] = vec.get(out, ring.zero()) + c
+    try:
+        return MCElement(ring, Cochain(algebra, comps, 1, None))
+    except ValueError as exc:  # a word with a ground letter
+        raise ParseError(0, str(exc)) from None
 
 
 # -- report helpers -------------------------------------------------------------------
@@ -660,7 +687,7 @@ def main(argv=None):
     except (ParseError, CyclicQuiver) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
-    except ValidationError as exc:
+    except (ValidationError, NotArtinLocal) as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return 1
     except NotStabilized as exc:

@@ -5,7 +5,9 @@ the maximal ideal.  It deforms the algebra's structure cochain b (the one
 form of b, hochschild.structure_as_cochain) to b.add(x) = b + x, whose
 arity-2 part gives the deformed product and whose Lie action L_{b+x} is the
 deformed chain differential d + L_x; downstream it deforms the cyclic
-complexes.
+complexes.  Both MC operations read b + x: the residual mc_residual is the
+brace (b + x) o (b + x), and gauge_act is e^{ad alpha}(b + x) - b
+(Gerstenhaber 1963; Goldman-Millson 1988).
 
 All solving goes through one routine, solve_by_levels: along the m-adic
 filtration (the small-extension induction of Goldman-Millson), each step is
@@ -32,7 +34,7 @@ from .hochschild import (
     CochainBasis,
     _cochain_diff_matrix,
     _cohomology_spot,
-    cochain_differential,
+    brace_compose,
     connes_B,
     gerstenhaber_bracket,
     hochschild_boundary,
@@ -95,36 +97,27 @@ def cochain_over_ring(algebra, ring, components, sdeg, arity_bound=None):
 
 
 def mc_residual(algebra, x: MCElement) -> Cochain:
-    """dx + (1/2)[x, x]; zero exactly when b + x squares to zero."""
-    dx = cochain_differential(algebra, x.value)
-    bracket = gerstenhaber_bracket(x.value, x.value)
-    return dx.add(bracket.scaled(Fraction(1, 2)))
+    """(b + x) o (b + x) = dx + (1/2)[x, x], since b o b = 0 on normalized
+    words of a valid algebra; zero exactly when b + x squares to zero."""
+    bx = structure_as_cochain(algebra).add(x.value)
+    return brace_compose(bx, bx, x.value.arity_bound)
 
 
 def gauge_act(alpha: GaugeElement, x: MCElement) -> MCElement:
-    """e^alpha . x = e^{ad alpha}(x) - Phi(ad alpha)(d alpha), Phi(z) = (e^z-1)/z."""
+    """e^alpha . x = e^{ad alpha}(b + x) - b, the series
+    x + sum_{k >= 1} (ad alpha)^k (b + x) / k!."""
     if alpha.ring is not x.ring:
         raise ValueError("gauge and MC element live over different rings")
-    algebra = x.algebra
     out = x.value
-    term = x.value
+    term = structure_as_cochain(x.algebra).add(x.value)
     k = 1
-    while not term.is_zero():
-        term = gerstenhaber_bracket(alpha.value, term).scaled(Fraction(1, k))
+    while not (term := gerstenhaber_bracket(alpha.value, term)
+               .scaled(Fraction(1, k))).is_zero():
         out = out.add(term)
         k += 1
         if k > alpha.ring.nilpotency_order + 2:
             raise RuntimeError("gauge exponential did not terminate")
-    term = cochain_differential(algebra, alpha.value)
-    k = 0
-    while not term.is_zero():
-        out = out.add(term, scale=-1)
-        term = gerstenhaber_bracket(alpha.value, term).scaled(Fraction(1, k + 2))
-        k += 1
-        if k > alpha.ring.nilpotency_order + 2:
-            raise RuntimeError("gauge exponential did not terminate")
-    y = MCElement(x.ring, out)
-    return y
+    return MCElement(x.ring, out)
 
 
 # -- deformed algebras ---------------------------------------------------------------
@@ -152,24 +145,16 @@ class AlgebraOverArtin:
 
     def validate(self):
         """Curved-structure validator: square-zero + unit condition."""
-        res = mc_residual(self.algebra, self.x)
-        if not res.is_zero():
+        if not mc_residual(self.algebra, self.x).is_zero():
             return ["square-zero fails: nonzero Maurer-Cartan residual"]
         # unit condition: x is normalized by construction, so 1 stays a unit;
         # re-check multiplicatively on the deformed constants for degree 0.
-        problems = []
-        if self.algebra.is_degree_zero():
-            mult = self.multiplication_constants()
-            ring = self.base
-            for i in range(self.algebra.dim):
-                got = mult.get((0, i), {})
-                want = {i: ring.one()}
-                if got != want:
-                    problems.append(f"left unit fails at {i}")
-                got = mult.get((i, 0), {})
-                if got != want:
-                    problems.append(f"right unit fails at {i}")
-        return problems
+        if not self.algebra.is_degree_zero():
+            return []
+        mult, one = self.multiplication_constants(), self.base.one()
+        return [f"{side} unit fails at {i}" for i in range(self.algebra.dim)
+                for side, key in (("left", (0, i)), ("right", (i, 0)))
+                if mult.get(key, {}) != {i: one}]
 
 
 def deform_algebra(algebra, x: MCElement) -> AlgebraOverArtin:

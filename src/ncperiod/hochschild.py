@@ -11,7 +11,8 @@ Representation
     the shift sign  b_n[a_1|..|a_n] = (-1)^{sum (n-i)|a_i|} m_n(a_1,..,a_n),
     so b_1 = d and b_2[i|j] = (-1)^{|i|} ij; it is stored on all words,
     units included.  A deformation by an MC element x is b.add(x), and
-    every chain differential is the Lie action L_b of its b.
+    every chain differential is the Lie action L_b of its b; the cochain
+    differential is [b, -], and b o b = 0 says the algebra is valid.
 
 Signs use shifted degrees sd(a) = |a| - 1, eps_i = sd(a_1)+..+sd(a_i) and
 mu_i = sd(a_0) + eps_i:
@@ -69,7 +70,7 @@ Indexing and assembly
     are found by key (_keyed_matrix).  The operator matrices of
     calculus.OperatorSpace are run form too;
   * the cochain differential [b, -] of each (model, arity) is assembled
-    once, a cochain_differential per column read through the CochainBasis
+    once, one b bracketed with each column read through the CochainBasis
     coordinate map, and its HH^l spot is eliminated once beside it
     (_cohomology_spot); every reader of HH^* reads that spot.
 """
@@ -167,6 +168,11 @@ class Cochain:
         return f"Cochain(sdeg={self.sdeg}; " + ", ".join(parts) + ")"
 
 
+def shifted_degree(algebra, word, t):
+    """sd of the basis cochain sending word to basis_t: sd(t) - sum sd(a_i)."""
+    return algebra.degrees[t] - 1 - sum(algebra.degrees[i] - 1 for i in word)
+
+
 def basis_cochains(algebra, arity_bound, sdeg=None):
     """All (word, out) basis cochains with arity <= arity_bound, by arity,
     then in CochainBasis order.
@@ -178,7 +184,7 @@ def basis_cochains(algebra, arity_bound, sdeg=None):
     out = []
     for l in range(arity_bound + 1):
         for word, t in CochainBasis(algebra, l).keys:
-            s = algebra.degrees[t] - 1 - sum(algebra.degrees[i] - 1 for i in word)
+            s = shifted_degree(algebra, word, t)
             if sdeg is None or s == sdeg:
                 out.append(Cochain(algebra, {l: {word: {t: 1}}}, s, arity_bound))
     return out
@@ -413,15 +419,9 @@ def structure_as_cochain(algebra, arity_bound=None):
 
 
 def cochain_differential(algebra, p, arity_bound=None):
-    """d p = [b, p] = b o p - (-1)^{sd p} p o b on normalized cochains."""
-    bound = arity_bound or p.arity_bound
-    if bound is None:
-        bound = max(p.arities(), default=0) + 1
-    b = structure_as_cochain(algebra, bound + 1)
-    bp = brace_compose(b, p, bound)
-    pb = brace_compose(p, b, bound)
-    sgn = -1 if p.sdeg % 2 else 1
-    return bp.add(pb, scale=-sgn)
+    """d p = [b, p] on normalized cochains, b the algebra's structure cochain."""
+    bound = arity_bound or p.arity_bound or max(p.arities(), default=0) + 1
+    return gerstenhaber_bracket(structure_as_cochain(algebra), p, bound)
 
 
 # -- finite bases and matrices ------------------------------------------------------
@@ -829,12 +829,13 @@ def _cochain_diff_matrix(model, arity):
 
 
 def _assemble_cochain_diff(model, arity):
-    """The matrix of _cochain_diff_matrix, one cochain_differential per column."""
+    """The matrix of _cochain_diff_matrix: one b, bracketed with each column."""
     src, dst = CochainBasis(model, arity), CochainBasis(model, arity + 1)
     m = SparseMatrix(len(dst), len(src))
+    b = structure_as_cochain(model)
     for j, (w, t) in enumerate(src.keys):
         p = Cochain(model, {arity: {w: {t: 1}}}, arity - 1, arity + 2)
-        dp = cochain_differential(model, p, arity + 1)
+        dp = gerstenhaber_bracket(b, p, arity + 1)
         for row, c in dst.coordinates(dp).items():
             m.add_to(row, j, c)
     return m

@@ -387,3 +387,50 @@ def test_hhc_structured_records_the_chain_model():
                              "--format", "structured"])
         assert code == 0
         assert json.loads(out)["chain_model"] == model
+
+
+# -- malformed input files: a parse or validation error, never a traceback --------
+
+ALGEBRA_HEAD = "basis 1:0 x:0\nmult 0 0 0 1\nunit 1 0\n"
+RING_HEAD = "basis 1 eps\nmult 0 0 0 1\n"
+LOCAL_RING_OK = "mult 0 1 1 1\nmult 1 0 1 1\n"
+
+
+@pytest.mark.parametrize("kind, text, algebra, code", [
+    ("algebra", ALGEBRA_HEAD + "mult 0 x 0 1\n", None, 2),
+    ("algebra", ALGEBRA_HEAD + "diff 1 q 1\n", None, 2),
+    ("algebra", ALGEBRA_HEAD + "mult 0 5 0 1\n", None, 2),
+    ("ring", RING_HEAD + LOCAL_RING_OK + "mult 0 0 q 1\n", "trunc_poly:2", 2),
+    ("ring", RING_HEAD + LOCAL_RING_OK + "mult 0 9 0 1\n", "trunc_poly:2", 2),
+    ("ring", "basis 1 e\nmult 0 0 0 1\nmult 0 1 1 1\nmult 1 0 1 1\nmult 1 1 1 1\n",
+     "trunc_poly:2", 1),
+    ("mc", [{"word": ["x", "y"], "out": "1", "coeffs": {"eps": 1}}], "trunc_poly:2", 2),
+    ("mc", [{"word": ["x", "x"], "out": "1", "coeffs": {"e": 1}}], "trunc_poly:2", 2),
+    ("mc", {"word": ["x", "x"], "out": "1", "coeffs": {"eps": 1}}, "trunc_poly:2", 2),
+    ("mc", [["x", "x"]], "trunc_poly:2", 2),
+    ("mc", [{"word": ["x", "1"], "out": "1", "coeffs": {"eps": 1}}], "trunc_poly:2", 2),
+    ("mc", [{"word": ["x", "x"], "out": "1", "coeffs": {"1": 1}}], "trunc_poly:2", 1),
+    ("mc", [{"word": ["x"], "out": "x", "coeffs": {"eps": 1}}], "trunc_poly:3", 2),
+], ids=["algebra-mult-index-x", "algebra-diff-index-q", "algebra-mult-index-5",
+        "ring-mult-index-q", "ring-mult-index-9", "ring-not-local",
+        "mc-unknown-algebra-label", "mc-unknown-ring-label", "mc-object",
+        "mc-entry-no-object", "mc-unit-letter", "mc-unit-coefficient",
+        "mc-arity-1-entry"])
+def test_malformed_input_files_are_reported(kind, text, algebra, code, tmp_path, capsys):
+    """Each file stops with exit 2 (parse error) or 1 (validation error),
+    nothing on stdout and no traceback.  An arity-1 entry on Q[x]/x^3 has
+    shifted degree 0, so it is no MC element and `deform lift` must not
+    print `lift: ok`."""
+    path = tmp_path / ("x.json" if kind == "mc" else "input.txt")
+    path.write_text(json.dumps(text) if kind == "mc" else text)
+    mc = path if kind == "mc" else tmp_path / "x.json"
+    if kind != "mc":
+        mc.write_text(json.dumps(MC_X))
+    argv = (["hh", "--algebra", str(path)] if kind == "algebra" else
+            ["deform", "lift", "--algebra", algebra, "--mc-file", str(mc),
+             "--ring", str(path) if kind == "ring" else "dual"])
+    got, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert (got, out) == (code, "")
+    assert err.startswith("parse error" if code == 2 else "validation error")
+    assert "Traceback" not in err

@@ -346,14 +346,23 @@ def test_empty_degree_range_gives_empty_dims(build):
 def test_cochain_diff_matrix_built_once_per_algebra_and_arity(monkeypatch):
     """HH^*, its cocycle representatives, a gauge search, a lift and the
     coboundary tests of calculus_defect share one coboundary matrix and one
-    HH^l spot per (model, arity): each is made once, and every call returns
-    it.  HH^* of M2 runs on its Peirce basis, the others on M2 itself."""
-    built, spots = Counter(), Counter()
+    HH^l spot per (model, arity): each is made once, with one structure
+    cochain b, and every call returns it.  HH^* of M2 runs on its Peirce
+    basis, the others on M2 itself."""
+    built, spots, bs = Counter(), Counter(), []
     real, real_spot = hochschild._assemble_cochain_diff, hochschild._build_cohomology_spot
+    real_b = hochschild.structure_as_cochain
 
     def counting(algebra, arity):
         built[id(algebra), arity] += 1
-        return real(algebra, arity)
+        before = len(bs)
+        out = real(algebra, arity)
+        assert len(bs) - before == 1  # one b per assembly
+        return out
+
+    def counting_b(algebra, arity_bound=None):
+        bs.append(id(algebra))
+        return real_b(algebra, arity_bound)
 
     def counting_spot(model, arity):
         spots[id(model), arity] += 1
@@ -361,6 +370,7 @@ def test_cochain_diff_matrix_built_once_per_algebra_and_arity(monkeypatch):
 
     monkeypatch.setattr(hochschild, "_assemble_cochain_diff", counting)
     monkeypatch.setattr(hochschild, "_build_cohomology_spot", counting_spot)
+    monkeypatch.setattr(hochschild, "structure_as_cochain", counting_b)
     m2, t3 = build_matrix_algebra(2), build_truncated_polynomial_algebra(3)
     for alg in (m2, t3):
         assert hochschild_cohomology(alg, range(3)).dims

@@ -328,14 +328,37 @@ def _classes_defining(method):
     return found
 
 
+def _loop_depth(node):
+    """The deepest nesting of for loops (comprehension clauses included)
+    under an AST node."""
+    inner = max((_loop_depth(child) for child in ast.iter_child_nodes(node)), default=0)
+    if isinstance(node, (ast.For, ast.comprehension)):
+        return inner + 1
+    return inner
+
+
 def test_one_structure_cochain():
     """b has one form, the Cochain of structure_as_cochain, and b + x is
     b.add(x): no class evaluates a structure map on the fly, so only Cochain
-    and the recording probe of OperatorSpace define eval(self, l, word)."""
+    and the recording probe of OperatorSpace define eval(self, l, word).
+    The square-zero condition is read off one brace of it: deform calls no
+    cochain_differential (mc_residual is (b + x) o (b + x), gauge_act one
+    series in b + x), the cochain differential is the bracket with b, and
+    validate_dg_algebra reads b o b with no loop over triples of structure
+    constants."""
     assert _classes_defining("eval") == {("hochschild", "Cochain"),
                                          ("calculus", "_SlotProbe")}
     for name in ("DgStructure", "DeformedStructure"):
         assert not hasattr(hochschild, name), name
+    assert not [site for site in _call_sites("cochain_differential")
+                if site[0] == "deform"]
+    assert ("deform", "mc_residual") in _call_sites("brace_compose")
+    assert ("hochschild", "cochain_differential") in _call_sites("gerstenhaber_bracket")
+    validator = ast.parse(inspect.getsource(algebra.validate_dg_algebra))
+    assert _loop_depth(validator) <= 2
+    assert "repeat=3" not in inspect.getsource(algebra.validate_dg_algebra)
+    assert ("algebra", "validate_dg_algebra") in _call_sites("brace_compose")
+    assert "d_of(" not in inspect.getsource(algebra.validate_dg_algebra)
 
 
 def test_one_change_of_basis():
