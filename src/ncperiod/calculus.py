@@ -12,16 +12,26 @@ zero entries; an integral coefficient is stored as an int, which is exact
 since int and Fraction compare and hash equal, and keeps the products of
 structure constants out of Fraction arithmetic.  An operator identity
 lhs = rhs, in verify_lie_dagger and calculus_defect alike, is checked as
-residuals lhs - rhs of the form sum s . X Y + sum s . Z, {col: {row: coeff}}
-on the check columns (a prefix of the weight-ordered basis): the Lie action
-of a cochain is added into a residual in place, and the rest by one kernel,
-_residual, whose products are outer-product sparse products (Gustavson 1978)
-over the stored nonzeros.  The identity holds exactly iff every residual
-column is zero; its witness is the smallest nonzero column, the first chain
-in weight order where the two sides differ.  An identity of calculus_defect
-claimed on homology instead "holds on homology" when each residual sends
-every homology representative to a boundary, and otherwise fails at the
-first (label, degree) where one does not.
+residuals lhs - rhs of the form sum s . X Y + sum s . Z on the check
+columns (a prefix of the weight-ordered basis).  A residual is one flat dict
+{col . N + row: coeff}, N the size of the chain basis, and the transposes
+its products read store col . N.  The Lie action of a cochain is added into
+a residual in place through per-word tables: the table of an (arity, word,
+parity) is made from the match index on first use, and kept when it covers
+the check columns; each match in it is (kbase, stride, sign), the row of
+output t being kbase + stride . t in the mixed-radix index of
+chain_spaces, so no chain key is built per term.  The rest is added by one
+kernel, _residual, whose products are outer-product sparse products
+(Gustavson 1978) over the stored nonzeros.  The brackets whose action the
+pair loop checks come from hochschild.gerstenhaber_bracket, which adds
+p o q and the signed q o p into one component dict in one pass.  The
+identity holds exactly iff every residual entry is zero; its witness is
+the smallest nonzero column, min(nonzero keys) // N, the first chain in
+weight order where the two sides differ.  An identity of calculus_defect
+claimed on homology instead "holds on homology" when each residual,
+regrouped by column, sends every homology representative to a boundary
+(tested against the span of boundaries its spot keeps), and otherwise
+fails at the first (label, degree) where one does not.
 
 Cup-product sign convention (see README): for components of arities p, q,
 
@@ -39,7 +49,7 @@ from functools import partial
 from itertools import compress, product as iproduct
 
 from .coeff import exact
-from .exactlin import apply_columns, chain_add, express_in_homology, member
+from .exactlin import apply_columns, chain_add
 from .hochschild import (
     ArityBoundExceeded,
     ChainBasis,
@@ -152,19 +162,26 @@ class OperatorSpace:
     is read off lie_terms run once per apply column on a _SlotProbe: an
     interior match is (col, slot, (-1)^mu), the slot handed over by
     lie_terms' slotted callback with no chain key built, and a wrap match is
-    (col, sign, rest).
+    (col, sign, rest).  lie_into reads it through the per-word tables of
+    _table.
     """
 
     def __init__(self, algebra, check_weight):
         self.algebra = algebra
         self.check_weight = check_weight
         self.basis = ChainBasis(algebra, check_weight + _HEAD_ROOM)
-        self.index = self.basis.index
         self.keys = self.basis.keys
+        self.size = len(self.keys)
         self.apply_cols = range(self.basis.offsets[check_weight + 2])
         self.check_cols = range(self.basis.offsets[check_weight + 1])
+        self.ncheck = len(self.check_cols)
+        # one int object per index and per check column's residual key, shared
+        # by every stored column and transpose
+        self._ints = list(range(self.size))
+        self._bases = [col * self.size for col in self.check_cols]
         self._interior = interior = {}
         self._wrap = wrap = {}
+        self._tables = {}  # (arity, word, parity) -> _table on the check columns
         probe = _SlotProbe(check_weight + 2)
 
         def wrap_match(key, sign):  # col is the loop's current column
@@ -176,47 +193,75 @@ class OperatorSpace:
         for col in self.apply_cols:
             lie_terms(algebra, probe, *self.keys[col], (wrap_match, interior_match))
 
-    def lie_into(self, cols, cochain, stop):
-        """Add the Lie action of the cochain to cols, {col: {row: coeff}}, in
-        place on the columns < stop, and return cols.  Cancelled entries stay
-        as zeros."""
+    def _table(self, l, w, odd, stop):
+        """(interior, wrap): the matches of the word w of arity l on the
+        columns < stop for a cochain of parity odd.  Each match is (kbase,
+        stride, sign), the output t landing at the residual key kbase +
+        stride . t; they are grouped as ((stride, sign), (kbase, ...)).
+
+        The key of (col, row) is col . size + row, and the row is read off
+        the mixed-radix index of chain_spaces, r = dim - 1: the interior term
+        at slot j puts t in place of the segment, (a0, head | t | tail), with
+        stride r^len(tail), and a wrap term is (t, rest), with stride
+        r^len(rest)."""
+        off, size, keys = self.basis.offsets, self.size, self.keys
+        r = self.algebra.dim - 1
+        power = [r ** k for k in range(len(off))]
+        interior = {}
+        for col, j, s in self._interior.get((l, w), ()):
+            if col >= stop:
+                break
+            # col - off[n] = (a0 | head) r^(n-j) + seg r^len(tail) + tail
+            n = len(keys[col][1])
+            stride = power[n - j - l]
+            prefix, low = divmod(col - off[n], power[n - j])
+            interior.setdefault((stride, s if odd else 1), []).append(
+                col * size + off[n - l + 1] + prefix * r * stride + low % stride - stride)
+        wrap = {}
+        for col, sign, rest in self._wrap.get((l, w), ()):
+            if col >= stop:
+                break
+            wrap.setdefault((power[len(rest)], sign), []).append(
+                col * size + off[len(rest)] + _digits(0, rest, r))
+        return ([(k, tuple(v)) for k, v in interior.items()],
+                [(k, tuple(v)) for k, v in wrap.items()])
+
+    def lie_into(self, res, cochain, stop):
+        """Add the Lie action of the cochain on the columns < stop to the
+        residual res, {col . size + row: coeff}, in place, and return res.
+        Cancelled entries stay as zeros.  The tables of the check columns
+        are kept; those of any other stop are made for the call."""
         odd = cochain.sdeg % 2
-        index, keys, ground = self.index, self.keys, self.algebra.ground
+        ground = self.algebra.ground
+        tables = self._tables if stop == self.ncheck else {}
         for l, comp in cochain.components.items():
             for w, out in comp.items():
+                table = tables.get((l, w, odd))
+                if table is None:
+                    table = tables[l, w, odd] = self._table(l, w, odd, stop)
+                interior, wrap = table
                 out = [(t, exact(c)) for t, c in out.items()]
                 # an output in the ground dies in a bar slot, as in lie_terms
-                inner = [(t, c) for t, c in out if t not in ground]
-                for col, j, s in self._interior.get((l, w), ()):
-                    if col >= stop:
-                        break
-                    sgn = s if odd else 1
-                    a0, word = keys[col]
-                    head, tail = word[:j], word[j + l :]
-                    acc = cols.setdefault(col, {})
-                    for t, c in inner:
-                        r = index[a0, head + (t,) + tail]
-                        acc[r] = acc.get(r, 0) + sgn * c
-                for col, sgn, rest in self._wrap.get((l, w), ()):
-                    if col >= stop:
-                        break
-                    acc = cols.setdefault(col, {})
-                    for t, c in out:
-                        r = index[t, rest]
-                        acc[r] = acc.get(r, 0) + sgn * c
-        return cols
+                _add_terms(res, interior, [(t, c) for t, c in out if t not in ground])
+                _add_terms(res, wrap, out)
+        return res
 
     def lie_matrix(self, cochain):
         """{col: ((row, coeff), ...)} of the Lie action of the cochain on the
-        apply columns."""
-        cols = self.lie_into({}, cochain, len(self.keys))
-        return {col: e for col, acc in cols.items() if (e := _column(acc))}
+        apply columns, in the stored form of _column, its indices the shared
+        int objects of _ints."""
+        cols, ints = {}, self._ints
+        for k, v in self.lie_into({}, cochain, self.size).items():
+            if v:
+                col, row = divmod(k, self.size)
+                cols.setdefault(ints[col], []).append((ints[row], exact(v)))
+        return {col: tuple(e) for col, e in cols.items()}
 
     def operator_matrix(self, runs):
         """{col: ((row, coeff), ...)} of an operator in run form on the apply
         columns."""
         off = self.basis.offsets
-        mat = term_matrix(runs, (len(self.keys), len(self.apply_cols)),
+        mat = term_matrix(runs, (self.size, len(self.apply_cols)),
                           {n: off[n] for n in range(self.check_weight + 2)}, off)
         return {col: e for col, acc in enumerate(mat.columns())
                 if (e := _column(acc))}
@@ -232,51 +277,81 @@ class OperatorSpace:
         return self.operator_matrix(partial(contraction_runs, self.algebra, cochain))
 
 
+def _digits(v, word, r):
+    """v followed by the digits w - 1 of the word, in radix r."""
+    for a in word:
+        v = v * r + a - 1
+    return v
+
+
+def _add_terms(res, groups, terms):
+    """Add sign . c at kbase + stride . t to res for every match of a _table
+    group ((stride, sign), kbases) and every term (t, c)."""
+    for (stride, sign), kbases in groups:
+        shifted = [(stride * t, sign * c) for t, c in terms]
+        for kbase in kbases:
+            for o, c in shifted:
+                k = kbase + o
+                res[k] = res.get(k, 0) + c
+
+
 def _column(acc):
     """The stored form of a column {row: coeff}: a tuple with no zero entries."""
     return tuple((r, exact(v)) for r, v in acc.items() if v)
 
 
-def _transpose(mat, ncols):
-    """{row: ((col, coeff), ...)} of mat restricted to the columns < ncols."""
+def _columns_of(space, res):
+    """The residual res regrouped by column, {col: {row: coeff}}."""
+    cols = {}
+    for k, v in res.items():
+        col, row = divmod(k, space.size)
+        cols.setdefault(col, {})[row] = v
+    return cols
+
+
+def _transpose(space, mat):
+    """{row: ((col . size, coeff), ...)} of mat on the check columns: Y by
+    rows, each column already a residual key."""
     rows = {}
     for col, entries in mat.items():
-        if col < ncols:
+        if col < space.ncheck:
+            base = space._bases[col]
             for r, v in entries:
-                rows.setdefault(r, []).append((col, v))
+                rows.setdefault(r, []).append((base, v))
     return {r: tuple(v) for r, v in rows.items()}
 
 
-def _residual(res, ncols, products, singles=()):
+def _residual(space, res, products, singles=()):
     """Add the sum of s . X Y over products (s, X, tY) and of s . Z over
-    singles (s, Z) to res, {col: {row: c}}, in place on the columns < ncols,
-    and return res.
+    singles (s, Z) to the residual res, {col . size + row: c}, in place on
+    the check columns, and return res.
 
-    tY is Y by rows over the columns < ncols.  Outer-product form (Gustavson
-    1978): (X Y)[:, c] is the sum of X[:, i] * Y[i, c] over the rows i of tY
-    that are also columns of X, so only stored nonzeros are touched.
+    tY is _transpose(space, Y).  Outer-product form (Gustavson 1978):
+    (X Y)[:, c] is the sum of X[:, i] * Y[i, c] over the rows i of tY that
+    are also columns of X, so only stored nonzeros are touched.
     """
     for s, X, tY in products:
         for i in tY.keys() & X.keys():
             xcol = X[i]
-            for c, y in tY[i]:
-                acc = res.setdefault(c, {})
+            for base, y in tY[i]:
                 y *= s
                 for r, x in xcol:
-                    acc[r] = acc.get(r, 0) + x * y
+                    k = base + r
+                    res[k] = res.get(k, 0) + x * y
     for s, Z in singles:
         for c, entries in Z.items():
-            if c < ncols:
-                acc = res.setdefault(c, {})
+            if c < space.ncheck:
+                base = space._bases[c]
                 for r, z in entries:
-                    acc[r] = acc.get(r, 0) + s * z
+                    k = base + r
+                    res[k] = res.get(k, 0) + s * z
     return res
 
 
-def _first_nonzero(res):
-    """The smallest column of res with a nonzero entry, or None."""
-    return min(compress(res, map(any, map(dict.values, res.values()))),
-               default=None)
+def _first_nonzero(space, res):
+    """The smallest column of the residual res with a nonzero entry, or None."""
+    key = min(compress(res, res.values()), default=None)
+    return None if key is None else key // space.size
 
 
 def _sign(k):
@@ -293,21 +368,19 @@ def _report(axiom, witness):
 
 def _lie_matrices(space, cochains):
     """(L_P, L_P by rows over the check columns) for every cochain."""
-    ncheck = len(space.check_cols)
-    mats = [space.lie_matrix(c) for c in cochains]
-    return [(m, _transpose(m, ncheck)) for m in mats]
+    return [(m, _transpose(space, m)) for m in map(space.lie_matrix, cochains)]
 
 
 def _bracket_action_witness(space, cochains, mats, arity_bound, a_range):
-    ncheck = len(space.check_cols)
     for a in a_range:
         P, (mp, tp) = cochains[a], mats[a]
         for b in range(a, len(cochains)):
             Q, (mq, tq) = cochains[b], mats[b]
             res = space.lie_into({}, gerstenhaber_bracket(P, Q, 2 * arity_bound),
-                                 ncheck)
+                                 space.ncheck)
             sign = _sign(P.sdeg * Q.sdeg)
-            col = _first_nonzero(_residual(res, ncheck, ((-1, mp, tq), (sign, mq, tp))))
+            col = _first_nonzero(space, _residual(
+                space, res, ((-1, mp, tq), (sign, mq, tp))))
             if col is not None:
                 return (space.keys[col], a, b)
     return None
@@ -353,15 +426,14 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, workers=1):
     if min(arity_bound, bar_bound) < 0:
         raise ValueError(f"negative bound: arity {arity_bound}, bar {bar_bound}")
     space = OperatorSpace(algebra, bar_bound)
-    ncheck = len(space.check_cols)
     cochains = basis_cochains(algebra, arity_bound)
     for c in cochains:
         c.arity_bound = 2 * arity_bound
     mats = _lie_matrices(space, cochains)
     boundary = space.boundary_matrix()
-    t_boundary = _transpose(boundary, ncheck)
+    t_boundary = _transpose(space, boundary)
     connes = space.connes_matrix()
-    t_connes = _transpose(connes, ncheck)
+    t_connes = _transpose(space, connes)
     reports = []
 
     if workers > 1 and len(cochains) > 8:
@@ -388,16 +460,16 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, workers=1):
             ("connes-compat: [B, L_P] = 0", connes, t_connes, None)):
         witness = None
         for a, (P, (mp, tp)) in enumerate(zip(cochains, mats)):
-            res = space.lie_into({}, lhs(P), ncheck) if lhs else {}
-            col = _first_nonzero(_residual(
-                res, ncheck, ((-1, op, tp), (_sign(P.sdeg), mp, t_op))))
+            res = space.lie_into({}, lhs(P), space.ncheck) if lhs else {}
+            col = _first_nonzero(space, _residual(
+                space, res, ((-1, op, tp), (_sign(P.sdeg), mp, t_op))))
             if col is not None:
                 witness = (space.keys[col], a)
                 break
         reports.append(_report(axiom, witness))
 
-    res = space.lie_into({}, b, ncheck)
-    col = _first_nonzero(_residual(res, ncheck, (), ((-1, boundary),)))
+    res = space.lie_into({}, b, space.ncheck)
+    col = _first_nonzero(space, _residual(space, res, (), ((-1, boundary),)))
     reports.append(_report("action-at-structure: L_b = boundary",
                            None if col is None else space.keys[col]))
     return reports
@@ -417,7 +489,7 @@ def _is_boundary(space, hh, vec):
     if n not in hh.spots:
         return False
     off = space.basis.offsets[n]
-    return member(hh.spots[n].boundary_basis, {i - off: v for i, v in vec.items()})
+    return hh.spots[n].is_boundary({i - off: v for i, v in vec.items()})
 
 
 def _chain_verdict(space, axiom, residuals, homology=None):
@@ -430,17 +502,19 @@ def _chain_verdict(space, axiom, residuals, homology=None):
     homology (an identity claimed at chain level) "fails" at the chain of the
     first nonzero column.
     """
-    cols = [col for _, res in residuals if (col := _first_nonzero(res)) is not None]
+    cols = [col for _, res in residuals
+            if (col := _first_nonzero(space, res)) is not None]
     if not cols:
         return AxiomReport(axiom, "holds exactly")
     if homology is None:
         return AxiomReport(axiom, "fails", space.keys[cols[0]])
     hh, reps = homology
     for label, res in residuals:
+        by_col = _columns_of(space, res)
         for n, vecs in reps.items():
             for rep in vecs:
                 if not _is_boundary(space, hh,
-                                    apply_columns(lambda j: res.get(j, {}), rep)):
+                                    apply_columns(lambda j: by_col.get(j, {}), rep)):
                     return AxiomReport(axiom, "fails", (label, n))
     return AxiomReport(axiom, "holds on homology")
 
@@ -452,8 +526,7 @@ def _cochain_is_coboundary(algebra, c: Cochain):
     if len(arities) != 1:
         return not arities
     cb = CochainBasis(algebra, arities[0])
-    return express_in_homology(_cohomology_spot(algebra, cb.arity),
-                               cb.coordinates(c)) == {}
+    return _cohomology_spot(algebra, cb.arity).is_boundary(cb.coordinates(c))
 
 
 def _cochain_verdict(algebra, axiom, defects):
@@ -485,7 +558,6 @@ def calculus_defect(algebra, degree_bound=2, bar_bound=4):
     if not algebra.is_degree_zero():
         raise ValueError("calculus_defect requires a degree-0 algebra")
     space = OperatorSpace(algebra, bar_bound)
-    ncheck = len(space.check_cols)
     # homology spots cover one weight above the probed classes, so that
     # weight-raising defects (arity-0 cochains, the Connes factor) stay
     # within the membership-checkable range
@@ -536,29 +608,29 @@ def calculus_defect(algebra, degree_bound=2, bar_bound=4):
     deg = [P.sdeg + 1 for P in single]
     con = [space.contraction_matrix(P) for P in single]
     lie = [space.lie_matrix(P) for P in single]
-    t_con = [_transpose(m, ncheck) for m in con]
-    t_lie = [_transpose(m, ncheck) for m in lie]
+    t_con = [_transpose(space, m) for m in con]
+    t_lie = [_transpose(space, m) for m in lie]
     connes = space.connes_matrix()
-    t_connes = _transpose(connes, ncheck)
+    t_connes = _transpose(space, connes)
     pairs = list(iproduct(range(len(single)), repeat=2))
     cups = {(p, q): cup_product(algebra, single[p], single[q]) for p, q in pairs}
 
     module = [(None, _residual(
-        {}, ncheck, ((-_sign(deg[p] * deg[q]), con[q], t_con[p]),),
+        space, {}, ((-_sign(deg[p] * deg[q]), con[q], t_con[p]),),
         ((1, space.contraction_matrix(cups[p, q])),))) for p, q in pairs]
     cartan = [((deg[p],), _residual(
-        {}, ncheck, ((1, connes, t_con[p]), (-_sign(deg[p]), con[p], t_connes)),
+        space, {}, ((1, connes, t_con[p]), (-_sign(deg[p]), con[p], t_connes)),
         ((_sign(deg[p]), lie[p]),))) for p in range(len(single))]
     mixed = []
     for p, q in pairs:
         br = gerstenhaber_bracket(single[p], single[q])
         if len(br.arities()) <= 1:
             mixed.append(((deg[p], deg[q]), _residual(
-                {}, ncheck, ((1, con[p], t_lie[q]),
-                             (-_sign(deg[p] * (deg[q] - 1)), lie[q], t_con[p])),
+                space, {}, ((1, con[p], t_lie[q]),
+                            (-_sign(deg[p] * (deg[q] - 1)), lie[q], t_con[p])),
                 ((-_sign(deg[p] * (deg[q] + 1)), space.contraction_matrix(br)),))))
     l_cup = [((deg[p], deg[q]), _residual(
-        space.lie_into({}, cups[p, q], ncheck), ncheck,
+        space, space.lie_into({}, cups[p, q], space.ncheck),
         ((-_sign(deg[q] * (deg[p] + 1)), lie[p], t_con[q]),
          (-_sign(deg[p] * deg[q]), con[p], t_lie[q])))) for p, q in pairs]
     for axiom, residuals, on_homology in (

@@ -378,10 +378,21 @@ class SubquotientBasis:
     cycle_basis: list = field(default_factory=list)
     boundary_basis: list = field(default_factory=list)
     homology_reps: list = field(default_factory=list)
+    _boundary_span: IncrementalSpan = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     @property
     def dim(self):
         return len(self.homology_reps)
+
+    def is_boundary(self, vec):
+        """Is vec (sparse dict) in the span of boundary_basis?  The span is
+        echelonized once, on the first call, and kept for the next."""
+        if self._boundary_span is None:
+            self._boundary_span = IncrementalSpan()
+            for v in self.boundary_basis:
+                self._boundary_span.add(v)
+        return self._boundary_span.contains(vec)
 
 
 def _walk(maps):

@@ -37,7 +37,7 @@ Chain models
     ground {0} and every element in 1 A 1.  The PeirceBasis of an algebra's
     idempotents is the model relative to their span E;
   * an element of the ground dies in a bar slot (lie_terms, lie_runs) and a
-    normalized cochain vanishes on it (Cochain, brace_compose), an a0 in it
+    normalized cochain vanishes on it (Cochain, _brace_into), an a0 in it
     dies under B, and in front of each rotation of B stands the ground
     element the rotated walk starts at: the unit, or an e_x (connes_terms);
   * chain_model_of is the one routing rule: hochschild_homology,
@@ -354,56 +354,71 @@ def contraction(algebra, cochain, chain):
 # -- cochain-level operations ------------------------------------------------------
 
 
-def brace_compose(p, q, arity_bound=None):
-    """The insertion composition p o q (sum over one slot of p fed by q).
+def _brace_into(comps, p, q, scale, arity_bound):
+    """Add scale . p o q to comps, {arity: {word: {t: coeff}}}, in place:
+    the one brace of brace_compose and gerstenhaber_bracket.
 
-    (p o q)[a_1|..] = sum_i (-1)^{sd(q) eps_i} p[a_1|..|q[window]|..].  Only
-    the slots p is stored on are fed, so a ground component of q's value
-    reaches p only when p is stored on full words (the structure cochain b),
-    and the result, a normalized cochain, drops every word with a letter in
-    algebra.ground.
+    (p o q)[a_1|..] = sum_i (-1)^{sd(q) eps_i} p[a_1|..|q[u]|..].  Only the
+    slots p is stored on are fed, so a ground component of q's value
+    reaches p only when p is stored on full words (the structure cochain b).
+    The result is normalized: a word with a letter in algebra.ground belongs
+    to a ground input and is dropped (it only arises when a factor is b).
+    q's words of each arity are indexed by output letter once per call, so
+    a slot of p meets only the words of q whose value has a component at
+    its letter; the terms are added in the order of a loop over (arity of
+    q, word of p, slot, word of q).  Raises ArityBoundExceeded if an arity
+    of p o q exceeds the bound.
     """
-    algebra = p.algebra
-    ground = algebra.ground
+    ground = p.algebra.ground
+    degrees = p.algebra.degrees
+    items_p = [(l, w, list(outp.items())) for l, comp in p.components.items() if l
+               for w, outp in comp.items()]
+    if arity_bound is not None:
+        for v in q.components:
+            for l in p.components:
+                if l and l + v - 1 > arity_bound:
+                    raise ArityBoundExceeded(
+                        f"arity {l + v - 1} exceeds bound {arity_bound}")
+    odd = q.sdeg % 2
+    for v, compq in q.components.items():
+        by_letter = {}  # a -> [(u, q[u] at a)]
+        for u, outq in compq.items():
+            if ground.isdisjoint(u):
+                for a, c in outq.items():
+                    by_letter.setdefault(a, []).append((u, c))
+        for l, w, outp in items_p:
+            eps = 0
+            for i, a in enumerate(w):
+                if a in by_letter:
+                    head, tail = w[:i], w[i + 1:]
+                    if ground.isdisjoint(head) and ground.isdisjoint(tail):
+                        sgn = -scale if odd and eps % 2 else scale
+                        vec_of = comps.setdefault(l + v - 1, {})
+                        for u, c_ins in by_letter[a]:
+                            vec = vec_of.setdefault(head + u + tail, {})
+                            for t, cp in outp:
+                                chain_add(vec, t, sgn * c_ins * cp)
+                eps += degrees[a] - 1
+
+
+def brace_compose(p, q, arity_bound=None):
+    """The insertion composition p o q (sum over one slot of p fed by q),
+    a normalized cochain: see _brace_into."""
     bound = arity_bound or p.arity_bound or q.arity_bound
     comps = {}
-    sdq = q.sdeg
-    items_p = [(l, w, out) for l, comp in p.components.items()
-               for w, out in comp.items()]
-    for v, compq in q.components.items():
-        for l, w, outp in items_p:
-            if l == 0:
-                continue
-            n = l + v - 1
-            if bound is not None and n > bound:
-                raise ArityBoundExceeded(f"arity {n} exceeds bound {bound}")
-            # choose the slot i of p and a word for q matching w at slot i
-            for i in range(l):
-                # resulting word: w[:i] + u + w[i+1:], u of length v, with
-                # q[u] having a component at w[i]; a result word with a
-                # ground letter belongs to a ground input and is dropped (it
-                # only arises when a factor is stored on full words, i.e. is b)
-                for u, outq in compq.items():
-                    c_ins = outq.get(w[i])
-                    if not c_ins:
-                        continue
-                    word = w[:i] + u + w[i + 1:]
-                    if not ground.isdisjoint(word):
-                        continue
-                    eps_i = sum(algebra.degrees[a] - 1 for a in w[:i])
-                    sgn = -1 if (sdq * eps_i) % 2 else 1
-                    key = comps.setdefault(n, {}).setdefault(word, {})
-                    for t, cp in outp.items():
-                        chain_add(key, t, sgn * c_ins * cp)
-    return Cochain(algebra, comps, p.sdeg + q.sdeg, bound)
+    _brace_into(comps, p, q, 1, bound)
+    return Cochain(p.algebra, comps, p.sdeg + q.sdeg, bound)
 
 
 def gerstenhaber_bracket(p, q, arity_bound=None):
-    """[p, q] = p o q - (-1)^{sd(p) sd(q)} q o p."""
-    pq = brace_compose(p, q, arity_bound)
-    qp = brace_compose(q, p, arity_bound)
+    """[p, q] = p o q - (-1)^{sd(p) sd(q)} q o p, both braces added into one
+    component dict."""
+    bound = arity_bound or p.arity_bound or q.arity_bound
     sgn = -1 if (p.sdeg * q.sdeg) % 2 else 1
-    return pq.add(qp, scale=-sgn)
+    comps = {}
+    _brace_into(comps, p, q, 1, bound)
+    _brace_into(comps, q, p, -sgn, arity_bound or q.arity_bound or p.arity_bound)
+    return Cochain(p.algebra, comps, p.sdeg + q.sdeg, bound)
 
 
 def structure_as_cochain(algebra, arity_bound=None):

@@ -24,6 +24,7 @@ from ncperiod.exactlin import (
     rref,
 )
 from ncperiod.hochschild import (
+    ArityBoundExceeded,
     Cochain,
     CochainBasis,
     _cochain_diff_matrix,
@@ -391,6 +392,43 @@ def loop_validator(a):
     if idem and total != {0: 1}:
         out.append(AxiomViolation("idempotents", tuple(idem), "they do not sum to 1"))
     return out
+
+
+def reference_brace(p, q, arity_bound=None):
+    """p o q by a loop over (arity of q, word of p, slot, word of q) that
+    reads q's value at the slot's letter for every triple: the oracle for
+    the brace hochschild._brace_into, which indexes q's words by letter."""
+    algebra = p.algebra
+    bound = arity_bound or p.arity_bound or q.arity_bound
+    comps = {}
+    for v, compq in q.components.items():
+        for l, comp in p.components.items():
+            for w, outp in comp.items():
+                if l == 0:
+                    continue
+                n = l + v - 1
+                if bound is not None and n > bound:
+                    raise ArityBoundExceeded(f"arity {n} exceeds bound {bound}")
+                for i in range(l):
+                    for u, outq in compq.items():
+                        c_ins = outq.get(w[i])
+                        word = w[:i] + u + w[i + 1:]
+                        if not c_ins or not algebra.ground.isdisjoint(word):
+                            continue
+                        eps_i = sum(algebra.degrees[a] - 1 for a in w[:i])
+                        sgn = -1 if (q.sdeg * eps_i) % 2 else 1
+                        vec = comps.setdefault(n, {}).setdefault(word, {})
+                        for t, cp in outp.items():
+                            chain_add(vec, t, sgn * c_ins * cp)
+    return Cochain(algebra, comps, p.sdeg + q.sdeg, bound)
+
+
+def reference_bracket(p, q, arity_bound=None):
+    """[p, q] as two reference braces and one Cochain.add: the oracle for
+    the one-pass gerstenhaber_bracket."""
+    sgn = -1 if (p.sdeg * q.sdeg) % 2 else 1
+    return reference_brace(p, q, arity_bound).add(
+        reference_brace(q, p, arity_bound), scale=-sgn)
 
 
 def bracket_mc_residual(algebra, x):

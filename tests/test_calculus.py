@@ -1,4 +1,5 @@
 import itertools
+import multiprocessing
 import random
 from collections import Counter
 from fractions import Fraction
@@ -20,7 +21,8 @@ from ncperiod.calculus import (
     cup_product,
     verify_lie_dagger,
 )
-from ncperiod.exactlin import solve
+from ncperiod import exactlin
+from ncperiod.exactlin import express_in_homology, member, solve
 from ncperiod.hochschild import (
     Cochain,
     basis_cochains,
@@ -260,6 +262,26 @@ def scale_wrap_terms(monkeypatch):
     return scale
 
 
+@pytest.fixture
+def scale_interior_terms(monkeypatch):
+    """scale_interior_terms(k) multiplies the sign of every interior match of
+    each OperatorSpace built afterwards by k.  The interior sign of L_P is
+    (-1)^{sd(P) mu_j}, the match's sign for P of odd shifted degree and 1
+    for an even one, so L_P of an odd P has its interior terms scaled by k
+    (a mutant for k != 1)."""
+    def scale(k):
+        init = OperatorSpace.__init__
+
+        def scaled_init(self, *args):
+            init(self, *args)
+            self._interior = {seg: [(col, j, k * sgn) for col, j, sgn in matches]
+                              for seg, matches in self._interior.items()}
+
+        monkeypatch.setattr(OperatorSpace, "__init__", scaled_init)
+
+    return scale
+
+
 def test_lie_dagger_mutation_detected(scale_wrap_terms):
     scale_wrap_terms(-1)
     reports = verify_lie_dagger(D, 2, 3)
@@ -355,7 +377,7 @@ def test_connes_compat_checks_weight_bar_columns(monkeypatch):
 
     def corrupted(self):
         mat = clean(self)
-        col = self.index[key]
+        col = self.basis.index[key]
         (row, v), *rest = mat[col]
         mat[col] = ((row, 2 * v), *rest)
         return mat
@@ -387,6 +409,82 @@ def test_lie_dagger_reports_match_per_column_reference(
     assert all(s == ("holds exactly" if k == 1 else "fails") for _, s, _ in got)
 
 
+@pytest.mark.parametrize("k", [1, -1, 2])
+@pytest.mark.parametrize("alg", [D, T3, A2, kronecker_algebra()],
+                         ids=lambda a: a.name)
+def test_lie_dagger_interior_mutant_matches_per_column_reference(
+        alg, k, scale_interior_terms):
+    """The per-word Lie tables read the interior matches when they are first
+    used, so a mutant of the interior signs reaches the check columns and
+    the apply columns alike: the reports and witnesses are those of the
+    per-column loop.  Interior terms scaled by k != 1 make all four
+    identities fail, except on T2, where only boundary-compat fails."""
+    scale_interior_terms(k)
+    got = [(r.axiom, r.status, r.witness) for r in verify_lie_dagger(alg, 2, 3)]
+    assert got == _reference_lie_dagger(alg, 2, 3)
+    statuses = [s for _, s, _ in got]
+    if k == 1:
+        assert statuses == ["holds exactly"] * 4
+    elif alg is D:
+        assert statuses == ["holds exactly", "fails", "holds exactly", "holds exactly"]
+    else:
+        assert statuses == ["fails"] * 4
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the mutants reach the pool workers through fork")
+@pytest.mark.parametrize("mutant", ["wrap", "interior"])
+def test_lie_dagger_pool_matches_serial_under_mutants(
+        mutant, scale_wrap_terms, scale_interior_terms):
+    """workers=2 splits the pair loop over two processes, each with its own
+    OperatorSpace and tables: the reports, witnesses included, are the
+    serial ones, also where the identities fail."""
+    (scale_wrap_terms if mutant == "wrap" else scale_interior_terms)(-1)
+    serial, pooled = ([(r.axiom, r.status, r.witness)
+                       for r in verify_lie_dagger(T3, 2, 3, workers=w)] for w in (1, 2))
+    assert pooled == serial
+    assert serial[0][1] == "fails"
+
+
+
+
+@pytest.mark.parametrize("alg", [build_field(), D, T3, A2], ids=lambda a: a.name)
+def test_lie_matrix_matches_lie_action_up_to_bracket_arities(alg):
+    """The brackets of basis cochains of arity <= 2 reach arity 2 . 2 - 1 = 3,
+    the words only the pair loop's residuals read.  At bar 2, for every
+    basis cochain of arity <= 3 and for Fraction-valued cochains, every
+    apply column of lie_matrix and every check column of the residual
+    lie_into adds with the kept tables (read twice) is lie_action on that
+    basis chain, and stored values are ints or non-integral Fractions.
+    build_field() has dim 1, so no letter lies outside the ground and only
+    arity 0 has words."""
+    space = OperatorSpace(alg, 2)
+    cochains = basis_cochains(alg, 3)
+    half = {t: Fraction(1, 2) for t in range(alg.dim)}
+    cochains.append(Cochain(alg, {0: {(): half}}, -1))
+    if alg.dim > 1:
+        cochains.append(Cochain(alg, {1: {(1,): half}}, 0))
+        cochains.append(Cochain(alg, {2: {(1, alg.dim - 1): {0: Fraction(2, 3), 1: 3}}}, 1))
+    assert {l for P in cochains for l in P.arities()} == (
+        {0, 1, 2, 3} if alg.dim > 1 else {0})
+    for P in cochains:
+        mat = space.lie_matrix(P)
+        for col in space.apply_cols:
+            got = {space.keys[r]: v for r, v in mat.get(col, ())}
+            assert got == lie_action(alg, P, {space.keys[col]: 1}), (P, col)
+        for v in (v for entries in mat.values() for _, v in entries):
+            assert type(v) is int or v.denominator != 1
+        for _ in range(2):
+            res = space.lie_into({}, P, space.ncheck)
+            by_col = {}
+            for k, v in res.items():
+                if v:
+                    col, row = divmod(k, space.size)
+                    by_col.setdefault(col, {})[row] = v
+            assert by_col == {col: dict(e) for col, e in mat.items()
+                              if col < space.ncheck}
+
+
 # basis cochain pairs whose bracket's Lie action cancels terms in the accumulator
 CANCELLING_PAIRS = [
     (build_matrix_algebra(2), ((1, 5), (4, 17), (5, 17), (6, 9))),
@@ -416,8 +514,8 @@ def _check_operator_columns(space, pairs):
             got = {space.keys[r]: v for r, v in mats[-1].get(col, ())}
             assert got == lie_action(space.algebra, P, {space.keys[col]: 1})
     for br in brackets:
-        acc = space.lie_into({}, br, len(space.keys))
-        assert any(v == 0 for col in acc.values() for v in col.values())
+        acc = space.lie_into({}, br, space.size)
+        assert any(v == 0 for v in acc.values())
     half = Cochain(space.algebra, {1: {(1,): {1: Fraction(1, 2)}}}, 0, 4)
     mats.append(space.lie_matrix(half))
     mats.append(space.contraction_matrix(half))
@@ -671,6 +769,76 @@ def test_cohomology_spot_built_once_per_model_and_arity(monkeypatch):
     assert "holds on homology" in {status for _, status, _ in got}
     assert built == {("trunc_poly:3", arity): 1 for arity in range(6)}
     assert len(tested) > len(built) and all(tested)
+
+
+def _member_is_boundary(space, hh, vec):
+    """Reference for calculus._is_boundary: exactlin.member echelonizes the
+    spot's boundary_basis afresh for every test."""
+    if not vec:
+        return True
+    weights = {len(space.keys[i][1]) for i in vec}
+    if len(weights) != 1:
+        return False
+    n = weights.pop()
+    if n not in hh.spots:
+        return False
+    off = space.basis.offsets[n]
+    return member(hh.spots[n].boundary_basis, {i - off: v for i, v in vec.items()})
+
+
+def _expressed_is_coboundary(algebra, c):
+    """Reference for calculus._cochain_is_coboundary: a full
+    express_in_homology solve of the defect's class for every test."""
+    arities = c.arities()
+    if len(arities) != 1:
+        return not arities
+    cb = hochschild.CochainBasis(algebra, arities[0])
+    return express_in_homology(hochschild._cohomology_spot(algebra, cb.arity),
+                               cb.coordinates(c)) == {}
+
+
+@pytest.mark.parametrize("mutant", [None, _flip_cap_sign], ids=["clean", "cap-sign"])
+def test_calculus_defect_keeps_one_boundary_span_per_spot(monkeypatch, mutant):
+    """Every membership test of calculus_defect, a chain against the
+    boundaries of its HH_n spot or a defect cochain against the coboundaries
+    of its HH^l spot, reads one IncrementalSpan the spot keeps: on T2, T3,
+    A2, M2 and Kronecker the reports are those of a fresh echelon per test,
+    and each spot builds its span once, however often it is asked."""
+    def fresh():  # new algebras, so no spot of an earlier run is reused
+        return [build_truncated_polynomial_algebra(2), build_truncated_polynomial_algebra(3),
+                a2_quiver_algebra(), build_matrix_algebra(2), kronecker_algebra()]
+
+    if mutant:
+        mutant(monkeypatch)
+    monkeypatch.setattr(calculus, "_is_boundary", _member_is_boundary)
+    monkeypatch.setattr(calculus, "_cochain_is_coboundary", _expressed_is_coboundary)
+    want = [[(r.axiom, r.status, r.witness) for r in calculus_defect(alg, 2, 4)]
+            for alg in fresh()]
+    monkeypatch.undo()
+    if mutant:
+        mutant(monkeypatch)
+    built, asked = [], []
+
+    class CountingSpan(exactlin.IncrementalSpan):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    real = exactlin.SubquotientBasis.is_boundary
+
+    def asking(spot, vec):
+        asked.append(spot)
+        return real(spot, vec)
+
+    monkeypatch.setattr(exactlin, "IncrementalSpan", CountingSpan)
+    monkeypatch.setattr(exactlin.SubquotientBasis, "is_boundary", asking)
+    got = [[(r.axiom, r.status, r.witness) for r in calculus_defect(alg, 2, 4)]
+           for alg in fresh()]
+    assert got == want
+    assert "holds on homology" in {status for reports in got for _, status, _ in reports}
+    spots = {id(spot): spot for spot in asked}
+    assert len(built) == len(spots) and len(asked) > 2 * len(spots)
+    assert {id(spot._boundary_span) for spot in spots.values()} == set(map(id, built))
 
 
 def test_calculus_defect_cochain_mutation_detected(monkeypatch):

@@ -23,6 +23,8 @@ from conftest import (
     degree0_algebras,
     loop_validator,
     random_first_order_mc,
+    reference_brace,
+    reference_bracket,
     two_series_gauge_act,
 )
 from ncperiod.algebra import (
@@ -41,6 +43,8 @@ from ncperiod.hochschild import (
     CochainBasis,
     basis_cochains,
     brace_compose,
+    gerstenhaber_bracket,
+    structure_as_cochain,
 )
 
 
@@ -198,6 +202,62 @@ def test_a_non_mc_cochain_has_a_nonzero_residual():
     x = MCElement(ring, Cochain(t3, {2: {(1, 2): {2: ring.gen(1)}}}, 1, 6))
     assert not mc_residual(t3, x).is_zero()
     assert _typed(mc_residual(t3, x)) == _typed(bracket_mc_residual(t3, x))
+
+
+# -- the one brace ------------------------------------------------------------------
+
+
+def _outcome(f, *args):
+    """f(*args) as a typed cochain, or the message of its ArityBoundExceeded."""
+    try:
+        return _typed(f(*args))
+    except ArityBoundExceeded as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_brace_and_bracket_match_the_per_triple_loop(data):
+    """brace_compose and gerstenhaber_bracket, built on the one brace that
+    indexes q's words by output letter, give the values and coefficient
+    types of the per-triple loop of conftest and of two such braces joined
+    by Cochain.add, and raise past the arity bound alike.  The cochains are
+    int-, Fraction- or ring-valued on a random builder algebra; each
+    bracket's terms are of one kind, since the type of an integral sum of
+    ints and Fractions depends on where its partial sums cancel.  The
+    structure cochain b and b + x enter as a factor, unnormalized."""
+    alg = data.draw(degree0_algebras())
+    kind = data.draw(st.sampled_from(["int", "fraction", "ring"]))
+    ring = data.draw(st.sampled_from(RINGS))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+
+    def value():
+        if kind == "ring":
+            return _in_m(ring, rng)
+        return Fraction(rng.choice([1, -1, 3]), rng.choice([1, 2])) if kind == "fraction" \
+            else rng.choice([1, -1, 2])
+
+    def cochain(arity):
+        keys = CochainBasis(alg, arity).keys
+        comps = {arity: {}}
+        for w, t in rng.sample(keys, min(data.draw(st.integers(1, 4)), len(keys))):
+            comps[arity].setdefault(w, {})[t] = value()
+        return Cochain(alg, comps, arity - 1, data.draw(st.sampled_from([None, 3, 6])))
+
+    b = structure_as_cochain(alg)
+    p, q, x = cochain(data.draw(st.integers(0, 3))), cochain(data.draw(st.integers(0, 3))), \
+        cochain(2)
+    one_kind = kind != "int" or all(
+        type(c) is int for comp in b.components.values() for out in comp.values()
+        for c in out.values())
+    pairs = [(p, q, True), (q, p, True), (b, p, one_kind), (p, b, one_kind),
+             (b.add(x), b.add(x), False), (b, b, False)]
+    for f, g, bracket in pairs:
+        bound = data.draw(st.sampled_from([None, 2, 4, 8]))
+        assert _outcome(brace_compose, f, g, bound) == _outcome(reference_brace, f, g, bound)
+        if bracket:
+            assert _outcome(gerstenhaber_bracket, f, g, bound) == \
+                _outcome(reference_bracket, f, g, bound)
 
 
 # -- the arity bound --------------------------------------------------------------
