@@ -3,9 +3,10 @@
 The verifier works with sparse operator matrices over a finite chain basis
 (weights up to the bar bound plus head room), so each identity is checked
 exactly on every basis cochain pair against every basis chain in range.  The
-Lie action is assembled from a match index, (arity, segment) -> the slots of
-the basis chains it fills, which is read off hochschild.lie_terms, so the
-slot enumeration and the Lie-action signs have one implementation.
+Lie action is assembled from per-word tables whose rows, columns and signs
+are read off the per-word digit helpers of hochschild (_digits,
+_interior_grid, _wrap_runs), the ones its run form lie_runs reads, so the
+Lie-action index and its signs have one implementation.
 
 An operator matrix is stored by columns, {col: ((row, coeff), ...)}, with no
 zero entries; an integral coefficient is stored as an int, which is exact
@@ -17,7 +18,7 @@ columns (a prefix of the weight-ordered basis).  A residual is one flat dict
 {col . N + row: coeff}, N the size of the chain basis, and the transposes
 its products read store col . N.  The Lie action of a cochain is added into
 a residual in place through per-word tables: the table of an (arity, word,
-parity) is made from the match index on first use, and kept when it covers
+parity) is made from those helpers on first use, and kept when it covers
 the check columns; each match in it is (kbase, stride, sign), the row of
 output t being kbase + stride . t in the mixed-radix index of
 chain_spaces, so no chain key is built per term.  The rest is added by one
@@ -55,7 +56,11 @@ from .hochschild import (
     ChainBasis,
     Cochain,
     CochainBasis,
+    _bound,
     _cohomology_spot,
+    _digits,
+    _interior_grid,
+    _wrap_runs,
     basis_cochains,
     cochain_differential,
     cocycle_representatives,
@@ -66,7 +71,6 @@ from .hochschild import (
     gerstenhaber_bracket,
     lie_action,
     lie_runs,
-    lie_terms,
     structure_as_cochain,
     term_matrix,
 )
@@ -99,7 +103,7 @@ class AxiomReport:
 
 
 def cup_product(algebra, p: Cochain, q: Cochain, arity_bound=None) -> Cochain:
-    bound = arity_bound or p.arity_bound or q.arity_bound
+    bound = _bound(arity_bound, p.arity_bound, q.arity_bound)
     comps = {}
     for lp, compp in p.components.items():
         for lq, compq in q.components.items():
@@ -120,50 +124,19 @@ def cup_product(algebra, p: Cochain, q: Cochain, arity_bound=None) -> Cochain:
 # -- sparse operator engine ------------------------------------------------------
 
 
-# the placeholder output of the recording probe: a wrap term carries it in
-# the a_0 slot, and an interior term hands lie_terms' slotted callback the
-# bar slot it fills
-_SLOT = object()
-
 # weights materialized beyond check_weight: one intermediate application, and
 # the arity-0 and Connes terms
 _HEAD_ROOM = 2
 
 
-class _SlotProbe:
-    """A stand-in cochain of sdeg 1 on every arity up to max_arity: it records
-    the (arity, segment) lie_terms evaluates it on and outputs _SLOT."""
-
-    sdeg = 1
-    _out = {_SLOT: 1}
-
-    def __init__(self, max_arity):
-        self.max_arity = max_arity
-        self.seen = None
-
-    def arities(self):
-        return range(self.max_arity + 1)
-
-    def eval(self, l, seg):
-        self.seen = (l, seg)
-        return self._out
-
-
 class OperatorSpace:
-    """Finite chain basis with match indexes for fast operator assembly.
+    """Finite chain basis with per-word Lie tables for fast operator assembly.
 
     check_weight: identities are asserted on columns of weight <= this;
     operators are materialized on columns up to check_weight + 1 so that one
     intermediate application stays in range.  The basis is ordered by weight,
     so the check columns and the apply columns are prefixes read from the
     basis offsets.
-
-    The match index, (arity, segment) -> matches in increasing column order,
-    is read off lie_terms run once per apply column on a _SlotProbe: an
-    interior match is (col, slot, (-1)^mu), the slot handed over by
-    lie_terms' slotted callback with no chain key built, and a wrap match is
-    (col, sign, rest).  lie_into reads it through the per-word tables of
-    _table.
     """
 
     def __init__(self, algebra, check_weight):
@@ -179,50 +152,43 @@ class OperatorSpace:
         # by every stored column and transpose
         self._ints = list(range(self.size))
         self._bases = [col * self.size for col in self.check_cols]
-        self._interior = interior = {}
-        self._wrap = wrap = {}
         self._tables = {}  # (arity, word, parity) -> _table on the check columns
-        probe = _SlotProbe(check_weight + 2)
-
-        def wrap_match(key, sign):  # col is the loop's current column
-            wrap.setdefault(probe.seen, []).append((col, sign, key[1]))
-
-        def interior_match(j, out, sign):
-            interior.setdefault(probe.seen, []).append((col, j, sign))
-
-        for col in self.apply_cols:
-            lie_terms(algebra, probe, *self.keys[col], (wrap_match, interior_match))
 
     def _table(self, l, w, odd, stop):
         """(interior, wrap): the matches of the word w of arity l on the
-        columns < stop for a cochain of parity odd.  Each match is (kbase,
-        stride, sign), the output t landing at the residual key kbase +
-        stride . t; they are grouped as ((stride, sign), (kbase, ...)).
+        apply columns < stop, the end of a weight, for a cochain of parity
+        odd.  Each match is (kbase, stride, sign), the output t landing at
+        the residual key kbase + stride . t; they are grouped as ((stride,
+        sign), (kbase, ...)).
 
-        The key of (col, row) is col . size + row, and the row is read off
-        the mixed-radix index of chain_spaces, r = dim - 1: the interior term
-        at slot j puts t in place of the segment, (a0, head | t | tail), with
-        stride r^len(tail), and a wrap term is (t, rest), with stride
-        r^len(rest)."""
-        off, size, keys = self.basis.offsets, self.size, self.keys
-        r = self.algebra.dim - 1
-        power = [r ** k for k in range(len(off))]
-        interior = {}
-        for col, j, s in self._interior.get((l, w), ()):
-            if col >= stop:
-                break
-            # col - off[n] = (a0 | head) r^(n-j) + seg r^len(tail) + tail
-            n = len(keys[col][1])
-            stride = power[n - j - l]
-            prefix, low = divmod(col - off[n], power[n - j])
-            interior.setdefault((stride, s if odd else 1), []).append(
-                col * size + off[n - l + 1] + prefix * r * stride + low % stride - stride)
-        wrap = {}
-        for col, sign, rest in self._wrap.get((l, w), ()):
-            if col >= stop:
-                break
-            wrap.setdefault((power[len(rest)], sign), []).append(
-                col * size + off[len(rest)] + _digits(0, rest, r))
+        The key of (col, row) is col . size + row, both read off the digits
+        of hochschild's per-word helpers, the ones lie_runs reads: an
+        interior match, prefix p and tail u at slot j (_interior_grid), has
+        stride t = r^(n-j-l), and a wrap match, kept word e at a split of w
+        (_wrap_runs), stride r^(n-l+1)."""
+        alg, off, size = self.algebra, self.basis.offsets, self.size
+        r = alg.dim - 1
+        weights = [n for n in range(self.check_weight + 2) if off[n + 1] <= stop]
+        interior, wrap = {}, {}
+        s = _digits(alg, w)
+        for n in weights if s is not None else ():
+            for j in range(n - l + 1):
+                tail, runs = _interior_grid(alg, odd, n, l, j)
+                for sign, lo, hi in runs:
+                    kbases = interior.setdefault((tail, sign), [])
+                    for p in range(lo, hi):
+                        # col (p r^l + s) t + u, row p r t + u, less the stride t
+                        k = ((off[n] + (p * r ** l + s) * tail) * size
+                             + off[n - l + 1] + (p * r - 1) * tail)
+                        kbases.extend(range(k, k + tail * (size + 1), size + 1))
+        for n in weights[max(l - 1, 0):]:  # a wrap of arity l needs weight l - 1
+            stride = r ** (n - l + 1)
+            for k in range(l):
+                col, runs = _wrap_runs(alg, w, k, n)
+                for sign, lo, hi in runs:
+                    wrap.setdefault((stride, sign), []).extend(
+                        (off[n] + col + e * r ** k) * size + off[n - l + 1] + e
+                        for e in range(lo, hi))
         return ([(k, tuple(v)) for k, v in interior.items()],
                 [(k, tuple(v)) for k, v in wrap.items()])
 
@@ -275,13 +241,6 @@ class OperatorSpace:
 
     def contraction_matrix(self, cochain):
         return self.operator_matrix(partial(contraction_runs, self.algebra, cochain))
-
-
-def _digits(v, word, r):
-    """v followed by the digits w - 1 of the word, in radix r."""
-    for a in word:
-        v = v * r + a - 1
-    return v
 
 
 def _add_terms(res, groups, terms):
@@ -452,11 +411,10 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, workers=1):
             space, cochains, mats, arity_bound, range(len(cochains)))
     reports.append(_report("bracket-action: L_[P,Q] = [L_P, L_Q]", witness))
 
-    # a bracket bound of 0 reads as unset, and the bracket then takes b's bound
-    b = structure_as_cochain(algebra, 2 * arity_bound + 1)
+    b = structure_as_cochain(algebra)
     for axiom, op, t_op, lhs in (
             ("boundary-compat: d^End L_P = L_dP", boundary, t_boundary,
-             lambda P: gerstenhaber_bracket(b, P, 2 * arity_bound)),
+             lambda P: gerstenhaber_bracket(b, P, arity_bound + 1)),
             ("connes-compat: [B, L_P] = 0", connes, t_connes, None)):
         witness = None
         for a, (P, (mp, tp)) in enumerate(zip(cochains, mats)):

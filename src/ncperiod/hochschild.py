@@ -63,12 +63,15 @@ Indexing and assembly
     dicts, and the run form (lie_runs, connes_runs, contraction_runs) gives
     runs of rows and columns computed from the mixed-radix index, with no
     per-term key, which term_matrix assembles.  Both take their signs from
-    _interior_sign, _rotation_sign and _cap_sign;
+    _interior_sign, _rotation_sign and _cap_sign.  The Lie action's index is
+    the per-word digit arithmetic of _digits, _interior_grid (a slot, over
+    the parity runs of (a0 | head)) and _wrap_runs (a split of a stored
+    word): lie_runs and the Lie tables of calculus.OperatorSpace read it;
   * boundary_matrices and connes_matrices, d and B per weight, are the one
     place that picks the assembly, by the model: term_matrix of the run form
     on a DgAlgebra, one per-key call per column on a PeirceBasis, whose walks
     are found by key (_keyed_matrix).  The operator matrices of
-    calculus.OperatorSpace are run form too;
+    calculus.OperatorSpace are run form too, apart from its Lie tables;
   * the cochain differential [b, -] of each (model, arity) is assembled
     once, one b bracketed with each column read through the CochainBasis
     coordinate map, and its HH^l spot is eliminated once beside it
@@ -79,7 +82,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 from .algebra import PeirceBasis
 from .exactlin import SparseMatrix, chain_add, homology_walk
@@ -157,7 +160,7 @@ class Cochain:
                     chain_add(vec, k, scale * v)
         sdeg = self.sdeg if not self.is_zero() else other.sdeg
         return Cochain(self.algebra, comps, sdeg,
-                       self.arity_bound or other.arity_bound,
+                       _bound(self.arity_bound, other.arity_bound),
                        normalized=self.normalized and other.normalized)
 
     def scaled(self, c):
@@ -166,6 +169,12 @@ class Cochain:
     def __repr__(self):
         parts = [f"arity {l}: {len(c)} words" for l, c in sorted(self.components.items())]
         return f"Cochain(sdeg={self.sdeg}; " + ", ".join(parts) + ")"
+
+
+def _bound(*bounds):
+    """The first arity bound that is set, an explicit 0 included; None if
+    none is.  Every cochain operation picks its bound by this rule."""
+    return next((b for b in bounds if b is not None), None)
 
 
 def shifted_degree(algebra, word, t):
@@ -235,11 +244,8 @@ def lie_terms(algebra, op, a0, word, out_terms):
     op provides arities(), eval(l, word), sdeg.  out_terms is a callable
     (key, coeff) -> None receiving normalized chain keys; an output in
     algebra.ground (the unit, or the idempotents of a PeirceBasis) dies in a
-    bar slot.  out_terms may also be a pair (keyed, slotted): then each
-    interior term goes to slotted(j, out, coeff) instead, j being the bar
-    slot its output fills, and no key is built for it.
+    bar slot.
     """
-    keyed, slotted = out_terms if type(out_terms) is tuple else (out_terms, None)
     ground = algebra.ground
     n = len(word)
     eps = _prefix_eps(algebra, word)
@@ -253,15 +259,10 @@ def lie_terms(algebra, op, a0, word, out_terms):
             if not val:
                 continue
             sgn = _interior_sign(sdP, sd0 + eps[j])
-            if slotted is not None:
-                for out, c in val.items():
-                    if out not in ground:
-                        slotted(j, out, sgn * c)
-                continue
             head, tail = word[:j], word[j + l:]
             for out, c in val.items():
                 if out not in ground:
-                    keyed((a0, head + (out,) + tail), sgn * c)
+                    out_terms((a0, head + (out,) + tail), sgn * c)
         # wrap-around terms: window covers a_0
         for i in range(n + 1):
             lo = n - i + 1
@@ -277,7 +278,7 @@ def lie_terms(algebra, op, a0, word, out_terms):
             sgn = _rotation_sign(sd0 + eps[i], eps[n] - eps[i])
             rest = word[m:i]
             for out, c in val.items():
-                keyed((out, rest), sgn * c)
+                out_terms((out, rest), sgn * c)
 
 
 def connes_terms(algebra, a0, word, out_terms):
@@ -404,7 +405,7 @@ def _brace_into(comps, p, q, scale, arity_bound):
 def brace_compose(p, q, arity_bound=None):
     """The insertion composition p o q (sum over one slot of p fed by q),
     a normalized cochain: see _brace_into."""
-    bound = arity_bound or p.arity_bound or q.arity_bound
+    bound = _bound(arity_bound, p.arity_bound, q.arity_bound)
     comps = {}
     _brace_into(comps, p, q, 1, bound)
     return Cochain(p.algebra, comps, p.sdeg + q.sdeg, bound)
@@ -412,12 +413,12 @@ def brace_compose(p, q, arity_bound=None):
 
 def gerstenhaber_bracket(p, q, arity_bound=None):
     """[p, q] = p o q - (-1)^{sd(p) sd(q)} q o p, both braces added into one
-    component dict."""
-    bound = arity_bound or p.arity_bound or q.arity_bound
+    component dict; both braces check the bound the result carries."""
+    bound = _bound(arity_bound, p.arity_bound, q.arity_bound)
     sgn = -1 if (p.sdeg * q.sdeg) % 2 else 1
     comps = {}
     _brace_into(comps, p, q, 1, bound)
-    _brace_into(comps, q, p, -sgn, arity_bound or q.arity_bound or p.arity_bound)
+    _brace_into(comps, q, p, -sgn, bound)
     return Cochain(p.algebra, comps, p.sdeg + q.sdeg, bound)
 
 
@@ -435,7 +436,7 @@ def structure_as_cochain(algebra, arity_bound=None):
 
 def cochain_differential(algebra, p, arity_bound=None):
     """d p = [b, p] on normalized cochains, b the algebra's structure cochain."""
-    bound = arity_bound or p.arity_bound or max(p.arities(), default=0) + 1
+    bound = _bound(arity_bound, p.arity_bound, max(p.arities(), default=0) + 1)
     return gerstenhaber_bracket(structure_as_cochain(algebra), p, bound)
 
 
@@ -495,14 +496,16 @@ def chain_spaces(model, max_weight):
 
 def _digit_parities(algebra):
     """sd(a) mod 2 for a over the full basis and over the complement digits."""
-    full = [(d - 1) % 2 for d in algebra.degrees]
+    full = tuple((d - 1) % 2 for d in algebra.degrees)
     return full, full[1:]
 
 
+@lru_cache(maxsize=1024)
 def _parity_runs(positions):
-    """[(parity, start, stop)]: the maximal runs of constant digit-sum parity
-    over the mixed-radix numbers whose digits, most significant first, have
-    the parities positions[0], positions[1], ..."""
+    """((parity, start, stop), ...): the maximal runs of constant digit-sum
+    parity over the mixed-radix numbers whose digits, most significant
+    first, have the parities positions[0], positions[1], ...  The per-word
+    helpers ask for the same layouts word after word, so they are cached."""
     runs, size = [(0, 0, 1)], 1
     for par in reversed(positions):
         out = []
@@ -514,7 +517,7 @@ def _parity_runs(positions):
                 else:
                     out.append((p, lo, hi))
         runs, size = out, size * len(par)
-    return runs
+    return tuple(runs)
 
 
 def _word_parity(par, word):
@@ -530,52 +533,85 @@ def _grid(row, col, n1, step1, n2, step2):
     return [(row + b * er, col + b * ec, n1, dr, dc) for b in range(n2)]
 
 
-def lie_runs(algebra, op, n):
-    """L_op on weight n in run form (the per-key form is lie_terms).
+def _digits(algebra, word):
+    """The mixed-radix index sum_k (w_k - 1) r^(len-1-k), r = dim - 1, of a
+    bar word, as in chain_spaces; None if a letter lies in the ground, since
+    no chain carries the word in its bar slots."""
+    if not algebra.ground.isdisjoint(word):
+        return None
+    v, r = 0, algebra.dim - 1
+    for a in word:
+        v = v * r + a - 1
+    return v
 
-    Interior slot j of arity l: the source digits are (a0, head | seg | tail)
-    and the target digits (a0, head | out | tail), so each prefix (a0, head)
-    carries a run over the tail; op is evaluated once per (l, seg).  Wrap at
-    rotation point i: the window word[i:] + (a0,) + word[:m] is evaluated
-    once, and the kept word[m:i] is a run, strided by r^(n-i) in the source.
-    """
-    dim, r = algebra.dim, algebra.dim - 1
-    red = algebra.reduced_indices
+
+def _interior_grid(algebra, sdP, n, l, j):
+    """Slot j of L_P, P of arity l and shifted degree sdP, on weight n.  With
+    t = r^(n-j-l), the chain (a0, head | seg | tail) sits at p r^l t + s t + u
+    and its term (a0, head | out | tail) at p r t + (out - 1) t + u, where p,
+    s and u are the indices of (a0 | head), seg and tail.  Returns (t,
+    [(sign, lo, hi)]): the prefixes lo <= p < hi carry one sign, (-1)^{sd(P)
+    mu_j}, mu_j the digit-sum parity of (a0 | head)."""
     full, par = _digit_parities(algebra)
+    return (algebra.dim - 1) ** (n - j - l), [
+        (_interior_sign(sdP, mu), lo, hi) for mu, lo, hi in _parity_runs((full,) + (par,) * j)]
+
+
+def _wrap_runs(algebra, w, k, n):
+    """The wrap term of L_P at the split w = zw + (a0,) + aw of an arity-l
+    word, len(zw) = k, on weight n: the chain (a0, aw | kept | zw) sits at
+    col + e r^k and its term (out, kept) at out r^(n-l+1) + e, where e is the
+    index of kept, col = a0 r^n + a r^(n-len(aw)) + z and a, z are those of
+    aw and zw.  Returns (col, [(sign, lo, hi)]): the kept words lo <= e < hi
+    carry one sign, (-1)^{mu_i (mu_n - mu_i)}; no runs if aw or zw has a
+    letter in the ground."""
+    zw, a0, aw = w[:k], w[k], w[k + 1:]
+    a, z = _digits(algebra, aw), _digits(algebra, zw)
+    if a is None or z is None:
+        return None, []
+    r = algebra.dim - 1
+    full, par = _digit_parities(algebra)
+    mu0, rest = full[a0] + _word_parity(full, aw), _word_parity(full, zw)
+    return a0 * r ** n + a * r ** (n - len(aw)) + z, [
+        (_rotation_sign(mu0 + eps, rest), lo, hi)
+        for eps, lo, hi in _parity_runs((par,) * (n - len(w) + 1))]
+
+
+def lie_runs(algebra, op, n):
+    """L_op on weight n in run form (the per-key form is lie_terms), op a
+    Cochain read only on its stored words, in sorted order.
+
+    Interior slot j of arity l (_interior_grid): each prefix (a0 | head)
+    carries a run over the tail for each stored seg and output.  Wrap at
+    the split w = zw + (a0,) + aw of a stored word (_wrap_runs): the kept
+    word is a run, strided by r^len(zw) in the source; the splits go by
+    len(zw) downward, so the rotation point n - len(zw) goes upward.
+    """
+    r = algebra.dim - 1
     for l in op.arities():
         if l > n + 1:
             continue
-        segs = [(s, out, c) for s, seg in enumerate(itertools.product(red, repeat=l))
-                for out, c in op.eval(l, seg).items() if out not in algebra.ground
-                ] if l <= n else []
+        words = sorted(op.components[l].items())
+        segs = [(s, out, c) for seg, val in words
+                if (s := _digits(algebra, seg)) is not None
+                for out, c in val.items() if out not in algebra.ground]
         for j in range(n - l + 1):
-            tail = r ** (n - j - l)
+            tail, runs = _interior_grid(algebra, op.sdeg, n, l, j)
             step = (r * tail, r ** l * tail)
-            for mu, lo, hi in _parity_runs([full] + [par] * j):
-                sgn = _interior_sign(op.sdeg, mu)
+            for sgn, lo, hi in runs:
                 for s, out, c in segs:
                     yield n - l + 1, sgn * c, _grid(
                         lo * step[0] + (out - 1) * tail, lo * step[1] + s * tail,
                         hi - lo, step, tail, (1, 1))
-        for i in range(n + 1 - l, n + 1):
-            m = l - (n - i) - 1
-            kept = _parity_runs([par] * (i - m))
-            stride = r ** (n - i)
-            for z, zw in enumerate(itertools.product(red, repeat=n - i)):
-                rest = _word_parity(full, zw)
-                for a0 in range(dim):
-                    for a, aw in enumerate(itertools.product(red, repeat=m)):
-                        val = op.eval(l, zw + (a0,) + aw)
-                        if not val:
-                            continue
-                        col = a0 * r ** n + a * r ** (n - m) + z
-                        mu0 = full[a0] + _word_parity(full, aw)
-                        for eps, lo, hi in kept:
-                            sgn = _rotation_sign(mu0 + eps, rest)
-                            for out, c in val.items():
-                                yield n - l + 1, sgn * c, [(
-                                    out * r ** (i - m) + lo, col + lo * stride,
-                                    hi - lo, 1, stride)]
+        for k in range(l - 1, -1, -1):
+            stride = r ** k
+            for w, val in words:
+                col, runs = _wrap_runs(algebra, w, k, n)
+                for sgn, lo, hi in runs:
+                    for out, c in val.items():
+                        yield n - l + 1, sgn * c, [(
+                            out * r ** (n - l + 1) + lo, col + lo * stride,
+                            hi - lo, 1, stride)]
 
 
 def connes_runs(algebra, n):
@@ -585,7 +621,7 @@ def connes_runs(algebra, n):
     r = algebra.dim - 1
     full, par = _digit_parities(algebra)
     for i in range(n + 1):
-        heads, tails = _parity_runs([par] * i), _parity_runs([par] * (n - i))
+        heads, tails = _parity_runs((par,) * i), _parity_runs((par,) * (n - i))
         for a0 in algebra.reduced_indices:
             for eps, a_lo, a_hi in heads:
                 for rest, z_lo, z_hi in tails:

@@ -164,6 +164,33 @@ def degree0_algebras(draw):
 
 
 @st.composite
+def graded_tables(draw, kept=None):
+    """A table of dimension 2-4 with degrees 0-2 and a differential.  With
+    kept set (drawn when None), products add degrees, d has degree +1,
+    d(1) = 0 and 1 is a unit, so associativity, d^2 = 0 and Leibniz decide
+    the report; otherwise the entries and the unit row and column are
+    random."""
+    dim = draw(st.integers(2, 4))
+    degrees = [0] + [draw(st.integers(0, 2)) for _ in range(dim - 1)]
+    if kept is None:
+        kept = draw(st.booleans())
+    coeff = st.sampled_from([0, 0, 0, 1, -1, 2])
+    mult = {(0, i): {i: 1} for i in range(dim)}
+    mult.update({(i, 0): {i: 1} for i in range(dim)})
+    for i, j in itertools.product(range(0 if kept else 1, dim), repeat=2):
+        if kept and 0 in (i, j):
+            continue
+        mult[i, j] = {k: c for k in range(dim)
+                      if not (kept and degrees[k] != degrees[i] + degrees[j])
+                      and (c := draw(coeff))}
+    diff = {j: {i: c for i in range(dim)
+                if not (kept and degrees[i] != degrees[j] + 1) and (c := draw(coeff))}
+            for j in range(1 if kept else 0, dim)}
+    return DgAlgebra([f"b{i}" for i in range(dim)], degrees, mult, diff,
+                     validate=False)
+
+
+@st.composite
 def acyclic_quivers(draw):
     """The path algebra of a random acyclic quiver: 1 to 3 vertices and at
     most three arrows, each from a smaller vertex to a larger one, parallel
@@ -394,12 +421,17 @@ def loop_validator(a):
     return out
 
 
+def first_set(*bounds):
+    """The first arity bound that is not None: an explicit 0 is a bound."""
+    return next((b for b in bounds if b is not None), None)
+
+
 def reference_brace(p, q, arity_bound=None):
     """p o q by a loop over (arity of q, word of p, slot, word of q) that
     reads q's value at the slot's letter for every triple: the oracle for
     the brace hochschild._brace_into, which indexes q's words by letter."""
     algebra = p.algebra
-    bound = arity_bound or p.arity_bound or q.arity_bound
+    bound = first_set(arity_bound, p.arity_bound, q.arity_bound)
     comps = {}
     for v, compq in q.components.items():
         for l, comp in p.components.items():
@@ -424,11 +456,12 @@ def reference_brace(p, q, arity_bound=None):
 
 
 def reference_bracket(p, q, arity_bound=None):
-    """[p, q] as two reference braces and one Cochain.add: the oracle for
-    the one-pass gerstenhaber_bracket."""
+    """[p, q] as two reference braces, both held to the bound the bracket
+    carries, and one Cochain.add: the oracle for the one-pass
+    gerstenhaber_bracket."""
     sgn = -1 if (p.sdeg * q.sdeg) % 2 else 1
-    return reference_brace(p, q, arity_bound).add(
-        reference_brace(q, p, arity_bound), scale=-sgn)
+    bound = first_set(arity_bound, p.arity_bound, q.arity_bound)
+    return reference_brace(p, q, bound).add(reference_brace(q, p, bound), scale=-sgn)
 
 
 def bracket_mc_residual(algebra, x):

@@ -5,9 +5,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import graded_tables
 from ncperiod import calculus, hochschild
 from ncperiod.algebra import (
+    DgAlgebra,
     a2_quiver_algebra,
     build_field,
     build_matrix_algebra,
@@ -205,17 +208,21 @@ def test_lie_dagger_m2():
     assert all(r.status == "holds exactly" for r in reports)
 
 
+# graded signs: one generator of degree 1
+EXT1 = DgAlgebra(["1", "t"], [0, 1], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
+                 name="ext1")
+# d(x) = t with |x| = 0, |t| = 1, x^2 = 0: b_1 terms in the wraps, and
+# complement digits of both parities, so the parity runs split
+CONTRACTIBLE = DgAlgebra(
+    ["1", "x", "t"], [0, 0, 1],
+    {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (0, 2): {2: 1}, (2, 0): {2: 1}},
+    diff={1: {2: 1}}, name="contractible-pair")
+
+
 def test_lie_dagger_graded_exterior():
     # graded signs exercised: one generator of degree 1 (and one of degree 2,
     # giving both parities of shifted degrees in the pair loop)
-    from ncperiod.algebra import DgAlgebra
-
-    ext = DgAlgebra(
-        ["1", "t"], [0, 1],
-        {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
-        name="ext1",
-    )
-    reports = verify_lie_dagger(ext, 3, 3)
+    reports = verify_lie_dagger(EXT1, 3, 3)
     assert all(r.status == "holds exactly" for r in reports), \
         [str(r) for r in reports]
     two = DgAlgebra(
@@ -229,57 +236,44 @@ def test_lie_dagger_graded_exterior():
 
 
 def test_lie_dagger_graded_with_differential():
-    # d(x) = t with |x| = 0, |t| = 1, x^2 = 0: checks b_1-terms in the wraps
-    from ncperiod.algebra import DgAlgebra
-
-    alg = DgAlgebra(
-        ["1", "x", "t"], [0, 0, 1],
-        {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
-         (0, 2): {2: 1}, (2, 0): {2: 1}},
-        diff={1: {2: 1}},
-        name="contractible-pair",
-    )
-    reports = verify_lie_dagger(alg, 2, 3)
+    reports = verify_lie_dagger(CONTRACTIBLE, 2, 3)
     assert all(r.status == "holds exactly" for r in reports), \
         [str(r) for r in reports]
 
 
+def _scale_tables(monkeypatch, k, wrap):
+    """Patch OperatorSpace._table so that every table made afterwards has
+    the signs of its wrap groups (wrap) or of its interior groups, for a
+    cochain of odd parity, multiplied by k."""
+    table = OperatorSpace._table
+
+    def scaled(self, l, w, odd, stop):
+        interior, wraps = table(self, l, w, odd, stop)
+        if wrap:
+            wraps = [((stride, k * sgn), kb) for (stride, sgn), kb in wraps]
+        elif odd:
+            interior = [((stride, k * sgn), kb) for (stride, sgn), kb in interior]
+        return interior, wraps
+
+    monkeypatch.setattr(OperatorSpace, "_table", scaled)
+
+
 @pytest.fixture
 def scale_wrap_terms(monkeypatch):
-    """scale_wrap_terms(k) multiplies the sign of every wrap match of each
-    OperatorSpace built afterwards by k, so the Lie action L_P it assembles
-    has its wrap terms scaled by k (a mutant for k != 1)."""
-    def scale(k):
-        init = OperatorSpace.__init__
-
-        def scaled_init(self, *args):
-            init(self, *args)
-            self._wrap = {seg: [(col, k * sgn, rest) for col, sgn, rest in matches]
-                          for seg, matches in self._wrap.items()}
-
-        monkeypatch.setattr(OperatorSpace, "__init__", scaled_init)
-
-    return scale
+    """scale_wrap_terms(k) multiplies the sign of every wrap match of the
+    Lie tables of OperatorSpace by k, so the Lie action L_P it assembles has
+    its wrap terms scaled by k (a mutant for k != 1)."""
+    return lambda k: _scale_tables(monkeypatch, k, wrap=True)
 
 
 @pytest.fixture
 def scale_interior_terms(monkeypatch):
-    """scale_interior_terms(k) multiplies the sign of every interior match of
-    each OperatorSpace built afterwards by k.  The interior sign of L_P is
-    (-1)^{sd(P) mu_j}, the match's sign for P of odd shifted degree and 1
-    for an even one, so L_P of an odd P has its interior terms scaled by k
-    (a mutant for k != 1)."""
-    def scale(k):
-        init = OperatorSpace.__init__
-
-        def scaled_init(self, *args):
-            init(self, *args)
-            self._interior = {seg: [(col, j, k * sgn) for col, j, sgn in matches]
-                              for seg, matches in self._interior.items()}
-
-        monkeypatch.setattr(OperatorSpace, "__init__", scaled_init)
-
-    return scale
+    """scale_interior_terms(k) multiplies the sign of every interior match
+    of the Lie tables of OperatorSpace by k where the cochain is odd.  The
+    interior sign of L_P is (-1)^{sd(P) mu_j}, the match's sign for P of odd
+    shifted degree and 1 for an even one, so L_P of an odd P has its
+    interior terms scaled by k (a mutant for k != 1)."""
+    return lambda k: _scale_tables(monkeypatch, k, wrap=False)
 
 
 def test_lie_dagger_mutation_detected(scale_wrap_terms):
@@ -448,7 +442,8 @@ def test_lie_dagger_pool_matches_serial_under_mutants(
 
 
 
-@pytest.mark.parametrize("alg", [build_field(), D, T3, A2], ids=lambda a: a.name)
+@pytest.mark.parametrize("alg", [build_field(), D, T3, A2, EXT1, CONTRACTIBLE],
+                         ids=lambda a: a.name)
 def test_lie_matrix_matches_lie_action_up_to_bracket_arities(alg):
     """The brackets of basis cochains of arity <= 2 reach arity 2 . 2 - 1 = 3,
     the words only the pair loop's residuals read.  At bar 2, for every
@@ -457,7 +452,22 @@ def test_lie_matrix_matches_lie_action_up_to_bracket_arities(alg):
     lie_into adds with the kept tables (read twice) is lie_action on that
     basis chain, and stored values are ints or non-integral Fractions.
     build_field() has dim 1, so no letter lies outside the ground and only
-    arity 0 has words."""
+    arity 0 has words; the graded EXT1 and CONTRACTIBLE have digits of
+    both parities, so the tables' parity runs split."""
+    _assert_lie_matrix_is_lie_action(alg)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graded_tables(kept=True))
+def test_lie_matrix_matches_lie_action_on_graded_tables(alg):
+    """The same on generated graded tables of dimension 2-4 with degrees
+    0-2, products and d of the right degrees, associative or not: the
+    tables and lie_action read the same structure cochain, so validity is
+    not needed, and the digit parities vary from letter to letter."""
+    _assert_lie_matrix_is_lie_action(alg)
+
+
+def _assert_lie_matrix_is_lie_action(alg):
     space = OperatorSpace(alg, 2)
     cochains = basis_cochains(alg, 3)
     half = {t: Fraction(1, 2) for t in range(alg.dim)}

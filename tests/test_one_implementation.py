@@ -7,10 +7,12 @@ behind `boundary_matrices` and `connes_matrices`), the run-form assembly
 every row and column from the mixed-radix chain index, with no per-term key),
 the sign rules of the chain operators (`_interior_sign`, `_rotation_sign` and
 `_cap_sign`, called by both the run form and the per-key generators), the
-Lie-action slot enumeration (`hochschild.lie_terms`; the rule that an
-output in the ground, the unit or the idempotents of the relative complex,
-dies in a bar slot is read off `algebra.ground` there and in
-`OperatorSpace.lie_into`, the Lie action read off it), the sparse accumulate
+Lie-action index (the per-word digit helpers `hochschild._digits`,
+`_interior_grid` and `_wrap_runs`, read by the run form `lie_runs` and by
+the Lie tables of `calculus.OperatorSpace`; the rule that an output in the
+ground, the unit or the idempotents of the relative complex, dies in a bar
+slot is read off `algebra.ground` in `lie_terms`, `lie_runs` and
+`OperatorSpace.lie_into`), the sparse accumulate
 (`exactlin.chain_add`), the sparse apply (`exactlin.apply_columns`), the
 operator residual of the calculus identities (`calculus._residual`), the
 t-window truncation with its homology and window-to-window rank
@@ -21,9 +23,9 @@ differential once; for cochains once per (model, arity), in
 (`hochschild.structure_as_cochain`, one Cochain, and b + x for a
 deformation) and the change of basis of structure constants
 (`algebra.change_basis`).  The modules that use them import the one object,
-`calculus.OperatorSpace` builds its match index by calling lie_terms, and no
-module grows a hand-written `.get(k, 0) + v` accumulate beside chain_add,
-apart from the loops listed in ALLOWED."""
+`calculus.OperatorSpace` keeps no match index of its own, and no module
+grows a hand-written `.get(k, 0) + v` accumulate beside chain_add, apart
+from the loops listed in ALLOWED."""
 
 import ast
 import functools
@@ -55,23 +57,33 @@ def test_shared_names_are_one_object():
     for mod in (cyclic, calculus, period):
         assert mod.chain_add is exactlin.chain_add
     assert cyclic.apply_columns is calculus.apply_columns is exactlin.apply_columns
-    assert calculus.lie_terms is hochschild.lie_terms
+    for name in ("_digits", "_interior_grid", "_wrap_runs"):
+        assert getattr(calculus, name) is getattr(hochschild, name), name
     assert calculus.term_matrix is hochschild.term_matrix
     assert not hasattr(cyclic, "_image")
 
 
-def test_operator_space_index_is_read_off_lie_terms(monkeypatch):
-    """Building OperatorSpace runs lie_terms once on every apply column, in
-    column order."""
-    seen = []
-
-    def recording(algebra, op, a0, word, out_terms):
-        seen.append((a0, word))
-        return hochschild.lie_terms(algebra, op, a0, word, out_terms)
-
-    monkeypatch.setattr(calculus, "lie_terms", recording)
+def test_one_lie_action_index():
+    """The Lie action finds where its terms land in one place, the per-word
+    digit helpers of hochschild: the interior grid of a slot and the wrap
+    runs of a split are read by exactly lie_runs and OperatorSpace._table,
+    and the digit index of a word by those two and the wrap helper.  No
+    recording probe is left: lie_terms takes one callable, and calculus
+    neither calls it nor keeps a match index of its own."""
+    for name in ("_interior_grid", "_wrap_runs"):
+        assert set(_call_sites(name)) == {("hochschild", "lie_runs"),
+                                          ("calculus", "_table")}, name
+    assert set(_call_sites("_digits")) == {("hochschild", "lie_runs"),
+                                           ("hochschild", "_wrap_runs"),
+                                           ("calculus", "_table")}
+    assert list(inspect.signature(hochschild.lie_terms).parameters) == [
+        "algebra", "op", "a0", "word", "out_terms"]
+    assert "tuple" not in inspect.getsource(hochschild.lie_terms)
+    assert not [site for site in _call_sites("lie_terms") if site[0] == "calculus"]
+    for name in ("_SLOT", "_SlotProbe"):
+        assert not hasattr(calculus, name), name
     space = calculus.OperatorSpace(build_matrix_algebra(2), 2)
-    assert seen == [space.keys[col] for col in space.apply_cols]
+    assert not hasattr(space, "_interior") and not hasattr(space, "_wrap")
 
 
 def _hand_written_accumulates():
@@ -237,8 +249,8 @@ def test_one_run_form_assembly():
         ("hochschild", "boundary_matrices"), ("hochschild", "connes_matrices")}
     assert _index_lookups("hochschild") | _index_lookups("calculus") == set(INDEX_LOOKUPS)
     signs = {
-        "_interior_sign": {"lie_terms", "lie_runs"},
-        "_rotation_sign": {"lie_terms", "lie_runs", "connes_terms", "connes_runs"},
+        "_interior_sign": {"lie_terms", "_interior_grid"},
+        "_rotation_sign": {"lie_terms", "_wrap_runs", "connes_terms", "connes_runs"},
         "_cap_sign": {"contraction_terms", "contraction_runs"},
     }
     for name, users in signs.items():
@@ -280,7 +292,9 @@ def test_one_ground_death_rule():
     """An output in the algebra's ground dies in a bar slot by one test of
     membership in algebra.ground: in lie_terms, for the flat and the
     relative complex, in its run form lie_runs, and in OperatorSpace.lie_into,
-    the Lie action read off it; connes_terms kills an a0 in the ground by the
+    the Lie action read off the same digits; a stored word with a ground
+    letter has no digit index (_digits), so neither lie_runs nor the Lie
+    tables place it in a bar slot; connes_terms kills an a0 in the ground by the
     same test, and the walk enumerator _walks applies it to the letters it
     lists.  A normalized Cochain refuses a word with a ground letter, and
     the one brace _brace_into (behind brace_compose and
@@ -291,6 +305,7 @@ def test_one_ground_death_rule():
     the relative chains."""
     assert _ground_tests() == {("hochschild", "lie_terms"),
                                ("hochschild", "lie_runs"),
+                               ("hochschild", "_digits"),
                                ("hochschild", "connes_terms"),
                                ("hochschild", "_walks"),
                                ("hochschild", "__init__"),
@@ -342,14 +357,13 @@ def _loop_depth(node):
 def test_one_structure_cochain():
     """b has one form, the Cochain of structure_as_cochain, and b + x is
     b.add(x): no class evaluates a structure map on the fly, so only Cochain
-    and the recording probe of OperatorSpace define eval(self, l, word).
+    defines eval(self, l, word).
     The square-zero condition is read off one brace of it: deform calls no
     cochain_differential (mc_residual is (b + x) o (b + x), gauge_act one
     series in b + x), the cochain differential is the bracket with b, and
     validate_dg_algebra reads b o b with no loop over triples of structure
     constants."""
-    assert _classes_defining("eval") == {("hochschild", "Cochain"),
-                                         ("calculus", "_SlotProbe")}
+    assert _classes_defining("eval") == {("hochschild", "Cochain")}
     for name in ("DgStructure", "DeformedStructure"):
         assert not hasattr(hochschild, name), name
     assert not [site for site in _call_sites("cochain_differential")

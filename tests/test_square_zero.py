@@ -9,7 +9,6 @@ conftest as an oracle: the validator's loops over the structure constants,
 dx + (1/2)[x, x] and the two exponential series for x and d alpha.
 """
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -21,6 +20,7 @@ from conftest import (
     DEGREE_AND_UNIT,
     bracket_mc_residual,
     degree0_algebras,
+    graded_tables,
     loop_validator,
     random_first_order_mc,
     reference_brace,
@@ -43,6 +43,7 @@ from ncperiod.hochschild import (
     CochainBasis,
     basis_cochains,
     brace_compose,
+    cochain_differential,
     gerstenhaber_bracket,
     structure_as_cochain,
 )
@@ -80,31 +81,6 @@ def test_validator_matches_loops_on_one_entry_perturbations(data):
     col = mult.setdefault((i, j), {})
     col[k] = col.get(k, 0) + data.draw(st.sampled_from([1, -1, Fraction(1, 2)]))
     assert_matches_loops(DgAlgebra(alg.labels, alg.degrees, mult, validate=False))
-
-
-@st.composite
-def graded_tables(draw):
-    """A table of dimension 2-4 with degrees 0-2 and a differential.  With
-    kept set, products add degrees, d has degree +1, d(1) = 0 and 1 is a
-    unit, so associativity, d^2 = 0 and Leibniz decide the report; otherwise
-    the entries and the unit row and column are random."""
-    dim = draw(st.integers(2, 4))
-    degrees = [0] + [draw(st.integers(0, 2)) for _ in range(dim - 1)]
-    kept = draw(st.booleans())
-    coeff = st.sampled_from([0, 0, 0, 1, -1, 2])
-    mult = {(0, i): {i: 1} for i in range(dim)}
-    mult.update({(i, 0): {i: 1} for i in range(dim)})
-    for i, j in itertools.product(range(0 if kept else 1, dim), repeat=2):
-        if kept and 0 in (i, j):
-            continue
-        mult[i, j] = {k: c for k in range(dim)
-                      if not (kept and degrees[k] != degrees[i] + degrees[j])
-                      and (c := draw(coeff))}
-    diff = {j: {i: c for i in range(dim)
-                if not (kept and degrees[i] != degrees[j] + 1) and (c := draw(coeff))}
-            for j in range(1 if kept else 0, dim)}
-    return DgAlgebra([f"b{i}" for i in range(dim)], degrees, mult, diff,
-                     validate=False)
 
 
 @settings(max_examples=300, deadline=None)
@@ -242,7 +218,7 @@ def test_brace_and_bracket_match_the_per_triple_loop(data):
         comps = {arity: {}}
         for w, t in rng.sample(keys, min(data.draw(st.integers(1, 4)), len(keys))):
             comps[arity].setdefault(w, {})[t] = value()
-        return Cochain(alg, comps, arity - 1, data.draw(st.sampled_from([None, 3, 6])))
+        return Cochain(alg, comps, arity - 1, data.draw(st.sampled_from([None, 0, 3, 6])))
 
     b = structure_as_cochain(alg)
     p, q, x = cochain(data.draw(st.integers(0, 3))), cochain(data.draw(st.integers(0, 3))), \
@@ -253,7 +229,7 @@ def test_brace_and_bracket_match_the_per_triple_loop(data):
     pairs = [(p, q, True), (q, p, True), (b, p, one_kind), (p, b, one_kind),
              (b.add(x), b.add(x), False), (b, b, False)]
     for f, g, bracket in pairs:
-        bound = data.draw(st.sampled_from([None, 2, 4, 8]))
+        bound = data.draw(st.sampled_from([None, 0, 2, 4, 8]))
         assert _outcome(brace_compose, f, g, bound) == _outcome(reference_brace, f, g, bound)
         if bracket:
             assert _outcome(gerstenhaber_bracket, f, g, bound) == \
@@ -278,3 +254,30 @@ def test_brace_and_cup_raise_past_their_bound():
         cup_product(t3, p, q, 3)
     with pytest.raises(ArityBoundExceeded):
         cup_product(t3, p, q)
+
+
+def test_an_explicit_zero_bound_is_a_bound():
+    """An arity bound of 0 counts as set, given or carried.  [b, P] and
+    b o P of an arity-0 P at bound 0 reach arity 1 and raise, whatever
+    bound b carries; both braces of the bracket check the bound it carries;
+    cup_product and Cochain.add keep a 0, and cochain_differential reads
+    the 0 its argument carries."""
+    t2 = build_truncated_polynomial_algebra(2)
+    x = basis_cochains(t2, 0)[1]  # the arity-0 cochain x, carrying bound 0
+    assert (x.arities(), x.arity_bound) == ([0], 0)
+    for b in (structure_as_cochain(t2, 0), structure_as_cochain(t2, 1),
+              structure_as_cochain(t2)):
+        for op in (gerstenhaber_bracket, brace_compose):
+            with pytest.raises(ArityBoundExceeded, match="arity 1 exceeds bound 0"):
+                op(b, x, 0)
+        assert gerstenhaber_bracket(b, x, 1).arity_bound == 1
+    with pytest.raises(ArityBoundExceeded, match="arity 1 exceeds bound 0"):
+        gerstenhaber_bracket(x, structure_as_cochain(t2, 1))
+    with pytest.raises(ArityBoundExceeded, match="arity 1 exceeds bound 0"):
+        cochain_differential(t2, x)
+    assert cochain_differential(t2, x, 1).arity_bound == 1
+    wide = x.map_coefficients(lambda c: 2 * c)
+    wide.arity_bound = 5
+    assert cup_product(t2, wide, wide, 0).arity_bound == 0
+    assert x.add(wide).arity_bound == 0
+    assert wide.add(x).arity_bound == 5
