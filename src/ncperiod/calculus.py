@@ -152,7 +152,7 @@ class OperatorSpace:
         # by every stored column and transpose
         self._ints = list(range(self.size))
         self._bases = [col * self.size for col in self.check_cols]
-        self._tables = {}  # (arity, word, parity) -> _table on the check columns
+        self._tables = {}  # stop -> {(arity, word, parity) -> _table}
 
     def _table(self, l, w, odd, stop):
         """(interior, wrap): the matches of the word w of arity l on the
@@ -195,11 +195,11 @@ class OperatorSpace:
     def lie_into(self, res, cochain, stop):
         """Add the Lie action of the cochain on the columns < stop to the
         residual res, {col . size + row: coeff}, in place, and return res.
-        Cancelled entries stay as zeros.  The tables of the check columns
-        are kept; those of any other stop are made for the call."""
+        Cancelled entries stay as zeros.  The tables are kept, one cache
+        per stop, so each word's table is made once per stop."""
         odd = cochain.sdeg % 2
         ground = self.algebra.ground
-        tables = self._tables if stop == self.ncheck else {}
+        tables = self._tables.setdefault(stop, {})
         for l, comp in cochain.components.items():
             for w, out in comp.items():
                 table = tables.get((l, w, odd))
@@ -529,8 +529,10 @@ def calculus_defect(algebra, degree_bound=2, bar_bound=4):
     classes = []
     for s in range(0, degree_bound + 1):
         classes.extend(cocycle_representatives(algebra, s, degree_bound + 2))
+    # the cup triples of the associativity and Leibniz checks reach arity
+    # 3 . degree_bound
     for c in classes:
-        c.arity_bound = 2 * degree_bound + 2
+        c.arity_bound = max(2 * degree_bound + 2, 3 * degree_bound)
     reports = [_cochain_verdict(algebra, "cup-commutativity (on HH^*)", (
         ((P.sdeg + 1, Q.sdeg + 1), cup_product(algebra, P, Q).add(
             cup_product(algebra, Q, P), scale=-_sign((P.sdeg + 1) * (Q.sdeg + 1))))

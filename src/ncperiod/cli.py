@@ -36,7 +36,7 @@ from .cyclic import (
     periodic_cyclic_homology,
     sbi_consistent,
 )
-from .deform import MCElement, gauge_equivalent, lift_order_by_order
+from .deform import MCElement, NotMaurerCartan, gauge_equivalent, lift_order_by_order
 from .exactlin import chain_add
 from .hochschild import Cochain, hochschild_cohomology, hochschild_homology, shifted_degree
 from .period import (
@@ -687,7 +687,7 @@ def main(argv=None):
     except (ParseError, CyclicQuiver) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
-    except (ValidationError, NotArtinLocal) as exc:
+    except (ValidationError, NotArtinLocal, NotMaurerCartan) as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return 1
     except NotStabilized as exc:

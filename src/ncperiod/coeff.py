@@ -267,6 +267,17 @@ def slot_coordinates(pairs):
     return out
 
 
+def ring_values(ring, vecs):
+    """{key: RingElement}: the values whose slot-s coordinate at key is
+    vecs[s][key], for slot vectors vecs = {slot: {key: q}}; the inverse of
+    slot_coordinates, regrouped by slot."""
+    slots = {}
+    for s, vec in vecs.items():
+        for key, q in vec.items():
+            slots.setdefault(key, [0] * ring.dim)[s] += q
+    return {key: RingElement(ring, cs) for key, cs in slots.items()}
+
+
 def m_adic_filtration(ring: ArtinLocalRing):
     """Basis-index sets spanning m_R >= m_R^2 >= ... >= 0 (see the method)."""
     return ring.m_adic_filtration()

@@ -18,7 +18,11 @@ effect is probed by evaluating the residual.  That probing is exact through
 nilpotency order 3; beyond it a found solution is still exact, but a failure
 only says the linearized search ran out.  gauge_equivalent and
 lift_order_by_order here, and trivialize_periodic and ptd_isomorphic in
-period, are its four callers.
+period, are its four callers.  A residual is read as ring-slot coordinates
+by coeff.slot_coordinates, and the solved slot vectors become ring values
+by its inverse coeff.ring_values; no caller converts slots on its own.
+Every operation that needs a Maurer-Cartan input checks it with the one
+guard _require_mc.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeff import ArtinLocalRing, RingElement, slot_coordinates
+from .coeff import ArtinLocalRing, RingElement, ring_values, slot_coordinates
 from .exactlin import chain_add, express_in_homology, from_columns, solve
 from .hochschild import (
     ChainBasis,
@@ -47,19 +51,24 @@ class NotMaurerCartan(Exception):
     pass
 
 
+def _require_in_m(name, value: Cochain, sdeg):
+    """ValueError unless every coefficient of value is a RingElement in m_R
+    and a nonzero value has shifted degree sdeg."""
+    if not all(isinstance(c, RingElement) and c.in_maximal_ideal()
+               for comp in value.components.values()
+               for out in comp.values() for c in out.values()):
+        raise ValueError(f"{name} coefficients must lie in m_R")
+    if not value.is_zero() and value.sdeg != sdeg:
+        raise ValueError(f"{name} elements have shifted degree {sdeg}")
+
+
 @dataclass
 class MCElement:
     ring: ArtinLocalRing
     value: Cochain  # coefficients are RingElements supported in m_R
 
     def __post_init__(self):
-        for l, comp in self.value.components.items():
-            for w, out in comp.items():
-                for t, c in out.items():
-                    if not isinstance(c, RingElement) or not c.in_maximal_ideal():
-                        raise ValueError("MC coefficients must lie in m_R")
-        if not self.value.is_zero() and self.value.sdeg != 1:
-            raise ValueError("MC elements have shifted degree 1")
+        _require_in_m("MC", self.value, 1)
 
     @property
     def algebra(self):
@@ -72,13 +81,7 @@ class GaugeElement:
     value: Cochain  # shifted degree 0, coefficients in m_R
 
     def __post_init__(self):
-        for l, comp in self.value.components.items():
-            for w, out in comp.items():
-                for t, c in out.items():
-                    if not isinstance(c, RingElement) or not c.in_maximal_ideal():
-                        raise ValueError("gauge coefficients must lie in m_R")
-        if not self.value.is_zero() and self.value.sdeg != 0:
-            raise ValueError("gauge elements have shifted degree 0")
+        _require_in_m("gauge", self.value, 0)
 
 
 def zero_mc(algebra, ring, arity_bound=4):
@@ -87,13 +90,7 @@ def zero_mc(algebra, ring, arity_bound=4):
 
 def cochain_over_ring(algebra, ring, components, sdeg, arity_bound=None):
     """Build a cochain whose coefficients are coerced into the ring."""
-    comps = {}
-    for l, comp in components.items():
-        comps[l] = {
-            tuple(w): {t: ring.coerce(c) for t, c in out.items()}
-            for w, out in comp.items()
-        }
-    return Cochain(algebra, comps, sdeg, arity_bound)
+    return Cochain(algebra, components, sdeg, arity_bound).map_coefficients(ring.coerce)
 
 
 def mc_residual(algebra, x: MCElement) -> Cochain:
@@ -101,6 +98,13 @@ def mc_residual(algebra, x: MCElement) -> Cochain:
     words of a valid algebra; zero exactly when b + x squares to zero."""
     bx = structure_as_cochain(algebra).add(x.value)
     return brace_compose(bx, bx, x.value.arity_bound)
+
+
+def _require_mc(algebra, x: MCElement):
+    """Raise NotMaurerCartan unless mc_residual(algebra, x) vanishes."""
+    if not mc_residual(algebra, x).is_zero():
+        raise NotMaurerCartan("not Maurer-Cartan: the residual dx + [x,x]/2 "
+                              "is nonzero")
 
 
 def gauge_act(alpha: GaugeElement, x: MCElement) -> MCElement:
@@ -158,9 +162,7 @@ class AlgebraOverArtin:
 
 
 def deform_algebra(algebra, x: MCElement) -> AlgebraOverArtin:
-    res = mc_residual(algebra, x)
-    if not res.is_zero():
-        raise NotMaurerCartan("residual dx + [x,x]/2 is nonzero")
+    _require_mc(algebra, x)
     return AlgebraOverArtin(base=x.ring, algebra=algebra, x=x)
 
 
@@ -258,15 +260,7 @@ def _cochain_rows(c: Cochain, basis: CochainBasis):
 
 def _shift_cochain(ring, state: Cochain, basis: CochainBasis, vecs):
     """state plus the cochain whose slot-s coordinates in basis are vecs[s]."""
-    coeffs = {}
-    for s, vec in vecs.items():
-        for i, q in vec.items():
-            coeffs.setdefault(basis.keys[i], [0] * ring.dim)[s] += q
-    comp = {}
-    for (w, t), cs in coeffs.items():
-        comp.setdefault(w, {})[t] = RingElement(ring, cs)
-    return state.add(Cochain(state.algebra, {basis.arity: comp}, basis.arity - 1,
-                             state.arity_bound))
+    return state.add(basis.cochain_of(ring_values(ring, vecs), state.arity_bound))
 
 
 def gauge_equivalent(x: MCElement, y: MCElement):
@@ -285,8 +279,7 @@ def gauge_equivalent(x: MCElement, y: MCElement):
     algebra = x.algebra
     ring = x.ring
     for z in (x, y):
-        if not mc_residual(algebra, z).is_zero():
-            raise NotMaurerCartan("input is not Maurer-Cartan")
+        _require_mc(algebra, z)
     cb1, cb2 = CochainBasis(algebra, 1), CochainBasis(algebra, 2)
 
     def residual(alpha):
@@ -316,11 +309,10 @@ def lift_order_by_order(algebra, x_low: MCElement, ring: ArtinLocalRing):
     if not ring.extends(small):
         raise ValueError("ring does not extend the base of x_low by one "
                          "m-adic level")
-    if not mc_residual(algebra, x_low).is_zero():
-        raise NotMaurerCartan("x_low is not Maurer-Cartan")
-    # re-coefficient x_low into the bigger ring
-    pad = [0] * (ring.dim - small.dim)
-    x = x_low.value.map_coefficients(lambda c: RingElement(ring, list(c.coeffs) + pad))
+    _require_mc(algebra, x_low)
+    # x_low over the bigger ring, whose first slots are those of small
+    pad = (0,) * (ring.dim - small.dim)
+    x = x_low.value.map_coefficients(lambda c: ring.element(c.coeffs + pad))
     cb2, cb3 = CochainBasis(algebra, 2), CochainBasis(algebra, 3)
     lifted, blocked = solve_by_levels(
         ring, _cochain_diff_matrix(algebra, 2),
@@ -392,16 +384,10 @@ class DeformedMixedComplex:
 
 
 def deformed_mixed_complex(algebra, x: MCElement) -> DeformedMixedComplex:
-    if not mc_residual(algebra, x).is_zero():
-        raise NotMaurerCartan("residual is nonzero")
+    _require_mc(algebra, x)
     return DeformedMixedComplex(ring=x.ring, algebra=algebra, x=x)
 
 
 def push_mc(x: MCElement, target: ArtinLocalRing, apply_map) -> MCElement:
     """Functoriality: apply a ring map coefficientwise."""
-    comps = {}
-    for l, comp in x.value.components.items():
-        comps[l] = {
-            w: {t: apply_map(c) for t, c in out.items()} for w, out in comp.items()
-        }
-    return MCElement(target, Cochain(x.algebra, comps, 1, x.value.arity_bound))
+    return MCElement(target, x.value.map_coefficients(apply_map))

@@ -700,7 +700,12 @@ def _weight_matrices(model, spaces, runs, terms, weights, shift):
 
 
 def boundary_matrices(model, spaces):
-    """d_n = L_b: C_n -> C_{n-1} for n = 1..len(spaces)-1 (index 0 is None)."""
+    """d_n = L_b: C_n -> C_{n-1} for n = 1..len(spaces)-1 (index 0 is None).
+    ValueError on a model with d != 0, whose L_b keeps a weight-preserving
+    part b_1 = d."""
+    if model.diff:
+        raise ValueError("boundary_matrices assembles the weight-lowering "
+                         "boundary, which needs d = 0")
     b = structure_as_cochain(model)
     return [None] + _weight_matrices(model, spaces, partial(lie_runs, model, b),
                                      partial(lie_terms, model, b),

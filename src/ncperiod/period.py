@@ -10,8 +10,12 @@ cyclic.perturbation_transfer that gives the undeformed one (delta = tB);
 contraction_blocks projects with the same p.  Trivializations and PTD
 isomorphisms are found by deform.solve_by_levels on block coordinates: the
 unknowns act through [D0, -] on their own m-adic level (the trivialization
-starts each slot from the seed -(1/t) I_x; the PTD search also carries the
-kernel directions of lower levels, exact through nilpotency order 3).
+starts slot s from the seed -(1/t) I_{x_s}, x_s the Q cochain read off slot
+s of x by Cochain.map_coefficients; the PTD search also carries the kernel
+directions of lower levels, exact through nilpotency order 3).  Residual
+blocks become slot coordinates by coeff.slot_coordinates and the solved
+slot vectors become block operators over R by coeff.ring_values, once per
+shift for both PTD unknowns.
 Every exponential enters a residual as 1 + E(g), E(g) = e^g - 1 from
 block_exp, and a product by the 1 is the other factor truncated as compose
 truncates (BlockOp.truncated), so no identity operator is multiplied out;
@@ -31,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coeff import RingElement, slot_coordinates
+from .coeff import ring_values, slot_coordinates
 from .cyclic import (
     NotStabilized,
     _project,
@@ -39,7 +43,7 @@ from .cyclic import (
     perturbation_transfer,
     reduce_mixed_complex,
 )
-from .deform import MCElement, NotMaurerCartan, mc_residual, solve_by_levels
+from .deform import MCElement, _require_mc, solve_by_levels
 from .exactlin import SparseMatrix, express_in_homology, from_columns, rank, rref
 from .hochschild import (
     Cochain,
@@ -221,14 +225,12 @@ class PeriodClass:
         return not self.blocks
 
 
-def first_order_period_matrix(algebra, degree_range, arity_bound=None,
-                              bar_bound=None):
-    """For each HH^2 basis class P, the blocks of I_P: HH_i -> HH_{i-2}."""
+def first_order_period_matrix(algebra, degree_range):
+    """For each HH^2 basis class P, the blocks of I_P: HH_i -> HH_{i-2}, on
+    the reduced complex of bar bound top + 2 for the top degree asked."""
     degrees = sorted(degree_range)
-    top = max(degrees)
-    bar = bar_bound if bar_bound is not None else top + 2
-    red = reduce_mixed_complex(algebra, bar)
-    classes = cocycle_representatives(algebra, 2, arity_bound or 4)
+    red = reduce_mixed_complex(algebra, max(degrees) + 2)
+    classes = cocycle_representatives(algebra, 2, 4)
     out = []
     for p in classes:
         op = contraction_blocks(red, p)
@@ -240,9 +242,9 @@ def first_order_period_matrix(algebra, degree_range, arity_bound=None,
     return out
 
 
-def torelli_rank(algebra, degree_range, bar_bound=None):
+def torelli_rank(algebra, degree_range):
     """(dim HH^2, rank of P -> (I_P blocks), injective?)."""
-    pcs = first_order_period_matrix(algebra, degree_range, bar_bound=bar_bound)
+    pcs = first_order_period_matrix(algebra, degree_range)
     dim_hh2 = len(pcs)
     keys = sorted({
         (i, j, r, c)
@@ -260,7 +262,7 @@ def torelli_rank(algebra, degree_range, bar_bound=None):
     return dim_hh2, rk, rk == dim_hh2
 
 
-def vdb_duality_check(algebra, d, pi_chain, degree_range, arity_bound=None):
+def vdb_duality_check(algebra, d, pi_chain, degree_range):
     """Per degree s: the matrix of P -> class of I_P(pi), with an iso verdict.
 
     pi_chain: a cycle of the flat normalized complex representing a class
@@ -278,7 +280,7 @@ def vdb_duality_check(algebra, d, pi_chain, degree_range, arity_bound=None):
             out[s] = {"matrix": [], "iso": hhc.dims.get(s, 0) == 0
                       and hh.dims.get(d - s, 0) == 0}
             continue
-        classes = cocycle_representatives(algebra, s, arity_bound or (top + 2))
+        classes = cocycle_representatives(algebra, s, top + 2)
         tgt = hh.spots[d - s]
         keys = hh.basis_keys[d - s]
         pos = {k: i for i, k in enumerate(keys)}
@@ -359,14 +361,12 @@ def _op_rows(op, index, offset=0):
     return slot_coordinates(pairs)
 
 
-def _ring_op(ring, vecs, keys, deg, first=0):
-    """BlockOp over R whose slot-s coordinate at keys[i] is vecs[s][first + i]."""
-    coeffs = {}
-    for s, vec in vecs.items():
-        for i, q in vec.items():
-            if 0 <= i - first < len(keys):
-                coeffs.setdefault(keys[i - first], [0] * ring.dim)[s] += q
-    return _op_of(deg, {key: RingElement(ring, cs) for key, cs in coeffs.items()})
+def _ring_op(values, keys, deg, first=0):
+    """BlockOp whose entry at keys[i] is values[first + i], for the ring
+    values {index: RingElement} of coeff.ring_values; indices outside keys
+    belong to another unknown and are skipped."""
+    return _op_of(deg, {keys[i - first]: v for i, v in values.items()
+                        if 0 <= i - first < len(keys)})
 
 
 def block_d(D0, f, bar_bound, window):
@@ -439,8 +439,7 @@ def trivialize_periodic(algebra, x: MCElement, t_window=(-6, 6), bar_bound=None)
     on an obstructed filtration step, gauge is None and the blocking residual
     is reported.  Raises NotMaurerCartan for a non-Maurer-Cartan input.
     """
-    if not mc_residual(algebra, x).is_zero():
-        raise NotMaurerCartan("x is not Maurer-Cartan")
+    _require_mc(algebra, x)
     ring = x.ring
     lo, hi = t_window
     if bar_bound is None:
@@ -456,10 +455,9 @@ def trivialize_periodic(algebra, x: MCElement, t_window=(-6, 6), bar_bound=None)
         return _op_rows(gauge_residual(mu, g, D0, red, t_window, ring), rows)
 
     def seed(s):
-        """Coordinates of the seeded particular solution -(1/t) I_{x-slice}."""
-        xs = _x_level_slice(x, ring, s)
-        if xs is None:
-            return {}
+        """Coordinates of the seeded particular solution -(1/t) I_{x_s}, x_s
+        the Q cochain of slot s of x."""
+        xs = x.value.map_coefficients(lambda c: c.coeffs[s])
         blocks = contraction_blocks(red, xs)
         if any(key not in index for key, _ in blocks.entries()):
             raise NotStabilized("the seed -(1/t) I_x left the t-window")
@@ -468,25 +466,13 @@ def trivialize_periodic(algebra, x: MCElement, t_window=(-6, 6), bar_bound=None)
     # g moves the residual by -[D0, g] on its own level
     lin = SparseMatrix(dmat.rows, dmat.cols, {e: -v for e, v in dmat.entries.items()})
     g, blocked = solve_by_levels(
-        ring, lin, residual, lambda g, vecs: g.add(_ring_op(ring, vecs, keys, 0)),
+        ring, lin, residual,
+        lambda g, vecs: g.add(_ring_op(ring_values(ring, vecs), keys, 0)),
         BlockOp(0), seed=seed)
     if blocked is None:
         return Trivialization(g, red, D0, mu)
     res = gauge_residual(mu, g, D0, red, t_window, ring)
     return Trivialization(None, red, D0, mu, obstruction=res)
-
-
-def _x_level_slice(x: MCElement, ring, ridx):
-    comps = {}
-    for l, comp in x.value.components.items():
-        for w, out in comp.items():
-            for t, v in out.items():
-                q = v.coeffs[ridx]
-                if q:
-                    comps.setdefault(l, {}).setdefault(w, {})[t] = q
-    if not comps:
-        return None
-    return Cochain(x.algebra, comps, 1, x.value.arity_bound)
 
 
 @dataclass
@@ -596,8 +582,9 @@ def ptd_isomorphic(p: PTD, q: PTD):
 
     def shift(state, vecs):
         c, a = state
-        return (c.add(_ring_op(ring, vecs, keys_c, 0)),
-                a.add(_ring_op(ring, vecs, keys_a, -1, first=len(keys_c))))
+        values = ring_values(ring, vecs)  # c's indices, then a's
+        return (c.add(_ring_op(values, keys_c, 0)),
+                a.add(_ring_op(values, keys_a, -1, first=len(keys_c))))
 
     state, blocked = solve_by_levels(ring, lin, residual, shift,
                                      (BlockOp(0), BlockOp(-1)), kernel=rref(lin)[1])

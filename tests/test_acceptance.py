@@ -319,11 +319,8 @@ def test_criterion_9_trivialization():
             if not gauge_residual(mu, g, D0, red, WINDOW, R2).is_zero():
                 ok = False
             # first-order part vs -(1/t) I_x, away from the bar cut
-            from ncperiod.period import _x_level_slice
-
-            xs = _x_level_slice(x, R2, 1)
-            seed = (contraction_blocks(red, xs).scaled(-1)
-                    if xs is not None else BlockOp(0))
+            seed = contraction_blocks(
+                red, x.value.map_coefficients(lambda c: c.coeffs[1])).scaled(-1)
             lvl1 = level_slices(g, R2, 1).get(1, BlockOp(0))
             diff = lvl1.add(seed, scale=-1)
             interior = {key: mat for key, mat in diff.blocks.items()

@@ -29,7 +29,9 @@ from ncperiod.exactlin import express_in_homology, member, solve
 from ncperiod.hochschild import (
     Cochain,
     basis_cochains,
+    boundary_matrices,
     chain_add,
+    chain_spaces,
     cochain_differential,
     cocycle_representatives,
     contraction,
@@ -239,6 +241,13 @@ def test_lie_dagger_graded_with_differential():
     reports = verify_lie_dagger(CONTRACTIBLE, 2, 3)
     assert all(r.status == "holds exactly" for r in reports), \
         [str(r) for r in reports]
+
+
+def test_boundary_matrices_need_d_zero():
+    """L_b of a dg algebra with d != 0 has a part b_1 = d that keeps the bar
+    weight, which the weight-lowering boundary matrices cannot hold."""
+    with pytest.raises(ValueError, match="needs d = 0"):
+        boundary_matrices(CONTRACTIBLE, chain_spaces(CONTRACTIBLE, 2))
 
 
 def _scale_tables(monkeypatch, k, wrap):
@@ -593,6 +602,15 @@ def test_calculus_defect_clean_on_larger_algebras():
                     (build_matrix_algebra(2), 3)]:
         for r in calculus_defect(alg, degree_bound=2, bar_bound=bb):
             assert r.status != "fails", (alg.name, str(r))
+
+
+def test_calculus_defect_cup_triples_within_the_class_bound():
+    """The cup triples of degree bound 3 reach arity 9, past the former
+    class bound 2 . 3 + 2 = 8; every report comes back."""
+    reports = calculus_defect(T3, degree_bound=3, bar_bound=4)
+    assert len(reports) == 7
+    for r in reports:
+        assert r.status != "fails", str(r)
 
 
 def _apply(mat, vec):

@@ -434,3 +434,25 @@ def test_malformed_input_files_are_reported(kind, text, algebra, code, tmp_path,
     assert (got, out) == (code, "")
     assert err.startswith("parse error" if code == 2 else "validation error")
     assert "Traceback" not in err
+
+
+NOT_MC = [{"word": ["e_2", "e_2"], "out": "1", "coeffs": {"eps": 1}}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["period", "ptd"],
+    ["deform", "lift"],
+    ["deform", "gauge-check", "--mc-file2", "{mc}"],
+], ids=["period-ptd", "deform-lift", "deform-gauge-check"])
+def test_non_maurer_cartan_file_is_a_validation_error(argv, tmp_path, capsys):
+    """e_2 e_2 = e_2 on the A2 path algebra, so eps . (e_2 | e_2 -> 1) has
+    the nonzero residual eps . dx: the file parses, and each command that
+    reads it stops with exit 1 and a validation error, not a traceback."""
+    mc = tmp_path / "x.json"
+    mc.write_text(json.dumps(NOT_MC))
+    got, out = run_cli([a.format(mc=mc) for a in argv]
+                       + ["--algebra", "path:a2", "--ring", "dual", "--mc-file", str(mc)])
+    err = capsys.readouterr().err
+    assert (got, out) == (1, "")
+    assert err.startswith("validation error: not Maurer-Cartan")
+    assert "Traceback" not in err

@@ -12,6 +12,8 @@ from ncperiod.coeff import (
     dual_numbers,
     fiber_product,
     reduction_to_q,
+    ring_values,
+    slot_coordinates,
     truncation_map,
 )
 
@@ -182,3 +184,39 @@ def test_floats_rejected_by_ring_and_elements():
         T23.one() / 0.5
     with pytest.raises(TypeError):
         T23.one() * 0.5
+
+
+SLOT_RINGS = (dual_numbers(), T23, build_truncated_poly(1, 4),
+              fiber_product(dual_numbers(), build_truncated_poly(1, 3)),
+              fiber_product(T23, dual_numbers()))
+
+
+@st.composite
+def _ring_valued(draw):
+    """(ring, {key: RingElement}) with some values zero."""
+    ring = draw(st.sampled_from(SLOT_RINGS))
+    keys = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         max_size=6, unique=True))
+    return ring, {key: ring.element(draw(st.lists(
+        _scalars, min_size=ring.dim, max_size=ring.dim))) for key in keys}
+
+
+def _by_slot(coords):
+    """{(slot, key): q} regrouped as the slot vectors {slot: {key: q}}."""
+    vecs = {}
+    for (s, key), q in coords.items():
+        vecs.setdefault(s, {})[key] = q
+    return vecs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ring_valued())
+def test_ring_values_inverts_slot_coordinates(case):
+    """ring_values gives back every nonzero value from its slot coordinates,
+    and the slot coordinates of ring_values are the slot vectors it read."""
+    ring, values = case
+    vecs = _by_slot(slot_coordinates(values.items()))
+    back = ring_values(ring, vecs)
+    assert back == {key: v for key, v in values.items() if v}
+    assert all(_follows_int_rule(v) for v in back.values())
+    assert _by_slot(slot_coordinates(back.items())) == vecs

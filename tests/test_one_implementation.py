@@ -21,11 +21,13 @@ the homology of a complex (`exactlin.homology_walk`, which eliminates each
 differential once; for cochains once per (model, arity), in
 `hochschild._cohomology_spot`), the structure map b of an algebra
 (`hochschild.structure_as_cochain`, one Cochain, and b + x for a
-deformation) and the change of basis of structure constants
-(`algebra.change_basis`).  The modules that use them import the one object,
-`calculus.OperatorSpace` keeps no match index of its own, and no module
-grows a hand-written `.get(k, 0) + v` accumulate beside chain_add, apart
-from the loops listed in ALLOWED."""
+deformation), the change of basis of structure constants
+(`algebra.change_basis`), the slot rule of Artin-ring coefficients
+(`coeff.slot_coordinates` and its inverse `coeff.ring_values`) and the
+Maurer-Cartan guard (`deform._require_mc`).  The modules that use them
+import the one object, `calculus.OperatorSpace` keeps no match index of its
+own, and no module grows a hand-written `.get(k, 0) + v` accumulate beside
+chain_add, apart from the loops listed in ALLOWED."""
 
 import ast
 import functools
@@ -433,6 +435,94 @@ def test_cyclic_names_no_chain_model():
     assert "relative_" not in text
     assert not [site for site in _call_sites("isinstance") if site[0] == "cyclic"]
     assert not hasattr(cyclic, "PeirceBasis")
+
+
+# (module, innermost function) -> why it builds a list of ring slots of its own
+SLOT_LISTS = {
+    ("coeff", "ring_values"): "the one rule from slot vectors to ring values",
+    ("coeff", "__init__"): "the m-adic level of each slot, ArtinLocalRing.levels",
+    ("coeff", "zero"): "the ring's own arithmetic",
+    ("coeff", "one"): "the ring's own arithmetic",
+    ("coeff", "coerce"): "the ring's own arithmetic",
+    ("coeff", "multiply"): "the ring's own arithmetic",
+    ("cli", "parse_mc_file"): "reads a user's coefficients label by label",
+    ("deform", "lift_order_by_order"): "embeds x_low, whose slots are the "
+                                       "first ones of the extension ring",
+}
+
+
+def _sites(tree, module, match):
+    """(module, innermost enclosing function) of every node of the tree for
+    which match(node) holds."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                found.append((module, func))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else func)
+
+    visit(tree, None)
+    return found
+
+
+def _slot_list_sites(tree, module):
+    """Every list or tuple of zeros multiplied by an expression that reads a
+    ring's dim."""
+    return _sites(tree, module, lambda node: (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+        and isinstance(node.left, (ast.List, ast.Tuple))
+        and [getattr(e, "value", None) for e in node.left.elts] == [0]
+        and any(getattr(n, "attr", None) == "dim" for n in ast.walk(node.right))))
+
+
+def _mc_check_sites(tree, module):
+    """Every mc_residual(...).is_zero()."""
+    return _sites(tree, module, lambda node: (
+        isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "is_zero"
+        and isinstance(node.func.value, ast.Call)
+        and getattr(node.func.value.func, "id", None) == "mc_residual"))
+
+
+def _scan_sites(scan, modules):
+    """The sites scan finds in the named modules of the package."""
+    return {site for module in modules
+            for site in scan(ast.parse((SRC / f"{module}.py").read_text()), module)}
+
+
+def test_one_slot_rule():
+    """Ring values and their Q slot coordinates are converted by one pair of
+    rules, coeff.slot_coordinates and its inverse coeff.ring_values: deform
+    and period build no RingElement and no slot list of their own (the
+    trivialization seed reads one slot with Cochain.map_coefficients), and
+    the Maurer-Cartan guard is one function, deform._require_mc, the only
+    reader of mc_residual(...).is_zero() besides the report of
+    AlgebraOverArtin.validate."""
+    # the modules that hold ring values (algebra's dim is no ring's)
+    assert _scan_sites(_slot_list_sites, ("coeff", "deform", "period", "cli")) == set(
+        SLOT_LISTS)
+    assert [site for site in _call_sites("RingElement") if site[0] != "coeff"] == []
+    assert set(_call_sites("ring_values")) == {
+        ("deform", "_shift_cochain"), ("period", "trivialize_periodic"),
+        ("period", "shift")}
+    assert not hasattr(period, "_x_level_slice")
+    assert _scan_sites(_mc_check_sites, [path.stem for path in SRC.glob("*.py")]) == {
+        ("deform", "_require_mc"), ("deform", "validate")}
+    assert set(_call_sites("_require_mc")) == {
+        ("deform", "deform_algebra"), ("deform", "gauge_equivalent"),
+        ("deform", "lift_order_by_order"), ("deform", "deformed_mixed_complex"),
+        ("period", "trivialize_periodic")}
+
+
+def test_slot_rule_scans_find_a_copy():
+    copies = ast.parse("def f(ring):\n    return [0] * ring.dim\n"
+                       "def g(ring, small):\n    return (0,) * (ring.dim - small.dim)\n"
+                       "def h(ring, n):\n    return [1] * ring.dim, [0] * n\n")
+    assert set(_slot_list_sites(copies, "m")) == {("m", "f"), ("m", "g")}
+    guard = ast.parse("def g(a, x):\n    if not mc_residual(a, x).is_zero():\n"
+                      "        raise ValueError\n"
+                      "def h(a, x):\n    return mc_residual(a, x)\n")
+    assert list(_mc_check_sites(guard, "m")) == [("m", "g")]
 
 
 def _unused_imports(text):

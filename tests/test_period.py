@@ -147,7 +147,6 @@ def test_trivialize_first_order_all_algebras(alg):
     first-order part of the gauge element equal to -(1/t) I_x up to an exact
     correction (here: exactly, the seeded first-order correction vanishes)."""
     from conftest import random_first_order_mc
-    from ncperiod.period import _x_level_slice
 
     rng = random.Random(zlib.crc32(alg.name.encode()))
     for _ in range(2):
@@ -156,9 +155,8 @@ def test_trivialize_first_order_all_algebras(alg):
         assert triv.ok
         g, red, D0, mu = triv.gauge, triv.reduced, triv.base, triv.deformation
         assert gauge_residual(mu, g, D0, red, WINDOW, R2).is_zero()
-        xs = _x_level_slice(x, R2, 1)
-        seed = (contraction_blocks(red, xs).scaled(-1)
-                if xs is not None else BlockOp(0))
+        seed = contraction_blocks(
+            red, x.value.map_coefficients(lambda c: c.coeffs[1])).scaled(-1)
         lvl1 = level_slices(g, R2, 1).get(1, BlockOp(0))
         diff = lvl1.add(seed, scale=-1)
         # away from the bar-truncation edge the seed is taken on the nose;
