@@ -17,6 +17,7 @@ Conventions baked in here and relied on everywhere downstream:
   * an algebra is valid when its structure cochain b (hochschild) has
     b o b = 0: validate_dg_algebra checks degrees and the unit by hand and
     reads associativity, d^2 = 0 and Leibniz off that one brace;
+  * radical(algebra) gives the radical J, certified, and dim A/([A, A] + J);
   * an algebra may carry a complete set of orthogonal idempotents (the
     matrix and path-algebra builders attach the ones they know: the E_vv of
     M_n, the vertices of a quiver).  Their span E is separable, and
@@ -30,7 +31,14 @@ import itertools
 from dataclasses import dataclass
 
 from .coeff import exact
-from .exactlin import chain_add, from_columns, solve
+from .exactlin import (
+    SparseMatrix,
+    chain_add,
+    from_columns,
+    rank,
+    rref,
+    solve,
+)
 
 
 class CyclicQuiver(Exception):
@@ -162,6 +170,55 @@ def change_basis(mult, diff, vecs):
         if col := coords(du):
             new_diff[j] = col
     return (new_mult, new_diff), coords
+
+
+def _trace_form(mult, idx):
+    """The Gram matrix of (a, b) -> tr(L_ab) on the basis indices idx of the
+    table mult; coordinates outside idx are dropped (the quotient's form)."""
+    trace = {k: sum(mult.get((k, l), {}).get(l, 0) for l in idx) for k in idx}
+    return SparseMatrix(len(idx), len(idx), {
+        (p, q): t for (p, a), (q, b) in itertools.product(enumerate(idx), repeat=2)
+        if (t := sum(c * trace.get(k, 0) for k, c in mult.get((a, b), {}).items()))})
+
+
+def _certify_radical(algebra, jac):
+    """RuntimeError unless the span J of jac is a two-sided ideal, J^dim = 0,
+    and A/J has a nondegenerate trace form, so that A/J is semisimple and J
+    is the radical.  Read in the basis jac + the unit vectors completing it."""
+    n, d = algebra.dim, len(jac)
+    units = [{k: 1} for k in range(n)]
+    pivots = rref(from_columns(n, jac + units))[2]
+    (mult, _), _ = change_basis(algebra.mult, algebra.diff,
+                                jac + [units[p - d] for p in pivots[d:]])
+    power = units[:d]
+    for _ in range(n - 1):  # a basis of J^2, .., J^n
+        products = [_times(mult, u, v) for u in power for v in units[:d]]
+        power = [products[p] for p in rref(from_columns(n, products))[2]]
+    for failed, what in [
+            (any(k >= d for (i, j), col in mult.items() if min(i, j) < d for k in col),
+             "J is no two-sided ideal"),
+            (power, "J is not nilpotent"),
+            (rank(_trace_form(mult, range(d, n))) != n - d, "A/J is not semisimple")]:
+        if failed:
+            raise RuntimeError(f"radical certificate: {what} (bug)")
+
+
+def radical(algebra):
+    """(J, h), cached on a degree-0 algebra: a basis J of its radical as
+    coefficient vectors, and h = dim A / ([A, A] + J) = dim HH_0(A/J).  In
+    characteristic 0, J is the kernel of the trace form (Dickson), and
+    _certify_radical checks it; over Q a failure is a bug."""
+    if getattr(algebra, "_radical", None) is None:
+        n = algebra.dim
+        jac = rref(_trace_form(algebra.mult, range(n)))[1]
+        _certify_radical(algebra, jac)
+        spanning = list(jac)  # and the commutators [b_i, b_j]
+        for i, j in itertools.combinations(range(n), 2):
+            spanning.append(dict(algebra.product(i, j)))
+            for k, c in algebra.product(j, i).items():
+                chain_add(spanning[-1], k, -c)
+        algebra._radical = jac, n - rank(from_columns(n, spanning))
+    return algebra._radical
 
 
 class PeirceBasis:

@@ -359,14 +359,13 @@ def cmd_hh(args, out):
 
 
 def cmd_cyclic(args, out):
-    _check_nonneg(args, "bar")
     alg = resolve_algebra(args.algebra)
     degrees = _parse_range(args.degree_range)
     window = _parse_window(args.t_window)
-    hn = negative_cyclic_homology(alg, degrees, window, args.bar)
-    hp = periodic_cyclic_homology(alg, window, args.bar)
-    hc = cyclic_homology(alg, degrees, window, args.bar)
-    ok, _ = sbi_consistent(alg, degrees, window, args.bar)
+    hn = negative_cyclic_homology(alg, degrees, window)
+    hp = periodic_cyclic_homology(alg, window)
+    hc = cyclic_homology(alg, degrees, window)
+    ok, _ = sbi_consistent(alg, degrees, window)
     lines = [
         "degree " + " ".join(f"{n:>3}" for n in degrees),
         "HN     " + " ".join(f"{hn.dims[n]:>3}" for n in degrees),
@@ -641,7 +640,6 @@ def build_parser():
     p = sub.add_parser("cyclic", help="HN/HP/HC dims and SBI consistency")
     common(p)
     p.add_argument("--t-window", default="-6..6")
-    p.add_argument("--bar", type=int, default=None)
     p.set_defaults(func=cmd_cyclic)
 
     p = sub.add_parser("ss", help="Hodge-type spectral sequence report")

@@ -1,39 +1,28 @@
-"""Negative, periodic and ordinary cyclic homology via truncated t-complexes.
+"""Cyclic homology: exact HC, HN and HP, and the truncated t-complexes.
 
-Engine: the mixed complex (C, d, B) is first retracted weight-by-weight onto
-its homology with an exact strong deformation retract (rref data), and the
-t-differential is transferred through the retract by the package's one
-perturbation transfer, `perturbation_transfer`:
+HC, HN and HP are exact; their t_window parameter does not change them.
+HC_n is the homology of the finite Connes complex Tot_n = C_n + C_{n-2} +
+... with differential b + B on normalized chains (Loday 2.1.7-2.1.9), HP =
+(h, 0) by nil-invariance (Goodwillie 1985; h from algebra.radical), and HN
+follows from both by Connes' sequence (Loday 5.1.5).
 
-    D = sum_{k >= 0} p delta (h delta)^k iota,   delta = tB,
-
-an exact identity (homological perturbation with a filtration-raising
-perturbation; Crainic 2004).  With delta = tB this is
-sum_n t^{n+1} p B (h B)^n iota; the period layer passes delta = tB + L_x for
-a Maurer-Cartan element x.  HN / HP / HC are then the homology of the small
-transferred complex truncated to a t-window: C[[t]] keeps its t^{>=0} part,
+The truncated t-complex serves the Hodge-type spectral sequence, the SBI
+exactness check and the period layer.  The mixed complex (C, d, B) is
+retracted weight-by-weight onto its homology (an exact SDR), and
+perturbation_transfer, the one perturbation transfer, carries the
+t-differential through it: D = sum_{k >= 0} p delta (h delta)^k iota with
+delta = tB, or tB + L_x for a Maurer-Cartan element x of the period layer
+(Crainic 2004).  A t-window keeps t^lo .. t^hi: C[[t]] is its t^{>=0} part,
 C((t)) all of it, C[t^{-1}] its t^{<=0} part.  Each reduction computes the
-homology of one window at one degree once (ReducedMixedComplex.homology) and
-has one rank of the map between two windows (induced_rank).  Stabilization
-is declared only if enlarging the t-window by one in each open direction
-leaves every reported dimension unchanged; otherwise NotStabilized is raised.
+homology of one window at one degree once and has one rank of the map
+between two windows (induced_rank).  TruncatedLaurentComplex also reads the
+blocks d and tB of the unreduced chains, as the Connes complex does.
 
-TruncatedLaurentComplex reads any block dict of the transfer's format, so
-the tests cross-validate the reduced engine against the same windowed
-construction on the unreduced chain spaces (blocks d and tB).
-
-Chain models: the reduction runs on a chain model, an algebra in a basis
-adapted to a separable ground E (hochschild's module docstring), through
-hochschild.chain_spaces, boundary_matrices and connes_matrices, and the flat
-complex is the case E = k.  negative_cyclic_homology, cyclic_homology,
-periodic_cyclic_homology, sbi_exactness, sbi_consistent and
-hodge_spectral_sequence take the model hochschild's routing rule,
-chain_model_of, picks, as hochschild_homology does: for an algebra with
-idempotents the complex relative to their span E (2 chains per weight for M2
-against 4 . 3^n flat), which has the same HC, HN and HP (Loday 1.2.13).  The
-bar bound is read off the algebra itself either way.  The period layer
-(period.py) reduces the flat complex of the algebra, because a
-Maurer-Cartan cochain x acts by L_x on flat chains.
+Every operation runs on the chain model hochschild.chain_model_of picks: for
+an algebra with idempotents the complex relative to their span E (2 chains
+per weight for M2 against 4 . 3^n flat), with the same HC, HN and HP (Loday
+1.2.13).  The period layer reduces the flat complex, because a Maurer-Cartan
+cochain x acts by L_x on flat chains.
 """
 
 from __future__ import annotations
@@ -42,6 +31,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
+from .algebra import radical
 from .exactlin import (
     IncrementalSpan,
     SparseMatrix,
@@ -69,6 +59,11 @@ class NotStabilized(Exception):
 
 
 DEFAULT_SPOT_CAP = 500
+
+
+def _require_degree_zero(algebra):
+    if any(algebra.degrees):
+        raise ValueError("cyclic homology requires a degree-0 algebra")
 
 
 @dataclass
@@ -118,12 +113,8 @@ def reduce_mixed_complex(algebra, bar_bound) -> ReducedMixedComplex:
     on it."""
     if bar_bound < 0:
         raise ValueError(f"bar bound must be >= 0, got {bar_bound}")
-    if any(algebra.degrees):
-        raise ValueError("cyclic homology requires a degree-0 algebra")
-    cache = getattr(algebra, "_reduced_cache", None)
-    if cache is None:
-        cache = {}
-        algebra._reduced_cache = cache
+    _require_degree_zero(algebra)
+    cache = vars(algebra).setdefault("_reduced_cache", {})
     if bar_bound in cache:
         return cache[bar_bound]
     above = min((b for b in cache if b > bar_bound), default=None)
@@ -244,31 +235,22 @@ class TruncatedLaurentComplex:
         self.blocks = blocks
         self.window = window
 
-    def spot_basis(self, r):
-        """Generators (m, i) of cohomological degree r = 2i - m."""
+    def offsets(self, r):
+        """({(m, i): position of its first coordinate}, dim) of the degree-r
+        generators (m, i), r = 2i - m, of the window."""
         lo, hi = self.window
-        out = []
+        out, n = {}, 0
         for i in range(lo, hi + 1):
             m = 2 * i - r
             if 0 <= m < len(self.weight_dims) and self.weight_dims[m]:
-                out.append((m, i))
-        return out
-
-    def spot_dim(self, r):
-        return sum(self.weight_dims[m] for m, _ in self.spot_basis(r))
-
-    def offsets(self, r):
-        """{(m, i): position of that generator's first coordinate} at degree r."""
-        out, n = {}, 0
-        for m, i in self.spot_basis(r):
-            out[m, i] = n
-            n += self.weight_dims[m]
-        return out
+                out[m, i] = n
+                n += self.weight_dims[m]
+        return out, n
 
     def differential(self, r):
         """Matrix X^r -> X^{r+1} of the total differential."""
-        src, dst = self.offsets(r), self.offsets(r + 1)
-        out = SparseMatrix(self.spot_dim(r + 1), self.spot_dim(r))
+        (src, cols), (dst, rows) = self.offsets(r), self.offsets(r + 1)
+        out = SparseMatrix(rows, cols)
         for (sig, m, m2), block in self.blocks.items():
             i = (r + m) // 2  # the one generator (m, i) of degree r, if any
             co, ro = src.get((m, i)), dst.get((m2, i + sig))
@@ -285,7 +267,7 @@ def _move(vecs, src_cx, dst_cx, r, strict=False):
     """Degree-r vectors of src_cx carried to dst_cx by the generators (m, i)
     the two t-windows share.  Coordinates on the other generators are dropped
     (a projection), or raise RuntimeError when strict."""
-    src, dst = src_cx.offsets(r), dst_cx.offsets(r)
+    (src, _), (dst, _) = src_cx.offsets(r), dst_cx.offsets(r)
     pos = {}
     for key, o in src.items():
         if key in dst:
@@ -309,120 +291,83 @@ def _induced_rank(h_target, images):
 # -- the public operations ---------------------------------------------------------
 
 
-def _stabilized_dims(algebra, hom_degrees, t_window, variant, bar_bound=None,
-                     max_extra=3):
-    """Dims of the t-completed theory, realized as window-quotient limits.
+def _connes_dims(model, degrees):
+    """{n: dim HC_n} of a chain model, 0 for n < 0: the homology at degree
+    -n of the C[t^-1] window (-(top//2) - 1, 0) of the unreduced mixed
+    complex up to weight top + 1, which holds Tot_m for m <= top + 1, top
+    the largest degree.  Cached on the model, rebuilt only for a larger top."""
+    _require_degree_zero(model)
+    top = max(degrees, default=-1)
+    built, cx, dims = getattr(model, "_connes", (-1, None, {}))
+    if top > built:
+        spaces = chain_spaces(model, top + 1)
+        d, b = boundary_matrices(model, spaces), connes_matrices(model, spaces)
+        blocks = {(0, m, m - 1): d[m].entries for m in range(1, top + 2)}
+        blocks.update({(1, m, m + 1): b[m].entries for m in range(top + 1)})
+        cx = TruncatedLaurentComplex([len(s) for s in spaces], blocks,
+                                     (-(top // 2) - 1, 0))
+        model._connes = (top, cx, dims)
+    for n in degrees:
+        if n not in dims:
+            dims[n] = cx.homology(-n).dim if n >= 0 else 0
+    return {n: dims[n] for n in degrees}
 
-    The variant picks the part of a t-window [a, b] the theory sees: "nonneg"
-    (C[[t]]) keeps t^{>=0}, "window" (C((t))) all of it, "nonpos" (C[t^-1])
-    t^{<=0}.  The +t direction of C[[t]] and C((t)) is an infinite product,
-    so the honest finite model is the inverse system of window quotients; the
-    reported dimension is the stable rank of the transition maps
-    H(window hi+j) -> H(window hi).  The -t direction is a union and plain
-    dimension stabilization applies.  NotStabilized if either fails within
-    max_extra enlargements.  Returns the dims and the chain_model record of
-    the complex they were computed on.
-    """
-    lo, hi = t_window
-    if bar_bound is None:
-        bar_bound = default_bar_bound(
-            algebra, max(abs(n) for n in hom_degrees), hi + max_extra
-        )
+
+def cyclic_homology(algebra, degree_range, t_window=(-6, 6)):
+    """Exact HC_n of the finite Connes complex; t_window does not matter."""
     model, record = chain_model_of(algebra)
-    red = reduce_mixed_complex(model, bar_bound)
-    part = {"nonneg": lambda a, b: (max(a, 0), b),
-            "window": lambda a, b: (a, b),
-            "nonpos": lambda a, b: (a, min(b, 0))}[variant]
-    small, lower = part(lo, hi), part(lo - 1, hi)
-    dims = {}
-    for n in hom_degrees:
-        r = -n
-        h_small = red.homology(small, r)
-        if variant == "nonpos":
-            h_lower = red.homology(lower, r)
-            if h_small.dim != h_lower.dim:
-                raise NotStabilized(
-                    f"degree {n}: window {(lo, hi)} gives {h_small.dim}, "
-                    f"{(lo - 1, hi)} gives {h_lower.dim}"
-                )
-            dims[n] = h_small.dim
-            continue
-        # completion direction: stable transition ranks
-        if variant == "window" and (red.truncation(small).spot_dim(r)
-                                    != red.truncation(lower).spot_dim(r)):
-            if h_small.dim != red.homology(lower, r).dim:
-                raise NotStabilized(f"degree {n}: -t direction still growing")
-        ranks = [h_small.dim]
-        for j in range(1, max_extra + 1):
-            # H^r(window hi + j) -> H^r(window hi), killing the top columns
-            ranks.append(red.induced_rank(part(lo, hi + j), small, r))
-            if ranks[-1] == ranks[-2]:
-                break
-        else:
-            raise NotStabilized(
-                f"degree {n}: transition ranks {ranks} not stable "
-                f"within {max_extra} enlargements"
-            )
-        dims[n] = ranks[-1]
-    return dims, record
+    return GradedDims(_connes_dims(model, sorted(degree_range)), chain_model=record)
 
 
-def negative_cyclic_homology(algebra, degree_range, t_window=(-6, 6), bar_bound=None,
-                             max_extra=3):
+def periodic_cyclic_homology(algebra, t_window=(-6, 6)):
+    """Exact (HP_0, HP_1) = (h, 0); t_window does not matter."""
+    _require_degree_zero(algebra)
+    return radical(algebra)[1], 0
+
+
+def negative_cyclic_homology(algebra, degree_range, t_window=(-6, 6)):
+    """Exact HN_n = H^{-n}(C[[t]], d + tB); t_window does not matter.
+
+    HP_n -> HC_{n-2} has rank h for even n >= 2, else 0, as it has on A/J,
+    which splits off A (Wedderburn-Malcev).  So Connes' sequence HP_{n+1} ->
+    HC_{n-1} -> HN_n -> HP_n -> HC_{n-2} gives
+    HN_n = HC_{n-1} - h [n odd, n >= 1] + h [n even, n <= 0]."""
     degrees = sorted(degree_range)
-    dims, record = _stabilized_dims(algebra, degrees, t_window, "nonneg", bar_bound,
-                                    max_extra)
-    return GradedDims(dims=dims, chain_model=record)
+    h, _ = periodic_cyclic_homology(algebra)
+    hc = cyclic_homology(algebra, [n - 1 for n in degrees])
+    return GradedDims({n: hc.dims[n - 1] + h * ((n % 2 == 0 and n <= 0)
+                                                - (n % 2 == 1 and n >= 1))
+                       for n in degrees}, chain_model=hc.chain_model)
 
 
-def periodic_cyclic_homology(algebra, t_window=(-6, 6), bar_bound=None, max_extra=3):
-    dims, _ = _stabilized_dims(algebra, [0, 1], t_window, "window", bar_bound,
-                               max_extra)
-    return dims[0], dims[1]
-
-
-def cyclic_homology(algebra, degree_range, t_window=(-6, 6), bar_bound=None,
-                    max_extra=3):
-    degrees = sorted(degree_range)
-    dims, record = _stabilized_dims(algebra, degrees, t_window, "nonpos", bar_bound,
-                                    max_extra)
-    return GradedDims(dims=dims, chain_model=record)
-
-
-def sbi_consistent(algebra, degree_range, t_window=(-6, 6), bar_bound=None):
-    """Do the reported HN/HP/HC dims admit exact ranks for
+def sbi_consistent(algebra, degree_range, t_window=(-6, 6)):
+    """Do the HN/HP/HC dims admit exact ranks for
 
         ... -> HN_n -> HP_n -> HC_{n-2} -> HN_{n-1} -> HP_{n-1} -> ...
 
     over the computed degree window?  A feasible assignment of ranks is
     searched by scanning the one free boundary value; returns (ok, dims).
+    On the exact dims it always holds; t_window does not matter.
     """
     degrees = sorted(degree_range)
     lo_n, hi_n = degrees[0], degrees[-1]
     span = list(range(lo_n, hi_n + 1))
-    hn = negative_cyclic_homology(algebra, span, t_window, bar_bound).dims
-    hp_dims = {}
-    for n in span:
-        d, _ = _stabilized_dims(algebra, [n], t_window, "window", bar_bound)
-        hp_dims[n] = d[n]
-    hc = cyclic_homology(algebra, [n - 2 for n in span], t_window, bar_bound).dims
+    hn = negative_cyclic_homology(algebra, span).dims
+    hp_dims = {n: periodic_cyclic_homology(algebra)[n % 2] for n in span}
+    hc = cyclic_homology(algebra, [n - 2 for n in span]).dims
     dims = {"HN": hn, "HP": hp_dims, "HC": hc}
     # unknown: rank of HN_{hi} -> HP_{hi}; propagate exactness downwards
     for start in range(min(hn[hi_n], hp_dims[hi_n]) + 1):
-        ok = True
         r_alpha = start
         for n in range(hi_n, lo_n - 1, -1):
             r_beta = hp_dims[n] - r_alpha           # exact at HP_n
-            if r_beta < 0 or r_beta > hc[n - 2]:
-                ok = False
+            if not 0 <= r_beta <= hc[n - 2]:
                 break
             r_delta = hc[n - 2] - r_beta            # exact at HC_{n-2}
-            if n - 1 >= lo_n:
-                r_alpha = hn[n - 1] - r_delta       # exact at HN_{n-1}
-                if r_alpha < 0 or r_alpha > hp_dims.get(n - 1, 0):
-                    ok = False
-                    break
-        if ok:
+            r_alpha = hn[n - 1] - r_delta if n > lo_n else 0  # exact at HN_{n-1}
+            if not 0 <= r_alpha <= hp_dims.get(n - 1, 0):
+                break
+        else:
             return True, dims
     return False, dims
 
@@ -432,7 +377,7 @@ class SpectralReport:
     e1: dict = field(default_factory=dict)          # (i, n) -> dim
     d1_ranks: dict = field(default_factory=dict)    # (i, n) -> rank
     e2: dict = field(default_factory=dict)          # (i, n) -> dim
-    abutment: dict = field(default_factory=dict)    # n -> windowed HP dim
+    abutment: dict = field(default_factory=dict)    # n -> dim HP_n
     filtration: dict = field(default_factory=dict)  # (i, n) -> dim F^i HP_n
     degenerate_at_E1: bool = False
     t_window: tuple = (-6, 6)
@@ -466,8 +411,7 @@ def hodge_spectral_sequence(algebra, t_window=(-6, 6), degree_range=(0, 1),
                 rk_in = d1_rank(m - 1) if i - 1 >= lo else 0
                 rep.d1_ranks[i, n] = rk
                 rep.e2[i, n] = red.h_dims[m] - rk - rk_in
-        dims, _ = _stabilized_dims(algebra, [n], t_window, "window", bar_bound)
-        rep.abutment[n] = dims[n]
+        rep.abutment[n] = periodic_cyclic_homology(algebra)[n % 2]
         # filtration dims: image of H(F^i) -> H(window)
         for i in range(lo, hi + 1):
             rk = red.induced_rank((i, hi), (lo, hi), -n)

@@ -11,6 +11,7 @@ from ncperiod.algebra import (
     build_matrix_algebra,
     build_path_algebra,
     build_truncated_polynomial_algebra,
+    change_basis,
     kronecker_algebra,
 )
 from ncperiod.coeff import slot_coordinates
@@ -21,6 +22,7 @@ from ncperiod.exactlin import (
     _echelon,
     _int_row,
     chain_add,
+    rank,
     rref,
 )
 from ncperiod.hochschild import (
@@ -92,6 +94,55 @@ def direct_blocks(algebra, bar_bound):
     blocks = {(0, m, m - 1): diffs[m].entries for m in range(1, bar_bound + 1)}
     blocks.update({(1, m, m + 1): b_mats[m].entries for m in range(bar_bound)})
     return [len(s) for s in spaces[: bar_bound + 1]], blocks
+
+
+def graded_hc_oracle(algebra, grading, top):
+    """HC_0..HC_top with no B, for a degree-0 algebra with a nonnegative
+    internal grading (grading[i] of basis element i, added by products)
+    whose part A_0 of internal degree 0 is separable.  On the flat chains of
+    internal degree D != 0, S vanishes (Goodwillie: D S = 0 over Q), so
+    there HC_n = HH_n - HC_{n-1}; internal degree 0 is the complex of A_0,
+    with HH_n(A_0) = 0 for n > 0 (asserted) and HC_n(A_0) = HH_0(A_0) for
+    even n."""
+    spaces = chain_spaces(algebra, top + 1)
+    mats = boundary_matrices(algebra, spaces)
+    degree = [[grading[a0] + sum(grading[b] for b in w) for a0, w in space]
+              for space in spaces]
+
+    def part_rank(n, D):  # d_n on the chains of internal degree D
+        return n and rank(SparseMatrix(mats[n].rows, mats[n].cols, {
+            (i, j): v for (i, j), v in mats[n].entries.items() if degree[n][j] == D}))
+
+    hc = [0] * (top + 1)
+    for D in sorted({d for deg in degree[: top + 1] for d in deg}):
+        hh = [degree[n].count(D) - part_rank(n, D) - part_rank(n + 1, D)
+              for n in range(top + 1)]
+        if D == 0:
+            assert not any(hh[1:]), hh
+            hc = [hh[0] * (1 - n % 2) for n in range(top + 1)]
+            continue
+        prev = 0
+        for n in range(top + 1):
+            prev = hh[n] - prev
+            hc[n] += prev
+    return hc
+
+
+def cycle_square_zero(r):
+    """Q of the oriented r-cycle (arrow k from vertex k to k + 1 mod r)
+    modulo its paths of length 2, with the vertex idempotents attached, in
+    the basis 1, e_1, .., e_{r-1}, the arrows.  build_path_algebra refuses
+    cycles, so the natural table is re-based here with change_basis."""
+    # natural basis: e_0 .. e_{r-1}, then the arrows a_0 .. a_{r-1}
+    mult = {(u, u): {u: 1} for u in range(r)}
+    for k in range(r):
+        mult[(k + 1) % r, r + k] = {r + k: 1}  # e_target a_k
+        mult[r + k, k] = {r + k: 1}            # a_k e_source
+    vecs = [{v: 1 for v in range(r)}] + [{k: 1} for k in range(1, 2 * r)]
+    (mult, _), coords = change_basis(mult, {}, vecs)
+    labels = ["1"] + [f"e_{v}" for v in range(1, r)] + [f"a_{k}" for k in range(r)]
+    return DgAlgebra(labels, [0] * (2 * r), mult, name=f"cycle{r}/rad^2",
+                     idempotents={f"e_{v}": coords({v: 1}) for v in range(r)})
 
 
 def is_square_zero(cx, degrees):

@@ -12,10 +12,13 @@ from ncperiod.algebra import (
     build_matrix_algebra,
     build_path_algebra,
     build_truncated_polynomial_algebra,
+    _certify_radical,
     change_basis,
     kronecker_algebra,
+    radical,
     validate_dg_algebra,
 )
+from ncperiod.exactlin import IncrementalSpan
 
 
 def test_field():
@@ -245,3 +248,43 @@ def test_builder_and_peirce_tables_are_pinned():
         (2, 4): {4: 1}, (2, 5): {5: 1}, (3, 0): {3: 1}, (4, 1): {4: 1},
         (4, 3): {5: 1}, (5, 0): {5: 1}})
     assert peirce.ends == [(0, 0), (1, 1), (2, 2), (1, 0), (2, 1), (2, 0)]
+
+
+# -- the radical ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build, dim_j, h", [
+    (build_field, 0, 1),
+    (lambda: build_truncated_polynomial_algebra(4), 3, 1),
+    (lambda: build_matrix_algebra(2), 0, 1),
+    (lambda: build_matrix_algebra(2).peirce(), 0, 1),
+    (a2_quiver_algebra, 1, 2),
+    (kronecker_algebra, 2, 2),
+    (lambda: build_path_algebra([1, 2, 3], [("f", 1, 2), ("g", 2, 3)]), 3, 3),
+], ids=["Q", "T4", "M2", "M2-peirce", "A2", "kron", "path:a3"])
+def test_radical_of_builder_algebras(build, dim_j, h):
+    """J is spanned by x, .., x^{N-1} in Q[x]/x^N and by the paths of length
+    >= 1 of a quiver, M2 is simple; h counts the simple factors of A/J."""
+    jac, got_h = radical(build())
+    assert (len(jac), got_h) == (dim_j, h)
+
+
+def test_radical_of_a_quiver_is_its_paths():
+    alg = a2_quiver_algebra()
+    jac, _ = radical(alg)
+    span = IncrementalSpan()
+    for v in jac:
+        span.add(v)
+    assert span.contains({alg.labels.index("f"): 1})
+
+
+@pytest.mark.parametrize("build, jac, check", [
+    (lambda: build_matrix_algebra(2), [{2: 1}], "no two-sided ideal"),
+    (lambda: build_path_algebra([1, 2], []), [{1: 1}], "not nilpotent"),
+    (lambda: build_truncated_polynomial_algebra(3), [{2: 1}], "not semisimple"),
+    (lambda: build_truncated_polynomial_algebra(2), [], "not semisimple"),
+], ids=["E12-in-M2", "e2-in-QxQ", "x^2-in-T3", "zero-in-T2"])
+def test_radical_certificate_rejects_a_wrong_radical(build, jac, check):
+    with pytest.raises(RuntimeError, match=check):
+        _certify_radical(build(), jac)
+

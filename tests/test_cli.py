@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ncperiod import cli
 from ncperiod.cli import (
     ParseError,
     ValidationError,
@@ -21,11 +22,15 @@ from ncperiod.hochschild import hochschild_homology
 
 
 def run_cli(argv):
+    """(exit code, stdout) of the CLI; an argparse error gives its exit code."""
     import contextlib
 
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, buf.getvalue()
 
 
@@ -132,14 +137,32 @@ def test_readme_cyclic_line_with_negative_window():
     )
 
 
-def test_cyclic_sbi_failure_exits_1_with_table():
-    code, out = run_cli(["cyclic", "--algebra", "trunc_poly:4", "--degree-range",
-                         "0..4", "--t-window=-6..6"])
-    assert code == 1
-    lines = out.splitlines()
-    assert [line.split()[0] for line in lines] == ["degree", "HN", "HC", "HP",
-                                                  "SBI-consistent:"]
-    assert lines[-1] == "SBI-consistent: False"
+def _cyclic_table(hn, hc, hp, ok):
+    """The table `ncperiod cyclic` prints for degrees 0..4."""
+    return ("degree   0   1   2   3   4\n"
+            f"HN     {' '.join(f'{d:>3}' for d in hn)}\n"
+            f"HC     {' '.join(f'{d:>3}' for d in hc)}\n"
+            f"HP     (HP0, HP1) = {hp}\n"
+            f"SBI-consistent: {ok}\n")
+
+
+def test_cyclic_sbi_failure_exits_1_with_table(monkeypatch):
+    """Q[x]/x^4 prints its Loday 5.4.15 oracle with exit 0; a failed SBI
+    check still prints the table and exits 1."""
+    argv = ["cyclic", "--algebra", "trunc_poly:4", "--degree-range", "0..4",
+            "--t-window=-6..6"]
+    want = _cyclic_table([1, 3, 0, 3, 0], [4, 0, 4, 0, 4], (1, 0), True)
+    assert run_cli(argv) == (0, want)
+    monkeypatch.setattr(cli, "sbi_consistent", lambda *args: (False, {}))
+    assert run_cli(argv) == (1, want.replace("True", "False"))
+
+
+def test_cyclic_trunc_poly_3_prints_its_oracle_at_any_window():
+    """HN, HC and HP of Q[x]/x^3 are exact: the t-window changes no byte."""
+    want = _cyclic_table([1, 2, 0, 2, 0], [3, 0, 3, 0, 3], (1, 0), True)
+    for window in ("-6..6", "-1..1"):
+        assert run_cli(["cyclic", "--algebra", "trunc_poly:3", "--degree-range",
+                        "0..4", f"--t-window={window}"]) == (0, want)
 
 
 def test_negative_ranges_parse_as_values():
@@ -166,14 +189,18 @@ def test_negative_calc_bounds_are_parse_errors(argv, capsys):
     assert "must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["cyclic", "--algebra", "trunc_poly:2", "--degree-range", "0..2", "--bar", "-1"],
-    ["ss", "--algebra", "path:a2", "--bar", "-1"],
-], ids=" ".join)
-def test_negative_bar_is_parse_error(argv, capsys):
+@pytest.mark.parametrize("argv, err", [
+    pytest.param(argv, err, id=" ".join(argv)) for argv, err in [
+        # cyclic has no --bar: HN, HC and HP read no bar bound
+        (["cyclic", "--algebra", "trunc_poly:2", "--bar", "4"],
+         "unrecognized arguments: --bar 4"),
+        (["ss", "--algebra", "path:a2", "--bar", "-1"],
+         "parse error: line 0: --bar must be >= 0"),
+    ]])
+def test_negative_bar_is_parse_error(argv, err, capsys):
     code, out = run_cli(argv)
     assert (code, out) == (2, "")
-    assert "parse error: line 0: --bar must be >= 0" in capsys.readouterr().err
+    assert err in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

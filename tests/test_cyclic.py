@@ -1,20 +1,31 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import direct_blocks, is_square_zero
+from conftest import (
+    cycle_square_zero,
+    degree0_algebras,
+    direct_blocks,
+    graded_hc_oracle,
+    is_square_zero,
+    matrices_over,
+    rebased,
+)
 from test_exactlin import dense_rref_oracle
 
 from ncperiod.algebra import (
+    DgAlgebra,
     a2_quiver_algebra,
     build_field,
     build_matrix_algebra,
     build_truncated_polynomial_algebra,
+    kronecker_algebra,
+    radical,
 )
 from ncperiod import cyclic
 from ncperiod.cyclic import (
-    NotStabilized,
     _induced_rank,
     TruncatedLaurentComplex,
     cyclic_homology,
@@ -25,7 +36,8 @@ from ncperiod.cyclic import (
     sbi_consistent,
     sbi_exactness,
 )
-from ncperiod.exactlin import SubquotientBasis
+from ncperiod.exactlin import SubquotientBasis, chain_add, from_columns, rank
+from ncperiod.hochschild import GradedDims, chain_model_of
 
 Q = build_field()
 D = build_truncated_polynomial_algebra(2)
@@ -58,13 +70,8 @@ def test_hc_dual_numbers():
 
 
 def test_hp_dual_numbers_window6():
-    # the nontrivial non-degenerate case; needs the completion semantics
+    # nil-invariance: HP(Q[x]/x^2) = HP(Q), though HH_n(Q[x]/x^2) = 1 for n > 0
     assert periodic_cyclic_homology(D, (-6, 6)) == (1, 0)
-
-
-def test_hp_dual_numbers_not_stabilized_with_tiny_budget():
-    with pytest.raises(NotStabilized):
-        periodic_cyclic_homology(D, (-6, 6), max_extra=1)
 
 
 def test_hp_path_algebra_honest_value():
@@ -86,6 +93,170 @@ def test_hn_matrix_matches_field():
     dims = negative_cyclic_homology(M2, range(-4, 3)).dims
     ref = negative_cyclic_homology(Q, range(-4, 3)).dims
     assert dims == ref
+
+
+# -- exact HC, HN and HP against closed forms and the t-complex engine -------------
+
+
+def hc_trunc(n_power, n):
+    """HC_n(Q[x]/x^N) = N for even n >= 0, else 0 (Loday 5.4.15)."""
+    return n_power if n >= 0 and n % 2 == 0 else 0
+
+
+def hn_trunc(n_power, n):
+    """HN_n(Q[x]/x^N) = 1 for even n <= 0, N - 1 for odd n >= 1, else 0:
+    Loday 5.4.15 with HP = (1, 0) in Connes' sequence."""
+    if n <= 0:
+        return 1 - n % 2
+    return n_power - 1 if n % 2 else 0
+
+
+@pytest.mark.parametrize("n_power", [1, 2, 3, 4, 5], ids=lambda n: f"T{n}")
+def test_truncated_polynomials_match_loday(n_power):
+    alg = build_truncated_polynomial_algebra(n_power) if n_power > 1 else Q
+    degrees = range(-3, 5)
+    assert cyclic_homology(alg, degrees).dims == {n: hc_trunc(n_power, n)
+                                                  for n in degrees}
+    assert negative_cyclic_homology(alg, degrees).dims == {n: hn_trunc(n_power, n)
+                                                           for n in degrees}
+    assert periodic_cyclic_homology(alg) == (1, 0)
+
+
+def tensor(a, b):
+    """a (x) b of two degree-0 algebras, on the basis a_i (x) b_j at index
+    i b.dim + j."""
+    n, mult = b.dim, {}
+    cells = list(itertools.product(range(a.dim), range(n)))
+    for (i, j), (k, l) in itertools.product(cells, repeat=2):
+        col = {}
+        for p, c in a.product(i, k).items():
+            for q, e in b.product(j, l).items():
+                chain_add(col, p * n + q, c * e)
+        if col:
+            mult[i * n + j, k * n + l] = col
+    labels = [f"{u}.{v}" for u in a.labels for v in b.labels]
+    return DgAlgebra(labels, [0] * len(labels), mult, name=f"{a.name}x{b.name}")
+
+
+QI = DgAlgebra(["1", "i"], [0, 0], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                                    (1, 1): {0: -1}}, name="Q(i)")
+# a unit-first basis per dimension that mixes every coordinate
+MIXED = {2: [[1, 0], [1, 2]],
+         4: [[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [-1, 0, 1, 2]]}
+
+
+@pytest.mark.parametrize("build, hc, hn, hp", [
+    (lambda: QI, [2, 0, 2, 0, 2], [2, 0, 0, 0, 0], (2, 0)),
+    (lambda: tensor(QI, D), [4, 0, 4, 0, 4], [2, 2, 0, 2, 0], (2, 0)),
+    (lambda: tensor(D, D), [4, 1, 5, 2, 6], [1, 3, 1, 4, 2], (1, 0)),
+], ids=["Q(i)", "Q(i)[eps]", "T2xT2"])
+@pytest.mark.parametrize("rebase", [False, True], ids=["natural", "mixed"])
+def test_table_algebras_match_their_oracles(build, hc, hn, hp, rebase):
+    """Q(i) is separable; Q(i)[eps] = Q(i) x T2 and T2 x T2 = Q[x,y]/(x^2, y^2)
+    have HH = HH(Q(i)) x HH(T2) and HH(T2) x HH(T2) (Kuenneth), and HC per
+    eps- or (x, y)-degree D != 0 is HH_n - HC_{n-1} (Goodwillie); h is 2, 2
+    and 1.  The answers do not depend on the basis."""
+    alg = build()
+    if rebase:
+        alg = rebased(alg, MIXED[alg.dim])
+    degrees = range(0, 5)
+    assert cyclic_homology(alg, degrees).as_tuple(degrees) == tuple(hc)
+    assert negative_cyclic_homology(alg, degrees).as_tuple(degrees) == tuple(hn)
+    assert periodic_cyclic_homology(alg) == hp
+
+
+@pytest.mark.parametrize("build, grading, top, h", [
+    (lambda: build_truncated_polynomial_algebra(4), [0, 1, 2, 3], 4, 1),
+    (lambda: tensor(D, D), [0, 1, 1, 2], 4, 1),
+    (lambda: tensor(D, T3), [0, 1, 2, 1, 2, 3], 3, 1),
+    (lambda: cycle_square_zero(2), [0, 0, 1, 1], 4, 2),
+    (lambda: cycle_square_zero(3), [0, 0, 0, 1, 1, 1], 3, 3),
+], ids=["T4", "T2xT2", "T2xT3", "cycle2/rad^2", "cycle3/rad^2"])
+def test_hc_matches_the_graded_oracle(build, grading, top, h):
+    """HC of the Connes complex equals the B-free oracle of internal
+    degrees, and HP = (h, 0), h the number of vertices or 1."""
+    alg = build()
+    degrees = range(top + 1)
+    assert (cyclic_homology(alg, degrees).as_tuple(degrees)
+            == tuple(graded_hc_oracle(alg, grading, top)))
+    assert periodic_cyclic_homology(alg) == (h, 0)
+
+
+@settings(max_examples=8, deadline=None)
+@given(degree0_algebras())
+def test_morita_invariance_of_hn(alg):
+    """HN(M_2(A)) = HN(A), M_2(A) on its relative model."""
+    degrees = range(-2, 3)
+    assert (negative_cyclic_homology(matrices_over(alg, 2), degrees).dims
+            == negative_cyclic_homology(alg, degrees).dims)
+
+
+def engine_dims(alg, bar=25, hi=6):
+    """HC, HN and HP in degrees 0..4 from the windowed t-complex of the
+    reduction at one bar: HC_n the homology of the C[t^-1] window (-3, 0),
+    HN_n and HP_n the image of H^{-n} of the window (lo, hi + j) in that of
+    (lo, hi), checked equal at j = 1 and 2."""
+    red = reduce_mixed_complex(chain_model_of(alg)[0], bar)
+
+    def limit(lo, n):
+        ranks = {red.induced_rank((lo, hi + j), (lo, hi), -n) for j in (1, 2)}
+        assert len(ranks) == 1, (alg.name, lo, n, ranks)
+        return ranks.pop()
+
+    degrees = range(0, 5)
+    return ({n: red.homology((-3, 0), -n).dim for n in degrees},
+            {n: limit(0, n) for n in degrees}, (limit(-hi, 0), limit(-hi, 1)))
+
+
+@pytest.mark.parametrize("alg", [D, M2, A2, kronecker_algebra(), QI],
+                         ids=lambda a: a.name)
+def test_exact_theories_agree_with_the_t_complex_engine(alg):
+    """On models with at most 2 chains per weight, bar 25 reaches every
+    window the engine reads, so it gives the exact answers."""
+    degrees = range(0, 5)
+    assert engine_dims(alg) == (cyclic_homology(alg, degrees).dims,
+                                negative_cyclic_homology(alg, degrees).dims,
+                                periodic_cyclic_homology(alg))
+
+
+@settings(max_examples=25, deadline=None)
+@given(degree0_algebras())
+def test_exact_theories_on_generated_bases(alg):
+    """The radical certificate holds, HC_0 = dim A/[A, A], and the exact
+    HN, HP and HC pass the SBI rank check."""
+    jac, h = radical(alg)
+    assert 1 <= h <= alg.dim - len(jac)
+    commutators = []
+    for i, j in itertools.combinations(range(alg.dim), 2):
+        comm = dict(alg.product(i, j))
+        for k, c in alg.product(j, i).items():
+            chain_add(comm, k, -c)
+        commutators.append(comm)
+    assert (cyclic_homology(alg, [0]).dims[0]
+            == alg.dim - rank(from_columns(alg.dim, commutators)))
+    ok, dims = sbi_consistent(alg, range(0, 3))
+    assert ok, dims
+
+
+def test_sbi_consistent_rejects_dims_with_no_exact_ranks(monkeypatch):
+    """HN 4 3 3 3 3, what the windowed stabilization once printed for
+    Q[x]/x^4, admits no exact ranks with its exact HC and HP = (1, 0)."""
+    T4 = build_truncated_polynomial_algebra(4)
+    assert sbi_consistent(T4, range(0, 5))[0]
+    monkeypatch.setattr(cyclic, "negative_cyclic_homology",
+                        lambda *args: GradedDims({0: 4, 1: 3, 2: 3, 3: 3, 4: 3}))
+    ok, dims = sbi_consistent(T4, range(0, 5))
+    assert not ok and dims["HP"] == {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
+
+
+def test_graded_algebra_is_rejected():
+    ext = DgAlgebra(["1", "x"], [0, 1], {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                         (1, 0): {1: 1}}, name="ext")
+    for compute in (lambda: cyclic_homology(ext, range(3)),
+                    lambda: negative_cyclic_homology(ext, range(3)),
+                    lambda: periodic_cyclic_homology(ext)):
+        with pytest.raises(ValueError, match="requires a degree-0 algebra"):
+            compute()
 
 
 @pytest.mark.parametrize("alg", FIVE, ids=lambda a: a.name)
@@ -114,7 +285,7 @@ def test_spectral_sequence_degeneration_verdicts():
 
 
 def test_spectral_sequence_smooth_proper_sums():
-    # degeneration instantiated: windowed E1 totals equal windowed HP dims
+    # degeneration instantiated: the E1 totals in the window equal HP
     for alg in (A2, M2):
         rep = hodge_spectral_sequence(alg, (-6, 6), (0, 1))
         for n in (0, 1):

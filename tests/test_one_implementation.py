@@ -158,10 +158,12 @@ def test_one_residual_kernel():
 
 
 def test_one_windowed_homology_layer():
-    """cyclic builds its t-window truncations at one site, has no regrouped
-    copy of the transfer blocks, and moves vectors between windows only for
-    the induced rank and the SBI connecting map."""
-    assert _call_sites("TruncatedLaurentComplex") == [("cyclic", "truncation")]
+    """cyclic builds its t-window truncations at two sites, the windows of
+    the transferred complex and the finite Connes complex of HC, has no
+    regrouped copy of the transfer blocks, and moves vectors between windows
+    only for the induced rank and the SBI connecting map."""
+    assert _call_sites("TruncatedLaurentComplex") == [("cyclic", "truncation"),
+                                                      ("cyclic", "_connes_dims")]
     assert not hasattr(cyclic, "TComplexData")
     assert not hasattr(cyclic, "_windowed_dims")
     assert set(_call_sites("_move")) == {("cyclic", "induced_rank"),
@@ -381,11 +383,13 @@ def test_one_structure_cochain():
 
 def test_one_change_of_basis():
     """algebra.change_basis is the one change of basis of structure
-    constants: the builders, PeirceBasis and the CLI's unit re-basing call
-    it, and nothing else in algebra or cli solves a linear system."""
+    constants: the builders, PeirceBasis, the radical's certificate and the
+    CLI's unit re-basing call it, and nothing else in algebra or cli solves
+    a linear system."""
     assert set(_call_sites("change_basis")) == {
         ("algebra", "build_matrix_algebra"), ("algebra", "build_path_algebra"),
-        ("algebra", "__init__"), ("cli", "_rebase_unit")}
+        ("algebra", "__init__"), ("algebra", "_certify_radical"),
+        ("cli", "_rebase_unit")}
     assert "change_basis(" in inspect.getsource(algebra.PeirceBasis.__init__)
     assert [site for site in _call_sites("solve") if site[0] in ("algebra", "cli")] == [
         ("algebra", "change_basis")]
@@ -397,10 +401,10 @@ def test_one_chain_space_enumerator():
     """chain_spaces is the only chain-space enumerator, for every chain
     model: no other function of the package is named for one, and the chain
     index is built only by calling it (ChainBasis, the weight-graded
-    boundary of HH and the reduction of a mixed complex).  Its walks come
-    from _walks, the one walk enumerator, which CochainBasis closes in
-    parallel; neither CochainBasis nor basis_cochains enumerates words of
-    its own.  The ends of the letters, which say which words are walks, are
+    boundary of HH, the reduction of a mixed complex and the Connes complex
+    of HC).  Its walks come from _walks, the one walk enumerator, which
+    CochainBasis closes in parallel; neither CochainBasis nor basis_cochains
+    enumerates words of its own.  The ends of the letters, which say which words are walks, are
     read outside algebra only by _walks and its two closings."""
     defs = {(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
             for node in ast.walk(ast.parse(path.read_text()))
@@ -408,7 +412,7 @@ def test_one_chain_space_enumerator():
     assert defs == {("hochschild", "chain_spaces")}
     assert set(_call_sites("chain_spaces")) == {
         ("hochschild", "__init__"), ("hochschild", "_weight_graded_boundary"),
-        ("cyclic", "reduce_mixed_complex")}
+        ("cyclic", "reduce_mixed_complex"), ("cyclic", "_connes_dims")}
     readers = {(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
                if path.stem != "algebra"
                for node in ast.walk(ast.parse(path.read_text()))

@@ -237,10 +237,10 @@ CYCLIC_BARS = {"M2": 6, "M3": 2, "A2": 6, "kron": 4, "path:a4": 2, "QxQ": 6,
 def _cyclic_reports(alg, bar):
     window, degrees = (-2, 2), range(0, 3)
     ss = dataclasses.asdict(hodge_spectral_sequence(alg, window, (0, 1), bar))
-    hn = negative_cyclic_homology(alg, degrees, window, bar)
-    hc = cyclic_homology(alg, degrees, window, bar)
+    hn = negative_cyclic_homology(alg, degrees, window)
+    hc = cyclic_homology(alg, degrees, window)
     assert hn.chain_model == hc.chain_model == ss.pop("chain_model")
-    return (hn.dims, hc.dims, periodic_cyclic_homology(alg, window, bar),
+    return (hn.dims, hc.dims, periodic_cyclic_homology(alg, window),
             sbi_exactness(alg, range(0, 2), window, bar), ss), hn.chain_model
 
 
@@ -276,9 +276,10 @@ def test_relative_mixed_complex_identities(build):
 
 def test_cli_cyclic_matrix_algebra_at_bar_23():
     """Morita: M2 has the cyclic theories of Q, HN = 1 0 0 0 0, HC = 1 0 1 0 1
-    and HP = (1, 0), at the bar 23 that the window -6..6 reaches."""
+    and HP = (1, 0).  They are exact, so cyclic takes no --bar; the window
+    -6..6 once needed bar 23."""
     argv = ["cyclic", "--algebra", "matrix:2", "--degree-range", "0..4",
-            "--t-window=-6..6", "--bar", "23", "--format", "structured"]
+            "--t-window=-6..6", "--format", "structured"]
     code, out = run_cli(argv)
     payload = json.loads(out)
     assert code == 0
