@@ -2,9 +2,22 @@
 
 A ring is given by a basis (basis_labels[0] is the unit) and a commutative,
 associative multiplication table; the span of the non-unit basis elements
-must be the maximal ideal, i.e. nilpotent.  Elements are coefficient vectors
-over the basis and support +, -, * and scalar multiplication by Q, so chain
-and cochain formulas run unchanged over any such ring.
+must be the maximal ideal, i.e. nilpotent.  Elements (RingElement, the
+public value type) are coefficient vectors over the basis and support +, -,
+* and scalar multiplication by Q, so chain and cochain formulas run
+unchanged over any such ring.
+
+The deformation and period inner loops do not multiply RingElements.  They
+hold a ring-valued object in slot form (Slots): {slot: Q object}, the sum of
+each Q object times its slot's basis element.  slot_product is the one
+product rule, sum over (i, j) of table[i, j][k] . (a_i * b_j) in slot k, and
+each layer brings its own Q product *: the brace of cochains in deform, the
+composition of block operators in period, the sparse apply in
+cyclic.perturbation_transfer.  slot_coordinates reads ring values as slot
+coordinates and its inverse ring_values turns slot vectors back into ring
+values; the layers call them once, where a value over the ring enters or
+leaves the slot arithmetic (MCElement, GaugeElement, a Trivialization, a
+PTD, a PTD witness).
 
 Coefficients follow the package's one rule, applied by `exact`: an integral
 value is an `int` and a `Fraction` appears only where there is a
@@ -276,6 +289,51 @@ def ring_values(ring, vecs):
         for key, q in vec.items():
             slots.setdefault(key, [0] * ring.dim)[s] += q
     return {key: RingElement(ring, cs) for key, cs in slots.items()}
+
+
+class Slots(dict):
+    """A ring-valued object in slot form, {slot: Q object}: the sum over the
+    slots of the Q object times the slot's basis element.  No slot holds a
+    zero object, so the value is zero exactly when no slot is left."""
+
+    __slots__ = ("ring",)
+
+    def __init__(self, ring, parts=()):
+        super().__init__(parts)
+        self.ring = ring
+
+    def is_zero(self):
+        return not self
+
+
+def slot_add(a, b, scale=1):
+    """a + scale . b of slot forms whose Q objects have add(other, scale),
+    scaled(c) and is_zero(); a zero slot is dropped."""
+    out = Slots(a.ring, a)
+    for s, v in b.items():
+        v = out[s].add(v, scale) if s in out else v if scale == 1 else v.scaled(scale)
+        if v.is_zero():
+            out.pop(s, None)
+        else:
+            out[s] = v
+    return out
+
+
+def slot_product(a, b, product, out=None):
+    """The product of the slot forms a and b over a.ring: slot k gets
+    sum over (i, j) of table[i, j][k] . (a_i * b_j), for the Q product *
+    the caller brings.  product(a_i, b_j, c, acc) adds c . (a_i * b_j) to the
+    Q object acc (None for a slot not reached yet) and returns it; out
+    (default empty) holds the accumulators and is returned.  A slot pair
+    whose basis product vanishes is never multiplied, and zero accumulators
+    are the caller's to drop."""
+    out = {} if out is None else out
+    table = a.ring.table
+    for i, x in a.items():
+        for j, y in b.items():
+            for k, c in table.get((i, j), {}).items():
+                out[k] = product(x, y, c, out.get(k))
+    return out
 
 
 def m_adic_filtration(ring: ArtinLocalRing):

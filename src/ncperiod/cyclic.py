@@ -12,7 +12,8 @@ retracted weight-by-weight onto its homology (an exact SDR), and
 perturbation_transfer, the one perturbation transfer, carries the
 t-differential through it: D = sum_{k >= 0} p delta (h delta)^k iota with
 delta = tB, or tB + L_x for a Maurer-Cartan element x of the period layer
-(Crainic 2004).  A t-window keeps t^lo .. t^hi: C[[t]] is its t^{>=0} part,
+(Crainic 2004), given in slot form: one Q chain per ring slot, moved by
+coeff.slot_product.  A t-window keeps t^lo .. t^hi: C[[t]] is its t^{>=0} part,
 C((t)) all of it, C[t^{-1}] its t^{<=0} part.  Each reduction computes the
 homology of one window at one degree once and has one rank of the map
 between two windows (induced_rank).  TruncatedLaurentComplex also reads the
@@ -32,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 from .algebra import radical
+from .coeff import ArtinLocalRing, Slots, slot_product
 from .exactlin import (
     IncrementalSpan,
     SparseMatrix,
@@ -51,6 +53,10 @@ from .hochschild import (
     connes_matrices,
     lie_terms,
 )
+
+
+# Q as an Artin ring: the one slot of the undeformed transfer
+_GROUND = ArtinLocalRing(["1"], {(0, 0): {0: 1}})
 
 
 class NotStabilized(Exception):
@@ -137,75 +143,88 @@ def reduce_mixed_complex(algebra, bar_bound) -> ReducedMixedComplex:
         spaces=spaces,
         b_mats=b_mats,
     )
-    out.transfer = perturbation_transfer(out)
+    out.transfer = perturbation_transfer(out).get(0, {})
     cache[bar_bound] = out
     return out
 
 
 def perturbation_transfer(red, x=None, window=None):
-    """Blocks {(sigma, m, m'): {(row, col): value}} of sum_k p delta (h delta)^k iota.
+    """Blocks {(sigma, m, m'): {(row, col): value}} of sum_k p delta (h delta)^k iota,
+    in slot form: {slot: blocks}.
 
-    delta = tB, plus L_x when the cochain x is given; x's coefficients must
-    lie in the maximal ideal of an Artin ring, so the series is finite.  Only
-    blocks with lo <= sigma <= hi are kept (every sigma when window is None).
-    Chains stay in the index coordinates of red.spaces: B from red.b_mats,
-    L_x from one single-arity cochain per arity of x, p and h from the SpotSDR
-    data of red.sdr.
+    delta = tB, plus L_x when the slot form x (coeff.Slots) of a cochain
+    with coefficients in the maximal ideal of an Artin ring is given, so the
+    series is finite; without x it is slot 0 alone.  Only blocks with lo <=
+    sigma <= hi are kept (every sigma when window is None).  Chains stay in
+    the index coordinates of red.spaces, one frontier per (weight, sigma,
+    slot): B from red.b_mats in slot 0, L_x from one single-arity Q cochain
+    per slot and arity of x, moving a chain of slot j into the slots of
+    table[s, j] by coeff.slot_product, p and h from the SpotSDR data of
+    red.sdr.
     """
     bar = red.bar_bound
     lo, hi = window or (0, math.inf)
     b_cols = [mat.columns() for mat in red.b_mats]
-    singles, keys, lie_cols = {}, None, {}
+    ring = _GROUND if x is None else x.ring
+    singles, keys, lie_cols = {}, None, {}  # singles: arity -> slot -> cochain
     if x is not None:
-        singles = {
-            l: Cochain(red.algebra, {l: comp}, x.sdeg, x.arity_bound, x.normalized)
-            for l, comp in x.components.items()
-        }
+        for s, xs in x.items():
+            for l, comp in xs.components.items():
+                singles.setdefault(l, {})[s] = Cochain(
+                    red.algebra, {l: comp}, xs.sdeg, xs.arity_bound, xs.normalized)
         keys = [list(space) for space in red.spaces]
     # h is worth applying only if a part of delta can leave the weight it reaches
     reach = max((l - 1 for l in singles), default=-1)
 
-    def lie_column(l, w, j):
-        col = lie_cols.get((l, w, j))
+    def lie_column(l, s, w, j):
+        col = lie_cols.get((l, s, w, j))
         if col is None:
-            col = lie_cols[l, w, j] = {}
+            col = lie_cols[l, s, w, j] = {}
             dst = red.spaces[w - l + 1]
-            lie_terms(red.algebra, singles[l], *keys[w][j],
+            lie_terms(red.algebra, singles[l][s], *keys[w][j],
                       lambda key, v: chain_add(col, dst[key], v))
         return col
 
     def parts(w, sig):
-        """(weight, sigma, columns) of each part of delta leaving (w, sig)."""
+        """(weight, sigma, slot form of the columns) of each part of delta
+        leaving (w, sig)."""
         if w + 1 <= bar and sig + 1 <= hi:
-            yield w + 1, sig + 1, b_cols[w].__getitem__
-        for l in singles:
+            yield w + 1, sig + 1, Slots(ring, {0: b_cols[w].__getitem__})
+        for l, by_slot in singles.items():
             if 0 <= w - l + 1 <= bar:
-                yield w - l + 1, sig, functools.partial(lie_column, l, w)
+                yield w - l + 1, sig, Slots(ring, {
+                    s: functools.partial(lie_column, l, s, w) for s in by_slot})
+
+    def apply(col, vecs, c, acc):
+        acc = [{} for _ in vecs] if acc is None else acc
+        for a, v in zip(acc, vecs):
+            apply_columns(col, v if c == 1 else {j: c * q for j, q in v.items()}, a)
+        return acc
 
     blocks = {}
     for m, spot in enumerate(red.sdr):
-        frontier = {(m, 0): spot.reps} if spot.reps else {}
+        frontier = {(m, 0): {0: spot.reps}} if spot.reps else {}
         while frontier:
-            landed = {}  # (weight, sigma) -> delta of the frontier, per generator
+            landed = {}  # (weight, sigma) -> slot -> delta of the frontier, per generator
             for (w, sig), vecs in frontier.items():
-                for w2, sig2, col in parts(w, sig):
-                    acc = landed.setdefault((w2, sig2), [{} for _ in vecs])
-                    for a, v in zip(acc, vecs):
-                        apply_columns(col, v, a)
+                for w2, sig2, cols in parts(w, sig):
+                    slot_product(cols, vecs, apply, landed.setdefault((w2, sig2), {}))
             frontier = {}
-            for (w, sig), vecs in landed.items():
-                if not any(vecs):
-                    continue
-                if lo <= sig <= hi:
-                    tgt = blocks.setdefault((sig, m, w), {})
-                    for e, v in _project(red.sdr[w], vecs).items():
-                        chain_add(tgt, e, v)
-                if w + 1 - reach <= bar:
-                    hcols = red.sdr[w].hmty_cols.__getitem__
-                    moved = [apply_columns(hcols, v) for v in vecs]
-                    if any(moved):
-                        frontier[w + 1, sig] = moved
-    return {key: blk for key, blk in blocks.items() if blk}
+            for (w, sig), slots in landed.items():
+                for k, vecs in slots.items():
+                    if not any(vecs):
+                        continue
+                    if lo <= sig <= hi:
+                        tgt = blocks.setdefault(k, {}).setdefault((sig, m, w), {})
+                        for e, v in _project(red.sdr[w], vecs).items():
+                            chain_add(tgt, e, v)
+                    if w + 1 - reach <= bar:
+                        hcols = red.sdr[w].hmty_cols.__getitem__
+                        moved = [apply_columns(hcols, v) for v in vecs]
+                        if any(moved):
+                            frontier.setdefault((w + 1, sig), {})[k] = moved
+    return Slots(ring, {k: out for k, blks in blocks.items()
+                        if (out := {key: blk for key, blk in blks.items() if blk})})
 
 
 def _project(spot, vecs):
@@ -392,7 +411,7 @@ def hodge_spectral_sequence(algebra, t_window=(-6, 6), degree_range=(0, 1),
     degrees = sorted(degree_range)
     lo, hi = t_window
     if bar_bound is None:
-        bar_bound = default_bar_bound(algebra, max(abs(n) for n in degrees), hi + 3)
+        bar_bound = default_bar_bound(algebra, max(abs(n) for n in degrees), hi)
     model, record = chain_model_of(algebra)
     red = reduce_mixed_complex(model, bar_bound)
     rep = SpectralReport(t_window=t_window, chain_model=record)

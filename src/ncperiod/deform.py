@@ -7,7 +7,12 @@ arity-2 part gives the deformed product and whose Lie action L_{b+x} is the
 deformed chain differential d + L_x; downstream it deforms the cyclic
 complexes.  Both MC operations read b + x: the residual mc_residual is the
 brace (b + x) o (b + x), and gauge_act is e^{ad alpha}(b + x) - b
-(Gerstenhaber 1963; Goldman-Millson 1988).
+(Gerstenhaber 1963; Goldman-Millson 1988).  Both run on slot forms
+(coeff.Slots): b + x is b in slot 0 and x's Q cochain of slot s in slot s,
+and a brace of two slot forms is one hochschild._brace_into per slot pair,
+through coeff.slot_product (_brace).  MCElement and GaugeElement keep the
+value over the ring, whose coefficients are RingElements, and read its slot
+form once (.slots); results over the ring are built once, by ring_cochain.
 
 All solving goes through one routine, solve_by_levels: along the m-adic
 filtration (the small-extension induction of Goldman-Millson), each step is
@@ -18,9 +23,9 @@ effect is probed by evaluating the residual.  That probing is exact through
 nilpotency order 3; beyond it a found solution is still exact, but a failure
 only says the linearized search ran out.  gauge_equivalent and
 lift_order_by_order here, and trivialize_periodic and ptd_isomorphic in
-period, are its four callers.  A residual is read as ring-slot coordinates
-by coeff.slot_coordinates, and the solved slot vectors become ring values
-by its inverse coeff.ring_values; no caller converts slots on its own.
+period, are its four callers.  Their states are slot forms, a residual's
+ring-slot coordinates are read off its Q slots, and a shift adds a Q object
+per slot, so no step converts to ring values.
 Every operation that needs a Maurer-Cartan input checks it with the one
 guard _require_mc.
 """
@@ -29,18 +34,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .coeff import ArtinLocalRing, RingElement, ring_values, slot_coordinates
+from .coeff import (
+    ArtinLocalRing,
+    RingElement,
+    Slots,
+    exact,
+    ring_values,
+    slot_add,
+    slot_coordinates,
+    slot_product,
+)
 from .exactlin import chain_add, express_in_homology, from_columns, solve
 from .hochschild import (
     ChainBasis,
     Cochain,
     CochainBasis,
+    _bound,
+    _brace_into,
     _cochain_diff_matrix,
     _cohomology_spot,
-    brace_compose,
     connes_B,
-    gerstenhaber_bracket,
     hochschild_boundary,
     lie_action,
     structure_as_cochain,
@@ -62,8 +77,34 @@ def _require_in_m(name, value: Cochain, sdeg):
         raise ValueError(f"{name} elements have shifted degree {sdeg}")
 
 
+def cochain_slots(ring, value: Cochain) -> Slots:
+    """The slot form {slot: Q cochain} of a cochain over ring, read by
+    coeff.slot_coordinates (a Q coefficient sits in slot 0)."""
+    parts = {}
+    for (s, (l, w, t)), q in slot_coordinates(value.entries()).items():
+        parts.setdefault(s, {}).setdefault(l, {}).setdefault(w, {})[t] = q
+    return Slots(ring, {s: Cochain(value.algebra, comps, value.sdeg, value.arity_bound,
+                                   value.normalized) for s, comps in parts.items()})
+
+
+def ring_cochain(slots: Slots, algebra, sdeg, arity_bound=None) -> Cochain:
+    """The cochain over slots.ring of a slot form, by coeff.ring_values."""
+    comps = {}
+    values = ring_values(slots.ring, {s: dict(c.entries()) for s, c in slots.items()})
+    for (l, w, t), v in values.items():
+        comps.setdefault(l, {}).setdefault(w, {})[t] = v
+    return Cochain(algebra, comps, sdeg, arity_bound)
+
+
+class _Slotted:
+    @cached_property
+    def slots(self) -> Slots:
+        """The slot form of value, read once."""
+        return cochain_slots(self.ring, self.value)
+
+
 @dataclass
-class MCElement:
+class MCElement(_Slotted):
     ring: ArtinLocalRing
     value: Cochain  # coefficients are RingElements supported in m_R
 
@@ -76,7 +117,7 @@ class MCElement:
 
 
 @dataclass
-class GaugeElement:
+class GaugeElement(_Slotted):
     ring: ArtinLocalRing
     value: Cochain  # shifted degree 0, coefficients in m_R
 
@@ -93,11 +134,40 @@ def cochain_over_ring(algebra, ring, components, sdeg, arity_bound=None):
     return Cochain(algebra, components, sdeg, arity_bound).map_coefficients(ring.coerce)
 
 
-def mc_residual(algebra, x: MCElement) -> Cochain:
-    """(b + x) o (b + x) = dx + (1/2)[x, x], since b o b = 0 on normalized
-    words of a valid algebra; zero exactly when b + x squares to zero."""
-    bx = structure_as_cochain(algebra).add(x.value)
-    return brace_compose(bx, bx, x.value.arity_bound)
+def _brace(a: Slots, b: Slots, bound, sign=None, scale=1) -> Slots:
+    """scale . a o b of slot forms of cochains, or scale . [a, b] =
+    scale . (a o b - sign . b o a) when sign is given: one
+    hochschild._brace_into per slot pair, through coeff.slot_product."""
+    if not (a and b):
+        return Slots(a.ring)
+    p0, q0 = next(iter(a.values())), next(iter(b.values()))
+
+    def product(p, q, c, comps):
+        comps = {} if comps is None else comps
+        _brace_into(comps, p, q, c * scale, bound)
+        if sign is not None:
+            _brace_into(comps, q, p, -sign * c * scale, bound)
+        return comps
+
+    out = Slots(a.ring)
+    for k, comps in slot_product(a, b, product).items():
+        c = Cochain(p0.algebra, comps, p0.sdeg + q0.sdeg, bound)
+        if not c.is_zero():
+            out[k] = c
+    return out
+
+
+def mc_residual(algebra, x) -> Slots:
+    """(b + x) o (b + x) = dx + (1/2)[x, x] in slot form, since b o b = 0 on
+    normalized words of a valid algebra; zero exactly when b + x squares to
+    zero.  x is an MCElement or the slot form of its value; b sits in slot
+    0, where x has no part."""
+    if isinstance(x, MCElement):
+        x, bound = x.slots, x.value.arity_bound
+    else:
+        bound = next((c.arity_bound for c in x.values()), None)
+    bx = Slots(x.ring, {0: structure_as_cochain(algebra), **x})
+    return _brace(bx, bx, bound)
 
 
 def _require_mc(algebra, x: MCElement):
@@ -107,21 +177,30 @@ def _require_mc(algebra, x: MCElement):
                               "is nonzero")
 
 
+def _gauge_series(algebra, alpha: Slots, x: Slots, bound) -> Slots:
+    """e^{ad alpha}(b + x) - b in slot form, the series
+    x + sum_{k >= 1} (ad alpha)^k (b + x) / k!, for a gauge alpha of
+    shifted degree 0."""
+    out = x
+    term = Slots(x.ring, {0: structure_as_cochain(algebra), **x})
+    k = 1
+    while term := _brace(alpha, term, bound, 1, exact(Fraction(1, k))):
+        out = slot_add(out, term)
+        k += 1
+        if k > x.ring.nilpotency_order + 2:
+            raise RuntimeError("gauge exponential did not terminate")
+    return out
+
+
 def gauge_act(alpha: GaugeElement, x: MCElement) -> MCElement:
-    """e^alpha . x = e^{ad alpha}(b + x) - b, the series
-    x + sum_{k >= 1} (ad alpha)^k (b + x) / k!."""
+    """e^alpha . x = e^{ad alpha}(b + x) - b (see _gauge_series)."""
     if alpha.ring is not x.ring:
         raise ValueError("gauge and MC element live over different rings")
-    out = x.value
-    term = structure_as_cochain(x.algebra).add(x.value)
-    k = 1
-    while not (term := gerstenhaber_bracket(alpha.value, term)
-               .scaled(Fraction(1, k))).is_zero():
-        out = out.add(term)
-        k += 1
-        if k > alpha.ring.nilpotency_order + 2:
-            raise RuntimeError("gauge exponential did not terminate")
-    return MCElement(x.ring, out)
+    # the brackets check alpha's bound first, and the sum keeps x's first
+    out = _gauge_series(x.algebra, alpha.slots, x.slots,
+                        _bound(alpha.value.arity_bound, x.value.arity_bound))
+    bound = _bound(x.value.arity_bound, alpha.value.arity_bound)
+    return MCElement(x.ring, ring_cochain(out, x.algebra, 1, bound))
 
 
 # -- deformed algebras ---------------------------------------------------------------
@@ -253,14 +332,16 @@ def solve_by_levels(ring, lin, residual, shift, state, kernel=(), seed=None,
     return state, ((None, res) if res else None)
 
 
-def _cochain_rows(c: Cochain, basis: CochainBasis):
-    """Ring-slot coordinates {(slot, row)} of c's component in basis' arity."""
-    return slot_coordinates(basis.coordinates(c).items())
+def _cochain_rows(c: Slots, basis: CochainBasis):
+    """Ring-slot coordinates {(slot, row)} of the slot form c's component in
+    basis' arity."""
+    return {(s, i): q for s, cs in c.items() for i, q in basis.coordinates(cs).items()}
 
 
-def _shift_cochain(ring, state: Cochain, basis: CochainBasis, vecs):
+def _shift_cochain(state: Slots, basis: CochainBasis, vecs, bound):
     """state plus the cochain whose slot-s coordinates in basis are vecs[s]."""
-    return state.add(basis.cochain_of(ring_values(ring, vecs), state.arity_bound))
+    return slot_add(state, Slots(state.ring, {s: basis.cochain_of(vec, bound)
+                                          for s, vec in vecs.items()}))
 
 
 def gauge_equivalent(x: MCElement, y: MCElement):
@@ -281,17 +362,17 @@ def gauge_equivalent(x: MCElement, y: MCElement):
     for z in (x, y):
         _require_mc(algebra, z)
     cb1, cb2 = CochainBasis(algebra, 1), CochainBasis(algebra, 2)
+    bound = x.value.arity_bound
 
     def residual(alpha):
-        cur = gauge_act(GaugeElement(ring, alpha), x)
-        return _cochain_rows(y.value.add(cur.value, scale=-1), cb2)
+        cur = _gauge_series(algebra, alpha, x.slots, bound)
+        return _cochain_rows(slot_add(y.slots, cur, -1), cb2)
 
     alpha, blocked = solve_by_levels(
         ring, _cochain_diff_matrix(algebra, 1), residual,
-        lambda alpha, vecs: _shift_cochain(ring, alpha, cb1, vecs),
-        Cochain(algebra, {}, 0, x.value.arity_bound),
+        lambda alpha, vecs: _shift_cochain(alpha, cb1, vecs, bound), Slots(ring),
         kernel=_cohomology_spot(algebra, 1).cycle_basis)
-    return None if blocked else GaugeElement(ring, alpha)
+    return None if blocked else GaugeElement(ring, ring_cochain(alpha, algebra, 0, bound))
 
 
 def lift_order_by_order(algebra, x_low: MCElement, ring: ArtinLocalRing):
@@ -311,15 +392,15 @@ def lift_order_by_order(algebra, x_low: MCElement, ring: ArtinLocalRing):
                          "m-adic level")
     _require_mc(algebra, x_low)
     # x_low over the bigger ring, whose first slots are those of small
-    pad = (0,) * (ring.dim - small.dim)
-    x = x_low.value.map_coefficients(lambda c: ring.element(c.coeffs + pad))
+    x = Slots(ring, x_low.slots)
+    bound = x_low.value.arity_bound
     cb2, cb3 = CochainBasis(algebra, 2), CochainBasis(algebra, 3)
     lifted, blocked = solve_by_levels(
         ring, _cochain_diff_matrix(algebra, 2),
-        lambda c: _cochain_rows(mc_residual(algebra, MCElement(ring, c)), cb3),
-        lambda c, vecs: _shift_cochain(ring, c, cb2, vecs), x, steps=1)
+        lambda c: _cochain_rows(mc_residual(algebra, c), cb3),
+        lambda c, vecs: _shift_cochain(c, cb2, vecs, bound), x, steps=1)
     if blocked is None:
-        return "lift", MCElement(ring, lifted)
+        return "lift", MCElement(ring, ring_cochain(lifted, algebra, 1, bound))
     level, rhs = blocked
     if level is None:
         raise RuntimeError("order-by-order lift left a deeper residual (bug)")

@@ -138,6 +138,13 @@ class Cochain:
     def is_zero(self):
         return not self.components
 
+    def entries(self):
+        """((l, word, t), value) for every stored value."""
+        for l, comp in self.components.items():
+            for w, out in comp.items():
+                for t, v in out.items():
+                    yield (l, w, t), v
+
     def map_coefficients(self, fn):
         comps = {}
         for l, comp in self.components.items():

@@ -10,12 +10,18 @@ cyclic.perturbation_transfer that gives the undeformed one (delta = tB);
 contraction_blocks projects with the same p.  Trivializations and PTD
 isomorphisms are found by deform.solve_by_levels on block coordinates: the
 unknowns act through [D0, -] on their own m-adic level (the trivialization
-starts slot s from the seed -(1/t) I_{x_s}, x_s the Q cochain read off slot
-s of x by Cochain.map_coefficients; the PTD search also carries the kernel
-directions of lower levels, exact through nilpotency order 3).  Residual
-blocks become slot coordinates by coeff.slot_coordinates and the solved
-slot vectors become block operators over R by coeff.ring_values, once per
-shift for both PTD unknowns.
+starts slot s from the seed -(1/t) I_{x_s}, x_s the Q cochain in slot s of
+x; the PTD search also carries the kernel directions of lower levels, exact
+through nilpotency order 3).
+The solves run on slot forms (coeff.Slots): an operator over R is one Q
+BlockOp per ring slot, and the product of two is one Q BlockOp.compose per
+slot pair through the ring's structure constants (_compose, by
+coeff.slot_product).  The deformed differential, gauge_residual, block_exp
+and the PTD residuals take and give slot forms; a residual's coordinates
+are read off its slots and a shift adds a Q BlockOp per slot.  Block
+operators over R, with RingElement entries, appear only at the boundary:
+the fields of a Trivialization and of a PTD and the PTD witness (c, a),
+each converted once by op_slots and ring_op.
 Every exponential enters a residual as 1 + E(g), E(g) = e^g - 1 from
 block_exp, and a product by the 1 is the other factor truncated as compose
 truncates (BlockOp.truncated), so no identity operator is multiplied out;
@@ -35,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coeff import ring_values, slot_coordinates
+from .coeff import Slots, ring_values, slot_add, slot_coordinates, slot_product
 from .cyclic import (
     NotStabilized,
     _project,
@@ -62,7 +68,8 @@ class BlockOp:
     """t-equivariant operator: blocks[(sigma, m, m')] : H_m -> H_{m'} t^sigma.
 
     deg is the cohomological degree, deg = 2 sigma - (m' - m) for every
-    stored block.  Entries are Q numbers or RingElements.
+    stored block.  Entries are Q numbers or RingElements; the solves hold an
+    operator over a ring as one Q BlockOp per ring slot (op_slots).
     """
 
     __slots__ = ("deg", "blocks")
@@ -97,13 +104,15 @@ class BlockOp:
     def is_zero(self):
         return not self.blocks
 
-    def compose(self, other, bar_bound, window):
-        """self . other with weight and t-shift truncation."""
+    def compose(self, other, bar_bound, window, scale=1, out=None):
+        """scale . self . other with weight and t-shift truncation, added to
+        out (default a new BlockOp) and returned."""
         lo, hi = window
-        out = BlockOp(self.deg + other.deg)
+        out = BlockOp(self.deg + other.deg) if out is None else out
+        blocks1 = self.blocks if scale == 1 else self.scaled(scale).blocks
         for (s2, m2, mm2), mat2 in other.blocks.items():
             rows2 = None  # mat2 as {row: [(col, value), ...]}, built once
-            for (s1, m1, mm1), mat1 in self.blocks.items():
+            for (s1, m1, mm1), mat1 in blocks1.items():
                 if m1 != mm2:
                     continue
                 s = s1 + s2
@@ -136,12 +145,6 @@ class BlockOp:
             for (r, c), v in mat.items():
                 yield (sig, m, m2, r, c), v
 
-    def map_coefficients(self, fn):
-        return BlockOp(
-            self.deg,
-            {k: {e: fn(v) for e, v in mat.items()} for k, mat in self.blocks.items()},
-        )
-
     def restrict_nonneg(self):
         return BlockOp(
             self.deg, {k: mat for k, mat in self.blocks.items() if k[0] >= 0}
@@ -157,16 +160,56 @@ class BlockOp:
         return f"BlockOp(deg={self.deg}, blocks={keys})"
 
 
-def block_exp(g: BlockOp, ring, red, window):
-    """E(g) = e^g - 1 = sum_{k>=1} g^k / k! for a degree-0 g with coefficients
-    in m_R (nilpotent); every caller expands e^g as 1 + E(g)."""
+# -- slot forms of block operators --------------------------------------------------
+
+
+def op_slots(ring, op: BlockOp) -> Slots:
+    """The slot form {slot: Q BlockOp} of a BlockOp over ring, read by
+    coeff.slot_coordinates (a Q entry sits in slot 0)."""
+    parts = {}
+    for (s, key), q in slot_coordinates(op.entries()).items():
+        parts.setdefault(s, {})[key] = q
+    return Slots(ring, {s: _op_of(op.deg, ent) for s, ent in parts.items()})
+
+
+def ring_op(slots: Slots, deg) -> BlockOp:
+    """The BlockOp over slots.ring of a slot form, by coeff.ring_values."""
+    return _op_of(deg, ring_values(slots.ring, {s: dict(op.entries())
+                                                for s, op in slots.items()}))
+
+
+def _compose(a: Slots, b: Slots, bar_bound, window, scale=1) -> Slots:
+    """scale . a . b of slot forms: one Q BlockOp.compose per slot pair,
+    through coeff.slot_product."""
+    parts = slot_product(a, b, lambda f, g, c, acc: f.compose(
+        g, bar_bound, window, c * scale, acc))
+    return Slots(a.ring, {k: op for k, op in parts.items() if op.blocks})
+
+
+def _truncated(a: Slots, bar_bound, window) -> Slots:
+    """The slot form of a's product by the identity (BlockOp.truncated)."""
+    return Slots(a.ring, {s: t for s, op in a.items()
+                          if (t := op.truncated(bar_bound, window)).blocks})
+
+
+def _slot_op(ring, deg, vecs, keys, first=0):
+    """The slot form whose slot-s entry at keys[i] is vecs[s][first + i];
+    indices outside keys belong to another unknown and are skipped."""
+    return Slots(ring, {s: op for s, vec in vecs.items() if (op := _op_of(deg, {
+        keys[i - first]: q for i, q in vec.items() if 0 <= i - first < len(keys)})).blocks})
+
+
+def block_exp(g: Slots, ring, red, window) -> Slots:
+    """E(g) = e^g - 1 = sum_{k>=1} g^k / k! for the slot form of a degree-0 g
+    with coefficients in m_R (nilpotent); every caller expands e^g as
+    1 + E(g)."""
     bar = red.bar_bound
-    term = out = g.truncated(bar, window)
+    term = out = _truncated(g, bar, window)
     for k in range(2, ring.nilpotency_order + 2):
-        if term.is_zero():
+        if not term:
             break
-        term = g.compose(term, bar, window).scaled(Fraction(1, k))
-        out = out.add(term)
+        term = _compose(g, term, bar, window, Fraction(1, k))
+        out = slot_add(out, term)
     return out
 
 
@@ -178,9 +221,11 @@ def base_differential(red) -> BlockOp:
     return BlockOp(1, red.transfer)
 
 
-def deformed_differential(red, x: MCElement, window) -> BlockOp:
-    """Transfer of d + tB + L_x through the weightwise retract, as blocks."""
-    return BlockOp(1, perturbation_transfer(red, x.value, window))
+def deformed_differential(red, x: MCElement, window) -> Slots:
+    """Transfer of d + tB + L_x through the weightwise retract, as the slot
+    form of a block operator."""
+    return Slots(x.ring, {s: BlockOp(1, blocks) for s, blocks in
+                          perturbation_transfer(red, x.slots, window).items()})
 
 
 def contraction_blocks(red, p: Cochain) -> BlockOp:
@@ -349,24 +394,18 @@ def _op_of(deg, entries):
     return op
 
 
-def _op_rows(op, index, offset=0):
-    """Ring-slot coordinates {(slot, offset + row)} of op on a block basis;
-    raises NotStabilized for an entry outside the basis (the window)."""
-    pairs = []
-    for key, v in op.entries():
-        i = index.get(key)
-        if i is None:
-            raise NotStabilized(f"residual block {key[:3]} left the window")
-        pairs.append((offset + i, v))
-    return slot_coordinates(pairs)
-
-
-def _ring_op(values, keys, deg, first=0):
-    """BlockOp whose entry at keys[i] is values[first + i], for the ring
-    values {index: RingElement} of coeff.ring_values; indices outside keys
-    belong to another unknown and are skipped."""
-    return _op_of(deg, {keys[i - first]: v for i, v in values.items()
-                        if 0 <= i - first < len(keys)})
+def _op_rows(ops: Slots, index, offset=0):
+    """Ring-slot coordinates {(slot, offset + row)} of the slot form ops on
+    a block basis; raises NotStabilized for an entry outside the basis (the
+    window)."""
+    rows = {}
+    for s, op in ops.items():
+        for key, q in op.entries():
+            i = index.get(key)
+            if i is None:
+                raise NotStabilized(f"residual block {key[:3]} left the window")
+            rows[s, offset + i] = q
+    return rows
 
 
 def block_d(D0, f, bar_bound, window):
@@ -395,22 +434,24 @@ def _d_matrix(red, D0, deg, window):
     return mat, src_keys, dst_index
 
 
-def gauge_residual(mu: BlockOp, g: BlockOp, D0: BlockOp, red, window, ring):
-    """e^g . mu, computed as the e^g-conjugation of T = D0 + mu minus D0.
+def gauge_residual(mu: Slots, g: Slots, D0: BlockOp, red, window, ring) -> Slots:
+    """e^g . mu, computed as the e^g-conjugation of T = D0 + mu minus D0, for
+    the slot forms mu and g over ring and the Q operator D0.
 
     With e^{+-g} = 1 + E(+-g) the conjugate is A + A E(-g) for A = T + E(g) T,
     where the product of T by 1 is T truncated; zero E terms are skipped.
     """
     bar = red.bar_bound
-    total = D0.add(mu)
-    conj = total.truncated(bar, window)
+    d0 = Slots(ring, {0: D0})
+    total = slot_add(d0, mu)
+    conj = _truncated(total, bar, window)
     eg = block_exp(g, ring, red, window)
-    if not eg.is_zero():
-        conj = conj.add(eg.compose(total, bar, window))
-    eg_inv = block_exp(g.scaled(-1), ring, red, window)
-    if not eg_inv.is_zero():
-        conj = conj.add(conj.compose(eg_inv, bar, window))
-    return conj.add(D0, scale=-1)
+    if eg:
+        conj = slot_add(conj, _compose(eg, total, bar, window))
+    eg_inv = block_exp(slot_add(Slots(ring), g, -1), ring, red, window)
+    if eg_inv:
+        conj = slot_add(conj, _compose(conj, eg_inv, bar, window))
+    return slot_add(conj, d0, -1)
 
 
 @dataclass
@@ -422,10 +463,10 @@ class Trivialization:
     class of its lowest-level slice modulo [D0, -] is the obstructing class).
     """
 
-    gauge: object          # BlockOp or None
+    gauge: object          # BlockOp over the ring, or None
     reduced: object        # the weightwise-reduced mixed complex
-    base: BlockOp          # transferred undeformed differential
-    deformation: BlockOp   # transferred deformation part
+    base: BlockOp          # transferred undeformed differential, over Q
+    deformation: BlockOp   # transferred deformation part, over the ring
     obstruction: object = None
 
     @property
@@ -446,8 +487,7 @@ def trivialize_periodic(algebra, x: MCElement, t_window=(-6, 6), bar_bound=None)
         bar_bound = default_bar_bound(algebra, 2, hi)
     red = reduce_mixed_complex(algebra, bar_bound)
     D0 = base_differential(red)
-    Dx = deformed_differential(red, x, t_window)
-    mu = Dx.add(D0, scale=-1)
+    mu = slot_add(deformed_differential(red, x, t_window), Slots(ring, {0: D0}), -1)
     dmat, keys, rows = _d_matrix(red, D0, 0, t_window)
     index = {key: j for j, key in enumerate(keys)}
 
@@ -456,9 +496,10 @@ def trivialize_periodic(algebra, x: MCElement, t_window=(-6, 6), bar_bound=None)
 
     def seed(s):
         """Coordinates of the seeded particular solution -(1/t) I_{x_s}, x_s
-        the Q cochain of slot s of x."""
-        xs = x.value.map_coefficients(lambda c: c.coeffs[s])
-        blocks = contraction_blocks(red, xs)
+        the Q cochain in slot s of x."""
+        if s not in x.slots:
+            return {}
+        blocks = contraction_blocks(red, x.slots[s])
         if any(key not in index for key, _ in blocks.entries()):
             raise NotStabilized("the seed -(1/t) I_x left the t-window")
         return {index[key]: -v for key, v in blocks.entries()}
@@ -467,12 +508,11 @@ def trivialize_periodic(algebra, x: MCElement, t_window=(-6, 6), bar_bound=None)
     lin = SparseMatrix(dmat.rows, dmat.cols, {e: -v for e, v in dmat.entries.items()})
     g, blocked = solve_by_levels(
         ring, lin, residual,
-        lambda g, vecs: g.add(_ring_op(ring_values(ring, vecs), keys, 0)),
-        BlockOp(0), seed=seed)
+        lambda g, vecs: slot_add(g, _slot_op(ring, 0, vecs, keys)), Slots(ring), seed=seed)
     if blocked is None:
-        return Trivialization(g, red, D0, mu)
+        return Trivialization(ring_op(g, 0), red, D0, ring_op(mu, 1))
     res = gauge_residual(mu, g, D0, red, t_window, ring)
-    return Trivialization(None, red, D0, mu, obstruction=res)
+    return Trivialization(None, red, D0, ring_op(mu, 1), obstruction=ring_op(res, 1))
 
 
 @dataclass
@@ -517,31 +557,36 @@ def period_map_artin(algebra, x: MCElement, t_window=(-6, 6), bar_bound=None):
 
 def _ptd_constants(p, q, red, ring):
     """The parts of the PTD residuals that do not depend on (c, a), computed
-    once per search: (E(-phi_q), E(-phi_p), N_p - N_q, E(-phi_q) - E(-phi_p))
-    for the trivializations phi and the negative differentials N, with
-    N_p - N_q truncated as its product by the identity."""
+    once per search as slot forms: (N_p, N_q, E(-phi_q), E(-phi_p),
+    N_p - N_q, E(-phi_q) - E(-phi_p)) for the negative differentials N and
+    the trivializations phi, with N_p - N_q truncated as its product by the
+    identity."""
     bar, window = p.bar_bound, p.window
-    e_q, e_p = (block_exp(x.trivialization.scaled(-1), ring, red, window)
+    n_p, n_q = (op_slots(ring, x.negative_differential) for x in (p, q))
+    e_q, e_p = (block_exp(op_slots(ring, x.trivialization.scaled(-1)), ring, red, window)
                 for x in (q, p))
-    dn = p.negative_differential.add(q.negative_differential, scale=-1)
-    return e_q, e_p, dn.truncated(bar, window), e_q.add(e_p, scale=-1)
+    return (n_p, n_q, e_q, e_p, _truncated(slot_add(n_p, n_q, -1), bar, window),
+            slot_add(e_q, e_p, -1))
 
 
 def _ptd_residuals(p, q, c, a, red, ring, constants):
     """(chain-map residual e^c N_p - N_q e^c on the negative part, square
-    residual e^{-phi_q} e^{da} - e^c e^{-phi_p}), each exponential expanded
-    as 1 + E and each zero E skipped; constants is _ptd_constants(p, q, red,
-    ring).  c has sigma >= 0, so the chain-map residual has too."""
+    residual e^{-phi_q} e^{da} - e^c e^{-phi_p}) for the slot forms c and a,
+    each exponential expanded as 1 + E and each zero E skipped; constants is
+    _ptd_constants(p, q, red, ring).  c has sigma >= 0, so the chain-map
+    residual has too."""
     bar, window = p.bar_bound, p.window
-    e_q, e_p, S, R = constants
+    n_p, n_q, e_q, e_p, S, R = constants
     ec = block_exp(c, ring, red, window)
-    if not ec.is_zero():
-        S = S.add(ec.compose(p.negative_differential, bar, window)).add(
-            q.negative_differential.compose(ec, bar, window), scale=-1)
-        R = R.add(ec.add(ec.compose(e_p, bar, window)), scale=-1)
-    eda = block_exp(block_d(p.base, a, bar, window), ring, red, window)
-    if not eda.is_zero():
-        R = R.add(eda.add(e_q.compose(eda, bar, window)))
+    if ec:
+        S = slot_add(slot_add(S, _compose(ec, n_p, bar, window)),
+                     _compose(n_q, ec, bar, window), -1)
+        R = slot_add(R, slot_add(ec, _compose(ec, e_p, bar, window)), -1)
+    da = Slots(ring, {s: d for s, op in a.items()
+                      if (d := block_d(p.base, op, bar, window)).blocks})
+    eda = block_exp(da, ring, red, window)
+    if eda:
+        R = slot_add(R, slot_add(eda, _compose(e_q, eda, bar, window)))
     return S, R
 
 
@@ -581,13 +626,13 @@ def ptd_isomorphic(p: PTD, q: PTD):
         return {**_op_rows(S, rows1), **_op_rows(R, rows0, off)}
 
     def shift(state, vecs):
-        c, a = state
-        values = ring_values(ring, vecs)  # c's indices, then a's
-        return (c.add(_ring_op(values, keys_c, 0)),
-                a.add(_ring_op(values, keys_a, -1, first=len(keys_c))))
+        c, a = state  # vecs hold c's indices, then a's
+        return (slot_add(c, _slot_op(ring, 0, vecs, keys_c)),
+                slot_add(a, _slot_op(ring, -1, vecs, keys_a, len(keys_c))))
 
     state, blocked = solve_by_levels(ring, lin, residual, shift,
-                                     (BlockOp(0), BlockOp(-1)), kernel=rref(lin)[1])
+                                     (Slots(ring), Slots(ring)), kernel=rref(lin)[1])
     if blocked is None:
-        return True, state
+        c, a = state
+        return True, (ring_op(c, 0), ring_op(a, -1))
     return False, blocked[0]

@@ -64,6 +64,7 @@ from ncperiod.period import (
     contraction_blocks,
     first_order_period_matrix,
     gauge_residual,
+    op_slots,
     griffiths_transversality_check,
     period_map_artin,
     ptd_isomorphic,
@@ -321,7 +322,8 @@ def test_criterion_9_trivialization():
                 continue
             g, red, D0, mu = (triv.gauge, triv.reduced, triv.base,
                               triv.deformation)
-            if not gauge_residual(mu, g, D0, red, WINDOW, R2).is_zero():
+            if not gauge_residual(op_slots(R2, mu), op_slots(R2, g), D0, red, WINDOW,
+                                  R2).is_zero():
                 ok = False
             # first-order part vs -(1/t) I_x, away from the bar cut
             seed = contraction_blocks(

@@ -306,6 +306,26 @@ def test_filtration_dims_present():
     assert (5, 0) not in rep.filtration
 
 
+def test_spectral_sequence_default_bar_reads_the_window(monkeypatch):
+    """The pages and the filtration read windows up to hi only, so the
+    default bar is default_bar_bound(algebra, max |n|, hi), as for
+    sbi_exactness: flat Q[x]/x^2 at (-6, 6) reduces at bar 16, and the
+    report equals the one at bar 22, which asks for three more t-powers."""
+    bars = []
+    real = cyclic.reduce_mixed_complex
+
+    def recording(algebra, bar_bound):
+        bars.append(bar_bound)
+        return real(algebra, bar_bound)
+
+    monkeypatch.setattr(cyclic, "reduce_mixed_complex", recording)
+    rep = hodge_spectral_sequence(build_truncated_polynomial_algebra(2), (-6, 6), (0, 1))
+    assert bars == [16]
+    assert rep == hodge_spectral_sequence(build_truncated_polynomial_algebra(2), (-6, 6),
+                                          (0, 1), bar_bound=22)
+    assert bars == [16, 22]
+
+
 def _parts(k):
     """The C((t)), C[[t]] and C[t^-1] parts of the t-window [-k, k]."""
     return (-k, k), (0, k), (-k, 0)

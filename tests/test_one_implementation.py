@@ -364,15 +364,19 @@ def test_one_structure_cochain():
     defines eval(self, l, word).
     The square-zero condition is read off one brace of it: deform calls no
     cochain_differential (mc_residual is (b + x) o (b + x), gauge_act one
-    series in b + x), the cochain differential is the bracket with b, and
-    validate_dg_algebra reads b o b with no loop over triples of structure
-    constants."""
+    series in b + x, both in slot form through deform._brace, whose one
+    Q product is hochschild._brace_into), the cochain differential is the
+    bracket with b, and validate_dg_algebra reads b o b with no loop over
+    triples of structure constants."""
     assert _classes_defining("eval") == {("hochschild", "Cochain")}
     for name in ("DgStructure", "DeformedStructure"):
         assert not hasattr(hochschild, name), name
     assert not [site for site in _call_sites("cochain_differential")
                 if site[0] == "deform"]
-    assert ("deform", "mc_residual") in _call_sites("brace_compose")
+    assert {("deform", "mc_residual"), ("deform", "_gauge_series")} <= set(
+        _call_sites("_brace"))
+    assert {site for site in _call_sites("_brace_into") if site[0] == "deform"} == {
+        ("deform", "product")}
     assert ("hochschild", "cochain_differential") in _call_sites("gerstenhaber_bracket")
     validator = ast.parse(inspect.getsource(algebra.validate_dg_algebra))
     assert _loop_depth(validator) <= 2
@@ -450,8 +454,6 @@ SLOT_LISTS = {
     ("coeff", "coerce"): "the ring's own arithmetic",
     ("coeff", "multiply"): "the ring's own arithmetic",
     ("cli", "parse_mc_file"): "reads a user's coefficients label by label",
-    ("deform", "lift_order_by_order"): "embeds x_low, whose slots are the "
-                                       "first ones of the extension ring",
 }
 
 
@@ -496,19 +498,23 @@ def _scan_sites(scan, modules):
 
 def test_one_slot_rule():
     """Ring values and their Q slot coordinates are converted by one pair of
-    rules, coeff.slot_coordinates and its inverse coeff.ring_values: deform
-    and period build no RingElement and no slot list of their own (the
-    trivialization seed reads one slot with Cochain.map_coefficients), and
-    the Maurer-Cartan guard is one function, deform._require_mc, the only
-    reader of mc_residual(...).is_zero() besides the report of
-    AlgebraOverArtin.validate."""
+    rules, coeff.slot_coordinates and its inverse coeff.ring_values, called
+    only at the boundary of the slot arithmetic: a cochain or a block
+    operator over the ring to its slot form and back.  deform and period
+    build no RingElement and no slot list of their own (lift_order_by_order
+    reads x_low's slots in the extension ring, the trivialization seed one
+    slot of x), and the Maurer-Cartan guard is one function,
+    deform._require_mc, the only reader of mc_residual(...).is_zero() besides
+    the report of AlgebraOverArtin.validate."""
     # the modules that hold ring values (algebra's dim is no ring's)
     assert _scan_sites(_slot_list_sites, ("coeff", "deform", "period", "cli")) == set(
         SLOT_LISTS)
     assert [site for site in _call_sites("RingElement") if site[0] != "coeff"] == []
     assert set(_call_sites("ring_values")) == {
-        ("deform", "_shift_cochain"), ("period", "trivialize_periodic"),
-        ("period", "shift")}
+        ("deform", "ring_cochain"), ("period", "ring_op")}
+    assert set(_call_sites("slot_coordinates")) == {
+        ("deform", "cochain_slots"), ("period", "op_slots"),
+        ("period", "reduction_is_trivial")}
     assert not hasattr(period, "_x_level_slice")
     assert _scan_sites(_mc_check_sites, [path.stem for path in SRC.glob("*.py")]) == {
         ("deform", "_require_mc"), ("deform", "validate")}
@@ -527,6 +533,50 @@ def test_slot_rule_scans_find_a_copy():
                       "        raise ValueError\n"
                       "def h(a, x):\n    return mc_residual(a, x)\n")
     assert list(_mc_check_sites(guard, "m")) == [("m", "g")]
+
+
+def test_slot_arithmetic_in_the_solver_loops(monkeypatch):
+    """The deformation and period inner loops run on one Q object per ring
+    slot, multiplied through the ring's structure constants by the one
+    helper coeff.slot_product, to which each layer brings its own Q product:
+    hochschild._brace_into (deform._brace: mc_residual and the gauge
+    series), BlockOp.compose (period._compose: gauge_residual, block_exp
+    and the PTD residuals) and the sparse apply (the frontier of
+    cyclic.perturbation_transfer).  So no residual that
+    lift_order_by_order, trivialize_periodic or ptd_isomorphic evaluates
+    calls ArtinLocalRing.multiply, and no RingElement twin of these routines
+    is left: deform and period call no brace_compose or
+    gerstenhaber_bracket, period composes only through _compose and the Q
+    block_d, and the ring-valued block operator of the old solver shift
+    (_ring_op) is gone."""
+    from ncperiod.algebra import build_truncated_polynomial_algebra
+    from ncperiod.coeff import ArtinLocalRing, build_truncated_poly, dual_numbers
+    from ncperiod.deform import (GaugeElement, MCElement, cochain_over_ring, gauge_act,
+                                 lift_order_by_order)
+
+    T2, R2, R3 = build_truncated_polynomial_algebra(2), dual_numbers(), build_truncated_poly(1, 3)
+    x = MCElement(R2, cochain_over_ring(T2, R2, {2: {(1, 1): {0: R2.gen(1)}}}, 1, 6))
+    alpha = GaugeElement(R3, cochain_over_ring(
+        T2, R3, {1: {(1,): {1: R3.gen(1), 0: R3.gen(2) * 3}}}, 0, 6))
+    calls = []
+    real = ArtinLocalRing.multiply
+    monkeypatch.setattr(ArtinLocalRing, "multiply",
+                        lambda ring, a, b: calls.append(ring) or real(ring, a, b))
+    assert R3.gen(1) * R3.gen(1) == R3.gen(2) and calls == [R3]
+    calls.clear()
+    status, x3 = lift_order_by_order(T2, x, R3)
+    y3 = gauge_act(alpha, x3)
+    assert status == "lift" and period.trivialize_periodic(T2, x3).ok
+    assert period.ptd_isomorphic(period.period_map_artin(T2, x3),
+                                 period.period_map_artin(T2, y3))[0]
+    assert calls == []
+    assert set(_call_sites("slot_product")) == {
+        ("deform", "_brace"), ("period", "_compose"), ("cyclic", "perturbation_transfer")}
+    assert not [site for name in ("brace_compose", "gerstenhaber_bracket")
+                for site in _call_sites(name) if site[0] in ("deform", "period")]
+    assert {site for site in _call_sites("compose") if site[0] == "period"} == {
+        ("period", "_compose"), ("period", "block_d")}
+    assert not hasattr(period, "_ring_op")
 
 
 def _unused_imports(text):

@@ -12,7 +12,7 @@ from ncperiod.algebra import (
     build_matrix_algebra,
     build_truncated_polynomial_algebra,
 )
-from ncperiod.coeff import build_truncated_poly, dual_numbers
+from ncperiod.coeff import build_truncated_poly, dual_numbers, ring_values
 from ncperiod.deform import GaugeElement, MCElement, cochain_over_ring, gauge_act
 from ncperiod.period import (
     BlockOp,
@@ -24,8 +24,10 @@ from ncperiod.period import (
     griffiths_transversality_check,
     _ptd_constants,
     _ptd_residuals,
+    op_slots,
     period_map_artin,
     ptd_isomorphic,
+    ring_op,
     torelli_rank,
     trivialize_periodic,
     vdb_duality_check,
@@ -154,7 +156,8 @@ def test_trivialize_first_order_all_algebras(alg):
         triv = trivialize_periodic(alg, x, WINDOW)
         assert triv.ok
         g, red, D0, mu = triv.gauge, triv.reduced, triv.base, triv.deformation
-        assert gauge_residual(mu, g, D0, red, WINDOW, R2).is_zero()
+        assert gauge_residual(op_slots(R2, mu), op_slots(R2, g), D0, red, WINDOW,
+                              R2).is_zero()
         seed = contraction_blocks(
             red, x.value.map_coefficients(lambda c: c.coeffs[1])).scaled(-1)
         lvl1 = level_slices(g, R2, 1).get(1, BlockOp(0))
@@ -201,8 +204,8 @@ def test_trivialize_second_order_deformation():
     assert status == "lift"
     triv = trivialize_periodic(D, x3, WINDOW)
     assert triv.ok
-    assert gauge_residual(triv.deformation, triv.gauge, triv.base,
-                          triv.reduced, WINDOW, R3).is_zero()
+    assert gauge_residual(op_slots(R3, triv.deformation), op_slots(R3, triv.gauge),
+                          triv.base, triv.reduced, WINDOW, R3).is_zero()
 
 
 def test_ptd_of_gauge_equivalent_deformations_isomorphic():
@@ -253,7 +256,7 @@ def test_second_order_ptd_of_gauge_equivalent_t3():
     ok, (c, a) = ptd_isomorphic(p, q)
     assert ok
     red = reduce_mixed_complex(T3, p.bar_bound)
-    S, R = _ptd_residuals(p, q, c, a, red, R3,
+    S, R = _ptd_residuals(p, q, op_slots(R3, c), op_slots(R3, a), red, R3,
                           _ptd_constants(p, q, red, R3))
     assert S.is_zero() and R.is_zero()
 
@@ -357,7 +360,20 @@ def _reference_transfer(red, x=None, window=None):
 ], ids=lambda v: getattr(v, "name", str(v)))
 def test_transfer_matches_reference_undeformed(alg, bar):
     red = reduce_mixed_complex(alg, bar)
-    assert red.transfer == perturbation_transfer(red) == _reference_transfer(red)
+    got = perturbation_transfer(red)
+    assert set(got) <= {0}
+    assert red.transfer == got.get(0, {}) == _reference_transfer(red)
+
+
+def _ring_blocks(ring, slots):
+    """The blocks over ring of a slot form {slot: blocks}, by
+    coeff.ring_values."""
+    out = {}
+    for (key, e), v in ring_values(ring, {
+            s: {(key, e): q for key, blk in blocks.items() for e, q in blk.items()}
+            for s, blocks in slots.items()}).items():
+        out.setdefault(key, {})[e] = v
+    return out
 
 
 def _mc_inputs(seed):
@@ -384,8 +400,8 @@ def test_transfer_matches_reference_deformed(seed):
             red = reduce_mixed_complex(alg, bar)
             for window in ((-6, 6), (-2, 3), (0, 2)):
                 want = _reference_transfer(red, x, window)
-                assert perturbation_transfer(red, x.value, window) == want, (
-                    alg.name, bar, window)
+                got = perturbation_transfer(red, x.slots, window)
+                assert _ring_blocks(x.ring, got) == want, (alg.name, bar, window)
 
 
 def test_zero_mc_transfer_is_undeformed_transfer_in_window():
@@ -394,8 +410,9 @@ def test_zero_mc_transfer_is_undeformed_transfer_in_window():
         red = reduce_mixed_complex(T3, bar)
         assert red.transfer
         for lo, hi in ((-6, 6), (-2, 1), (2, 3)):
-            got = perturbation_transfer(red, zero.value, (lo, hi))
-            assert got == {key: blk for key, blk in red.transfer.items()
+            got = perturbation_transfer(red, zero.slots, (lo, hi))
+            assert set(got) <= {0}
+            assert got.get(0, {}) == {key: blk for key, blk in red.transfer.items()
                            if lo <= key[0] <= hi}
 
 
@@ -483,8 +500,9 @@ def test_ptd_residuals_match_full_exponential_reference(monkeypatch):
         key = id(p), id(q)
         if key not in inverses:
             inverses[key] = _reference_inverses(p, q, red, ring)
-        want = _reference_ptd_residuals(p, q, c, a, red, ring, inverses[key])
-        assert _as_dicts(*got) == _as_dicts(*want)
+        want = _reference_ptd_residuals(p, q, ring_op(c, 0), ring_op(a, -1), red, ring,
+                                        inverses[key])
+        assert _as_dicts(ring_op(got[0], 1), ring_op(got[1], 0)) == _as_dicts(*want)
         seen.append(not (c.is_zero() and a.is_zero()))
         return got
 
@@ -499,10 +517,16 @@ def test_ptd_witnesses_match_full_exponential_search(monkeypatch):
         ok, found = result
         return ok, (_as_dicts(*found) if ok else found)
 
+    def reference_residuals(p, q, c, a, red, ring, inverses):
+        """The reference residuals on the slot forms the search keeps."""
+        S, R = _reference_ptd_residuals(p, q, ring_op(c, 0), ring_op(a, -1), red, ring,
+                                        inverses)
+        return op_slots(ring, S), op_slots(ring, R)
+
     pairs = _ptd_pairs()
     got = [outcome(ptd_isomorphic(p, q)) for p, q in pairs]
     monkeypatch.setattr(period, "_ptd_constants", _reference_inverses)
-    monkeypatch.setattr(period, "_ptd_residuals", _reference_ptd_residuals)
+    monkeypatch.setattr(period, "_ptd_residuals", reference_residuals)
     assert got == [outcome(ptd_isomorphic(p, q)) for p, q in pairs]
 
 
@@ -515,8 +539,8 @@ def test_gauge_residuals_match_full_exponential_reference(seed, monkeypatch):
 
     def checked(mu, g, D0, red, window, ring):
         got = real(mu, g, D0, red, window, ring)
-        assert _as_dicts(got) == _as_dicts(
-            _reference_gauge_residual(mu, g, D0, red, window, ring))
+        assert _as_dicts(ring_op(got, 1)) == _as_dicts(_reference_gauge_residual(
+            ring_op(mu, 1), ring_op(g, 0), D0, red, window, ring))
         seen.append(not g.is_zero())
         return got
 
@@ -539,14 +563,102 @@ def test_residuals_match_reference_in_narrow_windows(window):
     for alg, x in _mc_inputs(1):
         triv = trivialize_periodic(alg, x, WINDOW)
         args = (triv.deformation, triv.gauge, triv.base, triv.reduced, window, x.ring)
-        assert _as_dicts(gauge_residual(*args)) == _as_dicts(_reference_gauge_residual(*args))
+        got = gauge_residual(op_slots(x.ring, triv.deformation), op_slots(x.ring, triv.gauge),
+                             *args[2:])
+        assert _as_dicts(ring_op(got, 1)) == _as_dicts(_reference_gauge_residual(*args))
     for p, q in _ptd_pairs():
         ok, witness = ptd_isomorphic(p, q)
         if not ok:
             continue
         p, q = (dataclasses.replace(v, window=window) for v in (p, q))
         red = reduce_mixed_complex(p.algebra, p.bar_bound)
-        got = _ptd_residuals(p, q, *witness, red, p.ring, _ptd_constants(p, q, red, p.ring))
+        c, a = (op_slots(p.ring, op) for op in witness)
+        S, R = _ptd_residuals(p, q, c, a, red, p.ring, _ptd_constants(p, q, red, p.ring))
         want = _reference_ptd_residuals(p, q, *witness, red, p.ring,
                                         _reference_inverses(p, q, red, p.ring))
-        assert _as_dicts(*got) == _as_dicts(*want)
+        assert _as_dicts(ring_op(S, 1), ring_op(R, 0)) == _as_dicts(*want)
+
+
+# -- the slot product on rings the benchmark never builds ----------------------------
+
+
+def _slot_rings():
+    """Q[eps1, eps2]/(eps)^3, with mixed products eps1 eps2; Q[eps]/eps^3 with
+    eps . eps = 2 eps^2, a structure constant other than 1; and the fiber
+    product of Q[eps]/eps^2 and Q[eps]/eps^3 over Q."""
+    from ncperiod.coeff import ArtinLocalRing, fiber_product
+
+    unit = {(0, j): {j: 1} for j in range(3)} | {(j, 0): {j: 1} for j in range(3)}
+    twice = ArtinLocalRing(["1", "eps", "eps^2"], unit | {(1, 1): {2: 2}})
+    return [build_truncated_poly(2, 3), twice,
+            fiber_product(dual_numbers(), build_truncated_poly(1, 3))]
+
+
+def _in_m(ring, rng):
+    return ring.element([0] + [rng.randint(-2, 2) for _ in range(ring.dim - 1)])
+
+
+def _random_cochain(alg, ring, rng, arity):
+    from ncperiod.hochschild import CochainBasis
+
+    comps = {}
+    for w, t in CochainBasis(alg, arity).keys:
+        if rng.random() < 0.6:
+            comps.setdefault(arity, {}).setdefault(w, {})[t] = _in_m(ring, rng)
+    return Cochain(alg, comps, arity - 1, 6)
+
+
+def _random_op(red, ring, rng, deg, window, nonneg=False, in_m=True):
+    from ncperiod.period import _block_basis
+
+    _, keys = _block_basis(red.h_dims, deg, window, red.bar_bound)
+    entries = {}
+    for key in keys:
+        if rng.random() < 0.5 and not (nonneg and key[0] < 0):
+            entries[key] = _in_m(ring, rng) if in_m else ring.element(
+                [rng.randint(-2, 2) for _ in range(ring.dim)])
+    return period._op_of(deg, entries)
+
+
+@pytest.mark.parametrize("ring", _slot_rings(), ids=["eps1eps2", "twice", "fiber"])
+def test_slot_forms_equal_the_ring_element_forms(ring):
+    """On rings with mixed products, a structure constant 2 and a fiber
+    product, every slot routine equals its RingElement form computed by the
+    coefficient-agnostic operations, block dict for block dict: mc_residual
+    ((b + x) o (b + x)), gauge_act (the series in ad alpha), the deformed
+    transfer, gauge_residual and the PTD residuals (the full exponentials)."""
+    from ncperiod.deform import mc_residual, ring_cochain
+    from ncperiod.hochschild import brace_compose, gerstenhaber_bracket
+
+    rng = random.Random(ring.dim)
+    window = (-3, 3)
+    x = MCElement(ring, _random_cochain(T3, ring, rng, 2))
+    alpha = GaugeElement(ring, _random_cochain(T3, ring, rng, 1))
+    bx = structure_as_cochain(T3).add(x.value)
+    want = brace_compose(bx, bx, 6)
+    got = ring_cochain(mc_residual(T3, x), T3, 2, 6)
+    assert not want.is_zero() and got.components == want.components
+    out, term, k = x.value, bx, 1
+    while not (term := gerstenhaber_bracket(alpha.value, term).scaled(Fraction(1, k))).is_zero():
+        out, k = out.add(term), k + 1
+    assert gauge_act(alpha, x).value.components == out.components
+    red = reduce_mixed_complex(T3, 4)
+    transfer = _reference_transfer(red, x, window)
+    assert _ring_blocks(ring, perturbation_transfer(red, x.slots, window)) == transfer
+    D0 = BlockOp(1, red.transfer)
+    mu = BlockOp(1, transfer).add(D0, scale=-1)
+    g = _random_op(red, ring, rng, 0, window)
+    assert not g.is_zero()
+    got = period.gauge_residual(op_slots(ring, mu), op_slots(ring, g), D0, red, window, ring)
+    assert _as_dicts(ring_op(got, 1)) == _as_dicts(
+        _reference_gauge_residual(mu, g, D0, red, window, ring))
+    p, q = (period.PTD(ring, T3, x, window, red.bar_bound,
+                       _random_op(red, ring, rng, 1, window, nonneg=True, in_m=False),
+                       _random_op(red, ring, rng, 0, window), D0) for _ in range(2))
+    c = _random_op(red, ring, rng, 0, window, nonneg=True)
+    a = _random_op(red, ring, rng, -1, window)
+    S, R = _ptd_residuals(p, q, op_slots(ring, c), op_slots(ring, a), red, ring,
+                          _ptd_constants(p, q, red, ring))
+    want = _reference_ptd_residuals(p, q, c, a, red, ring, _reference_inverses(p, q, red, ring))
+    assert not want[1].is_zero()
+    assert _as_dicts(ring_op(S, 1), ring_op(R, 0)) == _as_dicts(*want)
