@@ -75,7 +75,9 @@ def _require_degree_zero(algebra):
 @dataclass
 class ReducedMixedComplex:
     """Weightwise homology of (C, d) with the transferred t-differential, and
-    the homology of its t-window truncations, each computed once."""
+    what depends on it and a t-window alone, each computed once: the
+    homology of the window truncations and the period layer's [D0, -]
+    matrices and PTD system."""
 
     algebra: object
     bar_bound: int
@@ -84,17 +86,22 @@ class ReducedMixedComplex:
     sdr: list
     spaces: list
     b_mats: list
-    windowed: dict = field(default_factory=dict, repr=False)  # (window, r) -> H^r
+    windowed: dict = field(default_factory=dict, repr=False)  # (name, window, ...) -> value
+
+    def kept(self, key, build):
+        """build(), made once per key (name, window, ...) and kept in
+        windowed; callers only read what it returns."""
+        if key not in self.windowed:
+            self.windowed[key] = build()
+        return self.windowed[key]
 
     def truncation(self, window):
         """The t-window (lo, hi) of the transferred complex."""
         return TruncatedLaurentComplex(self.h_dims, self.transfer, window)
 
     def homology(self, window, r) -> SubquotientBasis:
-        key = (tuple(window), r)
-        if key not in self.windowed:
-            self.windowed[key] = self.truncation(key[0]).homology(r)
-        return self.windowed[key]
+        window = tuple(window)
+        return self.kept(("homology", window, r), lambda: self.truncation(window).homology(r))
 
     def induced_rank(self, src_window, dst_window, r):
         """Rank of H^r(src window) -> H^r(dst window), the map that keeps the

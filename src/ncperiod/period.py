@@ -26,7 +26,10 @@ Every exponential enters a residual as 1 + E(g), E(g) = e^g - 1 from
 block_exp, and a product by the 1 is the other factor truncated as compose
 truncates (BlockOp.truncated), so no identity operator is multiplied out;
 the PTD search computes the parts of its residuals that do not depend on
-the unknowns once (_ptd_constants).
+the unknowns once (_ptd_constants).  The [D0, -] matrices (_d_matrix, per
+degree and window) and the PTD system with its kernel (_ptd_system, per
+window) depend on the reduction alone: each is built once and kept on it
+(ReducedMixedComplex.kept); callers only read them.
 
 Conventions:
   * trivialize_periodic returns g with  e^g . 0 = (deformed - undeformed)
@@ -409,15 +412,23 @@ def _op_rows(ops: Slots, index, offset=0):
 
 
 def block_d(D0, f, bar_bound, window):
-    """[D0, f] = D0 f - (-1)^{deg f} f D0."""
+    """[D0, f] = D0 f - (-1)^{deg f} f D0, both products summed into one
+    BlockOp."""
     sgn = -1 if f.deg % 2 else 1
-    return D0.compose(f, bar_bound, window).add(
-        f.compose(D0, bar_bound, window), scale=-sgn
-    )
+    return f.compose(D0, bar_bound, window, -sgn, D0.compose(f, bar_bound, window))
 
 
-def _d_matrix(red, D0, deg, window):
-    """Matrix of f -> [D0, f] on degree-deg block operators."""
+def _d_matrix(red, deg, window):
+    """_assemble_d_matrix(red, deg, window), assembled once per (deg,
+    window) on red."""
+    window = tuple(window)
+    return red.kept(("[D0, -]", window, deg), lambda: _assemble_d_matrix(red, deg, window))
+
+
+def _assemble_d_matrix(red, deg, window):
+    """Matrix of f -> [D0, f] on degree-deg block operators, for D0 =
+    base_differential(red), with its source keys and target index."""
+    D0 = base_differential(red)
     src_index, src_keys = _block_basis(red.h_dims, deg, window, red.bar_bound)
     dst_index, _ = _block_basis(red.h_dims, deg + 1, window, red.bar_bound)
     mat = SparseMatrix(len(dst_index), len(src_index))
@@ -488,7 +499,7 @@ def trivialize_periodic(algebra, x: MCElement, t_window=(-6, 6), bar_bound=None)
     red = reduce_mixed_complex(algebra, bar_bound)
     D0 = base_differential(red)
     mu = slot_add(deformed_differential(red, x, t_window), Slots(ring, {0: D0}), -1)
-    dmat, keys, rows = _d_matrix(red, D0, 0, t_window)
+    dmat, keys, rows = _d_matrix(red, 0, t_window)
     index = {key: j for j, key in enumerate(keys)}
 
     def residual(g):
@@ -590,6 +601,26 @@ def _ptd_residuals(p, q, c, a, red, ring, constants):
     return S, R
 
 
+def _ptd_system(red, window):
+    """The linear system of the PTD search on red in window, with its kernel:
+    (lin, rref(lin)[1], keys_c, keys_a, rows1, rows0).  The unknowns are c
+    (its sigma >= 0 keys_c), then a (keys_a); the rows are
+      (1) the chain-map residual S, moved by [D0, c], on degree-1 blocks
+          (rows1),
+      (2) the square residual R, moved by [D0, a] - c, on degree-0 blocks
+          (rows0, after rows1)."""
+    d0, keys_c, rows1 = _d_matrix(red, 0, window)
+    d_1, keys_a, rows0 = _d_matrix(red, -1, window)
+    off = len(rows1)
+    cols0 = d0.columns()
+    nonneg = [j for j, key in enumerate(keys_c) if key[0] >= 0]
+    lin = from_columns(
+        off + len(rows0),
+        [{**cols0[j], off + j: -1} for j in nonneg]
+        + [{off + i: v for i, v in col.items()} for col in d_1.columns()])
+    return lin, rref(lin)[1], [keys_c[j] for j in nonneg], keys_a, rows1, rows0
+
+
 def ptd_isomorphic(p: PTD, q: PTD):
     """Search h = e^c (iso of the negative deformations) and a with
     phi_2 e^{da} = h((t)) phi_1; returns (True, (c, a)) or (False, level),
@@ -604,20 +635,10 @@ def ptd_isomorphic(p: PTD, q: PTD):
         raise ValueError("PTDs over different rings or windows")
     ring = p.ring
     red = reduce_mixed_complex(p.algebra, p.bar_bound)
-    window = p.window
-    # unknowns (c with sigma >= 0, a); residual rows are
-    #   (1) the chain-map residual S, moved by [D0, c], on degree-1 blocks,
-    #   (2) the square residual R, moved by [D0, a] - c, on degree-0 blocks.
-    d0, keys_c, rows1 = _d_matrix(red, p.base, 0, window)
-    d_1, keys_a, rows0 = _d_matrix(red, p.base, -1, window)
+    window = tuple(p.window)
+    lin, kernel, keys_c, keys_a, rows1, rows0 = red.kept(
+        ("ptd", window), lambda: _ptd_system(red, window))
     off = len(rows1)
-    cols0 = d0.columns()
-    nonneg = [j for j, key in enumerate(keys_c) if key[0] >= 0]
-    keys_c = [keys_c[j] for j in nonneg]
-    lin = from_columns(
-        off + len(rows0),
-        [{**cols0[j], off + j: -1} for j in nonneg]
-        + [{off + i: v for i, v in col.items()} for col in d_1.columns()])
 
     constants = _ptd_constants(p, q, red, ring)
 
@@ -631,7 +652,7 @@ def ptd_isomorphic(p: PTD, q: PTD):
                 slot_add(a, _slot_op(ring, -1, vecs, keys_a, len(keys_c))))
 
     state, blocked = solve_by_levels(ring, lin, residual, shift,
-                                     (Slots(ring), Slots(ring)), kernel=rref(lin)[1])
+                                     (Slots(ring), Slots(ring)), kernel=kernel)
     if blocked is None:
         c, a = state
         return True, (ring_op(c, 0), ring_op(a, -1))

@@ -579,6 +579,32 @@ def test_slot_arithmetic_in_the_solver_loops(monkeypatch):
     assert not hasattr(period, "_ring_op")
 
 
+def test_period_operators_assembled_once_per_reduction(monkeypatch):
+    """The matrix of f -> [D0, f] depends only on the reduction, the degree
+    and the window: two trivializations and one PTD search on T2 assemble
+    it once per (degree, window), and the D0 of every PTD is the reduction's
+    own base_differential, so that key determines it."""
+    from collections import Counter
+
+    from ncperiod.algebra import build_truncated_polynomial_algebra
+    from ncperiod.coeff import dual_numbers
+    from ncperiod.deform import GaugeElement, MCElement, cochain_over_ring, gauge_act
+
+    T2, R2, window = build_truncated_polynomial_algebra(2), dual_numbers(), (-6, 6)
+    eps = R2.gen("eps")
+    x = MCElement(R2, cochain_over_ring(T2, R2, {2: {(1, 1): {0: eps}}}, 1, 6))
+    alpha = GaugeElement(R2, cochain_over_ring(T2, R2, {1: {(1,): {1: eps}}}, 0, 6))
+    built = Counter()
+    real = period._assemble_d_matrix
+    monkeypatch.setattr(period, "_assemble_d_matrix", lambda red, deg, w: (
+        built.update([(deg, w)]) or real(red, deg, w)))
+    p, q = (period.period_map_artin(T2, v, window) for v in (x, gauge_act(alpha, x)))
+    assert period.ptd_isomorphic(p, q)[0]
+    assert built == {(0, window): 1, (-1, window): 1}
+    red = cyclic.reduce_mixed_complex(T2, p.bar_bound)
+    assert p.base.blocks == q.base.blocks == period.base_differential(red).blocks
+
+
 def _unused_imports(text):
     """The names a module's source imports and never reads, apart from
     those in its __all__ (re-exports) and `from __future__` features."""

@@ -173,7 +173,7 @@ def test_trivialize_first_order_all_algebras(alg):
             from ncperiod.exactlin import solve as lin_solve
             from ncperiod.period import _d_matrix
 
-            dmat, src_keys, dst_index = _d_matrix(red, D0, -1, WINDOW)
+            dmat, src_keys, dst_index = _d_matrix(red, -1, WINDOW)
             vec = {}
             for (sig, m, m2), mat in interior.blocks.items():
                 for (r, c), v in mat.items():
@@ -231,17 +231,18 @@ def test_ptd_reflexive():
     assert ok
 
 
-def _t3_gauge_pair(R3):
-    """(x, e^beta . x) over Q[eps]/eps^3 on Q[x]/x^3 (basis 1, x, x^2)."""
+def _t3_gauge_pair(R3, alg=T3):
+    """(x, e^beta . x) over Q[eps]/eps^3 on Q[x]/x^3 (basis 1, x, x^2), on
+    the instance alg of it."""
     eps, eps2 = R3.gen("eps"), R3.gen("eps^2")
-    x = MCElement(R3, cochain_over_ring(T3, R3, {2: {
+    x = MCElement(R3, cochain_over_ring(alg, R3, {2: {
         (1, 1): {1: -eps, 2: eps * -2, 0: eps * 3},
         (2, 1): {2: eps * 2, 0: eps * -3 + eps2 * 6},
         (1, 2): {2: eps * 2, 0: eps * -3 + eps2 * 6},
         (2, 2): {1: eps * -3, 2: eps * -3, 0: eps2 * -9},
     }}, 1, 6))
     beta = GaugeElement(R3, cochain_over_ring(
-        T3, R3, {1: {(1,): {2: eps, 0: eps2 * 3}}}, 0, 6))
+        alg, R3, {1: {(1,): {2: eps, 0: eps2 * 3}}}, 0, 6))
     return x, gauge_act(beta, x)
 
 
@@ -577,6 +578,73 @@ def test_residuals_match_reference_in_narrow_windows(window):
         want = _reference_ptd_residuals(p, q, *witness, red, p.ring,
                                         _reference_inverses(p, q, red, p.ring))
         assert _as_dicts(ring_op(S, 1), ring_op(R, 0)) == _as_dicts(*want)
+
+
+# -- the operators kept on a reduction -------------------------------------------------
+
+
+def _matrix_data(d_matrix):
+    mat, keys, index = d_matrix
+    return mat.rows, mat.cols, mat.entries, keys, index
+
+
+def _system_data(system):
+    lin, *rest = system
+    return (lin.rows, lin.cols, lin.entries, *rest)
+
+
+def test_kept_operators_equal_fresh_builds():
+    """After the trivializations and PTD searches of the benchmark pairs on
+    T2 and T3, the [D0, -] matrices of degrees 0 and -1 and the PTD system
+    with its kernel that the searches read from the reduction equal those
+    built on a fresh instance of the algebra: no consumer changed them."""
+    pairs = _ptd_pairs()
+    assert [ptd_isomorphic(p, q)[0] for p, q in pairs] == [True, True, False, True]
+    for p in (pairs[0][0], pairs[-1][0]):
+        red = reduce_mixed_complex(p.algebra, p.bar_bound)
+        fresh = reduce_mixed_complex(
+            build_truncated_polynomial_algebra(p.algebra.dim), p.bar_bound)
+        assert {("[D0, -]", WINDOW, 0), ("[D0, -]", WINDOW, -1),
+                ("ptd", WINDOW)} <= set(red.windowed)
+        for deg in (0, -1):
+            assert _matrix_data(red.windowed["[D0, -]", WINDOW, deg]) == _matrix_data(
+                period._assemble_d_matrix(fresh, deg, WINDOW))
+        assert _system_data(red.windowed["ptd", WINDOW]) == _system_data(
+            period._ptd_system(fresh, WINDOW))
+
+
+def test_second_search_on_one_instance_matches_a_fresh_instance():
+    """A trivialization and a PTD search repeated on one algebra instance,
+    the second reading the operators the first kept, give the gauge and the
+    witness of the same search on a fresh instance."""
+    R3 = build_truncated_poly(1, 3)
+
+    def search(alg):
+        x, y = _t3_gauge_pair(R3, alg)
+        p, q = (period_map_artin(alg, v, WINDOW) for v in (x, y))
+        ok, witness = ptd_isomorphic(p, q)
+        assert ok
+        return _as_dicts(p.trivialization, q.trivialization, *witness)
+
+    alg = build_truncated_polynomial_algebra(3)
+    first = search(alg)
+    assert search(alg) == first == search(build_truncated_polynomial_algebra(3))
+
+
+def test_windows_keep_separate_operators():
+    """Two t-windows on one reduction keep separate [D0, -] matrices, each
+    equal to its own fresh build."""
+    alg = build_truncated_polynomial_algebra(2)
+    x = MCElement(R2, cochain_over_ring(alg, R2, {2: {(1, 1): {0: EPS}}}, 1, 6))
+    bar = trivialize_periodic(alg, x, (-6, 6)).reduced.bar_bound
+    assert trivialize_periodic(alg, x, (-3, 3), bar).ok
+    red = reduce_mixed_complex(alg, bar)
+    assert {key for key in red.windowed if key[0] == "[D0, -]"} == {
+        ("[D0, -]", (-6, 6), 0), ("[D0, -]", (-3, 3), 0)}
+    wide, narrow = (_matrix_data(red.windowed["[D0, -]", w, 0]) for w in ((-6, 6), (-3, 3)))
+    assert wide != narrow
+    fresh = reduce_mixed_complex(build_truncated_polynomial_algebra(2), bar)
+    assert narrow == _matrix_data(period._assemble_d_matrix(fresh, 0, (-3, 3)))
 
 
 # -- the slot product on rings the benchmark never builds ----------------------------
