@@ -25,7 +25,8 @@ chain_spaces, so no chain key is built per term.  The rest is added by one
 kernel, _residual, whose products are outer-product sparse products
 (Gustavson 1978) over the stored nonzeros.  The brackets whose action the
 pair loop checks come from hochschild.gerstenhaber_bracket, which adds
-p o q and the signed q o p into one component dict in one pass.  The
+p o q and the signed q o p into one component dict in one pass; the loop
+runs in the calling process, on the matrices it has already built.  The
 identity holds exactly iff every residual entry is zero; its witness is
 the smallest nonzero column, min(nonzero keys) // N, the first chain in
 weight order where the two sides differ.  An identity of calculus_defect
@@ -325,14 +326,10 @@ def _report(axiom, witness):
 # -- Lie-dagger verification --------------------------------------------------------
 
 
-def _lie_matrices(space, cochains):
-    """(L_P, L_P by rows over the check columns) for every cochain."""
-    return [(m, _transpose(space, m)) for m in map(space.lie_matrix, cochains)]
-
-
-def _bracket_action_witness(space, cochains, mats, arity_bound, a_range):
-    for a in a_range:
-        P, (mp, tp) = cochains[a], mats[a]
+def _bracket_action_witness(space, cochains, mats, arity_bound):
+    """(chain, a, b) of the first basis pair a <= b whose bracket-action
+    residual is nonzero, at its smallest nonzero column, or None."""
+    for a, (P, (mp, tp)) in enumerate(zip(cochains, mats)):
         for b in range(a, len(cochains)):
             Q, (mq, tq) = cochains[b], mats[b]
             res = space.lie_into({}, gerstenhaber_bracket(P, Q, 2 * arity_bound),
@@ -343,28 +340,6 @@ def _bracket_action_witness(space, cochains, mats, arity_bound, a_range):
             if col is not None:
                 return (space.keys[col], a, b)
     return None
-
-
-_POOL_STATE = {}
-
-
-def _pool_init(algebra_data, arity_bound, bar_bound):
-    from .algebra import DgAlgebra
-
-    labels, degrees, mult, diff, name = algebra_data
-    algebra = DgAlgebra(labels, degrees, mult, diff, name=name, validate=False)
-    space = OperatorSpace(algebra, bar_bound)
-    cochains = basis_cochains(algebra, arity_bound)
-    for c in cochains:
-        c.arity_bound = 2 * arity_bound
-    _POOL_STATE.update(space=space, cochains=cochains,
-                       mats=_lie_matrices(space, cochains), arity_bound=arity_bound)
-
-
-def _pool_chunk(a_range):
-    s = _POOL_STATE
-    return _bracket_action_witness(
-        s["space"], s["cochains"], s["mats"], s["arity_bound"], a_range)
 
 
 def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, workers=1):
@@ -378,9 +353,9 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, workers=1):
     Each identity is one residual per pair or cochain (module docstring): the
     witness is the first failing pair or cochain, with the smallest nonzero
     column of its residual.  Returns four AxiomReports; a negative bound
-    raises ValueError.  workers > 1 splits the pair loop over processes
-    (the CLI reads it from NCPERIOD_THREADS); results are merged in index
-    order, so the report is deterministic.
+    raises ValueError.  The pair loop runs in this process; workers is
+    accepted and ignored, because the benchmark's traced pass still passes
+    workers=2.
     """
     if min(arity_bound, bar_bound) < 0:
         raise ValueError(f"negative bound: arity {arity_bound}, bar {bar_bound}")
@@ -388,27 +363,15 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, workers=1):
     cochains = basis_cochains(algebra, arity_bound)
     for c in cochains:
         c.arity_bound = 2 * arity_bound
-    mats = _lie_matrices(space, cochains)
+    # (L_P, L_P by rows over the check columns) for every cochain
+    mats = [(m, _transpose(space, m)) for m in map(space.lie_matrix, cochains)]
     boundary = space.boundary_matrix()
     t_boundary = _transpose(space, boundary)
     connes = space.connes_matrix()
     t_connes = _transpose(space, connes)
     reports = []
 
-    if workers > 1 and len(cochains) > 8:
-        import multiprocessing as mp
-
-        data = (list(algebra.labels), list(algebra.degrees),
-                {k: dict(v) for k, v in algebra.mult.items()},
-                {k: dict(v) for k, v in algebra.diff.items()}, algebra.name)
-        chunks = [range(i, len(cochains), workers) for i in range(workers)]
-        with mp.Pool(workers, initializer=_pool_init,
-                     initargs=(data, arity_bound, bar_bound)) as pool:
-            found = [w for w in pool.map(_pool_chunk, chunks) if w]
-        witness = min(found, key=lambda w: (w[1], w[2])) if found else None
-    else:
-        witness = _bracket_action_witness(
-            space, cochains, mats, arity_bound, range(len(cochains)))
+    witness = _bracket_action_witness(space, cochains, mats, arity_bound)
     reports.append(_report("bracket-action: L_[P,Q] = [L_P, L_Q]", witness))
 
     b = structure_as_cochain(algebra)

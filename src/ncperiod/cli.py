@@ -3,8 +3,9 @@
 Commands: hh, hhc, cyclic, ss, calc {verify,defect}, deform {lift,gauge-check},
 period {matrix,torelli,vdb,ptd}.  Exit codes: 0 success, 1 not-stabilized or
 validation/verification failure, 2 parse errors.  Output is plain text by
-default, or stable-keyed JSON with --format structured.  NCPERIOD_THREADS
-requests worker processes for the axiom suites.
+default, or stable-keyed JSON with --format structured.  The output depends
+only on the arguments and the files they name: no environment variable is
+read.
 """
 
 from __future__ import annotations
@@ -421,23 +422,13 @@ def cmd_ss(args, out):
     return 0
 
 
-def _threads():
-    """The worker processes NCPERIOD_THREADS asks for, 1 if it is unset; a
-    ParseError unless it is a positive integer."""
-    spec = os.environ.get("NCPERIOD_THREADS", "1")
-    if not spec.isdigit() or int(spec) < 1:
-        raise ParseError(0, f"NCPERIOD_THREADS must be a positive integer, "
-                            f"got {spec!r}")
-    return int(spec)
-
-
 def cmd_calc(args, out):
     _check_nonneg(args, "arity", "bar", "degree_bound")
     alg = resolve_algebra(args.algebra)
     if args.action == "verify":
         from .calculus import verify_lie_dagger
 
-        reports = verify_lie_dagger(alg, args.arity, args.bar, workers=_threads())
+        reports = verify_lie_dagger(alg, args.arity, args.bar)
     else:
         from .calculus import calculus_defect
 

@@ -119,7 +119,7 @@ class RingElement:
 class ArtinLocalRing:
     """Finite-dimensional local Q-algebra; basis_labels[0] is the unit."""
 
-    def __init__(self, basis_labels, mult_table, validate=True):
+    def __init__(self, basis_labels, mult_table):
         self.basis_labels = list(basis_labels)
         self.dim = len(self.basis_labels)
         # mult_table[(i, j)] = {k: coeff} for basis_i * basis_j
@@ -129,8 +129,7 @@ class ArtinLocalRing:
             if entry:
                 self.table[i, j] = entry
         self.maximal_ideal = tuple(range(1, self.dim))
-        if validate:
-            self._validate()
+        self._validate()
         self.nilpotency_order = self._nilpotency_order()
         # m-adic level of each basis slot: the largest s with the slot in m^s
         levels = [0] * self.dim
@@ -334,11 +333,6 @@ def slot_product(a, b, product, out=None):
             for k, c in table.get((i, j), {}).items():
                 out[k] = product(x, y, c, out.get(k))
     return out
-
-
-def m_adic_filtration(ring: ArtinLocalRing):
-    """Basis-index sets spanning m_R >= m_R^2 >= ... >= 0 (see the method)."""
-    return ring.m_adic_filtration()
 
 
 def build_truncated_poly(num_vars: int, order: int) -> ArtinLocalRing:

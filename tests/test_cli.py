@@ -397,16 +397,6 @@ def test_bad_builder_sizes_are_parse_errors(argv, spec, tmp_path, capsys):
     assert f"parse error: line 0: bad size in {spec!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("threads", ["abc", "0"])
-def test_bad_thread_count_is_parse_error(threads, monkeypatch, capsys):
-    monkeypatch.setenv("NCPERIOD_THREADS", threads)
-    code, out = run_cli(["calc", "verify", "--algebra", "q", "--arity", "1",
-                         "--bar", "1"])
-    assert (code, out) == (2, "")
-    assert (f"NCPERIOD_THREADS must be a positive integer, got {threads!r}"
-            in capsys.readouterr().err)
-
-
 def test_hhc_structured_records_the_chain_model():
     for spec, model in (("matrix:2", {"kind": "relative", "idempotents": 2}),
                         ("trunc_poly:2", {"kind": "flat"})):

@@ -161,13 +161,3 @@ def test_second_order_ptd_gauge_invariance():
         p1, period_map_artin(D, MCElement(R3, x.value.scaled(2)), WINDOW)
     )
     assert not ok3
-
-
-def test_verify_lie_dagger_thread_determinism():
-    from ncperiod.calculus import verify_lie_dagger
-
-    alg = build_truncated_polynomial_algebra(3)
-    serial = verify_lie_dagger(alg, 2, 3, workers=1)
-    threaded = verify_lie_dagger(alg, 2, 3, workers=2)
-    assert [(r.axiom, r.status, r.witness) for r in serial] == \
-        [(r.axiom, r.status, r.witness) for r in threaded]

@@ -27,7 +27,8 @@ deformation), the change of basis of structure constants
 Maurer-Cartan guard (`deform._require_mc`).  The modules that use them
 import the one object, `calculus.OperatorSpace` keeps no match index of its
 own, and no module grows a hand-written `.get(k, 0) + v` accumulate beside
-chain_add, apart from the loops listed in ALLOWED."""
+chain_add, apart from the loops listed in ALLOWED.  No module starts a
+process or a thread or reads an environment variable."""
 
 import ast
 import functools
@@ -637,3 +638,49 @@ def test_unused_import_scan_finds_a_leftover():
     src = ("from __future__ import annotations\nimport os, re as regex\n"
            "from .x import a, b as c, d\n__all__ = ['d']\nprint(a, os.sep)\n")
     assert _unused_imports(src) == ["c", "regex"]
+
+
+# a module that imports one of these could start a process or a thread
+CONCURRENCY_MODULES = {"concurrent", "multiprocessing", "subprocess", "threading"}
+# the os names that read the environment
+ENVIRONMENT_READS = {"environ", "getenv"}
+
+
+def _process_and_environment_uses(text):
+    """(line, name) of every import of a concurrency module and every read
+    of the environment through os in a module's source."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module.split(".")[0]]
+            if node.module == "os":
+                names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name in CONCURRENCY_MODULES | ENVIRONMENT_READS]
+    return sorted(found)
+
+
+def test_no_process_pool_or_environment():
+    """The package runs in the calling process and its answers depend only
+    on its arguments: no module imports a concurrency module or reads an
+    environment variable.  cli keeps os.path.exists for its file specs."""
+    used = {path.stem: names for path in sorted(SRC.glob("*.py"))
+            if (names := _process_and_environment_uses(path.read_text()))}
+    assert not used
+    assert "os.path.exists" in (SRC / "cli.py").read_text()
+
+
+def test_process_and_environment_scan_finds_a_use():
+    src = ("import os, threading\nfrom concurrent.futures import ProcessPoolExecutor\n"
+           "import multiprocessing as mp\nfrom os import getenv, sep\n"
+           "n = os.environ.get('N')\nfrom subprocess import run\n"
+           "os.path.exists('f')\nimport re\nfrom . import coeff\n")
+    assert _process_and_environment_uses(src) == [
+        (1, "threading"), (2, "concurrent"), (3, "multiprocessing"),
+        (4, "getenv"), (5, "environ"), (6, "subprocess")]
