@@ -11,7 +11,13 @@ Lie-action index and its signs have one implementation.
 An operator matrix is stored by columns, {col: ((row, coeff), ...)}, with no
 zero entries; an integral coefficient is stored as an int, which is exact
 since int and Fraction compare and hash equal, and keeps the products of
-structure constants out of Fraction arithmetic.  An operator identity
+structure constants out of Fraction arithmetic.  The matrices and
+transposes one OperatorSpace builds hold one object per distinct (row,
+coeff) entry and per distinct column tuple, looked up once the coefficient
+is exact, so an int and the Fraction equal to it never merge; most columns
+of the Lie matrices repeat a few values.  verify_lie_dagger drops that
+store and the apply-column Lie tables, scratch of the build alone, before
+its pair loop.  An operator identity
 lhs = rhs, in verify_lie_dagger and calculus_defect alike, is checked as
 residuals lhs - rhs of the form sum s . X Y + sum s . Z on the check
 columns (a prefix of the weight-ordered basis).  A residual is one flat dict
@@ -154,6 +160,21 @@ class OperatorSpace:
         self._ints = list(range(self.size))
         self._bases = [col * self.size for col in self.check_cols]
         self._tables = {}  # stop -> {(arity, word, parity) -> _table}
+        self._store = {}  # value -> the one object of that value, for _one
+
+    def _one(self, value):
+        """The space's one object equal to value, an entry pair or a column
+        tuple of a stored matrix or transpose.  A coefficient in value is
+        already exact, so 1 and Fraction(1), which compare and hash equal,
+        never merge."""
+        return self._store.setdefault(value, value)
+
+    def release_build(self):
+        """Drop what only the building of stored matrices reads: the Lie
+        tables of the apply columns and the store of _one.  Matrices built
+        before keep their objects; later builds remake both."""
+        self._tables.pop(self.size, None)
+        self._store = {}
 
     def _table(self, l, w, odd, stop):
         """(interior, wrap): the matches of the word w of arity l on the
@@ -217,12 +238,12 @@ class OperatorSpace:
         """{col: ((row, coeff), ...)} of the Lie action of the cochain on the
         apply columns, in the stored form of _column, its indices the shared
         int objects of _ints."""
-        cols, ints = {}, self._ints
+        cols, ints, one = {}, self._ints, self._one
         for k, v in self.lie_into({}, cochain, self.size).items():
             if v:
                 col, row = divmod(k, self.size)
-                cols.setdefault(ints[col], []).append((ints[row], exact(v)))
-        return {col: tuple(e) for col, e in cols.items()}
+                cols.setdefault(ints[col], []).append(one((ints[row], exact(v))))
+        return {col: one(tuple(e)) for col, e in cols.items()}
 
     def operator_matrix(self, runs):
         """{col: ((row, coeff), ...)} of an operator in run form on the apply
@@ -231,7 +252,7 @@ class OperatorSpace:
         mat = term_matrix(runs, (self.size, len(self.apply_cols)),
                           {n: off[n] for n in range(self.check_weight + 2)}, off)
         return {col: e for col, acc in enumerate(mat.columns())
-                if (e := _column(acc))}
+                if (e := _column(self, acc))}
 
     def boundary_matrix(self):
         return self.operator_matrix(
@@ -255,9 +276,11 @@ def _add_terms(res, groups, terms):
                 res[k] = res.get(k, 0) + c
 
 
-def _column(acc):
-    """The stored form of a column {row: coeff}: a tuple with no zero entries."""
-    return tuple((r, exact(v)) for r, v in acc.items() if v)
+def _column(space, acc):
+    """The stored form of a column {row: coeff}: a tuple with no zero
+    entries, its pairs and itself the space's shared objects."""
+    one = space._one
+    return one(tuple(one((r, exact(v))) for r, v in acc.items() if v))
 
 
 def _columns_of(space, res):
@@ -272,13 +295,13 @@ def _columns_of(space, res):
 def _transpose(space, mat):
     """{row: ((col . size, coeff), ...)} of mat on the check columns: Y by
     rows, each column already a residual key."""
-    rows = {}
+    rows, one = {}, space._one
     for col, entries in mat.items():
         if col < space.ncheck:
             base = space._bases[col]
             for r, v in entries:
-                rows.setdefault(r, []).append((base, v))
-    return {r: tuple(v) for r, v in rows.items()}
+                rows.setdefault(r, []).append(one((base, v)))
+    return {r: one(tuple(v)) for r, v in rows.items()}
 
 
 def _residual(space, res, products, singles=()):
@@ -363,12 +386,15 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, workers=1):
     cochains = basis_cochains(algebra, arity_bound)
     for c in cochains:
         c.arity_bound = 2 * arity_bound
-    # (L_P, L_P by rows over the check columns) for every cochain
-    mats = [(m, _transpose(space, m)) for m in map(space.lie_matrix, cochains)]
     boundary = space.boundary_matrix()
     t_boundary = _transpose(space, boundary)
     connes = space.connes_matrix()
     t_connes = _transpose(space, connes)
+    # (L_P, L_P by rows over the check columns) for every cochain, built
+    # last, so that the apply-column Lie tables never live beside the
+    # assembly of B and b
+    mats = [(m, _transpose(space, m)) for m in map(space.lie_matrix, cochains)]
+    space.release_build()
     reports = []
 
     witness = _bracket_action_witness(space, cochains, mats, arity_bound)

@@ -11,8 +11,8 @@ contraction_blocks projects with the same p.  Trivializations and PTD
 isomorphisms are found by deform.solve_by_levels on block coordinates: the
 unknowns act through [D0, -] on their own m-adic level (the trivialization
 starts slot s from the seed -(1/t) I_{x_s}, x_s the Q cochain in slot s of
-x; the PTD search also carries the kernel directions of lower levels, exact
-through nilpotency order 3).
+x; the PTD search also carries the kernel directions of lower levels that
+move a residual, exact through nilpotency order 3).
 The solves run on slot forms (coeff.Slots): an operator over R is one Q
 BlockOp per ring slot, and the product of two is one Q BlockOp.compose per
 slot pair through the ring's structure constants (_compose, by
@@ -602,23 +602,32 @@ def _ptd_residuals(p, q, c, a, red, ring, constants):
 
 
 def _ptd_system(red, window):
-    """The linear system of the PTD search on red in window, with its kernel:
-    (lin, rref(lin)[1], keys_c, keys_a, rows1, rows0).  The unknowns are c
-    (its sigma >= 0 keys_c), then a (keys_a); the rows are
+    """The linear system of the PTD search on red in window, with the kernel
+    directions it probes: (lin, kernel, keys_c, keys_a, rows1, rows0).  The
+    unknowns are c (its sigma >= 0 keys_c), then a (keys_a); the rows are
       (1) the chain-map residual S, moved by [D0, c], on degree-1 blocks
           (rows1),
       (2) the square residual R, moved by [D0, a] - c, on degree-0 blocks
-          (rows0, after rows1)."""
+          (rows0, after rows1).
+    kernel is rref(lin)[1] less its inert vectors: those with no c part and
+    [D0, a] = 0 as a block operator.  The residuals read a only through
+    [D0, a] (_ptd_residuals), so an inert direction moves no residual, and
+    its probe column in solve_by_levels would be zero, never a pivot."""
     d0, keys_c, rows1 = _d_matrix(red, 0, window)
     d_1, keys_a, rows0 = _d_matrix(red, -1, window)
     off = len(rows1)
     cols0 = d0.columns()
     nonneg = [j for j, key in enumerate(keys_c) if key[0] >= 0]
+    nc = len(nonneg)
     lin = from_columns(
         off + len(rows0),
         [{**cols0[j], off + j: -1} for j in nonneg]
         + [{off + i: v for i, v in col.items()} for col in d_1.columns()])
-    return lin, rref(lin)[1], [keys_c[j] for j in nonneg], keys_a, rows1, rows0
+    D0 = base_differential(red)
+    kernel = [z for z in rref(lin)[1] if min(z) < nc or block_d(
+        D0, _op_of(-1, {keys_a[j - nc]: v for j, v in z.items()}),
+        red.bar_bound, window).blocks]
+    return lin, kernel, [keys_c[j] for j in nonneg], keys_a, rows1, rows0
 
 
 def ptd_isomorphic(p: PTD, q: PTD):

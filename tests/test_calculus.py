@@ -545,6 +545,62 @@ def _check_operator_columns(space, pairs):
                 assert type(v) is int or v.denominator != 1
 
 
+def _typed(x):
+    """x with the type of every scalar in it: 1 and Fraction(1) differ."""
+    return tuple(map(_typed, x)) if isinstance(x, tuple) else (x, type(x))
+
+
+def _assert_one_object_per_value(mats):
+    """Every (row, coeff) pair and every column tuple of the stored matrices
+    mats is the one object of its value, and some values repeat."""
+    first, seen = {}, 0
+    for m in mats:
+        for col in m.values():
+            seen += 1 + len(col)
+            for obj in (col, *col):
+                assert first.setdefault(_typed(obj), obj) is obj, obj
+    assert seen > len(first)
+
+
+@pytest.mark.parametrize("alg", [T3, A2], ids=lambda a: a.name)
+def test_operator_space_holds_one_object_per_value(alg):
+    """The boundary, Connes, Lie and contraction matrices that one
+    OperatorSpace builds at (arity, bar) = (2, 3), and their transposes,
+    hold one object per distinct (row, coeff) entry and per distinct column
+    tuple."""
+    space = OperatorSpace(alg, 3)
+    cochains = basis_cochains(alg, 2)
+    for c in cochains:
+        c.arity_bound = 4
+    mats = [space.boundary_matrix(), space.connes_matrix(),
+            *map(space.lie_matrix, cochains), *map(space.contraction_matrix, cochains)]
+    _assert_one_object_per_value(mats + [calculus._transpose(space, m) for m in mats])
+
+
+def test_shared_entries_stay_exact_after_a_half_integral_cochain():
+    """A half-integral cochain whose Lie action sums halves to integers,
+    built first on a space, shares those integral entries with the integral
+    matrices built after it, and every entry of all of them is still a
+    nonzero int or non-integral Fraction: entries are looked up once exact,
+    so 1 and Fraction(1) never merge."""
+    space = OperatorSpace(T3, 2)
+    half = Cochain(T3, {1: {(1,): {1: Fraction(1, 2)}, (2,): {2: Fraction(1, 2)}}}, 0, 4)
+    first = [space.lie_matrix(half), space.contraction_matrix(half)]
+    cochains = basis_cochains(T3, 2)
+    for c in cochains:
+        c.arity_bound = 4
+    later = [space.boundary_matrix(), space.connes_matrix(),
+             *map(space.lie_matrix, cochains)]
+    mats = first + later + [calculus._transpose(space, m) for m in first + later]
+    for m in mats:
+        for entries in m.values():
+            for _, v in entries:
+                assert v != 0 and (type(v) is int or v.denominator != 1)
+    summed = {id(e) for c in first[0].values() for e in c if type(e[1]) is int}
+    assert summed & {id(e) for m in later for c in m.values() for e in c}
+    _assert_one_object_per_value(mats)
+
+
 def test_lie_action_hand_expansion():
     # P: x -> x, arity 1.  On 1 x [x]: the interior term replaces x by P(x),
     # the wrap term feeds a_0 = 1 to the normalized P and dies.

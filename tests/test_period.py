@@ -32,8 +32,8 @@ from ncperiod.period import (
     trivialize_periodic,
     vdb_duality_check,
 )
-from ncperiod.cyclic import perturbation_transfer, reduce_mixed_complex
-from ncperiod.exactlin import from_columns
+from ncperiod.cyclic import default_bar_bound, perturbation_transfer, reduce_mixed_complex
+from ncperiod.exactlin import from_columns, rref
 from ncperiod.hochschild import (
     Cochain,
     chain_add,
@@ -471,21 +471,22 @@ def _as_dicts(*ops):
     return [(op.deg, op.blocks) for op in ops]
 
 
-def _ptd_pairs():
+def _ptd_pairs(t2=T2, t3=T3):
     """The PTD pairs of the deform_period benchmark: T2 over Q[eps]/eps^3
     against a gauge transform (iso), a rescaling (iso) and a doubling (not
-    iso) of x, and the second-order T3 gauge pair (iso)."""
+    iso) of x, and the second-order T3 gauge pair (iso), on the instances
+    t2 and t3 of T2 and T3."""
     R3 = build_truncated_poly(1, 3)
     eps, eps2 = R3.gen("eps"), R3.gen("eps^2")
-    x = MCElement(R3, cochain_over_ring(T2, R3, {2: {(1, 1): {0: eps}}}, 1, 6))
+    x = MCElement(R3, cochain_over_ring(t2, R3, {2: {(1, 1): {0: eps}}}, 1, 6))
     alpha = GaugeElement(R3, cochain_over_ring(
-        T2, R3, {1: {(1,): {1: eps, 0: eps2 * 3}}}, 0, 6))
-    xx = MCElement(R3, cochain_over_ring(T2, R3, {2: {(1, 1): {0: eps + eps2}}}, 1, 6))
+        t2, R3, {1: {(1,): {1: eps, 0: eps2 * 3}}}, 0, 6))
+    xx = MCElement(R3, cochain_over_ring(t2, R3, {2: {(1, 1): {0: eps + eps2}}}, 1, 6))
     x2 = MCElement(R3, x.value.scaled(2))
-    p = period_map_artin(T2, x, WINDOW)
-    pairs = [(p, period_map_artin(T2, y, WINDOW)) for y in (gauge_act(alpha, x), xx, x2)]
-    x3, y3 = _t3_gauge_pair(R3)
-    pairs.append((period_map_artin(T3, x3, WINDOW), period_map_artin(T3, y3, WINDOW)))
+    p = period_map_artin(t2, x, WINDOW)
+    pairs = [(p, period_map_artin(t2, y, WINDOW)) for y in (gauge_act(alpha, x), xx, x2)]
+    x3, y3 = _t3_gauge_pair(R3, t3)
+    pairs.append((period_map_artin(t3, x3, WINDOW), period_map_artin(t3, y3, WINDOW)))
     return pairs
 
 
@@ -513,11 +514,13 @@ def test_ptd_residuals_match_full_exponential_reference(monkeypatch):
     assert len(inverses) == 4 and sum(seen) > 100
 
 
-def test_ptd_witnesses_match_full_exponential_search(monkeypatch):
-    def outcome(result):
-        ok, found = result
-        return ok, (_as_dicts(*found) if ok else found)
+def _outcome(result):
+    """A PTD search's (status, witness), the witness as block dicts."""
+    ok, found = result
+    return ok, (_as_dicts(*found) if ok else found)
 
+
+def test_ptd_witnesses_match_full_exponential_search(monkeypatch):
     def reference_residuals(p, q, c, a, red, ring, inverses):
         """The reference residuals on the slot forms the search keeps."""
         S, R = _reference_ptd_residuals(p, q, ring_op(c, 0), ring_op(a, -1), red, ring,
@@ -525,10 +528,53 @@ def test_ptd_witnesses_match_full_exponential_search(monkeypatch):
         return op_slots(ring, S), op_slots(ring, R)
 
     pairs = _ptd_pairs()
-    got = [outcome(ptd_isomorphic(p, q)) for p, q in pairs]
+    got = [_outcome(ptd_isomorphic(p, q)) for p, q in pairs]
     monkeypatch.setattr(period, "_ptd_constants", _reference_inverses)
     monkeypatch.setattr(period, "_ptd_residuals", reference_residuals)
-    assert got == [outcome(ptd_isomorphic(p, q)) for p, q in pairs]
+    assert got == [_outcome(ptd_isomorphic(p, q)) for p, q in pairs]
+
+
+def _inert(red, system, z):
+    """Is the kernel vector z of the PTD system on red one with no c part
+    and [D0, a] = 0, so that it moves no PTD residual?"""
+    nc, keys_a = len(system[2]), system[3]
+    if any(j < nc for j in z):
+        return False
+    a = period._op_of(-1, {keys_a[j - nc]: v for j, v in z.items()})
+    return block_d(period.base_differential(red), a, red.bar_bound, WINDOW).is_zero()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ptd_system_keeps_the_kernel_less_its_inert_directions(n):
+    """The PTD search probes every vector of the kernel of lin that moves a
+    residual and none that cannot: with no c part and [D0, a] = 0 it would
+    add a zero column to every stacked system."""
+    alg = build_truncated_polynomial_algebra(n)
+    red = reduce_mixed_complex(alg, default_bar_bound(alg, 2, WINDOW[1]))
+    system = period._ptd_system(red, WINDOW)
+    full = rref(system[0])[1]
+    moving = [z for z in full if not _inert(red, system, z)]
+    assert system[1] == moving
+    assert len(full) > len(moving) > 0
+
+
+def test_ptd_witnesses_unchanged_with_the_inert_directions_probed(monkeypatch):
+    """Probing the whole kernel of lin, the inert directions too, gives the
+    status and witness of the search without them on the T2 gauge, rescale
+    and scaled2 pairs and the second-order T3 pair."""
+    def fresh_pairs():
+        return _ptd_pairs(*map(build_truncated_polynomial_algebra, (2, 3)))
+
+    got = [_outcome(ptd_isomorphic(p, q)) for p, q in fresh_pairs()]
+    real = period._ptd_system
+
+    def full_kernel(red, window):
+        lin, _, *rest = real(red, window)
+        return (lin, rref(lin)[1], *rest)
+
+    monkeypatch.setattr(period, "_ptd_system", full_kernel)
+    assert got == [_outcome(ptd_isomorphic(p, q)) for p, q in fresh_pairs()]
+    assert [ok for ok, _ in got] == [True, True, False, True]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
