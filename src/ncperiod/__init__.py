@@ -28,12 +28,10 @@ from .cyclic import (
 )
 from .deform import (
     AlgebraOverArtin,
-    DeformedMixedComplex,
     GaugeElement,
     MCElement,
     NotMaurerCartan,
     deform_algebra,
-    deformed_mixed_complex,
     gauge_act,
     gauge_equivalent,
     lift_order_by_order,

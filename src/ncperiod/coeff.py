@@ -372,69 +372,3 @@ def build_truncated_poly(num_vars: int, order: int) -> ArtinLocalRing:
 
 def dual_numbers() -> ArtinLocalRing:
     return build_truncated_poly(1, 2)
-
-
-def fiber_product(r1: ArtinLocalRing, r2: ArtinLocalRing):
-    """R1 x_Q R2 as an explicit table (maps to the common quotient = augmentation).
-
-    Only the residue-field fiber product is supported, which is what the
-    small-extension induction needs: pairs (a, b) with equal augmentations.
-    Basis: unit, then m_{R1}-basis, then m_{R2}-basis.
-    """
-    labels = ["1"]
-    labels += [f"l:{r1.basis_labels[i]}" for i in r1.maximal_ideal]
-    labels += [f"r:{r2.basis_labels[j]}" for j in r2.maximal_ideal]
-    n1 = len(r1.maximal_ideal)
-
-    def emb1(i):  # index of r1 maximal-ideal basis element in the product
-        return 1 + r1.maximal_ideal.index(i)
-
-    def emb2(j):
-        return 1 + n1 + r2.maximal_ideal.index(j)
-
-    table = {(0, 0): {0: 1}}
-    for k in range(1, len(labels)):
-        table[0, k] = {k: 1}
-        table[k, 0] = {k: 1}
-    for r, emb in ((r1, emb1), (r2, emb2)):
-        for i in r.maximal_ideal:
-            for j in r.maximal_ideal:
-                col = {}
-                for k, v in r.table.get((i, j), {}).items():
-                    if k == 0:
-                        raise NotArtinLocal("unexpected unit component")
-                    col[emb(k)] = v
-                if col:
-                    table[emb(i), emb(j)] = col
-    # mixed products vanish: both factors lie over distinct ideal summands
-    return ArtinLocalRing(labels, table)
-
-
-def reduction_to_q(ring: ArtinLocalRing):
-    """The augmentation R -> Q as a callable."""
-    def red(x):
-        return x.augmentation
-    return red
-
-
-def truncation_map(ring: ArtinLocalRing, order: int):
-    """R -> R/m^order for the monomial-shaped rings, as (quotient, apply).
-
-    Implemented for truncated polynomial rings where basis elements have a
-    well-defined m-adic level.
-    """
-    keep = [i for i in range(ring.dim) if ring.levels[i] < order]
-    labels = [ring.basis_labels[i] for i in keep]
-    pos = {i: p for p, i in enumerate(keep)}
-    table = {}
-    for (i, j), col in ring.table.items():
-        if i in pos and j in pos:
-            entry = {pos[k]: v for k, v in col.items() if k in pos}
-            if entry:
-                table[pos[i], pos[j]] = entry
-    quo = ArtinLocalRing(labels, table)
-
-    def apply(x):
-        return RingElement(quo, [x.coeffs[i] for i in keep])
-
-    return quo, apply

@@ -19,9 +19,11 @@ filtration (the small-extension induction of Goldman-Millson), each step is
 one affine-linear solve over Q on the lowest nonzero level of a residual.
 Its unknowns are a copy of a fixed linear map's columns per ring slot of that
 level, plus the kernel directions left free by the lower levels, whose
-effect is probed by evaluating the residual.  That probing is exact through
-nilpotency order 3; beyond it a found solution is still exact, but a failure
-only says the linearized search ran out.  gauge_equivalent and
+effect on this level and on the solved levels below it is probed by
+evaluating the residual at coefficient 1.  Taking that effect as linear in
+the coefficient is exact through nilpotency order 3; beyond it a found
+solution is still exact, but a failure only says the linearized search ran
+out.  gauge_equivalent and
 lift_order_by_order here, and trivialize_periodic and ptd_isomorphic in
 period, are its four callers.  Their states are slot forms, a residual's
 ring-slot coordinates are read off its Q slots, and a shift adds a Q object
@@ -48,16 +50,12 @@ from .coeff import (
 )
 from .exactlin import chain_add, express_in_homology, from_columns, solve
 from .hochschild import (
-    ChainBasis,
     Cochain,
     CochainBasis,
     _bound,
     _brace_into,
     _cochain_diff_matrix,
     _cohomology_spot,
-    connes_B,
-    hochschild_boundary,
-    lie_action,
     structure_as_cochain,
 )
 
@@ -123,10 +121,6 @@ class GaugeElement(_Slotted):
 
     def __post_init__(self):
         _require_in_m("gauge", self.value, 0)
-
-
-def zero_mc(algebra, ring, arity_bound=4):
-    return MCElement(ring, Cochain(algebra, {}, 1, arity_bound))
 
 
 def cochain_over_ring(algebra, ring, components, sdeg, arity_bound=None):
@@ -248,8 +242,7 @@ def deform_algebra(algebra, x: MCElement) -> AlgebraOverArtin:
 # -- m-adic affine solving -------------------------------------------------------------
 
 
-def solve_by_levels(ring, lin, residual, shift, state, kernel=(), seed=None,
-                    steps=None):
+def solve_by_levels(ring, lin, residual, shift, state, kernel=(), seed=None):
     """Drive residual(state) to zero along the m-adic filtration of ring.
 
     residual(state) is {(slot, row): Fraction}, the ring-slot coordinates of
@@ -262,17 +255,20 @@ def solve_by_levels(ring, lin, residual, shift, state, kernel=(), seed=None,
     stacked system with rhs = -(that level's slice): a copy of lin's columns
     per ring slot of the level (slots in increasing order), then one probe
     column per pending ambiguity -- a kernel vector placed in a slot of a
-    lower level, whose effect on this level is measured by evaluating the
-    residual.  The probes linearize that effect, which is exact through
-    nilpotency order 3; for deeper rings a solved state is still exact, while
-    a failure may only mean the linearized search was exhausted.  With
+    lower level, whose effect on this level and on every solved level below
+    it is measured by evaluating the residual.  Those lower rows have rhs 0,
+    so a combination of probes leaves the solved levels solved.  Each probe
+    is evaluated at coefficient 1 and taken as linear in its coefficient,
+    which is exact through nilpotency order 3; for deeper rings, where a
+    coefficient can also act quadratically, a solved state is still exact,
+    while a failure may only mean the linearized search was exhausted.  With
     seed(slot) -> vector, each slot of the residual at that level starts
     from that fixed part and its effect moves into the right-hand side.
 
     Returns (state, None) once the residual vanishes.  Otherwise returns
     (state, (level, rhs)) where the system of that level has no solution
     (state before that step, rhs {(slot, row): q}), or (state, (None, res))
-    with the residual left when `steps` (default nilpotency order + 1) ran out.
+    with the residual left after nilpotency order + 1 steps.
     """
     levels = ring.levels
     cols = lin.columns()
@@ -284,7 +280,7 @@ def solve_by_levels(ring, lin, residual, shift, state, kernel=(), seed=None,
             pending.extend((s, z) for s in range(ring.dim) if levels[s] == level
                            for z in kernel)
 
-    for _ in range(steps or ring.nilpotency_order + 1):
+    for _ in range(ring.nilpotency_order + 1):
         res = residual(state)
         if not res:
             return state, None
@@ -300,7 +296,7 @@ def solve_by_levels(ring, lin, residual, shift, state, kernel=(), seed=None,
         for s, z in pending:
             delta = {key: -q for key, q in at.items()}
             for key, q in residual(shift(state, {s: z})).items():
-                if levels[key[0]] == level:
+                if levels[key[0]] <= level:
                     chain_add(delta, key, q)
             stacked.append({rows.setdefault(key, len(rows)): q
                             for key, q in delta.items()})
@@ -350,8 +346,9 @@ def gauge_equivalent(x: MCElement, y: MCElement):
     Both must be Maurer-Cartan over the same ring.  solve_by_levels walks the
     m-adic filtration: the unknowns are the new slice of alpha (effect d on
     the residual y - e^alpha . x) together with the cocycle directions left
-    free by the lower levels, so None means the linearized search was
-    exhausted (see solve_by_levels for the nilpotency order 3 caveat).
+    free by the lower levels.  Through nilpotency order 3 None means that no
+    gauge exists; over deeper rings it means only that the search, linear in
+    the coefficients of those directions, found none (see solve_by_levels).
     Degree-0 algebras only, so the unknown sits in arity 1 and the residual
     in arity 2; the free directions are the cycles of the HH^1 spot.
     """
@@ -398,7 +395,7 @@ def lift_order_by_order(algebra, x_low: MCElement, ring: ArtinLocalRing):
     lifted, blocked = solve_by_levels(
         ring, _cochain_diff_matrix(algebra, 2),
         lambda c: _cochain_rows(mc_residual(algebra, c), cb3),
-        lambda c, vecs: _shift_cochain(c, cb2, vecs, bound), x, steps=1)
+        lambda c, vecs: _shift_cochain(c, cb2, vecs, bound), x)
     if blocked is None:
         return "lift", MCElement(ring, ring_cochain(lifted, algebra, 1, bound))
     level, rhs = blocked
@@ -415,60 +412,3 @@ def obstruction_class(algebra, parts):
     degree-3 cohomology basis of the flat complex, where they lie."""
     spot = _cohomology_spot(algebra, 3)
     return {ridx: express_in_homology(spot, vec) for ridx, vec in parts.items()}
-
-
-# -- deformed mixed complex -------------------------------------------------------------
-
-
-@dataclass
-class DeformedMixedComplex:
-    ring: ArtinLocalRing
-    algebra: object
-    x: MCElement
-
-    def boundary(self, chain):
-        """d + L_x as L_{b + x}, the boundary of the deformed structure."""
-        return hochschild_boundary(structure_as_cochain(self.algebra).add(self.x.value),
-                                   chain)
-
-    def connes(self, chain):
-        return connes_B(self.algebra, chain)
-
-    def undeformed_plus_lie(self, chain):
-        """d tensor R + L_x, assembled from the two summands separately."""
-        out = hochschild_boundary(structure_as_cochain(self.algebra), chain)
-        for k, v in lie_action(self.algebra, self.x.value, chain).items():
-            chain_add(out, k, v)
-        return out
-
-    def verify(self, bar_bound=4):
-        """Square-zero, the two-summand identity, and [B, L_x] = 0."""
-        basis = ChainBasis(self.algebra, bar_bound + 1)
-        for a0, word in basis.keys:
-            if len(word) > bar_bound:
-                continue
-            c = {(a0, word): 1}
-            if self.boundary(c) != self.undeformed_plus_lie(c):
-                return False
-            if self.boundary(self.boundary(c)):
-                return False
-            if len(word) <= bar_bound - 1:
-                acc = connes_B(self.algebra, lie_action(self.algebra, self.x.value, c))
-                sgn = -1 if self.x.value.sdeg % 2 else 1
-                for k, v in lie_action(
-                    self.algebra, self.x.value, connes_B(self.algebra, c)
-                ).items():
-                    chain_add(acc, k, -sgn * v)
-                if acc:
-                    return False
-        return True
-
-
-def deformed_mixed_complex(algebra, x: MCElement) -> DeformedMixedComplex:
-    _require_mc(algebra, x)
-    return DeformedMixedComplex(ring=x.ring, algebra=algebra, x=x)
-
-
-def push_mc(x: MCElement, target: ArtinLocalRing, apply_map) -> MCElement:
-    """Functoriality: apply a ring map coefficientwise."""
-    return MCElement(target, x.value.map_coefficients(apply_map))

@@ -362,14 +362,6 @@ def solve(m: SparseMatrix, rhs):
     return x
 
 
-def member(span_vectors, vec):
-    """Is vec (sparse dict) in the span of span_vectors (sparse dicts)?"""
-    span = IncrementalSpan()
-    for v in span_vectors:
-        span.add(v)
-    return span.contains(vec)
-
-
 @dataclass
 class SubquotientBasis:
     """Cycles, boundaries and chosen homology representatives at one spot."""

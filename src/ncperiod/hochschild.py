@@ -206,11 +206,6 @@ def basis_cochains(algebra, arity_bound, sdeg=None):
     return out
 
 
-def unit_cochain(algebra, arity_bound=None):
-    """1 in Hom(k, A): the arity-0 cochain with value the unit."""
-    return Cochain(algebra, {0: {(): {0: 1}}}, algebra.degrees[0] - 1, arity_bound)
-
-
 # -- signs -----------------------------------------------------------------------
 # The sign rules of the chain operators, used by the per-key term generators
 # and by the run-form assembly alike.  Every argument enters only through its

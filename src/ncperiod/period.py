@@ -315,12 +315,13 @@ def vdb_duality_check(algebra, d, pi_chain, degree_range):
 
     pi_chain: a cycle of the flat normalized complex representing a class
     in HH_d; ValueError if one of its keys has a bar weight other than d.
+    HH is computed at every degree d - s >= 0 that a verdict reads.
     """
     if any(len(word) != d for _, word in pi_chain):
         raise ValueError(f"pi_chain has a chain outside bar weight {d}")
     degrees = sorted(degree_range)
     top = max(degrees)
-    hh = flat_hochschild_homology(algebra, range(0, max(d, top - 0) + 1 + 1))
+    hh = flat_hochschild_homology(algebra, {d - s for s in degrees if d - s >= 0})
     hhc = hochschild_cohomology(algebra, range(0, top + 1))
     out = {}
     for s in degrees:

@@ -14,8 +14,14 @@ from ncperiod.algebra import (
     change_basis,
     kronecker_algebra,
 )
-from ncperiod.coeff import slot_coordinates
-from ncperiod.deform import MCElement
+from ncperiod.coeff import (
+    ArtinLocalRing,
+    NotArtinLocal,
+    RingElement,
+    build_truncated_poly,
+    slot_coordinates,
+)
+from ncperiod.deform import GaugeElement, MCElement, cochain_over_ring, mc_residual
 from ncperiod.exactlin import (
     IncrementalSpan,
     SparseMatrix,
@@ -27,14 +33,18 @@ from ncperiod.exactlin import (
 )
 from ncperiod.hochschild import (
     ArityBoundExceeded,
+    ChainBasis,
     Cochain,
     CochainBasis,
     _cochain_diff_matrix,
     boundary_matrices,
     chain_spaces,
     cochain_differential,
+    connes_B,
     connes_matrices,
     gerstenhaber_bracket,
+    hochschild_boundary,
+    lie_action,
     structure_as_cochain,
 )
 from ncperiod.period import _op_of
@@ -317,6 +327,23 @@ def random_first_order_mc(alg, ring, rng, arity_bound=6):
     return MCElement(ring, value)
 
 
+def t2_eps4_gauge_grid():
+    """(x, [alpha]) over Q[eps]/eps^4 on Q[x]/x^2: x is x . x = eps, and the
+    99 gauges are c1 E + c0 (x -> 1), E the Euler derivation x -> x, with c0
+    and c1 drawn from 0, +-eps, +-eps^2, +-eps^3 and the sums of two of
+    eps, eps^2, eps^3, not both 0."""
+    alg = build_truncated_polynomial_algebra(2)
+    ring = build_truncated_poly(1, 4)
+    gens = [ring.gen(k) for k in ("eps", "eps^2", "eps^3")]
+    cs = ([ring.zero()] + [s * g for g in gens for s in (1, -1)]
+          + [a + b for a, b in itertools.combinations(gens, 2)])
+    x = MCElement(ring, cochain_over_ring(alg, ring, {2: {(1, 1): {0: gens[0]}}}, 1, 6))
+    alphas = [GaugeElement(ring, cochain_over_ring(
+                  alg, ring, {1: {(1,): {t: c for t, c in ((1, c1), (0, c0)) if c}}}, 0, 6))
+              for c1, c0 in itertools.product(cs, repeat=2) if c1 or c0]
+    return x, alphas
+
+
 # -- bar-level conjugation: an independent route for the gauge dictionary -----------
 
 
@@ -538,3 +565,115 @@ def two_series_gauge_act(alpha, x):
         term = gerstenhaber_bracket(alpha.value, term).scaled(Fraction(1, k + 2))
         k += 1
     return out
+
+
+# -- ring maps, Maurer-Cartan and span utilities that only the tests call ------------
+
+
+def fiber_product(r1: ArtinLocalRing, r2: ArtinLocalRing):
+    """R1 x_Q R2 as an explicit table (maps to the common quotient = augmentation).
+
+    Only the residue-field fiber product is supported, which is what the
+    small-extension induction needs: pairs (a, b) with equal augmentations.
+    Basis: unit, then m_{R1}-basis, then m_{R2}-basis.
+    """
+    labels = ["1"]
+    labels += [f"l:{r1.basis_labels[i]}" for i in r1.maximal_ideal]
+    labels += [f"r:{r2.basis_labels[j]}" for j in r2.maximal_ideal]
+    n1 = len(r1.maximal_ideal)
+
+    def emb1(i):  # index of r1 maximal-ideal basis element in the product
+        return 1 + r1.maximal_ideal.index(i)
+
+    def emb2(j):
+        return 1 + n1 + r2.maximal_ideal.index(j)
+
+    table = {(0, 0): {0: 1}}
+    for k in range(1, len(labels)):
+        table[0, k] = {k: 1}
+        table[k, 0] = {k: 1}
+    for r, emb in ((r1, emb1), (r2, emb2)):
+        for i in r.maximal_ideal:
+            for j in r.maximal_ideal:
+                col = {}
+                for k, v in r.table.get((i, j), {}).items():
+                    if k == 0:
+                        raise NotArtinLocal("unexpected unit component")
+                    col[emb(k)] = v
+                if col:
+                    table[emb(i), emb(j)] = col
+    # mixed products vanish: both factors lie over distinct ideal summands
+    return ArtinLocalRing(labels, table)
+
+
+def truncation_map(ring: ArtinLocalRing, order: int):
+    """R -> R/m^order for the monomial-shaped rings, as (quotient, apply).
+
+    Implemented for truncated polynomial rings where basis elements have a
+    well-defined m-adic level.
+    """
+    keep = [i for i in range(ring.dim) if ring.levels[i] < order]
+    labels = [ring.basis_labels[i] for i in keep]
+    pos = {i: p for p, i in enumerate(keep)}
+    table = {}
+    for (i, j), col in ring.table.items():
+        if i in pos and j in pos:
+            entry = {pos[k]: v for k, v in col.items() if k in pos}
+            if entry:
+                table[pos[i], pos[j]] = entry
+    quo = ArtinLocalRing(labels, table)
+
+    def apply(x):
+        return RingElement(quo, [x.coeffs[i] for i in keep])
+
+    return quo, apply
+
+
+def push_mc(x: MCElement, target: ArtinLocalRing, apply_map) -> MCElement:
+    """Functoriality: apply a ring map coefficientwise."""
+    return MCElement(target, x.value.map_coefficients(apply_map))
+
+
+def zero_mc(algebra, ring, arity_bound=4):
+    return MCElement(ring, Cochain(algebra, {}, 1, arity_bound))
+
+
+def unit_cochain(algebra, arity_bound=None):
+    """1 in Hom(k, A): the arity-0 cochain with value the unit."""
+    return Cochain(algebra, {0: {(): {0: 1}}}, algebra.degrees[0] - 1, arity_bound)
+
+
+def member(span_vectors, vec):
+    """Is vec (sparse dict) in the span of span_vectors (sparse dicts)?"""
+    span = IncrementalSpan()
+    for v in span_vectors:
+        span.add(v)
+    return span.contains(vec)
+
+
+def deformed_mixed_complex_holds(algebra, x, bar_bound=4):
+    """The deformed mixed complex (C tensor R, d + L_x, B) of an MC element x
+    on the basis chains of weight <= bar_bound: x is Maurer-Cartan, L_{b+x}
+    (hochschild_boundary of b.add(x)) equals L_b + L_x, (d + L_x)^2 = 0, and
+    [B, L_x] = 0 below the top weight."""
+    if not mc_residual(algebra, x).is_zero():
+        return False
+    deformed = structure_as_cochain(algebra).add(x.value)
+    sgn = -1 if x.value.sdeg % 2 else 1
+    for a0, word in ChainBasis(algebra, bar_bound + 1).keys:
+        if len(word) > bar_bound:
+            continue
+        c = {(a0, word): 1}
+        dc = hochschild_boundary(deformed, c)
+        split = hochschild_boundary(structure_as_cochain(algebra), c)
+        for k, v in lie_action(algebra, x.value, c).items():
+            chain_add(split, k, v)
+        if dc != split or hochschild_boundary(deformed, dc):
+            return False
+        if len(word) <= bar_bound - 1:
+            acc = connes_B(algebra, lie_action(algebra, x.value, c))
+            for k, v in lie_action(algebra, x.value, connes_B(algebra, c)).items():
+                chain_add(acc, k, -sgn * v)
+            if acc:
+                return False
+    return True

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import graded_tables
+from conftest import graded_tables, member, unit_cochain
 from ncperiod import calculus, hochschild
 from ncperiod.algebra import (
     DgAlgebra,
@@ -24,7 +24,7 @@ from ncperiod.calculus import (
     verify_lie_dagger,
 )
 from ncperiod import exactlin
-from ncperiod.exactlin import express_in_homology, member, solve
+from ncperiod.exactlin import express_in_homology, solve
 from ncperiod.hochschild import (
     Cochain,
     basis_cochains,
@@ -39,7 +39,6 @@ from ncperiod.hochschild import (
     hochschild_homology,
     lie_action,
     structure_as_cochain,
-    unit_cochain,
 )
 
 D = build_truncated_polynomial_algebra(2)
@@ -168,7 +167,6 @@ def test_contraction_cup_composition_rule():
 
 def test_contraction_commutator_vanishes_on_homology():
     """[I_P, I_Q] acts by zero on HH_* classes (strict-commutativity form)."""
-    from ncperiod.exactlin import member
     from ncperiod.hochschild import cocycle_representatives, hochschild_homology
 
     hh = hochschild_homology(D, range(0, 4))

@@ -301,6 +301,21 @@ def test_gauge_check_cli(tmp_path):
     assert code == 0 and "gauge-equivalent: True" in out
 
 
+def test_gauge_check_cli_over_eps4(tmp_path):
+    """x . x = eps and x . x = eps - 2 eps^3 are gauge-equivalent by the
+    rescaling x -> e^{eps^2} x."""
+    p1 = [{"word": ["x", "x"], "out": "1", "coeffs": {"eps": 1}}]
+    p2 = [{"word": ["x", "x"], "out": "1", "coeffs": {"eps": 1, "eps^3": -2}}]
+    f1 = tmp_path / "x.json"
+    f2 = tmp_path / "y.json"
+    f1.write_text(json.dumps(p1))
+    f2.write_text(json.dumps(p2))
+    code, out = run_cli(["deform", "gauge-check", "--algebra", "trunc_poly:2",
+                         "--ring", "eps^4", "--mc-file", str(f1),
+                         "--mc-file2", str(f2)])
+    assert code == 0 and "gauge-equivalent: True" in out
+
+
 def test_float_in_mc_file_is_parse_error(tmp_path):
     # a JSON float is a binary fraction (0.1 = 3602879701896397/2^55), not 1/10
     alg = resolve_algebra("trunc_poly:2")

@@ -4,14 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import conjugated_structure_component, random_first_order_mc
+from conftest import (
+    conjugated_structure_component,
+    deformed_mixed_complex_holds,
+    push_mc,
+    random_first_order_mc,
+    t2_eps4_gauge_grid,
+    truncation_map,
+    zero_mc,
+)
 from ncperiod.algebra import (
     DgAlgebra,
     a2_quiver_algebra,
     build_matrix_algebra,
     build_truncated_polynomial_algebra,
 )
-from ncperiod.coeff import build_truncated_poly, dual_numbers, truncation_map
+from ncperiod.coeff import build_truncated_poly, dual_numbers
 from ncperiod.deform import (
     AlgebraOverArtin,
     GaugeElement,
@@ -19,14 +27,11 @@ from ncperiod.deform import (
     NotMaurerCartan,
     cochain_over_ring,
     deform_algebra,
-    deformed_mixed_complex,
     gauge_act,
     gauge_equivalent,
     lift_order_by_order,
     mc_residual,
-    push_mc,
     solve_by_levels,
-    zero_mc,
 )
 from ncperiod.exactlin import SparseMatrix, solve
 from ncperiod.hochschild import (
@@ -181,22 +186,41 @@ def test_gauge_equivalent_distinct_classes_obstructed():
     assert gauge_equivalent(x, y) is None
 
 
+def test_gauge_equivalent_finds_every_gauge_of_the_eps4_grid():
+    """Over Q[eps]/eps^4 a probe placed in the eps slot also moves level 2,
+    whose class is the nonzero HH^2 class of x; a probe combination must leave
+    that solved level at zero, or the search runs out and reports None for
+    40 of these 99 gauge-equivalent pairs."""
+    x, alphas = t2_eps4_gauge_grid()
+    assert len(alphas) == 99
+    for alpha in alphas:
+        y = gauge_act(alpha, x)
+        w = gauge_equivalent(x, y)
+        assert w is not None, alpha.value.components
+        assert gauge_act(w, x).value.add(y.value, scale=-1).is_zero()
+
+
+@pytest.mark.parametrize("ring", [R3, R4], ids=["eps3", "eps4"])
+def test_gauge_equivalent_distinct_first_order_classes_stay_none(ring):
+    x = MCElement(ring, cochain_over_ring(D, ring, {2: {(1, 1): {0: ring.gen(1)}}}, 1, 6))
+    assert gauge_equivalent(x, MCElement(ring, x.value.scaled(2))) is None
+
+
 def test_deformed_mixed_complex_identities():
-    x = hh2_generator()
-    cx = deformed_mixed_complex(D, x)
-    assert cx.verify(bar_bound=4)
+    assert deformed_mixed_complex_holds(D, hh2_generator(), bar_bound=4)
 
 
 def test_deformed_complex_conjugation_by_gauge():
     """Gauge-equivalent deformations give conjugate deformed boundaries:
     e^{L_alpha} (d + L_x) e^{-L_alpha} = d + L_y exactly on low weights."""
-    from ncperiod.hochschild import ChainBasis, chain_add, lie_action
+    from ncperiod.hochschild import ChainBasis, chain_add, hochschild_boundary, lie_action
 
     x = hh2_generator()
     alpha = GaugeElement(R2, cochain_over_ring(D, R2, {1: {(1,): {1: EPS}}}, 0, 6))
     y = gauge_act(alpha, x)
-    cx_x = deformed_mixed_complex(D, x)
-    cx_y = deformed_mixed_complex(D, y)
+    assert mc_residual(D, x).is_zero() and mc_residual(D, y).is_zero()
+    bx = structure_as_cochain(D).add(x.value)
+    by = structure_as_cochain(D).add(y.value)
     basis = ChainBasis(D, 5)
 
     def exp_l(chain, sign):
@@ -226,8 +250,8 @@ def test_deformed_complex_conjugation_by_gauge():
         if len(word) > 4:
             continue
         c = {(a0, word): 1}
-        lhs = exp_l(cx_x.boundary(exp_l(c, -1)), +1)
-        rhs = cx_y.boundary(c)
+        lhs = exp_l(hochschild_boundary(bx, exp_l(c, -1)), +1)
+        rhs = hochschild_boundary(by, c)
         diff = dict(lhs)
         for kk, v in rhs.items():
             chain_add(diff, kk, -v)

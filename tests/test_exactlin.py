@@ -5,7 +5,13 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import degree0_algebras, full_pivot_columns, greedy_homology_reps, transpose
+from conftest import (
+    degree0_algebras,
+    full_pivot_columns,
+    greedy_homology_reps,
+    member,
+    transpose,
+)
 from ncperiod import cyclic, exactlin
 from ncperiod.algebra import (
     a2_quiver_algebra,
@@ -24,7 +30,6 @@ from ncperiod.exactlin import (
     express_in_homology,
     from_columns,
     homology_at,
-    member,
     rank,
     rref,
     solve,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_first_order_mc
+from conftest import random_first_order_mc, unit_cochain
 
 from ncperiod.algebra import (
     DgAlgebra,
@@ -36,7 +36,6 @@ from ncperiod.hochschild import (
     hochschild_homology,
     lie_terms,
     structure_as_cochain,
-    unit_cochain,
 )
 
 FIVE = [

@@ -178,8 +178,8 @@ def test_one_homology_walk():
     generator; pivot columns are taken only for rank and the walk's top
     differential; the homology representatives come from one echelon, not
     an incremental span.  An IncrementalSpan is built only for a membership
-    test: the induced rank, exactlin.member and the boundary span a spot
-    keeps for SubquotientBasis.is_boundary.  Every reader of HH^* goes
+    test: the induced rank and the boundary span a spot keeps for
+    SubquotientBasis.is_boundary.  Every reader of HH^* goes
     through the cohomology spot, and no other cochain-side function runs an
     elimination of its own."""
     assert set(_call_sites("homology_walk")) == {
@@ -205,8 +205,7 @@ def test_one_homology_walk():
                "_echelon", "IncrementalSpan", "member", "solve")
     assert not [(name, site) for name in kernels for site in _call_sites(name)
                 if site[0] == "hochschild"]
-    assert set(_call_sites("IncrementalSpan")) == {("exactlin", "member"),
-                                                   ("exactlin", "is_boundary"),
+    assert set(_call_sites("IncrementalSpan")) == {("exactlin", "is_boundary"),
                                                    ("cyclic", "_induced_rank")}
 
 
@@ -521,8 +520,7 @@ def test_one_slot_rule():
         ("deform", "_require_mc"), ("deform", "validate")}
     assert set(_call_sites("_require_mc")) == {
         ("deform", "deform_algebra"), ("deform", "gauge_equivalent"),
-        ("deform", "lift_order_by_order"), ("deform", "deformed_mixed_complex"),
-        ("period", "trivialize_periodic")}
+        ("deform", "lift_order_by_order"), ("period", "trivialize_periodic")}
 
 
 def test_slot_rule_scans_find_a_copy():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import ncperiod.period as period
-from conftest import level_slices
+from conftest import fiber_product, level_slices
 from ncperiod.algebra import (
     a2_quiver_algebra,
     build_field,
@@ -118,6 +118,13 @@ def test_vdb_dual_numbers_not_cy0():
     # duality-implies-injectivity contrapositive exercised: D has duality
     # failing for d=0 while torelli injectivity comes from HH^2 directly
     assert not all(r["iso"] for r in rep.values())
+
+
+def test_vdb_reads_homology_in_every_degree_it_reports():
+    """HH_1 = HH_2 = HH_3 = 1 for Q[x]/x^2 while HH^s = 0 for s < 0, so
+    duality fails at s = -1, -2 and -3."""
+    rep = vdb_duality_check(D, 0, {(0, ()): 1}, range(-3, 1))
+    assert [rep[s]["iso"] for s in (-3, -2, -1)] == [False, False, False]
 
 
 def test_vdb_iso_implies_torelli_injective():
@@ -700,7 +707,7 @@ def _slot_rings():
     """Q[eps1, eps2]/(eps)^3, with mixed products eps1 eps2; Q[eps]/eps^3 with
     eps . eps = 2 eps^2, a structure constant other than 1; and the fiber
     product of Q[eps]/eps^2 and Q[eps]/eps^3 over Q."""
-    from ncperiod.coeff import ArtinLocalRing, fiber_product
+    from ncperiod.coeff import ArtinLocalRing
 
     unit = {(0, j): {j: 1} for j in range(3)} | {(j, 0): {j: 1} for j in range(3)}
     twice = ArtinLocalRing(["1", "eps", "eps^2"], unit | {(1, 1): {2: 2}})
