@@ -35,6 +35,7 @@ from .exactlin import (
     SparseMatrix,
     chain_add,
     from_columns,
+    kept,
     rank,
     rref,
     solve,
@@ -88,7 +89,6 @@ class DgAlgebra:
         self.idempotents = None if idempotents is None else {
             lab: {k: q for k, v in vec.items() if (q := exact(v))}
             for lab, vec in idempotents.items()}
-        self._peirce = None
         if validate:
             report = validate_dg_algebra(self)
             if report:
@@ -116,10 +116,8 @@ class DgAlgebra:
         return self.diff.get(j, {})
 
     def peirce(self):
-        """The PeirceBasis of the idempotents, derived on first use."""
-        if self._peirce is None:
-            self._peirce = PeirceBasis(self)
-        return self._peirce
+        """The PeirceBasis of the idempotents, built on first use and kept."""
+        return kept(self, "peirce", lambda: PeirceBasis(self))
 
     def __repr__(self):
         return f"DgAlgebra({self.name}, dim={self.dim})"
@@ -204,11 +202,11 @@ def _certify_radical(algebra, jac):
 
 
 def radical(algebra):
-    """(J, h), cached on a degree-0 algebra: a basis J of its radical as
+    """(J, h), kept on a degree-0 algebra: a basis J of its radical as
     coefficient vectors, and h = dim A / ([A, A] + J) = dim HH_0(A/J).  In
     characteristic 0, J is the kernel of the trace form (Dickson), and
     _certify_radical checks it; over Q a failure is a bug."""
-    if getattr(algebra, "_radical", None) is None:
+    def build():
         n = algebra.dim
         jac = rref(_trace_form(algebra.mult, range(n)))[1]
         _certify_radical(algebra, jac)
@@ -217,8 +215,9 @@ def radical(algebra):
             spanning.append(dict(algebra.product(i, j)))
             for k, c in algebra.product(j, i).items():
                 chain_add(spanning[-1], k, -c)
-        algebra._radical = jac, n - rank(from_columns(n, spanning))
-    return algebra._radical
+        return jac, n - rank(from_columns(n, spanning))
+
+    return kept(algebra, "radical", build)
 
 
 class PeirceBasis:

@@ -14,10 +14,12 @@ t-differential through it: D = sum_{k >= 0} p delta (h delta)^k iota with
 delta = tB, or tB + L_x for a Maurer-Cartan element x of the period layer
 (Crainic 2004), given in slot form: one Q chain per ring slot, moved by
 coeff.slot_product.  A t-window keeps t^lo .. t^hi: C[[t]] is its t^{>=0} part,
-C((t)) all of it, C[t^{-1}] its t^{<=0} part.  Each reduction computes the
-homology of one window at one degree once and has one rank of the map
-between two windows (induced_rank).  TruncatedLaurentComplex also reads the
-blocks d and tB of the unreduced chains, as the Connes complex does.
+C((t)) all of it, C[t^{-1}] its t^{<=0} part.  A chain model keeps its
+reduction per bar bound and its HC dims per degree, and a reduction the
+homology of each window at each degree, all by exactlin.kept; a reduction
+has one rank of the map between two windows (induced_rank).
+TruncatedLaurentComplex also reads the blocks d and tB of the unreduced
+chains, as the Connes complex does.
 
 Every operation runs on the chain model hochschild.chain_model_of picks: for
 an algebra with idempotents the complex relative to their span E (2 chains
@@ -42,6 +44,7 @@ from .exactlin import (
     chain_add,
     complex_sdr,
     homology_at,
+    kept,
     rank,
 )
 from .hochschild import (
@@ -74,10 +77,10 @@ def _require_degree_zero(algebra):
 
 @dataclass
 class ReducedMixedComplex:
-    """Weightwise homology of (C, d) with the transferred t-differential, and
-    what depends on it and a t-window alone, each computed once: the
-    homology of the window truncations and the period layer's [D0, -]
-    matrices and PTD system."""
+    """Weightwise homology of (C, d) with the transferred t-differential.
+    What depends on it and a t-window alone is kept on it, each computed
+    once: the homology of the window truncations and the period layer's
+    [D0, -] matrices and PTD system."""
 
     algebra: object
     bar_bound: int
@@ -86,14 +89,6 @@ class ReducedMixedComplex:
     sdr: list
     spaces: list
     b_mats: list
-    windowed: dict = field(default_factory=dict, repr=False)  # (name, window, ...) -> value
-
-    def kept(self, key, build):
-        """build(), made once per key (name, window, ...) and kept in
-        windowed; callers only read what it returns."""
-        if key not in self.windowed:
-            self.windowed[key] = build()
-        return self.windowed[key]
 
     def truncation(self, window):
         """The t-window (lo, hi) of the transferred complex."""
@@ -101,7 +96,7 @@ class ReducedMixedComplex:
 
     def homology(self, window, r) -> SubquotientBasis:
         window = tuple(window)
-        return self.kept(("homology", window, r), lambda: self.truncation(window).homology(r))
+        return kept(self, ("homology", window, r), lambda: self.truncation(window).homology(r))
 
     def induced_rank(self, src_window, dst_window, r):
         """Rank of H^r(src window) -> H^r(dst window), the map that keeps the
@@ -122,37 +117,22 @@ def default_bar_bound(algebra, max_degree, t_hi):
 
 def reduce_mixed_complex(algebra, bar_bound) -> ReducedMixedComplex:
     """The reduction of the mixed complex of a chain model (the model that
-    chain_model_of gives, or any DgAlgebra) up to weight bar_bound, cached
-    on it."""
+    chain_model_of gives, or any DgAlgebra) up to weight bar_bound, kept on
+    the model."""
     if bar_bound < 0:
         raise ValueError(f"bar bound must be >= 0, got {bar_bound}")
     _require_degree_zero(algebra)
-    cache = vars(algebra).setdefault("_reduced_cache", {})
-    if bar_bound in cache:
-        return cache[bar_bound]
-    above = min((b for b in cache if b > bar_bound), default=None)
-    if above is not None:
-        # SpotSDR at spot m depends only on d_m and d_{m+1}: cut the reduction
-        big = cache[above]
-        spaces, sdr = big.spaces[: bar_bound + 2], big.sdr[: bar_bound + 1]
-        b_mats = big.b_mats[:bar_bound]
-    else:
+
+    def reduce():
         spaces = chain_spaces(algebra, bar_bound + 1)
         sdr = complex_sdr([len(s) for s in spaces[: bar_bound + 1]],
                           boundary_matrices(algebra, spaces))
-        b_mats = connes_matrices(algebra, spaces[: bar_bound + 1])
-    out = ReducedMixedComplex(
-        algebra=algebra,
-        bar_bound=bar_bound,
-        h_dims=[len(s.reps) for s in sdr],
-        transfer={},
-        sdr=sdr,
-        spaces=spaces,
-        b_mats=b_mats,
-    )
-    out.transfer = perturbation_transfer(out).get(0, {})
-    cache[bar_bound] = out
-    return out
+        out = ReducedMixedComplex(algebra, bar_bound, [len(s.reps) for s in sdr], {},
+                                  sdr, spaces, connes_matrices(algebra, spaces[: bar_bound + 1]))
+        out.transfer = perturbation_transfer(out).get(0, {})
+        return out
+
+    return kept(algebra, ("reduction", bar_bound), reduce)
 
 
 def perturbation_transfer(red, x=None, window=None):
@@ -318,25 +298,31 @@ def _induced_rank(h_target, images):
 
 
 def _connes_dims(model, degrees):
-    """{n: dim HC_n} of a chain model, 0 for n < 0: the homology at degree
-    -n of the C[t^-1] window (-(top//2) - 1, 0) of the unreduced mixed
-    complex up to weight top + 1, which holds Tot_m for m <= top + 1, top
-    the largest degree.  Cached on the model, rebuilt only for a larger top."""
+    """{n: dim HC_n} of a chain model, 0 for n < 0, each kept on the model:
+    the homology at degree -n of _connes_complex(model, top), built once per
+    call for top the largest degree not kept yet."""
     _require_degree_zero(model)
-    top = max(degrees, default=-1)
-    built, cx, dims = getattr(model, "_connes", (-1, None, {}))
-    if top > built:
-        spaces = chain_spaces(model, top + 1)
-        d, b = boundary_matrices(model, spaces), connes_matrices(model, spaces)
-        blocks = {(0, m, m - 1): d[m].entries for m in range(1, top + 2)}
-        blocks.update({(1, m, m + 1): b[m].entries for m in range(top + 1)})
-        cx = TruncatedLaurentComplex([len(s) for s in spaces], blocks,
-                                     (-(top // 2) - 1, 0))
-        model._connes = (top, cx, dims)
-    for n in degrees:
-        if n not in dims:
-            dims[n] = cx.homology(-n).dim if n >= 0 else 0
+    cx = None
+
+    def hc(n):
+        nonlocal cx
+        if cx is None:  # degrees run downwards, so n is the top
+            cx = _connes_complex(model, n)
+        return cx.homology(-n).dim
+
+    dims = {n: kept(model, ("HC", n), functools.partial(hc, n)) if n >= 0 else 0
+            for n in sorted(degrees, reverse=True)}
     return {n: dims[n] for n in degrees}
+
+
+def _connes_complex(model, top):
+    """The C[t^-1] window (-(top//2) - 1, 0) of the unreduced mixed complex
+    up to weight top + 1, which holds Tot_m for m <= top + 1."""
+    spaces = chain_spaces(model, top + 1)
+    d, b = boundary_matrices(model, spaces), connes_matrices(model, spaces)
+    blocks = {(0, m, m - 1): d[m].entries for m in range(1, top + 2)}
+    blocks.update({(1, m, m + 1): b[m].entries for m in range(top + 1)})
+    return TruncatedLaurentComplex([len(s) for s in spaces], blocks, (-(top // 2) - 1, 0))
 
 
 def cyclic_homology(algebra, degree_range, t_window=(-6, 6)):

@@ -242,7 +242,7 @@ def deform_algebra(algebra, x: MCElement) -> AlgebraOverArtin:
 # -- m-adic affine solving -------------------------------------------------------------
 
 
-def solve_by_levels(ring, lin, residual, shift, state, kernel=(), seed=None):
+def solve_by_levels(ring, lin, residual, shift, state, kernel=()):
     """Drive residual(state) to zero along the m-adic filtration of ring.
 
     residual(state) is {(slot, row): Fraction}, the ring-slot coordinates of
@@ -261,9 +261,7 @@ def solve_by_levels(ring, lin, residual, shift, state, kernel=(), seed=None):
     is evaluated at coefficient 1 and taken as linear in its coefficient,
     which is exact through nilpotency order 3; for deeper rings, where a
     coefficient can also act quadratically, a solved state is still exact,
-    while a failure may only mean the linearized search was exhausted.  With
-    seed(slot) -> vector, each slot of the residual at that level starts
-    from that fixed part and its effect moves into the right-hand side.
+    while a failure may only mean the linearized search was exhausted.
 
     Returns (state, None) once the residual vanishes.  Otherwise returns
     (state, (level, rhs)) where the system of that level has no solution
@@ -301,18 +299,11 @@ def solve_by_levels(ring, lin, residual, shift, state, kernel=(), seed=None):
             stacked.append({rows.setdefault(key, len(rows)): q
                             for key, q in delta.items()})
         rhs = {key: -q for key, q in at.items()}
-        fixed = {}
-        if seed is not None:
-            for s in dict.fromkeys(s for s, _ in at):
-                fixed[s] = seed(s)
-                for j, q in fixed[s].items():
-                    for i, v in cols[j].items():
-                        chain_add(rhs, (s, i), -v * q)
         b = {rows.setdefault(key, len(rows)): q for key, q in rhs.items()}
         sol = solve(from_columns(len(rows), stacked), b)
         if sol is None:
             return state, (level, rhs)
-        vecs = {s: dict(v) for s, v in fixed.items()}
+        vecs = {}
         n = len(cols)
         for j, q in sol.items():
             if j < n * len(slots):

@@ -50,6 +50,15 @@ def chain_add(acc, key, coeff):
         del acc[key]
 
 
+def kept(owner, key, build):
+    """build(), made once per key and kept on owner, in vars(owner)["_kept"];
+    callers only read what it returns.  The package's one memo."""
+    store = vars(owner).setdefault("_kept", {})
+    if key not in store:
+        store[key] = build()
+    return store[key]
+
+
 def apply_columns(col, vec, out=None):
     """out (default zero) plus the image of the sparse vector vec, {j: c},
     under the map whose j-th column is col(j), {row: value}.
@@ -370,8 +379,6 @@ class SubquotientBasis:
     cycle_basis: list = field(default_factory=list)
     boundary_basis: list = field(default_factory=list)
     homology_reps: list = field(default_factory=list)
-    _boundary_span: IncrementalSpan = field(default=None, init=False, repr=False,
-                                            compare=False)
 
     @property
     def dim(self):
@@ -380,11 +387,13 @@ class SubquotientBasis:
     def is_boundary(self, vec):
         """Is vec (sparse dict) in the span of boundary_basis?  The span is
         echelonized once, on the first call, and kept for the next."""
-        if self._boundary_span is None:
-            self._boundary_span = IncrementalSpan()
+        def span():
+            out = IncrementalSpan()
             for v in self.boundary_basis:
-                self._boundary_span.add(v)
-        return self._boundary_span.contains(vec)
+                out.add(v)
+            return out
+
+        return kept(self, "boundary span", span).contains(vec)
 
 
 def _walk(maps):

@@ -74,8 +74,9 @@ Indexing and assembly
     calculus.OperatorSpace are run form too, apart from its Lie tables;
   * the cochain differential [b, -] of each (model, arity) is assembled
     once, one b bracketed with each column read through the CochainBasis
-    coordinate map, and its HH^l spot is eliminated once beside it
-    (_cohomology_spot); every reader of HH^* reads that spot.
+    coordinate map, and its HH^l spot is eliminated once (_cohomology_spot);
+    both are kept on the model by exactlin.kept, and every reader of HH^*
+    reads that spot.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 from .algebra import PeirceBasis
-from .exactlin import SparseMatrix, chain_add, homology_walk
+from .exactlin import SparseMatrix, chain_add, homology_walk, kept
 
 
 class ArityBoundExceeded(Exception):
@@ -871,19 +872,10 @@ class CochainBasis:
         return Cochain(self.algebra, comps, sdeg, arity_bound)
 
 
-def _per_arity(model, name, build, arity):
-    """build(model, arity), made once per (model, arity) and kept on the
-    model in the dict attribute name; callers only read it."""
-    memo = vars(model).setdefault(name, {})
-    if arity not in memo:
-        memo[arity] = build(model, arity)
-    return memo[arity]
-
-
 def _cochain_diff_matrix(model, arity):
     """Matrix of [b, -] from arity l to arity l+1 (degree-0 models), over
-    CochainBasis indices."""
-    return _per_arity(model, "_cochain_diff_memo", _assemble_cochain_diff, arity)
+    CochainBasis indices, kept on the model."""
+    return kept(model, ("[b, -]", arity), lambda: _assemble_cochain_diff(model, arity))
 
 
 def _assemble_cochain_diff(model, arity):
@@ -901,11 +893,11 @@ def _assemble_cochain_diff(model, arity):
 
 def _cohomology_spot(model, arity):
     """The HH^arity spot of the model's cochain complex, over CochainBasis
-    indices: made once per (model, arity) and kept beside
-    _cochain_diff_matrix.  HH^*, the cocycle representatives, the
+    indices: made once per (model, arity) and kept on the model, as
+    _cochain_diff_matrix is.  HH^*, the cocycle representatives, the
     obstruction classes, the gauge search and the coboundary test of the
     calculus read it."""
-    return _per_arity(model, "_cohomology_spot_memo", _build_cohomology_spot, arity)
+    return kept(model, ("HH^", arity), lambda: _build_cohomology_spot(model, arity))
 
 
 def _build_cohomology_spot(model, arity):

@@ -10,9 +10,10 @@ cyclic.perturbation_transfer that gives the undeformed one (delta = tB);
 contraction_blocks projects with the same p.  Trivializations and PTD
 isomorphisms are found by deform.solve_by_levels on block coordinates: the
 unknowns act through [D0, -] on their own m-adic level (the trivialization
-starts slot s from the seed -(1/t) I_{x_s}, x_s the Q cochain in slot s of
-x; the PTD search also carries the kernel directions of lower levels that
-move a residual, exact through nilpotency order 3).
+starts from -(1/t) I_{x_s} in every slot s of x, x_s the Q cochain in that
+slot; the PTD search also carries the kernel directions of lower levels
+that move a residual, exact through nilpotency order 3, so past it a
+search that stops answers None, not False).
 The solves run on slot forms (coeff.Slots): an operator over R is one Q
 BlockOp per ring slot, and the product of two is one Q BlockOp.compose per
 slot pair through the ring's structure constants (_compose, by
@@ -29,13 +30,13 @@ the PTD search computes the parts of its residuals that do not depend on
 the unknowns once (_ptd_constants).  The [D0, -] matrices (_d_matrix, per
 degree and window) and the PTD system with its kernel (_ptd_system, per
 window) depend on the reduction alone: each is built once and kept on it
-(ReducedMixedComplex.kept); callers only read them.
+by exactlin.kept; callers only read them.
 
 Conventions:
   * trivialize_periodic returns g with  e^g . 0 = (deformed - undeformed)
     part, i.e. the e^{-g}-conjugation carries the deformed windowed periodic
-    differential to the undeformed one; its first-order part is the seeded
-    -(1/t) I_x up to an exact correction;
+    differential to the undeformed one; its first-order part is the starting
+    point -(1/t) I_x up to an exact correction;
   * a PTD stores that g; its trivialization isomorphism is phi = e^{-g}.
 """
 
@@ -53,7 +54,7 @@ from .cyclic import (
     reduce_mixed_complex,
 )
 from .deform import MCElement, _require_mc, solve_by_levels
-from .exactlin import SparseMatrix, express_in_homology, from_columns, rank, rref
+from .exactlin import SparseMatrix, express_in_homology, from_columns, kept, rank, rref
 from .hochschild import (
     Cochain,
     chain_add,
@@ -423,7 +424,7 @@ def _d_matrix(red, deg, window):
     """_assemble_d_matrix(red, deg, window), assembled once per (deg,
     window) on red."""
     window = tuple(window)
-    return red.kept(("[D0, -]", window, deg), lambda: _assemble_d_matrix(red, deg, window))
+    return kept(red, ("[D0, -]", window, deg), lambda: _assemble_d_matrix(red, deg, window))
 
 
 def _assemble_d_matrix(red, deg, window):
@@ -506,21 +507,21 @@ def trivialize_periodic(algebra, x: MCElement, t_window=(-6, 6), bar_bound=None)
     def residual(g):
         return _op_rows(gauge_residual(mu, g, D0, red, t_window, ring), rows)
 
-    def seed(s):
-        """Coordinates of the seeded particular solution -(1/t) I_{x_s}, x_s
-        the Q cochain in slot s of x."""
-        if s not in x.slots:
-            return {}
-        blocks = contraction_blocks(red, x.slots[s])
+    def seed(xs):
+        """Coordinates of the seed -(1/t) I_{x_s}, the start of slot s, for
+        the Q cochain xs = x_s in slot s of x."""
+        blocks = contraction_blocks(red, xs)
         if any(key not in index for key, _ in blocks.entries()):
             raise NotStabilized("the seed -(1/t) I_x left the t-window")
         return {index[key]: -v for key, v in blocks.entries()}
 
+    def shift(g, vecs):
+        return slot_add(g, _slot_op(ring, 0, vecs, keys))
+
     # g moves the residual by -[D0, g] on its own level
     lin = SparseMatrix(dmat.rows, dmat.cols, {e: -v for e, v in dmat.entries.items()})
-    g, blocked = solve_by_levels(
-        ring, lin, residual,
-        lambda g, vecs: slot_add(g, _slot_op(ring, 0, vecs, keys)), Slots(ring), seed=seed)
+    g, blocked = solve_by_levels(ring, lin, residual, shift, shift(
+        Slots(ring), {s: seed(xs) for s, xs in x.slots.items()}))
     if blocked is None:
         return Trivialization(ring_op(g, 0), red, D0, ring_op(mu, 1))
     res = gauge_residual(mu, g, D0, red, t_window, ring)
@@ -633,21 +634,24 @@ def _ptd_system(red, window):
 
 def ptd_isomorphic(p: PTD, q: PTD):
     """Search h = e^c (iso of the negative deformations) and a with
-    phi_2 e^{da} = h((t)) phi_1; returns (True, (c, a)) or (False, level),
-    level None when the search ran out of steps.
+    phi_2 e^{da} = h((t)) phi_1; returns (True, (c, a)), or (False, level)
+    or (None, level) with the m-adic level where the search stopped, None
+    when it ran out of steps.
 
     solve_by_levels solves the levels of the maximal ideal in turn, carrying
-    the kernel directions left free by the lower levels as probed unknowns
-    (exact through nilpotency order 3).  A returned witness always verifies
-    on the nose.
+    the kernel directions left free by the lower levels as probed unknowns.
+    A returned witness always verifies on the nose.  A failure is a "no",
+    False, only where the search is exact: at level 1, which has no probe
+    columns, or over a ring of nilpotency order <= 3, where the probes are
+    exact.  Elsewhere, and when the steps ran out, it is None: undecided.
     """
     if p.ring is not q.ring or p.window != q.window:
         raise ValueError("PTDs over different rings or windows")
     ring = p.ring
     red = reduce_mixed_complex(p.algebra, p.bar_bound)
     window = tuple(p.window)
-    lin, kernel, keys_c, keys_a, rows1, rows0 = red.kept(
-        ("ptd", window), lambda: _ptd_system(red, window))
+    lin, kernel, keys_c, keys_a, rows1, rows0 = kept(
+        red, ("ptd", window), lambda: _ptd_system(red, window))
     off = len(rows1)
 
     constants = _ptd_constants(p, q, red, ring)
@@ -666,4 +670,6 @@ def ptd_isomorphic(p: PTD, q: PTD):
     if blocked is None:
         c, a = state
         return True, (ring_op(c, 0), ring_op(a, -1))
-    return False, blocked[0]
+    level = blocked[0]
+    decided = level == 1 or (level is not None and ring.nilpotency_order <= 3)
+    return (False if decided else None), level

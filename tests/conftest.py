@@ -19,9 +19,17 @@ from ncperiod.coeff import (
     NotArtinLocal,
     RingElement,
     build_truncated_poly,
+    dual_numbers,
     slot_coordinates,
 )
-from ncperiod.deform import GaugeElement, MCElement, cochain_over_ring, mc_residual
+from ncperiod.deform import (
+    GaugeElement,
+    MCElement,
+    cochain_over_ring,
+    gauge_act,
+    lift_order_by_order,
+    mc_residual,
+)
 from ncperiod.exactlin import (
     IncrementalSpan,
     SparseMatrix,
@@ -342,6 +350,28 @@ def t2_eps4_gauge_grid():
                   alg, ring, {1: {(1,): {t: c for t, c in ((1, c1), (0, c0)) if c}}}, 0, 6))
               for c1, c0 in itertools.product(cs, repeat=2) if c1 or c0]
     return x, alphas
+
+
+def random_lifted_gauge_pair(alg, order, rng):
+    """(x, e^alpha . x) over Q[eps]/eps^order: x a random first-order
+    Maurer-Cartan element over the dual numbers, lifted one m-adic level at
+    a time by lift_order_by_order, and alpha a random arity-1 gauge with a
+    nonzero coefficient at every level eps, .., eps^(order-1)."""
+    x = random_first_order_mc(alg, dual_numbers(), rng)
+    for n in range(3, order + 1):
+        status, x = lift_order_by_order(alg, x, build_truncated_poly(1, n))
+        assert status == "lift", (alg, n)
+    ring = x.ring
+    keys = [((i,), t) for i in range(1, alg.dim) for t in range(alg.dim)]
+    comps = {}
+    for level in range(1, order):
+        sure = rng.choice(keys)
+        for w, t in keys:
+            c = rng.choice((-2, -1, 1, 2)) if (w, t) == sure else rng.randint(-2, 2)
+            out = comps.setdefault(w, {})
+            out[t] = out.get(t, ring.zero()) + ring.gen(level) * c
+    alpha = GaugeElement(ring, cochain_over_ring(alg, ring, {1: comps}, 0, 6))
+    return x, gauge_act(alpha, x)
 
 
 # -- bar-level conjugation: an independent route for the gauge dictionary -----------

@@ -918,7 +918,8 @@ def test_calculus_defect_keeps_one_boundary_span_per_spot(monkeypatch, mutant):
     assert "holds on homology" in {status for reports in got for _, status, _ in reports}
     spots = {id(spot): spot for spot in asked}
     assert len(built) == len(spots) and len(asked) > 2 * len(spots)
-    assert {id(spot._boundary_span) for spot in spots.values()} == set(map(id, built))
+    assert {id(spot._kept["boundary span"]) for spot in spots.values()} == set(
+        map(id, built))
 
 
 def test_calculus_defect_cochain_mutation_detected(monkeypatch):

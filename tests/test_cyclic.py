@@ -421,9 +421,10 @@ def _reduction_data(red):
     (lambda: build_truncated_polynomial_algebra(2), (25, 22)),
     (lambda: build_matrix_algebra(2).peirce(), (23, 6, 3)),
 ], ids=["M2", "T2", "M2-relative"])
-def test_smaller_bars_are_cut_from_the_cached_reduction(monkeypatch, build, bars):
-    """A bar below a cached one builds no SDR and equals a fresh reduction;
-    a larger bar asked for later still gives the fresh answer."""
+def test_reductions_are_kept_per_bar_and_equal_fresh_builds(monkeypatch, build, bars):
+    """Each bar asked of one model builds one SDR, kept on the model, so
+    asking it again builds nothing; a bar below a kept one and a larger bar
+    asked for later equal fresh reductions."""
     calls = []
 
     def counting(dims, diffs):
@@ -434,7 +435,8 @@ def test_smaller_bars_are_cut_from_the_cached_reduction(monkeypatch, build, bars
     monkeypatch.setattr(cyclic, "complex_sdr", counting)
     alg = build()
     reds = [reduce_mixed_complex(alg, bar) for bar in bars]
-    assert calls == [bars[0]]
+    assert all(reduce_mixed_complex(alg, bar) is red for bar, red in zip(bars, reds))
+    assert calls == list(bars)
     for bar, red in zip(bars, reds):
         assert _reduction_data(red) == _reduction_data(reduce_mixed_complex(build(), bar))
     small, large = bars[-1], bars[-1] + 1

@@ -23,8 +23,9 @@ differential once; for cochains once per (model, arity), in
 (`hochschild.structure_as_cochain`, one Cochain, and b + x for a
 deformation), the change of basis of structure constants
 (`algebra.change_basis`), the slot rule of Artin-ring coefficients
-(`coeff.slot_coordinates` and its inverse `coeff.ring_values`) and the
-Maurer-Cartan guard (`deform._require_mc`).  The modules that use them
+(`coeff.slot_coordinates` and its inverse `coeff.ring_values`), the
+Maurer-Cartan guard (`deform._require_mc`) and the memo of a value derived
+from an object (`exactlin.kept`).  The modules that use them
 import the one object, `calculus.OperatorSpace` keeps no match index of its
 own, and no module grows a hand-written `.get(k, 0) + v` accumulate beside
 chain_add, apart from the loops listed in ALLOWED.  No module starts a
@@ -164,7 +165,7 @@ def test_one_windowed_homology_layer():
     regrouped copy of the transfer blocks, and moves vectors between windows
     only for the induced rank and the SBI connecting map."""
     assert _call_sites("TruncatedLaurentComplex") == [("cyclic", "truncation"),
-                                                      ("cyclic", "_connes_dims")]
+                                                      ("cyclic", "_connes_complex")]
     assert not hasattr(cyclic, "TComplexData")
     assert not hasattr(cyclic, "_windowed_dims")
     assert set(_call_sites("_move")) == {("cyclic", "induced_rank"),
@@ -205,7 +206,7 @@ def test_one_homology_walk():
                "_echelon", "IncrementalSpan", "member", "solve")
     assert not [(name, site) for name in kernels for site in _call_sites(name)
                 if site[0] == "hochschild"]
-    assert set(_call_sites("IncrementalSpan")) == {("exactlin", "is_boundary"),
+    assert set(_call_sites("IncrementalSpan")) == {("exactlin", "span"),
                                                    ("cyclic", "_induced_rank")}
 
 
@@ -416,7 +417,7 @@ def test_one_chain_space_enumerator():
     assert defs == {("hochschild", "chain_spaces")}
     assert set(_call_sites("chain_spaces")) == {
         ("hochschild", "__init__"), ("hochschild", "_weight_graded_boundary"),
-        ("cyclic", "reduce_mixed_complex"), ("cyclic", "_connes_dims")}
+        ("cyclic", "reduce"), ("cyclic", "_connes_complex")}
     readers = {(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
                if path.stem != "algebra"
                for node in ast.walk(ast.parse(path.read_text()))
@@ -602,6 +603,46 @@ def test_period_operators_assembled_once_per_reduction(monkeypatch):
     assert built == {(0, window): 1, (-1, window): 1}
     red = cyclic.reduce_mixed_complex(T2, p.bar_bound)
     assert p.base.blocks == q.base.blocks == period.base_differential(red).blocks
+
+
+def _memo_sites(tree, module):
+    """Every hand-written memo: a vars(...) call, a three-argument getattr
+    and a `self._<name> is None` test."""
+    def match(node):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            return node.func.id == "vars" or (node.func.id == "getattr"
+                                              and len(node.args) == 3)
+        return (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Is)
+                and getattr(node.comparators[0], "value", 0) is None
+                and isinstance(node.left, ast.Attribute)
+                and getattr(node.left.value, "id", None) == "self"
+                and node.left.attr.startswith("_"))
+    return _sites(tree, module, match)
+
+
+def test_one_memo_rule():
+    """A value derived from an object is kept on it by one rule,
+    exactlin.kept: no other function of the package keeps one in an
+    attribute of its own, so the Peirce basis, the radical, the cochain
+    spots, the reductions, the HC dims, the window homology, the period
+    operators and the boundary span are all kept through it."""
+    assert _scan_sites(_memo_sites, [path.stem for path in SRC.glob("*.py")]) == {
+        ("exactlin", "kept")}
+    for name in ("_per_arity", "_reduced_cache"):
+        assert not hasattr(hochschild, name) and not hasattr(cyclic, name), name
+    assert not hasattr(cyclic.ReducedMixedComplex, "kept")
+    assert "windowed" not in cyclic.ReducedMixedComplex.__dataclass_fields__
+    assert "_boundary_span" not in exactlin.SubquotientBasis.__dataclass_fields__
+
+
+def test_memo_scan_finds_a_copy():
+    copies = ast.parse(
+        "def f(model, n):\n    return vars(model).setdefault('_memo', {})\n"
+        "def g(model):\n    return getattr(model, '_cx', None)\n"
+        "class C:\n    def h(self):\n        if self._basis is None:\n"
+        "            self._basis = 1\n"
+        "def k(args, o, self):\n    return getattr(args, o), self.basis is None\n")
+    assert _memo_sites(copies, "m") == [("m", "f"), ("m", "g"), ("m", "h")]
 
 
 def _unused_imports(text):

@@ -13,7 +13,13 @@ from ncperiod.algebra import (
     build_truncated_polynomial_algebra,
 )
 from ncperiod.coeff import build_truncated_poly, dual_numbers, ring_values
-from ncperiod.deform import GaugeElement, MCElement, cochain_over_ring, gauge_act
+from ncperiod.deform import (
+    GaugeElement,
+    MCElement,
+    cochain_over_ring,
+    gauge_act,
+    gauge_equivalent,
+)
 from ncperiod.period import (
     BlockOp,
     PeriodClass,
@@ -236,6 +242,29 @@ def test_ptd_reflexive():
     p = period_map_artin(D, hh2_generator(), WINDOW)
     ok, (c, a) = ptd_isomorphic(p, p)
     assert ok
+
+
+@pytest.mark.parametrize("terms, want", [(("eps",), True), (("eps^2",), None),
+                                         (("eps", "eps^2"), None)],
+                         ids=["eps", "eps^2", "eps+eps^2"])
+def test_ptd_over_eps4_answers_none_where_the_search_is_inexact(terms, want):
+    """On Q[x]/x^2 over Q[eps]/eps^4, x . x = eps and y = e^{cE} . x, E the
+    Euler derivation x -> x, are gauge-equivalent, so their PTDs are
+    isomorphic, and gauge_equivalent finds the gauge.  For c = eps the PTD
+    search finds a witness.  For c = eps^2 and
+    eps + eps^2 it stops past level 1 on a ring of nilpotency order 4, where
+    its probes are linearized, so it answers None, not False; the classes
+    eps and 2 eps still differ at level 1, a "no" that stays False."""
+    R4 = build_truncated_poly(1, 4)
+    eps = R4.gen("eps")
+    x = MCElement(R4, cochain_over_ring(D, R4, {2: {(1, 1): {0: eps}}}, 1, 6))
+    c = sum((R4.gen(t) for t in terms), R4.zero())
+    y = gauge_act(GaugeElement(R4, cochain_over_ring(D, R4, {1: {(1,): {1: c}}}, 0, 6)), x)
+    assert gauge_equivalent(x, y) is not None
+    p = period_map_artin(D, x, WINDOW)
+    assert ptd_isomorphic(p, period_map_artin(D, y, WINDOW))[0] is want
+    assert ptd_isomorphic(p, period_map_artin(D, MCElement(R4, x.value.scaled(2)),
+                                              WINDOW)) == (False, 1)
 
 
 def _t3_gauge_pair(R3, alg=T3):
@@ -658,11 +687,11 @@ def test_kept_operators_equal_fresh_builds():
         fresh = reduce_mixed_complex(
             build_truncated_polynomial_algebra(p.algebra.dim), p.bar_bound)
         assert {("[D0, -]", WINDOW, 0), ("[D0, -]", WINDOW, -1),
-                ("ptd", WINDOW)} <= set(red.windowed)
+                ("ptd", WINDOW)} <= set(red._kept)
         for deg in (0, -1):
-            assert _matrix_data(red.windowed["[D0, -]", WINDOW, deg]) == _matrix_data(
+            assert _matrix_data(red._kept["[D0, -]", WINDOW, deg]) == _matrix_data(
                 period._assemble_d_matrix(fresh, deg, WINDOW))
-        assert _system_data(red.windowed["ptd", WINDOW]) == _system_data(
+        assert _system_data(red._kept["ptd", WINDOW]) == _system_data(
             period._ptd_system(fresh, WINDOW))
 
 
@@ -692,9 +721,9 @@ def test_windows_keep_separate_operators():
     bar = trivialize_periodic(alg, x, (-6, 6)).reduced.bar_bound
     assert trivialize_periodic(alg, x, (-3, 3), bar).ok
     red = reduce_mixed_complex(alg, bar)
-    assert {key for key in red.windowed if key[0] == "[D0, -]"} == {
+    assert {key for key in red._kept if key[0] == "[D0, -]"} == {
         ("[D0, -]", (-6, 6), 0), ("[D0, -]", (-3, 3), 0)}
-    wide, narrow = (_matrix_data(red.windowed["[D0, -]", w, 0]) for w in ((-6, 6), (-3, 3)))
+    wide, narrow = (_matrix_data(red._kept["[D0, -]", w, 0]) for w in ((-6, 6), (-3, 3)))
     assert wide != narrow
     fresh = reduce_mixed_complex(build_truncated_polynomial_algebra(2), bar)
     assert narrow == _matrix_data(period._assemble_d_matrix(fresh, 0, (-3, 3)))
