@@ -75,6 +75,16 @@ def _sized(spec, build, size):
         raise ParseError(0, f"bad size in {spec!r}: {exc}") from None
 
 
+def _read_input(path, option):
+    """The text of the file an option names; a ParseError naming the option
+    when it cannot be read (missing, a directory, no permission, not UTF-8)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(0, f"cannot read {option}: {exc}") from None
+
+
 def resolve_algebra(spec: str) -> DgAlgebra:
     if ":" in spec:
         kind, _, arg = spec.partition(":")
@@ -97,12 +107,11 @@ def resolve_algebra(spec: str) -> DgAlgebra:
                 name=f"path:a{n}"), arg[1:])
         raise ParseError(0, f"unknown quiver shorthand {arg!r}")
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return parse_algebra_file(fh.read())
+        return parse_algebra_file(_read_input(spec, "--algebra"))
     raise ParseError(0, f"unknown algebra spec {spec!r}")
 
 
-def resolve_ring(spec: str) -> ArtinLocalRing:
+def resolve_ring(spec: str, option="--ring") -> ArtinLocalRing:
     if spec == "dual":
         return dual_numbers()
     if spec.startswith("eps^"):
@@ -110,8 +119,7 @@ def resolve_ring(spec: str) -> ArtinLocalRing:
     if spec == "eps2x2":
         return build_truncated_poly(2, 2)
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return parse_ring_file(fh.read())
+        return parse_ring_file(_read_input(spec, option))
     raise ParseError(0, f"unknown ring spec {spec!r}")
 
 
@@ -454,10 +462,9 @@ def cmd_deform(args, out):
         raise ParseError(0, "deform gauge-check needs --mc-file2")
     alg = resolve_algebra(args.algebra)
     ring = resolve_ring(args.ring)
-    with open(args.mc_file, "r", encoding="utf-8") as fh:
-        x = parse_mc_file(alg, ring, fh.read())
+    x = parse_mc_file(alg, ring, _read_input(args.mc_file, "--mc-file"))
     if args.action == "lift":
-        target = resolve_ring(args.target_ring)
+        target = resolve_ring(args.target_ring, "--target-ring")
         if not target.extends(ring):
             raise ParseError(0, f"--target-ring {args.target_ring} does not "
                                 f"extend --ring {args.ring}")
@@ -472,8 +479,7 @@ def cmd_deform(args, out):
         emit(payload, args.format, out)
         return code
     # gauge-check
-    with open(args.mc_file2, "r", encoding="utf-8") as fh:
-        y = parse_mc_file(alg, ring, fh.read())
+    y = parse_mc_file(alg, ring, _read_input(args.mc_file2, "--mc-file2"))
     witness = gauge_equivalent(x, y)
     ok = witness is not None
     payload = {
@@ -557,8 +563,7 @@ def cmd_period(args, out):
     if args.mc_file is None:
         raise ParseError(0, "period ptd needs --mc-file")
     ring = resolve_ring(args.ring)
-    with open(args.mc_file, "r", encoding="utf-8") as fh:
-        x = parse_mc_file(alg, ring, fh.read())
+    x = parse_mc_file(alg, ring, _read_input(args.mc_file, "--mc-file"))
     window = _parse_window(args.t_window)
     try:
         ptd = period_map_artin(alg, x, window)

@@ -107,9 +107,15 @@ class ReducedMixedComplex:
 
 
 def default_bar_bound(algebra, max_degree, t_hi):
+    """The one bar-bound policy, for degrees up to max_degree and t-powers up
+    to t^t_hi: from max_degree + 2, never below 0 (HH_n = 0 for n < 0), one
+    weight at a time towards max_degree + 1 + 2 (t_hi + 1) while the flat
+    spot dim . (dim - 1)^(w + 2) stays within DEFAULT_SPOT_CAP chains, also
+    where a relative model is reduced (M2: bar 6 for sbi_exactness over
+    0..2, bar 3 for the spectral sequence over 0..1)."""
     needed = max_degree + 1 + 2 * (t_hi + 1)
     base = max(algebra.dim - 1, 1)
-    w = max_degree + 2
+    w = max(max_degree + 2, 0)
     while w < needed and algebra.dim * base ** (w + 2) <= DEFAULT_SPOT_CAP:
         w += 1
     return w

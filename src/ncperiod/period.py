@@ -23,6 +23,10 @@ are read off its slots and a shift adds a Q BlockOp per slot.  Block
 operators over R, with RingElement entries, appear only at the boundary:
 the fields of a Trivialization and of a PTD and the PTD witness (c, a),
 each converted once by op_slots and ring_op.
+The bar is the one policy's (cyclic.default_bar_bound): one algebra and
+window give one reduction, which a Trivialization and a PTD hold (reduced),
+and every BlockOp of a search has both weights at most its bar, so a
+product cuts only the t-window.
 Every exponential enters a residual as 1 + E(g), E(g) = e^g - 1 from
 block_exp, and a product by the 1 is the other factor truncated as compose
 truncates (BlockOp.truncated), so no identity operator is multiplied out;
@@ -108,19 +112,17 @@ class BlockOp:
     def is_zero(self):
         return not self.blocks
 
-    def compose(self, other, bar_bound, window, scale=1, out=None):
-        """scale . self . other with weight and t-shift truncation, added to
-        out (default a new BlockOp) and returned."""
+    def compose(self, other, window, scale=1, out=None):
+        """scale . self . other with t-shift truncation, added to out (default
+        a new BlockOp) and returned."""
         lo, hi = window
         out = BlockOp(self.deg + other.deg) if out is None else out
         blocks1 = self.blocks if scale == 1 else self.scaled(scale).blocks
         for (s2, m2, mm2), mat2 in other.blocks.items():
             rows2 = None  # mat2 as {row: [(col, value), ...]}, built once
             for (s1, m1, mm1), mat1 in blocks1.items():
-                if m1 != mm2:
-                    continue
                 s = s1 + s2
-                if not (lo <= s <= hi) or mm1 > bar_bound:
+                if m1 != mm2 or not lo <= s <= hi:
                     continue
                 if rows2 is None:
                     rows2 = {}
@@ -135,13 +137,12 @@ class BlockOp:
                     del out.blocks[key]
         return out
 
-    def truncated(self, bar_bound, window):
-        """The blocks that compose keeps of a product by the identity: sigma
-        in the window and both weights <= bar_bound."""
+    def truncated(self, window):
+        """The blocks that compose keeps of a product by the identity: those
+        with sigma in the window."""
         lo, hi = window
         return BlockOp(self.deg, {
-            (s, m, m2): mat for (s, m, m2), mat in self.blocks.items()
-            if lo <= s <= hi and m <= bar_bound and m2 <= bar_bound})
+            k: mat for k, mat in self.blocks.items() if lo <= k[0] <= hi})
 
     def entries(self):
         """((sigma, m, m', row, col), value) for every stored entry."""
@@ -182,18 +183,16 @@ def ring_op(slots: Slots, deg) -> BlockOp:
                                                 for s, op in slots.items()}))
 
 
-def _compose(a: Slots, b: Slots, bar_bound, window, scale=1) -> Slots:
+def _compose(a: Slots, b: Slots, window, scale=1) -> Slots:
     """scale . a . b of slot forms: one Q BlockOp.compose per slot pair,
     through coeff.slot_product."""
-    parts = slot_product(a, b, lambda f, g, c, acc: f.compose(
-        g, bar_bound, window, c * scale, acc))
+    parts = slot_product(a, b, lambda f, g, c, acc: f.compose(g, window, c * scale, acc))
     return Slots(a.ring, {k: op for k, op in parts.items() if op.blocks})
 
 
-def _truncated(a: Slots, bar_bound, window) -> Slots:
+def _truncated(a: Slots, window) -> Slots:
     """The slot form of a's product by the identity (BlockOp.truncated)."""
-    return Slots(a.ring, {s: t for s, op in a.items()
-                          if (t := op.truncated(bar_bound, window)).blocks})
+    return Slots(a.ring, {s: t for s, op in a.items() if (t := op.truncated(window)).blocks})
 
 
 def _slot_op(ring, deg, vecs, keys, first=0):
@@ -203,16 +202,15 @@ def _slot_op(ring, deg, vecs, keys, first=0):
         keys[i - first]: q for i, q in vec.items() if 0 <= i - first < len(keys)})).blocks})
 
 
-def block_exp(g: Slots, ring, red, window) -> Slots:
+def block_exp(g: Slots, ring, window) -> Slots:
     """E(g) = e^g - 1 = sum_{k>=1} g^k / k! for the slot form of a degree-0 g
     with coefficients in m_R (nilpotent); every caller expands e^g as
     1 + E(g)."""
-    bar = red.bar_bound
-    term = out = _truncated(g, bar, window)
+    term = out = _truncated(g, window)
     for k in range(2, ring.nilpotency_order + 2):
         if not term:
             break
-        term = _compose(g, term, bar, window, Fraction(1, k))
+        term = _compose(g, term, window, Fraction(1, k))
         out = slot_add(out, term)
     return out
 
@@ -276,9 +274,9 @@ class PeriodClass:
 
 def first_order_period_matrix(algebra, degree_range):
     """For each HH^2 basis class P, the blocks of I_P: HH_i -> HH_{i-2}, on
-    the reduced complex of bar bound top + 2 for the top degree asked."""
+    the reduction at default_bar_bound for the top degree and no t-power."""
     degrees = sorted(degree_range)
-    red = reduce_mixed_complex(algebra, max(degrees) + 2)
+    red = reduce_mixed_complex(algebra, default_bar_bound(algebra, max(degrees), -1))
     classes = cocycle_representatives(algebra, 2, 4)
     out = []
     for p in classes:
@@ -374,18 +372,19 @@ def griffiths_transversality_check(algebra, degree_range, period_classes=None):
 # -- trivialization and PTDs ----------------------------------------------------------
 
 
-def _block_basis(h_dims, deg, window, bar_bound):
-    """Index the degree-homogeneous block coordinates (sigma, m, m', r, c)."""
+def _block_basis(h_dims, deg, window):
+    """Index the degree-homogeneous block coordinates (sigma, m, m', r, c)
+    of the weights 0 .. len(h_dims) - 1 of a reduction."""
     lo, hi = window
     out = []
-    for m in range(bar_bound + 1):
-        if not h_dims[m]:
+    for m, dim in enumerate(h_dims):
+        if not dim:
             continue
         for sig in range(lo, hi + 1):
             m2 = m + 2 * sig - deg
-            if 0 <= m2 <= bar_bound and h_dims[m2]:
+            if 0 <= m2 < len(h_dims) and h_dims[m2]:
                 for r in range(h_dims[m2]):
-                    for c in range(h_dims[m]):
+                    for c in range(dim):
                         out.append((sig, m, m2, r, c))
     return {key: i for i, key in enumerate(out)}, out
 
@@ -413,11 +412,11 @@ def _op_rows(ops: Slots, index, offset=0):
     return rows
 
 
-def block_d(D0, f, bar_bound, window):
+def block_d(D0, f, window):
     """[D0, f] = D0 f - (-1)^{deg f} f D0, both products summed into one
     BlockOp."""
     sgn = -1 if f.deg % 2 else 1
-    return f.compose(D0, bar_bound, window, -sgn, D0.compose(f, bar_bound, window))
+    return f.compose(D0, window, -sgn, D0.compose(f, window))
 
 
 def _d_matrix(red, deg, window):
@@ -431,14 +430,14 @@ def _assemble_d_matrix(red, deg, window):
     """Matrix of f -> [D0, f] on degree-deg block operators, for D0 =
     base_differential(red), with its source keys and target index."""
     D0 = base_differential(red)
-    src_index, src_keys = _block_basis(red.h_dims, deg, window, red.bar_bound)
-    dst_index, _ = _block_basis(red.h_dims, deg + 1, window, red.bar_bound)
+    src_index, src_keys = _block_basis(red.h_dims, deg, window)
+    dst_index, _ = _block_basis(red.h_dims, deg + 1, window)
     mat = SparseMatrix(len(dst_index), len(src_index))
     for key, j in src_index.items():
         sig, m, m2, r, c = key
         e = BlockOp(deg)
         e.blocks[sig, m, m2] = {(r, c): 1}
-        de = block_d(D0, e, red.bar_bound, window)
+        de = block_d(D0, e, window)
         for key2, mat2 in de.blocks.items():
             for (r2, c2), v in mat2.items():
                 i = dst_index.get((key2[0], key2[1], key2[2], r2, c2))
@@ -447,23 +446,22 @@ def _assemble_d_matrix(red, deg, window):
     return mat, src_keys, dst_index
 
 
-def gauge_residual(mu: Slots, g: Slots, D0: BlockOp, red, window, ring) -> Slots:
+def gauge_residual(mu: Slots, g: Slots, D0: BlockOp, window, ring) -> Slots:
     """e^g . mu, computed as the e^g-conjugation of T = D0 + mu minus D0, for
     the slot forms mu and g over ring and the Q operator D0.
 
     With e^{+-g} = 1 + E(+-g) the conjugate is A + A E(-g) for A = T + E(g) T,
     where the product of T by 1 is T truncated; zero E terms are skipped.
     """
-    bar = red.bar_bound
     d0 = Slots(ring, {0: D0})
     total = slot_add(d0, mu)
-    conj = _truncated(total, bar, window)
-    eg = block_exp(g, ring, red, window)
+    conj = _truncated(total, window)
+    eg = block_exp(g, ring, window)
     if eg:
-        conj = slot_add(conj, _compose(eg, total, bar, window))
-    eg_inv = block_exp(slot_add(Slots(ring), g, -1), ring, red, window)
+        conj = slot_add(conj, _compose(eg, total, window))
+    eg_inv = block_exp(slot_add(Slots(ring), g, -1), ring, window)
     if eg_inv:
-        conj = slot_add(conj, _compose(conj, eg_inv, bar, window))
+        conj = slot_add(conj, _compose(conj, eg_inv, window))
     return slot_add(conj, d0, -1)
 
 
@@ -487,25 +485,23 @@ class Trivialization:
         return self.gauge is not None
 
 
-def trivialize_periodic(algebra, x: MCElement, t_window=(-6, 6), bar_bound=None):
+def trivialize_periodic(algebra, x: MCElement, t_window=(-6, 6)):
     """Gauge element g (blocks) with e^g-conjugation of the deformed windowed
     periodic differential equal to the undeformed one, as a Trivialization;
     on an obstructed filtration step, gauge is None and the blocking residual
-    is reported.  Raises NotMaurerCartan for a non-Maurer-Cartan input.
+    is reported.  It reduces at default_bar_bound(algebra, 2, hi) for the
+    window (lo, hi).  Raises NotMaurerCartan for a non-Maurer-Cartan input.
     """
     _require_mc(algebra, x)
     ring = x.ring
-    lo, hi = t_window
-    if bar_bound is None:
-        bar_bound = default_bar_bound(algebra, 2, hi)
-    red = reduce_mixed_complex(algebra, bar_bound)
+    red = reduce_mixed_complex(algebra, default_bar_bound(algebra, 2, t_window[1]))
     D0 = base_differential(red)
     mu = slot_add(deformed_differential(red, x, t_window), Slots(ring, {0: D0}), -1)
     dmat, keys, rows = _d_matrix(red, 0, t_window)
     index = {key: j for j, key in enumerate(keys)}
 
     def residual(g):
-        return _op_rows(gauge_residual(mu, g, D0, red, t_window, ring), rows)
+        return _op_rows(gauge_residual(mu, g, D0, t_window, ring), rows)
 
     def seed(xs):
         """Coordinates of the seed -(1/t) I_{x_s}, the start of slot s, for
@@ -524,7 +520,7 @@ def trivialize_periodic(algebra, x: MCElement, t_window=(-6, 6), bar_bound=None)
         Slots(ring), {s: seed(xs) for s, xs in x.slots.items()}))
     if blocked is None:
         return Trivialization(ring_op(g, 0), red, D0, ring_op(mu, 1))
-    res = gauge_residual(mu, g, D0, red, t_window, ring)
+    res = gauge_residual(mu, g, D0, t_window, ring)
     return Trivialization(None, red, D0, ring_op(mu, 1), obstruction=ring_op(res, 1))
 
 
@@ -533,10 +529,9 @@ class PTD:
     """Deformed negative complex (sigma >= 0 blocks) plus a trivialization."""
 
     ring: object
-    algebra: object
     x: MCElement
     window: tuple
-    bar_bound: int
+    reduced: object                 # the ReducedMixedComplex it was built on
     negative_differential: BlockOp  # deformed, restricted to sigma >= 0
     trivialization: BlockOp         # g with e^{-g}-conjugation trivializing
     base: BlockOp                   # undeformed transferred differential
@@ -548,17 +543,16 @@ class PTD:
         return all(self.ring.levels[s] for s, _ in slot_coordinates(diff.entries()))
 
 
-def period_map_artin(algebra, x: MCElement, t_window=(-6, 6), bar_bound=None):
-    triv = trivialize_periodic(algebra, x, t_window, bar_bound)
+def period_map_artin(algebra, x: MCElement, t_window=(-6, 6)):
+    triv = trivialize_periodic(algebra, x, t_window)
     if not triv.ok:
         raise NotStabilized("trivialization failed; obstruction recorded")
     Dx = triv.base.add(triv.deformation)
     ptd = PTD(
         ring=x.ring,
-        algebra=algebra,
         x=x,
         window=t_window,
-        bar_bound=triv.reduced.bar_bound,
+        reduced=triv.reduced,
         negative_differential=Dx.restrict_nonneg(),
         trivialization=triv.gauge,
         base=triv.base,
@@ -568,38 +562,35 @@ def period_map_artin(algebra, x: MCElement, t_window=(-6, 6), bar_bound=None):
     return ptd
 
 
-def _ptd_constants(p, q, red, ring):
+def _ptd_constants(p, q, ring):
     """The parts of the PTD residuals that do not depend on (c, a), computed
     once per search as slot forms: (N_p, N_q, E(-phi_q), E(-phi_p),
     N_p - N_q, E(-phi_q) - E(-phi_p)) for the negative differentials N and
     the trivializations phi, with N_p - N_q truncated as its product by the
     identity."""
-    bar, window = p.bar_bound, p.window
     n_p, n_q = (op_slots(ring, x.negative_differential) for x in (p, q))
-    e_q, e_p = (block_exp(op_slots(ring, x.trivialization.scaled(-1)), ring, red, window)
+    e_q, e_p = (block_exp(op_slots(ring, x.trivialization.scaled(-1)), ring, p.window)
                 for x in (q, p))
-    return (n_p, n_q, e_q, e_p, _truncated(slot_add(n_p, n_q, -1), bar, window),
+    return (n_p, n_q, e_q, e_p, _truncated(slot_add(n_p, n_q, -1), p.window),
             slot_add(e_q, e_p, -1))
 
 
-def _ptd_residuals(p, q, c, a, red, ring, constants):
+def _ptd_residuals(p, q, c, a, ring, constants):
     """(chain-map residual e^c N_p - N_q e^c on the negative part, square
     residual e^{-phi_q} e^{da} - e^c e^{-phi_p}) for the slot forms c and a,
     each exponential expanded as 1 + E and each zero E skipped; constants is
-    _ptd_constants(p, q, red, ring).  c has sigma >= 0, so the chain-map
+    _ptd_constants(p, q, ring).  c has sigma >= 0, so the chain-map
     residual has too."""
-    bar, window = p.bar_bound, p.window
+    window = p.window
     n_p, n_q, e_q, e_p, S, R = constants
-    ec = block_exp(c, ring, red, window)
+    ec = block_exp(c, ring, window)
     if ec:
-        S = slot_add(slot_add(S, _compose(ec, n_p, bar, window)),
-                     _compose(n_q, ec, bar, window), -1)
-        R = slot_add(R, slot_add(ec, _compose(ec, e_p, bar, window)), -1)
-    da = Slots(ring, {s: d for s, op in a.items()
-                      if (d := block_d(p.base, op, bar, window)).blocks})
-    eda = block_exp(da, ring, red, window)
+        S = slot_add(slot_add(S, _compose(ec, n_p, window)), _compose(n_q, ec, window), -1)
+        R = slot_add(R, slot_add(ec, _compose(ec, e_p, window)), -1)
+    da = Slots(ring, {s: d for s, op in a.items() if (d := block_d(p.base, op, window)).blocks})
+    eda = block_exp(da, ring, window)
     if eda:
-        R = slot_add(R, slot_add(eda, _compose(e_q, eda, bar, window)))
+        R = slot_add(R, slot_add(eda, _compose(e_q, eda, window)))
     return S, R
 
 
@@ -627,8 +618,7 @@ def _ptd_system(red, window):
         + [{off + i: v for i, v in col.items()} for col in d_1.columns()])
     D0 = base_differential(red)
     kernel = [z for z in rref(lin)[1] if min(z) < nc or block_d(
-        D0, _op_of(-1, {keys_a[j - nc]: v for j, v in z.items()}),
-        red.bar_bound, window).blocks]
+        D0, _op_of(-1, {keys_a[j - nc]: v for j, v in z.items()}), window).blocks]
     return lin, kernel, [keys_c[j] for j in nonneg], keys_a, rows1, rows0
 
 
@@ -645,19 +635,17 @@ def ptd_isomorphic(p: PTD, q: PTD):
     columns, or over a ring of nilpotency order <= 3, where the probes are
     exact.  Elsewhere, and when the steps ran out, it is None: undecided.
     """
-    if p.ring is not q.ring or p.window != q.window:
-        raise ValueError("PTDs over different rings or windows")
-    ring = p.ring
-    red = reduce_mixed_complex(p.algebra, p.bar_bound)
-    window = tuple(p.window)
+    if p.ring is not q.ring or p.window != q.window or p.reduced is not q.reduced:
+        raise ValueError("PTDs over different rings, windows or reductions (algebras)")
+    ring, red, window = p.ring, p.reduced, tuple(p.window)
     lin, kernel, keys_c, keys_a, rows1, rows0 = kept(
         red, ("ptd", window), lambda: _ptd_system(red, window))
     off = len(rows1)
 
-    constants = _ptd_constants(p, q, red, ring)
+    constants = _ptd_constants(p, q, ring)
 
     def residual(state):
-        S, R = _ptd_residuals(p, q, *state, red, ring, constants)
+        S, R = _ptd_residuals(p, q, *state, ring, constants)
         return {**_op_rows(S, rows1), **_op_rows(R, rows0, off)}
 
     def shift(state, vecs):

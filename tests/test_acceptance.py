@@ -322,7 +322,7 @@ def test_criterion_9_trivialization():
                 continue
             g, red, D0, mu = (triv.gauge, triv.reduced, triv.base,
                               triv.deformation)
-            if not gauge_residual(op_slots(R2, mu), op_slots(R2, g), D0, red, WINDOW,
+            if not gauge_residual(op_slots(R2, mu), op_slots(R2, g), D0, WINDOW,
                                   R2).is_zero():
                 ok = False
             # first-order part vs -(1/t) I_x, away from the bar cut

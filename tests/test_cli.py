@@ -488,3 +488,51 @@ def test_non_maurer_cartan_file_is_a_validation_error(argv, tmp_path, capsys):
     assert (got, out) == (1, "")
     assert err.startswith("validation error: not Maurer-Cartan")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["period", "matrix", "--algebra", "trunc_poly:2", "--degree-range", "-5..-3"],
+     "HH^2 classes: 1\nclass 0:\n  zero\ntransversality(all blocks at t^-1): True\n"),
+    (["period", "torelli", "--algebra", "trunc_poly:2", "--degree-range", "-4..-3"],
+     "dim HH^2=1, rank=0, not injective\n"),
+], ids=["matrix", "torelli"])
+def test_all_negative_degree_ranges_give_zero_blocks(argv, want, capsys):
+    """HH_n = 0 for n < 0, so a range below 0 has no period block: the bar
+    policy floors at 0 and the one HH^2 class of Q[x]/x^2 prints zero."""
+    assert run_cli(argv) == (0, want)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["hh", "--algebra", "{dir}"], "--algebra"),
+    (["deform", "lift", "--algebra", "trunc_poly:2", "--ring", "{dir}",
+      "--mc-file", "{mc}"], "--ring"),
+    (["deform", "lift", "--algebra", "trunc_poly:2", "--target-ring", "{dir}",
+      "--mc-file", "{mc}"], "--target-ring"),
+    (["deform", "lift", "--algebra", "trunc_poly:2", "--mc-file", "{missing}"], "--mc-file"),
+    (["deform", "lift", "--algebra", "trunc_poly:2", "--mc-file", "{dir}"], "--mc-file"),
+    (["deform", "gauge-check", "--algebra", "trunc_poly:2", "--mc-file", "{mc}",
+      "--mc-file2", "{missing}"], "--mc-file2"),
+    (["deform", "gauge-check", "--algebra", "trunc_poly:2", "--mc-file", "{mc}",
+      "--mc-file2", "{dir}"], "--mc-file2"),
+    (["period", "ptd", "--algebra", "trunc_poly:2", "--mc-file", "{missing}"], "--mc-file"),
+    (["period", "ptd", "--algebra", "trunc_poly:2", "--mc-file", "{dir}"], "--mc-file"),
+    (["hh", "--algebra", "{binary}"], "--algebra"),
+    (["period", "ptd", "--algebra", "trunc_poly:2", "--mc-file", "{binary}"], "--mc-file"),
+], ids=["hh-algebra-dir", "lift-ring-dir", "lift-target-ring-dir", "lift-mc-missing",
+        "lift-mc-dir", "gauge-mc2-missing", "gauge-mc2-dir", "ptd-mc-missing",
+        "ptd-mc-dir", "hh-algebra-binary", "ptd-mc-binary"])
+def test_unreadable_input_paths_are_parse_errors(argv, option, tmp_path, capsys):
+    """A missing file, a directory or a file that is not UTF-8 text given for
+    an input stops with exit 2, nothing on stdout and a parse error that
+    names the option, not with a traceback."""
+    mc = tmp_path / "x.json"
+    mc.write_text(json.dumps(MC_X))
+    binary = tmp_path / "binary.dat"
+    binary.write_bytes(b"\xff\xfe\x00")
+    paths = {"dir": tmp_path, "mc": mc, "missing": tmp_path / "missing.json",
+             "binary": binary}
+    assert run_cli([a.format(**paths) for a in argv]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: line 0: cannot read {option}: ")
+    assert "Traceback" not in err

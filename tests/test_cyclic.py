@@ -360,6 +360,15 @@ def test_negative_bar_bound_rejected(alg):
     assert reduce_mixed_complex(alg, 0).h_dims == [alg.dim]
 
 
+@pytest.mark.parametrize("alg", [Q, D, M2], ids=lambda a: a.name)
+def test_bar_policy_with_no_t_power_floors_at_zero(alg):
+    """With no t-power the policy gives max_degree + 2, the bar the
+    first-order period matrix reads, and never a bar below 0: HH_n = 0 for
+    n < 0."""
+    assert [cyclic.default_bar_bound(alg, n, -1) for n in range(-5, 5)] == [
+        0, 0, 0, 0, 1, 2, 3, 4, 5, 6]
+
+
 @st.composite
 def induced_rank_cases(draw):
     """A boundary basis and images in Q^n; some images are combinations of

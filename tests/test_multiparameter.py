@@ -70,7 +70,7 @@ def test_two_parameter_trivialization_and_ptd():
     from ncperiod.period import gauge_residual, op_slots
 
     assert gauge_residual(op_slots(E2, triv.deformation), op_slots(E2, triv.gauge),
-                          triv.base, triv.reduced, WINDOW, E2).is_zero()
+                          triv.base, WINDOW, E2).is_zero()
     p1 = period_map_artin(D, x, WINDOW)
     p2 = period_map_artin(D, two_parameter_x(1, 2), WINDOW)
     ok, _ = ptd_isomorphic(p1, p2)

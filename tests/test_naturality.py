@@ -3,11 +3,13 @@ Q[eps]/eps^n -> Q[eps]/eps^(n-1): pushing an input along it and then
 trivializing, lifting or solving for a gauge agrees with doing so first and
 truncating the answer (Schlessinger 1968; Goldman-Millson 1988)."""
 
+import random
+
 import pytest
 
-from conftest import push_mc, t2_eps4_gauge_grid, truncation_map
+from conftest import push_mc, random_first_order_mc, t2_eps4_gauge_grid, truncation_map
 from ncperiod.algebra import build_truncated_polynomial_algebra
-from ncperiod.coeff import build_truncated_poly
+from ncperiod.coeff import build_truncated_poly, dual_numbers
 from ncperiod.deform import (
     GaugeElement,
     MCElement,
@@ -85,3 +87,27 @@ def test_gauge_witness_truncates_to_a_witness():
         w_low = GaugeElement(quo, w.value.map_coefficients(apply))
         assert _coeffs(gauge_act(w_low, x_low).value) == _coeffs(
             push_mc(y, quo, apply).value)
+
+
+def test_t4_trivialization_commutes_with_truncations_from_eps5():
+    """A seeded first-order deformation of Q[x]/x^4, lifted to eps^5 by
+    lift_order_by_order: its trivialization gauge, pushed along eps^5 ->
+    eps^4 and on along eps^4 -> eps^3, equals entry for entry the gauge of
+    the pushed input at each step, and the gauge has entries at every level
+    1-4, so each truncation drops some."""
+    T4 = build_truncated_polynomial_algebra(4)
+    x = random_first_order_mc(T4, dual_numbers(), random.Random(1))
+    for n in (3, 4, 5):
+        status, x = lift_order_by_order(T4, x, build_truncated_poly(1, n))
+        assert status == "lift"
+    gauge = trivialize_periodic(T4, x, WINDOW).gauge
+    assert {x.ring.levels[i] for _, v in gauge.entries() for i, c in enumerate(v.coeffs)
+            if c} == {1, 2, 3, 4}
+    for order in (4, 3):
+        quo, apply = truncation_map(x.ring, order)
+        x = push_mc(x, quo, apply)
+        low = trivialize_periodic(T4, x, WINDOW).gauge
+        assert low is not None and not low.is_zero()
+        assert {key: w.coeffs for key, v in gauge.entries() if (w := apply(v))} == {
+            key: v.coeffs for key, v in low.entries()}
+        gauge = low

@@ -1,6 +1,8 @@
+import importlib.util
 import random
 import zlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -169,8 +171,7 @@ def test_trivialize_first_order_all_algebras(alg):
         triv = trivialize_periodic(alg, x, WINDOW)
         assert triv.ok
         g, red, D0, mu = triv.gauge, triv.reduced, triv.base, triv.deformation
-        assert gauge_residual(op_slots(R2, mu), op_slots(R2, g), D0, red, WINDOW,
-                              R2).is_zero()
+        assert gauge_residual(op_slots(R2, mu), op_slots(R2, g), D0, WINDOW, R2).is_zero()
         seed = contraction_blocks(
             red, x.value.map_coefficients(lambda c: c.coeffs[1])).scaled(-1)
         lvl1 = level_slices(g, R2, 1).get(1, BlockOp(0))
@@ -202,7 +203,7 @@ def test_deformed_transfer_squares_to_zero():
         x = random_first_order_mc(alg, R2, rng)
         triv = trivialize_periodic(alg, x, WINDOW)
         Dx = triv.base.add(triv.deformation)
-        sq = Dx.compose(Dx, triv.reduced.bar_bound, WINDOW)
+        sq = Dx.compose(Dx, WINDOW)
         assert sq.is_zero(), alg.name
 
 
@@ -218,7 +219,7 @@ def test_trivialize_second_order_deformation():
     triv = trivialize_periodic(D, x3, WINDOW)
     assert triv.ok
     assert gauge_residual(op_slots(R3, triv.deformation), op_slots(R3, triv.gauge),
-                          triv.base, triv.reduced, WINDOW, R3).is_zero()
+                          triv.base, WINDOW, R3).is_zero()
 
 
 def test_ptd_of_gauge_equivalent_deformations_isomorphic():
@@ -292,9 +293,8 @@ def test_second_order_ptd_of_gauge_equivalent_t3():
     q = period_map_artin(T3, y, WINDOW)
     ok, (c, a) = ptd_isomorphic(p, q)
     assert ok
-    red = reduce_mixed_complex(T3, p.bar_bound)
-    S, R = _ptd_residuals(p, q, op_slots(R3, c), op_slots(R3, a), red, R3,
-                          _ptd_constants(p, q, red, R3))
+    S, R = _ptd_residuals(p, q, op_slots(R3, c), op_slots(R3, a), R3,
+                          _ptd_constants(p, q, R3))
     assert S.is_zero() and R.is_zero()
 
 
@@ -310,6 +310,60 @@ def test_ptd_negative_block_matches_period_matrix():
     lvl1 = level_slices(g, R2, 1).get(1, BlockOp(0))
     diff = lvl1.negative_part().add(xs_blocks.negative_part(), scale=-1)
     assert diff.is_zero()
+
+
+def test_ptds_of_different_algebras_are_refused():
+    """The T2 PTD of x (x . x = eps) and the T3 PTD of x3, over one ring and
+    window, live on different reductions; ptd_isomorphic refuses the pair
+    either way round instead of comparing blocks of unrelated complexes."""
+    R3 = build_truncated_poly(1, 3)
+    x = MCElement(R3, cochain_over_ring(T2, R3, {2: {(1, 1): {0: R3.gen("eps")}}}, 1, 6))
+    p = period_map_artin(T2, x, WINDOW)
+    q = period_map_artin(T3, _t3_gauge_pair(R3)[0], WINDOW)
+    assert p.ring is q.ring and p.window == q.window and p.reduced is not q.reduced
+    for a, b in ((p, q), (q, p)):
+        with pytest.raises(ValueError, match="reductions"):
+            ptd_isomorphic(a, b)
+
+
+def _bench_workloads():
+    """The benchmark's workload module, bench/workloads.py."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_block_lies_within_its_reduction(seed):
+    """On the deform_period inputs, every block of each trivialization gauge
+    and deformation, of each PTD's fields and of each PTD witness has both
+    weights at most the bar of the reduction it was built on, so a product
+    of two needs no weight cut (BlockOp.compose cuts only the t-window)."""
+    a = _bench_workloads().build_deform_period(seed)
+    algs = a["algs"]
+    t2, t3 = algs["T2"], algs["T3"]
+
+    def top_weight(red, *ops):
+        top = max((w for op in ops for _, m, m2 in op.blocks for w in (m, m2)), default=0)
+        assert top <= red.bar_bound, (red.algebra.name, top, red.bar_bound)
+        return top
+
+    inputs = ([(algs[name], x) for name, x in a["triv"]]
+              + [(t2, a[k]) for k in ("x", "y", "xx", "x2")] + [(t3, a[k]) for k in ("x3", "y3")])
+    for alg, x in inputs:
+        triv = trivialize_periodic(alg, x, WINDOW)
+        assert triv.ok, alg.name
+        top_weight(triv.reduced, triv.gauge, triv.deformation, triv.base)
+    found = []
+    for alg, k1, k2 in ((t2, "x", "y"), (t2, "x", "xx"), (t2, "x", "x2"), (t3, "x3", "y3")):
+        p, q = (period_map_artin(alg, a[k], WINDOW) for k in (k1, k2))
+        ok, witness = ptd_isomorphic(p, q)
+        found.append(ok)
+        fields = [op for v in (p, q) for op in (v.negative_differential, v.trivialization, v.base)]
+        assert top_weight(p.reduced, *fields, *(witness if ok else ())) == p.reduced.bar_bound
+    assert found == [True, True, False, True]
 
 
 # -- the one perturbation transfer against the two it replaced ------------------------
@@ -457,8 +511,8 @@ def test_zero_mc_transfer_is_undeformed_transfer_in_window():
 
 
 def _reference_block_exp(g, ring, red, window):
-    """e^g as the identity plus the series, multiplied out block by block."""
-    bar = red.bar_bound
+    """e^g as the identity on the weights of red plus the series,
+    multiplied out block by block."""
     identity = BlockOp(0)
     for m, d in enumerate(red.h_dims):
         if d:
@@ -466,7 +520,7 @@ def _reference_block_exp(g, ring, red, window):
     out = term = identity
     k = 1
     while True:
-        term = g.compose(term, bar, window).scaled(Fraction(1, k))
+        term = g.compose(term, window).scaled(Fraction(1, k))
         if term.is_zero():
             break
         out = out.add(term)
@@ -477,29 +531,28 @@ def _reference_block_exp(g, ring, red, window):
 
 
 def _reference_gauge_residual(mu, g, D0, red, window, ring):
-    bar = red.bar_bound
     eg = _reference_block_exp(g, ring, red, window)
     eg_inv = _reference_block_exp(g.scaled(-1), ring, red, window)
-    conj = eg.compose(D0.add(mu), bar, window).compose(eg_inv, bar, window)
+    conj = eg.compose(D0.add(mu), window).compose(eg_inv, window)
     return conj.add(D0, scale=-1)
 
 
-def _reference_inverses(p, q, red, ring):
+def _reference_inverses(p, q, ring):
     """(e^{-phi_q}, e^{-phi_p}) in full."""
-    return tuple(_reference_block_exp(x.trivialization.scaled(-1), ring, red, p.window)
+    return tuple(_reference_block_exp(x.trivialization.scaled(-1), ring, p.reduced, p.window)
                  for x in (q, p))
 
 
-def _reference_ptd_residuals(p, q, c, a, red, ring, inverses):
-    bar, window = p.bar_bound, p.window
+def _reference_ptd_residuals(p, q, c, a, ring, inverses):
+    red, window = p.reduced, p.window
     inv_q, inv_p = inverses
     ec = _reference_block_exp(c, ring, red, window)
-    S = ec.compose(p.negative_differential, bar, window).add(
-        q.negative_differential.compose(ec, bar, window), scale=-1
+    S = ec.compose(p.negative_differential, window).add(
+        q.negative_differential.compose(ec, window), scale=-1
     ).restrict_nonneg()
-    eda = _reference_block_exp(block_d(p.base, a, bar, window), ring, red, window)
-    lhs = inv_q.compose(eda, bar, window)
-    rhs = ec.compose(inv_p, bar, window)
+    eda = _reference_block_exp(block_d(p.base, a, window), ring, red, window)
+    lhs = inv_q.compose(eda, window)
+    rhs = ec.compose(inv_p, window)
     return S, lhs.add(rhs, scale=-1)
 
 
@@ -533,12 +586,12 @@ def test_ptd_residuals_match_full_exponential_reference(monkeypatch):
     inverses = {}
     seen = []
 
-    def checked(p, q, c, a, red, ring, constants):
-        got = real(p, q, c, a, red, ring, constants)
+    def checked(p, q, c, a, ring, constants):
+        got = real(p, q, c, a, ring, constants)
         key = id(p), id(q)
         if key not in inverses:
-            inverses[key] = _reference_inverses(p, q, red, ring)
-        want = _reference_ptd_residuals(p, q, ring_op(c, 0), ring_op(a, -1), red, ring,
+            inverses[key] = _reference_inverses(p, q, ring)
+        want = _reference_ptd_residuals(p, q, ring_op(c, 0), ring_op(a, -1), ring,
                                         inverses[key])
         assert _as_dicts(ring_op(got[0], 1), ring_op(got[1], 0)) == _as_dicts(*want)
         seen.append(not (c.is_zero() and a.is_zero()))
@@ -557,10 +610,9 @@ def _outcome(result):
 
 
 def test_ptd_witnesses_match_full_exponential_search(monkeypatch):
-    def reference_residuals(p, q, c, a, red, ring, inverses):
+    def reference_residuals(p, q, c, a, ring, inverses):
         """The reference residuals on the slot forms the search keeps."""
-        S, R = _reference_ptd_residuals(p, q, ring_op(c, 0), ring_op(a, -1), red, ring,
-                                        inverses)
+        S, R = _reference_ptd_residuals(p, q, ring_op(c, 0), ring_op(a, -1), ring, inverses)
         return op_slots(ring, S), op_slots(ring, R)
 
     pairs = _ptd_pairs()
@@ -577,7 +629,7 @@ def _inert(red, system, z):
     if any(j < nc for j in z):
         return False
     a = period._op_of(-1, {keys_a[j - nc]: v for j, v in z.items()})
-    return block_d(period.base_differential(red), a, red.bar_bound, WINDOW).is_zero()
+    return block_d(period.base_differential(red), a, WINDOW).is_zero()
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -616,18 +668,21 @@ def test_ptd_witnesses_unchanged_with_the_inert_directions_probed(monkeypatch):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_gauge_residuals_match_full_exponential_reference(seed, monkeypatch):
     """Every residual trivialize_periodic evaluates on the seeded inputs
-    equals the full conjugation e^g (D0 + mu) e^{-g} - D0."""
-    real = period.gauge_residual
-    seen = []
+    equals the full conjugation e^g (D0 + mu) e^{-g} - D0, the identity
+    taken on the reduction the trivialization reduced last."""
+    real, real_reduce = period.gauge_residual, period.reduce_mixed_complex
+    seen, reds = [], []
 
-    def checked(mu, g, D0, red, window, ring):
-        got = real(mu, g, D0, red, window, ring)
+    def checked(mu, g, D0, window, ring):
+        got = real(mu, g, D0, window, ring)
         assert _as_dicts(ring_op(got, 1)) == _as_dicts(_reference_gauge_residual(
-            ring_op(mu, 1), ring_op(g, 0), D0, red, window, ring))
+            ring_op(mu, 1), ring_op(g, 0), D0, reds[-1], window, ring))
         seen.append(not g.is_zero())
         return got
 
     monkeypatch.setattr(period, "gauge_residual", checked)
+    monkeypatch.setattr(period, "reduce_mixed_complex", lambda alg, bar: (
+        reds.append(real_reduce(alg, bar)) or reds[-1]))
     for alg, x in _mc_inputs(seed):
         seen.clear()
         assert trivialize_periodic(alg, x, WINDOW).ok, alg.name
@@ -645,20 +700,19 @@ def test_residuals_match_reference_in_narrow_windows(window):
 
     for alg, x in _mc_inputs(1):
         triv = trivialize_periodic(alg, x, WINDOW)
-        args = (triv.deformation, triv.gauge, triv.base, triv.reduced, window, x.ring)
         got = gauge_residual(op_slots(x.ring, triv.deformation), op_slots(x.ring, triv.gauge),
-                             *args[2:])
-        assert _as_dicts(ring_op(got, 1)) == _as_dicts(_reference_gauge_residual(*args))
+                             triv.base, window, x.ring)
+        assert _as_dicts(ring_op(got, 1)) == _as_dicts(_reference_gauge_residual(
+            triv.deformation, triv.gauge, triv.base, triv.reduced, window, x.ring))
     for p, q in _ptd_pairs():
         ok, witness = ptd_isomorphic(p, q)
         if not ok:
             continue
         p, q = (dataclasses.replace(v, window=window) for v in (p, q))
-        red = reduce_mixed_complex(p.algebra, p.bar_bound)
         c, a = (op_slots(p.ring, op) for op in witness)
-        S, R = _ptd_residuals(p, q, c, a, red, p.ring, _ptd_constants(p, q, red, p.ring))
-        want = _reference_ptd_residuals(p, q, *witness, red, p.ring,
-                                        _reference_inverses(p, q, red, p.ring))
+        S, R = _ptd_residuals(p, q, c, a, p.ring, _ptd_constants(p, q, p.ring))
+        want = _reference_ptd_residuals(p, q, *witness, p.ring,
+                                        _reference_inverses(p, q, p.ring))
         assert _as_dicts(ring_op(S, 1), ring_op(R, 0)) == _as_dicts(*want)
 
 
@@ -683,9 +737,9 @@ def test_kept_operators_equal_fresh_builds():
     pairs = _ptd_pairs()
     assert [ptd_isomorphic(p, q)[0] for p, q in pairs] == [True, True, False, True]
     for p in (pairs[0][0], pairs[-1][0]):
-        red = reduce_mixed_complex(p.algebra, p.bar_bound)
+        red = p.reduced
         fresh = reduce_mixed_complex(
-            build_truncated_polynomial_algebra(p.algebra.dim), p.bar_bound)
+            build_truncated_polynomial_algebra(red.algebra.dim), red.bar_bound)
         assert {("[D0, -]", WINDOW, 0), ("[D0, -]", WINDOW, -1),
                 ("ptd", WINDOW)} <= set(red._kept)
         for deg in (0, -1):
@@ -715,18 +769,19 @@ def test_second_search_on_one_instance_matches_a_fresh_instance():
 
 def test_windows_keep_separate_operators():
     """Two t-windows on one reduction keep separate [D0, -] matrices, each
-    equal to its own fresh build."""
-    alg = build_truncated_polynomial_algebra(2)
-    x = MCElement(R2, cochain_over_ring(alg, R2, {2: {(1, 1): {0: EPS}}}, 1, 6))
-    bar = trivialize_periodic(alg, x, (-6, 6)).reduced.bar_bound
-    assert trivialize_periodic(alg, x, (-3, 3), bar).ok
-    red = reduce_mixed_complex(alg, bar)
+    equal to its own fresh build: on Q[x]/x^3 the spot cap of the bar policy
+    gives the windows (-6, 6) and (-2, 2) the one reduction at bar 6."""
+    alg = build_truncated_polynomial_algebra(3)
+    x = _t3_gauge_pair(build_truncated_poly(1, 3), alg)[0]
+    trivs = [trivialize_periodic(alg, x, w) for w in ((-6, 6), (-2, 2))]
+    assert all(t.ok for t in trivs) and trivs[0].reduced is trivs[1].reduced
+    red = trivs[0].reduced
     assert {key for key in red._kept if key[0] == "[D0, -]"} == {
-        ("[D0, -]", (-6, 6), 0), ("[D0, -]", (-3, 3), 0)}
-    wide, narrow = (_matrix_data(red._kept["[D0, -]", w, 0]) for w in ((-6, 6), (-3, 3)))
+        ("[D0, -]", (-6, 6), 0), ("[D0, -]", (-2, 2), 0)}
+    wide, narrow = (_matrix_data(red._kept["[D0, -]", w, 0]) for w in ((-6, 6), (-2, 2)))
     assert wide != narrow
-    fresh = reduce_mixed_complex(build_truncated_polynomial_algebra(2), bar)
-    assert narrow == _matrix_data(period._assemble_d_matrix(fresh, 0, (-3, 3)))
+    fresh = reduce_mixed_complex(build_truncated_polynomial_algebra(3), red.bar_bound)
+    assert narrow == _matrix_data(period._assemble_d_matrix(fresh, 0, (-2, 2)))
 
 
 # -- the slot product on rings the benchmark never builds ----------------------------
@@ -761,7 +816,7 @@ def _random_cochain(alg, ring, rng, arity):
 def _random_op(red, ring, rng, deg, window, nonneg=False, in_m=True):
     from ncperiod.period import _block_basis
 
-    _, keys = _block_basis(red.h_dims, deg, window, red.bar_bound)
+    _, keys = _block_basis(red.h_dims, deg, window)
     entries = {}
     for key in keys:
         if rng.random() < 0.5 and not (nonneg and key[0] < 0):
@@ -799,16 +854,16 @@ def test_slot_forms_equal_the_ring_element_forms(ring):
     mu = BlockOp(1, transfer).add(D0, scale=-1)
     g = _random_op(red, ring, rng, 0, window)
     assert not g.is_zero()
-    got = period.gauge_residual(op_slots(ring, mu), op_slots(ring, g), D0, red, window, ring)
+    got = period.gauge_residual(op_slots(ring, mu), op_slots(ring, g), D0, window, ring)
     assert _as_dicts(ring_op(got, 1)) == _as_dicts(
         _reference_gauge_residual(mu, g, D0, red, window, ring))
-    p, q = (period.PTD(ring, T3, x, window, red.bar_bound,
+    p, q = (period.PTD(ring, x, window, red,
                        _random_op(red, ring, rng, 1, window, nonneg=True, in_m=False),
                        _random_op(red, ring, rng, 0, window), D0) for _ in range(2))
     c = _random_op(red, ring, rng, 0, window, nonneg=True)
     a = _random_op(red, ring, rng, -1, window)
-    S, R = _ptd_residuals(p, q, op_slots(ring, c), op_slots(ring, a), red, ring,
-                          _ptd_constants(p, q, red, ring))
-    want = _reference_ptd_residuals(p, q, c, a, red, ring, _reference_inverses(p, q, red, ring))
+    S, R = _ptd_residuals(p, q, op_slots(ring, c), op_slots(ring, a), ring,
+                          _ptd_constants(p, q, ring))
+    want = _reference_ptd_residuals(p, q, c, a, ring, _reference_inverses(p, q, ring))
     assert not want[1].is_zero()
     assert _as_dicts(ring_op(S, 1), ring_op(R, 0)) == _as_dicts(*want)
