@@ -40,10 +40,14 @@ Chain models
     normalized cochain vanishes on it (Cochain, _brace_into), an a0 in it
     dies under B, and in front of each rotation of B stands the ground
     element the rotated walk starts at: the unit, or an e_x (connes_terms);
-  * chain_model_of is the one routing rule: hochschild_homology,
-    hochschild_cohomology and the cyclic operations (HC, HN, HP) take the
-    PeirceBasis of an algebra with idempotents and the algebra itself
-    otherwise.  The flat model, the algebra, is read explicitly by
+  * chain_model_of is the routing rule of the operations that need B or
+    cochains: hochschild_cohomology and the cyclic operations (HC, HN, HP)
+    take the PeirceBasis of an algebra with idempotents and the algebra
+    itself otherwise.  hochschild_homology routes by homology_model_of,
+    which sends the table of Q[x]/x^N (basis 1, x, .., x^{N-1}) to its
+    morse.MorseModel, the Morse complex of an acyclic matching with N critical
+    cells per weight, and every other algebra by chain_model_of.  The flat
+    model, the algebra, is read explicitly by
     flat_hochschild_homology, cocycle_representatives, the obstruction
     classes, the period layer and the calculus, since L_x and I_x of a flat
     cochain x act on flat chains.
@@ -70,7 +74,9 @@ Indexing and assembly
   * boundary_matrices and connes_matrices, d and B per weight, are the one
     place that picks the assembly, by the model: term_matrix of the run form
     on a DgAlgebra, one per-key call per column on a PeirceBasis, whose walks
-    are found by key (_keyed_matrix).  The operator matrices of
+    are found by key (_keyed_matrix).  The Morse differential of a
+    MorseModel is assembled per key as well, by _weight_graded_boundary.
+    The operator matrices of
     calculus.OperatorSpace are run form too, apart from its Lie tables;
   * the cochain differential [b, -] of each (model, arity) is assembled
     once, one b bracketed with each column read through the CochainBasis
@@ -87,6 +93,7 @@ from functools import lru_cache, partial
 
 from .algebra import PeirceBasis
 from .exactlin import SparseMatrix, chain_add, homology_walk, kept
+from .morse import MorseModel
 
 
 class ArityBoundExceeded(Exception):
@@ -743,14 +750,29 @@ def _flat_model(algebra):
 
 
 def chain_model_of(algebra):
-    """The routing rule of the homology operations: (model, record), model
-    being the algebra.peirce() of an algebra carrying idempotents (the
-    E-relative complex, chains over its indices) and the algebra itself
-    otherwise (the flat complex); record is the chain_model of the result."""
+    """The routing rule of the operations that need B or cochains (HC, HN,
+    HP and HH^*): (model, record), model being the algebra.peirce() of an
+    algebra carrying idempotents (the E-relative complex, chains over its
+    indices) and the algebra itself otherwise (the flat complex); record is
+    the chain_model of the result."""
     if algebra.idempotents is None:
         return _flat_model(algebra)
     peirce = algebra.peirce()
     return peirce, {"kind": "relative", "idempotents": len(peirce.ground)}
+
+
+def homology_model_of(algebra):
+    """The routing rule of hochschild_homology: the MorseModel of Q[x]/x^N,
+    N >= 2, in the basis 1, x, .., x^{N-1} with no idempotents, and
+    chain_model_of's model otherwise.  The table is read off the structure
+    constants (x^i x^j = x^{i+j}, zero from x^N on), so an algebra file
+    holding it routes to Morse and a permuted basis does not."""
+    n = algebra.dim
+    if n >= 2 and algebra.idempotents is None and algebra.mult == {
+            (i, j): {i + j: 1} for i in range(n) for j in range(n - i)}:
+        d_terms = partial(lie_terms, algebra, structure_as_cochain(algebra))
+        return MorseModel(algebra, d_terms), {"kind": "morse"}
+    return chain_model_of(algebra)
 
 
 # -- homology -----------------------------------------------------------------------
@@ -762,9 +784,10 @@ class GradedDims:
 
     spots and basis_keys are over the chain (or cochain) basis of the
     complex named by chain_model: {"kind": "flat"}, the normalized complex,
-    or {"kind": "relative", "idempotents": r}, the complex relative to r
+    {"kind": "relative", "idempotents": r}, the complex relative to r
     idempotents, whose keys are walks over the algebra's peirce() indices:
-    (a0, word) for HH, (w, t) for HH^*."""
+    (a0, word) for HH, (w, t) for HH^*, or {"kind": "morse"}, the Morse
+    complex of Q[x]/x^N, whose keys are its critical cells (a0, word)."""
 
     dims: dict = field(default_factory=dict)
     spots: dict = field(default_factory=dict)  # degree -> SubquotientBasis
@@ -779,7 +802,14 @@ class GradedDims:
 
 
 def _weight_graded_boundary(model, max_weight):
-    """Chain spaces and boundary matrices per weight up to max_weight."""
+    """Chain spaces and boundary matrices per weight up to max_weight: the
+    chains and d of an algebra model, or the critical cells and the Morse
+    differential of a MorseModel, assembled per key (_keyed_matrix)."""
+    if isinstance(model, MorseModel):
+        spaces = model.cells(max_weight)
+        return spaces, [None] + [
+            _keyed_matrix(model.boundary_terms, spaces[n], spaces[n - 1])
+            for n in range(1, max_weight + 1)]
     spaces = chain_spaces(model, max_weight)
     return spaces, boundary_matrices(model, spaces)
 
@@ -820,14 +850,16 @@ def _model_homology(algebra, degree_range, model_of):
 def hochschild_homology(algebra, degree_range):
     """Exact HH dims with representatives; algebra must sit in degree 0.
 
-    It runs on the model chain_model_of picks: an algebra carrying
+    It runs on the model homology_model_of picks: the table of Q[x]/x^N
+    (basis 1, x, .., x^{N-1}, N >= 2) on its MorseModel, whose spots and
+    basis_keys are over the N critical cells per weight; an algebra carrying
     idempotents (the builders attach them to M_n and to path algebras) on
     the complex relative to their span E, whose spots and basis_keys name
     walks (a0, word) over algebra.peirce() indices; any other algebra on the
     flat complex.  Callers that need representatives on flat chains call
     flat_hochschild_homology.
     """
-    return _model_homology(algebra, degree_range, chain_model_of)
+    return _model_homology(algebra, degree_range, homology_model_of)
 
 
 def flat_hochschild_homology(algebra, degree_range):
@@ -912,9 +944,11 @@ def _build_cohomology_spot(model, arity):
 def hochschild_cohomology(algebra, degree_range):
     """Exact HH^n dims with representatives; algebra must sit in degree 0.
 
-    It runs on the model chain_model_of picks, as hochschild_homology does:
-    the spots and basis_keys of an algebra carrying idempotents are over the
-    relative cochains (w, t) of algebra.peirce().  Callers that need flat
+    It runs on the model chain_model_of picks: the spots and basis_keys of
+    an algebra carrying idempotents are over the relative cochains (w, t) of
+    algebra.peirce(), and those of any other algebra over its flat cochains.
+    Unlike hochschild_homology it has no Morse route: the MorseModel carries
+    chains only, so Q[x]/x^N stays flat here.  Callers that need flat
     cochains call cocycle_representatives.
     """
     if not algebra.is_degree_zero():

@@ -34,9 +34,9 @@ from ncperiod.hochschild import (
     cochain_differential,
     cocycle_representatives,
     contraction,
+    flat_hochschild_homology,
     gerstenhaber_bracket,
     hochschild_boundary,
-    hochschild_homology,
     lie_action,
     structure_as_cochain,
 )
@@ -167,9 +167,7 @@ def test_contraction_cup_composition_rule():
 
 def test_contraction_commutator_vanishes_on_homology():
     """[I_P, I_Q] acts by zero on HH_* classes (strict-commutativity form)."""
-    from ncperiod.hochschild import cocycle_representatives, hochschild_homology
-
-    hh = hochschild_homology(D, range(0, 4))
+    hh = flat_hochschild_homology(D, range(0, 4))
     classes = []
     for s in range(0, 3):
         classes.extend(cocycle_representatives(D, s, 6))
@@ -694,7 +692,7 @@ def _reference_calculus_defect(alg, degree_bound, bar_bound):
     defect closures on one check column or one homology representative at a
     time."""
     space = OperatorSpace(alg, bar_bound)
-    hh = hochschild_homology(alg, range(0, bar_bound + 1))
+    hh = flat_hochschild_homology(alg, range(0, bar_bound + 1))
     off = space.basis.offsets
     reps_by_degree = {n: [{off[n] + i: v for i, v in rep.items()}
                           for rep in hh.spots[n].homology_reps]

@@ -106,7 +106,7 @@ def test_spec_example_hh_table():
 @pytest.mark.parametrize("spec, want, model", [
     ("matrix:3", "1 0 0 0 0 0 0", {"kind": "relative", "idempotents": 3}),
     ("path:a4", "4 0 0 0 0 0 0", {"kind": "relative", "idempotents": 4}),
-    ("trunc_poly:3", "3 2 2 2 2 2 2", {"kind": "flat"}),
+    ("trunc_poly:3", "3 2 2 2 2 2 2", {"kind": "morse"}),
 ])
 def test_hh_oracles_and_chain_model(spec, want, model):
     """Morita HH(M3) = HH(Q); an acyclic quiver has HH_0 = k^#vertices and

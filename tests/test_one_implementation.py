@@ -244,12 +244,14 @@ def test_one_run_form_assembly():
     """d, B and I_P on a DgAlgebra become matrices only through term_matrix,
     in run form, and _weight_matrices, behind boundary_matrices and
     connes_matrices, is the one place that picks it or the per-key
-    _keyed_matrix by the model; no function of hochschild or calculus finds a
+    _keyed_matrix by the model (the Morse differential of Q[x]/x^N is per key
+    too, from _weight_graded_boundary); no function of hochschild or calculus finds a
     matrix row by its chain key, apart from INDEX_LOOKUPS; each sign rule is
     written once and used by the run form and the per-key generator alike."""
     assert set(_call_sites("term_matrix")) == {
         ("hochschild", "_weight_matrices"), ("calculus", "operator_matrix")}
-    assert _call_sites("_keyed_matrix") == [("hochschild", "_weight_matrices")]
+    assert set(_call_sites("_keyed_matrix")) == {
+        ("hochschild", "_weight_matrices"), ("hochschild", "_weight_graded_boundary")}
     assert set(_call_sites("_weight_matrices")) == {
         ("hochschild", "boundary_matrices"), ("hochschild", "connes_matrices")}
     assert _index_lookups("hochschild") | _index_lookups("calculus") == set(INDEX_LOOKUPS)
