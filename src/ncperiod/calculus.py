@@ -15,31 +15,31 @@ structure constants out of Fraction arithmetic.  The matrices and
 transposes one OperatorSpace builds hold one object per distinct (row,
 coeff) entry and per distinct column tuple, looked up once the coefficient
 is exact, so an int and the Fraction equal to it never merge; most columns
-of the Lie matrices repeat a few values.  verify_lie_dagger drops that
-store and the apply-column Lie tables, scratch of the build alone, before
-its pair loop.  An operator identity
-lhs = rhs, in verify_lie_dagger and calculus_defect alike, is checked as
-residuals lhs - rhs of the form sum s . X Y + sum s . Z on the check
-columns (a prefix of the weight-ordered basis).  A residual is one flat dict
-{col . N + row: coeff}, N the size of the chain basis, and the transposes
-its products read store col . N.  The Lie action of a cochain is added into
-a residual in place through per-word tables: the table of an (arity, word,
-parity) is made from those helpers on first use, and kept when it covers
-the check columns; each match in it is (kbase, stride, sign), the row of
-output t being kbase + stride . t in the mixed-radix index of
+of the Lie matrices repeat a few values.  verify_lie_dagger keeps a Lie
+matrix's weight bar + 1 columns, which skip that store, only while its first
+pass reads them, a word's apply-column Lie tables only until the cochains on
+the word are built, and the store until its second pass.  An operator
+identity lhs = rhs, in verify_lie_dagger and calculus_defect alike, is
+checked as residuals lhs - rhs of the form sum s . X Y + sum s . Z on the
+check columns (a prefix of the weight-ordered basis).  A residual is one
+flat dict {col . N + row: coeff}, N the size of the chain basis, and the
+transposes its products read store col . N.  The Lie action of a cochain is
+added into a residual in place through per-word tables: the table of an
+(arity, word, parity) is made from those helpers on first use, and kept when
+it covers the check columns; each match in it is (kbase, stride, sign), the
+row of output t being kbase + stride . t in the mixed-radix index of
 chain_spaces, so no chain key is built per term.  The rest is added by one
 kernel, _residual, whose products are outer-product sparse products
 (Gustavson 1978) over the stored nonzeros.  The brackets whose action the
-pair loop checks come from hochschild.gerstenhaber_bracket, which adds
-p o q and the signed q o p into one component dict in one pass; the loop
-runs in the calling process, on the matrices it has already built.  The
-identity holds exactly iff every residual entry is zero; its witness is
-the smallest nonzero column, min(nonzero keys) // N, the first chain in
-weight order where the two sides differ.  An identity of calculus_defect
-claimed on homology instead "holds on homology" when each residual,
-regrouped by column, sends every homology representative to a boundary
-(tested against the span of boundaries its spot keeps), and otherwise
-fails at the first (label, degree) where one does not.
+pair loop checks come from hochschild.gerstenhaber_bracket, which adds p o q
+and the signed q o p into one component dict in one pass.  The identity
+holds exactly iff every residual entry is zero; its witness is the smallest
+nonzero column, min(nonzero keys) // N, the first chain in weight order
+where the two sides differ.  An identity of calculus_defect claimed on
+homology instead "holds on homology" when each residual, regrouped by
+column, sends every homology representative to a boundary (tested against
+the span of boundaries its spot keeps), and otherwise fails at the first
+(label, degree) where one does not.
 
 Cup-product sign convention (see README): for components of arities p, q,
 
@@ -131,8 +131,8 @@ def cup_product(algebra, p: Cochain, q: Cochain, arity_bound=None) -> Cochain:
 # -- sparse operator engine ------------------------------------------------------
 
 
-# weights materialized beyond check_weight: one intermediate application, and
-# the arity-0 and Connes terms
+# weights beyond check_weight: one intermediate application (the apply
+# columns), and the arity-0 and Connes terms on it
 _HEAD_ROOM = 2
 
 
@@ -172,7 +172,8 @@ class OperatorSpace:
     def release_build(self):
         """Drop what only the building of stored matrices reads: the Lie
         tables of the apply columns and the store of _one.  Matrices built
-        before keep their objects; later builds remake both."""
+        before keep their objects; later builds remake both.  verify_lie_dagger
+        calls it after its first pass, having dropped each word's tables."""
         self._tables.pop(self.size, None)
         self._store = {}
 
@@ -234,16 +235,18 @@ class OperatorSpace:
                 _add_terms(res, wrap, out)
         return res
 
-    def lie_matrix(self, cochain):
+    def lie_matrix(self, cochain, share_head=True):
         """{col: ((row, coeff), ...)} of the Lie action of the cochain on the
         apply columns, in the stored form of _column, its indices the shared
-        int objects of _ints."""
+        int objects of _ints.  With share_head False, the columns above the
+        check weight skip _one, so they are freed with the matrix."""
         cols, ints, one = {}, self._ints, self._one
         for k, v in self.lie_into({}, cochain, self.size).items():
             if v:
                 col, row = divmod(k, self.size)
-                cols.setdefault(ints[col], []).append(one((ints[row], exact(v))))
-        return {col: one(tuple(e)) for col, e in cols.items()}
+                cols.setdefault(ints[col], []).append((ints[row], exact(v)))
+        return {col: one(tuple(map(one, e))) if share_head or col < self.ncheck
+                else tuple(e) for col, e in cols.items()}
 
     def operator_matrix(self, runs):
         """{col: ((row, coeff), ...)} of an operator in run form on the apply
@@ -349,19 +352,15 @@ def _report(axiom, witness):
 # -- Lie-dagger verification --------------------------------------------------------
 
 
-def _bracket_action_witness(space, cochains, mats, arity_bound):
-    """(chain, a, b) of the first basis pair a <= b whose bracket-action
-    residual is nonzero, at its smallest nonzero column, or None."""
-    for a, (P, (mp, tp)) in enumerate(zip(cochains, mats)):
-        for b in range(a, len(cochains)):
-            Q, (mq, tq) = cochains[b], mats[b]
-            res = space.lie_into({}, gerstenhaber_bracket(P, Q, 2 * arity_bound),
-                                 space.ncheck)
-            sign = _sign(P.sdeg * Q.sdeg)
-            col = _first_nonzero(space, _residual(
-                space, res, ((-1, mp, tq), (sign, mq, tp))))
-            if col is not None:
-                return (space.keys[col], a, b)
+def _first_failure(space, cases):
+    """(chain, *label) of the first case (label, lhs, products[, singles])
+    whose residual, L_lhs (zero for lhs None) plus the terms of _residual,
+    is nonzero, at its smallest nonzero column, or None."""
+    for label, lhs, *terms in cases:
+        res = {} if lhs is None else space.lie_into({}, lhs, space.ncheck)
+        col = _first_nonzero(space, _residual(space, res, *terms))
+        if col is not None:
+            return (space.keys[col], *label)
     return None
 
 
@@ -379,47 +378,59 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, workers=1):
     raises ValueError.  The pair loop runs in this process; workers is
     accepted and ignored, because the benchmark's traced pass still passes
     workers=2.
+
+    Only B and an arity-0 L_P raise the weight, so only (3) and the pairs
+    with P of arity 0, the first in (a, b) order, read the weight
+    bar_bound + 1 columns of L_Q: a first pass builds each L_Q, runs those
+    on it and keeps its check columns; a second runs the rest on them.
     """
     if min(arity_bound, bar_bound) < 0:
         raise ValueError(f"negative bound: arity {arity_bound}, bar {bar_bound}")
     space = OperatorSpace(algebra, bar_bound)
     cochains = basis_cochains(algebra, arity_bound)
-    for c in cochains:
-        c.arity_bound = 2 * arity_bound
-    boundary = space.boundary_matrix()
-    t_boundary = _transpose(space, boundary)
-    connes = space.connes_matrix()
-    t_connes = _transpose(space, connes)
-    # (L_P, L_P by rows over the check columns) for every cochain, built
-    # last, so that the apply-column Lie tables never live beside the
-    # assembly of B and b
-    mats = [(m, _transpose(space, m)) for m in map(space.lie_matrix, cochains)]
+    n, n0 = len(cochains), sum(0 in c.components for c in cochains)
+    if any(0 in c.components for c in cochains[n0:]):
+        raise AssertionError("basis_cochains must list the arity-0 cochains first")
+    boundary, connes = space.boundary_matrix(), space.connes_matrix()
+    t_boundary, t_connes = _transpose(space, boundary), _transpose(space, connes)
+    lies, trans = [], []  # L_P, and L_P by rows over the check columns
+
+    def pair(a, q):
+        P, Q = cochains[a], cochains[q]
+        return ((a, q), gerstenhaber_bracket(P, Q, 2 * arity_bound), (
+            (-1, lies[a], trans[q]), (_sign(P.sdeg * Q.sdeg), lies[q], trans[a])))
+
+    # the Lie matrices are built last, so that the apply-column Lie tables
+    # never live beside the assembly of B and b; a word's tables go once the
+    # cochains on it, which basis_cochains lists together, are built
+    bracket = connes_witness = word = None
+    for q, Q in enumerate(cochains):
+        (l, comp), = Q.components.items()  # one arity, one word
+        if word != (word := (l, *comp)):
+            space._tables.pop(space.size, None)
+        lies.append(space.lie_matrix(Q, share_head=False))
+        trans.append(_transpose(space, lies[q]))
+        # a later pair precedes the witness only with a smaller a
+        stop = min(q + 1, n0 if bracket is None else bracket[1])
+        bracket = _first_failure(space, (pair(a, q) for a in range(stop))) or bracket
+        connes_witness = connes_witness or _first_failure(space, [((q,), None, (
+            (-1, connes, trans[q]), (_sign(Q.sdeg), lies[q], t_connes)))])
+        # the arity-0 L_P keep their weight bar + 1 columns for the arity-0 Q
+        for i in range(q + 1) if q + 1 == n0 else [q] if q >= n0 else ():
+            lies[i] = {c: e for c, e in lies[i].items() if c < space.ncheck}
     space.release_build()
-    reports = []
-
-    witness = _bracket_action_witness(space, cochains, mats, arity_bound)
-    reports.append(_report("bracket-action: L_[P,Q] = [L_P, L_Q]", witness))
-
+    bracket = bracket or _first_failure(
+        space, (pair(a, q) for a in range(n0, n) for q in range(a, n)))
     b = structure_as_cochain(algebra)
-    for axiom, op, t_op, lhs in (
-            ("boundary-compat: d^End L_P = L_dP", boundary, t_boundary,
-             lambda P: gerstenhaber_bracket(b, P, arity_bound + 1)),
-            ("connes-compat: [B, L_P] = 0", connes, t_connes, None)):
-        witness = None
-        for a, (P, (mp, tp)) in enumerate(zip(cochains, mats)):
-            res = space.lie_into({}, lhs(P), space.ncheck) if lhs else {}
-            col = _first_nonzero(space, _residual(
-                space, res, ((-1, op, tp), (_sign(P.sdeg), mp, t_op))))
-            if col is not None:
-                witness = (space.keys[col], a)
-                break
-        reports.append(_report(axiom, witness))
-
-    res = space.lie_into({}, b, space.ncheck)
-    col = _first_nonzero(space, _residual(space, res, (), ((-1, boundary),)))
-    reports.append(_report("action-at-structure: L_b = boundary",
-                           None if col is None else space.keys[col]))
-    return reports
+    boundary_witness = _first_failure(space, (
+        ((a,), gerstenhaber_bracket(b, P, arity_bound + 1),
+         ((-1, boundary, tp), (_sign(P.sdeg), mp, t_boundary)))
+        for a, (P, mp, tp) in enumerate(zip(cochains, lies, trans))))
+    structure = _first_failure(space, [((), b, (), ((-1, boundary),))])
+    return [_report("bracket-action: L_[P,Q] = [L_P, L_Q]", bracket),
+            _report("boundary-compat: d^End L_P = L_dP", boundary_witness),
+            _report("connes-compat: [B, L_P] = 0", connes_witness),
+            _report("action-at-structure: L_b = boundary", structure and structure[0])]
 
 
 # -- full calculus axioms, exact or on homology ---------------------------------------
@@ -510,14 +521,10 @@ def calculus_defect(algebra, degree_bound=2, bar_bound=4):
     # within the membership-checkable range
     hh = flat_hochschild_homology(algebra, range(0, bar_bound + 1))
     offsets = space.basis.offsets
-    homology = (hh, {
-        n: [{offsets[n] + i: v for i, v in rep.items()}
-            for rep in hh.spots[n].homology_reps]
-        for n in range(0, bar_bound)
-    })
-    classes = []
-    for s in range(0, degree_bound + 1):
-        classes.extend(cocycle_representatives(algebra, s, degree_bound + 2))
+    homology = (hh, {n: [{offsets[n] + i: v for i, v in rep.items()}
+                         for rep in hh.spots[n].homology_reps] for n in range(bar_bound)})
+    classes = [c for s in range(degree_bound + 1)
+               for c in cocycle_representatives(algebra, s, degree_bound + 2)]
     # the cup triples of the associativity and Leibniz checks reach arity
     # 3 . degree_bound
     for c in classes:
@@ -527,15 +534,11 @@ def calculus_defect(algebra, degree_bound=2, bar_bound=4):
             cup_product(algebra, Q, P), scale=-_sign((P.sdeg + 1) * (Q.sdeg + 1))))
         for P, Q in iproduct(classes, repeat=2)))]
 
-    witness = None
-    for P, Q, R in iproduct(classes, repeat=3):
-        assoc = cup_product(algebra, cup_product(algebra, P, Q), R).add(
-            cup_product(algebra, P, cup_product(algebra, Q, R)), scale=-1
-        )
-        if not assoc.is_zero():
-            witness = (P.sdeg, Q.sdeg, R.sdeg)
-            break
-    reports.append(_report("cup-associativity (chain level)", witness))
+    reports.append(_report("cup-associativity (chain level)", next((
+        (P.sdeg, Q.sdeg, R.sdeg) for P, Q, R in iproduct(classes, repeat=3)
+        if not cup_product(algebra, cup_product(algebra, P, Q), R).add(
+            cup_product(algebra, P, cup_product(algebra, Q, R)), scale=-1).is_zero()),
+        None)))
 
     # Leibniz [P, Q cup R] = [P,Q] cup R + (-1)^{(|P|+1)|Q|} Q cup [P,R]
     reports.append(_cochain_verdict(algebra, "bracket-cup Leibniz (on HH^*)", (
@@ -557,8 +560,7 @@ def calculus_defect(algebra, degree_bound=2, bar_bound=4):
     deg = [P.sdeg + 1 for P in single]
     con = [space.contraction_matrix(P) for P in single]
     lie = [space.lie_matrix(P) for P in single]
-    t_con = [_transpose(space, m) for m in con]
-    t_lie = [_transpose(space, m) for m in lie]
+    t_con, t_lie = ([_transpose(space, m) for m in ms] for ms in (con, lie))
     connes = space.connes_matrix()
     t_connes = _transpose(space, connes)
     pairs = list(iproduct(range(len(single)), repeat=2))
@@ -570,14 +572,12 @@ def calculus_defect(algebra, degree_bound=2, bar_bound=4):
     cartan = [((deg[p],), _residual(
         space, {}, ((1, connes, t_con[p]), (-_sign(deg[p]), con[p], t_connes)),
         ((_sign(deg[p]), lie[p]),))) for p in range(len(single))]
-    mixed = []
-    for p, q in pairs:
-        br = gerstenhaber_bracket(single[p], single[q])
-        if len(br.arities()) <= 1:
-            mixed.append(((deg[p], deg[q]), _residual(
-                space, {}, ((1, con[p], t_lie[q]),
-                            (-_sign(deg[p] * (deg[q] - 1)), lie[q], t_con[p])),
-                ((-_sign(deg[p] * (deg[q] + 1)), space.contraction_matrix(br)),))))
+    brackets = {(p, q): gerstenhaber_bracket(single[p], single[q]) for p, q in pairs}
+    mixed = [((deg[p], deg[q]), _residual(
+        space, {}, ((1, con[p], t_lie[q]),
+                    (-_sign(deg[p] * (deg[q] - 1)), lie[q], t_con[p])),
+        ((-_sign(deg[p] * (deg[q] + 1)), space.contraction_matrix(br)),)))
+        for (p, q), br in brackets.items() if len(br.arities()) <= 1]
     l_cup = [((deg[p], deg[q]), _residual(
         space, space.lie_into({}, cups[p, q], space.ncheck),
         ((-_sign(deg[q] * (deg[p] + 1)), lie[p], t_con[q]),

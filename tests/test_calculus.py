@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -245,14 +246,16 @@ def test_boundary_matrices_need_d_zero():
         boundary_matrices(CONTRACTIBLE, chain_spaces(CONTRACTIBLE, 2))
 
 
-def _scale_tables(monkeypatch, k, wrap):
-    """Patch OperatorSpace._table so that every table made afterwards has
-    the signs of its wrap groups (wrap) or of its interior groups, for a
-    cochain of odd parity, multiplied by k."""
+def _scale_tables(monkeypatch, k, wrap, min_arity=0):
+    """Patch OperatorSpace._table so that every table made afterwards for a
+    word of arity >= min_arity has the signs of its wrap groups (wrap) or of
+    its interior groups, for a cochain of odd parity, multiplied by k."""
     table = OperatorSpace._table
 
     def scaled(self, l, w, odd, stop):
         interior, wraps = table(self, l, w, odd, stop)
+        if l < min_arity:
+            return interior, wraps
         if wrap:
             wraps = [((stride, k * sgn), kb) for (stride, sgn), kb in wraps]
         elif odd:
@@ -427,6 +430,67 @@ def test_lie_dagger_interior_mutant_matches_per_column_reference(
         assert statuses == ["holds exactly", "fails", "holds exactly", "holds exactly"]
     else:
         assert statuses == ["fails"] * 4
+
+
+M2 = build_matrix_algebra(2)
+
+
+# (algebra, arity bound, bar bound, min arity, the pair (a, b) of the
+# bracket-action witness): with the arity-0 L_P exact, the first failing pair
+# is one of the first pass (P of arity 0, a < dim) or of the second
+@pytest.mark.parametrize("alg,arity_bound,bar_bound,min_arity,pair", [
+    (M2, 2, 3, 1, (4, 5)), (M2, 2, 3, 2, (1, 20)), (M2, 2, 3, 3, (16, 21)),
+    (T3, 3, 3, 1, (3, 4)), (T3, 3, 3, 2, (1, 12)), (T3, 3, 3, 3, (1, 21))],
+    ids=lambda v: getattr(v, "name", str(v)))
+def test_lie_dagger_arity_filtered_mutant_matches_per_column_reference(
+        alg, arity_bound, bar_bound, min_arity, pair, monkeypatch):
+    """Wrap terms scaled by -1 on the words of arity >= min_arity only: the
+    reports and witnesses are those of the per-column loop, whichever pass
+    of verify_lie_dagger finds the bracket-action witness."""
+    _scale_tables(monkeypatch, -1, wrap=True, min_arity=min_arity)
+    got = [(r.axiom, r.status, r.witness)
+           for r in verify_lie_dagger(alg, arity_bound, bar_bound)]
+    assert got == _reference_lie_dagger(alg, arity_bound, bar_bound)
+    assert got[0][2][1:] == pair
+
+
+@pytest.mark.parametrize("alg", [build_field(), D, M2, A2, EXT1, CONTRACTIBLE],
+                         ids=lambda a: a.name)
+def test_basis_cochains_list_arity_zero_first(alg):
+    """verify_lie_dagger reads the weight bar + 1 columns of L_Q only in the
+    pairs whose P has arity 0, which it takes to be the first cochains."""
+    arities = [c.arities() for c in basis_cochains(alg, 3)]
+    assert arities == sorted(arities) and arities[0] == [0]
+
+
+def test_lie_dagger_refuses_cochains_out_of_arity_order(monkeypatch):
+    listed = calculus.basis_cochains
+    monkeypatch.setattr(calculus, "basis_cochains",
+                        lambda alg, bound: listed(alg, bound)[::-1])
+    with pytest.raises(AssertionError, match="arity-0 cochains first"):
+        verify_lie_dagger(D, 2, 3)
+
+
+def test_lie_dagger_memory_peak():
+    """Each L_Q keeps its weight bar + 1 columns only while the first pass
+    reads them, and the apply-column tables of a word only while its
+    cochains are built: the traced peak of M2 at (2, 3), about 1.3 MiB, was
+    2.0 MiB with every Lie matrix alive on every apply column.  The run-layout
+    cache of hochschild starts empty, as in a fresh process."""
+    alg = build_matrix_algebra(2)
+    hochschild._parity_runs.cache_clear()
+    started = tracemalloc.is_tracing()
+    if not started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        verify_lie_dagger(alg, 2, 3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not started:
+            tracemalloc.stop()
+    assert peak <= 1.7 * 2 ** 20
 
 
 @pytest.mark.parametrize("k", [1, -1])

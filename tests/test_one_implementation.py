@@ -149,11 +149,10 @@ def _call_sites(name):
 
 def test_one_residual_kernel():
     """Both calculus suites build their operator residuals with the one
-    product kernel, calculus._residual; the per-column apply of
-    calculus_defect is gone."""
+    product kernel, calculus._residual (verify_lie_dagger through
+    _first_failure); the per-column apply of calculus_defect is gone."""
     assert set(_call_sites("_residual")) == {
-        ("calculus", "_bracket_action_witness"), ("calculus", "verify_lie_dagger"),
-        ("calculus", "calculus_defect")}
+        ("calculus", "_first_failure"), ("calculus", "calculus_defect")}
     for name in ("apply_operator", "_dict_columns", "_classify", "_sub_commutator"):
         assert not hasattr(calculus, name), name
         assert not _call_sites(name), name
