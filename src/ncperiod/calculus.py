@@ -31,9 +31,10 @@ row of output t being kbase + stride . t in the mixed-radix index of
 chain_spaces, so no chain key is built per term.  The rest is added by one
 kernel, _residual, whose products are outer-product sparse products
 (Gustavson 1978) over the stored nonzeros.  The brackets whose action the
-pair loop checks come from hochschild.gerstenhaber_bracket, which adds p o q
-and the signed q o p into one component dict in one pass.  The identity
-holds exactly iff every residual entry is zero; its witness is the smallest
+pair loop checks are p o q and the signed q o p, added into one component
+dict by hochschild._brace_into from the _brace_index made once per basis
+cochain (and for b), so no Cochain is built per pair.  The identity holds
+exactly iff every residual entry is zero; its witness is the smallest
 nonzero column, min(nonzero keys) // N, the first chain in weight order
 where the two sides differ.  An identity of calculus_defect claimed on
 homology instead "holds on homology" when each residual, regrouped by
@@ -64,6 +65,8 @@ from .hochschild import (
     Cochain,
     CochainBasis,
     _bound,
+    _bracket_components,
+    _brace_index,
     _cohomology_spot,
     _digits,
     _interior_grid,
@@ -215,21 +218,24 @@ class OperatorSpace:
         return ([(k, tuple(v)) for k, v in interior.items()],
                 [(k, tuple(v)) for k, v in wrap.items()])
 
-    def lie_into(self, res, cochain, stop):
-        """Add the Lie action of the cochain on the columns < stop to the
-        residual res, {col . size + row: coeff}, in place, and return res.
-        Cancelled entries stay as zeros.  The tables are kept, one cache
-        per stop, so each word's table is made once per stop."""
-        odd = cochain.sdeg % 2
+    def lie_into(self, res, components, odd, stop):
+        """Add the Lie action of the cochain of these components, {arity:
+        {word: {t: coeff}}}, and parity odd of sd on the columns < stop to
+        the residual res, {col . size + row: coeff}, in place, and return
+        res.  Zero coefficients are skipped; cancelled entries stay as zeros.
+        The tables are kept, one cache per stop, so each word's table is
+        made once per stop."""
         ground = self.algebra.ground
         tables = self._tables.setdefault(stop, {})
-        for l, comp in cochain.components.items():
+        for l, comp in components.items():
             for w, out in comp.items():
+                out = [(t, exact(c)) for t, c in out.items() if c]
+                if not out:
+                    continue
                 table = tables.get((l, w, odd))
                 if table is None:
                     table = tables[l, w, odd] = self._table(l, w, odd, stop)
                 interior, wrap = table
-                out = [(t, exact(c)) for t, c in out.items()]
                 # an output in the ground dies in a bar slot, as in lie_terms
                 _add_terms(res, interior, [(t, c) for t, c in out if t not in ground])
                 _add_terms(res, wrap, out)
@@ -241,7 +247,8 @@ class OperatorSpace:
         int objects of _ints.  With share_head False, the columns above the
         check weight skip _one, so they are freed with the matrix."""
         cols, ints, one = {}, self._ints, self._one
-        for k, v in self.lie_into({}, cochain, self.size).items():
+        for k, v in self.lie_into({}, cochain.components, cochain.sdeg % 2,
+                                  self.size).items():
             if v:
                 col, row = divmod(k, self.size)
                 cols.setdefault(ints[col], []).append((ints[row], exact(v)))
@@ -355,13 +362,21 @@ def _report(axiom, witness):
 def _first_failure(space, cases):
     """(chain, *label) of the first case (label, lhs, products[, singles])
     whose residual, L_lhs (zero for lhs None) plus the terms of _residual,
-    is nonzero, at its smallest nonzero column, or None."""
+    is nonzero, at its smallest nonzero column, or None; lhs is read by
+    lie_into, as (components, parity)."""
     for label, lhs, *terms in cases:
-        res = {} if lhs is None else space.lie_into({}, lhs, space.ncheck)
+        res = {} if lhs is None else space.lie_into({}, *lhs, space.ncheck)
         col = _first_nonzero(space, _residual(space, res, *terms))
         if col is not None:
             return (space.keys[col], *label)
     return None
+
+
+def _bracket(algebra, ip, iq):
+    """[p, q] as lie_into reads it, (components, parity), from the
+    _brace_index of each factor; the brackets of verify_lie_dagger stay
+    below twice its arity bound, so none is checked."""
+    return _bracket_components(algebra, ip, iq, None), ip[0] ^ iq[0]
 
 
 def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, workers=1):
@@ -394,11 +409,11 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, workers=1):
     boundary, connes = space.boundary_matrix(), space.connes_matrix()
     t_boundary, t_connes = _transpose(space, boundary), _transpose(space, connes)
     lies, trans = [], []  # L_P, and L_P by rows over the check columns
+    ixs = [_brace_index(P) for P in cochains]  # each led by the parity of sd P
 
     def pair(a, q):
-        P, Q = cochains[a], cochains[q]
-        return ((a, q), gerstenhaber_bracket(P, Q, 2 * arity_bound), (
-            (-1, lies[a], trans[q]), (_sign(P.sdeg * Q.sdeg), lies[q], trans[a])))
+        return ((a, q), _bracket(algebra, ixs[a], ixs[q]), (
+            (-1, lies[a], trans[q]), (_sign(ixs[a][0] * ixs[q][0]), lies[q], trans[a])))
 
     # the Lie matrices are built last, so that the apply-column Lie tables
     # never live beside the assembly of B and b; a word's tables go once the
@@ -419,14 +434,16 @@ def verify_lie_dagger(algebra, arity_bound=3, bar_bound=4, workers=1):
         for i in range(q + 1) if q + 1 == n0 else [q] if q >= n0 else ():
             lies[i] = {c: e for c, e in lies[i].items() if c < space.ncheck}
     space.release_build()
+    del cochains  # the second pass reads only ixs, lies and trans
     bracket = bracket or _first_failure(
         space, (pair(a, q) for a in range(n0, n) for q in range(a, n)))
     b = structure_as_cochain(algebra)
+    ib = _brace_index(b)
     boundary_witness = _first_failure(space, (
-        ((a,), gerstenhaber_bracket(b, P, arity_bound + 1),
-         ((-1, boundary, tp), (_sign(P.sdeg), mp, t_boundary)))
-        for a, (P, mp, tp) in enumerate(zip(cochains, lies, trans))))
-    structure = _first_failure(space, [((), b, (), ((-1, boundary),))])
+        ((a,), _bracket(algebra, ib, ip),
+         ((-1, boundary, tp), (_sign(ip[0]), mp, t_boundary)))
+        for a, (ip, mp, tp) in enumerate(zip(ixs, lies, trans))))
+    structure = _first_failure(space, [((), (b.components, 1), (), ((-1, boundary),))])
     return [_report("bracket-action: L_[P,Q] = [L_P, L_Q]", bracket),
             _report("boundary-compat: d^End L_P = L_dP", boundary_witness),
             _report("connes-compat: [B, L_P] = 0", connes_witness),
@@ -579,7 +596,8 @@ def calculus_defect(algebra, degree_bound=2, bar_bound=4):
         ((-_sign(deg[p] * (deg[q] + 1)), space.contraction_matrix(br)),)))
         for (p, q), br in brackets.items() if len(br.arities()) <= 1]
     l_cup = [((deg[p], deg[q]), _residual(
-        space, space.lie_into({}, cups[p, q], space.ncheck),
+        space, space.lie_into({}, cups[p, q].components, cups[p, q].sdeg % 2,
+                              space.ncheck),
         ((-_sign(deg[q] * (deg[p] + 1)), lie[p], t_con[q]),
          (-_sign(deg[p] * deg[q]), con[p], t_lie[q])))) for p, q in pairs]
     for axiom, residuals, on_homology in (

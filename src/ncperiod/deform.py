@@ -53,6 +53,7 @@ from .hochschild import (
     Cochain,
     CochainBasis,
     _bound,
+    _brace_index,
     _brace_into,
     _cochain_diff_matrix,
     _cohomology_spot,
@@ -131,20 +132,23 @@ def cochain_over_ring(algebra, ring, components, sdeg, arity_bound=None):
 def _brace(a: Slots, b: Slots, bound, sign=None, scale=1) -> Slots:
     """scale . a o b of slot forms of cochains, or scale . [a, b] =
     scale . (a o b - sign . b o a) when sign is given: one
-    hochschild._brace_into per slot pair, through coeff.slot_product."""
+    hochschild._brace_into per slot pair, through coeff.slot_product, on
+    one _brace_index per slot."""
     if not (a and b):
         return Slots(a.ring)
     p0, q0 = next(iter(a.values())), next(iter(b.values()))
+    ia = Slots(a.ring, {k: _brace_index(p) for k, p in a.items()})
+    ib = ia if b is a else {k: _brace_index(q) for k, q in b.items()}
 
-    def product(p, q, c, comps):
+    def product(ip, iq, c, comps):
         comps = {} if comps is None else comps
-        _brace_into(comps, p, q, c * scale, bound)
+        _brace_into(comps, p0.algebra, ip, iq, c * scale, bound)
         if sign is not None:
-            _brace_into(comps, q, p, -sign * c * scale, bound)
+            _brace_into(comps, p0.algebra, iq, ip, -sign * c * scale, bound)
         return comps
 
     out = Slots(a.ring)
-    for k, comps in slot_product(a, b, product).items():
+    for k, comps in slot_product(ia, ib, product).items():
         c = Cochain(p0.algebra, comps, p0.sdeg + q0.sdeg, bound)
         if not c.is_zero():
             out[k] = c

@@ -365,38 +365,44 @@ def contraction(algebra, cochain, chain):
 # -- cochain-level operations ------------------------------------------------------
 
 
-def _brace_into(comps, p, q, scale, arity_bound):
-    """Add scale . p o q to comps, {arity: {word: {t: coeff}}}, in place:
-    the one brace of brace_compose and gerstenhaber_bracket.
+def _brace_index(p):
+    """p as _brace_into reads it, made once by a caller that braces p often:
+    (parity of sd(p), [(l, word, [(t, coeff)])] over its words of arity
+    l > 0, fed as the outer factor, {arity: {a: [(u, p[u] at a)]}} over its
+    words u with no letter in algebra.ground, read when p is inserted)."""
+    ground, by_letter = p.algebra.ground, {}
+    for v, comp in p.components.items():
+        letters = by_letter[v] = {}
+        for u, out in comp.items():
+            for a, c in out.items() if ground.isdisjoint(u) else ():
+                letters.setdefault(a, []).append((u, c))
+    return (p.sdeg % 2, [(l, w, list(out.items())) for l, comp in p.components.items()
+                         if l for w, out in comp.items()], by_letter)
+
+
+def _brace_into(comps, algebra, ip, iq, scale, arity_bound):
+    """Add scale . p o q to comps, {arity: {word: {t: coeff}}}, in place,
+    from the _brace_index ip of p and iq of q: the one brace.
 
     (p o q)[a_1|..] = sum_i (-1)^{sd(q) eps_i} p[a_1|..|q[u]|..].  Only the
     slots p is stored on are fed, so a ground component of q's value
     reaches p only when p is stored on full words (the structure cochain b).
     The result is normalized: a word with a letter in algebra.ground belongs
     to a ground input and is dropped (it only arises when a factor is b).
-    q's words of each arity are indexed by output letter once per call, so
-    a slot of p meets only the words of q whose value has a component at
+    A slot of p meets only the words of q whose value has a component at
     its letter; the terms are added in the order of a loop over (arity of
     q, word of p, slot, word of q).  Raises ArityBoundExceeded if an arity
     of p o q exceeds the bound.
     """
-    ground = p.algebra.ground
-    degrees = p.algebra.degrees
-    items_p = [(l, w, list(outp.items())) for l, comp in p.components.items() if l
-               for w, outp in comp.items()]
+    ground, degrees = algebra.ground, algebra.degrees
+    odd, items_p = iq[0], ip[1]
     if arity_bound is not None:
-        for v in q.components:
-            for l in p.components:
+        for v in iq[2]:
+            for l in ip[2]:
                 if l and l + v - 1 > arity_bound:
                     raise ArityBoundExceeded(
                         f"arity {l + v - 1} exceeds bound {arity_bound}")
-    odd = q.sdeg % 2
-    for v, compq in q.components.items():
-        by_letter = {}  # a -> [(u, q[u] at a)]
-        for u, outq in compq.items():
-            if ground.isdisjoint(u):
-                for a, c in outq.items():
-                    by_letter.setdefault(a, []).append((u, c))
+    for v, by_letter in iq[2].items():
         for l, w, outp in items_p:
             eps = 0
             for i, a in enumerate(w):
@@ -417,18 +423,24 @@ def brace_compose(p, q, arity_bound=None):
     a normalized cochain: see _brace_into."""
     bound = _bound(arity_bound, p.arity_bound, q.arity_bound)
     comps = {}
-    _brace_into(comps, p, q, 1, bound)
+    _brace_into(comps, p.algebra, _brace_index(p), _brace_index(q), 1, bound)
     return Cochain(p.algebra, comps, p.sdeg + q.sdeg, bound)
 
 
-def gerstenhaber_bracket(p, q, arity_bound=None):
-    """[p, q] = p o q - (-1)^{sd(p) sd(q)} q o p, both braces added into one
-    component dict; both braces check the bound the result carries."""
-    bound = _bound(arity_bound, p.arity_bound, q.arity_bound)
-    sgn = -1 if (p.sdeg * q.sdeg) % 2 else 1
+def _bracket_components(algebra, ip, iq, arity_bound):
+    """{arity: {word: {t: coeff}}} of [p, q] = p o q - (-1)^{sd(p) sd(q)} q o p
+    from the _brace_index of each factor, both braces added into one dict
+    and held to the bound."""
     comps = {}
-    _brace_into(comps, p, q, 1, bound)
-    _brace_into(comps, q, p, -sgn, bound)
+    _brace_into(comps, algebra, ip, iq, 1, arity_bound)
+    _brace_into(comps, algebra, iq, ip, 1 if ip[0] and iq[0] else -1, arity_bound)
+    return comps
+
+
+def gerstenhaber_bracket(p, q, arity_bound=None):
+    """[p, q] as a cochain that carries the bound both braces check."""
+    bound = _bound(arity_bound, p.arity_bound, q.arity_bound)
+    comps = _bracket_components(p.algebra, _brace_index(p), _brace_index(q), bound)
     return Cochain(p.algebra, comps, p.sdeg + q.sdeg, bound)
 
 

@@ -352,6 +352,23 @@ def t2_eps4_gauge_grid():
     return x, alphas
 
 
+def ptd2_t3_inputs(T3, R3):
+    """(x3, y3 = e^beta . x3) over R3 = Q[eps]/eps^3 on the instance T3 of
+    Q[x]/x^3 (basis 0 = 1, 1 = x, 2 = x^2): the gauge-equivalent pair of
+    the deform_period benchmark (bench/workloads.py:_ptd2_t3_inputs), copied
+    so that the tests do not import bench/."""
+    eps, eps2 = R3.gen("eps"), R3.gen("eps^2")
+    x = MCElement(R3, cochain_over_ring(T3, R3, {2: {
+        (1, 1): {1: -eps, 2: eps * -2, 0: eps * 3},
+        (2, 1): {2: eps * 2, 0: eps * -3 + eps2 * 6},
+        (1, 2): {2: eps * 2, 0: eps * -3 + eps2 * 6},
+        (2, 2): {1: eps * -3, 2: eps * -3, 0: eps2 * -9},
+    }}, 1, 6))
+    beta = GaugeElement(R3, cochain_over_ring(
+        T3, R3, {1: {(1,): {2: eps, 0: eps2 * 3}}}, 0, 6))
+    return x, gauge_act(beta, x)
+
+
 def random_lifted_gauge_pair(alg, order, rng):
     """(x, e^alpha . x) over Q[eps]/eps^order: x a random first-order
     Maurer-Cartan element over the dual numbers, lifted one m-adic level at

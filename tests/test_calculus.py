@@ -454,6 +454,29 @@ def test_lie_dagger_arity_filtered_mutant_matches_per_column_reference(
     assert got[0][2][1:] == pair
 
 
+@pytest.mark.parametrize("alg", [D, T3, A2, kronecker_algebra(), M2, EXT1, CONTRACTIBLE],
+                         ids=lambda a: a.name)
+def test_indexed_bracket_is_gerstenhaber_bracket(alg):
+    """The pair loop brackets two basis cochains of arity <= 3 from one
+    _brace_index of each and builds no Cochain: for every pair (a, q), a <= q,
+    its components are those of gerstenhaber_bracket(P, Q, 6) once zeros
+    are dropped, with no ground word, and its parity is that of the
+    bracket's sdeg, sd P + sd Q.  The same holds for b, not normalized and
+    stored on words with units, against every basis cochain at bound 4, as
+    in the boundary pass; EXT1 and CONTRACTIBLE bring odd parities."""
+    cochains = basis_cochains(alg, 3)
+    ixs = [hochschild._brace_index(P) for P in cochains]
+    b = structure_as_cochain(alg)
+    cases = [(P, ip, Q, iq, 6) for a, (P, ip) in enumerate(zip(cochains, ixs))
+             for Q, iq in zip(cochains[a:], ixs[a:])]
+    cases += [(b, hochschild._brace_index(b), P, ip, 4) for P, ip in zip(cochains, ixs)]
+    for P, ip, Q, iq, bound in cases:
+        comps, odd = calculus._bracket(alg, ip, iq)
+        want = gerstenhaber_bracket(P, Q, bound)
+        assert Cochain(alg, comps, want.sdeg).components == want.components, (P, Q)
+        assert want.sdeg == P.sdeg + Q.sdeg and odd == want.sdeg % 2
+
+
 @pytest.mark.parametrize("alg", [build_field(), D, M2, A2, EXT1, CONTRACTIBLE],
                          ids=lambda a: a.name)
 def test_basis_cochains_list_arity_zero_first(alg):
@@ -552,7 +575,7 @@ def _assert_lie_matrix_is_lie_action(alg):
         for v in (v for entries in mat.values() for _, v in entries):
             assert type(v) is int or v.denominator != 1
         for _ in range(2):
-            res = space.lie_into({}, P, space.ncheck)
+            res = space.lie_into({}, P.components, P.sdeg % 2, space.ncheck)
             by_col = {}
             for k, v in res.items():
                 if v:
@@ -591,7 +614,7 @@ def _check_operator_columns(space, pairs):
             got = {space.keys[r]: v for r, v in mats[-1].get(col, ())}
             assert got == lie_action(space.algebra, P, {space.keys[col]: 1})
     for br in brackets:
-        acc = space.lie_into({}, br, space.size)
+        acc = space.lie_into({}, br.components, br.sdeg % 2, space.size)
         assert any(v == 0 for v in acc.values())
     half = Cochain(space.algebra, {1: {(1,): {1: Fraction(1, 2)}}}, 0, 4)
     mats.append(space.lie_matrix(half))

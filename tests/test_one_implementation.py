@@ -303,9 +303,10 @@ def test_one_ground_death_rule():
     tables place it in a bar slot; connes_terms kills an a0 in the ground by the
     same test, and the walk enumerator _walks applies it to the letters it
     lists.  A normalized Cochain refuses a word with a ground letter, and
-    the one brace _brace_into (behind brace_compose and
-    gerstenhaber_bracket) drops one, by the set test ground.isdisjoint: no
-    cochain code takes index 0 for the ground.
+    the one brace _brace_into (behind brace_compose, gerstenhaber_bracket,
+    deform._brace and the Lie-dagger pair loop) drops one, as its index
+    _brace_index drops an inserted word with one, by the set test
+    ground.isdisjoint: no cochain code takes index 0 for the ground.
     On the walks of M2 and M3, every term of d is a relative chain one
     weight down and every term of B one weight up, and the rule does drop terms: without it, M2's d leaves
     the relative chains."""
@@ -315,10 +316,12 @@ def test_one_ground_death_rule():
                                ("hochschild", "connes_terms"),
                                ("hochschild", "_walks"),
                                ("hochschild", "__init__"),
+                               ("hochschild", "_brace_index"),
                                ("hochschild", "_brace_into"),
                                ("calculus", "lie_into")}
     assert "ground.isdisjoint(word)" in inspect.getsource(hochschild.Cochain.__init__)
-    for func in (hochschild.Cochain.__init__, hochschild._brace_into):
+    for func in (hochschild.Cochain.__init__, hochschild._brace_index,
+                 hochschild._brace_into):
         assert not re.search(r"\b0 in |== 0 for", inspect.getsource(func)), func
     for alg in (build_matrix_algebra(2), build_matrix_algebra(3)):
         peirce = alg.peirce()
@@ -369,7 +372,10 @@ def test_one_structure_cochain():
     series in b + x, both in slot form through deform._brace, whose one
     Q product is hochschild._brace_into), the cochain differential is the
     bracket with b, and validate_dg_algebra reads b o b with no loop over
-    triples of structure constants."""
+    triples of structure constants.  _brace_into is the one brace: only
+    brace_compose, deform._brace and the bracket _bracket_components call it,
+    on the _brace_index of each factor, and only gerstenhaber_bracket and
+    the pair loop of calculus.verify_lie_dagger (_bracket) call that."""
     assert _classes_defining("eval") == {("hochschild", "Cochain")}
     for name in ("DgStructure", "DeformedStructure"):
         assert not hasattr(hochschild, name), name
@@ -379,6 +385,14 @@ def test_one_structure_cochain():
         _call_sites("_brace"))
     assert {site for site in _call_sites("_brace_into") if site[0] == "deform"} == {
         ("deform", "product")}
+    assert set(_call_sites("_brace_into")) == {
+        ("hochschild", "brace_compose"), ("hochschild", "_bracket_components"),
+        ("deform", "product")}
+    assert set(_call_sites("_bracket_components")) == {
+        ("hochschild", "gerstenhaber_bracket"), ("calculus", "_bracket")}
+    assert set(_call_sites("_brace_index")) == {
+        ("hochschild", "brace_compose"), ("hochschild", "gerstenhaber_bracket"),
+        ("deform", "_brace"), ("calculus", "verify_lie_dagger")}
     assert ("hochschild", "cochain_differential") in _call_sites("gerstenhaber_bracket")
     validator = ast.parse(inspect.getsource(algebra.validate_dg_algebra))
     assert _loop_depth(validator) <= 2

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ncperiod.period as period
-from conftest import fiber_product, level_slices
+from conftest import fiber_product, level_slices, ptd2_t3_inputs
 from ncperiod.algebra import (
     a2_quiver_algebra,
     build_field,
@@ -268,27 +268,12 @@ def test_ptd_over_eps4_answers_none_where_the_search_is_inexact(terms, want):
                                               WINDOW)) == (False, 1)
 
 
-def _t3_gauge_pair(R3, alg=T3):
-    """(x, e^beta . x) over Q[eps]/eps^3 on Q[x]/x^3 (basis 1, x, x^2), on
-    the instance alg of it."""
-    eps, eps2 = R3.gen("eps"), R3.gen("eps^2")
-    x = MCElement(R3, cochain_over_ring(alg, R3, {2: {
-        (1, 1): {1: -eps, 2: eps * -2, 0: eps * 3},
-        (2, 1): {2: eps * 2, 0: eps * -3 + eps2 * 6},
-        (1, 2): {2: eps * 2, 0: eps * -3 + eps2 * 6},
-        (2, 2): {1: eps * -3, 2: eps * -3, 0: eps2 * -9},
-    }}, 1, 6))
-    beta = GaugeElement(R3, cochain_over_ring(
-        alg, R3, {1: {(1,): {2: eps, 0: eps2 * 3}}}, 0, 6))
-    return x, gauge_act(beta, x)
-
-
 def test_second_order_ptd_of_gauge_equivalent_t3():
     """Q[x]/x^3 over Q[eps]/eps^3 at the default bar bound: y = e^beta . x,
     so the PTDs are isomorphic.  The eps^2 solve needs an eps-level kernel
     probe that clears residual rows; the witness is checked on the nose."""
     R3 = build_truncated_poly(1, 3)
-    x, y = _t3_gauge_pair(R3)
+    x, y = ptd2_t3_inputs(T3, R3)
     p = period_map_artin(T3, x, WINDOW)
     q = period_map_artin(T3, y, WINDOW)
     ok, (c, a) = ptd_isomorphic(p, q)
@@ -296,6 +281,23 @@ def test_second_order_ptd_of_gauge_equivalent_t3():
     S, R = _ptd_residuals(p, q, op_slots(R3, c), op_slots(R3, a), R3,
                           _ptd_constants(p, q, R3))
     assert S.is_zero() and R.is_zero()
+
+
+# ptd_isomorphic answers (False, 2) on this pair at bar 9, and at bar 11, a
+# "no" where a "no" is documented as exact: ROADMAP item 1, "A wrong 'no'"
+@pytest.mark.parametrize("bar", [8, pytest.param(9, marks=pytest.mark.xfail(
+    strict=True, reason="wrong 'no' at odd bars >= 9 (ROADMAP item 1, step 1)")), 10])
+def test_ptd_of_the_t3_gauge_pair_isomorphic_at_each_bar(bar, monkeypatch):
+    """x3 and y3 = e^beta . x3 on Q[x]/x^3 over Q[eps]/eps^3 are gauge
+    equivalent, so their PTDs are isomorphic at every bar: with the bar of
+    the period layer fixed by patching period.default_bar_bound, at window
+    (-2, 2), ptd_isomorphic must answer True."""
+    monkeypatch.setattr(period, "default_bar_bound", lambda *args: bar)
+    alg, R3 = build_truncated_polynomial_algebra(3), build_truncated_poly(1, 3)
+    x3, y3 = ptd2_t3_inputs(alg, R3)
+    got = ptd_isomorphic(period_map_artin(alg, x3, (-2, 2)),
+                         period_map_artin(alg, y3, (-2, 2)))
+    assert got[0] is True, got
 
 
 def test_ptd_negative_block_matches_period_matrix():
@@ -319,7 +321,7 @@ def test_ptds_of_different_algebras_are_refused():
     R3 = build_truncated_poly(1, 3)
     x = MCElement(R3, cochain_over_ring(T2, R3, {2: {(1, 1): {0: R3.gen("eps")}}}, 1, 6))
     p = period_map_artin(T2, x, WINDOW)
-    q = period_map_artin(T3, _t3_gauge_pair(R3)[0], WINDOW)
+    q = period_map_artin(T3, ptd2_t3_inputs(T3, R3)[0], WINDOW)
     assert p.ring is q.ring and p.window == q.window and p.reduced is not q.reduced
     for a, b in ((p, q), (q, p)):
         with pytest.raises(ValueError, match="reductions"):
@@ -480,7 +482,7 @@ def _mc_inputs(seed):
     status, x3 = lift_order_by_order(D, hh2_generator(seed), R3)
     assert status == "lift"
     out.append((D, x3))
-    out.append((T3, _t3_gauge_pair(R3)[0]))
+    out.append((T3, ptd2_t3_inputs(T3, R3)[0]))
     return out
 
 
@@ -574,7 +576,7 @@ def _ptd_pairs(t2=T2, t3=T3):
     x2 = MCElement(R3, x.value.scaled(2))
     p = period_map_artin(t2, x, WINDOW)
     pairs = [(p, period_map_artin(t2, y, WINDOW)) for y in (gauge_act(alpha, x), xx, x2)]
-    x3, y3 = _t3_gauge_pair(R3, t3)
+    x3, y3 = ptd2_t3_inputs(t3, R3)
     pairs.append((period_map_artin(t3, x3, WINDOW), period_map_artin(t3, y3, WINDOW)))
     return pairs
 
@@ -756,7 +758,7 @@ def test_second_search_on_one_instance_matches_a_fresh_instance():
     R3 = build_truncated_poly(1, 3)
 
     def search(alg):
-        x, y = _t3_gauge_pair(R3, alg)
+        x, y = ptd2_t3_inputs(alg, R3)
         p, q = (period_map_artin(alg, v, WINDOW) for v in (x, y))
         ok, witness = ptd_isomorphic(p, q)
         assert ok
@@ -772,7 +774,7 @@ def test_windows_keep_separate_operators():
     equal to its own fresh build: on Q[x]/x^3 the spot cap of the bar policy
     gives the windows (-6, 6) and (-2, 2) the one reduction at bar 6."""
     alg = build_truncated_polynomial_algebra(3)
-    x = _t3_gauge_pair(build_truncated_poly(1, 3), alg)[0]
+    x = ptd2_t3_inputs(alg, build_truncated_poly(1, 3))[0]
     trivs = [trivialize_periodic(alg, x, w) for w in ((-6, 6), (-2, 2))]
     assert all(t.ok for t in trivs) and trivs[0].reduced is trivs[1].reduced
     red = trivs[0].reduced
