@@ -4,22 +4,25 @@ HC, HN and HP are exact; their t_window parameter does not change them.
 HC_n is the homology of the finite Connes complex Tot_n = C_n + C_{n-2} +
 ... with differential b + B on normalized chains (Loday 2.1.7-2.1.9), HP =
 (h, 0) by nil-invariance (Goodwillie 1985; h from algebra.radical), and HN
-follows from both by Connes' sequence (Loday 5.1.5).
+follows from both by Connes' sequence (Loday 5.1.5).  The SBI exactness
+check reads the same finite complex: Connes' sequence HH -> HC -> HC[-2] ->
+HH[-1] is the homology sequence of 0 -> C -> Tot -> Tot[-2] -> 0 (Loday
+2.2.1), three t-windows of it.
 
-The truncated t-complex serves the Hodge-type spectral sequence, the SBI
-exactness check and the period layer.  The mixed complex (C, d, B) is
-retracted weight-by-weight onto its homology (an exact SDR), and
-perturbation_transfer, the one perturbation transfer, carries the
-t-differential through it: D = sum_{k >= 0} p delta (h delta)^k iota with
-delta = tB, or tB + L_x for a Maurer-Cartan element x of the period layer
-(Crainic 2004), given in slot form: one Q chain per ring slot, moved by
-coeff.slot_product.  A t-window keeps t^lo .. t^hi: C[[t]] is its t^{>=0} part,
-C((t)) all of it, C[t^{-1}] its t^{<=0} part.  A chain model keeps its
-reduction per bar bound and its HC dims per degree, and a reduction the
-homology of each window at each degree, all by exactlin.kept; a reduction
-has one rank of the map between two windows (induced_rank).
-TruncatedLaurentComplex also reads the blocks d and tB of the unreduced
-chains, as the Connes complex does.
+The truncated t-complex serves the Hodge-type spectral sequence and the
+period layer.  The mixed complex (C, d, B) is retracted weight-by-weight
+onto its homology (an exact SDR), and perturbation_transfer, the one
+perturbation transfer, carries the t-differential through it: D = sum_{k >=
+0} p delta (h delta)^k iota with delta = tB, or tB + L_x for a
+Maurer-Cartan element x of the period layer (Crainic 2004), given in slot
+form: one Q chain per ring slot, moved by coeff.slot_product.  A t-window
+keeps t^lo .. t^hi: C[[t]] is its t^{>=0} part, C((t)) all of it, C[t^-1]
+its t^{<=0} part.  A WindowedComplex, the reduction or the Connes complex,
+has one truncation per window, keeps the homology of each window at each
+degree and has one rank of the map between two windows (induced_rank); a
+chain model keeps its reduction per bar bound, its Connes complex per top
+degree and its HC dims, and a Connes complex its SBI verdict per degree,
+all by exactlin.kept.
 
 Every operation runs on the chain model hochschild.chain_model_of picks: for
 an algebra with idempotents the complex relative to their span E (2 chains
@@ -75,24 +78,19 @@ def _require_degree_zero(algebra):
         raise ValueError("cyclic homology requires a degree-0 algebra")
 
 
-@dataclass
-class ReducedMixedComplex:
-    """Weightwise homology of (C, d) with the transferred t-differential.
-    What depends on it and a t-window alone is kept on it, each computed
-    once: the homology of the window truncations and the period layer's
-    [D0, -] matrices and PTD system."""
+class WindowedComplex:
+    """A complex with weight dims and blocks {(sigma, m, m'): {(row, col):
+    value}}, each a map of weight m to weight m' times t^sigma, seen through
+    its t-windows.  The homology of each window at each degree is kept on
+    it, computed once."""
 
-    algebra: object
-    bar_bound: int
-    h_dims: list
-    transfer: dict  # (sigma, m, m') -> {(row, col): value}, H_m -> H_m' t^sigma
-    sdr: list
-    spaces: list
-    b_mats: list
+    def __init__(self, weight_dims, blocks):
+        self.weight_dims = weight_dims
+        self.blocks = blocks
 
     def truncation(self, window):
-        """The t-window (lo, hi) of the transferred complex."""
-        return TruncatedLaurentComplex(self.h_dims, self.transfer, window)
+        """The t-window (lo, hi) of the complex."""
+        return TruncatedLaurentComplex(self.weight_dims, self.blocks, window)
 
     def homology(self, window, r) -> SubquotientBasis:
         window = tuple(window)
@@ -106,13 +104,33 @@ class ReducedMixedComplex:
         return _induced_rank(self.homology(dst_window, r), moved)
 
 
+@dataclass
+class ReducedMixedComplex(WindowedComplex):
+    """Weightwise homology of (C, d) with the transferred t-differential, a
+    WindowedComplex on h_dims and transfer.  What depends on it and a
+    t-window alone is kept on it, each computed once: the homology of the
+    window truncations and the period layer's [D0, -] matrices and PTD
+    system."""
+
+    algebra: object
+    bar_bound: int
+    h_dims: list
+    transfer: dict  # (sigma, m, m') -> {(row, col): value}, H_m -> H_m' t^sigma
+    sdr: list
+    spaces: list
+    b_mats: list
+    weight_dims = property(lambda self: self.h_dims)
+    blocks = property(lambda self: self.transfer)
+
+
 def default_bar_bound(algebra, max_degree, t_hi):
     """The one bar-bound policy, for degrees up to max_degree and t-powers up
     to t^t_hi: from max_degree + 2, never below 0 (HH_n = 0 for n < 0), one
     weight at a time towards max_degree + 1 + 2 (t_hi + 1) while the flat
     spot dim . (dim - 1)^(w + 2) stays within DEFAULT_SPOT_CAP chains, also
-    where a relative model is reduced (M2: bar 6 for sbi_exactness over
-    0..2, bar 3 for the spectral sequence over 0..1)."""
+    where a relative model is reduced (M2: bar 3 for the spectral sequence
+    over 0..1).  It sets the bar of the spectral sequence and the period
+    layer; HC, HN, HP and the SBI check are exact and take no bar."""
     needed = max_degree + 1 + 2 * (t_hi + 1)
     base = max(algebra.dim - 1, 1)
     w = max(max_degree + 2, 0)
@@ -305,30 +323,31 @@ def _induced_rank(h_target, images):
 
 def _connes_dims(model, degrees):
     """{n: dim HC_n} of a chain model, 0 for n < 0, each kept on the model:
-    the homology at degree -n of _connes_complex(model, top), built once per
-    call for top the largest degree not kept yet."""
+    the homology at degree -n of the window Tot of _connes_complex for the
+    largest degree, built only if some HC_n is not kept yet."""
     _require_degree_zero(model)
-    cx = None
+    top = max(max(degrees, default=0), 0)
 
     def hc(n):
-        nonlocal cx
-        if cx is None:  # degrees run downwards, so n is the top
-            cx = _connes_complex(model, n)
-        return cx.homology(-n).dim
+        cx, tot = _connes_complex(model, top)
+        return cx.homology(tot, -n).dim
 
-    dims = {n: kept(model, ("HC", n), functools.partial(hc, n)) if n >= 0 else 0
-            for n in sorted(degrees, reverse=True)}
-    return {n: dims[n] for n in degrees}
+    return {n: kept(model, ("HC", n), functools.partial(hc, n)) if n >= 0 else 0
+            for n in degrees}
 
 
 def _connes_complex(model, top):
-    """The C[t^-1] window (-(top//2) - 1, 0) of the unreduced mixed complex
-    up to weight top + 1, which holds Tot_m for m <= top + 1."""
-    spaces = chain_spaces(model, top + 1)
-    d, b = boundary_matrices(model, spaces), connes_matrices(model, spaces)
-    blocks = {(0, m, m - 1): d[m].entries for m in range(1, top + 2)}
-    blocks.update({(1, m, m + 1): b[m].entries for m in range(top + 1)})
-    return TruncatedLaurentComplex([len(s) for s in spaces], blocks, (-(top // 2) - 1, 0))
+    """The unreduced mixed complex up to weight top + 1, blocks d and B, kept
+    on the model per top, and its C[t^-1] window Tot, which holds Tot_m =
+    C_m + C_{m-2} + ... at degree -m for m <= top + 1."""
+    def connes():
+        spaces = chain_spaces(model, top + 1)
+        d, b = boundary_matrices(model, spaces), connes_matrices(model, spaces)
+        blocks = {(0, m, m - 1): d[m].entries for m in range(1, top + 2)}
+        blocks.update({(1, m, m + 1): b[m].entries for m in range(top + 1)})
+        return WindowedComplex([len(s) for s in spaces], blocks)
+
+    return kept(model, ("connes", top), connes), (-(top // 2) - 1, 0)
 
 
 def cyclic_homology(algebra, degree_range, t_window=(-6, 6)):
@@ -359,35 +378,15 @@ def negative_cyclic_homology(algebra, degree_range, t_window=(-6, 6)):
 
 
 def sbi_consistent(algebra, degree_range, t_window=(-6, 6)):
-    """Do the HN/HP/HC dims admit exact ranks for
-
-        ... -> HN_n -> HP_n -> HC_{n-2} -> HN_{n-1} -> HP_{n-1} -> ...
-
-    over the computed degree window?  A feasible assignment of ranks is
-    searched by scanning the one free boundary value; returns (ok, dims).
-    On the exact dims it always holds; t_window does not matter.
-    """
-    degrees = sorted(degree_range)
-    lo_n, hi_n = degrees[0], degrees[-1]
-    span = list(range(lo_n, hi_n + 1))
-    hn = negative_cyclic_homology(algebra, span).dims
-    hp_dims = {n: periodic_cyclic_homology(algebra)[n % 2] for n in span}
-    hc = cyclic_homology(algebra, [n - 2 for n in span]).dims
-    dims = {"HN": hn, "HP": hp_dims, "HC": hc}
-    # unknown: rank of HN_{hi} -> HP_{hi}; propagate exactness downwards
-    for start in range(min(hn[hi_n], hp_dims[hi_n]) + 1):
-        r_alpha = start
-        for n in range(hi_n, lo_n - 1, -1):
-            r_beta = hp_dims[n] - r_alpha           # exact at HP_n
-            if not 0 <= r_beta <= hc[n - 2]:
-                break
-            r_delta = hc[n - 2] - r_beta            # exact at HC_{n-2}
-            r_alpha = hn[n - 1] - r_delta if n > lo_n else 0  # exact at HN_{n-1}
-            if not 0 <= r_alpha <= hp_dims.get(n - 1, 0):
-                break
-        else:
-            return True, dims
-    return False, dims
+    """(ok, dims): ok is whether Connes' sequence is exact at every degree of
+    the range (sbi_exactness), dims the HN, HP and HC_{n-2} dims around it.
+    t_window does not matter."""
+    span = range(min(degree_range), max(degree_range) + 1)
+    h, _ = periodic_cyclic_homology(algebra)
+    dims = {"HN": negative_cyclic_homology(algebra, span).dims,
+            "HP": {n: h if n % 2 == 0 else 0 for n in span},
+            "HC": cyclic_homology(algebra, [n - 2 for n in span]).dims}
+    return all(sbi_exactness(algebra, span).values()), dims
 
 
 @dataclass
@@ -444,41 +443,38 @@ def hodge_spectral_sequence(algebra, t_window=(-6, 6), degree_range=(0, 1),
 # -- SBI long exact sequence ---------------------------------------------------------
 
 
-def sbi_exactness(algebra, degree_range, t_window=(-6, 6), bar_bound=None):
-    """Exactness of H(sub) -> H(total) -> H(quotient) -> ... on the windowed
-    short exact sequence  0 -> C[[t]]-part -> C((t))-part -> quotient -> 0.
+def sbi_exactness(algebra, degree_range, t_window=(-6, 6)):
+    """Exactness of Connes' sequence ... -> HH_n -I-> HC_n -S-> HC_{n-2} -B->
+    HH_{n-1} -> ..., the homology sequence of 0 -> C -> Tot -> Tot[-2] -> 0
+    (Loday 2.2.1), on the finite Connes complex of the chain model.
 
-    Returns {n: True} for each homological degree checked; exactness is
-    verified at the four spots around total degree n (with the connecting
-    map built by the zig-zag), which pins the SBI dimension bookkeeping.
+    Returns {n: True} for each degree n checked, kept on the complex:
+    exactness holds at the four spots around total degree -n, with the
+    connecting map built by the zig-zag.  The windows of _connes_complex
+    are the total (lo, 0) = Tot, the sub (0, 0) = C and the quotient (lo,
+    -1), Tot shifted by t.  t_window does not matter; a broken B raises
+    CompositionNonzero.
     """
     degrees = sorted(degree_range)
-    lo, hi = t_window
-    if bar_bound is None:
-        bar_bound = default_bar_bound(algebra, max(abs(n) for n in degrees) + 2, hi)
-    red = reduce_mixed_complex(chain_model_of(algebra)[0], bar_bound)
-    total, sub, quot = (lo, hi), (max(lo, 0), hi), (lo, min(-1, hi))
-    h = red.homology
+    cx, total = _connes_complex(chain_model_of(algebra)[0], max(max(degrees), 0))
+    sub, quot = (0, 0), (total[0], -1)
+    h = cx.homology
 
     def connecting(r):  # H^r(quot) -> H^{r+1}(sub): lift, differentiate, restrict
-        total_cx = red.truncation(total)
+        total_cx = cx.truncation(total)
         d = total_cx.differential(r)
-        lifted = _move(h(quot, r).homology_reps, red.truncation(quot), total_cx, r)
-        images = _move([d.matvec(v) for v in lifted], total_cx, red.truncation(sub),
+        lifted = _move(h(quot, r).homology_reps, cx.truncation(quot), total_cx, r)
+        images = _move([d.matvec(v) for v in lifted], total_cx, cx.truncation(sub),
                        r + 1, strict=True)
         return _induced_rank(h(sub, r + 1), images)
 
-    spots = sorted({r for n in degrees for r in (-n, 1 - n)})
-    inc = {r: red.induced_rank(sub, total, r) for r in spots}
-    proj = {r: red.induced_rank(total, quot, r) for r in spots}
-    out = {}
-    for n in degrees:
-        r = -n
+    def exact_at(r):
+        inc = [cx.induced_rank(sub, total, s) for s in (r, r + 1)]
+        proj = [cx.induced_rank(total, quot, s) for s in (r, r + 1)]
         conn = connecting(r)
-        out[n] = (
-            inc[r] + proj[r] == h(total, r).dim                 # at H^r(total)
-            and inc[r + 1] + proj[r + 1] == h(total, r + 1).dim  # at H^{r+1}(total)
-            and proj[r] + conn == h(quot, r).dim                # at H^r(quot)
-            and inc[r + 1] + conn == h(sub, r + 1).dim          # at H^{r+1}(sub)
-        )
-    return out
+        return (inc[0] + proj[0] == h(total, r).dim           # at H^r(total)
+                and inc[1] + proj[1] == h(total, r + 1).dim  # at H^{r+1}(total)
+                and proj[0] + conn == h(quot, r).dim         # at H^r(quot)
+                and inc[1] + conn == h(sub, r + 1).dim)      # at H^{r+1}(sub)
+
+    return {n: kept(cx, ("SBI", n), functools.partial(exact_at, -n)) for n in degrees}

@@ -218,8 +218,11 @@ CONTRACTIBLE = DgAlgebra(
 
 
 def test_lie_dagger_graded_exterior():
-    # graded signs exercised: one generator of degree 1 (and one of degree 2,
-    # giving both parities of shifted degrees in the pair loop)
+    # both parities of shifted degrees in the pair loop: one generator of
+    # degree 1, then one of degree 2.  EXT1 still holds when the bracket sign
+    # of two odd cochains or the bracket parity is wrong, and the degree-2
+    # algebra catches only the wrong parity; CONTRACTIBLE catches both
+    # (test_lie_dagger_graded_bracket_mutants)
     reports = verify_lie_dagger(EXT1, 3, 3)
     assert all(r.status == "holds exactly" for r in reports), \
         [str(r) for r in reports]
@@ -237,6 +240,30 @@ def test_lie_dagger_graded_with_differential():
     reports = verify_lie_dagger(CONTRACTIBLE, 2, 3)
     assert all(r.status == "holds exactly" for r in reports), \
         [str(r) for r in reports]
+
+
+def _odd_pair_sign_minus_one(algebra, ip, iq, bound):
+    """_bracket_components with the second brace's sign -1 for two odd
+    factors too."""
+    comps = {}
+    hochschild._brace_into(comps, algebra, ip, iq, 1, bound)
+    hochschild._brace_into(comps, algebra, iq, ip, -1, bound)
+    return comps
+
+
+@pytest.mark.parametrize("mutant, witness", [
+    ("sign", ((0, ()), 1, 5)), ("parity", ((0, ()), 1, 4))], ids=["sign", "parity"])
+def test_lie_dagger_graded_bracket_mutants(monkeypatch, mutant, witness):
+    """On CONTRACTIBLE the brackets of two odd cochains do not vanish, so a
+    wrong bracket sign for two odd factors, or a bracket parity of 0, fails
+    bracket-action; EXT1 (Q[t]/t^2, |t| = 1) holds under both."""
+    if mutant == "sign":
+        monkeypatch.setattr(calculus, "_bracket_components", _odd_pair_sign_minus_one)
+    else:
+        real = calculus._bracket
+        monkeypatch.setattr(calculus, "_bracket", lambda *args: (real(*args)[0], 0))
+    report = verify_lie_dagger(CONTRACTIBLE, 2, 3)[0]
+    assert (report.status, report.witness) == ("fails", witness)
 
 
 def test_boundary_matrices_need_d_zero():

@@ -36,8 +36,8 @@ from ncperiod.cyclic import (
     sbi_consistent,
     sbi_exactness,
 )
-from ncperiod.exactlin import SubquotientBasis, chain_add, from_columns, rank
-from ncperiod.hochschild import GradedDims, chain_model_of
+from ncperiod.exactlin import CompositionNonzero, SubquotientBasis, chain_add, from_columns, rank
+from ncperiod.hochschild import chain_model_of
 
 Q = build_field()
 D = build_truncated_polynomial_algebra(2)
@@ -238,17 +238,6 @@ def test_exact_theories_on_generated_bases(alg):
     assert ok, dims
 
 
-def test_sbi_consistent_rejects_dims_with_no_exact_ranks(monkeypatch):
-    """HN 4 3 3 3 3, what the windowed stabilization once printed for
-    Q[x]/x^4, admits no exact ranks with its exact HC and HP = (1, 0)."""
-    T4 = build_truncated_polynomial_algebra(4)
-    assert sbi_consistent(T4, range(0, 5))[0]
-    monkeypatch.setattr(cyclic, "negative_cyclic_homology",
-                        lambda *args: GradedDims({0: 4, 1: 3, 2: 3, 3: 3, 4: 3}))
-    ok, dims = sbi_consistent(T4, range(0, 5))
-    assert not ok and dims["HP"] == {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
-
-
 def test_graded_algebra_is_rejected():
     ext = DgAlgebra(["1", "x"], [0, 1], {(0, 0): {0: 1}, (0, 1): {1: 1},
                                          (1, 0): {1: 1}}, name="ext")
@@ -259,14 +248,59 @@ def test_graded_algebra_is_rejected():
             compute()
 
 
-@pytest.mark.parametrize("alg", FIVE, ids=lambda a: a.name)
+@pytest.mark.parametrize("alg", [*FIVE, kronecker_algebra()], ids=lambda a: a.name)
 def test_sbi_exactness_windowed(alg):
-    assert all(sbi_exactness(alg, range(0, 3)).values())
+    assert all(sbi_exactness(alg, range(0, 5)).values())
 
 
-def test_sbi_exactness_window_above_zero():
-    # with lo > 0 the C[[t]]-part is the whole window and the quotient is zero
-    assert sbi_exactness(D, range(0, 3), (1, 4)) == {0: True, 1: True, 2: True}
+def test_sbi_exactness_ignores_the_window():
+    """The check reads the windows of the finite Connes complex, whatever
+    t_window is given; the all-negative range the CLI accepts holds
+    trivially, since Tot has no chains there."""
+    verdicts = [sbi_exactness(D, range(0, 3), window) for window in ((-6, 6), (-1, 1), (1, 4))]
+    assert verdicts == [{0: True, 1: True, 2: True}] * 3
+    assert sbi_exactness(D, range(-3, 0)) == {-3: True, -2: True, -1: True}
+
+
+def _corrupt_connes(monkeypatch):
+    """Double one weight-1 entry of every connes_matrices cyclic assembles."""
+    real = cyclic.connes_matrices
+
+    def corrupted(model, spaces):
+        b = real(model, spaces)
+        if len(b) > 1:
+            key = min(b[1].entries)
+            b[1].entries[key] *= 2
+        return b
+
+    monkeypatch.setattr(cyclic, "connes_matrices", corrupted)
+
+
+@pytest.mark.parametrize("build", [lambda: build_truncated_polynomial_algebra(3),
+                                   lambda: build_matrix_algebra(2)], ids=["T3", "M2"])
+@pytest.mark.parametrize("top", [2, 3])
+def test_sbi_checks_see_a_broken_connes_operator(monkeypatch, build, top):
+    """A doubled weight-1 entry of B makes d + B square to nonzero on Tot,
+    so both checks raise rather than answer True (flat T3, relative M2)."""
+    _corrupt_connes(monkeypatch)
+    for check in (sbi_exactness, sbi_consistent):
+        with pytest.raises(CompositionNonzero):
+            check(build(), range(0, top + 1))
+
+
+def test_sbi_checks_read_no_reduction_and_no_bar(monkeypatch):
+    """Both checks run on the finite Connes complex: no reduction of the
+    mixed complex and no bar bound anywhere in the call, also for T3 over
+    0..8, beyond the bar the policy would give it."""
+    def refuse(*args):
+        raise AssertionError("reduction or bar bound reached")
+
+    monkeypatch.setattr(cyclic, "reduce_mixed_complex", refuse)
+    monkeypatch.setattr(cyclic, "default_bar_bound", refuse)
+    assert all(sbi_exactness(build_truncated_polynomial_algebra(3), range(0, 9)).values())
+    for alg in (build_truncated_polynomial_algebra(3), build_matrix_algebra(2)):
+        assert all(sbi_exactness(alg, range(0, 3)).values())
+        assert sbi_consistent(alg, range(0, 3))[0]
 
 
 @pytest.mark.parametrize("alg", FIVE, ids=lambda a: a.name)
@@ -308,9 +342,9 @@ def test_filtration_dims_present():
 
 def test_spectral_sequence_default_bar_reads_the_window(monkeypatch):
     """The pages and the filtration read windows up to hi only, so the
-    default bar is default_bar_bound(algebra, max |n|, hi), as for
-    sbi_exactness: flat Q[x]/x^2 at (-6, 6) reduces at bar 16, and the
-    report equals the one at bar 22, which asks for three more t-powers."""
+    default bar is default_bar_bound(algebra, max |n|, hi): flat Q[x]/x^2
+    at (-6, 6) reduces at bar 16, and the report equals the one at bar 22,
+    which asks for three more t-powers."""
     bars = []
     real = cyclic.reduce_mixed_complex
 

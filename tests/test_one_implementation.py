@@ -159,12 +159,13 @@ def test_one_residual_kernel():
 
 
 def test_one_windowed_homology_layer():
-    """cyclic builds its t-window truncations at two sites, the windows of
-    the transferred complex and the finite Connes complex of HC, has no
-    regrouped copy of the transfer blocks, and moves vectors between windows
-    only for the induced rank and the SBI connecting map."""
-    assert _call_sites("TruncatedLaurentComplex") == [("cyclic", "truncation"),
-                                                      ("cyclic", "_connes_complex")]
+    """cyclic builds its t-window truncations at one site, the truncation
+    that the transferred complex and the finite Connes complex of HC and SBI
+    share as WindowedComplexes, has no regrouped copy of the transfer
+    blocks, and moves vectors between windows only for the induced rank and
+    the SBI connecting map."""
+    assert _call_sites("TruncatedLaurentComplex") == [("cyclic", "truncation")]
+    assert _call_sites("WindowedComplex") == [("cyclic", "connes")]
     assert not hasattr(cyclic, "TComplexData")
     assert not hasattr(cyclic, "_windowed_dims")
     assert set(_call_sites("_move")) == {("cyclic", "induced_rank"),
@@ -432,7 +433,7 @@ def test_one_chain_space_enumerator():
     assert defs == {("hochschild", "chain_spaces")}
     assert set(_call_sites("chain_spaces")) == {
         ("hochschild", "__init__"), ("hochschild", "_weight_graded_boundary"),
-        ("cyclic", "reduce"), ("cyclic", "_connes_complex")}
+        ("cyclic", "reduce"), ("cyclic", "connes")}
     readers = {(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
                if path.stem != "algebra"
                for node in ast.walk(ast.parse(path.read_text()))

@@ -241,7 +241,7 @@ def _cyclic_reports(alg, bar):
     hc = cyclic_homology(alg, degrees, window)
     assert hn.chain_model == hc.chain_model == ss.pop("chain_model")
     return (hn.dims, hc.dims, periodic_cyclic_homology(alg, window),
-            sbi_exactness(alg, range(0, 2), window, bar), ss), hn.chain_model
+            sbi_exactness(alg, range(0, 2), window), ss), hn.chain_model
 
 
 @pytest.mark.parametrize("build, bar", [(build, CYCLIC_BARS[name]) for (build, _), name
