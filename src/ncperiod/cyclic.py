@@ -24,11 +24,11 @@ chain model keeps its reduction per bar bound, its Connes complex per top
 degree and its HC dims, and a Connes complex its SBI verdict per degree,
 all by exactlin.kept.
 
-Every operation runs on the chain model hochschild.chain_model_of picks: for
-an algebra with idempotents the complex relative to their span E (2 chains
-per weight for M2 against 4 . 3^n flat), with the same HC, HN and HP (Loday
-1.2.13).  The period layer reduces the flat complex, because a Maurer-Cartan
-cochain x acts by L_x on flat chains.
+Every operation runs on the complex hochschild._weight_graded_boundary builds
+for the model chain_model_of picks: for an algebra with idempotents, relative
+to their span E (2 chains per weight for M2 against 4 . 3^n flat), with the
+same HC, HN and HP (Loday 1.2.13).  The period layer reduces the flat complex,
+where L_x of a Maurer-Cartan x acts, and reads its blocks from reduced_block.
 """
 
 from __future__ import annotations
@@ -53,13 +53,14 @@ from .exactlin import (
 from .hochschild import (
     Cochain,
     GradedDims,
+    _weight_graded_boundary,
     boundary_matrices,
     chain_model_of,
     chain_spaces,
-    connes_matrices,
     lie_terms,
 )
 
+__all__ = ["boundary_matrices", "chain_spaces"]  # re-exported for bench/spans.py
 
 # Q as an Artin ring: the one slot of the undeformed transfer
 _GROUND = ArtinLocalRing(["1"], {(0, 0): {0: 1}})
@@ -142,17 +143,17 @@ def default_bar_bound(algebra, max_degree, t_hi):
 def reduce_mixed_complex(algebra, bar_bound) -> ReducedMixedComplex:
     """The reduction of the mixed complex of a chain model (the model that
     chain_model_of gives, or any DgAlgebra) up to weight bar_bound, kept on
-    the model."""
+    the model; d is dropped once eliminated, before B is built."""
     if bar_bound < 0:
         raise ValueError(f"bar bound must be >= 0, got {bar_bound}")
     _require_degree_zero(algebra)
 
     def reduce():
-        spaces = chain_spaces(algebra, bar_bound + 1)
-        sdr = complex_sdr([len(s) for s in spaces[: bar_bound + 1]],
-                          boundary_matrices(algebra, spaces))
+        spaces, d, connes = _weight_graded_boundary(algebra, bar_bound + 1)
+        sdr = complex_sdr([len(s) for s in spaces[: bar_bound + 1]], d)
+        del d  # before B is built
         out = ReducedMixedComplex(algebra, bar_bound, [len(s.reps) for s in sdr], {},
-                                  sdr, spaces, connes_matrices(algebra, spaces[: bar_bound + 1]))
+                                  sdr, spaces, connes(bar_bound))
         out.transfer = perturbation_transfer(out).get(0, {})
         return out
 
@@ -168,33 +169,22 @@ def perturbation_transfer(red, x=None, window=None):
     series is finite; without x it is slot 0 alone.  Only blocks with lo <=
     sigma <= hi are kept (every sigma when window is None).  Chains stay in
     the index coordinates of red.spaces, one frontier per (weight, sigma,
-    slot): B from red.b_mats in slot 0, L_x from one single-arity Q cochain
-    per slot and arity of x, moving a chain of slot j into the slots of
-    table[s, j] by coeff.slot_product, p and h from the SpotSDR data of
-    red.sdr.
+    slot): B from red.b_mats in slot 0, L_x from the lazy columns
+    (_keyed_columns) of one single-arity Q cochain per slot and arity of x,
+    moving a chain of slot j into the slots of table[s, j] by
+    coeff.slot_product, p and h from the SpotSDR data of red.sdr.
     """
     bar = red.bar_bound
     lo, hi = window or (0, math.inf)
     b_cols = [mat.columns() for mat in red.b_mats]
     ring = _GROUND if x is None else x.ring
-    singles, keys, lie_cols = {}, None, {}  # singles: arity -> slot -> cochain
-    if x is not None:
-        for s, xs in x.items():
-            for l, comp in xs.components.items():
-                singles.setdefault(l, {})[s] = Cochain(
-                    red.algebra, {l: comp}, xs.sdeg, xs.arity_bound, xs.normalized)
-        keys = [list(space) for space in red.spaces]
+    singles, column = {}, _keyed_columns(red.spaces)  # singles: arity -> slot -> L, per key
+    for s, xs in (x or {}).items():
+        for l, comp in xs.components.items():
+            singles.setdefault(l, {})[s] = functools.partial(lie_terms, red.algebra, Cochain(
+                red.algebra, {l: comp}, xs.sdeg, xs.arity_bound, xs.normalized))
     # h is worth applying only if a part of delta can leave the weight it reaches
     reach = max((l - 1 for l in singles), default=-1)
-
-    def lie_column(l, s, w, j):
-        col = lie_cols.get((l, s, w, j))
-        if col is None:
-            col = lie_cols[l, s, w, j] = {}
-            dst = red.spaces[w - l + 1]
-            lie_terms(red.algebra, singles[l][s], *keys[w][j],
-                      lambda key, v: chain_add(col, dst[key], v))
-        return col
 
     def parts(w, sig):
         """(weight, sigma, slot form of the columns) of each part of delta
@@ -203,8 +193,8 @@ def perturbation_transfer(red, x=None, window=None):
             yield w + 1, sig + 1, Slots(ring, {0: b_cols[w].__getitem__})
         for l, by_slot in singles.items():
             if 0 <= w - l + 1 <= bar:
-                yield w - l + 1, sig, Slots(ring, {
-                    s: functools.partial(lie_column, l, s, w) for s in by_slot})
+                yield w - l + 1, sig, Slots(ring, {s: functools.partial(
+                    column, terms, w, w - l + 1) for s, terms in by_slot.items()})
 
     def apply(col, vecs, c, acc):
         acc = [{} for _ in vecs] if acc is None else acc
@@ -236,6 +226,30 @@ def perturbation_transfer(red, x=None, window=None):
                             frontier.setdefault((w + 1, sig), {})[k] = moved
     return Slots(ring, {k: out for k, blks in blocks.items()
                         if (out := {key: blk for key, blk in blks.items() if blk})})
+
+
+def _keyed_columns(spaces):
+    """column(terms, w, w2, j): column j, {row: value}, of the per-key generator
+    terms(a0, word, out_terms) from weight w to weight w2 of spaces, built on
+    its first read over the one key list of weight w."""
+    keys = functools.cache(lambda w: list(spaces[w]))
+
+    @functools.cache
+    def column(terms, w, w2, j):
+        col = {}
+        terms(*keys(w)[j], lambda key, v: chain_add(col, spaces[w2][key], v))
+        return col
+
+    return column
+
+
+def reduced_block(red, terms, m, m2):
+    """Block {(row, k): value} of p O iota: H_m -> H_m2 for the operator O
+    from weight m to weight m2 given per key, terms(a0, word, out_terms),
+    whose columns are built only on the support of iota."""
+    col = functools.partial(_keyed_columns(red.spaces), terms, m, m2)
+    reps = red.sdr[m].reps if red.sdr[m2].reps else []
+    return _project(red.sdr[m2], [apply_columns(col, rep) for rep in reps])
 
 
 def _project(spot, vecs):
@@ -341,10 +355,9 @@ def _connes_complex(model, top):
     on the model per top, and its C[t^-1] window Tot, which holds Tot_m =
     C_m + C_{m-2} + ... at degree -m for m <= top + 1."""
     def connes():
-        spaces = chain_spaces(model, top + 1)
-        d, b = boundary_matrices(model, spaces), connes_matrices(model, spaces)
+        spaces, d, b_of = _weight_graded_boundary(model, top + 1)
         blocks = {(0, m, m - 1): d[m].entries for m in range(1, top + 2)}
-        blocks.update({(1, m, m + 1): b[m].entries for m in range(top + 1)})
+        blocks.update({(1, m, m + 1): b.entries for m, b in enumerate(b_of(top + 1))})
         return WindowedComplex([len(s) for s in spaces], blocks)
 
     return kept(model, ("connes", top), connes), (-(top // 2) - 1, 0)

@@ -71,13 +71,14 @@ Indexing and assembly
     the per-word digit arithmetic of _digits, _interior_grid (a slot, over
     the parity runs of (a0 | head)) and _wrap_runs (a split of a stored
     word): lie_runs and the Lie tables of calculus.OperatorSpace read it;
-  * boundary_matrices and connes_matrices, d and B per weight, are the one
-    place that picks the assembly, by the model: term_matrix of the run form
-    on a DgAlgebra, one per-key call per column on a PeirceBasis, whose walks
-    are found by key (_keyed_matrix).  The Morse differential of a
-    MorseModel is assembled per key as well, by _weight_graded_boundary.
-    The operator matrices of
-    calculus.OperatorSpace are run form too, apart from its Lie tables;
+  * _weight_graded_boundary is the one builder of a model's complex (chain
+    spaces, d, and B only when asked), read by HH, HC and the reduction;
+    _weight_matrices, behind boundary_matrices, connes_matrices and the
+    Morse differential, picks the assembly by the model: term_matrix of the
+    run form on a DgAlgebra, one per-key call per column (_keyed_matrix) on
+    a PeirceBasis, whose walks are found by key, and on a MorseModel.  The
+    operator matrices of calculus.OperatorSpace are run form too, apart from
+    its Lie tables;
   * the cochain differential [b, -] of each (model, arity) is assembled
     once, one b bracketed with each column read through the CochainBasis
     coordinate map, and its HH^l spot is eliminated once (_cohomology_spot);
@@ -91,7 +92,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
-from .algebra import PeirceBasis
+from .algebra import DgAlgebra
 from .exactlin import SparseMatrix, chain_add, homology_walk, kept
 from .morse import MorseModel
 
@@ -714,8 +715,8 @@ def _weight_matrices(model, spaces, runs, terms, weights, shift):
     run form, runs(n), and per key, terms(a0, word, out_terms).  The model
     picks the assembly: term_matrix of the runs on a DgAlgebra, whose index
     is mixed radix, and _keyed_matrix of the terms on a PeirceBasis, whose
-    walks are found by key."""
-    if isinstance(model, PeirceBasis):
+    walks are found by key, or on the critical cells of a MorseModel."""
+    if not isinstance(model, DgAlgebra):
         return [_keyed_matrix(terms, spaces[n], spaces[n + shift]) for n in weights]
     return [term_matrix(runs, (len(spaces[n + shift]), len(spaces[n])), {n: 0},
                         {n + shift: 0}) for n in weights]
@@ -814,16 +815,16 @@ class GradedDims:
 
 
 def _weight_graded_boundary(model, max_weight):
-    """Chain spaces and boundary matrices per weight up to max_weight: the
-    chains and d of an algebra model, or the critical cells and the Morse
-    differential of a MorseModel, assembled per key (_keyed_matrix)."""
+    """The one builder of a model's complex up to max_weight: (spaces, d,
+    connes), d_n for n >= 1 (d[0] is None) and connes(top) the B_n, n < top,
+    built when called so that a reader can drop d first; None on a MorseModel."""
     if isinstance(model, MorseModel):
         spaces = model.cells(max_weight)
-        return spaces, [None] + [
-            _keyed_matrix(model.boundary_terms, spaces[n], spaces[n - 1])
-            for n in range(1, max_weight + 1)]
+        return spaces, [None] + _weight_matrices(model, spaces, None, model.boundary_terms,
+                                                 range(1, max_weight + 1), -1), None
     spaces = chain_spaces(model, max_weight)
-    return spaces, boundary_matrices(model, spaces)
+    return spaces, boundary_matrices(model, spaces), (
+        lambda top: connes_matrices(model, spaces[: top + 1]))
 
 
 def _graded_dims(degrees, spot, basis_keys, record):
@@ -848,7 +849,7 @@ def _model_homology(algebra, degree_range, model_of):
         raise ValueError("homology requires a degree-0 algebra")
     model, record = model_of(algebra)
     degrees = sorted(degree_range)
-    spaces, mats = _weight_graded_boundary(model, max(degrees, default=-1) + 1)
+    spaces, mats, _ = _weight_graded_boundary(model, max(degrees, default=-1) + 1)
     spots = {}
     nonneg = sorted({n for n in degrees if n >= 0})
     for _, run in itertools.groupby(enumerate(nonneg), lambda p: p[1] - p[0]):

@@ -7,7 +7,7 @@ the homology-level description of the period target).  The deformed
 differential is transferred through the weightwise retract by homological
 perturbation with delta = tB + L_x, by the same
 cyclic.perturbation_transfer that gives the undeformed one (delta = tB);
-contraction_blocks projects with the same p.  Trivializations and PTD
+contraction_blocks is cyclic.reduced_block of I_P.  Trivializations and PTD
 isomorphisms are found by deform.solve_by_levels on block coordinates: the
 unknowns act through [D0, -] on their own m-adic level (the trivialization
 starts from -(1/t) I_{x_s} in every slot s of x, x_s the Q cochain in that
@@ -46,24 +46,28 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .coeff import Slots, ring_values, slot_add, slot_coordinates, slot_product
 from .cyclic import (
     NotStabilized,
-    _project,
     default_bar_bound,
     perturbation_transfer,
     reduce_mixed_complex,
+    reduced_block,
 )
 from .deform import MCElement, _require_mc, solve_by_levels
 from .exactlin import SparseMatrix, express_in_homology, from_columns, kept, rank, rref
 from .hochschild import (
     Cochain,
+    _contraction_arity,
     chain_add,
     cocycle_representatives,
     contraction,
+    contraction_terms,
     flat_hochschild_homology,
     hochschild_cohomology,
 )
@@ -90,11 +94,8 @@ class BlockOp:
                 if mat:
                     self.blocks[key] = dict(mat)
 
-    def copy(self):
-        return BlockOp(self.deg, {k: dict(v) for k, v in self.blocks.items()})
-
     def add(self, other, scale=1):
-        out = self.copy()
+        out = BlockOp(self.deg, self.blocks)
         for key, mat in other.blocks.items():
             tgt = out.blocks.setdefault(key, {})
             for e, v in mat.items():
@@ -151,14 +152,10 @@ class BlockOp:
                 yield (sig, m, m2, r, c), v
 
     def restrict_nonneg(self):
-        return BlockOp(
-            self.deg, {k: mat for k, mat in self.blocks.items() if k[0] >= 0}
-        )
+        return self.truncated((0, math.inf))
 
     def negative_part(self):
-        return BlockOp(
-            self.deg, {k: mat for k, mat in self.blocks.items() if k[0] < 0}
-        )
+        return self.truncated((-math.inf, -1))
 
     def __repr__(self):
         keys = sorted(self.blocks)
@@ -232,27 +229,15 @@ def deformed_differential(red, x: MCElement, window) -> Slots:
 
 def contraction_blocks(red, p: Cochain) -> BlockOp:
     """p . I_P . iota as blocks at t-shift -1, (1/t) I_P (degree |P| - 2)."""
-    algebra = red.algebra
-    arities = p.arities()
+    l = _contraction_arity(p)
     op = BlockOp(p.sdeg - 1)
-    if not arities:
+    if l is None:
         return op
-    (l,) = arities
+    terms = partial(contraction_terms, red.algebra, p)
     for m in range(l, red.bar_bound + 1):
-        src = red.sdr[m]
-        tgt_w = m - l
-        tgt = red.sdr[tgt_w]
-        if not src.reps or not tgt.reps:
-            continue
-        keys = list(red.spaces[m])
-        idx2 = red.spaces[tgt_w]
-        vecs = []
-        for rep in src.reps:
-            img = contraction(algebra, p, {keys[j]: c for j, c in rep.items()})
-            vecs.append({idx2[key]: v for key, v in img.items()})
-        block = _project(tgt, vecs)
+        block = reduced_block(red, terms, m, m - l)
         if block:
-            op.blocks[-1, m, tgt_w] = block
+            op.blocks[-1, m, m - l] = block
     return op
 
 

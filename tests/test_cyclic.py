@@ -24,7 +24,7 @@ from ncperiod.algebra import (
     kronecker_algebra,
     radical,
 )
-from ncperiod import cyclic
+from ncperiod import cyclic, hochschild
 from ncperiod.cyclic import (
     _induced_rank,
     TruncatedLaurentComplex,
@@ -263,8 +263,10 @@ def test_sbi_exactness_ignores_the_window():
 
 
 def _corrupt_connes(monkeypatch):
-    """Double one weight-1 entry of every connes_matrices cyclic assembles."""
-    real = cyclic.connes_matrices
+    """Double one weight-1 entry of every connes_matrices that the one
+    builder of a model's complex, hochschild._weight_graded_boundary,
+    assembles."""
+    real = hochschild.connes_matrices
 
     def corrupted(model, spaces):
         b = real(model, spaces)
@@ -273,7 +275,7 @@ def _corrupt_connes(monkeypatch):
             b[1].entries[key] *= 2
         return b
 
-    monkeypatch.setattr(cyclic, "connes_matrices", corrupted)
+    monkeypatch.setattr(hochschild, "connes_matrices", corrupted)
 
 
 @pytest.mark.parametrize("build", [lambda: build_truncated_polynomial_algebra(3),

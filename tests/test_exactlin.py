@@ -12,7 +12,7 @@ from conftest import (
     member,
     transpose,
 )
-from ncperiod import cyclic, exactlin
+from ncperiod import cyclic, exactlin, hochschild
 from ncperiod.algebra import (
     a2_quiver_algebra,
     build_matrix_algebra,
@@ -405,17 +405,21 @@ def _is_identity(m):
     (lambda: build_truncated_polynomial_algebra(4), 5, True),
     (a2_quiver_algebra, 6, False),
     (kronecker_algebra, 4, False),
-], ids=["M2", "T3", "T4", "A2", "kron"])
+    (lambda: build_matrix_algebra(2).peirce(), 8, False),
+    (lambda: a2_quiver_algebra().peirce(), 6, False),
+    (lambda: kronecker_algebra().peirce(), 6, False),
+], ids=["M2", "T3", "T4", "A2", "kron", "M2-relative", "A2-relative", "kron-relative"])
 def test_complex_sdr_identities_on_bar_complexes(build, bar, h_everywhere):
-    """All five SDR identities at every spot of a real bar complex.
+    """All five SDR identities at every spot of a real bar complex, flat or
+    relative to the idempotents (the complex the relative reductions, such
+    as that of A2 in the spectral sequence, retract), built as the
+    reductions build it, by hochschild._weight_graded_boundary.
 
     They pin p and h down uniquely for the B + H + N splitting, and h must
     vanish on N, the unit vectors of the pivot columns of rref(d_n).  T4 has
     homology at every spot, so there p has rows everywhere."""
-    alg = build()
-    spaces = chain_spaces(alg, bar + 1)
+    spaces, d, _ = hochschild._weight_graded_boundary(build(), bar + 1)
     dims = [len(s) for s in spaces]
-    d = boundary_matrices(alg, spaces)
     d[0] = SparseMatrix(0, dims[0])
     sdr = complex_sdr(dims[: bar + 1], d)
     if h_everywhere:
@@ -500,15 +504,17 @@ def _flip_top_entry(d, top):
 def test_complex_sdr_checks_the_top_pair(monkeypatch):
     """complex_sdr eliminates d_{W+1} on the free rows of d_W only, which is
     exact only when d_W . d_{W+1} = 0: a flipped entry of d_{W+1} raises
-    CompositionNonzero, from complex_sdr and through reduce_mixed_complex."""
+    CompositionNonzero, from complex_sdr and through reduce_mixed_complex,
+    whose d boundary_matrices assembles inside the one builder of a model's
+    complex, hochschild._weight_graded_boundary."""
     bar = 3
     alg = build_truncated_polynomial_algebra(3)
     spaces = chain_spaces(alg, bar + 1)
     dims = [len(s) for s in spaces[: bar + 1]]
     with pytest.raises(CompositionNonzero):
         complex_sdr(dims, _flip_top_entry(boundary_matrices(alg, spaces), bar + 1))
-    real_bm = cyclic.boundary_matrices
-    monkeypatch.setattr(cyclic, "boundary_matrices",
+    real_bm = hochschild.boundary_matrices
+    monkeypatch.setattr(hochschild, "boundary_matrices",
                         lambda *args: _flip_top_entry(real_bm(*args), bar + 1))
     with pytest.raises(CompositionNonzero):
         cyclic.reduce_mixed_complex(alg, bar)

@@ -1,7 +1,9 @@
 """Each of these concepts has one implementation in the package: the chain
 index (`hochschild._walks`, the walks of a chain model, flat or relative,
 closed cyclically by `chain_spaces` and in parallel by `CochainBasis`), the
-choice of operator assembly (`hochschild._weight_matrices`,
+complex of a chain model, flat, relative or Morse (its one builder
+`hochschild._weight_graded_boundary`, which HH, HC and the reduction read),
+the choice of operator assembly (`hochschild._weight_matrices`,
 behind `boundary_matrices` and `connes_matrices`), the run-form assembly
 (`hochschild.term_matrix`, which takes d, B and I_P in run form and computes
 every row and column from the mixed-radix chain index, with no per-term key),
@@ -16,7 +18,9 @@ slot is read off `algebra.ground` in `lie_terms`, `lie_runs` and
 (`exactlin.chain_add`), the sparse apply (`exactlin.apply_columns`), the
 operator residual of the calculus identities (`calculus._residual`), the
 t-window truncation with its homology and window-to-window rank
-(`cyclic.ReducedMixedComplex.truncation`, `.homology` and `.induced_rank`),
+(`cyclic.WindowedComplex.truncation`, `.homology` and `.induced_rank`), the
+block p O iota on the reduction of an operator given per key
+(`cyclic.reduced_block`, over the lazy columns of `cyclic._keyed_columns`),
 the homology of a complex (`exactlin.homology_walk`, which eliminates each
 differential once; for cochains once per (model, arity), in
 `hochschild._cohomology_spot`), the structure map b of an algebra
@@ -56,7 +60,9 @@ ACCUMULATE = re.compile(r"\.get\((?:[^()]|\([^()]*\))*,\s*0\)\s*[-+]")
 def test_shared_names_are_one_object():
     assert cyclic.chain_spaces is hochschild.chain_spaces
     assert cyclic.boundary_matrices is hochschild.boundary_matrices
-    assert cyclic.connes_matrices is hochschild.connes_matrices
+    assert cyclic._weight_graded_boundary is hochschild._weight_graded_boundary
+    assert not hasattr(cyclic, "connes_matrices")
+    assert period.reduced_block is cyclic.reduced_block
     assert hochschild.chain_add is exactlin.chain_add
     for mod in (cyclic, calculus, period):
         assert mod.chain_add is exactlin.chain_add
@@ -242,18 +248,19 @@ def _index_lookups(module):
 
 def test_one_run_form_assembly():
     """d, B and I_P on a DgAlgebra become matrices only through term_matrix,
-    in run form, and _weight_matrices, behind boundary_matrices and
-    connes_matrices, is the one place that picks it or the per-key
-    _keyed_matrix by the model (the Morse differential of Q[x]/x^N is per key
-    too, from _weight_graded_boundary); no function of hochschild or calculus finds a
-    matrix row by its chain key, apart from INDEX_LOOKUPS; each sign rule is
-    written once and used by the run form and the per-key generator alike."""
+    in run form, and _weight_matrices, behind boundary_matrices,
+    connes_matrices and the Morse differential of _weight_graded_boundary,
+    is the one place that picks it or the per-key _keyed_matrix by the
+    model (a PeirceBasis and the MorseModel of Q[x]/x^N are per key); no
+    function of hochschild or calculus finds a matrix row by its chain key,
+    apart from INDEX_LOOKUPS; each sign rule is written once and used by the
+    run form and the per-key generator alike."""
     assert set(_call_sites("term_matrix")) == {
         ("hochschild", "_weight_matrices"), ("calculus", "operator_matrix")}
-    assert set(_call_sites("_keyed_matrix")) == {
-        ("hochschild", "_weight_matrices"), ("hochschild", "_weight_graded_boundary")}
+    assert set(_call_sites("_keyed_matrix")) == {("hochschild", "_weight_matrices")}
     assert set(_call_sites("_weight_matrices")) == {
-        ("hochschild", "boundary_matrices"), ("hochschild", "connes_matrices")}
+        ("hochschild", "boundary_matrices"), ("hochschild", "connes_matrices"),
+        ("hochschild", "_weight_graded_boundary")}
     assert _index_lookups("hochschild") | _index_lookups("calculus") == set(INDEX_LOOKUPS)
     signs = {
         "_interior_sign": {"lie_terms", "_interior_grid"},
@@ -421,9 +428,9 @@ def test_one_change_of_basis():
 def test_one_chain_space_enumerator():
     """chain_spaces is the only chain-space enumerator, for every chain
     model: no other function of the package is named for one, and the chain
-    index is built only by calling it (ChainBasis, the weight-graded
-    boundary of HH, the reduction of a mixed complex and the Connes complex
-    of HC).  Its walks come from _walks, the one walk enumerator, which
+    index is built only by calling it (ChainBasis and the one builder of a
+    model's complex, _weight_graded_boundary, which HH, the reduction of a
+    mixed complex and the Connes complex of HC read).  Its walks come from _walks, the one walk enumerator, which
     CochainBasis closes in parallel; neither CochainBasis nor basis_cochains
     enumerates words of its own.  The ends of the letters, which say which words are walks, are
     read outside algebra only by _walks and its two closings."""
@@ -432,8 +439,7 @@ def test_one_chain_space_enumerator():
             if isinstance(node, ast.FunctionDef) and "chain_spaces" in node.name}
     assert defs == {("hochschild", "chain_spaces")}
     assert set(_call_sites("chain_spaces")) == {
-        ("hochschild", "__init__"), ("hochschild", "_weight_graded_boundary"),
-        ("cyclic", "reduce"), ("cyclic", "connes")}
+        ("hochschild", "__init__"), ("hochschild", "_weight_graded_boundary")}
     readers = {(path.stem, node.name) for path in sorted(SRC.glob("*.py"))
                if path.stem != "algebra"
                for node in ast.walk(ast.parse(path.read_text()))
@@ -452,14 +458,112 @@ def test_one_chain_space_enumerator():
 
 
 def test_cyclic_names_no_chain_model():
-    """cyclic reduces whatever model chain_model_of gives it through
-    chain_spaces, boundary_matrices and connes_matrices: it imports no
-    PeirceBasis, names no relative_ function and tests no model type."""
+    """cyclic reduces whatever model chain_model_of gives it through the one
+    builder of its complex, hochschild._weight_graded_boundary: it imports
+    no PeirceBasis or MorseModel, names no relative_ function and tests no
+    model type."""
     text = (SRC / "cyclic.py").read_text()
-    assert "PeirceBasis" not in text
+    assert "PeirceBasis" not in text and "MorseModel" not in text
     assert "relative_" not in text
     assert not [site for site in _call_sites("isinstance") if site[0] == "cyclic"]
     assert not hasattr(cyclic, "PeirceBasis")
+
+
+BUILDER = ("hochschild", "_weight_graded_boundary")
+SPOT_FIELDS = {"reps", "proj_rows", "hmty_cols"}
+
+
+def _calls_of(tree, module, names):
+    """(module, innermost function) of every call of one of the names, a bare
+    name or an attribute."""
+    return _sites(tree, module, lambda node: isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in names)
+
+
+def _model_type_tests(tree, module):
+    """Every isinstance call that names MorseModel."""
+    return _sites(tree, module, lambda node: isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "isinstance"
+                  and any(getattr(n, "id", None) == "MorseModel" for n in ast.walk(node)))
+
+
+def _spot_field_reads(tree, module):
+    """Every read of a SpotSDR field (reps, proj_rows, hmty_cols) as an
+    attribute."""
+    return _sites(tree, module, lambda node: isinstance(node, ast.Attribute)
+                  and node.attr in SPOT_FIELDS)
+
+
+def _private_imports_from_cyclic(tree, module):
+    """Every `from .cyclic import` that brings in a name with a leading
+    underscore."""
+    return _sites(tree, module, lambda node: isinstance(node, ast.ImportFrom)
+                  and node.module == "cyclic"
+                  and any(alias.name.startswith("_") for alias in node.names))
+
+
+def test_one_builder_of_a_chain_models_complex():
+    """hochschild._weight_graded_boundary is the one builder of a chain
+    model's complex, its chain spaces, d and B, for the flat, relative and
+    Morse models alike.  Outside it only ChainBasis.__init__ calls
+    chain_spaces, and nothing calls boundary_matrices or connes_matrices;
+    it alone tests for a MorseModel, which only the routing rule
+    homology_model_of makes.  The retract's layout, the SpotSDR fields, is
+    read only in exactlin, which makes it, and cyclic, which transfers
+    through it and gives period its blocks (reduced_block), so period
+    imports no private name of cyclic."""
+    modules = [path.stem for path in sorted(SRC.glob("*.py"))]
+
+    def calls(*names):
+        return _scan_sites(functools.partial(_calls_of, names=names), modules)
+
+    assert calls("chain_spaces") - {BUILDER} == {("hochschild", "__init__")}
+    assert "chain_spaces(" in inspect.getsource(hochschild.ChainBasis.__init__)
+    assert "chain_spaces(" not in inspect.getsource(hochschild.CochainBasis.__init__)
+    assert calls("boundary_matrices", "connes_matrices") == {BUILDER}
+    assert _scan_sites(_model_type_tests, modules) == {BUILDER}
+    assert calls("MorseModel") == {("hochschild", "homology_model_of")}
+    assert {module for module, _ in _scan_sites(_spot_field_reads, modules)} <= {
+        "exactlin", "cyclic"}
+    assert not _scan_sites(_private_imports_from_cyclic, modules)
+
+
+def test_builder_scans_find_a_copy():
+    """Each scan of test_one_builder_of_a_chain_models_complex finds the
+    sites the package had before the builder was the one: a reduction and a
+    Connes complex in cyclic assembling their own complex, and a
+    contraction_blocks in period reading the retract through cyclic._project."""
+    cyclic_copy = ast.parse(
+        "def reduce_mixed_complex(algebra, bar_bound):\n"
+        "    def reduce():\n"
+        "        spaces = chain_spaces(algebra, bar_bound + 1)\n"
+        "        sdr = complex_sdr(dims, boundary_matrices(algebra, spaces))\n"
+        "        return [len(s.reps) for s in sdr], connes_matrices(algebra, spaces)\n"
+        "def _connes_complex(model, top):\n"
+        "    def connes():\n"
+        "        spaces = chain_spaces(model, top + 1)\n"
+        "        return boundary_matrices(model, spaces), connes_matrices(model, spaces)\n")
+    period_copy = ast.parse(
+        "from .cyclic import (\n    NotStabilized,\n    _project,\n    default_bar_bound,\n)\n"
+        "def contraction_blocks(red, p):\n"
+        "    src = red.sdr[1]\n"
+        "    return _project(red.sdr[0], [rep for rep in src.reps])\n")
+    hochschild_copy = ast.parse(
+        "def homology_model_of(algebra):\n    return MorseModel(algebra, None)\n"
+        "def _weight_graded_boundary(model, max_weight):\n"
+        "    if isinstance(model, MorseModel):\n        return model.cells(max_weight)\n"
+        "def _model_homology(model):\n    return isinstance(model, (MorseModel, int))\n")
+    assert set(_calls_of(cyclic_copy, "cyclic", {"chain_spaces"})) == {
+        ("cyclic", "reduce"), ("cyclic", "connes")}
+    assert set(_calls_of(cyclic_copy, "cyclic", {"boundary_matrices", "connes_matrices"})) == {
+        ("cyclic", "reduce"), ("cyclic", "connes")}
+    assert _spot_field_reads(cyclic_copy, "cyclic") == [("cyclic", "reduce")]
+    assert _spot_field_reads(period_copy, "period") == [("period", "contraction_blocks")]
+    assert _private_imports_from_cyclic(period_copy, "period") == [("period", None)]
+    assert set(_model_type_tests(hochschild_copy, "hochschild")) == {
+        BUILDER, ("hochschild", "_model_homology")}
+    assert _calls_of(hochschild_copy, "hochschild", {"MorseModel"}) == [
+        ("hochschild", "homology_model_of")]
 
 
 # (module, innermost function) -> why it builds a list of ring slots of its own

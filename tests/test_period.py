@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ncperiod.period as period
-from conftest import fiber_product, level_slices, ptd2_t3_inputs
+from conftest import deform_period_trivialized, fiber_product, level_slices, ptd2_t3_inputs
 from ncperiod.algebra import (
     a2_quiver_algebra,
     build_field,
@@ -46,6 +46,7 @@ from ncperiod.hochschild import (
     Cochain,
     chain_add,
     cochain_differential,
+    cocycle_representatives,
     connes_B,
     contraction,
     hochschild_boundary,
@@ -445,6 +446,60 @@ def _reference_transfer(red, x=None, window=None):
                                 chain_add(a, key, c)
             frontier = nxt
     return {key: blk for key, blk in out.items() if blk}
+
+
+def _reference_contraction_blocks(red, p):
+    """contraction_blocks as the per-representative loop that cyclic.reduced_block
+    replaced computed it: each representative of iota keyed by red.spaces,
+    contracted as a chain dict by I_P, indexed back and projected by p."""
+    if not p.arities():
+        return {}
+    (l,) = p.arities()
+    out = {}
+    for m in range(l, red.bar_bound + 1):
+        src, tgt = red.sdr[m], red.sdr[m - l]
+        if not src.reps or not tgt.reps:
+            continue
+        keys, idx = list(red.spaces[m]), red.spaces[m - l]
+        vecs = []
+        for rep in src.reps:
+            img = contraction(red.algebra, p, {keys[j]: c for j, c in rep.items()})
+            vecs.append({idx[key]: v for key, v in img.items()})
+        block = _p_block(tgt, vecs)
+        if block:
+            out[-1, m, m - l] = block
+    return out
+
+
+def _typed_blocks(blocks):
+    return {key: {e: (type(v), v) for e, v in blk.items()} for key, blk in blocks.items()}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_contraction_blocks_match_the_per_representative_loop(seed):
+    """Every trivialization seed -(1/t) I_{x_s} of the deform_period inputs,
+    one per slot s of each Maurer-Cartan element trivialize_periodic reads,
+    equals the loop over representatives, by value and by type."""
+    for alg, x in deform_period_trivialized(seed):
+        red = reduce_mixed_complex(alg, default_bar_bound(alg, 2, WINDOW[1]))
+        for xs in x.slots.values():
+            got = contraction_blocks(red, xs)
+            assert got.deg == xs.sdeg - 1
+            assert _typed_blocks(got.blocks) == _typed_blocks(
+                _reference_contraction_blocks(red, xs)), alg.name
+
+
+@pytest.mark.parametrize("alg", [T2, T3, A2], ids=lambda a: a.name)
+def test_first_order_period_matrix_matches_the_per_representative_loop(alg):
+    """The period blocks of each HH^2 class equal the loop over
+    representatives; A2 has HH^2 = 0, so no class."""
+    degrees = range(0, 5)
+    red = reduce_mixed_complex(alg, default_bar_bound(alg, max(degrees), -1))
+    want = [{(m, m2): blk for (_, m, m2), blk in _reference_contraction_blocks(red, p).items()
+             if m in degrees} for p in cocycle_representatives(alg, 2, 4)]
+    got = [pc.blocks for pc in first_order_period_matrix(alg, degrees)]
+    assert [_typed_blocks(b) for b in got] == [_typed_blocks(b) for b in want]
+    assert any(want) == (alg is not A2)
 
 
 @pytest.mark.parametrize("alg, bar", [
