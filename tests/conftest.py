@@ -1,5 +1,4 @@
 import itertools
-import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -9,7 +8,6 @@ from ncperiod.algebra import (
     DgAlgebra,
     _times,
     a2_quiver_algebra,
-    build_field,
     build_matrix_algebra,
     build_path_algebra,
     build_truncated_polynomial_algebra,
@@ -47,11 +45,9 @@ from ncperiod.hochschild import (
     Cochain,
     CochainBasis,
     _cochain_diff_matrix,
-    basis_cochains,
     boundary_matrices,
     chain_spaces,
     cochain_differential,
-    cocycle_representatives,
     connes_B,
     connes_matrices,
     gerstenhaber_bracket,
@@ -371,45 +367,6 @@ def ptd2_t3_inputs(T3, R3):
     beta = GaugeElement(R3, cochain_over_ring(
         T3, R3, {1: {(1,): {2: eps, 0: eps2 * 3}}}, 0, 6))
     return x, gauge_act(beta, x)
-
-
-def _bench_first_order_mc(alg, ring, rng, arity_bound=6):
-    """bench/workloads.py:random_first_order_mc, copied: eps times the
-    coboundary of a random arity-1 cochain plus a random combination of the
-    HH^2 representatives, each coefficient drawn from +-1, +-2, +-3."""
-    z = Cochain(alg, {}, 1, arity_bound)
-    for b in basis_cochains(alg, 1, sdeg=0):
-        if b.arities() == [1]:
-            z = z.add(cochain_differential(alg, b, arity_bound).scaled(
-                rng.choice((-3, -2, -1, 1, 2, 3))))
-    for rep in cocycle_representatives(alg, 2, arity_bound):
-        z = z.add(rep.scaled(rng.choice((-3, -2, -1, 1, 2, 3))))
-    eps = ring.gen(1)
-    return MCElement(ring, z.map_coefficients(lambda q: eps * q))
-
-
-def deform_period_trivialized(seed):
-    """[(algebra, x)] of every Maurer-Cartan element the deform_period
-    benchmark trivializes at this seed (bench/workloads.py:
-    build_deform_period, copied so that the tests do not import bench/): the
-    triv.* inputs of Q, T2, T3, A2 and M2 over the dual numbers, drawn after
-    the four lift inputs of A2 and M2; x, y = e^alpha . x, xx and x2 over
-    Q[eps]/eps^3 on T2 (triv2.T2 and the PTDs); and the pair x3, y3 on T3."""
-    rng = random.Random(seed)
-    R2, R3 = dual_numbers(), build_truncated_poly(1, 3)
-    algs = [build_field(), build_truncated_polynomial_algebra(2),
-            build_truncated_polynomial_algebra(3), a2_quiver_algebra(), build_matrix_algebra(2)]
-    for alg in (algs[3], algs[3], algs[4], algs[4]):
-        _bench_first_order_mc(alg, R2, rng)
-    out = [(alg, _bench_first_order_mc(alg, R2, rng)) for alg in algs]
-    T2, T3 = algs[1], algs[2]
-    eps, eps2 = R3.gen("eps"), R3.gen("eps^2")
-    x = MCElement(R3, cochain_over_ring(T2, R3, {2: {(1, 1): {0: eps}}}, 1, 6))
-    alpha = GaugeElement(R3, cochain_over_ring(
-        T2, R3, {1: {(1,): {1: eps, 0: eps2 * 3}}}, 0, 6))
-    xx = MCElement(R3, cochain_over_ring(T2, R3, {2: {(1, 1): {0: eps + eps2}}}, 1, 6))
-    out += [(T2, v) for v in (x, gauge_act(alpha, x), xx, MCElement(R3, x.value.scaled(2)))]
-    return out + [(T3, v) for v in ptd2_t3_inputs(T3, R3)]
 
 
 def random_lifted_gauge_pair(alg, order, rng):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ncperiod.period as period
-from conftest import deform_period_trivialized, fiber_product, level_slices, ptd2_t3_inputs
+from conftest import fiber_product, level_slices, ptd2_t3_inputs
 from ncperiod.algebra import (
     a2_quiver_algebra,
     build_field,
@@ -338,6 +338,16 @@ def _bench_workloads():
     return module
 
 
+def _trivialized(a):
+    """[(algebra, x)] of every Maurer-Cartan element of the deform_period
+    inputs a that the workload trivializes: the triv.* inputs; x, y, xx and
+    x2 on T2 (triv2.T2 and the PTDs); x3 and y3 on T3."""
+    algs = a["algs"]
+    return ([(algs[name], x) for name, x in a["triv"]]
+            + [(algs["T2"], a[k]) for k in ("x", "y", "xx", "x2")]
+            + [(algs["T3"], a[k]) for k in ("x3", "y3")])
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_every_block_lies_within_its_reduction(seed):
     """On the deform_period inputs, every block of each trivialization gauge
@@ -353,9 +363,7 @@ def test_every_block_lies_within_its_reduction(seed):
         assert top <= red.bar_bound, (red.algebra.name, top, red.bar_bound)
         return top
 
-    inputs = ([(algs[name], x) for name, x in a["triv"]]
-              + [(t2, a[k]) for k in ("x", "y", "xx", "x2")] + [(t3, a[k]) for k in ("x3", "y3")])
-    for alg, x in inputs:
+    for alg, x in _trivialized(a):
         triv = trivialize_periodic(alg, x, WINDOW)
         assert triv.ok, alg.name
         top_weight(triv.reduced, triv.gauge, triv.deformation, triv.base)
@@ -480,7 +488,7 @@ def test_contraction_blocks_match_the_per_representative_loop(seed):
     """Every trivialization seed -(1/t) I_{x_s} of the deform_period inputs,
     one per slot s of each Maurer-Cartan element trivialize_periodic reads,
     equals the loop over representatives, by value and by type."""
-    for alg, x in deform_period_trivialized(seed):
+    for alg, x in _trivialized(_bench_workloads().build_deform_period(seed)):
         red = reduce_mixed_complex(alg, default_bar_bound(alg, 2, WINDOW[1]))
         for xs in x.slots.values():
             got = contraction_blocks(red, xs)
