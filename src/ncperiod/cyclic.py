@@ -7,13 +7,18 @@ HC_n is the homology of the finite Connes complex Tot_n = C_n + C_{n-2} +
 follows from both by Connes' sequence (Loday 5.1.5).  The SBI exactness
 check reads the same finite complex: Connes' sequence HH -> HC -> HC[-2] ->
 HH[-1] is the homology sequence of 0 -> C -> Tot -> Tot[-2] -> 0 (Loday
-2.2.1), three t-windows of it.
+2.2.1), three t-windows of it.  That complex is d plus B transferred by
+perturbation_transfer through the retract the builder gives: the identity
+on flat and relative chains, so B itself, and on the Morse model of
+Q[x]/x^N the Morse SDR, so the t-blocks sum_k p tB (h tB)^k iota on its N
+critical cells per weight.
 
 The truncated t-complex serves the Hodge-type spectral sequence and the
 period layer.  The mixed complex (C, d, B) is retracted weight-by-weight
 onto its homology (an exact SDR), and perturbation_transfer, the one
 perturbation transfer, carries the t-differential through it: D = sum_{k >=
-0} p delta (h delta)^k iota with delta = tB, or tB + L_x for a
+0} p delta (h delta)^k iota, read through the retract's iota, project and
+homotopy operations, with delta = tB, or tB + L_x for a
 Maurer-Cartan element x of the period layer (Crainic 2004), given in slot
 form: one Q chain per ring slot, moved by coeff.slot_product.  A t-window
 keeps t^lo .. t^hi: C[[t]] is its t^{>=0} part, C((t)) all of it, C[t^-1]
@@ -25,10 +30,14 @@ degree and its HC dims, and a Connes complex its SBI verdict per degree,
 all by exactlin.kept.
 
 Every operation runs on the complex hochschild._weight_graded_boundary builds
-for the model chain_model_of picks: for an algebra with idempotents, relative
-to their span E (2 chains per weight for M2 against 4 . 3^n flat), with the
-same HC, HN and HP (Loday 1.2.13).  The period layer reduces the flat complex,
-where L_x of a Maurer-Cartan x acts, and reads its blocks from reduced_block.
+for the model its routing rule picks: for an algebra with idempotents,
+relative to their span E (2 chains per weight for M2 against 4 . 3^n flat),
+with the same HC, HN and HP (Loday 1.2.13).  HC, HN and the SBI check route
+by homology_model_of, as HH does, so Q[x]/x^N runs on its Morse model, kept
+one per algebra, and all three report HH's chain_model; HP and the spectral
+sequence route by chain_model_of.  The period layer reduces the flat
+complex, where L_x of a Maurer-Cartan x acts, and reads its blocks from
+reduced_block.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ from .hochschild import (
     boundary_matrices,
     chain_model_of,
     chain_spaces,
+    homology_model_of,
     lie_terms,
 )
 
@@ -123,6 +133,19 @@ class ReducedMixedComplex(WindowedComplex):
     weight_dims = property(lambda self: self.h_dims)
     blocks = property(lambda self: self.transfer)
 
+    # the retract as perturbation_transfer reads it, from the complex_sdr spots
+    def iota(self, m):
+        return self.sdr[m].reps
+
+    def project(self, w, vecs):
+        return _project(self.sdr[w], vecs)
+
+    def homotopy(self, w):
+        return self.sdr[w].hmty_cols.__getitem__
+
+    def b_columns(self, w):
+        return self.b_mats[w].columns().__getitem__
+
 
 def default_bar_bound(algebra, max_degree, t_hi):
     """The one bar-bound policy, for degrees up to max_degree and t-powers up
@@ -149,11 +172,11 @@ def reduce_mixed_complex(algebra, bar_bound) -> ReducedMixedComplex:
     _require_degree_zero(algebra)
 
     def reduce():
-        spaces, d, connes = _weight_graded_boundary(algebra, bar_bound + 1)
+        spaces, d, mixed = _weight_graded_boundary(algebra, bar_bound + 1)
         sdr = complex_sdr([len(s) for s in spaces[: bar_bound + 1]], d)
         del d  # before B is built
         out = ReducedMixedComplex(algebra, bar_bound, [len(s.reps) for s in sdr], {},
-                                  sdr, spaces, connes(bar_bound))
+                                  sdr, spaces, mixed(bar_bound).b_mats)
         out.transfer = perturbation_transfer(out).get(0, {})
         return out
 
@@ -167,18 +190,23 @@ def perturbation_transfer(red, x=None, window=None):
     delta = tB, plus L_x when the slot form x (coeff.Slots) of a cochain
     with coefficients in the maximal ideal of an Artin ring is given, so the
     series is finite; without x it is slot 0 alone.  Only blocks with lo <=
-    sigma <= hi are kept (every sigma when window is None).  Chains stay in
-    the index coordinates of red.spaces, one frontier per (weight, sigma,
-    slot): B from red.b_mats in slot 0, L_x from the lazy columns
-    (_keyed_columns) of one single-arity Q cochain per slot and arity of x,
-    moving a chain of slot j into the slots of table[s, j] by
-    coeff.slot_product, p and h from the SpotSDR data of red.sdr.
+    sigma <= hi are kept (every sigma when window is None).  red is a
+    retract through weight red.bar_bound, read as operations: iota(m) the
+    chains of iota on the weight-m generators, project(w, vecs) the block of
+    p on chains of weight w, homotopy(w) and b_columns(w) the columns of h
+    and B at weight w: a ReducedMixedComplex (its complex_sdr spots), a
+    morse.MorseRetract or an exactlin.IdentityRetract.  There is one
+    frontier per (weight, sigma, slot), B in slot 0, L_x, on a reduction,
+    from the lazy columns (_keyed_columns of red.spaces) of one
+    single-arity Q cochain per slot and arity of x, moving a chain of slot
+    j into the slots of table[s, j] by coeff.slot_product.
     """
     bar = red.bar_bound
     lo, hi = window or (0, math.inf)
-    b_cols = [mat.columns() for mat in red.b_mats]
+    b_cols = [red.b_columns(w) for w in range(bar)]
     ring = _GROUND if x is None else x.ring
-    singles, column = {}, _keyed_columns(red.spaces)  # singles: arity -> slot -> L, per key
+    singles = {}  # arity -> slot -> L, per key
+    column = _keyed_columns(red.spaces) if x else None
     for s, xs in (x or {}).items():
         for l, comp in xs.components.items():
             singles.setdefault(l, {})[s] = functools.partial(lie_terms, red.algebra, Cochain(
@@ -190,7 +218,7 @@ def perturbation_transfer(red, x=None, window=None):
         """(weight, sigma, slot form of the columns) of each part of delta
         leaving (w, sig)."""
         if w + 1 <= bar and sig + 1 <= hi:
-            yield w + 1, sig + 1, Slots(ring, {0: b_cols[w].__getitem__})
+            yield w + 1, sig + 1, Slots(ring, {0: b_cols[w]})
         for l, by_slot in singles.items():
             if 0 <= w - l + 1 <= bar:
                 yield w - l + 1, sig, Slots(ring, {s: functools.partial(
@@ -203,8 +231,9 @@ def perturbation_transfer(red, x=None, window=None):
         return acc
 
     blocks = {}
-    for m, spot in enumerate(red.sdr):
-        frontier = {(m, 0): {0: spot.reps}} if spot.reps else {}
+    for m in range(bar + 1):
+        reps = red.iota(m)
+        frontier = {(m, 0): {0: reps}} if reps else {}
         while frontier:
             landed = {}  # (weight, sigma) -> slot -> delta of the frontier, per generator
             for (w, sig), vecs in frontier.items():
@@ -217,10 +246,10 @@ def perturbation_transfer(red, x=None, window=None):
                         continue
                     if lo <= sig <= hi:
                         tgt = blocks.setdefault(k, {}).setdefault((sig, m, w), {})
-                        for e, v in _project(red.sdr[w], vecs).items():
+                        for e, v in red.project(w, vecs).items():
                             chain_add(tgt, e, v)
                     if w + 1 - reach <= bar:
-                        hcols = red.sdr[w].hmty_cols.__getitem__
+                        hcols = red.homotopy(w)
                         moved = [apply_columns(hcols, v) for v in vecs]
                         if any(moved):
                             frontier.setdefault((w + 1, sig), {})[k] = moved
@@ -351,21 +380,23 @@ def _connes_dims(model, degrees):
 
 
 def _connes_complex(model, top):
-    """The unreduced mixed complex up to weight top + 1, blocks d and B, kept
-    on the model per top, and its C[t^-1] window Tot, which holds Tot_m =
-    C_m + C_{m-2} + ... at degree -m for m <= top + 1."""
+    """The mixed complex of the model up to weight top + 1, blocks d and B
+    transferred through its retract, kept on the model per top, and its
+    C[t^-1] window Tot, which holds Tot_m = C_m + C_{m-2} + ... at degree -m
+    for m <= top + 1."""
     def connes():
-        spaces, d, b_of = _weight_graded_boundary(model, top + 1)
+        spaces, d, mixed = _weight_graded_boundary(model, top + 1)
         blocks = {(0, m, m - 1): d[m].entries for m in range(1, top + 2)}
-        blocks.update({(1, m, m + 1): b.entries for m, b in enumerate(b_of(top + 1))})
+        blocks.update(perturbation_transfer(mixed(top + 1)).get(0, {}))
         return WindowedComplex([len(s) for s in spaces], blocks)
 
     return kept(model, ("connes", top), connes), (-(top // 2) - 1, 0)
 
 
 def cyclic_homology(algebra, degree_range, t_window=(-6, 6)):
-    """Exact HC_n of the finite Connes complex; t_window does not matter."""
-    model, record = chain_model_of(algebra)
+    """Exact HC_n of the finite Connes complex of the model homology_model_of
+    picks; t_window does not matter."""
+    model, record = homology_model_of(algebra)
     return GradedDims(_connes_dims(model, sorted(degree_range)), chain_model=record)
 
 
@@ -459,7 +490,8 @@ def hodge_spectral_sequence(algebra, t_window=(-6, 6), degree_range=(0, 1),
 def sbi_exactness(algebra, degree_range, t_window=(-6, 6)):
     """Exactness of Connes' sequence ... -> HH_n -I-> HC_n -S-> HC_{n-2} -B->
     HH_{n-1} -> ..., the homology sequence of 0 -> C -> Tot -> Tot[-2] -> 0
-    (Loday 2.2.1), on the finite Connes complex of the chain model.
+    (Loday 2.2.1), on the finite Connes complex of the model
+    homology_model_of picks, which must sit in degree 0 as for HC.
 
     Returns {n: True} for each degree n checked, kept on the complex:
     exactness holds at the four spots around total degree -n, with the
@@ -469,7 +501,9 @@ def sbi_exactness(algebra, degree_range, t_window=(-6, 6)):
     CompositionNonzero.
     """
     degrees = sorted(degree_range)
-    cx, total = _connes_complex(chain_model_of(algebra)[0], max(max(degrees), 0))
+    model = homology_model_of(algebra)[0]
+    _require_degree_zero(model)
+    cx, total = _connes_complex(model, max(max(degrees), 0))
     sub, quot = (0, 0), (total[0], -1)
     h = cx.homology
 

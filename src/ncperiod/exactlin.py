@@ -523,6 +523,30 @@ def complex_sdr(dims, diffs):
     return out
 
 
+class IdentityRetract:
+    """The identity retract of a complex with dims[n] chains at weight n,
+    0 <= n <= bar_bound, carrying the perturbation B whose matrices are
+    b_mats[n]: C_n -> C_{n+1}: iota and p are the identity on index
+    coordinates and h is zero, so a transfer through it gives B itself."""
+
+    def __init__(self, dims, b_mats):
+        self.dims = dims
+        self.b_mats = b_mats
+        self.bar_bound = len(dims) - 1
+
+    def iota(self, m):
+        return [{j: 1} for j in range(self.dims[m])]
+
+    def project(self, w, vecs):
+        return {(i, k): v for k, vec in enumerate(vecs) for i, v in vec.items()}
+
+    def homotopy(self, w):
+        return lambda j: {}
+
+    def b_columns(self, w):
+        return self.b_mats[w].columns().__getitem__
+
+
 def express_in_homology(sub: SubquotientBasis, vec):
     """Coordinates of a cycle's class in sub.homology_reps, or None.
 

@@ -40,13 +40,14 @@ Chain models
     normalized cochain vanishes on it (Cochain, _brace_into), an a0 in it
     dies under B, and in front of each rotation of B stands the ground
     element the rotated walk starts at: the unit, or an e_x (connes_terms);
-  * chain_model_of is the routing rule of the operations that need B or
-    cochains: hochschild_cohomology and the cyclic operations (HC, HN, HP)
-    take the PeirceBasis of an algebra with idempotents and the algebra
-    itself otherwise.  hochschild_homology routes by homology_model_of,
-    which sends the table of Q[x]/x^N (basis 1, x, .., x^{N-1}) to its
-    morse.MorseModel, the Morse complex of an acyclic matching with N critical
-    cells per weight, and every other algebra by chain_model_of.  The flat
+  * chain_model_of is the routing rule of the operations that need
+    cochains or a reduction: hochschild_cohomology, HP, the spectral
+    sequence and the period layer take the PeirceBasis of an algebra with
+    idempotents and the algebra itself otherwise.  HH, HC, HN and the SBI
+    check route by homology_model_of, which sends the table of Q[x]/x^N
+    (basis 1, x, .., x^{N-1}) to its morse.MorseModel, one per algebra, the
+    Morse complex of an acyclic matching with N critical cells per weight,
+    and every other algebra by chain_model_of.  The flat
     model, the algebra, is read explicitly by
     flat_hochschild_homology, cocycle_representatives, the obstruction
     classes, the period layer and the calculus, since L_x and I_x of a flat
@@ -72,7 +73,9 @@ Indexing and assembly
     the parity runs of (a0 | head)) and _wrap_runs (a split of a stored
     word): lie_runs and the Lie tables of calculus.OperatorSpace read it;
   * _weight_graded_boundary is the one builder of a model's complex (chain
-    spaces, d, and B only when asked), read by HH, HC and the reduction;
+    spaces, d, and only when asked the retract that carries B: the identity
+    with the B matrices, or the Morse SDR), read by HH, HC and the
+    reduction;
     _weight_matrices, behind boundary_matrices, connes_matrices and the
     Morse differential, picks the assembly by the model: term_matrix of the
     run form on a DgAlgebra, one per-key call per column (_keyed_matrix) on
@@ -93,8 +96,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 from .algebra import DgAlgebra
-from .exactlin import SparseMatrix, chain_add, homology_walk, kept
-from .morse import MorseModel
+from .exactlin import IdentityRetract, SparseMatrix, chain_add, homology_walk, kept
+from .morse import MorseModel, MorseRetract
 
 
 class ArityBoundExceeded(Exception):
@@ -775,16 +778,18 @@ def chain_model_of(algebra):
 
 
 def homology_model_of(algebra):
-    """The routing rule of hochschild_homology: the MorseModel of Q[x]/x^N,
-    N >= 2, in the basis 1, x, .., x^{N-1} with no idempotents, and
-    chain_model_of's model otherwise.  The table is read off the structure
-    constants (x^i x^j = x^{i+j}, zero from x^N on), so an algebra file
-    holding it routes to Morse and a permuted basis does not."""
+    """The routing rule of HH, HC, HN and the SBI check: the MorseModel of
+    Q[x]/x^N, N >= 2, in the basis 1, x, .., x^{N-1} with no idempotents,
+    kept on the algebra, and chain_model_of's model otherwise.  The table is
+    read off the structure constants (x^i x^j = x^{i+j}, zero from x^N on),
+    so an algebra file holding it routes to Morse and a permuted basis does
+    not."""
     n = algebra.dim
     if n >= 2 and algebra.idempotents is None and algebra.mult == {
             (i, j): {i + j: 1} for i in range(n) for j in range(n - i)}:
-        d_terms = partial(lie_terms, algebra, structure_as_cochain(algebra))
-        return MorseModel(algebra, d_terms), {"kind": "morse"}
+        return kept(algebra, "morse", lambda: MorseModel(
+            algebra, partial(lie_terms, algebra, structure_as_cochain(algebra)),
+            partial(connes_terms, algebra))), {"kind": "morse"}
     return chain_model_of(algebra)
 
 
@@ -816,15 +821,19 @@ class GradedDims:
 
 def _weight_graded_boundary(model, max_weight):
     """The one builder of a model's complex up to max_weight: (spaces, d,
-    connes), d_n for n >= 1 (d[0] is None) and connes(top) the B_n, n < top,
-    built when called so that a reader can drop d first; None on a MorseModel."""
+    mixed), d_n for n >= 1 (d[0] is None) and mixed(top) the retract onto
+    the spaces, with B, that cyclic.perturbation_transfer reads through
+    weight top, built when called so that a reader can drop d first: the
+    Morse SDR of the flat complex on a MorseModel, else the identity with
+    the B_n, n < top."""
     if isinstance(model, MorseModel):
         spaces = model.cells(max_weight)
-        return spaces, [None] + _weight_matrices(model, spaces, None, model.boundary_terms,
-                                                 range(1, max_weight + 1), -1), None
+        d = _weight_matrices(model, spaces, None, model.boundary_terms,
+                             range(1, max_weight + 1), -1)
+        return spaces, [None] + d, partial(MorseRetract, model)
     spaces = chain_spaces(model, max_weight)
-    return spaces, boundary_matrices(model, spaces), (
-        lambda top: connes_matrices(model, spaces[: top + 1]))
+    return spaces, boundary_matrices(model, spaces), (lambda top: IdentityRetract(
+        [len(s) for s in spaces[: top + 1]], connes_matrices(model, spaces[: top + 1])))
 
 
 def _graded_dims(degrees, spot, basis_keys, record):

@@ -263,10 +263,12 @@ def test_sbi_exactness_ignores_the_window():
 
 
 def _corrupt_connes(monkeypatch):
-    """Double one weight-1 entry of every connes_matrices that the one
-    builder of a model's complex, hochschild._weight_graded_boundary,
-    assembles."""
-    real = hochschild.connes_matrices
+    """Double one weight-1 entry of B in both forms the one builder of a
+    model's complex, hochschild._weight_graded_boundary, reads: in every
+    connes_matrices it assembles (flat and relative models), and the first
+    term of connes_terms on x^{N-1} | x, the weight-1 critical cell whose B
+    the Morse model of Q[x]/x^N transfers to weight 2."""
+    real, real_terms = hochschild.connes_matrices, hochschild.connes_terms
 
     def corrupted(model, spaces):
         b = real(model, spaces)
@@ -275,7 +277,17 @@ def _corrupt_connes(monkeypatch):
             b[1].entries[key] *= 2
         return b
 
+    def corrupted_terms(algebra, a0, word, out_terms):
+        scale = [2 if (a0, word) == (algebra.dim - 1, (1,)) else 1]
+
+        def out(key, c):
+            out_terms(key, scale[0] * c)
+            scale[0] = 1
+
+        real_terms(algebra, a0, word, out)
+
     monkeypatch.setattr(hochschild, "connes_matrices", corrupted)
+    monkeypatch.setattr(hochschild, "connes_terms", corrupted_terms)
 
 
 @pytest.mark.parametrize("build", [lambda: build_truncated_polynomial_algebra(3),
@@ -283,7 +295,7 @@ def _corrupt_connes(monkeypatch):
 @pytest.mark.parametrize("top", [2, 3])
 def test_sbi_checks_see_a_broken_connes_operator(monkeypatch, build, top):
     """A doubled weight-1 entry of B makes d + B square to nonzero on Tot,
-    so both checks raise rather than answer True (flat T3, relative M2)."""
+    so both checks raise rather than answer True (Morse T3, relative M2)."""
     _corrupt_connes(monkeypatch)
     for check in (sbi_exactness, sbi_consistent):
         with pytest.raises(CompositionNonzero):

@@ -3,6 +3,9 @@ index (`hochschild._walks`, the walks of a chain model, flat or relative,
 closed cyclically by `chain_spaces` and in parallel by `CochainBasis`), the
 complex of a chain model, flat, relative or Morse (its one builder
 `hochschild._weight_graded_boundary`, which HH, HC and the reduction read),
+the perturbation series p delta (h delta)^k iota (`cyclic.perturbation_transfer`,
+which reads iota, p and h as operations of a retract: the complex_sdr spots
+of a reduction, the Morse SDR or the identity),
 the choice of operator assembly (`hochschild._weight_matrices`,
 behind `boundary_matrices` and `connes_matrices`), the run-form assembly
 (`hochschild.term_matrix`, which takes d, B and I_P in run form and computes
@@ -458,10 +461,10 @@ def test_one_chain_space_enumerator():
 
 
 def test_cyclic_names_no_chain_model():
-    """cyclic reduces whatever model chain_model_of gives it through the one
-    builder of its complex, hochschild._weight_graded_boundary: it imports
-    no PeirceBasis or MorseModel, names no relative_ function and tests no
-    model type."""
+    """cyclic reduces or transfers through whatever model chain_model_of or
+    homology_model_of gives it through the one builder of its complex,
+    hochschild._weight_graded_boundary: it imports no PeirceBasis or
+    MorseModel, names no relative_ function and tests no model type."""
     text = (SRC / "cyclic.py").read_text()
     assert "PeirceBasis" not in text and "MorseModel" not in text
     assert "relative_" not in text
@@ -564,6 +567,58 @@ def test_builder_scans_find_a_copy():
         BUILDER, ("hochschild", "_model_homology")}
     assert _calls_of(hochschild_copy, "hochschild", {"MorseModel"}) == [
         ("hochschild", "homology_model_of")]
+
+
+RETRACT_OPS = {"iota", "project", "homotopy", "b_columns"}
+SERIES_CALLS = {("cyclic", "reduce"), ("cyclic", "connes"), ("period", "deformed_differential")}
+
+
+def _retract_classes(tree, module):
+    """(module, class) of every class that defines all four retract
+    operations perturbation_transfer reads."""
+    return [(module, node.name) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and RETRACT_OPS <= {f.name for f in node.body if isinstance(f, ast.FunctionDef)}]
+
+
+def test_one_perturbation_series():
+    """cyclic.perturbation_transfer is the one series p delta (h delta)^k
+    iota in the package: the reduction and the Connes complex of HC transfer
+    B through it and the period layer transfers tB + L_x, and it alone
+    applies a retract's homotopy.  It reads a retract only through iota,
+    project, homotopy and b_columns, which the complex_sdr spots of a
+    reduction, the Morse SDR and the identity retract define, so the Morse
+    module runs no series of its own."""
+    modules = [path.stem for path in sorted(SRC.glob("*.py"))]
+
+    def calls(*names):
+        return _scan_sites(functools.partial(_calls_of, names=names), modules)
+
+    assert calls("perturbation_transfer") == SERIES_CALLS
+    assert calls("homotopy") == {("cyclic", "perturbation_transfer")}
+    assert _scan_sites(_retract_classes, modules) == {
+        ("cyclic", "ReducedMixedComplex"), ("morse", "MorseRetract"),
+        ("exactlin", "IdentityRetract")}
+    source = inspect.getsource(cyclic.perturbation_transfer)
+    assert ".sdr" not in source and ".b_mats" not in source
+
+
+def test_series_scans_find_a_copy():
+    """The scans of test_one_perturbation_series find a second series: a
+    Connes complex of the Morse model that runs p B (h B)^k iota itself, and
+    a retract class that reads its spots in place of the operations."""
+    morse_copy = ast.parse(
+        "class MorseRetract:\n"
+        "    def iota(self, m):\n        return []\n"
+        "    def project(self, w, vecs):\n        return {}\n"
+        "    def b_columns(self, w):\n        return {}\n"
+        "    def transfer(self, top):\n"
+        "        vecs = self.iota(0)\n"
+        "        while vecs:\n"
+        "            vecs = [apply_columns(self.homotopy(1), v) for v in vecs]\n"
+        "        return perturbation_transfer(self)\n")
+    assert _calls_of(morse_copy, "morse", {"homotopy"}) == [("morse", "transfer")]
+    assert _calls_of(morse_copy, "morse", {"perturbation_transfer"}) == [("morse", "transfer")]
+    assert _retract_classes(morse_copy, "morse") == []
 
 
 # (module, innermost function) -> why it builds a list of ring slots of its own
