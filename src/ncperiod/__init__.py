@@ -7,6 +7,7 @@ for the conventions.
 
 from .algebra import (
     DgAlgebra,
+    NotDegreeZero,
     a2_quiver_algebra,
     build_field,
     build_matrix_algebra,

@@ -46,6 +46,17 @@ class CyclicQuiver(Exception):
     """Path algebra builder got a quiver with an oriented cycle."""
 
 
+class NotDegreeZero(ValueError):
+    """An operation that needs an algebra in degree 0 got a graded one."""
+
+
+def require_degree_zero(algebra, operation):
+    """NotDegreeZero naming the operation unless every basis element of the
+    algebra, or of the chain model, sits in degree 0."""
+    if any(algebra.degrees):
+        raise NotDegreeZero(f"{operation} requires a degree-0 algebra")
+
+
 @dataclass
 class AxiomViolation:
     axiom: str
@@ -104,9 +115,6 @@ class DgAlgebra:
         """(x, y) with basis_i in e_x A e_y, per i: every element lies in
         1 A 1, the ground {0} being the one idempotent 1."""
         return [(0, 0)] * self.dim
-
-    def is_degree_zero(self):
-        return all(d == 0 for d in self.degrees)
 
     def product(self, i, j):
         """Structure constants of basis_i * basis_j as {k: coeff}."""
@@ -235,8 +243,7 @@ class PeirceBasis:
     """
 
     def __init__(self, algebra):
-        if not algebra.is_degree_zero():
-            raise ValueError("a Peirce basis needs a degree-0 algebra")
+        require_degree_zero(algebra, "a Peirce basis")
         idem = list(algebra.idempotents.values())
         rest = [k for k in algebra.reduced_indices if {k: 1} not in idem]
         vecs = idem + [{k: 1} for k in rest]

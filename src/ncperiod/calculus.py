@@ -2,9 +2,11 @@
 
 The verifier works with sparse operator matrices over a finite chain basis
 (weights up to the bar bound plus head room), so each identity is checked
-exactly on every basis cochain pair against every basis chain in range.  The
-Lie action is assembled from per-word tables whose rows, columns and signs
-are read off the per-word digit helpers of hochschild (_digits,
+exactly on every basis cochain pair against every basis chain in range.  d,
+B and I_P are assembled per key, hochschild._keyed_matrix of lie_terms,
+connes_terms and contraction_terms over the ChainBasis index.  The Lie
+action of a cochain is assembled from per-word tables whose rows, columns
+and signs are read off the per-word digit helpers of hochschild (_digits,
 _interior_grid, _wrap_runs), the ones its run form lie_runs reads, so the
 Lie-action index and its signs have one implementation.
 
@@ -57,6 +59,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import compress, product as iproduct
 
+from .algebra import require_degree_zero
 from .coeff import exact
 from .exactlin import apply_columns, chain_add
 from .hochschild import (
@@ -70,19 +73,19 @@ from .hochschild import (
     _cohomology_spot,
     _digits,
     _interior_grid,
+    _keyed_matrix,
     _wrap_runs,
     basis_cochains,
     cochain_differential,
     cocycle_representatives,
-    connes_runs,
+    connes_terms,
     contraction,
-    contraction_runs,
+    contraction_terms,
     flat_hochschild_homology,
     gerstenhaber_bracket,
     lie_action,
-    lie_runs,
+    lie_terms,
     structure_as_cochain,
-    term_matrix,
 )
 
 # re-exported: the bracket, Lie action and contraction live with the chain machinery
@@ -255,24 +258,23 @@ class OperatorSpace:
         return {col: one(tuple(map(one, e))) if share_head or col < self.ncheck
                 else tuple(e) for col, e in cols.items()}
 
-    def operator_matrix(self, runs):
-        """{col: ((row, coeff), ...)} of an operator in run form on the apply
-        columns."""
-        off = self.basis.offsets
-        mat = term_matrix(runs, (self.size, len(self.apply_cols)),
-                          {n: off[n] for n in range(self.check_weight + 2)}, off)
+    def operator_matrix(self, terms):
+        """{col: ((row, coeff), ...)} on the apply columns of an operator
+        given per key, terms(a0, word, out_terms), in the stored form of
+        _column."""
+        mat = _keyed_matrix(terms, self.keys[:len(self.apply_cols)], self.basis.index)
         return {col: e for col, acc in enumerate(mat.columns())
                 if (e := _column(self, acc))}
 
     def boundary_matrix(self):
         return self.operator_matrix(
-            partial(lie_runs, self.algebra, structure_as_cochain(self.algebra)))
+            partial(lie_terms, self.algebra, structure_as_cochain(self.algebra)))
 
     def connes_matrix(self):
-        return self.operator_matrix(partial(connes_runs, self.algebra))
+        return self.operator_matrix(partial(connes_terms, self.algebra))
 
     def contraction_matrix(self, cochain):
-        return self.operator_matrix(partial(contraction_runs, self.algebra, cochain))
+        return self.operator_matrix(partial(contraction_terms, self.algebra, cochain))
 
 
 def _add_terms(res, groups, terms):
@@ -530,8 +532,7 @@ def calculus_defect(algebra, degree_bound=2, bar_bound=4):
     """
     if min(degree_bound, bar_bound) < 0:
         raise ValueError(f"negative bound: degree {degree_bound}, bar {bar_bound}")
-    if not algebra.is_degree_zero():
-        raise ValueError("calculus_defect requires a degree-0 algebra")
+    require_degree_zero(algebra, "calculus_defect")
     space = OperatorSpace(algebra, bar_bound)
     # homology spots cover one weight above the probed classes, so that
     # weight-raising defects (arity-0 cochains, the Connes factor) stay

@@ -2,7 +2,8 @@
 
 Commands: hh, hhc, cyclic, ss, calc {verify,defect}, deform {lift,gauge-check},
 period {matrix,torelli,vdb,ptd}.  Exit codes: 0 success, 1 not-stabilized or
-validation/verification failure, 2 parse errors.  Output is plain text by
+validation/verification failure, 2 parse errors and a graded algebra given
+to a command that needs one in degree 0.  Output is plain text by
 default, or stable-keyed JSON with --format structured.  The output depends
 only on the arguments and the files they name: no environment variable is
 read.
@@ -19,6 +20,7 @@ import sys
 from .algebra import (
     CyclicQuiver,
     DgAlgebra,
+    NotDegreeZero,
     a2_quiver_algebra,
     build_field,
     build_matrix_algebra,
@@ -680,6 +682,9 @@ def main(argv=None):
         return args.func(args, sys.stdout)
     except (ParseError, CyclicQuiver) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
+        return 2
+    except NotDegreeZero as exc:
+        sys.stderr.write(f"unsupported algebra: {exc}\n")
         return 2
     except (ValidationError, NotArtinLocal, NotMaurerCartan) as exc:
         sys.stderr.write(f"validation error: {exc}\n")

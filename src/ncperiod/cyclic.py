@@ -46,7 +46,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .algebra import radical
+from .algebra import radical, require_degree_zero
 from .coeff import ArtinLocalRing, Slots, slot_product
 from .exactlin import (
     IncrementalSpan,
@@ -82,11 +82,6 @@ class NotStabilized(Exception):
 
 
 DEFAULT_SPOT_CAP = 500
-
-
-def _require_degree_zero(algebra):
-    if any(algebra.degrees):
-        raise ValueError("cyclic homology requires a degree-0 algebra")
 
 
 class WindowedComplex:
@@ -169,7 +164,7 @@ def reduce_mixed_complex(algebra, bar_bound) -> ReducedMixedComplex:
     the model; d is dropped once eliminated, before B is built."""
     if bar_bound < 0:
         raise ValueError(f"bar bound must be >= 0, got {bar_bound}")
-    _require_degree_zero(algebra)
+    require_degree_zero(algebra, "cyclic homology")
 
     def reduce():
         spaces, d, mixed = _weight_graded_boundary(algebra, bar_bound + 1)
@@ -368,7 +363,7 @@ def _connes_dims(model, degrees):
     """{n: dim HC_n} of a chain model, 0 for n < 0, each kept on the model:
     the homology at degree -n of the window Tot of _connes_complex for the
     largest degree, built only if some HC_n is not kept yet."""
-    _require_degree_zero(model)
+    require_degree_zero(model, "cyclic homology")
     top = max(max(degrees, default=0), 0)
 
     def hc(n):
@@ -402,7 +397,7 @@ def cyclic_homology(algebra, degree_range, t_window=(-6, 6)):
 
 def periodic_cyclic_homology(algebra, t_window=(-6, 6)):
     """Exact (HP_0, HP_1) = (h, 0); t_window does not matter."""
-    _require_degree_zero(algebra)
+    require_degree_zero(algebra, "cyclic homology")
     return radical(algebra)[1], 0
 
 
@@ -502,7 +497,7 @@ def sbi_exactness(algebra, degree_range, t_window=(-6, 6)):
     """
     degrees = sorted(degree_range)
     model = homology_model_of(algebra)[0]
-    _require_degree_zero(model)
+    require_degree_zero(model, "cyclic homology")
     cx, total = _connes_complex(model, max(max(degrees), 0))
     sub, quot = (0, 0), (total[0], -1)
     h = cx.homology

@@ -230,7 +230,7 @@ class AlgebraOverArtin:
             return ["square-zero fails: nonzero Maurer-Cartan residual"]
         # unit condition: x is normalized by construction, so 1 stays a unit;
         # re-check multiplicatively on the deformed constants for degree 0.
-        if not self.algebra.is_degree_zero():
+        if any(self.algebra.degrees):
             return []
         mult, one = self.multiplication_constants(), self.base.one()
         return [f"{side} unit fails at {i}" for i in range(self.algebra.dim)

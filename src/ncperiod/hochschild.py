@@ -63,25 +63,22 @@ Indexing and assembly
     (a0, w) of weight n sits at a0 r^n + sum_k (w_k - 1) r^(n-1-k), and the
     cochain (w, t) at dim . (that sum) + t.  ChainBasis is the chain spaces
     laid end to end, weight n at positions offsets[n]..offsets[n+1]-1;
-  * the operators d (or L_P), B and I_P have two forms: the per-key
-    generators lie_terms, connes_terms and contraction_terms act on chain
-    dicts, and the run form (lie_runs, connes_runs, contraction_runs) gives
-    runs of rows and columns computed from the mixed-radix index, with no
-    per-term key, which term_matrix assembles.  Both take their signs from
-    _interior_sign, _rotation_sign and _cap_sign.  The Lie action's index is
+  * the operators L_P, B and I_P are the per-key generators lie_terms,
+    connes_terms and contraction_terms, which act on chain dicts and take
+    their signs from _interior_sign, _rotation_sign and _cap_sign; only
+    L_P also has a run form, lie_runs, whose runs of rows and columns are
+    computed from the mixed-radix index with no per-term key.  Its index is
     the per-word digit arithmetic of _digits, _interior_grid (a slot, over
     the parity runs of (a0 | head)) and _wrap_runs (a split of a stored
-    word): lie_runs and the Lie tables of calculus.OperatorSpace read it;
+    word), which the Lie tables of calculus.OperatorSpace read too;
   * _weight_graded_boundary is the one builder of a model's complex (chain
     spaces, d, and only when asked the retract that carries B: the identity
     with the B matrices, or the Morse SDR), read by HH, HC and the
-    reduction;
-    _weight_matrices, behind boundary_matrices, connes_matrices and the
-    Morse differential, picks the assembly by the model: term_matrix of the
-    run form on a DgAlgebra, one per-key call per column (_keyed_matrix) on
-    a PeirceBasis, whose walks are found by key, and on a MorseModel.  The
-    operator matrices of calculus.OperatorSpace are run form too, apart from
-    its Lie tables;
+    reduction.  A matrix is assembled per key, one generator call per
+    column (_keyed_matrix), on every model: B (connes_matrices), d on a
+    PeirceBasis, whose walks are found by key, and on a MorseModel, and the
+    d, B and I_P of calculus.OperatorSpace.  The one exception is d on a
+    DgAlgebra, term_matrix of lie_runs in boundary_matrices;
   * the cochain differential [b, -] of each (model, arity) is assembled
     once, one b bracketed with each column read through the CochainBasis
     coordinate map, and its HH^l spot is eliminated once (_cohomology_spot);
@@ -95,7 +92,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
-from .algebra import DgAlgebra
+from .algebra import DgAlgebra, require_degree_zero
 from .exactlin import IdentityRetract, SparseMatrix, chain_add, homology_walk, kept
 from .morse import MorseModel, MorseRetract
 
@@ -220,7 +217,7 @@ def basis_cochains(algebra, arity_bound, sdeg=None):
 
 # -- signs -----------------------------------------------------------------------
 # The sign rules of the chain operators, used by the per-key term generators
-# and by the run-form assembly alike.  Every argument enters only through its
+# and by the run form of L_P alike.  Every argument enters only through its
 # parity, so the run form may pass the parity of a digit sum.
 
 
@@ -512,12 +509,12 @@ def chain_spaces(model, max_weight):
 
 # -- run-form assembly ---------------------------------------------------------------
 # An operator in run form is a generator runs(n) of the units of its matrix on
-# the chains of weight n: (target weight, value, [(row, col, k, drow, dcol)]),
-# each run standing for the entries (row + t drow, col + t dcol), t < k, all
-# carrying value, all distinct within the unit.  Rows and columns are
-# chain_spaces indices, so a term family whose digits run over a range is a
-# run: the tail of an interior slot of L_P, the kept word of a wrap window or
-# of I_P, both sides of a rotation of B.  A run stops where its sign changes.
+# the chains of weight n: (value, [(row, col, k, drow, dcol)]), each run
+# standing for the entries (row + t drow, col + t dcol), t < k, all carrying
+# value, all distinct within the unit.  Rows and columns are chain_spaces
+# indices, so a term family whose digits run over a range is a run: the tail
+# of an interior slot of L_P, the kept word of a wrap window.  A run stops
+# where its sign changes.
 
 
 def _digit_parities(algebra):
@@ -605,7 +602,9 @@ def _wrap_runs(algebra, w, k, n):
 
 def lie_runs(algebra, op, n):
     """L_op on weight n in run form (the per-key form is lie_terms), op a
-    Cochain read only on its stored words, in sorted order.
+    Cochain read only on its stored words, in sorted order.  The rows of
+    arity l index weight n - l + 1, so term_matrix reads an op of one arity,
+    such as b of an algebra with d = 0.
 
     Interior slot j of arity l (_interior_grid): each prefix (a0 | head)
     carries a run over the tail for each stored seg and output.  Wrap at
@@ -626,7 +625,7 @@ def lie_runs(algebra, op, n):
             step = (r * tail, r ** l * tail)
             for sgn, lo, hi in runs:
                 for s, out, c in segs:
-                    yield n - l + 1, sgn * c, _grid(
+                    yield sgn * c, _grid(
                         lo * step[0] + (out - 1) * tail, lo * step[1] + s * tail,
                         hi - lo, step, tail, (1, 1))
         for k in range(l - 1, -1, -1):
@@ -635,71 +634,31 @@ def lie_runs(algebra, op, n):
                 col, runs = _wrap_runs(algebra, w, k, n)
                 for sgn, lo, hi in runs:
                     for out, c in val.items():
-                        yield n - l + 1, sgn * c, [(
+                        yield sgn * c, [(
                             out * r ** (n - l + 1) + lo, col + lo * stride,
                             hi - lo, 1, stride)]
 
 
-def connes_runs(algebra, n):
-    """B on weight n in run form (the per-key form is connes_terms): the i-th
-    rotation sends the digits (a0, A | Z) to (0, Z | a0 - 1 | A), a run over
-    A and over Z for each a0 of the complement."""
-    r = algebra.dim - 1
-    full, par = _digit_parities(algebra)
-    for i in range(n + 1):
-        heads, tails = _parity_runs((par,) * i), _parity_runs((par,) * (n - i))
-        for a0 in algebra.reduced_indices:
-            for eps, a_lo, a_hi in heads:
-                for rest, z_lo, z_hi in tails:
-                    yield n + 1, _rotation_sign(eps + full[a0], rest), _grid(
-                        z_lo * r ** (i + 1) + (a0 - 1) * r ** i + a_lo,
-                        a0 * r ** n + a_lo * r ** (n - i) + z_lo,
-                        a_hi - a_lo, (1, r ** (n - i)), z_hi - z_lo, (r ** (i + 1), 1))
-
-
-def contraction_runs(algebra, cochain, n):
-    """I_P on weight n in run form (the per-key form is contraction_terms):
-    (a0, S | T) goes to (k, T) for each k of a0 P(S), a run over T."""
-    p = _contraction_arity(cochain)
-    if p is None or p > n:
-        return
-    r = algebra.dim - 1
-    tail = r ** (n - p)
-    for a0 in range(algebra.dim):
-        sgn = _cap_sign(cochain.sdeg, algebra.degrees[a0])
-        for s, seg in enumerate(itertools.product(algebra.reduced_indices, repeat=p)):
-            coeffs = {}
-            for out, c in cochain.eval(p, seg).items():
-                for k, m in algebra.product(a0, out).items():
-                    chain_add(coeffs, k, sgn * c * m)
-            for k, v in coeffs.items():
-                yield n - p, v, [(k * tail, a0 * r ** n + s * tail, tail, 1, 1)]
-
-
-def term_matrix(runs, shape, col_offsets, row_offsets):
-    """SparseMatrix of an operator in run form: the weight-n chains are the
-    columns from col_offsets[n] on, for each n in col_offsets, and a target
-    weight m the rows from row_offsets[m] on.
+def term_matrix(runs, n, shape):
+    """SparseMatrix, of the given shape, of an operator in run form on the
+    chains of weight n, its rows the chains of the one weight it lands in.
 
     Each unit is accumulated at once: its entries are made by slicing one
     list of the indices (so the entries share their index objects), and
     only those that meet an earlier entry go through chain_add, so every
-    entry sums its terms in the order lie_terms, connes_terms and
-    contraction_terms give them."""
+    entry sums its terms in the order lie_terms gives them."""
     mat = SparseMatrix(*shape)
     acc = mat.entries
     ints = list(range(max(shape)))
-    for n, co in col_offsets.items():
-        for target, value, unit in runs(n):
-            if not value:
-                continue
-            ro = row_offsets[target]
-            new = dict.fromkeys(itertools.chain.from_iterable(
-                zip(ints[ro + i:ro + i + k * di:di], ints[co + j:co + j + k * dj:dj])
-                for i, j, k, di, dj in unit), value)
-            for key in new.keys() & acc.keys():
-                chain_add(acc, key, new.pop(key))
-            acc.update(new)
+    for value, unit in runs(n):
+        if not value:
+            continue
+        new = dict.fromkeys(itertools.chain.from_iterable(
+            zip(ints[i:i + k * di:di], ints[j:j + k * dj:dj])
+            for i, j, k, di, dj in unit), value)
+        for key in new.keys() & acc.keys():
+            chain_add(acc, key, new.pop(key))
+        acc.update(new)
     return mat
 
 
@@ -713,35 +672,31 @@ def _keyed_matrix(terms, src, dst):
     return m
 
 
-def _weight_matrices(model, spaces, runs, terms, weights, shift):
-    """The matrices C_n -> C_{n+shift}, n in weights, of an operator given in
-    run form, runs(n), and per key, terms(a0, word, out_terms).  The model
-    picks the assembly: term_matrix of the runs on a DgAlgebra, whose index
-    is mixed radix, and _keyed_matrix of the terms on a PeirceBasis, whose
-    walks are found by key, or on the critical cells of a MorseModel."""
-    if not isinstance(model, DgAlgebra):
-        return [_keyed_matrix(terms, spaces[n], spaces[n + shift]) for n in weights]
-    return [term_matrix(runs, (len(spaces[n + shift]), len(spaces[n])), {n: 0},
-                        {n + shift: 0}) for n in weights]
+def _weight_matrices(spaces, terms, weights, shift):
+    """The matrices C_n -> C_{n+shift}, n in weights, of an operator given
+    per key, terms(a0, word, out_terms), on the chain spaces of any model."""
+    return [_keyed_matrix(terms, spaces[n], spaces[n + shift]) for n in weights]
 
 
 def boundary_matrices(model, spaces):
-    """d_n = L_b: C_n -> C_{n-1} for n = 1..len(spaces)-1 (index 0 is None).
-    ValueError on a model with d != 0, whose L_b keeps a weight-preserving
-    part b_1 = d."""
+    """d_n = L_b: C_n -> C_{n-1} for n = 1..len(spaces)-1 (index 0 is None):
+    term_matrix of lie_runs on a DgAlgebra, whose index is mixed radix, and
+    per key on a PeirceBasis, whose walks are found by key.  ValueError on a
+    model with d != 0, whose L_b keeps a weight-preserving part b_1 = d."""
     if model.diff:
         raise ValueError("boundary_matrices assembles the weight-lowering "
                          "boundary, which needs d = 0")
     b = structure_as_cochain(model)
-    return [None] + _weight_matrices(model, spaces, partial(lie_runs, model, b),
-                                     partial(lie_terms, model, b),
-                                     range(1, len(spaces)), -1)
+    weights = range(1, len(spaces))
+    if not isinstance(model, DgAlgebra):
+        return [None] + _weight_matrices(spaces, partial(lie_terms, model, b), weights, -1)
+    return [None] + [term_matrix(partial(lie_runs, model, b), n,
+                                 (len(spaces[n - 1]), len(spaces[n]))) for n in weights]
 
 
 def connes_matrices(model, spaces):
     """B_n: C_n -> C_{n+1} for n = 0..len(spaces)-2."""
-    return _weight_matrices(model, spaces, partial(connes_runs, model),
-                            partial(connes_terms, model), range(len(spaces) - 1), 1)
+    return _weight_matrices(spaces, partial(connes_terms, model), range(len(spaces) - 1), 1)
 
 
 class ChainBasis:
@@ -828,8 +783,7 @@ def _weight_graded_boundary(model, max_weight):
     the B_n, n < top."""
     if isinstance(model, MorseModel):
         spaces = model.cells(max_weight)
-        d = _weight_matrices(model, spaces, None, model.boundary_terms,
-                             range(1, max_weight + 1), -1)
+        d = _weight_matrices(spaces, model.boundary_terms, range(1, max_weight + 1), -1)
         return spaces, [None] + d, partial(MorseRetract, model)
     spaces = chain_spaces(model, max_weight)
     return spaces, boundary_matrices(model, spaces), (lambda top: IdentityRetract(
@@ -854,8 +808,7 @@ def _model_homology(algebra, degree_range, model_of):
     = model_of(algebra); algebra must sit in degree 0.  One homology_walk
     per run a..b of consecutive degrees >= 0 takes the spots of
     C_{b+1} -> C_b -> ... -> C_a -> C_{a-1}, C_{-1} = 0."""
-    if not algebra.is_degree_zero():
-        raise ValueError("homology requires a degree-0 algebra")
+    require_degree_zero(algebra, "homology")
     model, record = model_of(algebra)
     degrees = sorted(degree_range)
     spaces, mats, _ = _weight_graded_boundary(model, max(degrees, default=-1) + 1)
@@ -956,8 +909,7 @@ def _cohomology_spot(model, arity):
 
 def _build_cohomology_spot(model, arity):
     """homology_walk of C^{arity-1} -> C^arity -> C^{arity+1}, C^{-1} = 0."""
-    if any(model.degrees):
-        raise ValueError("cohomology requires a degree-0 algebra")
+    require_degree_zero(model, "cohomology")
     d_in = (_cochain_diff_matrix(model, arity - 1) if arity
             else SparseMatrix(len(CochainBasis(model, 0)), 0))
     return homology_walk([d_in, _cochain_diff_matrix(model, arity)])[0]
@@ -973,8 +925,7 @@ def hochschild_cohomology(algebra, degree_range):
     chains only, so Q[x]/x^N stays flat here.  Callers that need flat
     cochains call cocycle_representatives.
     """
-    if not algebra.is_degree_zero():
-        raise ValueError("cohomology requires a degree-0 algebra")
+    require_degree_zero(algebra, "cohomology")
     model, record = chain_model_of(algebra)
     return _graded_dims(sorted(degree_range), lambda n: _cohomology_spot(model, n),
                         lambda n: CochainBasis(model, n).keys, record)

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from ncperiod.hochschild import (
     chain_spaces,
     cochain_differential,
     cocycle_representatives,
+    connes_B,
     contraction,
     flat_hochschild_homology,
     gerstenhaber_bracket,
@@ -621,31 +623,42 @@ CANCELLING_PAIRS = [
 
 
 def test_operator_columns_exact_and_zero_free():
-    """Stored columns hold no zero and no integral Fraction, and the Lie
-    matrix agrees with lie_action column by column, also for brackets whose
-    Lie action cancels terms in the accumulator."""
+    """Stored columns hold no zero and no integral Fraction, and every
+    column of boundary_matrix, connes_matrix, contraction_matrix and
+    lie_matrix is hochschild_boundary, connes_B, contraction or lie_action
+    on that basis chain, so the per-key assembly keeps the ChainBasis index;
+    the Lie matrix also for brackets whose Lie action cancels terms in the
+    accumulator."""
     for alg, pairs in CANCELLING_PAIRS:
         _check_operator_columns(OperatorSpace(alg, 2), pairs)
 
 
 def _check_operator_columns(space, pairs):
-    mats = [space.boundary_matrix(), space.connes_matrix()]
-    cochains = basis_cochains(space.algebra, 2)
+    alg = space.algebra
+    mats = []
+
+    def check(mat, op):
+        mats.append(mat)
+        for col in space.apply_cols:
+            got = {space.keys[r]: v for r, v in mat.get(col, ())}
+            assert got == op({space.keys[col]: 1}), (op, space.keys[col])
+
+    check(space.boundary_matrix(), partial(hochschild_boundary, structure_as_cochain(alg)))
+    check(space.connes_matrix(), partial(connes_B, alg))
+    cochains = basis_cochains(alg, 2)
     for P in cochains:
         P.arity_bound = 4
     brackets = [gerstenhaber_bracket(cochains[a], cochains[b], 4)
                 for a, b in pairs]
     for P in cochains + brackets:
-        mats.append(space.lie_matrix(P))
-        for col in space.apply_cols:
-            got = {space.keys[r]: v for r, v in mats[-1].get(col, ())}
-            assert got == lie_action(space.algebra, P, {space.keys[col]: 1})
+        check(space.lie_matrix(P), partial(lie_action, alg, P))
     for br in brackets:
         acc = space.lie_into({}, br.components, br.sdeg % 2, space.size)
         assert any(v == 0 for v in acc.values())
-    half = Cochain(space.algebra, {1: {(1,): {1: Fraction(1, 2)}}}, 0, 4)
-    mats.append(space.lie_matrix(half))
-    mats.append(space.contraction_matrix(half))
+    half = Cochain(alg, {1: {(1,): {1: Fraction(1, 2)}}}, 0, 4)
+    check(space.lie_matrix(half), partial(lie_action, alg, half))
+    for P in cochains + [half]:
+        check(space.contraction_matrix(P), partial(contraction, alg, P))
     assert any(type(v) is Fraction for m in mats for c in m.values() for _, v in c)
     for m in mats:
         for entries in m.values():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ncperiod import cli
+from ncperiod import NotDegreeZero, calculus_defect, cli, cyclic_homology
 from ncperiod.cli import (
     ParseError,
     ValidationError,
@@ -18,7 +18,7 @@ from ncperiod.cli import (
     resolve_ring,
 )
 from ncperiod.algebra import validate_dg_algebra
-from ncperiod.hochschild import hochschild_homology
+from ncperiod.hochschild import hochschild_cohomology, hochschild_homology
 
 
 def run_cli(argv):
@@ -536,3 +536,37 @@ def test_unreadable_input_paths_are_parse_errors(argv, option, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith(f"parse error: line 0: cannot read {option}: ")
     assert "Traceback" not in err
+
+
+# Q[t]/t^2 with |t| = 1, the ext1.alg of the CI
+EXT1_FILE = "basis 1:0 t:1\nmult 0 0 0 1\nmult 0 1 1 1\nmult 1 0 1 1\nunit 1 0\n"
+
+
+@pytest.mark.parametrize("command, operation", [
+    (["hh"], "homology"), (["hhc"], "cohomology"), (["cyclic"], "cyclic homology"),
+    (["ss"], "cyclic homology"), (["calc", "defect"], "calculus_defect"),
+    (["period", "matrix"], "cyclic homology"), (["period", "torelli"], "cyclic homology"),
+    (["period", "vdb"], "homology"),
+], ids=["hh", "hhc", "cyclic", "ss", "calc-defect", "period-matrix", "period-torelli",
+        "period-vdb"])
+def test_graded_algebra_is_refused_in_one_line(command, operation, tmp_path, capsys):
+    """A graded algebra given to a command that needs one in degree 0 stops
+    with exit 2, nothing on stdout and one stderr line naming the refused
+    operation, not with a traceback."""
+    path = tmp_path / "ext1.alg"
+    path.write_text(EXT1_FILE)
+    assert run_cli([*command, "--algebra", str(path)]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"unsupported algebra: {operation} requires a degree-0 algebra\n")
+
+
+def test_degree_zero_refusals_are_one_value_error():
+    """Every library refusal of a graded algebra is a NotDegreeZero, which
+    callers may also catch as ValueError."""
+    alg = parse_algebra_file(EXT1_FILE)
+    assert issubclass(NotDegreeZero, ValueError)
+    for compute in (hochschild_homology, hochschild_cohomology, cyclic_homology):
+        with pytest.raises(NotDegreeZero, match="requires a degree-0 algebra"):
+            compute(alg, range(2))
+    with pytest.raises(NotDegreeZero, match="^calculus_defect requires"):
+        calculus_defect(alg)

@@ -6,12 +6,15 @@ complex of a chain model, flat, relative or Morse (its one builder
 the perturbation series p delta (h delta)^k iota (`cyclic.perturbation_transfer`,
 which reads iota, p and h as operations of a retract: the complex_sdr spots
 of a reduction, the Morse SDR or the identity),
-the choice of operator assembly (`hochschild._weight_matrices`,
-behind `boundary_matrices` and `connes_matrices`), the run-form assembly
-(`hochschild.term_matrix`, which takes d, B and I_P in run form and computes
-every row and column from the mixed-radix chain index, with no per-term key),
-the sign rules of the chain operators (`_interior_sign`, `_rotation_sign` and
-`_cap_sign`, called by both the run form and the per-key generators), the
+the per-key operator assembly (`hochschild._keyed_matrix`, behind
+`_weight_matrices`, which gives `connes_matrices` on every model and d on a
+relative or Morse one, and behind `calculus.OperatorSpace.operator_matrix`,
+which gives d, B and I_P of the calculus), the one run-form assembly
+(`hochschild.term_matrix`, behind `boundary_matrices` on a DgAlgebra, which
+takes d = L_b in run form and computes every row and column from the
+mixed-radix chain index, with no per-term key), the sign rules of the chain
+operators (`_interior_sign`, `_rotation_sign` and `_cap_sign`, called by the
+per-key generators and, for L_P, by the run form), the
 Lie-action index (the per-word digit helpers `hochschild._digits`,
 `_interior_grid` and `_wrap_runs`, read by the run form `lie_runs` and by
 the Lie tables of `calculus.OperatorSpace`; the rule that an output in the
@@ -72,7 +75,7 @@ def test_shared_names_are_one_object():
     assert cyclic.apply_columns is calculus.apply_columns is exactlin.apply_columns
     for name in ("_digits", "_interior_grid", "_wrap_runs"):
         assert getattr(calculus, name) is getattr(hochschild, name), name
-    assert calculus.term_matrix is hochschild.term_matrix
+    assert calculus._keyed_matrix is hochschild._keyed_matrix
     assert not hasattr(cyclic, "_image")
 
 
@@ -225,7 +228,8 @@ INDEX_LOOKUPS = {
         "a cochain as a vector over its CochainBasis: the one coordinate map of "
         "the coboundary matrix, the m-adic solves and the coboundary test",
     ("hochschild", "_keyed_matrix"):
-        "the walks of a PeirceBasis are indexed by a dict and not by mixed radix",
+        "the per-key assembly: B and I_P on every model, d on the walks of a "
+        "PeirceBasis and on Morse cells, which are indexed by a dict",
 }
 
 
@@ -250,25 +254,29 @@ def _index_lookups(module):
 
 
 def test_one_run_form_assembly():
-    """d, B and I_P on a DgAlgebra become matrices only through term_matrix,
-    in run form, and _weight_matrices, behind boundary_matrices,
-    connes_matrices and the Morse differential of _weight_graded_boundary,
-    is the one place that picks it or the per-key _keyed_matrix by the
-    model (a PeirceBasis and the MorseModel of Q[x]/x^N are per key); no
+    """One operator has a run form: d = L_b on a DgAlgebra becomes a matrix
+    through term_matrix only in boundary_matrices.  Every other matrix of
+    d, B and I_P is assembled per key by _keyed_matrix, called only by
+    _weight_matrices (connes_matrices, the relative d of boundary_matrices
+    and the Morse differential of _weight_graded_boundary) and by
+    OperatorSpace.operator_matrix; B and I_P have no run form left.  No
     function of hochschild or calculus finds a matrix row by its chain key,
     apart from INDEX_LOOKUPS; each sign rule is written once and used by the
-    run form and the per-key generator alike."""
-    assert set(_call_sites("term_matrix")) == {
+    per-key generator and, for L_P, by the run form."""
+    assert set(_call_sites("term_matrix")) == {("hochschild", "boundary_matrices")}
+    assert set(_call_sites("_keyed_matrix")) == {
         ("hochschild", "_weight_matrices"), ("calculus", "operator_matrix")}
-    assert set(_call_sites("_keyed_matrix")) == {("hochschild", "_weight_matrices")}
     assert set(_call_sites("_weight_matrices")) == {
         ("hochschild", "boundary_matrices"), ("hochschild", "connes_matrices"),
         ("hochschild", "_weight_graded_boundary")}
+    for name in ("connes_runs", "contraction_runs"):
+        assert not [path.stem for path in sorted(SRC.glob("*.py"))
+                    if name in path.read_text()], name
     assert _index_lookups("hochschild") | _index_lookups("calculus") == set(INDEX_LOOKUPS)
     signs = {
         "_interior_sign": {"lie_terms", "_interior_grid"},
-        "_rotation_sign": {"lie_terms", "_wrap_runs", "connes_terms", "connes_runs"},
-        "_cap_sign": {"contraction_terms", "contraction_runs"},
+        "_rotation_sign": {"lie_terms", "_wrap_runs", "connes_terms"},
+        "_cap_sign": {"contraction_terms"},
     }
     for name, users in signs.items():
         defs = [path.stem for path in sorted(SRC.glob("*.py"))
