@@ -153,7 +153,7 @@ def change_basis(mult, diff, vecs):
     no basis.
     """
     change = from_columns(len(vecs), vecs)
-    inverse = [solve(change, {k: 1}) for k in range(len(vecs))]
+    inverse = solve(change, [{k: 1} for k in range(len(vecs))])
     if None in inverse:
         raise ValueError("the vectors are no basis")
 

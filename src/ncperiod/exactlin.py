@@ -353,22 +353,26 @@ def rank(m: SparseMatrix):
 
 
 def solve(m: SparseMatrix, rhs):
-    """One solution x (sparse dict) of m x = rhs, or None if inconsistent."""
+    """One solution x (sparse dict) of m x = rhs, or None if inconsistent;
+    for a list of sparse right-hand sides, the list of their solutions (None
+    where inconsistent), from one elimination of m augmented by all."""
+    many = isinstance(rhs, list)
+    rhs = rhs if many else [rhs]
     rowlist = m.row_lists()
-    aug = m.cols  # rhs goes in an extra column
-    items = rhs.items() if isinstance(rhs, dict) else enumerate(rhs)
-    for i, v in items:
-        if v:
-            rowlist[i][aug] = v
+    for k, vec in enumerate(rhs):
+        for i, v in vec.items():
+            if v:
+                rowlist[i][m.cols + k] = v
     pivots, pivot_rows = _rref_rows(rowlist)
-    x = {}
+    xs = [{} for _ in rhs]
     for pj, prow in zip(pivots, pivot_rows):
-        if pj == aug:
-            return None
-        c = prow.get(aug)
-        if c:
-            x[pj] = c
-    return x
+        for k, x in enumerate(xs):
+            c = prow.get(m.cols + k)
+            if c and pj >= m.cols:  # a row led by a right-hand side: no solution
+                xs[k] = None
+            elif c:  # pivots rise, so x is None only after the last row of m
+                x[pj] = c
+    return xs if many else xs[0]
 
 
 @dataclass

@@ -262,13 +262,30 @@ def test_sbi_exactness_ignores_the_window():
     assert sbi_exactness(D, range(-3, 0)) == {-3: True, -2: True, -1: True}
 
 
+def _double_connes_term(monkeypatch, cell):
+    """Double the first term of hochschild.connes_terms on the flat chain
+    (a0, word) = cell(algebra)."""
+    real_terms = hochschild.connes_terms
+
+    def corrupted_terms(algebra, a0, word, out_terms):
+        scale = [2 if (a0, word) == cell(algebra) else 1]
+
+        def out(key, c):
+            out_terms(key, scale[0] * c)
+            scale[0] = 1
+
+        real_terms(algebra, a0, word, out)
+
+    monkeypatch.setattr(hochschild, "connes_terms", corrupted_terms)
+
+
 def _corrupt_connes(monkeypatch):
     """Double one weight-1 entry of B in both forms the one builder of a
     model's complex, hochschild._weight_graded_boundary, reads: in every
     connes_matrices it assembles (flat and relative models), and the first
     term of connes_terms on x^{N-1} | x, the weight-1 critical cell whose B
     the Morse model of Q[x]/x^N transfers to weight 2."""
-    real, real_terms = hochschild.connes_matrices, hochschild.connes_terms
+    real = hochschild.connes_matrices
 
     def corrupted(model, spaces):
         b = real(model, spaces)
@@ -277,17 +294,8 @@ def _corrupt_connes(monkeypatch):
             b[1].entries[key] *= 2
         return b
 
-    def corrupted_terms(algebra, a0, word, out_terms):
-        scale = [2 if (a0, word) == (algebra.dim - 1, (1,)) else 1]
-
-        def out(key, c):
-            out_terms(key, scale[0] * c)
-            scale[0] = 1
-
-        real_terms(algebra, a0, word, out)
-
     monkeypatch.setattr(hochschild, "connes_matrices", corrupted)
-    monkeypatch.setattr(hochschild, "connes_terms", corrupted_terms)
+    _double_connes_term(monkeypatch, lambda algebra: (algebra.dim - 1, (1,)))
 
 
 @pytest.mark.parametrize("build", [lambda: build_truncated_polynomial_algebra(3),
@@ -300,6 +308,24 @@ def test_sbi_checks_see_a_broken_connes_operator(monkeypatch, build, top):
     for check in (sbi_exactness, sbi_consistent):
         with pytest.raises(CompositionNonzero):
             check(build(), range(0, top + 1))
+
+
+@pytest.mark.parametrize("cell, raises", [((2, (1,)), True), ((1, (1,)), False),
+                                         ((1, (2,)), False)], ids=["x^2|x", "x|x", "x|x^2"])
+def test_morse_sbi_reads_b_on_its_support_only(monkeypatch, cell, raises):
+    """On the Morse model of T3 = Q[x]/x^3 the SBI check reads B only
+    through p B (h B)^k iota.  A B term doubled on the weight-1 flat chain
+    x^2|x, which that series reads, makes the check raise; doubled on x|x or
+    x|x^2 it goes unseen and the check answers True, the blind spot that
+    sbi_exactness states."""
+    _double_connes_term(monkeypatch, lambda algebra: cell)
+    alg = build_truncated_polynomial_algebra(3)
+    assert hochschild.homology_model_of(alg)[1] == {"kind": "morse"}
+    if raises:
+        with pytest.raises(CompositionNonzero):
+            sbi_exactness(alg, range(3))
+    else:
+        assert sbi_exactness(alg, range(3)) == {0: True, 1: True, 2: True}
 
 
 def test_sbi_checks_read_no_reduction_and_no_bar(monkeypatch):
@@ -372,6 +398,118 @@ def test_spectral_sequence_default_bar_reads_the_window(monkeypatch):
     assert rep == hodge_spectral_sequence(build_truncated_polynomial_algebra(2), (-6, 6),
                                           (0, 1), bar_bound=22)
     assert bars == [16, 22]
+
+
+SS_BUILDS = {"Q": build_field, "T2": lambda: build_truncated_polynomial_algebra(2),
+             "T3": lambda: build_truncated_polynomial_algebra(3), "A2": a2_quiver_algebra,
+             "M2": lambda: build_matrix_algebra(2), "kron": kronecker_algebra}
+SS_WINDOWS = [(-6, 6), (-2, 2), (-3, 1), (0, 3)]
+SS_DEGREES = [(0, 1), (2, 3), (0, 1, 2, 3)]
+
+
+def _oracle_mismatches(cx, windows, degrees):
+    """The (window, r) at which cx.filtration_ranks, from one echelon,
+    differs from the per-window oracle: the rank of H^r(F^i) -> H^r(window)
+    from the homology of each window F^i = t^i .. t^hi
+    (WindowedComplex.induced_rank), for every i."""
+    return [((lo, hi), r) for (lo, hi), r in itertools.product(windows, degrees)
+            if cx.filtration_ranks((lo, hi), r)
+            != {i: cx.induced_rank((i, hi), (lo, hi), r) for i in range(lo, hi + 1)}]
+
+
+def _filtration_mismatches(alg):
+    """The mismatches with the per-window oracle in the 12 spectral reports
+    of alg, whose reductions carry t^1 blocks only, and in every window of
+    Tot of its finite Connes complexes for HC_0..HC_3, on the model HC
+    reads and on the flat one, where d sits at t^0."""
+    out = []
+    for (lo, hi), degrees in itertools.product(SS_WINDOWS, SS_DEGREES):
+        rep = hodge_spectral_sequence(alg, (lo, hi), degrees)
+        red = reduce_mixed_complex(chain_model_of(alg)[0], cyclic.default_bar_bound(
+            alg, max(degrees), hi))
+        oracle = {(i, n): rk for n in degrees for i in range(lo, hi + 1)
+                  if (rk := red.induced_rank((i, hi), (lo, hi), -n))}
+        if rep.filtration != oracle:
+            out.append(("report", (lo, hi), degrees))
+    for model in {hochschild.homology_model_of(alg)[0], alg}:
+        cx, (bottom, top) = cyclic._connes_complex(model, 3)
+        windows = [(lo, hi) for lo in range(bottom, top + 1) for hi in range(lo, top + 1)]
+        out += _oracle_mismatches(cx, windows, range(-3, 1))
+    return out
+
+
+@pytest.mark.parametrize("name", SS_BUILDS)
+def test_filtration_matches_the_per_window_oracle(name):
+    """The filtration ranks of one echelon per degree equal those of one
+    window homology per t-power: 12 spectral reports per algebra, 72 in
+    all, and every window and degree of its Connes complex."""
+    assert _filtration_mismatches(SS_BUILDS[name]()) == []
+
+
+def _odd_to_even_complex(dim, d10, b12, d32):
+    """A WindowedComplex with dim generators at each of the weights 0..3 and
+    blocks {(row, col): value} from odd weights to even ones only, so it
+    squares to zero: d10 (weight 1 to 0) and d32 (3 to 2) at t^0, b12 (1 to
+    2) at t^1.  Both its cycles and its boundaries may join two t-powers."""
+    return cyclic.WindowedComplex([dim] * 4, {(0, 1, 0): d10, (1, 1, 2): b12, (0, 3, 2): d32})
+
+
+def test_filtration_where_a_cycle_spans_two_t_powers():
+    """a at weight 3, t^0 and c at weight 1, t^-1 both map to the weight-2
+    generator at t^0, so a - c is a cycle of the window (-1, 0) at degree
+    -3 that reaches t^0 with no cycle in F^0 = t^0: the class lies in F^-1
+    and not in F^0."""
+    cx = _odd_to_even_complex(1, {}, {(0, 0): 1}, {(0, 0): 1})
+    assert cx.filtration_ranks((-1, 0), -3) == {-1: 1, 0: 0}
+    assert _oracle_mismatches(cx, [(-1, 0)], [-3]) == []
+
+
+def test_filtration_where_a_boundary_spans_two_t_powers():
+    """y at weight 1, t^-1 bounds q + p, q at weight 0, t^-1 and p at
+    weight 2, t^0, so in the window (-1, 0) at degree -2 the cycle q is
+    homologous to p, which lies in F^0: the one class is in F^0.  Added
+    from t^-1 up, q would grow the span first and leave p none."""
+    cx = _odd_to_even_complex(1, {(0, 0): 1}, {(0, 0): 1}, {})
+    assert cx.filtration_ranks((-1, 0), -2) == {-1: 1, 0: 1}
+    assert _oracle_mismatches(cx, [(-1, 0)], [-2]) == []
+
+
+def _blocks(entries):
+    return {(i, j): v for i, j, v in entries if v}
+
+
+BLOCK_ENTRIES = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2)),
+                         max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(BLOCK_ENTRIES, BLOCK_ENTRIES, BLOCK_ENTRIES)
+def test_filtration_ranks_on_random_odd_to_even_complexes(d10, b12, d32):
+    """On random complexes of _odd_to_even_complex, whose cycles and
+    boundaries join t-powers, the ranks of one echelon equal the per-window
+    oracle."""
+    cx = _odd_to_even_complex(3, _blocks(d10), _blocks(b12), _blocks(d32))
+    windows = [(lo, hi) for lo in range(-2, 2) for hi in range(lo, 2)]
+    assert _oracle_mismatches(cx, windows, range(-5, 2)) == []
+
+
+def test_filtration_oracle_sees_cycles_from_the_wrong_end(monkeypatch):
+    """With each window's t-powers listed falling, the pass reads its
+    cycles from the wrong end of the filtration, since it takes the
+    reversed coordinates to fall in t: a - c of
+    test_filtration_where_a_cycle_spans_two_t_powers then counts at t^0.
+    The oracle's ranks do not depend on the order."""
+    real = TruncatedLaurentComplex.offsets
+
+    def falling(self, r):
+        out, n = real(self, r)
+        at = itertools.accumulate((self.weight_dims[m] for m, _ in reversed(out)), initial=0)
+        return dict(zip(reversed(out), at)), n
+
+    monkeypatch.setattr(TruncatedLaurentComplex, "offsets", falling)
+    cx = _odd_to_even_complex(1, {}, {(0, 0): 1}, {(0, 0): 1})
+    assert cx.filtration_ranks((-1, 0), -3) == {-1: 1, 0: 1}
+    assert _oracle_mismatches(cx, [(-1, 0)], [-3]) == [((-1, 0), -3)]
 
 
 def _parts(k):
@@ -448,9 +586,9 @@ def test_induced_rank_against_dense_oracle(case):
         return {i: v for i, v in enumerate(row) if v}
 
     h = SubquotientBasis(ambient_dim=n, boundary_basis=[sparse(r) for r in bnd])
-    want = (len(dense_rref_oracle(bnd + images, n)[0])
-            - len(dense_rref_oracle(bnd, n)[0]))
-    assert _induced_rank(h, [sparse(r) for r in images]) == want
+    ranks = [len(dense_rref_oracle(bnd + images[:k], n)[0]) for k in range(len(images) + 1)]
+    assert _induced_rank(h, [sparse(r) for r in images]) == [
+        after > before for before, after in zip(ranks, ranks[1:])]
 
 
 def _typed(x):

@@ -135,6 +135,59 @@ def test_solve_and_member():
     assert not member([{0: Fraction(1)}], {1: Fraction(1)})
 
 
+def test_solve_marks_only_the_inconsistent_right_hand_sides():
+    """Row 1 is twice row 0 and row 2 is zero, so only right-hand sides of
+    the form (c, 2c, 0) are consistent; the others read None in their own
+    slot, also one that the elimination reduces through an inconsistent
+    one before it (the last)."""
+    m = sparse_from_rows([[1, 2], [2, 4], [0, 0]])
+    rhs = [{0: 1, 1: 2}, {2: 1}, {0: 3, 1: 6}, {0: 1}, {}, {0: 1, 1: 2, 2: 2}]
+    assert solve(m, rhs) == [{0: 1}, None, {0: 3}, None, {}, None]
+    assert [solve(m, b) for b in rhs] == solve(m, rhs)
+    assert solve(m, []) == []
+
+
+@st.composite
+def systems(draw):
+    """A matrix of rational_matrices and right-hand sides, some of them m x
+    for a drawn x, the others drawn freely (mostly inconsistent when m has
+    no full row rank)."""
+    rows, ncols = draw(rational_matrices())
+    m = sparse_from_rows(rows, ncols)
+    value = st.sampled_from([0, 0, 1, -2, Fraction(1, 3)])
+    rhs = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            rhs.append(m.matvec(dict(enumerate(draw(st.lists(
+                value, min_size=ncols, max_size=ncols))))))
+        else:
+            rhs.append({i: v for i, v in enumerate(draw(st.lists(
+                value, min_size=len(rows), max_size=len(rows)))) if v})
+    return rows, m, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_solve_with_several_right_hand_sides(case):
+    """A list of right-hand sides gives, slot by slot, what the solve of
+    each alone gives, types included; and the solve of one dict is the
+    dense Gauss-Jordan solution of [m | b] (its RREF read at the pivot
+    columns), an int wherever the value is integral, or None when [m | b]
+    has a pivot in its last column."""
+    rows, m, rhs = case
+    singles = [solve(m, b) for b in rhs]
+    assert repr(solve(m, rhs)) == repr(singles)  # int and Fraction print apart
+    for b, x in zip(rhs, singles):
+        aug = [row + [b.get(i, 0)] for i, row in enumerate(rows)]
+        pivots, prows = dense_rref_oracle(aug, m.cols + 1)
+        if m.cols in pivots:
+            assert x is None
+            continue
+        assert x == {j: row[m.cols] for j, row in zip(pivots, prows) if m.cols in row}
+        assert all(type(v) is (int if Fraction(v).denominator == 1 else Fraction)
+                   for v in x.values())
+
+
 def test_homology_zero_maps():
     z_in = SparseMatrix(3, 0)
     z_out = SparseMatrix(0, 3)

@@ -24,7 +24,8 @@ slot is read off `algebra.ground` in `lie_terms`, `lie_runs` and
 (`exactlin.chain_add`), the sparse apply (`exactlin.apply_columns`), the
 operator residual of the calculus identities (`calculus._residual`), the
 t-window truncation with its homology and window-to-window rank
-(`cyclic.WindowedComplex.truncation`, `.homology` and `.induced_rank`), the
+(`cyclic.WindowedComplex.truncation`, `.homology` and `.induced_rank`, and
+`.filtration_ranks`, the ranks of a whole filtration from one echelon), the
 block p O iota on the reduction of an operator given per key
 (`cyclic.reduced_block`, over the lazy columns of `cyclic._keyed_columns`),
 the homology of a complex (`exactlin.homology_walk`, which eliminates each
@@ -170,18 +171,43 @@ def test_one_residual_kernel():
         assert not _call_sites(name), name
 
 
+def _window_rank_calls(tree, module):
+    """Every call of induced_rank, the rank between two t-windows from the
+    homology of both."""
+    return _calls_of(tree, module, {"induced_rank"})
+
+
 def test_one_windowed_homology_layer():
     """cyclic builds its t-window truncations at one site, the truncation
     that the transferred complex and the finite Connes complex of HC and SBI
     share as WindowedComplexes, has no regrouped copy of the transfer
     blocks, and moves vectors between windows only for the induced rank and
-    the SBI connecting map."""
+    the SBI connecting map.  Only the SBI check (exact_at) takes the rank
+    between two windows; the spectral sequence takes its filtration ranks
+    from one echelon per degree (filtration_ranks), not from the homology
+    of a window per t-power."""
     assert _call_sites("TruncatedLaurentComplex") == [("cyclic", "truncation")]
     assert _call_sites("WindowedComplex") == [("cyclic", "connes")]
     assert not hasattr(cyclic, "TComplexData")
     assert not hasattr(cyclic, "_windowed_dims")
     assert set(_call_sites("_move")) == {("cyclic", "induced_rank"),
                                          ("cyclic", "connecting")}
+    modules = [path.stem for path in sorted(SRC.glob("*.py"))]
+    assert _scan_sites(_window_rank_calls, modules) == {("cyclic", "exact_at")}
+    assert _scan_sites(functools.partial(_calls_of, names={"filtration_ranks"}),
+                       modules) == {("cyclic", "hodge_spectral_sequence")}
+
+
+def test_window_rank_scan_finds_a_per_power_loop():
+    """The scan of test_one_windowed_homology_layer finds the loop the
+    spectral sequence had: the homology of one window per t-power, read
+    through induced_rank."""
+    copy = ast.parse(
+        "def hodge_spectral_sequence(algebra, t_window, degree_range):\n"
+        "    for n in degrees:\n"
+        "        for i in range(lo, hi + 1):\n"
+        "            rk = red.induced_rank((i, hi), (lo, hi), -n)\n")
+    assert _window_rank_calls(copy, "cyclic") == [("cyclic", "hodge_spectral_sequence")]
 
 
 def test_one_homology_walk():
